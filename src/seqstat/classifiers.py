@@ -7,21 +7,30 @@ fixed-length rule thresholds the score once at a fixed ``n``; the sequential
 rule feeds symbols one at a time and stops as soon as all but one class has
 been ruled out, declaring the survivor.
 
-Scores are recomputed from integer counts at every step.  The per-class
-score decomposes over symbols as
+Scores are computed from integer counts.  With ``C`` the training counts
+(``|C| = N``) and ``c`` the test counts (``|c| = n``),
 
-    sum_x [ N * t(x) * ln(t(x) / m(x)) + c(x) * ln(p(x) / m(x)) ]
+    n * gjs(T_train, T_test, N / n) = Phi(C) + Phi(c) - Phi(C + c),
+    Phi(v) = sum_x v_x ln v_x - |v| ln |v|,
 
-with ``t`` the training frequencies, ``c`` the test counts, ``p = c / n``
-and ``m(x) = (C(x) + c(x)) / (N + n)`` built from raw counts, so a test
-type identical to the training type scores exactly zero.
+where every ``v ln v`` is read from one table of ``j ln j``, grown on demand
+up to a fixed size and computed directly past it, and summed left to right
+over the alphabet.  The score is exactly zero when ``C_x * n == c_x * N`` for
+every ``x``, i.e. when the two types coincide.
+
+One lockstep kernel runs the sequential test for the Monte Carlo harness
+(``estimate`` and ``run_trial``): it scores a block of trials x prefix
+lengths x classes at once and carries the undecided trials into the next,
+wider block.  ``score``, ``seq_binary_step`` and ``seq_multiclass_run``
+evaluate the same expression one step at a time, in the same order of
+operations, so every entry point produces the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -148,126 +157,252 @@ def score(t_train: EmpiricalType, t_test: EmpiricalType) -> float:
         raise AlphabetMismatch("types live on different alphabets")
     n = t_test.total
     big_n = t_train.total
-    freqs = tuple(c / big_n for c in t_train.counts)
-    return _score_one(t_train.counts, freqs, t_test.counts, n, big_n)
+    table = _lookup(big_n + n)
+    phi_train = _phi(t_train.counts, big_n, table)
+    return _scores((t_train.counts,), (phi_train,), big_n, t_test.counts, n, table)[0]
 
 
-def _score_one(
-    train_counts: Sequence[int],
-    train_freqs: Sequence[float],
+# Prefix lengths a trial's first block scores; each later block is GROWTH
+# times wider, as far as BLOCK_ENTRIES allows.
+FIRST_WIDTH = 32
+GROWTH = 2
+# Bound on trials x classes x prefix lengths x symbols in one block, which
+# bounds the kernel's working set whatever the trial count and the cap.
+BLOCK_ENTRIES = 1 << 17
+# A score within this fraction of (N + n) ln(N + n) of zero is checked for
+# exact proportionality; rounding in the table sums stays far below it.
+_ZERO_GUARD = 1e-10
+
+# j ln j for j = 0, 1, ..., grown on demand up to _TABLE_SIZE entries;
+# larger j are computed when needed, so the table's size depends neither on
+# the trial count nor on the cap.  Every entry, in the table or not, is
+# ``j * math.log(j)`` on a Python int, so it does not depend on how or in
+# which process it was made.
+_TABLE_SIZE = 1 << 16
+_JLNJ = np.zeros(1)
+
+
+def _jlnj(top: int) -> np.ndarray:
+    """The ``j ln j`` table, covering ``0 .. top`` as far as ``_TABLE_SIZE`` allows."""
+    global _JLNJ
+    table = _JLNJ
+    if len(table) <= min(top, _TABLE_SIZE - 1):
+        size = min(max(2 * len(table), top + 1, 1024), _TABLE_SIZE)
+        fresh = (j * math.log(j) for j in range(len(table), size))
+        table = np.concatenate([table, np.fromiter(fresh, float, size - len(table))])
+        _JLNJ = table
+    return table
+
+
+class _PastTable:
+    """``j ln j`` by index: from the table where it reaches, else by ``math.log``."""
+
+    __slots__ = ("table", "size")
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = memoryview(table)
+        self.size = len(table)
+
+    def __getitem__(self, j: int) -> float:
+        if j < self.size:
+            return self.table[j]
+        return j * math.log(j)
+
+
+def _lookup(top: int):
+    """``j ln j`` indexable by any ``j`` in ``0 .. top``."""
+    table = _jlnj(top)
+    if top < len(table):
+        return memoryview(table)
+    return _PastTable(table)
+
+
+def _take(idx, top: int) -> np.ndarray:
+    """``j ln j`` at every entry of the array ``idx``, none above ``top``."""
+    table = _jlnj(top)
+    if top < len(table):
+        return table.take(idx)
+    idx = np.asarray(idx)
+    far = idx >= len(table)
+    out = np.empty(idx.shape)
+    table.take(np.where(far, 0, idx), out=out)
+    beyond, where = np.unique(idx[far], return_inverse=True)
+    values = np.fromiter((j * math.log(j) for j in beyond.tolist()), float, len(beyond))
+    out[far] = values[where]
+    return out
+
+
+def _phi(counts: Sequence[int], total: int, table) -> float:
+    """``Phi(v) = sum_x v_x ln v_x - |v| ln |v|``, summed left to right."""
+    s = 0.0
+    for c in counts:
+        s += table[c]
+    return s - table[total]
+
+
+def _scores(
+    train: Sequence[Sequence[int]],
+    phi_train: Sequence[float],
+    big_n: int,
     counts: Sequence[int],
     n: int,
-    big_n: int,
-) -> float:
-    total = big_n + n
-    inv_n = 1.0 / n
-    s = 0.0
-    for big_c, t, c in zip(train_counts, train_freqs, counts):
-        if big_c == 0 and c == 0:
-            continue
-        m = (big_c + c) / total
-        if big_c:
-            s += big_n * t * math.log(t / m)
-        if c:
-            s += c * math.log(c * inv_n / m)
-    return s
+    table,
+) -> list[float]:
+    """Score of every class after ``n`` test symbols with counts ``counts``.
 
-
-class _SequentialEngine:
-    """Shared scorer and stopping logic for the sequential tests.
-
-    ``simultaneous`` picks the verdict when the final step rules out every
-    class at once: ``"smaller"`` (binary rule) declares the class with the
-    strictly smaller score and gives up on an exact tie, ``"none"`` gives up
-    outright.
+    The scalar form of :func:`_block_scores`: the same table, the same
+    operations in the same order, so both give the same bits.
     """
-
-    def __init__(self, train_types: Sequence[EmpiricalType], config: SequentialConfig):
-        big_n = config.train_len
-        for t in train_types:
-            if t.total != big_n:
-                raise LengthMismatch(
-                    f"training sequence of length {t.total}, expected {big_n}"
-                )
-        self.config = config
-        self.big_n = big_n
-        self.threshold = config.threshold
-        self.num_classes = len(train_types)
-        self.k = train_types[0].alphabet.size
-        self.train_counts = [t.counts for t in train_types]
-        self.train_freqs = [tuple(c / big_n for c in t.counts) for t in train_types]
-        self.counts = [0] * self.k
-        self.n = 0
-        self.scores = [0.0] * self.num_classes
-        self.crossed: list[int | None] = [None] * self.num_classes
-
-    def step(self, symbol_index: int) -> list[float]:
-        self.counts[symbol_index] += 1
-        self.n += 1
-        n = self.n
-        self.scores = [
-            _score_one(bc, tf, self.counts, n, self.big_n)
-            for bc, tf in zip(self.train_counts, self.train_freqs)
-        ]
-        for i, s in enumerate(self.scores):
-            if self.crossed[i] is None and s >= self.threshold:
-                self.crossed[i] = n
-        return self.scores
-
-    def ruled_out(self) -> int:
-        return sum(1 for c in self.crossed if c is not None)
-
-    def resolve(self, simultaneous: str) -> Verdict:
-        """Verdict once at least ``num_classes - 1`` classes have crossed."""
-        survivors = [i for i, c in enumerate(self.crossed) if c is None]
-        if len(survivors) == 1:
-            return Verdict.of_class(survivors[0])
-        if simultaneous == "smaller" and self.num_classes == 2:
-            s0, s1 = self.scores
-            if s0 < s1:
-                return Verdict.of_class(0)
-            if s1 < s0:
-                return Verdict.of_class(1)
-        return Verdict.undecided()
-
-    def run(
-        self,
-        stream: Iterator[int],
-        simultaneous: str,
-        record: bool = False,
-    ) -> tuple[int, Verdict, tuple[int | None, ...], list[list[float]] | None]:
-        rows: list[list[float]] | None = [] if record else None
-        cap = self.config.cap
-        while True:
-            try:
-                idx = next(stream)
-            except StopIteration:
-                partial = _trace_from(rows, self.n, Verdict.undecided(), self.crossed, self.num_classes)
-                raise StreamExhausted(
-                    f"test stream ended after {self.n} symbols, before a verdict",
-                    trace=partial,
-                ) from None
-            scores = self.step(idx)
-            if record:
-                rows.append(list(scores))
-            if self.ruled_out() >= self.num_classes - 1:
-                return self.n, self.resolve(simultaneous), tuple(self.crossed), rows
-            if self.n >= cap:
-                return self.n, Verdict.undecided(), tuple(self.crossed), rows
+    phi_test = _phi(counts, n, table)
+    top = table[big_n + n]
+    out = []
+    for cs, phi_c in zip(train, phi_train):
+        mix = 0.0
+        for a, b in zip(cs, counts):
+            mix += table[a + b]
+        s = (phi_c + phi_test) - (mix - top)
+        if abs(s) <= _ZERO_GUARD * top and all(
+            a * n == b * big_n for a, b in zip(cs, counts)
+        ):
+            s = 0.0
+        out.append(s)
+    return out
 
 
-def _trace_from(
-    rows: list[list[float]] | None,
+def _phi_array(parts: Iterable[np.ndarray], total, top: int) -> np.ndarray:
+    """:func:`_phi` elementwise, from one count array per symbol in alphabet order."""
+    parts = iter(parts)
+    acc = _take(next(parts), top)
+    for part in parts:
+        acc = acc + _take(part, top)
+    return acc - _take(total, top)
+
+
+def _block_scores(
+    train: np.ndarray, phi_train: np.ndarray, counts: np.ndarray, n: np.ndarray, big_n: int
+) -> np.ndarray:
+    """Scores of every class at every prefix length of a block.
+
+    ``train`` holds training counts ``(A, M, K)``, ``phi_train`` their
+    ``Phi`` ``(A, M)``, ``counts`` the cumulative test counts ``(K, A, L)``
+    after ``n`` ``(L,)`` symbols.  Returns scores ``(A, M, L)``: exactly 0.0
+    where ``C_x * n == c_x * N`` for every ``x``, else
+    ``Phi(C) + Phi(c) - Phi(C + c)``.
+    """
+    top = big_n + int(n[-1])
+    phi_test = _phi_array(counts, n, top)
+    mixed = (train[:, :, x, None] + counts[x][:, None, :] for x in range(len(counts)))
+    scores = (phi_train[:, :, None] + phi_test[:, None, :]) - _phi_array(mixed, big_n + n, top)
+    near = np.abs(scores) <= _ZERO_GUARD * _take(big_n + n, top)
+    if near.any():
+        a, m, j = np.nonzero(near)
+        proportional = (train[a, m, :] * n[j, None] == counts[:, a, j].T * big_n).all(axis=1)
+        scores[a[proportional], m[proportional], j[proportional]] = 0.0
+    return scores
+
+
+def _resolve(survivors: Sequence[int], scores: Sequence[float], rule: str) -> Verdict:
+    """Verdict once at most one class survives.
+
+    ``rule`` picks the verdict when the final step rules out every class at
+    once: ``"smaller"`` (binary rule) declares the class with the strictly
+    smaller score and gives up on an exact tie, ``"none"`` gives up outright.
+    """
+    if len(survivors) == 1:
+        return Verdict.of_class(survivors[0])
+    if rule == "smaller" and len(scores) == 2:
+        s0, s1 = scores
+        if s0 < s1:
+            return Verdict.of_class(0)
+        if s1 < s0:
+            return Verdict.of_class(1)
+    return Verdict.undecided()
+
+
+def _lockstep(
+    train: np.ndarray,
+    cfg: SequentialConfig,
+    rule: str,
+    draw: Callable[[np.ndarray, int, int], np.ndarray],
+    record: bool,
+) -> list[TrialTrace]:
+    """Run the sequential test on a batch of trials in lockstep.
+
+    ``train`` holds each trial's training counts ``(B, M, K)``, each of
+    length ``cfg.train_len``.
+    ``draw(rows, start, stop)`` returns the test symbol indices at positions
+    ``start .. stop-1`` of the batch trials ``rows``, shape
+    ``(len(rows), stop - start)``.  Every block scores all classes at a run
+    of prefix lengths at once; trials still undecided at its end carry their
+    counts and first crossings into the next, wider block.  Score rows are
+    kept only when ``record`` is set.
+    """
+    big_n = cfg.train_len
+    cap = cfg.cap
+    threshold = cfg.threshold
+    batch, m, k = train.shape
+    phi_train = _phi_array(train.transpose(2, 0, 1), big_n, big_n)
+    never = cap + 1
+    first = np.full((batch, m), never, dtype=np.int64)
+    carry = np.zeros((k, batch), dtype=np.int64)
+    blocks: list[list[np.ndarray]] = [[] for _ in range(batch)]
+    out: list[TrialTrace | None] = [None] * batch
+    active = np.arange(batch)
+    start = 0
+    width = FIRST_WIDTH
+    while active.size:
+        fits = BLOCK_ENTRIES // (active.size * m * k) // 4 * 4
+        symbols = draw(active, start, min(start + max(4, min(width, fits)), cap))
+        w = symbols.shape[1]
+        n = np.arange(start + 1, start + w + 1)
+        counts = np.empty((k, active.size, w), dtype=np.int64)
+        for x in range(k):
+            np.cumsum(symbols == x, axis=1, out=counts[x])
+            counts[x] += carry[x, active, None]
+        scores = _block_scores(train[active], phi_train[active], counts, n, big_n)
+        crossed = scores >= threshold
+        hit = crossed.any(axis=2)
+        at = np.where(hit, start + 1 + crossed.argmax(axis=2), never)
+        firsts = np.minimum(first[active], at)
+        first[active] = firsts
+        # the test stops once all but one class have crossed
+        stop_at = np.sort(firsts, axis=1)[:, m - 2]
+        end = start + w
+        if record:
+            for j, i in enumerate(active.tolist()):
+                blocks[i].append(scores[j].T)
+        done = np.flatnonzero((stop_at <= end) | (end >= cap))
+        for j, i, t, fs in zip(
+            done.tolist(), active[done].tolist(), stop_at[done].tolist(), firsts[done].tolist()
+        ):
+            if t <= end:
+                survivors = [c for c, f in enumerate(fs) if f > t]
+                final = () if survivors else scores[j, :, t - start - 1].tolist()
+                verdict = _resolve(survivors, final, rule)
+            else:
+                t = cap
+                verdict = Verdict.undecided()
+            crossed_at = tuple(f if f <= t else None for f in fs)
+            out[i] = _trace(blocks[i], m, t, verdict, crossed_at)
+        carry[:, active] = counts[:, :, -1]
+        active = np.delete(active, done)
+        start = end
+        width *= GROWTH
+    return out
+
+
+def _trace(
+    blocks: list[np.ndarray],
+    num_classes: int,
     stopping_time: int,
     verdict: Verdict,
-    crossed: Sequence[int | None],
-    num_classes: int,
+    crossed: tuple[int | None, ...],
 ) -> TrialTrace:
-    if rows is None:
-        matrix = np.zeros((0, num_classes))
+    if blocks:
+        rows = np.concatenate(blocks)[:stopping_time]
     else:
-        matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), num_classes)
-    return TrialTrace(matrix, stopping_time, verdict, tuple(crossed))
+        rows = np.zeros((0, num_classes))
+    return TrialTrace(rows, stopping_time, verdict, crossed)
 
 
 # --------------------------------------------------------------------------
@@ -313,20 +448,13 @@ class SequentialState:
 
     config: SequentialConfig
     alphabet: Alphabet
-    engine: _SequentialEngine = field(repr=False)
+    train: tuple[tuple[int, ...], ...] = field(repr=False)
+    phi_train: tuple[float, ...] = field(repr=False)
+    counts: list[int] = field(repr=False)
+    n: int = 0
+    scores: tuple[float, ...] = (0.0, 0.0)
+    crossed: tuple[int | None, ...] = (None, None)
     verdict: Verdict | None = None
-
-    @property
-    def n(self) -> int:
-        return self.engine.n
-
-    @property
-    def scores(self) -> tuple[float, ...]:
-        return tuple(self.engine.scores)
-
-    @property
-    def crossed(self) -> tuple[int | None, ...]:
-        return tuple(self.engine.crossed)
 
 
 def seq_binary_start(
@@ -340,9 +468,16 @@ def seq_binary_start(
         raise LengthMismatch(
             f"training lengths ({len(x1)}, {len(x2)}) != configured {cfg.train_len}"
         )
-    types = (empirical_type(x1, alphabet), empirical_type(x2, alphabet))
-    engine = _SequentialEngine(types, cfg)
-    return SequentialState(config=cfg, alphabet=alphabet, engine=engine)
+    train = (empirical_type(x1, alphabet).counts, empirical_type(x2, alphabet).counts)
+    table = _lookup(cfg.train_len)
+    phi_train = tuple(_phi(cs, cfg.train_len, table) for cs in train)
+    return SequentialState(
+        config=cfg,
+        alphabet=alphabet,
+        train=train,
+        phi_train=phi_train,
+        counts=[0] * alphabet.size,
+    )
 
 
 def seq_binary_step(
@@ -357,17 +492,22 @@ def seq_binary_step(
     """
     if state.verdict is not None:
         raise SteppedAfterStop("the sequential test already delivered a verdict")
-    engine = state.engine
-    idx = state.alphabet.index_of(y)
-    engine.step(idx)
-    verdict: Verdict | None = None
-    if engine.ruled_out() >= 1:
-        verdict = engine.resolve("smaller")
-    elif engine.n >= state.config.cap:
-        verdict = Verdict.undecided()
-    if verdict is not None:
-        state.verdict = verdict
-    return state, verdict
+    cfg = state.config
+    big_n = cfg.train_len
+    state.counts[state.alphabet.index_of(y)] += 1
+    n = state.n = state.n + 1
+    table = _lookup(big_n + n)
+    scores = _scores(state.train, state.phi_train, big_n, state.counts, n, table)
+    state.scores = tuple(scores)
+    threshold = cfg.threshold
+    # no class has crossed before this step, or the test would have stopped
+    if max(scores) >= threshold:
+        state.crossed = tuple(n if s >= threshold else None for s in scores)
+        survivors = [i for i, s in enumerate(scores) if s < threshold]
+        state.verdict = _resolve(survivors, scores, "smaller")
+    elif n >= cfg.cap:
+        state.verdict = Verdict.undecided()
+    return state, state.verdict
 
 
 def seq_multiclass_run(
@@ -382,7 +522,8 @@ def seq_multiclass_run(
     the test stops when at most one class survives (or at the cap) and
     declares the survivor.  An empty survivor set or a cap hit yields no
     decision.  If the stream ends first, :class:`StreamExhausted` is raised
-    with the partial trace attached.
+    with the partial trace attached.  The stream is read one symbol per step,
+    never past the stopping point.
     """
     if len(train_sequences) < 2:
         raise SizeMismatch("need at least two training sequences")
@@ -392,7 +533,29 @@ def seq_multiclass_run(
             raise LengthMismatch(
                 f"training length {len(seq)} != configured {cfg.train_len}"
             )
-    engine = _SequentialEngine(types, cfg)
-    indexed = (alphabet.index_of(sym) for sym in stream)
-    stopping_time, verdict, crossed, rows = engine.run(indexed, "none", record=True)
-    return _trace_from(rows, stopping_time, verdict, crossed, engine.num_classes)
+    big_n = cfg.train_len
+    train = tuple(t.counts for t in types)
+    table = _lookup(big_n)
+    phi_train = tuple(_phi(cs, big_n, table) for cs in train)
+    threshold = cfg.threshold
+    m = len(train)
+    counts = [0] * alphabet.size
+    crossed: list[int | None] = [None] * m
+    rows: list[list[float]] = []
+    n = 0
+    for sym in stream:
+        counts[alphabet.index_of(sym)] += 1
+        n += 1
+        scores = _scores(train, phi_train, big_n, counts, n, _lookup(big_n + n))
+        rows.append(scores)
+        for i, s in enumerate(scores):
+            if crossed[i] is None and s >= threshold:
+                crossed[i] = n
+        survivors = [i for i, c in enumerate(crossed) if c is None]
+        if len(survivors) <= 1 or n >= cfg.cap:
+            verdict = _resolve(survivors, (), "none")
+            return TrialTrace(np.array(rows).reshape(n, m), n, verdict, tuple(crossed))
+    raise StreamExhausted(
+        f"test stream ended after {n} symbols, before a verdict",
+        trace=TrialTrace(np.array(rows).reshape(n, m), n, Verdict.undecided(), tuple(crossed)),
+    )

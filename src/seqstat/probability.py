@@ -4,17 +4,25 @@ All logarithms in this package are natural, so every information quantity is
 reported in nats.  Distributions are immutable: weights are validated once at
 construction and the stored tuple is never mutated afterwards.
 
-Sampling is counter-based.  Each stream is a Philox4x64 generator keyed by
+Sampling is counter-based.  Each stream is the Philox4x64 sequence keyed by
 ``(master_seed, stream_index)``, and symbols are produced by inverse-CDF
 lookup on the cumulative weights.  Two calls with the same :class:`SeedSpec`
 therefore produce bit-identical output on any platform, and the draws of one
 stream never depend on how many other streams exist.
+
+Streams are drawn by re-keying one shared Philox bit generator rather than
+constructing a new one: construction seeds through ``os.urandom`` even when a
+key is given, and costs several times as much as setting the key.  Setting the
+counter as well starts a stream at any position, so a stream can be drawn in
+pieces that join into exactly the draws of one long call.  Every sampler goes
+through :func:`stream_indices`; :func:`bit_generator` still hands out an
+independent generator for callers that keep one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,12 +54,14 @@ class Alphabet:
     """Ordered collection of distinct symbol labels."""
 
     symbols: tuple[Symbol, ...]
+    _index: dict[Symbol, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.symbols) == 0:
             raise SizeMismatch("alphabet must contain at least one symbol")
         if len(set(self.symbols)) != len(self.symbols):
             raise SizeMismatch("alphabet symbols must be distinct")
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     @property
     def size(self) -> int:
@@ -59,20 +69,9 @@ class Alphabet:
 
     def index_of(self, symbol: Symbol) -> int:
         try:
-            return _index_map(self.symbols)[symbol]
+            return self._index[symbol]
         except KeyError:
             raise UnknownSymbol(f"symbol {symbol!r} is not in the alphabet") from None
-
-
-_INDEX_CACHE: dict[tuple[Symbol, ...], dict[Symbol, int]] = {}
-
-
-def _index_map(symbols: tuple[Symbol, ...]) -> dict[Symbol, int]:
-    table = _INDEX_CACHE.get(symbols)
-    if table is None:
-        table = {s: i for i, s in enumerate(symbols)}
-        _INDEX_CACHE[symbols] = table
-    return table
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def make_distribution(weights: Sequence[float], alphabet: Alphabet) -> Distribut
 
 def empirical_type(sequence: Iterable[Symbol], alphabet: Alphabet) -> EmpiricalType:
     """Count symbol occurrences of ``sequence`` under ``alphabet``."""
-    table = _index_map(alphabet.symbols)
+    table = alphabet._index
     counts = [0] * alphabet.size
     n = 0
     for sym in sequence:
@@ -203,12 +202,67 @@ def bit_generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# The generator every stream is drawn from, re-keyed per stream; made on first use.
+_SHARED: np.random.Generator | None = None
+
+
+def _shared_generator() -> np.random.Generator:
+    global _SHARED
+    if _SHARED is None:
+        _SHARED = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
+    return _SHARED
+
+
+def stream_indices(
+    p: Distribution, master_seed: int, streams: Sequence[int], start: int, stop: int
+) -> np.ndarray:
+    """Symbol indices ``start .. stop-1`` of each stream ``(master_seed, s)``.
+
+    Returns an array of shape ``(len(streams), stop - start)`` whose row ``i``
+    equals positions ``start .. stop-1`` of ``sample_indices`` on
+    ``SeedSpec(master_seed, streams[i])``; seeds and stream indices are
+    checked as :class:`SeedSpec` checks them.
+    """
+    if not 0 <= start <= stop:
+        raise SizeMismatch(f"cannot draw positions {start} to {stop}")
+    SeedSpec(master_seed)
+    if len(streams) and not (0 <= min(streams) and max(streams) <= _UINT64_MAX):
+        raise BadSeed(
+            f"stream indices {min(streams)} .. {max(streams)} outside the 64-bit range"
+        )
+    uniforms = np.empty((len(streams), stop - start))
+    # Philox yields four 64-bit words per counter value and one word per
+    # uniform, so position ``start`` sits ``start % 4`` draws into block
+    # ``start // 4``
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[0] = start >> 2
+    skip = start & 3
+    key = np.array([master_seed, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    gen = _shared_generator()
+    bits = gen.bit_generator
+    with bits.lock:
+        for row, stream in zip(uniforms, streams):
+            key[1] = stream
+            bits.state = state
+            if skip:
+                gen.random(skip)
+            gen.random(out=row)
+    return _indices_from_uniforms(p.as_array(), uniforms)
+
+
 def sample_indices(p: Distribution, n: int, seed: SeedSpec) -> np.ndarray:
     """Draw ``n`` iid symbol indices from ``p`` on the stream ``seed``."""
     if n < 0:
         raise SizeMismatch(f"cannot draw {n} samples")
-    rng = bit_generator(seed)
-    return _indices_from_uniforms(p.as_array(), rng.random(n))
+    return stream_indices(p, seed.master_seed, (seed.stream_index,), 0, n)[0]
 
 
 def _indices_from_uniforms(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

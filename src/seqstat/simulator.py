@@ -7,6 +7,12 @@ training sequences and role ``M`` for the test stream.  Outcomes therefore
 depend only on the configuration, never on scheduling: ``estimate`` reduces
 per-trial summaries in trial-index order and returns identical reports for
 any worker count.
+
+Sequential trials run in batches of ``BLOCK_TRIALS`` through the lockstep
+kernel of :mod:`seqstat.classifiers`, which pulls each batch's test streams
+block by block; ``run_trial`` is the same kernel on a batch of one, with
+score rows kept.  ``estimate`` starts at most one worker pool per call and
+feeds it the trial blocks of every hypothesis.
 """
 
 from __future__ import annotations
@@ -15,17 +21,16 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
 from .classifiers import (
+    BLOCK_ENTRIES,
     GutmanConfig,
     SequentialConfig,
     TrialTrace,
-    Verdict,
-    _SequentialEngine,
-    _trace_from,
+    _lockstep,
     gutman_binary,
     gutman_multiclass,
 )
@@ -43,12 +48,13 @@ from .probability import (
     Distribution,
     EmpiricalType,
     SeedSpec,
-    bit_generator,
+    bit_generator,  # noqa: F401  (wrapped by name in bench/spans.py)
     sample_indices,
+    stream_indices,
 )
 
-# Test symbols are drawn from the stream generator in blocks of this size.
-STREAM_CHUNK = 128
+# Sequential trials run through the lockstep kernel in batches of this size.
+BLOCK_TRIALS = 128
 # Two-sided normal quantile used for the 95% confidence half-widths.
 _Z95 = 1.959963984540054
 
@@ -166,79 +172,86 @@ class ProbeReport:
     slope: float
 
 
-def _stream_indices(dist: Distribution, seed: SeedSpec, limit: int) -> Iterator[int]:
-    """Lazy iid index stream; the draw pattern depends only on the seed."""
-    rng = bit_generator(seed)
-    cdf = np.cumsum(dist.as_array())
-    top = len(cdf) - 1
-    produced = 0
-    while produced < limit:
-        block = min(STREAM_CHUNK, limit - produced)
-        uniforms = rng.random(block)
-        indices = np.minimum(np.searchsorted(cdf, uniforms, side="right"), top)
-        for value in indices:
-            yield int(value)
-        produced += block
+def _training_counts(cfg: ExperimentConfig, indices: Sequence[int]) -> np.ndarray:
+    """Training counts ``(B, M, K)`` of the trials ``indices``, from their role streams."""
+    m = cfg.num_classes
+    k = cfg.distributions[0].alphabet.size
+    out = np.empty((len(indices), m, k), dtype=np.int64)
+    # at most BLOCK_ENTRIES symbols are drawn at once, whatever the batch and N
+    rows = max(1, BLOCK_ENTRIES // cfg.train_len)
+    for lo in range(0, len(indices), rows):
+        chunk = indices[lo : lo + rows]
+        for role, dist in enumerate(cfg.distributions):
+            streams = [t * (m + 1) + role for t in chunk]
+            idx = stream_indices(dist, cfg.master_seed, streams, 0, cfg.train_len)
+            for x in range(k):
+                out[lo : lo + rows, role, x] = np.count_nonzero(idx == x, axis=1)
+    return out
 
 
-def _training_types(cfg: ExperimentConfig, trial_index: int) -> list[EmpiricalType]:
+def _sequential_trials(
+    cfg: ExperimentConfig, indices: Sequence[int], record: bool
+) -> list[TrialTrace]:
+    """Sequential test on the trials ``indices``, run as one lockstep batch."""
+    m = cfg.num_classes
+    train = _training_counts(cfg, indices)
+    streams = [t * (m + 1) + m for t in indices]
+    source = cfg.distributions[cfg.true_class]
+
+    def draw(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+        keys = [streams[r] for r in rows]
+        return stream_indices(source, cfg.master_seed, keys, start, stop)
+
+    rule = "smaller" if m == 2 else "none"
+    return _lockstep(train, cfg.sequential_config(), rule, draw, record)
+
+
+def _fixed_length_trial(cfg: ExperimentConfig, trial_index: int, record: bool) -> TrialTrace:
+    """Fixed-length test on one trial; the score row is computed only for ``record``."""
     alphabet = cfg.distributions[0].alphabet
-    k = alphabet.size
-    base = trial_index * (cfg.num_classes + 1)
-    types = []
-    for role, dist in enumerate(cfg.distributions):
-        idx = sample_indices(dist, cfg.train_len, SeedSpec(cfg.master_seed, base + role))
-        counts = np.bincount(idx, minlength=k)
-        types.append(EmpiricalType(alphabet, tuple(int(c) for c in counts)))
-    return types
-
-
-def _run_one(
-    cfg: ExperimentConfig, trial_index: int, record: bool
-) -> tuple[int, Verdict, tuple[int | None, ...], list[list[float]] | None]:
-    if cfg.true_class is None:
-        raise ValidationError("run_trial needs a configured true class")
-    types = _training_types(cfg, trial_index)
+    types = [
+        EmpiricalType(alphabet, tuple(row.tolist()))
+        for row in _training_counts(cfg, [trial_index])[0]
+    ]
+    n_test = cfg.n_test
     test_seed = SeedSpec(
         cfg.master_seed, trial_index * (cfg.num_classes + 1) + cfg.num_classes
     )
-    source = cfg.distributions[cfg.true_class]
-    if cfg.test_kind == "gutman":
-        n_test = cfg.n_test
-        idx = sample_indices(source, n_test, test_seed)
-        counts = np.bincount(idx, minlength=source.alphabet.size)
-        ty = EmpiricalType(source.alphabet, tuple(int(c) for c in counts))
-        gcfg = GutmanConfig(cfg.train_len / n_test, cfg.gutman_lambda, cfg.gutman_mode)
-        if cfg.num_classes == 2:
-            verdict = gutman_binary(types[0], ty, gcfg)
-        else:
-            verdict = gutman_multiclass(types, ty, gcfg)
-        ty_dist = ty.as_distribution()
-        row = [gjs(t.as_distribution(), ty_dist, gcfg.alpha) for t in types]
-        crossed = tuple(
-            n_test if value > gcfg.raw_threshold else None for value in row
-        )
-        return n_test, verdict, crossed, ([row] if record else None)
-    engine = _SequentialEngine(types, cfg.sequential_config())
-    stream = _stream_indices(source, test_seed, cfg.effective_cap)
-    rule = "smaller" if cfg.num_classes == 2 else "none"
-    return engine.run(stream, rule, record=record)
+    idx = sample_indices(cfg.distributions[cfg.true_class], n_test, test_seed)
+    ty = EmpiricalType(alphabet, tuple(np.bincount(idx, minlength=alphabet.size).tolist()))
+    gcfg = GutmanConfig(cfg.train_len / n_test, cfg.gutman_lambda, cfg.gutman_mode)
+    if cfg.num_classes == 2:
+        verdict = gutman_binary(types[0], ty, gcfg)
+    else:
+        verdict = gutman_multiclass(types, ty, gcfg)
+    if not record:
+        return TrialTrace(np.zeros((0, cfg.num_classes)), n_test, verdict, ())
+    ty_dist = ty.as_distribution()
+    row = [gjs(t.as_distribution(), ty_dist, gcfg.alpha) for t in types]
+    crossed = tuple(n_test if value > gcfg.raw_threshold else None for value in row)
+    return TrialTrace(np.asarray([row], dtype=np.float64), n_test, verdict, crossed)
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
     """Run one fully traced trial; deterministic in ``(config, index)``."""
-    stopping_time, verdict, crossed, rows = _run_one(cfg, trial_index, record=True)
-    return _trace_from(rows, stopping_time, verdict, crossed, cfg.num_classes)
+    if cfg.true_class is None:
+        raise ValidationError("run_trial needs a configured true class")
+    if cfg.test_kind == "gutman":
+        return _fixed_length_trial(cfg, trial_index, record=True)
+    return _sequential_trials(cfg, [trial_index], record=True)[0]
 
 
 def _summaries_serial(
     cfg: ExperimentConfig, indices: range
 ) -> list[tuple[int, str, int | None]]:
-    out = []
-    for trial_index in indices:
-        stopping_time, verdict, _, _ = _run_one(cfg, trial_index, record=False)
-        out.append((stopping_time, verdict.kind, verdict.index))
-    return out
+    if cfg.test_kind == "gutman":
+        traces = [_fixed_length_trial(cfg, t, record=False) for t in indices]
+    else:
+        traces = []
+        for lo in range(indices.start, indices.stop, BLOCK_TRIALS):
+            batch = range(lo, min(lo + BLOCK_TRIALS, indices.stop))
+            traces.extend(_sequential_trials(cfg, batch, record=False))
+    return [(t.stopping_time, t.verdict.kind, t.verdict.index) for t in traces]
 
 
 def _summary_batch(args) -> list[tuple[int, str, int | None]]:
@@ -247,20 +260,28 @@ def _summary_batch(args) -> list[tuple[int, str, int | None]]:
 
 
 def _collect_summaries(
-    cfg: ExperimentConfig, workers: int
-) -> list[tuple[int, str, int | None]]:
-    trials = cfg.trials
+    configs: list[ExperimentConfig], workers: int
+) -> list[list[tuple[int, str, int | None]]]:
+    """Per-trial summaries of each configuration, in trial order.
+
+    All configurations share one trial count; with a worker pool their trial
+    blocks go to the same pool, and the results come back in submission
+    order.
+    """
+    trials = configs[0].trials
     if workers <= 1 or trials < 4 * workers:
-        return _summaries_serial(cfg, range(trials))
+        return [_summaries_serial(cfg, range(trials)) for cfg in configs]
     block = max(1, -(-trials // (workers * 4)))
-    spans = [
-        (cfg, start, min(start + block, trials)) for start in range(0, trials, block)
-    ]
+    starts = range(0, trials, block)
+    spans = [(cfg, start, min(start + block, trials)) for cfg in configs for start in starts]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         batches = list(pool.map(_summary_batch, spans))
-    out: list[tuple[int, str, int | None]] = []
-    for batch in batches:
-        out.extend(batch)
+    out = []
+    for c in range(len(configs)):
+        merged: list[tuple[int, str, int | None]] = []
+        for batch in batches[c * len(starts) : (c + 1) * len(starts)]:
+            merged.extend(batch)
+        out.append(merged)
     return out
 
 
@@ -339,11 +360,12 @@ def estimate(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
         hypotheses = list(range(cfg.num_classes))
     else:
         hypotheses = [cfg.true_class]
-    rows = []
-    for hypothesis in hypotheses:
-        cfg_h = replace(cfg, true_class=hypothesis)
-        summaries = _collect_summaries(cfg_h, workers)
-        rows.append(_aggregate(cfg_h, hypothesis, summaries))
+    configs = [replace(cfg, true_class=hypothesis) for hypothesis in hypotheses]
+    summaries = _collect_summaries(configs, workers)
+    rows = [
+        _aggregate(cfg_h, hypothesis, summary)
+        for cfg_h, hypothesis, summary in zip(configs, hypotheses, summaries)
+    ]
     bayes = None
     if len(hypotheses) == cfg.num_classes:
         priors = cfg.effective_priors

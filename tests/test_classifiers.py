@@ -70,9 +70,13 @@ class TestScore:
             assert math.isclose(score(t1, ty), want, rel_tol=0, abs_tol=1e-12)
 
     def test_proportional_types_score_zero(self):
-        t1 = type_of([2, 2], AB)
-        ty = type_of([1, 1], AB)
-        assert score(t1, ty) == 0.0
+        for train, test, alphabet in (
+            ([2, 2], [1, 1], AB),
+            ([40, 280, 80], [1, 7, 2], ABC),
+        ):
+            t1 = type_of(train, alphabet)
+            ty = type_of(test, alphabet)
+            assert score(t1, ty) == 0.0
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ class TestAlphabet:
 
     def test_index_of(self):
         assert AB.index_of("b") == 1
+
+    def test_index_map_is_not_part_of_the_value(self):
+        # the symbol-to-index map lives on each alphabet, outside eq, hash
+        # and repr, and survives pickling
+        other = Alphabet(("a", "b"))
+        assert other == AB and hash(other) == hash(AB)
+        assert repr(AB) == "Alphabet(symbols=('a', 'b'))"
+        copy = pickle.loads(pickle.dumps(AB))
+        assert copy == AB and copy.index_of("b") == 1
+        with pytest.raises(UnknownSymbol):
+            copy.index_of("c")
 
 
 class TestMakeDistribution:
