@@ -301,22 +301,49 @@ def _block_scores(
     return scores
 
 
-def _resolve(survivors: Sequence[int], scores: Sequence[float], rule: str) -> Verdict:
+def _resolve(survivors: Sequence[int], rule: str, final=None) -> Verdict:
     """Verdict once at most one class survives.
 
     ``rule`` picks the verdict when the final step rules out every class at
     once: ``"smaller"`` (binary rule) declares the class with the strictly
     smaller score and gives up on an exact tie, ``"none"`` gives up outright.
+    ``final`` holds what ``"smaller"`` compares: ``(scores, training counts,
+    test counts)`` at the stopping step.
     """
     if len(survivors) == 1:
         return Verdict.of_class(survivors[0])
-    if rule == "smaller" and len(scores) == 2:
-        s0, s1 = scores
-        if s0 < s1:
-            return Verdict.of_class(0)
-        if s1 < s0:
-            return Verdict.of_class(1)
+    if rule == "smaller" and not survivors:
+        winner = _smaller_score(*final)
+        if winner is not None:
+            return Verdict.of_class(winner)
     return Verdict.undecided()
+
+
+def _smaller_score(
+    scores: Sequence[float], train: Sequence[Sequence[int]], counts: Sequence[int]
+) -> int | None:
+    """Class with the strictly smaller of two scores, ``None`` on an exact tie.
+
+    Scores closer than rounding can tell apart are compared exactly: with
+    equal training lengths ``s0 - s1`` is the log of the ratio of
+    ``prod C0^C0 * prod (C1 + c)^(C1 + c)`` to
+    ``prod C1^C1 * prod (C0 + c)^(C0 + c)`` (with ``0^0 = 1``), two
+    integers.
+    """
+    s0, s1 = scores
+    total = sum(train[0]) + sum(counts)
+    if abs(s0 - s1) <= _ZERO_GUARD * total * math.log(total):
+        c0, c1 = train
+        left = right = 1
+        for a, b, c in zip(c0, c1, counts):
+            left *= a**a * (b + c) ** (b + c)
+            right *= b**b * (a + c) ** (a + c)
+        s0, s1 = left, right
+    if s0 < s1:
+        return 0
+    if s1 < s0:
+        return 1
+    return None
 
 
 def _lockstep(
@@ -377,8 +404,11 @@ def _lockstep(
         ):
             if t <= end:
                 survivors = [c for c, f in enumerate(fs) if f > t]
-                final = () if survivors else scores[j, :, t - start - 1].tolist()
-                verdict = _resolve(survivors, final, rule)
+                final = None
+                if not survivors:
+                    at = t - start - 1
+                    final = (scores[j, :, at].tolist(), train[i].tolist(), counts[:, j, at].tolist())
+                verdict = _resolve(survivors, rule, final)
             else:
                 t = cap
                 verdict = Verdict.undecided()
@@ -487,8 +517,9 @@ def seq_binary_step(
 
     At the first step where a score reaches ``gamma * N`` the crossed class
     is ruled out and the other one declared.  When both cross on the same
-    step the one with the strictly smaller score wins; an exact tie, or
-    reaching the cap without a crossing, yields no decision.
+    step the one with the strictly smaller score wins, compared exactly when
+    the two are within rounding of each other; an exact tie, or reaching the
+    cap without a crossing, yields no decision.
     """
     if state.verdict is not None:
         raise SteppedAfterStop("the sequential test already delivered a verdict")
@@ -504,7 +535,7 @@ def seq_binary_step(
     if max(scores) >= threshold:
         state.crossed = tuple(n if s >= threshold else None for s in scores)
         survivors = [i for i, s in enumerate(scores) if s < threshold]
-        state.verdict = _resolve(survivors, scores, "smaller")
+        state.verdict = _resolve(survivors, "smaller", (scores, state.train, state.counts))
     elif n >= cfg.cap:
         state.verdict = Verdict.undecided()
     return state, state.verdict
@@ -553,7 +584,7 @@ def seq_multiclass_run(
                 crossed[i] = n
         survivors = [i for i, c in enumerate(crossed) if c is None]
         if len(survivors) <= 1 or n >= cfg.cap:
-            verdict = _resolve(survivors, (), "none")
+            verdict = _resolve(survivors, "none")
             return TrialTrace(np.array(rows).reshape(n, m), n, verdict, tuple(crossed))
     raise StreamExhausted(
         f"test stream ended after {n} symbols, before a verdict",

@@ -46,11 +46,14 @@ from .errors import (
 from .fixedpoint import exponent_report
 from .probability import Distribution
 
-# Block-descent sweep stops once no coordinate moves more than this.
+# Block-descent sweep stops once no coordinate moves more than this; a
+# relaxation that needs more than INNER_MAX_SWEEPS sweeps raises.
 INNER_TOLERANCE = 1e-15
 INNER_MAX_SWEEPS = 20000
 # Multiplier bisection runs until the bracket is this narrow relatively.
 MU_RELATIVE_WIDTH = 1e-12
+# Bisection steps allowed on the crossing multiplier before it raises.
+CROSSING_MAX_STEPS = 200
 # Certified duality gap allowed on a returned optimal value.
 GAP_BOUND = 1e-8
 # Two distributions are the same program input below this sup distance.
@@ -115,19 +118,34 @@ class _PairProgram:
         self.log_a = np.log(a[self.supp_a])
         self.log_b = np.log(b[self.supp_b])
 
+    @property
+    def mu_start(self) -> float:
+        """Multiplier at which every multiplier search starts.
+
+        The block exponents ``u / (u + mu * alpha)`` and ``v / (v + mu)``
+        are both 1/2 at ``mu = v``, since every program here has
+        ``u = v * alpha``.  Relaxations at multipliers far above the
+        solution's converge slowly, so searches start there, not at 1.
+        """
+        return self.v
+
     def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q1 = self.a.copy()
         q2 = self.b.copy()
         w = (self.alpha * q1 + q2) / (1.0 + self.alpha)
         return q1, q2, w
 
-    def relax(self, mu: float, state, sweeps: int = INNER_MAX_SWEEPS):
-        """Block descent on the Lagrangian at multiplier ``mu``."""
+    def relax(self, mu: float, state):
+        """Block descent on the Lagrangian at multiplier ``mu``.
+
+        Raises :class:`NonConvergence` when ``INNER_MAX_SWEEPS`` sweeps end
+        with a coordinate still moving more than ``INNER_TOLERANCE``.
+        """
         q1, q2, w = state
         e1 = self.u / (self.u + mu * self.alpha)
         e2 = self.v / (self.v + mu)
         k = len(self.a)
-        for _ in range(sweeps):
+        for _ in range(INNER_MAX_SWEEPS):
             x1 = np.exp(e1 * self.log_a + (1.0 - e1) * np.log(w[self.supp_a]))
             q1n = np.zeros(k)
             q1n[self.supp_a] = x1 / x1.sum()
@@ -142,8 +160,10 @@ class _PairProgram:
             )
             q1, q2, w = q1n, q2n, wn
             if delta <= INNER_TOLERANCE:
-                break
-        return q1, q2, w
+                return q1, q2, w
+        raise NonConvergence(
+            f"block descent at mu={mu} still moving {delta} after {INNER_MAX_SWEEPS} sweeps"
+        )
 
     def objective_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
         return self.u * kl_array(q1, self.a) + self.v * kl_array(q2, self.b)
@@ -183,7 +203,7 @@ class _PairProgram:
         # the budget exactly.  The constraint value is nonincreasing in mu.
         state_lo = self.start()
         mu_lo = 0.0
-        mu_hi = 1.0
+        mu_hi = self.mu_start
         state_hi = self.relax(mu_hi, state_lo)
         doublings = 0
         while self.constraint_value(state_hi[0], state_hi[1]) > budget:
@@ -279,6 +299,9 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     objective rises from 0 while the relaxed constraint falls from the full
     divergence, so their difference changes sign exactly once.  For an
     identical pair the curve is identically zero and so is the crossing.
+    The multiplier is bisected until objective and constraint agree within
+    1e-12 or its bracket is ``MU_RELATIVE_WIDTH`` wide; :class:`NonConvergence`
+    is raised when ``CROSSING_MAX_STEPS`` steps end before either.
     """
     alpha = _check_alpha(alpha)
     _check_pair(p1, p2)
@@ -295,35 +318,38 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
         return objective, constraint
 
     mu_lo = 0.0
-    state_lo = program.start()
-    mu_hi = 1.0
-    state_hi = program.relax(mu_hi, state_lo)
+    mu_hi = program.mu_start
+    state_hi = program.relax(mu_hi, program.start())
     doublings = 0
     while True:
         objective, constraint = split(state_hi)
         if objective > constraint:
             break
-        mu_lo, state_lo = mu_hi, state_hi
+        mu_lo = mu_hi
         mu_hi *= 2.0
         state_hi = program.relax(mu_hi, state_hi)
         doublings += 1
         if doublings > 200:
             raise NonConvergence("crossing multiplier bracketing diverged")
-    for _ in range(200):
-        objective, constraint = split(state_hi)
+    steps = 0
+    while True:
         if abs(objective - constraint) <= 1e-12 or (mu_hi - mu_lo) <= MU_RELATIVE_WIDTH * mu_hi:
-            break
+            return 0.5 * (objective + constraint)
+        if steps == CROSSING_MAX_STEPS:
+            raise NonConvergence(
+                f"crossing multiplier bisection unfinished after {steps} steps: "
+                f"objective {objective} against constraint {constraint}"
+            )
+        steps += 1
         mu_mid = 0.5 * (mu_lo + mu_hi)
         state_mid = program.relax(
             mu_mid, (state_hi[0].copy(), state_hi[1].copy(), state_hi[2].copy())
         )
         o_mid, c_mid = split(state_mid)
         if o_mid > c_mid:
-            mu_hi, state_hi = mu_mid, state_mid
+            mu_hi, state_hi, objective, constraint = mu_mid, state_mid, o_mid, c_mid
         else:
-            mu_lo, state_lo = mu_mid, state_mid
-    objective, constraint = split(state_hi)
-    return 0.5 * (objective + constraint)
+            mu_lo = mu_mid
 
 
 def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:

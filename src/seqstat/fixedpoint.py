@@ -9,6 +9,15 @@ the left side is concave in ``theta``, vanishes at 0 with slope
 ``D(p || q)``, and saturates at ``D(q || p)``.  The root fixes both the
 error exponent (``gamma * theta``) and the expected-stopping-time scale
 (training length divided by the root) of the sequential classifier.
+
+The solver brackets the root by doubling from ``theta = 1`` and narrows the
+bracket with a safeguarded Newton iteration on an array kernel that returns
+the excess ``gjs - gamma * theta`` together with its slope ``D(p || m) -
+gamma``.  Concavity makes every Newton step from the bracket top land
+between the root and the top, so the iterates descend monotonically; a
+probe just left of the Newton root then closes the bracket from below.  A
+step that fails to halve the bracket is followed by a bisection, so any two
+steps at least halve it and ``MAX_REFINE_STEPS`` bounds every solve.
 """
 
 from __future__ import annotations
@@ -29,8 +38,12 @@ from .errors import (
 )
 from .probability import Distribution, EmpiricalType, kl
 
-# The bisection stops once the bracket is this narrow relative to the root.
+# The root's bracket is narrowed until it is this narrow relative to its top.
 RELATIVE_BRACKET_WIDTH = 1e-13
+# Refinement steps allowed after the doubling.  Any two consecutive steps at
+# least halve the bracket, and 84 halvings take a bracket of width 1 below
+# RELATIVE_BRACKET_WIDTH * BRACKET_LOW, so a finished solve never needs more.
+MAX_REFINE_STEPS = 168
 # |gjs(p, q, root) - gamma * root| must come out at or below this.
 RESIDUAL_BOUND = 1e-10
 # Initial lower bracket edge; the root is strictly positive when it exists.
@@ -43,7 +56,15 @@ _DUPLICATE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Root of ``gjs(p, q, theta) = gamma * theta`` with solve diagnostics."""
+    """Root of ``gjs(p, q, theta) = gamma * theta`` with solve diagnostics.
+
+    The excess ``gjs - gamma * theta`` is positive at ``bracket_low`` and not
+    positive at ``bracket_high``, and ``residual`` is the public ``gjs``'s
+    excess at ``theta_star``.  ``iterations`` counts the kernel evaluations
+    of the solve: the doubling's (``theta = 1`` included), the Newton,
+    probe and bisection steps, and the sign check at ``BRACKET_LOW`` when
+    the bracket ends there.
+    """
 
     theta_star: float
     residual: float
@@ -78,13 +99,57 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+def _excess_kernel(p: np.ndarray, q: np.ndarray, gamma: float):
+    """``theta -> (gjs(p, q, theta) - gamma * theta, D(p || m) - gamma)`` on arrays.
+
+    With ``m = (theta * p + q) / (1 + theta)`` the first value is the
+    threshold equation's excess ``theta * D(p || m) + D(q || m) - gamma *
+    theta`` and the second its derivative in ``theta``.  On the common
+    support the log-ratios are taken as ``log1p`` of the exact difference
+    ``p - q``, so near-identical pairs keep their digits; off it they are
+    ``log1p(1 / theta)`` (mass of ``p`` only) and ``log1p(theta)`` (mass of
+    ``q`` only), which stay accurate for roots near ``BRACKET_LOW``.
+    """
+    both = (p > 0.0) & (q > 0.0)
+    p_only = float(p[q == 0.0].sum())
+    q_only = float(q[p == 0.0].sum())
+    p, q = p[both], q[both]
+    to_p, to_q = (p - q) / p, (p - q) / q
+
+    def excess(theta: float) -> tuple[float, float]:
+        share = 1.0 / (1.0 + theta)
+        d_p = p_only * math.log1p(1.0 / theta) - float(p @ np.log1p(-share * to_p))
+        d_q = q_only * math.log1p(theta) - float(q @ np.log1p(theta * share * to_q))
+        return theta * d_p + d_q - gamma * theta, d_p - gamma
+
+    return excess
+
+
+def _check_below_divergences(dists: list[Distribution], gamma: float) -> None:
+    """Reject ``gamma`` unless every ordered pair of ``dists`` has a root."""
+    for i, p in enumerate(dists):
+        for j, q in enumerate(dists):
+            if i != j and gamma >= kl(p, q):
+                raise GammaOutOfRange(
+                    f"gamma={gamma} is not below D(P{i + 1}||P{j + 1})={kl(p, q)}, "
+                    "so the threshold equation has no root"
+                )
+
+
 def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPointResult:
     """Find the positive root of ``gjs(p, q, theta) = gamma * theta``.
 
     Raises :class:`NoSolution` when ``gamma >= D(p || q)``, the exact
     nonexistence condition.  The root is bracketed by doubling from
-    ``theta = 1`` and then bisected to a relative width of
-    ``RELATIVE_BRACKET_WIDTH``.
+    ``theta = 1``; a safeguarded Newton iteration then narrows the bracket
+    to a relative width of ``RELATIVE_BRACKET_WIDTH`` (see the module
+    docstring), one array-kernel evaluation per step.  The result carries
+    the bracket's certified signs and the residual of the public
+    :func:`gjs` (see :class:`FixedPointResult`).  Raises
+    :class:`NonConvergence` when the doubling overflows, when the
+    refinement takes more than ``MAX_REFINE_STEPS`` steps, when the root
+    lies below ``BRACKET_LOW``, or when the residual exceeds
+    ``RESIDUAL_BOUND``.
     """
     if p.alphabet != q.alphabet:
         raise AlphabetMismatch("distributions live on different alphabets")
@@ -94,25 +159,49 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
         raise NoSolution(
             f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}"
         )
+    excess = _excess_kernel(p.as_array(), q.as_array(), gamma)
 
-    def excess(theta: float) -> float:
-        return gjs(p, q, theta) - gamma * theta
-
-    iterations = 0
     lo, hi = BRACKET_LOW, 1.0
-    while excess(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        iterations += 1
-        if iterations > 1100:
+    value, slope = excess(hi)
+    iterations = 1
+    while value > 0.0:
+        lo, hi = hi, 2.0 * hi
+        if math.isinf(hi):
             raise NonConvergence("root bracketing did not terminate")
-    while (hi - lo) > RELATIVE_BRACKET_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        value, slope = excess(hi)
         iterations += 1
+    # The excess is concave, so a Newton step from hi (right of the root)
+    # lands between the root and hi.  Once that step is under 3/4 of the
+    # target width tol, a probe 3/4 tol below hi, left of the root, closes
+    # the bracket from below.  Newton points stay tol / 4 clear of lo, so
+    # the final bracket always holds its midpoint strictly inside.
+    halved = True
+    for _ in range(MAX_REFINE_STEPS):
+        width = hi - lo
+        tol = RELATIVE_BRACKET_WIDTH * hi
+        if width <= tol:
+            break
+        bisect = not (halved and slope < 0.0)
+        if bisect:
+            x = 0.5 * (lo + hi)
+        else:
+            x = max(hi - max(value / slope, 0.75 * tol), lo + 0.25 * tol)
+        fx, dx = excess(x)
+        iterations += 1
+        if fx > 0.0:
+            lo = x
+        else:
+            hi, value, slope = x, fx, dx
+        halved = bisect or hi - lo <= 0.5 * width
+    else:
+        if hi - lo > RELATIVE_BRACKET_WIDTH * hi:
+            raise NonConvergence(
+                f"fixed-point bracket still {hi - lo} wide after {MAX_REFINE_STEPS} steps"
+            )
+    if lo == BRACKET_LOW:
+        iterations += 1
+        if excess(lo)[0] <= 0.0:
+            raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
     theta = 0.5 * (lo + hi)
     residual = abs(gjs(p, q, theta) - gamma * theta)
     if residual > RESIDUAL_BOUND:
@@ -123,8 +212,14 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
 def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> ExponentReport:
     """Exponent summary for the binary sequential test at rate ``gamma``.
 
-    Valid rates are ``0 < gamma <= chernoff(p1, p2)``; the report flags
-    rates within ``NEAR_CAP_WIDTH`` of that cap.
+    Valid rates are ``0 < gamma <= chernoff(p1, p2)`` with ``gamma`` below
+    both ``D(p1 || p2)`` and ``D(p2 || p1)``, so that both roots exist.  The
+    Chernoff information never exceeds either divergence; it equals one of
+    them when a distribution is proportional to the other on its own
+    support (a point mass, for instance), and the cap itself is then out of
+    range.  Out-of-range rates raise :class:`GammaOutOfRange` before any
+    root is solved.  The report flags rates within ``NEAR_CAP_WIDTH`` of
+    the cap.
     """
     gamma = _check_gamma(gamma)
     cap = chernoff(p1, p2)
@@ -132,6 +227,7 @@ def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> Exponen
         raise GammaOutOfRange(
             f"gamma={gamma} exceeds the Chernoff information {cap} of the pair"
         )
+    _check_below_divergences([p1, p2], gamma)
     beta = solve_fixed_point(p2, p1, gamma)
     theta = solve_fixed_point(p1, p2, gamma)
     return ExponentReport(
@@ -150,7 +246,8 @@ def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
 
     Entry ``(i, j)``, for ``i != j``, is the root of
     ``gjs(dists[j], dists[i], theta) = gamma * theta``; the diagonal is NaN.
-    Requires ``0 < gamma <= min pairwise chernoff`` so every entry exists.
+    Requires ``0 < gamma <= min pairwise chernoff`` and ``gamma`` below every
+    pairwise divergence, so every entry exists (see :func:`exponent_report`).
     """
     gamma = _check_gamma(gamma)
     m = len(dists)
@@ -170,6 +267,7 @@ def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
         raise GammaOutOfRange(
             f"gamma={gamma} exceeds the smallest pairwise Chernoff information {cap}"
         )
+    _check_below_divergences(dists, gamma)
     out = np.full((m, m), math.nan)
     for i in range(m):
         for j in range(m):

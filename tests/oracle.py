@@ -1,9 +1,15 @@
-"""Scalar reference for the sequential test: one symbol, one class at a time.
+"""Slow references for the fast paths in ``src/``.
 
-This is the per-symbol engine the lockstep kernel replaced.  It scores with
-the divergence form of the statistic, one ``math.log`` per symbol and class,
-and draws every stream from a freshly constructed Philox generator, so it
-shares neither the kernel's table arithmetic nor the re-keyed sampler.
+``SequentialEngine`` is the per-symbol engine the lockstep kernel replaced.
+It scores with the divergence form of the statistic, one ``math.log`` per
+symbol and class, and draws every stream from a freshly constructed Philox
+generator, so it shares neither the kernel's table arithmetic nor the
+re-keyed sampler.
+
+``bisect_fixed_point`` is the bisection the safeguarded Newton solver in
+``seqstat.fixedpoint`` replaced: it halves the bracket on the sign of the
+validated public ``gjs`` until the bracket is ``RELATIVE_BRACKET_WIDTH``
+wide.
 """
 
 from __future__ import annotations
@@ -13,8 +19,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from seqstat import SeedSpec, TrialTrace, Verdict, bit_generator
-from seqstat.errors import LengthMismatch, StreamExhausted
+from seqstat import SeedSpec, TrialTrace, Verdict, bit_generator, gjs, kl
+from seqstat.errors import AlphabetMismatch, LengthMismatch, NoSolution, NonConvergence, StreamExhausted
+from seqstat.fixedpoint import (
+    BRACKET_LOW,
+    RELATIVE_BRACKET_WIDTH,
+    RESIDUAL_BOUND,
+    FixedPointResult,
+    _check_gamma,
+)
 
 # Test symbols are drawn from the stream generator in blocks of this size.
 STREAM_CHUNK = 128
@@ -47,7 +60,8 @@ class SequentialEngine:
     ``simultaneous`` picks the verdict when the final step rules out every
     class at once: ``"smaller"`` (binary rule) declares the class with the
     strictly smaller score and gives up on an exact tie, ``"none"`` gives up
-    outright.
+    outright.  Scores within ``1e-10 * (N + n) ln(N + n)`` of each other are
+    compared exactly, as integer powers of the counts.
     """
 
     def __init__(self, train_counts: Sequence[Sequence[int]], config):
@@ -90,6 +104,13 @@ class SequentialEngine:
             return Verdict.of_class(survivors[0])
         if simultaneous == "smaller" and self.num_classes == 2:
             s0, s1 = self.scores
+            total = self.big_n + self.n
+            if abs(s0 - s1) <= 1e-10 * total * math.log(total):
+                # s0 - s1 = sum_x [C0 ln C0 - (C0+c) ln(C0+c) - C1 ln C1 + (C1+c) ln(C1+c)]
+                s0 = s1 = 1
+                for a, b, c in zip(*self.train_counts, self.counts):
+                    s0 *= a**a * (b + c) ** (b + c)
+                    s1 *= b**b * (a + c) ** (a + c)
             if s0 < s1:
                 return Verdict.of_class(0)
             if s1 < s0:
@@ -156,3 +177,42 @@ def run_trial(cfg, trial_index: int) -> TrialTrace:
     source = cfg.distributions[cfg.true_class]
     stream = stream_indices(source.weights, SeedSpec(cfg.master_seed, base + m), cfg.effective_cap)
     return engine.run(stream, "smaller" if m == 2 else "none")
+
+
+def bisect_fixed_point(p, q, gamma: float) -> FixedPointResult:
+    """Root of ``gjs(p, q, theta) = gamma * theta`` by doubling, then bisection.
+
+    ``iterations`` counts the doublings and the bisection steps.
+    """
+    if p.alphabet != q.alphabet:
+        raise AlphabetMismatch("distributions live on different alphabets")
+    gamma = _check_gamma(gamma)
+    slope_at_zero = kl(p, q)
+    if gamma >= slope_at_zero:
+        raise NoSolution(
+            f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}"
+        )
+
+    def excess(theta: float) -> float:
+        return gjs(p, q, theta) - gamma * theta
+
+    iterations = 0
+    lo, hi = BRACKET_LOW, 1.0
+    while excess(hi) > 0.0:
+        lo = hi
+        hi *= 2.0
+        iterations += 1
+        if iterations > 1100:
+            raise NonConvergence("root bracketing did not terminate")
+    while (hi - lo) > RELATIVE_BRACKET_WIDTH * hi:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    theta = 0.5 * (lo + hi)
+    residual = abs(gjs(p, q, theta) - gamma * theta)
+    if residual > RESIDUAL_BOUND:
+        raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
+    return FixedPointResult(theta, residual, lo, hi, iterations)

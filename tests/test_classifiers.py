@@ -20,6 +20,7 @@ from seqstat import (
     seq_binary_step,
     seq_multiclass_run,
 )
+from seqstat import classifiers
 from seqstat.errors import (
     AlphabetMismatch,
     Infeasible,
@@ -291,6 +292,26 @@ class TestSeqBinary:
             state, verdict = seq_binary_step(state, "a")
         assert state.scores[0] == state.scores[1]
         assert verdict == Verdict.undecided()
+
+    def test_simultaneous_tie_broken_exactly(self):
+        # On step 1 a score depends only on N and the training count of the
+        # symbol seen, so equal counts of "a" tie exactly; rounding leaves
+        # the two floats apart, and the verdict must not follow it.
+        cfg = SequentialConfig(gamma=0.05, train_len=50)
+        train = ("aaa" + "b" * 35 + "c" * 12, "aaa" + "b" * 27 + "c" * 20)
+        state = seq_binary_start(*train, cfg, ABC)
+        state, verdict = seq_binary_step(state, "a")
+        assert state.crossed == (1, 1)
+        assert state.scores[0] != state.scores[1]
+        assert verdict == Verdict.undecided()
+
+        def only_a(rows, start, stop):
+            return np.zeros((len(rows), stop - start), dtype=np.int64)
+
+        counts = np.array([[[3, 35, 12], [3, 27, 20]]])
+        (trace,) = classifiers._lockstep(counts, cfg, "smaller", only_a, record=False)
+        assert (trace.stopping_time, trace.crossing_times) == (1, (1, 1))
+        assert trace.verdict == Verdict.undecided()
 
     def test_cap_yields_no_decision(self):
         # threshold far above the score bound, tiny cap

@@ -159,6 +159,21 @@ class TestExitCodes:
         out = tmp_path / "t.csv"
         assert main(["compare-gutman", "--config", cfg, "--out", str(out)]) == 2
 
+    def test_gamma_at_a_divergence_is_out_of_range(self, tmp_path, capsys):
+        # [1, 0] against [0.3, 0.7]: the Chernoff cap equals D(P1||P2), so
+        # the cap itself is rejected as out of range before any root solve
+        cfg = write_config(
+            tmp_path,
+            alphabet=[0, 1],
+            distributions={"P1": [1.0, 0.0], "P2": [0.3, 0.7]},
+            gamma=1.2039728043259361,
+        )
+        for command in ("exponents", "compare-gutman"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert "is not below D(P1||P2)" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_fixed_point_without_root(self, capsys):
         code = main(
             ["fixed-point", "--p", "0.6,0.4", "--q", "0.4,0.6", "--gamma", "3.0"]

@@ -23,6 +23,7 @@ from seqstat import (
     minimize_over_simplices,
     multiclass_thetas,
 )
+from seqstat import exponents
 from seqstat.exponents import (
     OBJECTIVE_BAYES,
     OBJECTIVE_FIXED_LENGTH,
@@ -32,6 +33,7 @@ from seqstat.errors import (
     EmptyWeights,
     GammaOutOfRange,
     Infeasible,
+    NonConvergence,
 )
 from conftest import alphabet, random_interior_pair
 
@@ -275,6 +277,39 @@ class TestBayesCrossing:
         alpha = min(report.theta_star, report.beta_star)
         assert gutman_bayes_exponent(alpha, p1, p2) < gamma
 
+    def test_crossing_budget_exhausted_raises(self, monkeypatch):
+        alph = alphabet(3)
+        p1 = make_distribution(WIDE_PAIR[0], alph)
+        p2 = make_distribution(WIDE_PAIR[1], alph)
+        gutman_bayes_exponent(1.8, p1, p2)
+        monkeypatch.setattr(exponents, "CROSSING_MAX_STEPS", 1)
+        with pytest.raises(NonConvergence, match="after 1 steps"):
+            gutman_bayes_exponent(1.8, p1, p2)
+
+    def test_sweep_budget_exhausted_raises(self, monkeypatch):
+        alph = alphabet(3)
+        p1 = make_distribution(WIDE_PAIR[0], alph)
+        p2 = make_distribution(WIDE_PAIR[1], alph)
+        monkeypatch.setattr(exponents, "INNER_MAX_SWEEPS", 2)
+        with pytest.raises(NonConvergence, match="after 2 sweeps"):
+            gutman_bayes_exponent(1.8, p1, p2)
+        with pytest.raises(NonConvergence, match="after 2 sweeps"):
+            gutman_bayes_curve(1.8, 0.01, p1, p2)
+
+    def test_large_alpha_relaxations_converge(self):
+        # the matched ratio at gamma = 1e-3 C is about 3500; a multiplier
+        # search that starts at mu = 1 needs 58,277 sweeps for its first
+        # relaxation, above INNER_MAX_SWEEPS
+        alph = alphabet(3)
+        p1 = make_distribution(WIDE_PAIR[0], alph)
+        p2 = make_distribution(WIDE_PAIR[1], alph)
+        report = exponent_report(p1, p2, 1e-3 * chernoff(p1, p2))
+        alpha = min(report.theta_star, report.beta_star)
+        assert alpha > 3000
+        lam = gutman_bayes_exponent(alpha, p1, p2)
+        assert 0.0 < lam < report.gamma
+        assert gutman_bayes_curve(alpha, 0.5 * lam, p1, p2) > 0.5 * lam
+
 
 class TestConstrainedKlMin:
     def test_objective_inside_ball(self, rng):
@@ -435,6 +470,16 @@ class TestComparisonTable:
         p1 = make_distribution(WIDE_PAIR[0], alph)
         p2 = make_distribution(WIDE_PAIR[1], alph)
         rows = compare_sequential_vs_gutman(p1, p2, [1e-3 * chernoff(p1, p2)])
+        assert rows[0].margin > 0
+
+    def test_gamma_at_a_divergence_rejected(self):
+        # [1, 0] against [0.3, 0.7]: the Chernoff cap equals D(P1||P2)
+        alph = alphabet(2)
+        p1 = make_distribution([1.0, 0.0], alph)
+        p2 = make_distribution([0.3, 0.7], alph)
+        with pytest.raises(GammaOutOfRange):
+            compare_sequential_vs_gutman(p1, p2, [1.2039728043259361])
+        rows = compare_sequential_vs_gutman(p1, p2, [0.5 * 1.2039728043259361])
         assert rows[0].margin > 0
 
     def test_gamma_above_cap_rejected(self):

@@ -18,13 +18,22 @@ from seqstat import (
     sample_iid,
     solve_fixed_point,
 )
+from seqstat import fixedpoint
 from seqstat.errors import (
     DuplicateDistribution,
     GammaOutOfRange,
+    NonConvergence,
     NonPositiveGamma,
     NoSolution,
 )
+from seqstat.fixedpoint import (
+    BRACKET_LOW,
+    MAX_REFINE_STEPS,
+    RELATIVE_BRACKET_WIDTH,
+    RESIDUAL_BOUND,
+)
 from conftest import alphabet, random_interior_pair
+import oracle
 
 NEAR_PAIR = ([0.1, 0.7, 0.2], [0.05, 0.55, 0.4])
 TRIO = ([0.1, 0.7, 0.2], [0.4, 0.5, 0.1], [0.3, 0.3, 0.4])
@@ -126,6 +135,121 @@ class TestSolveFixedPoint:
             assert all(b < a for a, b in zip(roots, roots[1:]))
 
 
+def boundary_pair(rng, size):
+    """A pair with zero weights or point masses on either side, often both."""
+    alph = alphabet(size)
+    pair = []
+    for _ in range(2):
+        weights = rng.dirichlet(np.ones(size))
+        shape = rng.random()
+        if shape < 0.25:
+            weights = np.zeros(size)
+            weights[rng.integers(size)] = 1.0
+        elif shape < 0.6:
+            weights[rng.integers(size)] = 0.0
+            weights /= weights.sum()
+        pair.append(make_distribution(list(weights), alph))
+    return pair[0], pair[1]
+
+
+def refine_steps(result):
+    """Newton, probe and bisection steps of a solve: the part MAX_REFINE_STEPS bounds."""
+    bracket_evaluations = 1 + max(0, math.ceil(math.log2(result.theta_star)))
+    floor_check = 1 if result.bracket_low == BRACKET_LOW else 0
+    return result.iterations - bracket_evaluations - floor_check
+
+
+def outcome(solve, p, q, gamma):
+    try:
+        return solve(p, q, gamma)
+    except (NoSolution, NonConvergence, GammaOutOfRange, NonPositiveGamma) as exc:
+        return type(exc)
+
+
+class TestNewtonAgainstBisection:
+    """The safeguarded Newton solver against the bisection it replaced."""
+
+    def test_boundary_and_interior_pairs(self):
+        rng = np.random.default_rng(31)
+        smallest = math.inf
+        for i in range(2400):
+            size = int(rng.integers(2, 6))
+            p, q = boundary_pair(rng, size) if i % 2 else random_interior_pair(rng, size)
+            top = kl(p, q)
+            if math.isinf(top) or rng.random() < 0.5:
+                # a rate whose root is a chosen theta, down to about 1e-12
+                target = 10.0 ** rng.uniform(-11.9, 3.0)
+                gamma = gjs(p, q, target) / target
+            else:
+                gamma = float(rng.uniform(0.02, 1.2)) * top
+            if not gamma > 0.0:
+                continue
+            want = outcome(oracle.bisect_fixed_point, p, q, gamma)
+            got = outcome(solve_fixed_point, p, q, gamma)
+            if isinstance(got, type) and got is want:
+                continue
+            assert not isinstance(got, type), (p, q, gamma, got, want)
+            smallest = min(smallest, got.theta_star)
+            assert got.bracket_low < got.theta_star < got.bracket_high
+            assert got.bracket_high - got.bracket_low <= RELATIVE_BRACKET_WIDTH * got.bracket_high
+            assert got.residual <= RESIDUAL_BOUND
+            assert 0 < refine_steps(got) <= MAX_REFINE_STEPS
+        assert smallest < 1e-11
+
+    def test_roots_agree_on_the_interior_family(self, rng):
+        # Below D(p||q) = 1e-4 the bisection's own error, from the
+        # cancellation in the entropy form of gjs, passes 1e-9 relative.
+        for _ in range(1000):
+            p, q = random_interior_pair(rng, int(rng.integers(2, 6)))
+            if kl(p, q) < 1e-4:
+                continue
+            gamma = float(rng.uniform(0.05, 0.95)) * kl(p, q)
+            got = solve_fixed_point(p, q, gamma).theta_star
+            want = oracle.bisect_fixed_point(p, q, gamma).theta_star
+            assert abs(got - want) <= 1e-9 * want
+
+    def test_acceptance_pair_agrees_to_1e12(self):
+        alph = alphabet(3)
+        p = make_distribution(NEAR_PAIR[0], alph)
+        q = make_distribution(NEAR_PAIR[1], alph)
+        for gamma in (0.02, 0.05):
+            for a, b in ((p, q), (q, p)):
+                got = solve_fixed_point(a, b, gamma)
+                want = oracle.bisect_fixed_point(a, b, gamma)
+                assert abs(got.theta_star - want.theta_star) <= 1e-12 * want.theta_star
+                assert got.iterations <= 15
+
+    def test_budget_cut_to_one_raises(self, monkeypatch):
+        alph = alphabet(3)
+        p = make_distribution(NEAR_PAIR[0], alph)
+        q = make_distribution(NEAR_PAIR[1], alph)
+        assert refine_steps(solve_fixed_point(p, q, 0.02)) > 1
+        monkeypatch.setattr(fixedpoint, "MAX_REFINE_STEPS", 1)
+        with pytest.raises(NonConvergence):
+            solve_fixed_point(p, q, 0.02)
+
+    def test_root_beyond_float_range_raises(self):
+        # the root of a subnormal rate lies past the largest float, so the
+        # doubling overflows; the bisection fails there on gjs(p, q, inf)
+        alph = alphabet(3)
+        p = make_distribution(NEAR_PAIR[0], alph)
+        q = make_distribution(NEAR_PAIR[1], alph)
+        with pytest.raises(NonConvergence, match="bracketing"):
+            solve_fixed_point(p, q, 1e-310)
+
+    def test_root_below_bracket_low_raises(self):
+        # the bisection settles on BRACKET_LOW itself; the solver refuses
+        # because the excess is not positive there
+        alph = alphabet(2)
+        p = make_distribution([0.3, 0.7], alph)
+        q = make_distribution([1.0, 0.0], alph)
+        stuck = oracle.bisect_fixed_point(p, q, 25.0)
+        assert stuck.bracket_low == BRACKET_LOW
+        assert gjs(p, q, BRACKET_LOW) < 25.0 * BRACKET_LOW
+        with pytest.raises(NonConvergence):
+            solve_fixed_point(p, q, 25.0)
+
+
 class TestExponentReport:
     def test_identical_sources_rejected(self, rng):
         alph = alphabet(3)
@@ -144,6 +268,26 @@ class TestExponentReport:
         p, q = random_interior_pair(rng, 3)
         with pytest.raises(GammaOutOfRange):
             exponent_report(p, q, chernoff(p, q) * 1.01)
+
+    def test_gamma_at_a_divergence_rejected_before_solving(self, monkeypatch):
+        # on |X| = 2 a point mass makes C = D(p1||p2): the cap has no root
+        alph = alphabet(2)
+        p1 = make_distribution([1.0, 0.0], alph)
+        p2 = make_distribution([0.3, 0.7], alph)
+        cap = chernoff(p1, p2)
+        assert cap == 1.2039728043259361 == kl(p1, p2)
+
+        def unreachable(*args):
+            raise AssertionError("solved a root for an out-of-range rate")
+
+        monkeypatch.setattr(fixedpoint, "solve_fixed_point", unreachable)
+        with pytest.raises(GammaOutOfRange, match="D\\(P1\\|\\|P2\\)"):
+            exponent_report(p1, p2, cap)
+        with pytest.raises(GammaOutOfRange):
+            multiclass_thetas([p1, p2], cap)
+        monkeypatch.undo()
+        report = exponent_report(p1, p2, 0.99 * cap)
+        assert report.theta_star > 0 and report.beta_star > 0
 
     def test_gamma_at_cap_accepted_and_flagged(self, rng):
         p, q = random_interior_pair(rng, 3)

@@ -95,6 +95,25 @@ def test_runs_across_several_blocks_match_oracle():
     assert mismatches(cfg, 12) == []
 
 
+def test_step_one_ties_match_oracle():
+    # N = 50, gamma = 0.05 on the acceptance-09 pair: both classes often
+    # cross on step 1 with mathematically equal scores, which the binary
+    # rule must leave undecided however the floats round
+    weights = ACCEPTANCE["09"][1]
+    ties = 0
+    for h in range(2):
+        cfg = experiment(ALPH3, weights, 0.05, 50, 7, h)
+        assert mismatches(cfg, 1000) == []
+        for trace in _sequential_trials(cfg, range(1000), record=True):
+            # unequal training counts of the first symbol put the two
+            # step-1 scores at least 0.1 apart
+            s0, s1 = trace.scores[0]
+            if trace.crossing_times == (1, 1) and abs(s0 - s1) < 1e-9:
+                ties += 1
+                assert trace.verdict.is_no_decision
+    assert ties >= 5  # seven at seed 7
+
+
 def test_cap_hit_stops_at_cap_with_no_decision():
     # both classes share one distribution and the threshold sits far above
     # the score's typical size, so no class is ever ruled out
