@@ -7,8 +7,9 @@ fixed-length rule thresholds the score once at a fixed ``n``; the sequential
 rule feeds symbols one at a time and stops as soon as all but one class has
 been ruled out, declaring the survivor.
 
-Scores are computed from integer counts.  With ``C`` the training counts
-(``|C| = N``) and ``c`` the test counts (``|c| = n``),
+Every score computed from counts comes from one kernel, ``_block_scores``.
+With ``C`` the training counts (``|C| = N``) and ``c`` the test counts
+(``|c| = n``),
 
     n * gjs(T_train, T_test, N / n) = Phi(C) + Phi(c) - Phi(C + c),
     Phi(v) = sum_x v_x ln v_x - |v| ln |v|,
@@ -16,14 +17,14 @@ Scores are computed from integer counts.  With ``C`` the training counts
 where every ``v ln v`` is read from one table of ``j ln j``, grown on demand
 up to a fixed size and computed directly past it, and summed left to right
 over the alphabet.  The score is exactly zero when ``C_x * n == c_x * N`` for
-every ``x``, i.e. when the two types coincide.
-
-One lockstep kernel runs the sequential test for the Monte Carlo harness
-(``estimate`` and ``run_trial``): it scores a block of trials x prefix
-lengths x classes at once and carries the undecided trials into the next,
-wider block.  ``score``, ``seq_binary_step`` and ``seq_multiclass_run``
-evaluate the same expression one step at a time, in the same order of
-operations, so every entry point produces the same bits.
+every ``x``, i.e. when the two types coincide.  The kernel scores a block of
+trials x prefix lengths x classes at once: the lockstep sequential test of
+the Monte Carlo harness carries undecided trials into the next, wider block,
+and the harness's fixed-length trials are one block at the single prefix
+``n_test``.  ``score``, ``seq_binary_step`` and ``seq_multiclass_run`` call
+the kernel on one trial and one prefix, so every entry point gives the same
+bits.  ``gutman_binary`` and ``gutman_multiclass`` take a free ``alpha`` and
+score through :func:`seqstat.divergence.gjs`.
 """
 
 from __future__ import annotations
@@ -155,11 +156,11 @@ def score(t_train: EmpiricalType, t_test: EmpiricalType) -> float:
     """Test statistic ``n * gjs(T_train, T_test, N / n)`` from two types."""
     if t_train.alphabet != t_test.alphabet:
         raise AlphabetMismatch("types live on different alphabets")
-    n = t_test.total
     big_n = t_train.total
-    table = _lookup(big_n + n)
-    phi_train = _phi(t_train.counts, big_n, table)
-    return _scores((t_train.counts,), (phi_train,), big_n, t_test.counts, n, table)[0]
+    train = np.array([[t_train.counts]])
+    phi_train = _phi_array(train.transpose(2, 0, 1), big_n, big_n)
+    counts = np.array(t_test.counts)[:, None, None]
+    return float(_block_scores(train, phi_train, counts, np.array([t_test.total]), big_n)[0, 0, 0])
 
 
 # Prefix lengths a trial's first block scores; each later block is GROWTH
@@ -194,29 +195,6 @@ def _jlnj(top: int) -> np.ndarray:
     return table
 
 
-class _PastTable:
-    """``j ln j`` by index: from the table where it reaches, else by ``math.log``."""
-
-    __slots__ = ("table", "size")
-
-    def __init__(self, table: np.ndarray) -> None:
-        self.table = memoryview(table)
-        self.size = len(table)
-
-    def __getitem__(self, j: int) -> float:
-        if j < self.size:
-            return self.table[j]
-        return j * math.log(j)
-
-
-def _lookup(top: int):
-    """``j ln j`` indexable by any ``j`` in ``0 .. top``."""
-    table = _jlnj(top)
-    if top < len(table):
-        return memoryview(table)
-    return _PastTable(table)
-
-
 def _take(idx, top: int) -> np.ndarray:
     """``j ln j`` at every entry of the array ``idx``, none above ``top``."""
     table = _jlnj(top)
@@ -232,45 +210,12 @@ def _take(idx, top: int) -> np.ndarray:
     return out
 
 
-def _phi(counts: Sequence[int], total: int, table) -> float:
-    """``Phi(v) = sum_x v_x ln v_x - |v| ln |v|``, summed left to right."""
-    s = 0.0
-    for c in counts:
-        s += table[c]
-    return s - table[total]
-
-
-def _scores(
-    train: Sequence[Sequence[int]],
-    phi_train: Sequence[float],
-    big_n: int,
-    counts: Sequence[int],
-    n: int,
-    table,
-) -> list[float]:
-    """Score of every class after ``n`` test symbols with counts ``counts``.
-
-    The scalar form of :func:`_block_scores`: the same table, the same
-    operations in the same order, so both give the same bits.
-    """
-    phi_test = _phi(counts, n, table)
-    top = table[big_n + n]
-    out = []
-    for cs, phi_c in zip(train, phi_train):
-        mix = 0.0
-        for a, b in zip(cs, counts):
-            mix += table[a + b]
-        s = (phi_c + phi_test) - (mix - top)
-        if abs(s) <= _ZERO_GUARD * top and all(
-            a * n == b * big_n for a, b in zip(cs, counts)
-        ):
-            s = 0.0
-        out.append(s)
-    return out
-
-
 def _phi_array(parts: Iterable[np.ndarray], total, top: int) -> np.ndarray:
-    """:func:`_phi` elementwise, from one count array per symbol in alphabet order."""
+    """``Phi(v) = sum_x v_x ln v_x - |v| ln |v|`` elementwise, summed left to right.
+
+    ``parts`` holds one count array per symbol in alphabet order and
+    ``total`` their sum; no count exceeds ``top``.
+    """
     parts = iter(parts)
     acc = _take(next(parts), top)
     for part in parts:
@@ -412,8 +357,8 @@ def _lockstep(
             else:
                 t = cap
                 verdict = Verdict.undecided()
-            crossed_at = tuple(f if f <= t else None for f in fs)
-            out[i] = _trace(blocks[i], m, t, verdict, crossed_at)
+            rows = np.concatenate(blocks[i])[:t] if record else np.zeros((0, m))
+            out[i] = TrialTrace(rows, t, verdict, tuple(f if f <= t else None for f in fs))
         carry[:, active] = counts[:, :, -1]
         active = np.delete(active, done)
         start = end
@@ -421,32 +366,31 @@ def _lockstep(
     return out
 
 
-def _trace(
-    blocks: list[np.ndarray],
-    num_classes: int,
-    stopping_time: int,
-    verdict: Verdict,
-    crossed: tuple[int | None, ...],
-) -> TrialTrace:
-    if blocks:
-        rows = np.concatenate(blocks)[:stopping_time]
-    else:
-        rows = np.zeros((0, num_classes))
-    return TrialTrace(rows, stopping_time, verdict, crossed)
-
-
 # --------------------------------------------------------------------------
 # fixed-length rules
 # --------------------------------------------------------------------------
+
+def _fixed_length_verdict(values: Sequence[float], threshold: float, binary: bool) -> Verdict:
+    """Verdict of the fixed-length test from the classes' ``gjs`` values.
+
+    The binary rule declares class 1 iff its value is at or below
+    ``threshold``, else class 2, and reads only ``values[0]``; the
+    multiclass rule declares the unique class at or below it, else rejects.
+    """
+    if binary:
+        return Verdict.of_class(0 if values[0] <= threshold else 1)
+    accepted = [i for i, v in enumerate(values) if v <= threshold]
+    if len(accepted) == 1:
+        return Verdict.of_class(accepted[0])
+    return Verdict.rejected()
+
 
 def gutman_binary(t1: EmpiricalType, ty: EmpiricalType, cfg: GutmanConfig) -> Verdict:
     """Accept class 1 iff its score is at or below the threshold."""
     if t1.alphabet != ty.alphabet:
         raise AlphabetMismatch("types live on different alphabets")
     value = gjs(t1.as_distribution(), ty.as_distribution(), cfg.alpha)
-    if value <= cfg.raw_threshold:
-        return Verdict.of_class(0)
-    return Verdict.of_class(1)
+    return _fixed_length_verdict((value,), cfg.raw_threshold, binary=True)
 
 
 def gutman_multiclass(
@@ -456,35 +400,80 @@ def gutman_multiclass(
     if len(types) < 2:
         raise SizeMismatch("need at least two training types")
     ty_dist = ty.as_distribution()
-    threshold = cfg.raw_threshold
-    accepted = []
-    for i, t in enumerate(types):
+    values = []
+    for t in types:
         if t.alphabet != ty.alphabet:
             raise AlphabetMismatch("types live on different alphabets")
-        if gjs(t.as_distribution(), ty_dist, cfg.alpha) <= threshold:
-            accepted.append(i)
-    if len(accepted) == 1:
-        return Verdict.of_class(accepted[0])
-    return Verdict.rejected()
+        values.append(gjs(t.as_distribution(), ty_dist, cfg.alpha))
+    return _fixed_length_verdict(values, cfg.raw_threshold, binary=False)
 
 
 # --------------------------------------------------------------------------
 # sequential rules
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class SequentialState:
-    """Mutable state of the binary sequential test between steps."""
+    """Mutable state of the sequential test between steps."""
 
     config: SequentialConfig
     alphabet: Alphabet
-    train: tuple[tuple[int, ...], ...] = field(repr=False)
-    phi_train: tuple[float, ...] = field(repr=False)
-    counts: list[int] = field(repr=False)
+    train: np.ndarray = field(repr=False)
+    phi_train: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
     n: int = 0
-    scores: tuple[float, ...] = (0.0, 0.0)
-    crossed: tuple[int | None, ...] = (None, None)
+    scores: tuple[float, ...] = ()
+    crossed: tuple[int | None, ...] = ()
     verdict: Verdict | None = None
+
+
+def _start(
+    train_sequences: Sequence[Sequence[Symbol]], cfg: SequentialConfig, alphabet: Alphabet
+) -> SequentialState:
+    """State before the first test symbol: training counts and their ``Phi``."""
+    for seq in train_sequences:
+        if len(seq) != cfg.train_len:
+            raise LengthMismatch(
+                f"training length {len(seq)} != configured {cfg.train_len}"
+            )
+    train = np.array([empirical_type(seq, alphabet).counts for seq in train_sequences])
+    m = len(train)
+    return SequentialState(
+        config=cfg,
+        alphabet=alphabet,
+        train=train,
+        phi_train=_phi_array(train.T, cfg.train_len, cfg.train_len),
+        counts=np.zeros(alphabet.size, dtype=np.int64),
+        scores=(0.0,) * m,
+        crossed=(None,) * m,
+    )
+
+
+def _advance(state: SequentialState, y: Symbol, rule: str) -> Verdict | None:
+    """Feed one test symbol; returns the verdict once the test stops.
+
+    Every class is scored; a class is ruled out at its first crossing of
+    ``gamma * N``, and the test stops once at most one class survives or at
+    the cap, with the verdict :func:`_resolve` gives under ``rule``.
+    """
+    if state.verdict is not None:
+        raise SteppedAfterStop("the sequential test already delivered a verdict")
+    cfg = state.config
+    state.counts[state.alphabet.index_of(y)] += 1
+    n = state.n = state.n + 1
+    column = state.counts[:, None, None]
+    train, phi_train = state.train[None], state.phi_train[None]
+    scores = _block_scores(train, phi_train, column, np.array([n]), cfg.train_len)[0, :, 0].tolist()
+    state.scores = tuple(scores)
+    threshold = cfg.threshold
+    state.crossed = tuple(
+        n if c is None and s >= threshold else c for c, s in zip(state.crossed, scores)
+    )
+    survivors = [i for i, c in enumerate(state.crossed) if c is None]
+    if len(survivors) <= 1 or n >= cfg.cap:
+        final = (scores, state.train.tolist(), state.counts.tolist())
+        state.verdict = _resolve(survivors, rule, final)
+    return state.verdict
 
 
 def seq_binary_start(
@@ -494,20 +483,7 @@ def seq_binary_start(
     alphabet: Alphabet,
 ) -> SequentialState:
     """Initialize the binary sequential test from two training sequences."""
-    if len(x1) != cfg.train_len or len(x2) != cfg.train_len:
-        raise LengthMismatch(
-            f"training lengths ({len(x1)}, {len(x2)}) != configured {cfg.train_len}"
-        )
-    train = (empirical_type(x1, alphabet).counts, empirical_type(x2, alphabet).counts)
-    table = _lookup(cfg.train_len)
-    phi_train = tuple(_phi(cs, cfg.train_len, table) for cs in train)
-    return SequentialState(
-        config=cfg,
-        alphabet=alphabet,
-        train=train,
-        phi_train=phi_train,
-        counts=[0] * alphabet.size,
-    )
+    return _start((x1, x2), cfg, alphabet)
 
 
 def seq_binary_step(
@@ -521,24 +497,7 @@ def seq_binary_step(
     the two are within rounding of each other; an exact tie, or reaching the
     cap without a crossing, yields no decision.
     """
-    if state.verdict is not None:
-        raise SteppedAfterStop("the sequential test already delivered a verdict")
-    cfg = state.config
-    big_n = cfg.train_len
-    state.counts[state.alphabet.index_of(y)] += 1
-    n = state.n = state.n + 1
-    table = _lookup(big_n + n)
-    scores = _scores(state.train, state.phi_train, big_n, state.counts, n, table)
-    state.scores = tuple(scores)
-    threshold = cfg.threshold
-    # no class has crossed before this step, or the test would have stopped
-    if max(scores) >= threshold:
-        state.crossed = tuple(n if s >= threshold else None for s in scores)
-        survivors = [i for i, s in enumerate(scores) if s < threshold]
-        state.verdict = _resolve(survivors, "smaller", (scores, state.train, state.counts))
-    elif n >= cfg.cap:
-        state.verdict = Verdict.undecided()
-    return state, state.verdict
+    return state, _advance(state, y, "smaller")
 
 
 def seq_multiclass_run(
@@ -558,35 +517,19 @@ def seq_multiclass_run(
     """
     if len(train_sequences) < 2:
         raise SizeMismatch("need at least two training sequences")
-    types = [empirical_type(seq, alphabet) for seq in train_sequences]
-    for seq in train_sequences:
-        if len(seq) != cfg.train_len:
-            raise LengthMismatch(
-                f"training length {len(seq)} != configured {cfg.train_len}"
-            )
-    big_n = cfg.train_len
-    train = tuple(t.counts for t in types)
-    table = _lookup(big_n)
-    phi_train = tuple(_phi(cs, big_n, table) for cs in train)
-    threshold = cfg.threshold
-    m = len(train)
-    counts = [0] * alphabet.size
-    crossed: list[int | None] = [None] * m
-    rows: list[list[float]] = []
-    n = 0
+    state = _start(train_sequences, cfg, alphabet)
+    rows: list[tuple[float, ...]] = []
+
+    def trace(verdict: Verdict) -> TrialTrace:
+        scores = np.array(rows).reshape(state.n, len(state.train))
+        return TrialTrace(scores, state.n, verdict, state.crossed)
+
     for sym in stream:
-        counts[alphabet.index_of(sym)] += 1
-        n += 1
-        scores = _scores(train, phi_train, big_n, counts, n, _lookup(big_n + n))
-        rows.append(scores)
-        for i, s in enumerate(scores):
-            if crossed[i] is None and s >= threshold:
-                crossed[i] = n
-        survivors = [i for i, c in enumerate(crossed) if c is None]
-        if len(survivors) <= 1 or n >= cfg.cap:
-            verdict = _resolve(survivors, "none")
-            return TrialTrace(np.array(rows).reshape(n, m), n, verdict, tuple(crossed))
+        verdict = _advance(state, sym, "none")
+        rows.append(state.scores)
+        if verdict is not None:
+            return trace(verdict)
     raise StreamExhausted(
-        f"test stream ended after {n} symbols, before a verdict",
-        trace=TrialTrace(np.array(rows).reshape(n, m), n, Verdict.undecided(), tuple(crossed)),
+        f"test stream ended after {state.n} symbols, before a verdict",
+        trace=trace(Verdict.undecided()),
     )

@@ -89,7 +89,9 @@ REPORT_COLUMNS = (
 
 
 def _fmt(value) -> str:
-    """Shortest decimal that round-trips; integers stay integers."""
+    """Shortest decimal that round-trips; integers and strings stay as they are."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, int):
@@ -443,6 +445,13 @@ def _cmd_simulate(cfg: _Config, ns: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_threshold(experiment: ExperimentConfig) -> float:
+    """The threshold a trace's score rows are compared with, on their scale."""
+    if experiment.test_kind == "sequential":
+        return experiment.sequential_config().threshold
+    return experiment.gutman_config().raw_threshold
+
+
 def _dump_traces(experiment: ExperimentConfig, trace_dir: str) -> None:
     import dataclasses
     import os
@@ -452,12 +461,9 @@ def _dump_traces(experiment: ExperimentConfig, trace_dir: str) -> None:
         hypotheses = range(experiment.num_classes)
     else:
         hypotheses = [experiment.true_class]
+    threshold = _trace_threshold(experiment)
     for hyp in hypotheses:
         fixed = dataclasses.replace(experiment, true_class=hyp)
-        if experiment.test_kind == "sequential":
-            threshold = experiment.gamma * experiment.train_len
-        else:
-            threshold = experiment.gutman_lambda
         for trial in range(experiment.trials):
             trace = run_trial(fixed, trial)
             path = os.path.join(trace_dir, f"trace_h{hyp + 1}_t{trial}.csv")
@@ -472,11 +478,7 @@ def _cmd_trace(cfg: _Config, ns: argparse.Namespace) -> int:
         "config field 'true_class' must name a distribution for trace",
     )
     trace = run_trial(experiment, cfg.trial_index)
-    if experiment.test_kind == "sequential":
-        threshold = experiment.gamma * experiment.train_len
-    else:
-        threshold = experiment.gutman_lambda
-    _write_trace_csv(ns.out, trace, threshold)
+    _write_trace_csv(ns.out, trace, _trace_threshold(experiment))
     return 0
 
 
@@ -488,23 +490,17 @@ def _write_trace_csv(path: str, trace: TrialTrace, threshold: float) -> None:
         + ("crossed_flags", "verdict", "gamma_n")
     )
     rows = []
-    steps = trace.scores.shape[0]
-    for step in range(1, steps + 1):
+    # the last row is the stopping step; a fixed-length trace has that row only
+    last = trace.stopping_time
+    first = last - trace.scores.shape[0] + 1
+    for step, scores in zip(range(first, last + 1), trace.scores.tolist()):
         flags = "".join(
             "1" if (t is not None and t <= step) else "0"
             for t in trace.crossing_times
         )
-        verdict = trace.verdict.label() if step == steps else ""
-        rows.append(
-            (step,)
-            + tuple(float(v) for v in trace.scores[step - 1])
-            + (flags, verdict, threshold)
-        )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        verdict = trace.verdict.label() if step == last else ""
+        rows.append((step,) + tuple(scores) + (flags, verdict, threshold))
+    _write_csv(path, header, rows)
 
 
 _COMMANDS = {

@@ -28,15 +28,10 @@ import math
 import numpy as np
 
 from .errors import AlphabetMismatch, NegativeAlpha, NotInterior
-from .probability import Distribution, EmpiricalType, entropy, kl
+from .probability import Distribution, EmpiricalType, _check_pair, entropy, kl
 
 # Bracket width, in eta, at which the Chernoff exponent search stops.
 CHERNOFF_ETA_TOLERANCE = 1e-12
-
-
-def _check_pair(p: Distribution, q: Distribution) -> None:
-    if p.alphabet != q.alphabet:
-        raise AlphabetMismatch("distributions live on different alphabets")
 
 
 def _check_alpha(alpha: float) -> float:

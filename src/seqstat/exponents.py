@@ -36,15 +36,13 @@ import numpy as np
 
 from .divergence import chernoff, gjs, gjs_array, kl_array
 from .errors import (
-    AlphabetMismatch,
-    DuplicateDistribution,
     EmptyWeights,
     Infeasible,
     NegativeAlpha,
     NonConvergence,
 )
 from .fixedpoint import exponent_report
-from .probability import Distribution
+from .probability import Distribution, _check_distinct, _check_pair, _same_pair
 
 # Block-descent sweep stops once no coordinate moves more than this; a
 # relaxation that needs more than INNER_MAX_SWEEPS sweeps raises.
@@ -56,8 +54,6 @@ MU_RELATIVE_WIDTH = 1e-12
 CROSSING_MAX_STEPS = 200
 # Certified duality gap allowed on a returned optimal value.
 GAP_BOUND = 1e-8
-# Two distributions are the same program input below this sup distance.
-PAIR_TOLERANCE = 1e-12
 
 OBJECTIVE_FIXED_LENGTH = "fixed_length"
 OBJECTIVE_BAYES = "bayes"
@@ -93,15 +89,6 @@ def _check_alpha(alpha: float) -> float:
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise NegativeAlpha(f"alpha must be finite and > 0, got {alpha}")
     return alpha
-
-
-def _check_pair(p1: Distribution, p2: Distribution) -> None:
-    if p1.alphabet != p2.alphabet:
-        raise AlphabetMismatch("distributions live on different alphabets")
-
-
-def _same_pair(p1: Distribution, p2: Distribution) -> bool:
-    return max(abs(a - b) for a, b in zip(p1.weights, p2.weights)) <= PAIR_TOLERANCE
 
 
 class _PairProgram:
@@ -201,14 +188,12 @@ class _PairProgram:
 
         # Dual ascent: locate the multiplier whose relaxed solution meets
         # the budget exactly.  The constraint value is nonincreasing in mu.
-        state_lo = self.start()
         mu_lo = 0.0
         mu_hi = self.mu_start
-        state_hi = self.relax(mu_hi, state_lo)
+        state_hi = self.relax(mu_hi, self.start())
         doublings = 0
         while self.constraint_value(state_hi[0], state_hi[1]) > budget:
             mu_lo = mu_hi
-            state_lo = state_hi
             mu_hi *= 2.0
             state_hi = self.relax(mu_hi, state_hi)
             doublings += 1
@@ -218,7 +203,7 @@ class _PairProgram:
             mu_mid = 0.5 * (mu_lo + mu_hi)
             state_mid = self.relax(mu_mid, (state_hi[0].copy(), state_hi[1].copy(), state_hi[2].copy()))
             if self.constraint_value(state_mid[0], state_mid[1]) > budget:
-                mu_lo, state_lo = mu_mid, state_mid
+                mu_lo = mu_mid
             else:
                 mu_hi, state_hi = mu_mid, state_mid
         q1, q2, _ = state_hi
@@ -362,10 +347,7 @@ def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:
     m = len(dists)
     if m < 2:
         raise EmptyWeights("need at least two distributions")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _same_pair(dists[i], dists[j]):
-                raise DuplicateDistribution(f"distributions {i} and {j} coincide")
+    _check_distinct(dists)
     return min(
         gjs(dists[i], dists[j], alpha) / alpha
         for i in range(m)

@@ -29,14 +29,12 @@ import numpy as np
 
 from .divergence import chernoff, gjs
 from .errors import (
-    AlphabetMismatch,
-    DuplicateDistribution,
     GammaOutOfRange,
     NonPositiveGamma,
     NoSolution,
     NonConvergence,
 )
-from .probability import Distribution, EmpiricalType, kl
+from .probability import Distribution, EmpiricalType, _check_distinct, _check_pair, kl
 
 # The root's bracket is narrowed until it is this narrow relative to its top.
 RELATIVE_BRACKET_WIDTH = 1e-13
@@ -50,8 +48,6 @@ RESIDUAL_BOUND = 1e-10
 BRACKET_LOW = 1e-12
 # Reports flag rates within this distance of the Chernoff cap.
 NEAR_CAP_WIDTH = 1e-9
-
-_DUPLICATE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,7 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     lies below ``BRACKET_LOW``, or when the residual exceeds
     ``RESIDUAL_BOUND``.
     """
-    if p.alphabet != q.alphabet:
-        raise AlphabetMismatch("distributions live on different alphabets")
+    _check_pair(p, q)
     gamma = _check_gamma(gamma)
     slope_at_zero = kl(p, q)
     if gamma >= slope_at_zero:
@@ -253,13 +248,7 @@ def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
     m = len(dists)
     if m < 2:
         raise GammaOutOfRange("need at least two distributions")
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = max(
-                abs(a - b) for a, b in zip(dists[i].weights, dists[j].weights)
-            )
-            if diff <= _DUPLICATE_TOLERANCE:
-                raise DuplicateDistribution(f"distributions {i} and {j} coincide")
+    _check_distinct(dists)
     cap = min(
         chernoff(dists[i], dists[j]) for i in range(m) for j in range(i + 1, m)
     )

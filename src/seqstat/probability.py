@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     AlphabetMismatch,
     BadSeed,
+    DuplicateDistribution,
     EmptySequence,
     NegativeWeight,
     NotNormalized,
@@ -43,6 +44,8 @@ NORMALIZATION_TOLERANCE = 1e-9
 STORED_SUM_TOLERANCE = 1e-12
 # A distribution is "interior" iff every stored weight is at least this.
 INTERIOR_FLOOR = 1e-9
+# Two distributions count as the same input below this sup distance.
+PAIR_TOLERANCE = 1e-12
 
 _UINT64_MAX = 2**64 - 1
 
@@ -179,13 +182,29 @@ def entropy(p: Distribution) -> float:
     return -math.fsum(w * math.log(w) for w in p.weights if w > 0.0)
 
 
+def _check_pair(p: Distribution, q: Distribution) -> None:
+    if p.alphabet != q.alphabet:
+        raise AlphabetMismatch("distributions live on different alphabets")
+
+
+def _same_pair(p: Distribution, q: Distribution) -> bool:
+    """Whether the weights of ``p`` and ``q`` differ by at most ``PAIR_TOLERANCE``."""
+    return max(abs(a - b) for a, b in zip(p.weights, q.weights)) <= PAIR_TOLERANCE
+
+
+def _check_distinct(dists: Sequence[Distribution]) -> None:
+    for i in range(len(dists)):
+        for j in range(i + 1, len(dists)):
+            if _same_pair(dists[i], dists[j]):
+                raise DuplicateDistribution(f"distributions {i} and {j} coincide")
+
+
 def kl(p: Distribution, q: Distribution) -> float:
     """Relative entropy D(p || q) in nats.
 
     Returns ``inf`` when ``p`` puts mass outside the support of ``q``.
     """
-    if p.alphabet != q.alphabet:
-        raise AlphabetMismatch("distributions live on different alphabets")
+    _check_pair(p, q)
     acc = []
     for pw, qw in zip(p.weights, q.weights):
         if pw == 0.0:

@@ -8,11 +8,13 @@ depend only on the configuration, never on scheduling: ``estimate`` reduces
 per-trial summaries in trial-index order and returns identical reports for
 any worker count.
 
-Sequential trials run in batches of ``BLOCK_TRIALS`` through the lockstep
-kernel of :mod:`seqstat.classifiers`, which pulls each batch's test streams
-block by block; ``run_trial`` is the same kernel on a batch of one, with
-score rows kept.  ``estimate`` starts at most one worker pool per call and
-feeds it the trial blocks of every hypothesis.
+Trials run in batches of ``BLOCK_TRIALS`` and are scored by the count
+kernel of :mod:`seqstat.classifiers`: the sequential test in lockstep,
+pulling each batch's test streams block by block, and the fixed-length test
+as one block at the single prefix ``n_test``.  ``run_trial`` is a batch of
+one, with score rows kept.  ``estimate`` and ``exponent_probe`` start at most
+one worker pool per call and feed it the trial blocks of every hypothesis or
+training length.
 """
 
 from __future__ import annotations
@@ -30,11 +32,14 @@ from .classifiers import (
     GutmanConfig,
     SequentialConfig,
     TrialTrace,
+    _block_scores,
+    _fixed_length_verdict,
     _lockstep,
-    gutman_binary,
-    gutman_multiclass,
+    _phi_array,
+    gutman_binary,  # noqa: F401  (wrapped by name in bench/spans.py)
+    gutman_multiclass,  # noqa: F401  (wrapped by name in bench/spans.py)
 )
-from .divergence import gjs
+from .divergence import gjs  # noqa: F401  (wrapped by name in bench/spans.py)
 from .exponents import bayes_multiclass_gutman, gutman_bayes_exponent
 from .errors import (
     AlphabetMismatch,
@@ -46,14 +51,13 @@ from .errors import (
 from .fixedpoint import solve_fixed_point
 from .probability import (
     Distribution,
-    EmpiricalType,
     SeedSpec,
     bit_generator,  # noqa: F401  (wrapped by name in bench/spans.py)
-    sample_indices,
+    sample_indices,  # noqa: F401  (wrapped by name in bench/spans.py)
     stream_indices,
 )
 
-# Sequential trials run through the lockstep kernel in batches of this size.
+# Trials run in batches of this size.
 BLOCK_TRIALS = 128
 # Two-sided normal quantile used for the 95% confidence half-widths.
 _Z95 = 1.959963984540054
@@ -108,6 +112,10 @@ class ExperimentConfig:
 
     def sequential_config(self) -> SequentialConfig:
         return SequentialConfig(self.gamma, self.train_len, self.cap)
+
+    def gutman_config(self) -> GutmanConfig:
+        """Fixed-length test parameters at ``alpha = train_len / n_test``."""
+        return GutmanConfig(self.train_len / self.n_test, self.gutman_lambda, self.gutman_mode)
 
     @property
     def num_classes(self) -> int:
@@ -172,21 +180,29 @@ class ProbeReport:
     slope: float
 
 
+def _stream_counts(
+    dist: Distribution, master_seed: int, streams: Sequence[int], length: int
+) -> np.ndarray:
+    """Symbol counts ``(len(streams), K)`` of the first ``length`` draws of each stream."""
+    k = dist.alphabet.size
+    out = np.empty((len(streams), k), dtype=np.int64)
+    # at most BLOCK_ENTRIES symbols are drawn at once, whatever the batch and length
+    rows = max(1, BLOCK_ENTRIES // length)
+    for lo in range(0, len(streams), rows):
+        idx = stream_indices(dist, master_seed, streams[lo : lo + rows], 0, length)
+        for x in range(k):
+            out[lo : lo + rows, x] = np.count_nonzero(idx == x, axis=1)
+    return out
+
+
 def _training_counts(cfg: ExperimentConfig, indices: Sequence[int]) -> np.ndarray:
     """Training counts ``(B, M, K)`` of the trials ``indices``, from their role streams."""
     m = cfg.num_classes
-    k = cfg.distributions[0].alphabet.size
-    out = np.empty((len(indices), m, k), dtype=np.int64)
-    # at most BLOCK_ENTRIES symbols are drawn at once, whatever the batch and N
-    rows = max(1, BLOCK_ENTRIES // cfg.train_len)
-    for lo in range(0, len(indices), rows):
-        chunk = indices[lo : lo + rows]
-        for role, dist in enumerate(cfg.distributions):
-            streams = [t * (m + 1) + role for t in chunk]
-            idx = stream_indices(dist, cfg.master_seed, streams, 0, cfg.train_len)
-            for x in range(k):
-                out[lo : lo + rows, role, x] = np.count_nonzero(idx == x, axis=1)
-    return out
+    per_role = [
+        _stream_counts(dist, cfg.master_seed, [t * (m + 1) + role for t in indices], cfg.train_len)
+        for role, dist in enumerate(cfg.distributions)
+    ]
+    return np.stack(per_role, axis=1)
 
 
 def _sequential_trials(
@@ -206,51 +222,53 @@ def _sequential_trials(
     return _lockstep(train, cfg.sequential_config(), rule, draw, record)
 
 
-def _fixed_length_trial(cfg: ExperimentConfig, trial_index: int, record: bool) -> TrialTrace:
-    """Fixed-length test on one trial; the score row is computed only for ``record``."""
-    alphabet = cfg.distributions[0].alphabet
-    types = [
-        EmpiricalType(alphabet, tuple(row.tolist()))
-        for row in _training_counts(cfg, [trial_index])[0]
-    ]
+def _fixed_length_trials(cfg: ExperimentConfig, indices: Sequence[int]) -> list[TrialTrace]:
+    """Fixed-length test on the trials ``indices``, scored as one batch.
+
+    A trace's one row holds each class's ``gjs(T_train, T_test, N / n)``:
+    its score at the single prefix ``n_test``, divided by ``n_test``.
+    """
+    m = cfg.num_classes
+    big_n = cfg.train_len
     n_test = cfg.n_test
-    test_seed = SeedSpec(
-        cfg.master_seed, trial_index * (cfg.num_classes + 1) + cfg.num_classes
-    )
-    idx = sample_indices(cfg.distributions[cfg.true_class], n_test, test_seed)
-    ty = EmpiricalType(alphabet, tuple(np.bincount(idx, minlength=alphabet.size).tolist()))
-    gcfg = GutmanConfig(cfg.train_len / n_test, cfg.gutman_lambda, cfg.gutman_mode)
-    if cfg.num_classes == 2:
-        verdict = gutman_binary(types[0], ty, gcfg)
-    else:
-        verdict = gutman_multiclass(types, ty, gcfg)
-    if not record:
-        return TrialTrace(np.zeros((0, cfg.num_classes)), n_test, verdict, ())
-    ty_dist = ty.as_distribution()
-    row = [gjs(t.as_distribution(), ty_dist, gcfg.alpha) for t in types]
-    crossed = tuple(n_test if value > gcfg.raw_threshold else None for value in row)
-    return TrialTrace(np.asarray([row], dtype=np.float64), n_test, verdict, crossed)
+    train = _training_counts(cfg, indices)
+    streams = [t * (m + 1) + m for t in indices]
+    test = _stream_counts(cfg.distributions[cfg.true_class], cfg.master_seed, streams, n_test)
+    phi_train = _phi_array(train.transpose(2, 0, 1), big_n, big_n)
+    scores = _block_scores(train, phi_train, test.T[:, :, None], np.array([n_test]), big_n)
+    values = (scores[:, :, 0] / n_test).tolist()
+    threshold = cfg.gutman_config().raw_threshold
+    return [
+        TrialTrace(
+            np.array([row]),
+            n_test,
+            _fixed_length_verdict(row, threshold, binary=m == 2),
+            tuple(n_test if v > threshold else None for v in row),
+        )
+        for row in values
+    ]
+
+
+def _trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> list[TrialTrace]:
+    """The configured test on the trials ``indices``, run as one batch."""
+    if cfg.test_kind == "gutman":
+        return _fixed_length_trials(cfg, indices)
+    return _sequential_trials(cfg, indices, record)
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
     """Run one fully traced trial; deterministic in ``(config, index)``."""
     if cfg.true_class is None:
         raise ValidationError("run_trial needs a configured true class")
-    if cfg.test_kind == "gutman":
-        return _fixed_length_trial(cfg, trial_index, record=True)
-    return _sequential_trials(cfg, [trial_index], record=True)[0]
+    return _trials(cfg, [trial_index], record=True)[0]
 
 
 def _summaries_serial(
     cfg: ExperimentConfig, indices: range
 ) -> list[tuple[int, str, int | None]]:
-    if cfg.test_kind == "gutman":
-        traces = [_fixed_length_trial(cfg, t, record=False) for t in indices]
-    else:
-        traces = []
-        for lo in range(indices.start, indices.stop, BLOCK_TRIALS):
-            batch = range(lo, min(lo + BLOCK_TRIALS, indices.stop))
-            traces.extend(_sequential_trials(cfg, batch, record=False))
+    traces = []
+    for lo in range(indices.start, indices.stop, BLOCK_TRIALS):
+        traces.extend(_trials(cfg, range(lo, min(lo + BLOCK_TRIALS, indices.stop)), record=False))
     return [(t.stopping_time, t.verdict.kind, t.verdict.index) for t in traces]
 
 
@@ -268,7 +286,7 @@ def _collect_summaries(
     blocks go to the same pool, and the results come back in submission
     order.
     """
-    trials = configs[0].trials
+    trials = configs[0].trials if configs else 0
     if workers <= 1 or trials < 4 * workers:
         return [_summaries_serial(cfg, range(trials)) for cfg in configs]
     block = max(1, -(-trials // (workers * 4)))
@@ -415,10 +433,10 @@ def exponent_probe(
     """
     if cfg.true_class is None:
         raise ValidationError("the probe needs a configured true class")
+    configs = [replace(cfg, train_len=train_len, cap=None) for train_len in n_grid]
     rows = []
-    for train_len in n_grid:
-        cfg_n = replace(cfg, train_len=train_len, cap=None)
-        report = estimate(cfg_n, workers=workers).rows[0]
+    for train_len, cfg_n, summaries in zip(n_grid, configs, _collect_summaries(configs, workers)):
+        report = _aggregate(cfg_n, cfg.true_class, summaries)
         usable = report.errors > 0
         if usable:
             neg_log = -math.log(report.error_rate)

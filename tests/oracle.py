@@ -6,6 +6,11 @@ symbol and class, and draws every stream from a freshly constructed Philox
 generator, so it shares neither the kernel's table arithmetic nor the
 re-keyed sampler.
 
+``fixed_length_trial`` is the per-trial fixed-length path the batched one
+replaced: it draws every stream through the public ``sample_indices`` and
+decides through the public ``gutman_binary`` / ``gutman_multiclass``, which
+score with ``gjs`` on ``Distribution`` objects.
+
 ``bisect_fixed_point`` is the bisection the safeguarded Newton solver in
 ``seqstat.fixedpoint`` replaced: it halves the bracket on the sign of the
 validated public ``gjs`` until the bracket is ``RELATIVE_BRACKET_WIDTH``
@@ -19,7 +24,19 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from seqstat import SeedSpec, TrialTrace, Verdict, bit_generator, gjs, kl
+from seqstat import (
+    EmpiricalType,
+    GutmanConfig,
+    SeedSpec,
+    TrialTrace,
+    Verdict,
+    bit_generator,
+    gjs,
+    gutman_binary,
+    gutman_multiclass,
+    kl,
+    sample_indices,
+)
 from seqstat.errors import AlphabetMismatch, LengthMismatch, NoSolution, NonConvergence, StreamExhausted
 from seqstat.fixedpoint import (
     BRACKET_LOW,
@@ -177,6 +194,27 @@ def run_trial(cfg, trial_index: int) -> TrialTrace:
     source = cfg.distributions[cfg.true_class]
     stream = stream_indices(source.weights, SeedSpec(cfg.master_seed, base + m), cfg.effective_cap)
     return engine.run(stream, "smaller" if m == 2 else "none")
+
+
+def fixed_length_trial(cfg, trial_index: int) -> tuple[Verdict, list[float]]:
+    """Verdict and ``gjs`` row of one fixed-length trial, through public calls only."""
+    alphabet = cfg.distributions[0].alphabet
+    m = cfg.num_classes
+
+    def type_of(dist, role: int, length: int) -> EmpiricalType:
+        seed = SeedSpec(cfg.master_seed, trial_index * (m + 1) + role)
+        counts = np.bincount(sample_indices(dist, length, seed), minlength=alphabet.size)
+        return EmpiricalType(alphabet, tuple(counts.tolist()))
+
+    types = [type_of(d, role, cfg.train_len) for role, d in enumerate(cfg.distributions)]
+    ty = type_of(cfg.distributions[cfg.true_class], m, cfg.n_test)
+    gcfg = GutmanConfig(cfg.train_len / cfg.n_test, cfg.gutman_lambda, cfg.gutman_mode)
+    if m == 2:
+        verdict = gutman_binary(types[0], ty, gcfg)
+    else:
+        verdict = gutman_multiclass(types, ty, gcfg)
+    row = [gjs(t.as_distribution(), ty.as_distribution(), gcfg.alpha) for t in types]
+    return verdict, row
 
 
 def bisect_fixed_point(p, q, gamma: float) -> FixedPointResult:

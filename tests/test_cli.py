@@ -383,6 +383,32 @@ class TestTraceCsv:
                 assert row[4] == ""
         assert rows[-1][4] == trace.verdict.label()
 
+    def test_fixed_length_trace(self, tmp_path):
+        # one row, numbered as the stopping step, compared with the raw
+        # threshold lambda * N / n_test of scaled mode
+        n_test, lam = 44, 0.03
+        cfg = self.trace_config(
+            tmp_path,
+            distributions=TRIO,
+            gamma=0.03,
+            train_len=300,
+            true_class="P1",
+            test={"kind": "gutman", "n_test": n_test, "lambda": lam, "mode": "scaled"},
+        )
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = read_csv(str(out))
+        assert header[-3:] == ["crossed_flags", "verdict", "gamma_n"]
+        (row,) = rows
+        threshold = lam * (300 / n_test)
+        scores = [float(v) for v in row[1:4]]
+        assert int(row[0]) == n_test
+        assert float(row[6]) == threshold
+        assert row[4] == "".join("1" if s > threshold else "0" for s in scores)
+        # class 1's score is below the threshold, the other two above it
+        assert row[4] == "011"
+        assert row[5] == "class_1"
+
     def test_trace_needs_named_class(self, tmp_path, capsys):
         cfg = self.trace_config(tmp_path, true_class="sweep")
         out = tmp_path / "trace.csv"

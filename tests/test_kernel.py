@@ -1,12 +1,16 @@
-"""The lockstep kernel against the scalar engine it replaced (``oracle.py``).
+"""The count kernel against the per-trial paths it replaced (``oracle.py``).
 
-The oracle scores with one ``math.log`` per symbol and class and draws from
-freshly constructed generators; the kernel scores from a table of
-``j ln j`` and draws from one re-keyed generator.  Outcomes must agree trial
-for trial: a disagreement can only come from a score landing within
-rounding distance of the threshold, and none of the runs below has one.
+The sequential oracle scores with one ``math.log`` per symbol and class and
+draws from freshly constructed generators; the fixed-length oracle draws
+through ``sample_indices`` and decides through ``gutman_binary`` /
+``gutman_multiclass``, which score with ``gjs``.  The kernel scores from a
+table of ``j ln j`` and draws from one re-keyed generator.  Outcomes must
+agree trial for trial: a disagreement can only come from a score landing
+within rounding distance of the threshold, and none of the runs below has
+one.
 """
 
+import math
 import sys
 import threading
 
@@ -19,6 +23,8 @@ from seqstat import (
     ExperimentConfig,
     SeedSpec,
     SequentialConfig,
+    bayes_multiclass_gutman,
+    gutman_bayes_exponent,
     make_distribution,
     run_trial,
     sample_iid,
@@ -27,12 +33,13 @@ from seqstat import (
     seq_binary_start,
     seq_binary_step,
     seq_multiclass_run,
+    solve_fixed_point,
 )
 from seqstat import classifiers
 from seqstat.classifiers import BLOCK_ENTRIES, FIRST_WIDTH, GROWTH
 from seqstat.errors import BadSeed, StreamExhausted, UnknownSymbol
 from seqstat.probability import stream_indices
-from seqstat.simulator import _sequential_trials, _training_counts
+from seqstat.simulator import BLOCK_TRIALS, _sequential_trials, _summaries_serial, _training_counts
 
 import oracle
 
@@ -187,8 +194,8 @@ def test_block_scores_exact_zero_on_proportional_types():
 
 
 def test_multiclass_run_matches_kernel_and_stops_reading():
-    # seq_multiclass_run steps one symbol at a time through the scalar
-    # scorer; run_trial goes through the kernel with the same stopping rule
+    # seq_multiclass_run steps one symbol at a time, scoring one prefix per
+    # step; run_trial scores whole blocks of prefixes with the same rule
     alphabet, weights, gamma, _ = ACCEPTANCE["10"]
     for true_class in range(3):
         cfg = experiment(alphabet, weights, gamma, 300, 11, true_class)
@@ -206,6 +213,69 @@ def test_multiclass_run_matches_kernel_and_stops_reading():
             assert got.scores.tolist() == trace.scores.tolist()
             # the symbols after the stopping point are left in the stream
             assert len(list(stream)) == 50
+
+
+def fixed_length(tag, seed, true_class, mode):
+    """Fixed-length run of an acceptance config at the sequential test's budget.
+
+    ``n_test`` is ``N`` over the smallest pairwise root, as in
+    ``seqstat exponents``.  Scaled mode uses the balanced threshold; raw
+    mode uses the same number on the raw scale, a threshold ``alpha``
+    times lower, so the two modes decide differently.
+    """
+    alphabet, weights, gamma, (train_len,) = ACCEPTANCE[tag]
+    dists = [make_distribution(w, alphabet) for w in weights]
+    roots = [solve_fixed_point(a, b, gamma).theta_star for a in dists for b in dists if a is not b]
+    n_test = round(train_len / min(roots))
+    alpha = train_len / n_test
+    if len(dists) == 2:
+        lam = gutman_bayes_exponent(alpha, *dists)
+    else:
+        lam = bayes_multiclass_gutman(dists, alpha)
+    return experiment(
+        alphabet, weights, gamma, train_len, seed, true_class,
+        test_kind="gutman", n_test=n_test, gutman_lambda=lam, gutman_mode=mode,
+    )
+
+
+@pytest.mark.parametrize("mode", ["raw", "scaled"])
+@pytest.mark.parametrize("tag", ["09", "10"])
+def test_fixed_length_batches_match_oracle(tag, mode):
+    # more trials than one batch holds, so a batch boundary is crossed
+    trials = BLOCK_TRIALS + 12
+    found = []
+    kinds = set()
+    for seed in range(3):
+        for h in range(len(ACCEPTANCE[tag][1])):
+            cfg = fixed_length(tag, seed, h, mode)
+            for t, got in enumerate(_summaries_serial(cfg, range(trials))):
+                verdict, _ = oracle.fixed_length_trial(cfg, t)
+                kinds.add(verdict.kind if verdict.kind != "class" else verdict.index == h)
+                if got != (cfg.n_test, verdict.kind, verdict.index):
+                    found.append((seed, h, t, got, verdict))
+    assert found == []
+    # the runs see more than the right verdict: wrong classes or rejects
+    assert True in kinds and len(kinds) >= 2
+
+
+def test_fixed_length_rows_equal_gjs():
+    # The row is Phi(C) + Phi(c) - Phi(C + c) over n, three sums of size
+    # (N + n) ln(N + n) that cancel, so on near-identical types (gjs near
+    # 1e-4) only the absolute error stays at rounding level; against 50-digit
+    # references it stayed below 1e-15 of that scale over n.
+    for tag in ("09", "10"):
+        cfg = fixed_length(tag, 7, 1, "scaled")
+        threshold = cfg.gutman_config().raw_threshold
+        total = cfg.train_len + cfg.n_test
+        rounding = 1e-14 * total * math.log(total) / cfg.n_test
+        for t in range(3 * TRIALS):
+            trace = run_trial(cfg, t)
+            verdict, row = oracle.fixed_length_trial(cfg, t)
+            assert trace.scores.shape == (1, cfg.num_classes)
+            np.testing.assert_allclose(trace.scores[0], row, rtol=1e-12, atol=rounding)
+            assert (trace.stopping_time, trace.verdict) == (cfg.n_test, verdict)
+            want = tuple(cfg.n_test if v > threshold else None for v in row)
+            assert trace.crossing_times == want
 
 
 def test_unknown_symbol_raises_only_when_reached():

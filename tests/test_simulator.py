@@ -17,6 +17,7 @@ from seqstat import (
     run_trial,
     solve_fixed_point,
 )
+from seqstat import simulator
 from seqstat.errors import (
     AlphabetMismatch,
     BadSeed,
@@ -358,6 +359,30 @@ class TestExponentProbe:
         want_slope = (y[1] - y[0]) / 10.0
         assert probe.slope == pytest.approx(want_slope, abs=1e-12)
         assert probe.slope > 0
+
+    def test_probe_starts_one_pool(self, monkeypatch):
+        # every training length's trial blocks go to one pool, and the
+        # report is the serial one
+        cfg = ExperimentConfig(
+            (bern(0.8), bern(0.2)),
+            gamma=0.1,
+            train_len=10,
+            trials=40,
+            master_seed=3,
+            true_class=0,
+        )
+        serial = exponent_probe(cfg, [10, 15, 20])
+        assert all(row.usable for row in serial.rows)
+        started = []
+
+        class CountingPool(simulator.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+        assert exponent_probe(cfg, [10, 15, 20], workers=2) == serial
+        assert started == [2]
 
     def test_probe_needs_true_class(self):
         cfg = basic_config(true_class=None)
