@@ -19,18 +19,33 @@ The solver exploits the variational identity
 whose minimizer is the ``alpha``-mixture of the pair.  Dualizing the
 divergence constraint with multiplier ``mu`` makes every block of the
 Lagrangian a weighted relative-entropy sum, so each block minimizer is a
-normalized weighted geometric mean and cyclic block descent converges to
-the joint optimum (the Lagrangian is jointly convex with unique block
-minimizers).  The dual is maximized by bisecting ``mu`` on the sign of the
-constraint slack.  Both sides of the final bracket yield primal and dual
-bounds, so every returned value carries a certified duality gap instead of
-relying on an iteration heuristic.
+normalized weighted geometric mean, and the Lagrangian's minimizer is the
+fixed point ``W = T(W)`` of one block-descent sweep (the Lagrangian is
+jointly convex with unique block minimizers).  A relaxation iterates the
+sweep and, once the iterate is near the fixed point, replaces it by the
+Newton point of ``W - T(W)``, whose Jacobian has a closed form; it returns
+only after a plain sweep that moves no coordinate more than
+``INNER_TOLERANCE``.
+
+The constrained programs maximize the dual by bisecting ``mu`` on the sign
+of the constraint slack.  Both sides of the final bracket yield primal and
+dual bounds, so every returned value carries a certified duality gap
+instead of relying on an iteration heuristic.  The Bayes crossing instead
+follows the dual path to the multiplier at which the relaxed objective and
+constraint agree, with an Illinois (modified regula falsi) search that is
+safeguarded by bisection.
+
+Sources that share no symbol have a defined answer everywhere: every pair of
+finite objective then has the sources' own ``gjs``, so the programs are
+infeasible below it (value ``inf``) and solved by the sources at or above it
+(value 0), and the Bayes crossing is ``gjs(P1, P2, alpha) / alpha``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +63,12 @@ from .probability import Distribution, _check_distinct, _check_pair, _same_pair
 # relaxation that needs more than INNER_MAX_SWEEPS sweeps raises.
 INNER_TOLERANCE = 1e-15
 INNER_MAX_SWEEPS = 20000
-# Multiplier bisection runs until the bracket is this narrow relatively.
+# Relaxations take Newton steps once a sweep moves the mixture no more than
+# this; a Newton iteration counts as one sweep against INNER_MAX_SWEEPS.
+NEWTON_MOVE = 1e-2
+# Multiplier searches run until the bracket is this narrow relatively.
 MU_RELATIVE_WIDTH = 1e-12
-# Bisection steps allowed on the crossing multiplier before it raises.
+# Search steps allowed on the crossing multiplier before it raises.
 CROSSING_MAX_STEPS = 200
 # Certified duality gap allowed on a returned optimal value.
 GAP_BOUND = 1e-8
@@ -92,18 +110,25 @@ def _check_alpha(alpha: float) -> float:
 
 
 class _PairProgram:
-    """minimize u*D(Q1||A) + v*D(Q2||B) s.t. gjs(Q1,Q2,alpha) <= budget."""
+    """minimize u*D(Q1||A) + v*D(Q2||B) s.t. gjs(Q1,Q2,alpha) <= budget.
+
+    The program lives on the union of the two supports: symbols outside
+    it carry no mass in any pair of finite objective, so ``keep`` marks the
+    alphabet positions of the stored arrays and every state ``(q1, q2, w)``
+    has one entry per kept symbol, with ``w > 0`` throughout.
+    """
 
     def __init__(self, u: float, v: float, a: np.ndarray, b: np.ndarray, alpha: float):
+        self.keep = (a > 0.0) | (b > 0.0)
         self.u = u
         self.v = v
-        self.a = a
-        self.b = b
+        self.a = a[self.keep]
+        self.b = b[self.keep]
         self.alpha = alpha
-        self.supp_a = a > 0.0
-        self.supp_b = b > 0.0
-        self.log_a = np.log(a[self.supp_a])
-        self.log_b = np.log(b[self.supp_b])
+        self.common = bool(np.any((self.a > 0.0) & (self.b > 0.0)))
+        with np.errstate(divide="ignore"):
+            self.log_a = np.log(self.a)
+            self.log_b = np.log(self.b)
 
     @property
     def mu_start(self) -> float:
@@ -117,37 +142,70 @@ class _PairProgram:
         return self.v
 
     def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The relaxed state at ``mu = 0``: the sources and their mixture."""
         q1 = self.a.copy()
         q2 = self.b.copy()
         w = (self.alpha * q1 + q2) / (1.0 + self.alpha)
         return q1, q2, w
 
-    def relax(self, mu: float, state):
-        """Block descent on the Lagrangian at multiplier ``mu``.
+    def exponents(self, mu: float) -> tuple[float, float]:
+        """Block exponents ``e1``, ``e2`` of the sources at multiplier ``mu``."""
+        return self.u / (self.u + mu * self.alpha), self.v / (self.v + mu)
 
-        Raises :class:`NonConvergence` when ``INNER_MAX_SWEEPS`` sweeps end
-        with a coordinate still moving more than ``INNER_TOLERANCE``.
+    def sweep(self, w: np.ndarray, e1: float, e2: float):
+        """One block-descent sweep from ``w``: ``(q1(w), q2(w), T(w))``.
+
+        ``q1`` is the normalized geometric mean ``a^e1 * w^(1-e1)``, ``q2``
+        likewise on ``b``, and ``T(w)`` their ``alpha``-mixture.
         """
+        log_w = np.log(w)
+        x1 = np.exp(e1 * self.log_a + (1.0 - e1) * log_w)
+        x2 = np.exp(e2 * self.log_b + (1.0 - e2) * log_w)
+        q1 = x1 / x1.sum()
+        q2 = x2 / x2.sum()
+        return q1, q2, (self.alpha * q1 + q2) / (1.0 + self.alpha)
+
+    def jacobian(self, q1: np.ndarray, q2: np.ndarray, w: np.ndarray, e1: float, e2: float):
+        """Jacobian of ``T`` at ``w``, given ``q1 = q1(w)`` and ``q2 = q2(w)``.
+
+        ``dq/dw = (1 - e) * (diag q - q q^T) * diag(1 / w)`` for each block.
+        """
+        c1 = self.alpha * (1.0 - e1)
+        c2 = 1.0 - e2
+        jac = np.diag(c1 * q1 + c2 * q2)
+        jac -= c1 * np.outer(q1, q1) + c2 * np.outer(q2, q2)
+        return jac / (w * (1.0 + self.alpha))
+
+    def relax(self, mu: float, state):
+        """Minimize the Lagrangian at multiplier ``mu``, starting from ``state``.
+
+        The minimizer's mixture is the fixed point of the sweep map ``T``.
+        Each iteration is one sweep.  When the sweep moved the mixture by
+        more than ``INNER_TOLERANCE`` but at most ``NEWTON_MOVE``, the next
+        iterate is the Newton point ``w + (I - J)^-1 (T(w) - w)`` instead of
+        ``T(w)``, unless that point leaves the positive orthant.  The state
+        is returned after a plain sweep that moved no coordinate more than
+        ``INNER_TOLERANCE``; :class:`NonConvergence` is raised when
+        ``INNER_MAX_SWEEPS`` iterations end before one.
+        """
+        e1, e2 = self.exponents(mu)
         q1, q2, w = state
-        e1 = self.u / (self.u + mu * self.alpha)
-        e2 = self.v / (self.v + mu)
-        k = len(self.a)
+        eye = np.eye(len(w))
         for _ in range(INNER_MAX_SWEEPS):
-            x1 = np.exp(e1 * self.log_a + (1.0 - e1) * np.log(w[self.supp_a]))
-            q1n = np.zeros(k)
-            q1n[self.supp_a] = x1 / x1.sum()
-            x2 = np.exp(e2 * self.log_b + (1.0 - e2) * np.log(w[self.supp_b]))
-            q2n = np.zeros(k)
-            q2n[self.supp_b] = x2 / x2.sum()
-            wn = (self.alpha * q1n + q2n) / (1.0 + self.alpha)
-            delta = max(
-                np.max(np.abs(q1n - q1)),
-                np.max(np.abs(q2n - q2)),
-                np.max(np.abs(wn - w)),
-            )
-            q1, q2, w = q1n, q2n, wn
+            q1n, q2n, wn = self.sweep(w, e1, e2)
+            move = abs(wn - w).max()
+            delta = max(abs(q1n - q1).max(), abs(q2n - q2).max(), move)
             if delta <= INNER_TOLERANCE:
-                return q1, q2, w
+                return q1n, q2n, wn
+            # A move already at the tolerance takes the plain sweep: the
+            # Newton point's rounding, amplified by (I - J)^-1, would keep the
+            # q moves above it.
+            if INNER_TOLERANCE < move <= NEWTON_MOVE:
+                jac = self.jacobian(q1n, q2n, w, e1, e2)
+                newton = w + np.linalg.solve(eye - jac, wn - w)
+                if (newton > 0.0).all():
+                    wn = newton
+            q1, q2, w = q1n, q2n, wn
         raise NonConvergence(
             f"block descent at mu={mu} still moving {delta} after {INNER_MAX_SWEEPS} sweeps"
         )
@@ -160,13 +218,9 @@ class _PairProgram:
 
     def collapsed(self) -> tuple[float, np.ndarray]:
         """Zero-budget case: both arguments coincide with one distribution."""
-        common = self.supp_a & self.supp_b
-        if not np.any(common):
-            return math.inf, np.zeros(len(self.a))
+        common = (self.a > 0.0) & (self.b > 0.0)
         share = self.u / (self.u + self.v)
-        x = np.exp(
-            share * np.log(self.a[common]) + (1.0 - share) * np.log(self.b[common])
-        )
+        x = np.exp(share * self.log_a[common] + (1.0 - share) * self.log_b[common])
         q = np.zeros(len(self.a))
         q[common] = x / x.sum()
         return self.objective_value(q, q), q
@@ -175,13 +229,18 @@ class _PairProgram:
         """Constrained minimum with a certified duality gap.
 
         Returns ``(value, q1, q2)`` where the pair is feasible and the value
-        sits within ``GAP_BOUND`` of the true optimum.
+        sits within ``GAP_BOUND`` of the true optimum.  When the sources
+        share no symbol, every pair of finite objective has the sources'
+        own ``gjs``, so a budget below it has no feasible pair: the value is
+        ``inf`` and the pair ``None``.
         """
         if budget < 0.0:
             raise Infeasible(f"divergence budget {budget} is negative")
         slack0 = self.constraint_value(self.a, self.b)
         if slack0 <= budget:
             return 0.0, self.a.copy(), self.b.copy()
+        if not self.common:
+            return math.inf, None, None
         if budget == 0.0:
             value, q = self.collapsed()
             return value, q, q.copy()
@@ -201,7 +260,7 @@ class _PairProgram:
                 raise NonConvergence("constraint multiplier bracketing diverged")
         while (mu_hi - mu_lo) > MU_RELATIVE_WIDTH * mu_hi:
             mu_mid = 0.5 * (mu_lo + mu_hi)
-            state_mid = self.relax(mu_mid, (state_hi[0].copy(), state_hi[1].copy(), state_hi[2].copy()))
+            state_mid = self.relax(mu_mid, state_hi)
             if self.constraint_value(state_mid[0], state_mid[1]) > budget:
                 mu_lo = mu_mid
             else:
@@ -235,44 +294,134 @@ def minimize_over_simplices(
     """Solve one constrained divergence program.
 
     Returns the optimal value together with the feasible argmin pair.
+    Raises :class:`Infeasible` when no pair of finite objective meets the
+    threshold, which happens exactly when the sources share no symbol and
+    the threshold is below their own divergence.
     """
     program, budget = _program_for(problem)
     value, q1, q2 = program.solve(budget)
+    if q1 is None:
+        raise Infeasible(
+            f"sources with disjoint supports: no pair of finite objective meets "
+            f"the divergence budget {budget}"
+        )
     alphabet = problem.p1.alphabet
-    pair = (
-        Distribution(alphabet, tuple(q1)),
-        Distribution(alphabet, tuple(q2)),
-    )
-    return value, pair
+    pair = []
+    for q in (q1, q2):
+        full = np.zeros(alphabet.size)
+        full[program.keep] = q
+        pair.append(Distribution(alphabet, tuple(full)))
+    return value, (pair[0], pair[1])
+
+
+def _optimal_value(problem: SimplexOptProblem) -> float:
+    """Optimal value of one program; ``inf`` when no pair is feasible."""
+    program, budget = _program_for(problem)
+    return program.solve(budget)[0]
 
 
 def gutman_type2_exponent(
     alpha: float, lam: float, p1: Distribution, p2: Distribution
 ) -> float:
-    """Type-II exponent of the fixed-length test, per test sample."""
-    value, _ = minimize_over_simplices(
-        SimplexOptProblem(OBJECTIVE_FIXED_LENGTH, alpha, lam, p1, p2)
-    )
-    return value
+    """Type-II exponent of the fixed-length test, per test sample.
+
+    For sources with disjoint supports it is ``inf`` below ``gjs(P1, P2,
+    alpha)`` and 0 at or above it.
+    """
+    return _optimal_value(SimplexOptProblem(OBJECTIVE_FIXED_LENGTH, alpha, lam, p1, p2))
+
 
 def gutman_bayes_curve(
     alpha: float, lam: float, p1: Distribution, p2: Distribution
 ) -> float:
-    """Fixed-length type-II exponent, normalized per training sample."""
-    value, _ = minimize_over_simplices(
-        SimplexOptProblem(OBJECTIVE_BAYES, alpha, lam, p1, p2)
-    )
-    return value
+    """Fixed-length type-II exponent, normalized per training sample.
+
+    For sources with disjoint supports it is ``inf`` below ``gjs(P1, P2,
+    alpha) / alpha`` and 0 at or above it.
+    """
+    return _optimal_value(SimplexOptProblem(OBJECTIVE_BAYES, alpha, lam, p1, p2))
 
 
 def gutman_bayes_curve_swapped(
     alpha: float, lam: float, p1: Distribution, p2: Distribution
 ) -> float:
     """Mirror-image curve with the two sources exchanged."""
-    value, _ = minimize_over_simplices(
-        SimplexOptProblem(OBJECTIVE_BAYES_SWAPPED, alpha, lam, p1, p2)
-    )
-    return value
+    return _optimal_value(SimplexOptProblem(OBJECTIVE_BAYES_SWAPPED, alpha, lam, p1, p2))
+
+
+class _End(NamedTuple):
+    """One end of the crossing's multiplier bracket: the relaxed pair at ``mu``."""
+
+    mu: float
+    objective: float
+    constraint: float
+    state: tuple
+
+    @property
+    def excess(self) -> float:
+        return self.objective - self.constraint
+
+    @property
+    def value(self) -> float:
+        return 0.5 * (self.objective + self.constraint)
+
+
+def _crossing_search(evaluate, lo: _End, hi: _End) -> float:
+    """Illinois search for the multiplier at which the excess changes sign.
+
+    The excess ``objective - constraint`` is at most 0 at ``lo`` and
+    positive at ``hi``; ``evaluate(mu, state)`` returns the end at ``mu``,
+    relaxed from ``state``.  Each step is a regula falsi step on the ends'
+    excesses, with the excess of an end kept twice in a row halved
+    (Illinois), clamped strictly inside the bracket and relaxed from the
+    nearer end.  The excess grows with ``mu``, so every step narrows the
+    bracket and lowers the smaller excess magnitude of its ends; a step that
+    halves neither is followed by a bisection.  (Regula falsi closing in
+    from one side cuts the excess while it leaves the bracket wide, so the
+    width alone would call for needless bisections.)  The search stops when
+    an end's objective and constraint agree within 1e-12, returning their
+    mean, or when the bracket is ``MU_RELATIVE_WIDTH`` wide, returning the
+    mean at the end of smaller excess; :class:`NonConvergence` is raised
+    when ``CROSSING_MAX_STEPS`` steps end before either.
+    """
+    f_lo, f_hi = lo.excess, hi.excess
+    kept = None
+    halved = True
+    steps = 0
+    while True:
+        for end in (hi, lo):
+            if abs(end.excess) <= 1e-12:
+                return end.value
+        width = hi.mu - lo.mu
+        tol = MU_RELATIVE_WIDTH * hi.mu
+        if width <= tol:
+            return min(hi, lo, key=lambda end: abs(end.excess)).value
+        if steps == CROSSING_MAX_STEPS:
+            raise NonConvergence(
+                f"crossing multiplier bisection unfinished after {steps} steps: "
+                f"objective {hi.objective} against constraint {hi.constraint}"
+            )
+        steps += 1
+        bisect = not halved
+        if bisect:
+            mu = 0.5 * (lo.mu + hi.mu)
+        else:
+            mu = hi.mu - f_hi * width / (f_hi - f_lo)
+            mu = min(max(mu, lo.mu + 0.25 * tol), hi.mu - 0.25 * tol)
+        nearer = lo if mu - lo.mu < hi.mu - mu else hi
+        smaller = min(hi.excess, -lo.excess)
+        end = evaluate(mu, nearer.state)
+        if end.excess > 0.0:
+            hi, f_hi = end, end.excess
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, f_lo = end, end.excess
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+        halved = bisect or hi.mu - lo.mu <= 0.5 * width or abs(end.excess) <= 0.5 * smaller
 
 
 def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> float:
@@ -281,60 +430,43 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     This is the threshold at which the per-training-sample exponent curve
     crosses the identity line.  The crossing is found by following the dual
     path of the curve's program: as the multiplier grows, the relaxed
-    objective rises from 0 while the relaxed constraint falls from the full
-    divergence, so their difference changes sign exactly once.  For an
-    identical pair the curve is identically zero and so is the crossing.
-    The multiplier is bisected until objective and constraint agree within
-    1e-12 or its bracket is ``MU_RELATIVE_WIDTH`` wide; :class:`NonConvergence`
-    is raised when ``CROSSING_MAX_STEPS`` steps end before either.
+    objective rises from 0 while the relaxed constraint falls from
+    ``gjs(P1, P2, alpha) / alpha``, so their difference changes sign exactly
+    once.  The multiplier is bracketed by doubling from the program's
+    starting multiplier, with ``mu = 0`` (the sources themselves, which need
+    no relaxation) as the first lower end, and the bracket is narrowed by
+    :func:`_crossing_search`.  For an identical pair the curve is
+    identically zero and so is the crossing.  For sources with disjoint
+    supports the curve is ``inf`` below ``gjs(P1, P2, alpha) / alpha`` and 0
+    from there on, so the crossing is that value, the supremum of
+    ``min(lam, curve(lam))``.
     """
     alpha = _check_alpha(alpha)
     _check_pair(p1, p2)
     if _same_pair(p1, p2):
         return 0.0
-    a1 = p1.as_array()
-    a2 = p2.as_array()
-    program = _PairProgram(1.0, 1.0 / alpha, a1, a2, alpha)
+    program = _PairProgram(1.0, 1.0 / alpha, p1.as_array(), p2.as_array(), alpha)
+    sources = program.start()
+    full = program.constraint_value(sources[0], sources[1]) / alpha
+    if not program.common:
+        return full
 
-    def split(state) -> tuple[float, float]:
-        q1, q2, _ = state
+    def evaluate(mu: float, state) -> _End:
+        q1, q2, w = program.relax(mu, state)
         objective = program.objective_value(q1, q2)
         constraint = program.constraint_value(q1, q2) / alpha
-        return objective, constraint
+        return _End(mu, objective, constraint, (q1, q2, w))
 
-    mu_lo = 0.0
-    mu_hi = program.mu_start
-    state_hi = program.relax(mu_hi, program.start())
+    lo = _End(0.0, 0.0, full, sources)
+    hi = evaluate(program.mu_start, sources)
     doublings = 0
-    while True:
-        objective, constraint = split(state_hi)
-        if objective > constraint:
-            break
-        mu_lo = mu_hi
-        mu_hi *= 2.0
-        state_hi = program.relax(mu_hi, state_hi)
+    while hi.excess <= 0.0:
+        lo = hi
+        hi = evaluate(2.0 * hi.mu, hi.state)
         doublings += 1
         if doublings > 200:
             raise NonConvergence("crossing multiplier bracketing diverged")
-    steps = 0
-    while True:
-        if abs(objective - constraint) <= 1e-12 or (mu_hi - mu_lo) <= MU_RELATIVE_WIDTH * mu_hi:
-            return 0.5 * (objective + constraint)
-        if steps == CROSSING_MAX_STEPS:
-            raise NonConvergence(
-                f"crossing multiplier bisection unfinished after {steps} steps: "
-                f"objective {objective} against constraint {constraint}"
-            )
-        steps += 1
-        mu_mid = 0.5 * (mu_lo + mu_hi)
-        state_mid = program.relax(
-            mu_mid, (state_hi[0].copy(), state_hi[1].copy(), state_hi[2].copy())
-        )
-        o_mid, c_mid = split(state_mid)
-        if o_mid > c_mid:
-            mu_hi, state_hi, objective, constraint = mu_mid, state_mid, o_mid, c_mid
-        else:
-            mu_lo = mu_mid
+    return _crossing_search(evaluate, lo, hi)
 
 
 def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:
@@ -427,7 +559,10 @@ def compare_sequential_vs_gutman(
     expected test length ``N / max(theta, beta)`` under the worst class, so
     the fixed-length competitor is granted the same budget through
     ``alpha = min(theta, beta)`` and its crossing exponent is evaluated
-    there.  The margin column is positive throughout the valid rate range.
+    there.  The margin column is positive throughout the valid rate range,
+    except for sources with disjoint supports: there the crossing is
+    ``gjs(P1, P2, alpha) / alpha``, which equals ``gamma`` at the root, so the
+    margin is 0 up to the root's residual.
     """
     rows = []
     for gamma in gamma_grid:

@@ -283,13 +283,15 @@ def _collect_summaries(
     """Per-trial summaries of each configuration, in trial order.
 
     All configurations share one trial count; with a worker pool their trial
-    blocks go to the same pool, and the results come back in submission
-    order.
+    spans go to the same pool, and the results come back in submission
+    order.  A span is about a quarter of a worker's share, rounded up to
+    whole ``BLOCK_TRIALS`` batches, so only a configuration's last span runs
+    a partial batch.
     """
     trials = configs[0].trials if configs else 0
     if workers <= 1 or trials < 4 * workers:
         return [_summaries_serial(cfg, range(trials)) for cfg in configs]
-    block = max(1, -(-trials // (workers * 4)))
+    block = BLOCK_TRIALS * -(-trials // (workers * 4 * BLOCK_TRIALS))
     starts = range(0, trials, block)
     spans = [(cfg, start, min(start + block, trials)) for cfg in configs for start in starts]
     with ProcessPoolExecutor(max_workers=workers) as pool:

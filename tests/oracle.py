@@ -15,6 +15,13 @@ score with ``gjs`` on ``Distribution`` objects.
 ``seqstat.fixedpoint`` replaced: it halves the bracket on the sign of the
 validated public ``gjs`` until the bracket is ``RELATIVE_BRACKET_WIDTH``
 wide.
+
+``sweep_relax`` and ``bisect_bayes_crossing`` are the plain block-descent
+relaxation and the multiplier bisection that the Newton relaxation and the
+Illinois search in ``seqstat.exponents`` replaced: ``sweep_relax`` repeats
+the sweep until one moves no coordinate more than ``INNER_TOLERANCE``, and
+the crossing halves the multiplier bracket, warm-starting every relaxation
+from its upper end.
 """
 
 from __future__ import annotations
@@ -37,6 +44,14 @@ from seqstat import (
     kl,
     sample_indices,
 )
+from seqstat.exponents import (
+    CROSSING_MAX_STEPS,
+    INNER_MAX_SWEEPS,
+    INNER_TOLERANCE,
+    MU_RELATIVE_WIDTH,
+    _PairProgram,
+    _check_alpha,
+)
 from seqstat.errors import AlphabetMismatch, LengthMismatch, NoSolution, NonConvergence, StreamExhausted
 from seqstat.fixedpoint import (
     BRACKET_LOW,
@@ -45,6 +60,7 @@ from seqstat.fixedpoint import (
     FixedPointResult,
     _check_gamma,
 )
+from seqstat.probability import _check_pair, _same_pair
 
 # Test symbols are drawn from the stream generator in blocks of this size.
 STREAM_CHUNK = 128
@@ -254,3 +270,76 @@ def bisect_fixed_point(p, q, gamma: float) -> FixedPointResult:
     if residual > RESIDUAL_BOUND:
         raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
     return FixedPointResult(theta, residual, lo, hi, iterations)
+
+
+def sweep_relax(program: _PairProgram, mu: float, state):
+    """Plain block descent on ``program``'s Lagrangian at multiplier ``mu``."""
+    q1, q2, w = state
+    e1 = program.u / (program.u + mu * program.alpha)
+    e2 = program.v / (program.v + mu)
+    supp_a = program.a > 0.0
+    supp_b = program.b > 0.0
+    log_a = np.log(program.a[supp_a])
+    log_b = np.log(program.b[supp_b])
+    k = len(program.a)
+    for _ in range(INNER_MAX_SWEEPS):
+        x1 = np.exp(e1 * log_a + (1.0 - e1) * np.log(w[supp_a]))
+        q1n = np.zeros(k)
+        q1n[supp_a] = x1 / x1.sum()
+        x2 = np.exp(e2 * log_b + (1.0 - e2) * np.log(w[supp_b]))
+        q2n = np.zeros(k)
+        q2n[supp_b] = x2 / x2.sum()
+        wn = (program.alpha * q1n + q2n) / (1.0 + program.alpha)
+        delta = max(
+            np.max(np.abs(q1n - q1)),
+            np.max(np.abs(q2n - q2)),
+            np.max(np.abs(wn - w)),
+        )
+        q1, q2, w = q1n, q2n, wn
+        if delta <= INNER_TOLERANCE:
+            return q1, q2, w
+    raise NonConvergence(
+        f"block descent at mu={mu} still moving {delta} after {INNER_MAX_SWEEPS} sweeps"
+    )
+
+
+def bisect_bayes_crossing(alpha: float, p1, p2) -> float:
+    """``gutman_bayes_exponent`` by doubling and bisecting the multiplier."""
+    alpha = _check_alpha(alpha)
+    _check_pair(p1, p2)
+    if _same_pair(p1, p2):
+        return 0.0
+    program = _PairProgram(1.0, 1.0 / alpha, p1.as_array(), p2.as_array(), alpha)
+
+    def split(state) -> tuple[float, float]:
+        q1, q2, _ = state
+        return program.objective_value(q1, q2), program.constraint_value(q1, q2) / alpha
+
+    mu_lo = 0.0
+    mu_hi = program.mu_start
+    state_hi = sweep_relax(program, mu_hi, program.start())
+    doublings = 0
+    while True:
+        objective, constraint = split(state_hi)
+        if objective > constraint:
+            break
+        mu_lo = mu_hi
+        mu_hi *= 2.0
+        state_hi = sweep_relax(program, mu_hi, state_hi)
+        doublings += 1
+        if doublings > 200:
+            raise NonConvergence("crossing multiplier bracketing diverged")
+    steps = 0
+    while True:
+        if abs(objective - constraint) <= 1e-12 or (mu_hi - mu_lo) <= MU_RELATIVE_WIDTH * mu_hi:
+            return 0.5 * (objective + constraint)
+        if steps == CROSSING_MAX_STEPS:
+            raise NonConvergence(f"crossing multiplier bisection unfinished after {steps} steps")
+        steps += 1
+        mu_mid = 0.5 * (mu_lo + mu_hi)
+        state_mid = sweep_relax(program, mu_mid, state_hi)
+        o_mid, c_mid = split(state_mid)
+        if o_mid > c_mid:
+            mu_hi, state_hi, objective, constraint = mu_mid, state_mid, o_mid, c_mid
+        else:
+            mu_lo = mu_mid

@@ -219,6 +219,19 @@ class TestComparisonCsv:
         assert main(["compare-gutman", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_disjoint_supports_write_a_row(self, tmp_path):
+        # no common symbol: the fixed-length exponent is gjs(P1, P2, alpha)
+        # / alpha, which equals gamma at the matched ratio
+        cfg = write_config(
+            tmp_path, distributions={"P1": [1.0, 0.0, 0.0], "P2": [0.0, 0.5, 0.5]}, gamma=0.5
+        )
+        out = tmp_path / "disjoint.csv"
+        assert main(["compare-gutman", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(str(out))
+        assert len(rows) == 1
+        assert float(rows[0][5]) == pytest.approx(0.5, rel=1e-12)
+        assert abs(float(rows[0][6])) <= 1e-12
+
     def test_gamma_override_flag(self, tmp_path):
         cfg = write_config(tmp_path, gamma=0.005)
         out = tmp_path / "o.csv"
@@ -310,6 +323,17 @@ class TestSimulateCsv:
         assert main(["simulate", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_count_keeps_bytes_across_batches(self, tmp_path):
+        # 300 trials per class: at 2 workers each class runs as spans of
+        # 128, 128 and 44 trials
+        for kind in ({}, {"test": {"kind": "gutman", "n_test": 20, "lambda": 0.05}}):
+            cfg = self.simulate_config(tmp_path, trials=300, distributions=TRIO, **kind)
+            a = tmp_path / "a.csv"
+            b = tmp_path / "b.csv"
+            assert main(["simulate", "--config", cfg, "--out", str(a), "--workers", "1"]) == 0
+            assert main(["simulate", "--config", cfg, "--out", str(b), "--workers", "2"]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_seed_override_changes_column(self, tmp_path):
         cfg = self.simulate_config(tmp_path)

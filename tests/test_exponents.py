@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seqstat import (
+    Alphabet,
     SimplexOptProblem,
     bayes_multiclass_gutman,
     chernoff,
@@ -25,8 +26,13 @@ from seqstat import (
 )
 from seqstat import exponents
 from seqstat.exponents import (
+    INNER_TOLERANCE,
     OBJECTIVE_BAYES,
+    OBJECTIVE_BAYES_SWAPPED,
     OBJECTIVE_FIXED_LENGTH,
+    _End,
+    _PairProgram,
+    _crossing_search,
 )
 from seqstat.errors import (
     DuplicateDistribution,
@@ -36,8 +42,10 @@ from seqstat.errors import (
     NonConvergence,
 )
 from conftest import alphabet, random_interior_pair
+import oracle
 
 WIDE_PAIR = ([0.1, 0.3, 0.6], [0.45, 0.45, 0.1])
+DISJOINT_PAIR = ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5])
 TRIO = ([0.1, 0.7, 0.2], [0.4, 0.5, 0.1], [0.3, 0.3, 0.4])
 EPS = 1e-9
 
@@ -309,6 +317,266 @@ class TestBayesCrossing:
         lam = gutman_bayes_exponent(alpha, p1, p2)
         assert 0.0 < lam < report.gamma
         assert gutman_bayes_curve(alpha, 0.5 * lam, p1, p2) > 0.5 * lam
+
+
+def crossing_family(seed, count):
+    """Seeded ``(alpha, P1, P2)``: |X| = 2..5, every fourth pair with one zero
+    weight, alpha log-uniform in [0.05, 5000]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        size = int(rng.integers(2, 6))
+        weights = [rng.dirichlet(np.ones(size)) for _ in range(2)]
+        if i % 4 == 0:
+            side = weights[int(rng.integers(2))]
+            side[int(rng.integers(size))] = 0.0
+            side /= side.sum()
+        alph = Alphabet(tuple(range(size)))
+        alpha = float(np.exp(rng.uniform(math.log(0.05), math.log(5000.0))))
+        out.append((alpha, *(make_distribution(list(w), alph) for w in weights)))
+    return out
+
+
+def wide_pair_at_tiny_rate():
+    """WIDE_PAIR with its matched ratio at gamma = 1e-3 C (about 3500)."""
+    alph = alphabet(3)
+    p1 = make_distribution(WIDE_PAIR[0], alph)
+    p2 = make_distribution(WIDE_PAIR[1], alph)
+    report = exponent_report(p1, p2, 1e-3 * chernoff(p1, p2))
+    return min(report.theta_star, report.beta_star), p1, p2
+
+
+def plain_move(program, state, mu):
+    """Largest coordinate move of one plain sweep from ``state``."""
+    q1, q2, w = state
+    q1n, q2n, wn = program.sweep(w, *program.exponents(mu))
+    return max(np.max(np.abs(q1n - q1)), np.max(np.abs(q2n - q2)), np.max(np.abs(wn - w)))
+
+
+class TestNewtonRelaxation:
+    def test_jacobian_matches_central_differences(self, rng):
+        for case in range(40):
+            size = int(rng.integers(2, 6))
+            a = rng.dirichlet(np.ones(size))
+            b = rng.dirichlet(np.ones(size))
+            if case % 4 == 0 and size >= 3:
+                a[int(rng.integers(size))] = 0.0
+                a /= a.sum()
+            alpha = float(np.exp(rng.uniform(math.log(0.1), math.log(100.0))))
+            program = _PairProgram(1.0, 1.0 / alpha, a, b, alpha)
+            e1, e2 = program.exponents(float(rng.uniform(0.01, 10.0)) * program.mu_start)
+            w = rng.dirichlet(np.ones(size))
+            q1, q2, _ = program.sweep(w, e1, e2)
+            jac = program.jacobian(q1, q2, w, e1, e2)
+            for j in range(size):
+                h = 1e-5 * w[j]
+                up, down = w.copy(), w.copy()
+                up[j] += h
+                down[j] -= h
+                column = (program.sweep(up, e1, e2)[2] - program.sweep(down, e1, e2)[2]) / (2 * h)
+                assert np.max(np.abs(column - jac[:, j])) <= 1e-7
+
+    def test_every_relaxation_passes_a_plain_sweep(self, monkeypatch):
+        returns = []
+        relax = _PairProgram.relax
+
+        def spy(program, mu, state):
+            out = relax(program, mu, state)
+            returns.append((program, mu, out))
+            return out
+
+        monkeypatch.setattr(_PairProgram, "relax", spy)
+        for alpha, p1, p2 in crossing_family(11, 100) + [wide_pair_at_tiny_rate()]:
+            lam = gutman_bayes_exponent(alpha, p1, p2)
+            gutman_bayes_curve(alpha, 0.5 * lam, p1, p2)
+        assert len(returns) > 1000
+        worst = max(plain_move(program, state, mu) for program, mu, state in returns)
+        assert worst <= INNER_TOLERANCE
+
+    def test_matches_plain_sweeps(self, rng):
+        for _ in range(20):
+            p1, p2 = random_interior_pair(rng, int(rng.integers(2, 6)))
+            alpha = float(rng.uniform(0.2, 20.0))
+            program = _PairProgram(1.0, 1.0 / alpha, p1.as_array(), p2.as_array(), alpha)
+            mu = float(rng.uniform(0.1, 10.0)) * program.mu_start
+            fast = program.relax(mu, program.start())
+            slow = oracle.sweep_relax(program, mu, program.start())
+            for x, y in zip(fast, slow):
+                assert np.max(np.abs(x - y)) <= 1e-12
+
+    def test_newton_point_outside_the_orthant_falls_back(self):
+        # from the sources, the first Newton point of this relaxation has a
+        # negative coordinate; the relaxation must take the plain sweep
+        a = np.array([0.02, 0.48, 0.5, 0.0])
+        b = np.array([0.5, 0.0, 0.2, 0.3])
+        alpha = 70.0
+        program = _PairProgram(1.0, 1.0 / alpha, a, b, alpha)
+        mu = 64.0 * program.mu_start
+        e1, e2 = program.exponents(mu)
+        _, _, w = program.start()
+        q1, q2, t = program.sweep(w, e1, e2)
+        assert np.max(np.abs(t - w)) <= exponents.NEWTON_MOVE
+        jac = program.jacobian(q1, q2, w, e1, e2)
+        assert np.min(w + np.linalg.solve(np.eye(len(w)) - jac, t - w)) < 0.0
+        state = program.relax(mu, program.start())
+        assert plain_move(program, state, mu) <= INNER_TOLERANCE
+        slow = oracle.sweep_relax(program, mu, program.start())
+        for x, y in zip(state, slow):
+            assert np.max(np.abs(x - y)) <= 1e-12
+
+    def test_newton_iterations_count_as_sweeps(self, monkeypatch):
+        alph = alphabet(3)
+        p1 = make_distribution(WIDE_PAIR[0], alph)
+        p2 = make_distribution(WIDE_PAIR[1], alph)
+        program = _PairProgram(1.0, 1.0 / 1.8, p1.as_array(), p2.as_array(), 1.8)
+        calls = []
+        sweep = _PairProgram.sweep
+
+        def counting(self, *args):
+            calls.append(1)
+            return sweep(self, *args)
+
+        monkeypatch.setattr(_PairProgram, "sweep", counting)
+        program.relax(4.0 * program.mu_start, program.start())
+        needed = len(calls)
+        monkeypatch.setattr(exponents, "INNER_MAX_SWEEPS", needed)
+        program.relax(4.0 * program.mu_start, program.start())
+        monkeypatch.setattr(exponents, "INNER_MAX_SWEEPS", needed - 1)
+        with pytest.raises(NonConvergence, match=f"after {needed - 1} sweeps"):
+            program.relax(4.0 * program.mu_start, program.start())
+
+    def test_sweeps_per_crossing(self, monkeypatch):
+        # the plain-sweep bisection needs about 1,000 sweeps per crossing
+        calls = []
+        sweep = _PairProgram.sweep
+
+        def counting(self, *args):
+            calls.append(1)
+            return sweep(self, *args)
+
+        monkeypatch.setattr(_PairProgram, "sweep", counting)
+        for alpha, p1, p2 in crossing_family(12, 50):
+            calls.clear()
+            gutman_bayes_exponent(alpha, p1, p2)
+            assert len(calls) <= 150
+
+
+class TestCrossingSearch:
+    @staticmethod
+    def search(excess, lo, hi):
+        """``_crossing_search`` on a scalar excess; returns the value and the
+        ``(mu, state)`` of every evaluation, where an end's state is its mu."""
+        calls = []
+
+        def evaluate(mu, state):
+            calls.append((mu, state))
+            return _End(mu, excess(mu), 0.0, mu)
+
+        value = _crossing_search(
+            evaluate, _End(lo, excess(lo), 0.0, lo), _End(hi, excess(hi), 0.0, hi)
+        )
+        return value, calls
+
+    def test_jump_is_bracketed_within_the_step_budget(self):
+        # regula falsi alone creeps toward a jump from one side and runs out
+        # of steps; the bisections keep halving the bracket
+        def excess(mu):
+            return -1e-3 if mu < 0.5 else 1e6 * (mu - 0.5) + 1e-9
+
+        _, calls = self.search(excess, 0.0, 1.0)
+        assert len(calls) <= 90
+        assert abs(calls[-1][0] - 0.5) <= 1e-9
+
+    def test_smooth_roots_converge_from_both_sides(self):
+        # regula falsi keeps one end of a convex or concave excess for good;
+        # halving that end's excess (Illinois) moves it, from either side
+        for k in (1.0, 3.0, 10.0):
+            for excess in (
+                lambda mu: math.expm1(k * (mu - 0.3)),
+                lambda mu: -math.expm1(-k * (mu - 0.3)),
+            ):
+                value, calls = self.search(excess, 0.0, 1.0)
+                assert len(calls) <= 14
+                assert abs(value) <= 1e-12
+
+    def test_relaxes_from_the_nearer_end(self):
+        def excess(mu):
+            return (mu - 0.31) ** 9 + 1e-3 * (mu - 0.31)
+
+        lo, hi = 0.0, 1.0
+        _, calls = self.search(excess, lo, hi)
+        assert len(calls) >= 5
+        for mu, state in calls:
+            nearer = lo if mu - lo < hi - mu else hi
+            assert state == nearer
+            if excess(mu) > 0.0:
+                hi = mu
+            else:
+                lo = mu
+
+    def test_agrees_with_bisection_oracle(self):
+        worst = 0.0
+        for alpha, p1, p2 in crossing_family(20191203, 400) + [wide_pair_at_tiny_rate()]:
+            lam = gutman_bayes_exponent(alpha, p1, p2)
+            worst = max(worst, abs(lam - oracle.bisect_bayes_crossing(alpha, p1, p2)))
+        assert worst <= 1e-12
+
+
+class TestDisjointSupports:
+    @staticmethod
+    def pair():
+        alph = alphabet(3)
+        return tuple(make_distribution(w, alph) for w in DISJOINT_PAIR)
+
+    def test_crossing_is_the_scaled_divergence(self, monkeypatch):
+        p1, p2 = self.pair()
+
+        def refuse(*args):
+            raise AssertionError("no relaxation expected")
+
+        monkeypatch.setattr(_PairProgram, "relax", refuse)
+        for alpha in (0.05, 1.0, 2.5, 3500.0):
+            assert gutman_bayes_exponent(alpha, p1, p2) == pytest.approx(
+                gjs(p1, p2, alpha) / alpha, rel=1e-14
+            )
+
+    def test_curves_step_from_inf_to_zero(self):
+        p1, p2 = self.pair()
+        alpha = 2.5
+        full = gjs(p1, p2, alpha)
+        for curve in (gutman_bayes_curve, gutman_bayes_curve_swapped):
+            assert curve(alpha, 0.0, p1, p2) == math.inf
+            assert curve(alpha, 0.5 * full / alpha, p1, p2) == math.inf
+            assert curve(alpha, 1.0001 * full / alpha, p1, p2) == 0.0
+        assert gutman_type2_exponent(alpha, 0.999 * full, p1, p2) == math.inf
+        assert gutman_type2_exponent(alpha, 1.0001 * full, p1, p2) == 0.0
+
+    def test_no_feasible_pair_is_infeasible(self):
+        p1, p2 = self.pair()
+        alpha = 2.5
+        full = gjs(p1, p2, alpha)
+        for objective, budget in (
+            (OBJECTIVE_FIXED_LENGTH, 0.0),
+            (OBJECTIVE_FIXED_LENGTH, 0.5 * full),
+            (OBJECTIVE_BAYES, 0.5 * full / alpha),
+            (OBJECTIVE_BAYES_SWAPPED, 0.0),
+        ):
+            with pytest.raises(Infeasible):
+                minimize_over_simplices(SimplexOptProblem(objective, alpha, budget, p1, p2))
+        value, (q1, q2) = minimize_over_simplices(
+            SimplexOptProblem(OBJECTIVE_FIXED_LENGTH, alpha, 1.0001 * full, p1, p2)
+        )
+        assert value == 0.0
+        assert (q1, q2) == (p1, p2)
+
+    def test_comparison_margin_vanishes(self):
+        # the matched ratio solves gjs(theta) = gamma * theta, so both tests
+        # reach gamma
+        p1, p2 = self.pair()
+        rows = compare_sequential_vs_gutman(p1, p2, [0.1, 1.0])
+        for row in rows:
+            assert row.gutman_bayes == pytest.approx(row.gamma, rel=1e-12)
+            assert abs(row.margin) <= 1e-12
 
 
 class TestConstrainedKlMin:

@@ -116,6 +116,31 @@ class TestDeterminism:
         parallel = estimate(cfg, workers=2)
         assert report_key(serial) == report_key(parallel)
 
+    def test_worker_spans_are_whole_batches(self, monkeypatch):
+        cfg = basic_config(trials=300, true_class=None)
+        serial = estimate(cfg, workers=1)
+        spans = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                spans.extend((start, stop) for _, start, stop in jobs)
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+        assert report_key(estimate(cfg, workers=2)) == report_key(serial)
+        assert simulator.BLOCK_TRIALS == 128
+        assert spans == [(0, 128), (128, 256), (256, 300)] * 2
+
     def test_trial_traces_repeat(self):
         cfg = basic_config()
         a = run_trial(cfg, 3)

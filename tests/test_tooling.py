@@ -25,3 +25,24 @@ def test_span_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_comparison_calls_the_crossing_by_name(monkeypatch):
+    # bench/spans.py counts exponents.crossings by wrapping this module
+    # global; a comparison that computed the crossing inline would read 0
+    from seqstat import Alphabet, make_distribution
+    from seqstat import exponents
+
+    alphabet = Alphabet((0, 1, 2))
+    p1 = make_distribution([0.1, 0.3, 0.6], alphabet)
+    p2 = make_distribution([0.45, 0.45, 0.1], alphabet)
+    calls = []
+    crossing = exponents.gutman_bayes_exponent
+
+    def counting(*args):
+        calls.append(args[0])
+        return crossing(*args)
+
+    monkeypatch.setattr(exponents, "gutman_bayes_exponent", counting)
+    rows = exponents.compare_sequential_vs_gutman(p1, p2, [0.02, 0.05, 0.1])
+    assert calls == [row.alpha_used for row in rows]
