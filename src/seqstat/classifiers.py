@@ -39,13 +39,13 @@ from .errors import (
     AlphabetMismatch,
     Infeasible,
     LengthMismatch,
-    NegativeAlpha,
-    NonPositiveGamma,
     SizeMismatch,
     SteppedAfterStop,
     StreamExhausted,
 )
-from .probability import Alphabet, EmpiricalType, Symbol, empirical_type
+from .probability import (
+    Alphabet, EmpiricalType, Symbol, _check_alpha, _check_gamma, empirical_type
+)
 from .divergence import gjs
 
 _CLASS = "class"
@@ -104,8 +104,7 @@ class GutmanConfig:
     threshold_mode: str = "raw"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise NegativeAlpha(f"alpha must be finite and > 0, got {self.alpha}")
+        _check_alpha(self.alpha, strict=True)
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise Infeasible(f"threshold must be finite and >= 0, got {self.lam}")
         if self.threshold_mode not in ("raw", "scaled"):
@@ -127,8 +126,7 @@ class SequentialConfig:
     cap: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise NonPositiveGamma(f"gamma must be finite and > 0, got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.train_len < 1:
             raise SizeMismatch(f"training length must be >= 1, got {self.train_len}")
         if self.cap is None:

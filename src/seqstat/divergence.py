@@ -8,17 +8,23 @@ the generalized Jensen-Shannon divergence is
 
 It is finite for every pair (the mixture dominates both arguments), equals
 twice the classical Jensen-Shannon divergence at ``alpha = 1``, vanishes as
-``alpha -> 0``, and tends to ``D(q || p)`` as ``alpha -> inf``.  Two
-algebraically equivalent forms are implemented: a direct relative-entropy
-form and an entropy (mixture) form
+``alpha -> 0``, and tends to ``D(q || p)`` as ``alpha -> inf``; its
+derivative in ``alpha`` is ``D(p || m)``, and at ``alpha = 0`` that is
+``D(p || q)``.
 
-    gjs(p, q, alpha) = (1 + alpha) * H(m) - alpha * H(p) - H(q),
+``gjs``, its derivative and the relative entropy, on distributions and on
+raw weight arrays, all come from one evaluator, ``_mixture_divergences``:
+built once per pair, it maps ``alpha`` to ``(D(p || m), D(q || m))``.  On the common support its
+log-ratios are ``log1p`` of the exact difference ``p - q``, so near-identical
+pairs keep their digits; off it they are ``log1p(1 / alpha)`` (mass of ``p``
+only) and ``log1p(alpha)`` (mass of ``q`` only).  The threshold-equation
+solver in :mod:`seqstat.fixedpoint` evaluates the same function.
 
-which is also ``(1 + alpha)`` times the mutual information between a mixture
-label with prior ``(alpha, 1) / (1 + alpha)`` and the emitted symbol.  The
-public ``gjs`` uses the entropy form on interior inputs and the
-relative-entropy form otherwise; both forms stay exposed so tests can pit
-them against each other.
+The entropy form ``(1 + alpha) * H(m) - alpha * H(p) - H(q)`` is the same
+quantity, ``(1 + alpha)`` times the mutual information between a mixture
+label with prior ``(alpha, 1) / (1 + alpha)`` and the emitted symbol; it
+cancels on near-identical pairs and is kept only as
+:func:`gjs_mutual_info_form`.
 """
 
 from __future__ import annotations
@@ -27,39 +33,63 @@ import math
 
 import numpy as np
 
-from .errors import AlphabetMismatch, NegativeAlpha, NotInterior
-from .probability import Distribution, EmpiricalType, _check_pair, entropy, kl
+from .errors import AlphabetMismatch, NotInterior
+from .probability import Distribution, EmpiricalType, _check_alpha, _check_pair, entropy, kl
 
 # Bracket width, in eta, at which the Chernoff exponent search stops.
 CHERNOFF_ETA_TOLERANCE = 1e-12
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
-    return alpha
-
-
 # --------------------------------------------------------------------------
-# array kernels, shared with the simplex optimizers
+# the evaluator and its array forms, shared with the solvers
 # --------------------------------------------------------------------------
+
+def _mixture_divergences(p: np.ndarray, q: np.ndarray):
+    """``alpha -> (D(p || m), D(q || m))`` with ``m = (alpha * p + q) / (1 + alpha)``.
+
+    On the common support ``log(m / p) = log1p(-(p - q) / ((1 + alpha) p))``
+    and ``log(m / q) = log1p(alpha (p - q) / ((1 + alpha) q))``; mass of
+    ``p`` only contributes ``log1p(1 / alpha)`` per unit and mass of ``q``
+    only ``log1p(alpha)``.  At ``alpha = 0``, where the first value is
+    ``D(p || q)``, mass of ``p`` only makes it ``inf``, and symbols with
+    ``q <= p / 2`` take ``log(q / p)`` instead, which keeps the digits of a
+    small ratio that ``1 - (p - q) / p`` rounds away.
+    """
+    both = (p > 0.0) & (q > 0.0)
+    p_only = float(p[q == 0.0].sum())
+    q_only = float(q[p == 0.0].sum())
+    p, q = p[both], q[both]
+    to_p, to_q = (p - q) / p, (p - q) / q
+
+    def divergences(alpha: float) -> tuple[float, float]:
+        share = 1.0 / (1.0 + alpha)
+        if alpha > 0.0:
+            p_tail = p_only * math.log1p(1.0 / alpha)
+            log_m_p = np.log1p(-share * to_p)
+        else:
+            # m = q; where q <= p / 2, 1 - to_p has lost the digits of q / p
+            p_tail = math.inf if p_only else 0.0
+            near = to_p < 0.5
+            log_m_p = np.log(q / p)
+            log_m_p[near] = np.log1p(-to_p[near])
+        d_p = p_tail - float(p @ log_m_p)
+        d_q = q_only * math.log1p(alpha) - float(q @ np.log1p(alpha * share * to_q))
+        return d_p, d_q
+
+    return divergences
+
 
 def kl_array(p: np.ndarray, q: np.ndarray) -> float:
     """D(p || q) for raw weight arrays; inf when q misses the support of p."""
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        return math.inf
-    pm = p[mask]
-    return float(np.sum(pm * np.log(pm / q[mask])))
+    return _mixture_divergences(p, q)(0.0)[0]
 
 
 def gjs_array(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """Relative-entropy form of gjs on raw weight arrays."""
+    """gjs on raw weight arrays, for ``alpha >= 0``."""
     if alpha == 0.0:
         return 0.0
-    m = (alpha * p + q) / (1.0 + alpha)
-    return alpha * kl_array(p, m) + kl_array(q, m)
+    d_p, d_q = _mixture_divergences(p, q)(alpha)
+    return alpha * d_p + d_q
 
 
 def _entropy_array(p: np.ndarray) -> float:
@@ -72,24 +102,6 @@ def _entropy_array(p: np.ndarray) -> float:
 # public operations
 # --------------------------------------------------------------------------
 
-def gjs_kl_form(p: Distribution, q: Distribution, alpha: float) -> float:
-    """gjs computed as alpha * D(p || m) + D(q || m)."""
-    _check_pair(p, q)
-    alpha = _check_alpha(alpha)
-    return gjs_array(p.as_array(), q.as_array(), alpha)
-
-
-def gjs_entropy_form(p: Distribution, q: Distribution, alpha: float) -> float:
-    """gjs computed as (1 + alpha) H(m) - alpha H(p) - H(q)."""
-    _check_pair(p, q)
-    alpha = _check_alpha(alpha)
-    if alpha == 0.0:
-        return 0.0
-    pa, qa = p.as_array(), q.as_array()
-    m = (alpha * pa + qa) / (1.0 + alpha)
-    return (1.0 + alpha) * _entropy_array(m) - alpha * _entropy_array(pa) - _entropy_array(qa)
-
-
 def gjs(p: Distribution, q: Distribution, alpha: float) -> float:
     """Generalized Jensen-Shannon divergence, in nats.
 
@@ -98,12 +110,8 @@ def gjs(p: Distribution, q: Distribution, alpha: float) -> float:
     in ``(p, q)``.
     """
     _check_pair(p, q)
-    alpha = _check_alpha(alpha)
-    if p.weights == q.weights:
-        return 0.0
-    if p.interior and q.interior:
-        return gjs_entropy_form(p, q, alpha)
-    return gjs_kl_form(p, q, alpha)
+    alpha = _check_alpha(alpha, strict=False)
+    return gjs_array(p.as_array(), q.as_array(), alpha)
 
 
 def gjs_alpha_derivative(p: Distribution, q: Distribution, alpha: float) -> float:
@@ -112,14 +120,10 @@ def gjs_alpha_derivative(p: Distribution, q: Distribution, alpha: float) -> floa
     Requires interior inputs so the derivative is finite and stable.
     """
     _check_pair(p, q)
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(alpha, strict=False)
     if not (p.interior and q.interior):
         raise NotInterior("the alpha-derivative needs interior distributions")
-    if p.weights == q.weights:
-        return 0.0
-    pa, qa = p.as_array(), q.as_array()
-    m = (alpha * pa + qa) / (1.0 + alpha)
-    return kl_array(pa, m)
+    return _mixture_divergences(p.as_array(), q.as_array())(alpha)[0]
 
 
 def gjs_mutual_info_form(p: Distribution, q: Distribution, alpha: float) -> float:
@@ -129,7 +133,7 @@ def gjs_mutual_info_form(p: Distribution, q: Distribution, alpha: float) -> floa
     otherwise; the symbol is emitted by the picked distribution.
     """
     _check_pair(p, q)
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(alpha, strict=False)
     if alpha == 0.0 or p.weights == q.weights:
         return 0.0
     pa, qa = p.as_array(), q.as_array()

@@ -50,14 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .divergence import chernoff, gjs, gjs_array, kl_array
-from .errors import (
-    EmptyWeights,
-    Infeasible,
-    NegativeAlpha,
-    NonConvergence,
-)
+from .errors import EmptyWeights, Infeasible, NonConvergence
 from .fixedpoint import exponent_report
-from .probability import Distribution, _check_distinct, _check_pair, _same_pair
+from .probability import Distribution, _check_alpha, _check_distinct, _check_pair, _same_pair
 
 # Block-descent sweep stops once no coordinate moves more than this; a
 # relaxation that needs more than INNER_MAX_SWEEPS sweeps raises.
@@ -100,13 +95,6 @@ class ComparisonRow:
     sequential_bayes: float
     gutman_bayes: float
     margin: float
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise NegativeAlpha(f"alpha must be finite and > 0, got {alpha}")
-    return alpha
 
 
 class _PairProgram:
@@ -275,7 +263,7 @@ class _PairProgram:
 
 
 def _program_for(problem: SimplexOptProblem) -> tuple[_PairProgram, float]:
-    alpha = _check_alpha(problem.alpha)
+    alpha = _check_alpha(problem.alpha, strict=True)
     _check_pair(problem.p1, problem.p2)
     a1 = problem.p1.as_array()
     a2 = problem.p2.as_array()
@@ -441,7 +429,7 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     from there on, so the crossing is that value, the supremum of
     ``min(lam, curve(lam))``.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(alpha, strict=True)
     _check_pair(p1, p2)
     if _same_pair(p1, p2):
         return 0.0
@@ -475,7 +463,7 @@ def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:
     Equals the smallest ``gjs(P_i, P_j, alpha) / alpha`` over ordered pairs
     of distinct classes.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(alpha, strict=True)
     m = len(dists)
     if m < 2:
         raise EmptyWeights("need at least two distributions")

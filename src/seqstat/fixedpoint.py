@@ -11,13 +11,16 @@ error exponent (``gamma * theta``) and the expected-stopping-time scale
 (training length divided by the root) of the sequential classifier.
 
 The solver brackets the root by doubling from ``theta = 1`` and narrows the
-bracket with a safeguarded Newton iteration on an array kernel that returns
-the excess ``gjs - gamma * theta`` together with its slope ``D(p || m) -
-gamma``.  Concavity makes every Newton step from the bracket top land
-between the root and the top, so the iterates descend monotonically; a
-probe just left of the Newton root then closes the bracket from below.  A
-step that fails to halve the bracket is followed by a bisection, so any two
-steps at least halve it and ``MAX_REFINE_STEPS`` bounds every solve.
+bracket with a safeguarded Newton iteration on the excess ``gjs - gamma *
+theta`` and its slope ``D(p || m) - gamma``.  Both come from the pair's
+``(D(p || m), D(q || m))`` as the one evaluator in
+:mod:`seqstat.divergence` returns them, so the root solves the equation the
+public ``gjs`` evaluates.  Concavity makes every Newton step from the
+bracket top land between the root and the top, so the iterates descend
+monotonically; a probe just left of the Newton root then closes the bracket
+from below.  A step that fails to halve the bracket is followed by a
+bisection, so any two steps at least halve it and ``MAX_REFINE_STEPS``
+bounds every solve.
 """
 
 from __future__ import annotations
@@ -27,14 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import chernoff, gjs
-from .errors import (
-    GammaOutOfRange,
-    NonPositiveGamma,
-    NoSolution,
-    NonConvergence,
-)
-from .probability import Distribution, EmpiricalType, _check_distinct, _check_pair, kl
+from .divergence import _mixture_divergences, chernoff, gjs
+from .errors import GammaOutOfRange, NoSolution, NonConvergence
+from .probability import Distribution, EmpiricalType, _check_distinct, _check_gamma, _check_pair, kl
 
 # The root's bracket is narrowed until it is this narrow relative to its top.
 RELATIVE_BRACKET_WIDTH = 1e-13
@@ -56,7 +54,7 @@ class FixedPointResult:
 
     The excess ``gjs - gamma * theta`` is positive at ``bracket_low`` and not
     positive at ``bracket_high``, and ``residual`` is the public ``gjs``'s
-    excess at ``theta_star``.  ``iterations`` counts the kernel evaluations
+    excess at ``theta_star``.  ``iterations`` counts the excess evaluations
     of the solve: the doubling's (``theta = 1`` included), the Newton,
     probe and bisection steps, and the sign check at ``BRACKET_LOW`` when
     the bracket ends there.
@@ -88,39 +86,6 @@ class ExponentReport:
     near_cap: bool
 
 
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise NonPositiveGamma(f"gamma must be finite and > 0, got {gamma}")
-    return gamma
-
-
-def _excess_kernel(p: np.ndarray, q: np.ndarray, gamma: float):
-    """``theta -> (gjs(p, q, theta) - gamma * theta, D(p || m) - gamma)`` on arrays.
-
-    With ``m = (theta * p + q) / (1 + theta)`` the first value is the
-    threshold equation's excess ``theta * D(p || m) + D(q || m) - gamma *
-    theta`` and the second its derivative in ``theta``.  On the common
-    support the log-ratios are taken as ``log1p`` of the exact difference
-    ``p - q``, so near-identical pairs keep their digits; off it they are
-    ``log1p(1 / theta)`` (mass of ``p`` only) and ``log1p(theta)`` (mass of
-    ``q`` only), which stay accurate for roots near ``BRACKET_LOW``.
-    """
-    both = (p > 0.0) & (q > 0.0)
-    p_only = float(p[q == 0.0].sum())
-    q_only = float(q[p == 0.0].sum())
-    p, q = p[both], q[both]
-    to_p, to_q = (p - q) / p, (p - q) / q
-
-    def excess(theta: float) -> tuple[float, float]:
-        share = 1.0 / (1.0 + theta)
-        d_p = p_only * math.log1p(1.0 / theta) - float(p @ np.log1p(-share * to_p))
-        d_q = q_only * math.log1p(theta) - float(q @ np.log1p(theta * share * to_q))
-        return theta * d_p + d_q - gamma * theta, d_p - gamma
-
-    return excess
-
-
 def _check_below_divergences(dists: list[Distribution], gamma: float) -> None:
     """Reject ``gamma`` unless every ordered pair of ``dists`` has a root."""
     for i, p in enumerate(dists):
@@ -139,9 +104,9 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     nonexistence condition.  The root is bracketed by doubling from
     ``theta = 1``; a safeguarded Newton iteration then narrows the bracket
     to a relative width of ``RELATIVE_BRACKET_WIDTH`` (see the module
-    docstring), one array-kernel evaluation per step.  The result carries
-    the bracket's certified signs and the residual of the public
-    :func:`gjs` (see :class:`FixedPointResult`).  Raises
+    docstring), one evaluation of the pair's divergences per step.  The
+    result carries the bracket's certified signs and the residual of the
+    public :func:`gjs` (see :class:`FixedPointResult`).  Raises
     :class:`NonConvergence` when the doubling overflows, when the
     refinement takes more than ``MAX_REFINE_STEPS`` steps, when the root
     lies below ``BRACKET_LOW``, or when the residual exceeds
@@ -154,7 +119,12 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
         raise NoSolution(
             f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}"
         )
-    excess = _excess_kernel(p.as_array(), q.as_array(), gamma)
+    divergences = _mixture_divergences(p.as_array(), q.as_array())
+
+    def excess(theta: float) -> tuple[float, float]:
+        # the excess gjs - gamma * theta and its slope D(p || m) - gamma
+        d_p, d_q = divergences(theta)
+        return theta * d_p + d_q - gamma * theta, d_p - gamma
 
     lo, hi = BRACKET_LOW, 1.0
     value, slope = excess(hi)
@@ -213,8 +183,10 @@ def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> Exponen
     them when a distribution is proportional to the other on its own
     support (a point mass, for instance), and the cap itself is then out of
     range.  Out-of-range rates raise :class:`GammaOutOfRange` before any
-    root is solved.  The report flags rates within ``NEAR_CAP_WIDTH`` of
-    the cap.
+    root is solved; so does ``gamma = inf``, the Chernoff information of
+    two distributions with disjoint supports, while NaN, zero and negative
+    rates raise :class:`NonPositiveGamma`.  The report flags rates within
+    ``NEAR_CAP_WIDTH`` of the cap.
     """
     gamma = _check_gamma(gamma)
     cap = chernoff(p1, p2)

@@ -32,7 +32,10 @@ from .errors import (
     BadSeed,
     DuplicateDistribution,
     EmptySequence,
+    GammaOutOfRange,
+    NegativeAlpha,
     NegativeWeight,
+    NonPositiveGamma,
     NotNormalized,
     SizeMismatch,
     UnknownSymbol,
@@ -185,6 +188,25 @@ def entropy(p: Distribution) -> float:
 def _check_pair(p: Distribution, q: Distribution) -> None:
     if p.alphabet != q.alphabet:
         raise AlphabetMismatch("distributions live on different alphabets")
+
+
+def _check_alpha(alpha: float, strict: bool) -> float:
+    """A finite weight ``alpha``, ``> 0`` when ``strict`` and ``>= 0`` otherwise."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha < 0.0 or (strict and alpha == 0.0):
+        bound = "> 0" if strict else ">= 0"
+        raise NegativeAlpha(f"alpha must be finite and {bound}, got {alpha}")
+    return alpha
+
+
+def _check_gamma(gamma: float) -> float:
+    """A rate ``0 < gamma < inf``; an infinite rate is out of range, not nonpositive."""
+    gamma = float(gamma)
+    if gamma == math.inf:
+        raise GammaOutOfRange(f"gamma must be finite, got {gamma}")
+    if not gamma > 0.0:
+        raise NonPositiveGamma(f"gamma must be finite and > 0, got {gamma}")
+    return gamma
 
 
 def _same_pair(p: Distribution, q: Distribution) -> bool:

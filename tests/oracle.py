@@ -16,6 +16,12 @@ score with ``gjs`` on ``Distribution`` objects.
 validated public ``gjs`` until the bracket is ``RELATIVE_BRACKET_WIDTH``
 wide.
 
+``gjs_kl_form`` and ``gjs_entropy_form`` are the two forms the public
+``gjs`` chose between before one ``log1p`` evaluator replaced both: the
+relative-entropy form with ``log(p / m)`` ratios, and the entropy form
+``(1 + alpha) H(m) - alpha H(p) - H(q)``, which cancels on near-identical
+pairs.
+
 ``sweep_relax`` and ``bisect_bayes_crossing`` are the plain block-descent
 relaxation and the multiplier bisection that the Newton relaxation and the
 Illinois search in ``seqstat.exponents`` replaced: ``sweep_relax`` repeats
@@ -272,6 +278,37 @@ def bisect_fixed_point(p, q, gamma: float) -> FixedPointResult:
     return FixedPointResult(theta, residual, lo, hi, iterations)
 
 
+def _kl_log_ratio(p: np.ndarray, q: np.ndarray) -> float:
+    mask = p > 0.0
+    if np.any(q[mask] == 0.0):
+        return math.inf
+    pm = p[mask]
+    return float(np.sum(pm * np.log(pm / q[mask])))
+
+
+def _entropy(p: np.ndarray) -> float:
+    pm = p[p > 0.0]
+    return float(-np.sum(pm * np.log(pm)))
+
+
+def gjs_kl_form(p, q, alpha: float) -> float:
+    """gjs computed as alpha * D(p || m) + D(q || m) with ``log(p / m)`` ratios."""
+    if alpha == 0.0:
+        return 0.0
+    pa, qa = p.as_array(), q.as_array()
+    m = (alpha * pa + qa) / (1.0 + alpha)
+    return alpha * _kl_log_ratio(pa, m) + _kl_log_ratio(qa, m)
+
+
+def gjs_entropy_form(p, q, alpha: float) -> float:
+    """gjs computed as (1 + alpha) H(m) - alpha H(p) - H(q)."""
+    if alpha == 0.0:
+        return 0.0
+    pa, qa = p.as_array(), q.as_array()
+    m = (alpha * pa + qa) / (1.0 + alpha)
+    return (1.0 + alpha) * _entropy(m) - alpha * _entropy(pa) - _entropy(qa)
+
+
 def sweep_relax(program: _PairProgram, mu: float, state):
     """Plain block descent on ``program``'s Lagrangian at multiplier ``mu``."""
     q1, q2, w = state
@@ -305,7 +342,7 @@ def sweep_relax(program: _PairProgram, mu: float, state):
 
 def bisect_bayes_crossing(alpha: float, p1, p2) -> float:
     """``gutman_bayes_exponent`` by doubling and bisecting the multiplier."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(alpha, strict=True)
     _check_pair(p1, p2)
     if _same_pair(p1, p2):
         return 0.0

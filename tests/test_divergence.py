@@ -1,6 +1,7 @@
 """GJS divergence calculus, Chernoff information, and the deviation bound."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from seqstat import (
     entropy,
     gjs,
     gjs_alpha_derivative,
-    gjs_entropy_form,
-    gjs_kl_form,
     gjs_mutual_info_form,
     joint_sequence_exponent,
     kl,
     make_distribution,
 )
+from seqstat.divergence import kl_array
 from seqstat.errors import AlphabetMismatch, NegativeAlpha, NotInterior
 from conftest import alphabet, random_interior, random_interior_pair
+from oracle import gjs_entropy_form, gjs_kl_form
 
 AB = alphabet(2)
 
@@ -102,6 +103,87 @@ class TestGjsBasics:
             a = gjs_kl_form(p, q, alpha)
             b = gjs_entropy_form(p, q, alpha)
             assert abs(a - b) <= 1e-12
+            assert abs(gjs(p, q, alpha) - a) <= 1e-12
+
+
+def near_identical(rng):
+    """An interior ``p``, ``q = p (1 + eps d)`` renormalized, and a weight alpha.
+
+    ``eps`` is log-uniform in [1e-6, 1e-1], ``d`` uniform in [-1, 1] per
+    symbol, and alpha log-uniform in [0.1, 20].
+    """
+    size = int(rng.integers(2, 6))
+    p = random_interior(rng, size)
+    eps = 10.0 ** rng.uniform(-6.0, -1.0)
+    w = p.as_array() * (1.0 + eps * rng.uniform(-1.0, 1.0, size))
+    q = make_distribution(list(w / w.sum()), p.alphabet)
+    alpha = float(10.0 ** rng.uniform(-1.0, math.log10(20.0)))
+    return p, q, alpha
+
+
+def decimal_reference(p, q, alpha):
+    """``(gjs, D(p || m), D(p || q))`` at 50 digits.
+
+    Every input enters as ``Decimal(x)`` of the float itself, the exact
+    stored value; ``Decimal(repr(x))`` would round it to 17 digits, an
+    error of about 1e-12 relative at D = 1e-10.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(alpha)
+        ps = [Decimal(x) for x in p.weights]
+        qs = [Decimal(x) for x in q.weights]
+        ms = [(a * x + y) / (1 + a) for x, y in zip(ps, qs)]
+        d_pm = sum(x * (x / m).ln() for x, m in zip(ps, ms))
+        d_qm = sum(y * (y / m).ln() for y, m in zip(qs, ms))
+        d_pq = sum(x * (x / y).ln() for x, y in zip(ps, qs))
+        return float(a * d_pm + d_qm), float(d_pm), float(d_pq)
+
+
+class TestDecimalReference:
+    """gjs, its alpha-derivative and kl_array on near-identical pairs."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_identical_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        checked = {1e-9: 0, 2e-12: 0}
+        for _ in range(1000):
+            p, q, alpha = near_identical(rng)
+            want = decimal_reference(p, q, alpha)
+            divergence = want[2]
+            if divergence < 1e-10:
+                continue
+            bound = 2e-12 if divergence >= 1e-5 else 1e-9
+            got = (
+                gjs(p, q, alpha),
+                gjs_alpha_derivative(p, q, alpha),
+                kl_array(p.as_array(), q.as_array()),
+            )
+            for name, x, y in zip(("gjs", "derivative", "kl_array"), got, want):
+                assert abs(x - y) <= bound * y, (name, divergence, alpha, x, y)
+            checked[bound] += 1
+        # both bands are populated: 480-503 and 152-188 draws at these seeds
+        assert min(checked.values()) >= 100, checked
+
+    def test_kl_array_far_pairs(self):
+        # a symbol with q far below p: 1 - (p - q) / p would round q / p away
+        rng = np.random.default_rng(4)
+        pairs = [
+            (np.array([0.5, 0.5]), np.array([0.5 * r, 1.0 - 0.5 * r]))
+            for r in 10.0 ** -np.arange(1.0, 18.0)
+        ]
+        for _ in range(500):
+            size = int(rng.integers(2, 6))
+            p, q = rng.dirichlet(np.full(size, 0.3), 2)
+            if (p > 0.0).all() and (q > 0.0).all():
+                pairs.append((p, q))
+        for p, q in pairs:
+            with localcontext() as ctx:
+                ctx.prec = 50
+                want = float(
+                    sum(Decimal(x) * (Decimal(x) / Decimal(y)).ln() for x, y in zip(p, q))
+                )
+            assert abs(kl_array(p, q) - want) <= 1e-13 * want, (p, q)
 
 
 class TestDerivative:

@@ -40,6 +40,8 @@ from seqstat.errors import (
     GammaOutOfRange,
     Infeasible,
     NonConvergence,
+    NonPositiveGamma,
+    ValidationError,
 )
 from conftest import alphabet, random_interior_pair
 import oracle
@@ -577,6 +579,20 @@ class TestDisjointSupports:
         for row in rows:
             assert row.gutman_bayes == pytest.approx(row.gamma, rel=1e-12)
             assert abs(row.margin) <= 1e-12
+
+
+    def test_chernoff_rate_is_out_of_range(self):
+        # disjoint supports have Chernoff information inf, a rate no
+        # threshold equation reaches
+        p1, p2 = self.pair()
+        cap = chernoff(p1, p2)
+        assert cap == math.inf
+        with pytest.raises(GammaOutOfRange) as info:
+            compare_sequential_vs_gutman(p1, p2, [cap])
+        assert isinstance(info.value, ValidationError)
+        for gamma in (math.nan, 0.0, -1.0, -math.inf):
+            with pytest.raises(NonPositiveGamma):
+                compare_sequential_vs_gutman(p1, p2, [gamma])
 
 
 class TestConstrainedKlMin:

@@ -7,6 +7,7 @@ import pytest
 
 from seqstat import (
     SeedSpec,
+    SequentialConfig,
     chernoff,
     empirical_fixed_point,
     empirical_type,
@@ -86,6 +87,19 @@ class TestSolveFixedPoint:
         p, q = random_interior_pair(rng, 3)
         with pytest.raises(NonPositiveGamma):
             solve_fixed_point(p, q, 0.0)
+
+    def test_infinite_gamma_out_of_range(self, rng):
+        # every rate check shares one validator: inf is out of range, NaN is
+        # not a positive rate
+        p, q = random_interior_pair(rng, 3)
+        for check in (
+            lambda g: solve_fixed_point(p, q, g),
+            lambda g: SequentialConfig(gamma=g, train_len=5),
+        ):
+            with pytest.raises(GammaOutOfRange):
+                check(math.inf)
+            with pytest.raises(NonPositiveGamma):
+                check(math.nan)
 
     def test_symmetric_binary_example(self):
         alph = alphabet(2)
@@ -197,16 +211,12 @@ class TestNewtonAgainstBisection:
         assert smallest < 1e-11
 
     def test_roots_agree_on_the_interior_family(self, rng):
-        # Below D(p||q) = 1e-4 the bisection's own error, from the
-        # cancellation in the entropy form of gjs, passes 1e-9 relative.
         for _ in range(1000):
             p, q = random_interior_pair(rng, int(rng.integers(2, 6)))
-            if kl(p, q) < 1e-4:
-                continue
             gamma = float(rng.uniform(0.05, 0.95)) * kl(p, q)
             got = solve_fixed_point(p, q, gamma).theta_star
             want = oracle.bisect_fixed_point(p, q, gamma).theta_star
-            assert abs(got - want) <= 1e-9 * want
+            assert abs(got - want) <= 1e-12 * want
 
     def test_acceptance_pair_agrees_to_1e12(self):
         alph = alphabet(3)

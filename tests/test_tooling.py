@@ -1,4 +1,5 @@
-"""The benchmark's hooks into the package still resolve.
+"""The benchmark's hooks into the package still resolve, and nothing leans
+on a package the project does not declare.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -6,11 +7,33 @@ for a traced pool; a name the package drops would only fail a traced
 benchmark run, so this checks every one of them.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+# Installed in some environments but not declared in pyproject.toml.
+UNDECLARED = {"scipy", "mpmath", "hypothesis", "pytest_benchmark"}
+
+
+def test_no_undeclared_imports():
+    found = []
+    for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in UNDECLARED
+            ]
+    assert found == []
 
 
 def test_span_targets_resolve():
