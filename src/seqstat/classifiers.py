@@ -21,10 +21,13 @@ every ``x``, i.e. when the two types coincide.  The kernel scores a block of
 trials x prefix lengths x classes at once: the lockstep sequential test of
 the Monte Carlo harness carries undecided trials into the next, wider block,
 and the harness's fixed-length trials are one block at the single prefix
-``n_test``.  ``score``, ``seq_binary_step`` and ``seq_multiclass_run`` call
-the kernel on one trial and one prefix, so every entry point gives the same
-bits.  ``gutman_binary`` and ``gutman_multiclass`` take a free ``alpha`` and
-score through :func:`seqstat.divergence.gjs`.
+``n_test``.  The harness gets each batch's outcome as arrays (stopping
+times, verdict codes, first crossings); one rule, ``_stop``, decides when a
+sequential test stops and what it declares, for the lockstep batches and
+the step API alike.  ``score``, ``seq_binary_step`` and
+``seq_multiclass_run`` call the kernel on one trial and one prefix, so every
+entry point gives the same bits.  ``gutman_binary`` and ``gutman_multiclass``
+take a free ``alpha`` and score through :func:`seqstat.divergence.gjs`.
 """
 
 from __future__ import annotations
@@ -244,22 +247,35 @@ def _block_scores(
     return scores
 
 
-def _resolve(survivors: Sequence[int], rule: str, final=None) -> Verdict:
-    """Verdict once at most one class survives.
+def _stop(firsts: np.ndarray, cap: int, rule: str, final) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping times and verdict codes from first crossings ``(B, M)``.
 
-    ``rule`` picks the verdict when the final step rules out every class at
-    once: ``"smaller"`` (binary rule) declares the class with the strictly
-    smaller score and gives up on an exact tie, ``"none"`` gives up outright.
-    ``final`` holds what ``"smaller"`` compares: ``(scores, training counts,
-    test counts)`` at the stopping step.
+    A class is ruled out at its first crossing of ``gamma * N`` (``cap + 1``
+    where it has not crossed), and a trial stops once at most one class
+    survives, or at the cap.  The code is the survivor's index, or -1 for no
+    decision.  ``rule`` picks the verdict when the stopping step rules out
+    every class at once: ``"smaller"`` (binary rule) declares the class with
+    the strictly smaller score and gives up on an exact tie, ``"none"``
+    gives up outright.  ``final(j, t)`` returns what ``"smaller"`` compares
+    for row ``j`` stopping at ``t``: ``(scores, training counts, test
+    counts)`` at that step.
     """
-    if len(survivors) == 1:
-        return Verdict.of_class(survivors[0])
-    if rule == "smaller" and not survivors:
-        winner = _smaller_score(*final)
-        if winner is not None:
-            return Verdict.of_class(winner)
-    return Verdict.undecided()
+    m = firsts.shape[1]
+    times = np.minimum(np.sort(firsts, axis=1)[:, m - 2], cap)
+    alive = firsts > times[:, None]
+    survivors = alive.sum(axis=1)
+    codes = np.where(survivors == 1, alive.argmax(axis=1), -1)
+    if rule == "smaller":
+        for j in np.flatnonzero(survivors == 0).tolist():
+            winner = _smaller_score(*final(j, int(times[j])))
+            if winner is not None:
+                codes[j] = winner
+    return times, codes
+
+
+def _verdict(code: int, fail: Verdict) -> Verdict:
+    """The verdict a code stands for; ``fail`` where it is -1."""
+    return Verdict.of_class(code) if code >= 0 else fail
 
 
 def _smaller_score(
@@ -295,7 +311,7 @@ def _lockstep(
     rule: str,
     draw: Callable[[np.ndarray, int, int], np.ndarray],
     record: bool,
-) -> list[TrialTrace]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray] | None]:
     """Run the sequential test on a batch of trials in lockstep.
 
     ``train`` holds each trial's training counts ``(B, M, K)``, each of
@@ -304,8 +320,12 @@ def _lockstep(
     ``start .. stop-1`` of the batch trials ``rows``, shape
     ``(len(rows), stop - start)``.  Every block scores all classes at a run
     of prefix lengths at once; trials still undecided at its end carry their
-    counts and first crossings into the next, wider block.  Score rows are
-    kept only when ``record`` is set.
+    counts and first crossings into the next, wider block.
+
+    Returns the stopping times ``(B,)``, the verdict codes ``(B,)`` of
+    :func:`_stop` and the first crossings ``(B, M)``, 0 for a class that had
+    not crossed by the stopping time.  With ``record`` the fourth item lists
+    each trial's score rows ``(T, M)``; without it, it is ``None``.
     """
     big_n = cfg.train_len
     cap = cfg.cap
@@ -314,9 +334,10 @@ def _lockstep(
     phi_train = _phi_array(train.transpose(2, 0, 1), big_n, big_n)
     never = cap + 1
     first = np.full((batch, m), never, dtype=np.int64)
+    times = np.empty(batch, dtype=np.int64)
+    codes = np.empty(batch, dtype=np.int64)
     carry = np.zeros((k, batch), dtype=np.int64)
     blocks: list[list[np.ndarray]] = [[] for _ in range(batch)]
-    out: list[TrialTrace | None] = [None] * batch
     active = np.arange(batch)
     start = 0
     width = FIRST_WIDTH
@@ -331,56 +352,47 @@ def _lockstep(
             counts[x] += carry[x, active, None]
         scores = _block_scores(train[active], phi_train[active], counts, n, big_n)
         crossed = scores >= threshold
-        hit = crossed.any(axis=2)
-        at = np.where(hit, start + 1 + crossed.argmax(axis=2), never)
+        at = np.where(crossed.any(axis=2), start + 1 + crossed.argmax(axis=2), never)
         firsts = np.minimum(first[active], at)
         first[active] = firsts
-        # the test stops once all but one class have crossed
-        stop_at = np.sort(firsts, axis=1)[:, m - 2]
+
+        def final(j: int, t: int):
+            step = t - start - 1
+            row = active[j]
+            return scores[j, :, step].tolist(), train[row].tolist(), counts[:, j, step].tolist()
+
+        stop, code = _stop(firsts, cap, rule, final)
         end = start + w
+        done = stop <= end
+        times[active[done]] = stop[done]
+        codes[active[done]] = code[done]
         if record:
             for j, i in enumerate(active.tolist()):
                 blocks[i].append(scores[j].T)
-        done = np.flatnonzero((stop_at <= end) | (end >= cap))
-        for j, i, t, fs in zip(
-            done.tolist(), active[done].tolist(), stop_at[done].tolist(), firsts[done].tolist()
-        ):
-            if t <= end:
-                survivors = [c for c, f in enumerate(fs) if f > t]
-                final = None
-                if not survivors:
-                    at = t - start - 1
-                    final = (scores[j, :, at].tolist(), train[i].tolist(), counts[:, j, at].tolist())
-                verdict = _resolve(survivors, rule, final)
-            else:
-                t = cap
-                verdict = Verdict.undecided()
-            rows = np.concatenate(blocks[i])[:t] if record else np.zeros((0, m))
-            out[i] = TrialTrace(rows, t, verdict, tuple(f if f <= t else None for f in fs))
         carry[:, active] = counts[:, :, -1]
-        active = np.delete(active, done)
+        active = active[~done]
         start = end
         width *= GROWTH
-    return out
+    rows = [np.concatenate(b)[:t] for b, t in zip(blocks, times.tolist())] if record else None
+    return times, codes, np.where(first <= times[:, None], first, 0), rows
 
 
 # --------------------------------------------------------------------------
 # fixed-length rules
 # --------------------------------------------------------------------------
 
-def _fixed_length_verdict(values: Sequence[float], threshold: float, binary: bool) -> Verdict:
-    """Verdict of the fixed-length test from the classes' ``gjs`` values.
+def _fixed_length_codes(values: np.ndarray, threshold: float, binary: bool) -> np.ndarray:
+    """Verdict codes of the fixed-length test from the classes' ``gjs`` values ``(B, M)``.
 
     The binary rule declares class 1 iff its value is at or below
-    ``threshold``, else class 2, and reads only ``values[0]``; the
-    multiclass rule declares the unique class at or below it, else rejects.
+    ``threshold``, else class 2, and reads only ``values[:, 0]``; the
+    multiclass rule declares the unique class at or below it, else rejects
+    (code -1).
     """
+    accepted = values <= threshold
     if binary:
-        return Verdict.of_class(0 if values[0] <= threshold else 1)
-    accepted = [i for i, v in enumerate(values) if v <= threshold]
-    if len(accepted) == 1:
-        return Verdict.of_class(accepted[0])
-    return Verdict.rejected()
+        accepted = np.stack([accepted[:, 0], ~accepted[:, 0]], axis=1)
+    return np.where(accepted.sum(axis=1) == 1, accepted.argmax(axis=1), -1)
 
 
 def gutman_binary(t1: EmpiricalType, ty: EmpiricalType, cfg: GutmanConfig) -> Verdict:
@@ -388,7 +400,8 @@ def gutman_binary(t1: EmpiricalType, ty: EmpiricalType, cfg: GutmanConfig) -> Ve
     if t1.alphabet != ty.alphabet:
         raise AlphabetMismatch("types live on different alphabets")
     value = gjs(t1.as_distribution(), ty.as_distribution(), cfg.alpha)
-    return _fixed_length_verdict((value,), cfg.raw_threshold, binary=True)
+    code = _fixed_length_codes(np.array([[value]]), cfg.raw_threshold, binary=True)
+    return _verdict(int(code[0]), Verdict.rejected())
 
 
 def gutman_multiclass(
@@ -403,7 +416,8 @@ def gutman_multiclass(
         if t.alphabet != ty.alphabet:
             raise AlphabetMismatch("types live on different alphabets")
         values.append(gjs(t.as_distribution(), ty_dist, cfg.alpha))
-    return _fixed_length_verdict(values, cfg.raw_threshold, binary=False)
+    code = _fixed_length_codes(np.array([values]), cfg.raw_threshold, binary=False)
+    return _verdict(int(code[0]), Verdict.rejected())
 
 
 # --------------------------------------------------------------------------
@@ -450,9 +464,8 @@ def _start(
 def _advance(state: SequentialState, y: Symbol, rule: str) -> Verdict | None:
     """Feed one test symbol; returns the verdict once the test stops.
 
-    Every class is scored; a class is ruled out at its first crossing of
-    ``gamma * N``, and the test stops once at most one class survives or at
-    the cap, with the verdict :func:`_resolve` gives under ``rule``.
+    Every class is scored and its first crossing of ``gamma * N`` kept; the
+    test stops, with its verdict, as :func:`_stop` rules under ``rule``.
     """
     if state.verdict is not None:
         raise SteppedAfterStop("the sequential test already delivered a verdict")
@@ -467,10 +480,14 @@ def _advance(state: SequentialState, y: Symbol, rule: str) -> Verdict | None:
     state.crossed = tuple(
         n if c is None and s >= threshold else c for c, s in zip(state.crossed, scores)
     )
-    survivors = [i for i, c in enumerate(state.crossed) if c is None]
-    if len(survivors) <= 1 or n >= cfg.cap:
-        final = (scores, state.train.tolist(), state.counts.tolist())
-        state.verdict = _resolve(survivors, rule, final)
+    firsts = np.array([[cfg.cap + 1 if c is None else c for c in state.crossed]])
+
+    def final(j: int, t: int):
+        return scores, state.train.tolist(), state.counts.tolist()
+
+    stop, code = _stop(firsts, cfg.cap, rule, final)
+    if stop[0] <= n:
+        state.verdict = _verdict(int(code[0]), Verdict.undecided())
     return state.verdict
 
 

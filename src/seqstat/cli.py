@@ -44,7 +44,14 @@ from .exponents import (
 )
 from .fixedpoint import multiclass_thetas, solve_fixed_point
 from .probability import Alphabet, Distribution, make_distribution
-from .simulator import ExperimentConfig, SimulationReport, estimate, run_trial
+from .simulator import (
+    BLOCK_TRIALS,
+    ExperimentConfig,
+    SimulationReport,
+    _traced_trials,
+    estimate,
+    run_trial,
+)
 
 _TOP_KEYS = {
     "alphabet",
@@ -462,12 +469,14 @@ def _dump_traces(experiment: ExperimentConfig, trace_dir: str) -> None:
     else:
         hypotheses = [experiment.true_class]
     threshold = _trace_threshold(experiment)
+    trials = experiment.trials
     for hyp in hypotheses:
         fixed = dataclasses.replace(experiment, true_class=hyp)
-        for trial in range(experiment.trials):
-            trace = run_trial(fixed, trial)
-            path = os.path.join(trace_dir, f"trace_h{hyp + 1}_t{trial}.csv")
-            _write_trace_csv(path, trace, threshold)
+        for lo in range(0, trials, BLOCK_TRIALS):
+            batch = range(lo, min(lo + BLOCK_TRIALS, trials))
+            for trial, trace in zip(batch, _traced_trials(fixed, batch)):
+                path = os.path.join(trace_dir, f"trace_h{hyp + 1}_t{trial}.csv")
+                _write_trace_csv(path, trace, threshold)
 
 
 def _cmd_trace(cfg: _Config, ns: argparse.Namespace) -> int:

@@ -5,21 +5,28 @@ Every trial draws fresh training sequences and its own test stream.  Trial
 ``(master_seed, t * (M + 1) + role)`` with roles ``0 .. M-1`` for the
 training sequences and role ``M`` for the test stream.  Outcomes therefore
 depend only on the configuration, never on scheduling: ``estimate`` reduces
-per-trial summaries in trial-index order and returns identical reports for
+per-trial outcomes in trial-index order and returns identical reports for
 any worker count.
 
 Trials run in batches of ``BLOCK_TRIALS`` and are scored by the count
 kernel of :mod:`seqstat.classifiers`: the sequential test in lockstep,
 pulling each batch's test streams block by block, and the fixed-length test
-as one block at the single prefix ``n_test``.  ``run_trial`` is a batch of
-one, with score rows kept.  ``estimate`` and ``exponent_probe`` start at most
-one worker pool per call and feed it the trial blocks of every hypothesis or
-training length.
+as one block at the single prefix ``n_test``.  A batch's outcome is a set of
+arrays: stopping times, verdict codes (class index, or -1 for no decision or
+reject) and first crossings.  ``estimate`` keeps only the times and codes,
+concatenated in trial order (workers return them as arrays too), and reduces
+them with exact integer sums; no per-trial object is built.
+:class:`~seqstat.classifiers.TrialTrace` and its verdict are built only for
+``run_trial`` (a recorded batch of one) and ``seqstat simulate
+--trace-dir`` (recorded batches of ``BLOCK_TRIALS``).  ``estimate`` and
+``exponent_probe`` start at most one worker pool per call and feed it the
+trial blocks of every hypothesis or training length.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,10 +39,12 @@ from .classifiers import (
     GutmanConfig,
     SequentialConfig,
     TrialTrace,
+    Verdict,
     _block_scores,
-    _fixed_length_verdict,
+    _fixed_length_codes,
     _lockstep,
     _phi_array,
+    _verdict,
     gutman_binary,  # noqa: F401  (wrapped by name in bench/spans.py)
     gutman_multiclass,  # noqa: F401  (wrapped by name in bench/spans.py)
 )
@@ -205,9 +214,14 @@ def _training_counts(cfg: ExperimentConfig, indices: Sequence[int]) -> np.ndarra
     return np.stack(per_role, axis=1)
 
 
-def _sequential_trials(
-    cfg: ExperimentConfig, indices: Sequence[int], record: bool
-) -> list[TrialTrace]:
+# A batch's outcome: stopping times (B,), verdict codes (B,) (class index, or
+# -1 for no decision or reject), first crossings (B, M) (0 where a class had
+# not crossed by the stopping time) and, when recorded, each trial's score
+# rows.
+Outcome = tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray] | None]
+
+
+def _sequential_trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> Outcome:
     """Sequential test on the trials ``indices``, run as one lockstep batch."""
     m = cfg.num_classes
     train = _training_counts(cfg, indices)
@@ -215,14 +229,14 @@ def _sequential_trials(
     source = cfg.distributions[cfg.true_class]
 
     def draw(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-        keys = [streams[r] for r in rows]
+        keys = [streams[r] for r in rows.tolist()]
         return stream_indices(source, cfg.master_seed, keys, start, stop)
 
     rule = "smaller" if m == 2 else "none"
     return _lockstep(train, cfg.sequential_config(), rule, draw, record)
 
 
-def _fixed_length_trials(cfg: ExperimentConfig, indices: Sequence[int]) -> list[TrialTrace]:
+def _fixed_length_trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> Outcome:
     """Fixed-length test on the trials ``indices``, scored as one batch.
 
     A trace's one row holds each class's ``gjs(T_train, T_test, N / n)``:
@@ -236,51 +250,56 @@ def _fixed_length_trials(cfg: ExperimentConfig, indices: Sequence[int]) -> list[
     test = _stream_counts(cfg.distributions[cfg.true_class], cfg.master_seed, streams, n_test)
     phi_train = _phi_array(train.transpose(2, 0, 1), big_n, big_n)
     scores = _block_scores(train, phi_train, test.T[:, :, None], np.array([n_test]), big_n)
-    values = (scores[:, :, 0] / n_test).tolist()
+    values = scores[:, :, 0] / n_test
     threshold = cfg.gutman_config().raw_threshold
-    return [
-        TrialTrace(
-            np.array([row]),
-            n_test,
-            _fixed_length_verdict(row, threshold, binary=m == 2),
-            tuple(n_test if v > threshold else None for v in row),
-        )
-        for row in values
-    ]
+    codes = _fixed_length_codes(values, threshold, binary=m == 2)
+    times = np.full(len(values), n_test, dtype=np.int64)
+    firsts = np.where(values > threshold, n_test, 0)
+    return times, codes, firsts, list(values[:, None]) if record else None
 
 
-def _trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> list[TrialTrace]:
+def _trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> Outcome:
     """The configured test on the trials ``indices``, run as one batch."""
     if cfg.test_kind == "gutman":
-        return _fixed_length_trials(cfg, indices)
+        return _fixed_length_trials(cfg, indices, record)
     return _sequential_trials(cfg, indices, record)
+
+
+def _traced_trials(cfg: ExperimentConfig, indices: Sequence[int]) -> list[TrialTrace]:
+    """Full traces of the trials ``indices``, run as one recorded batch."""
+    times, codes, firsts, rows = _trials(cfg, indices, record=True)
+    fail = Verdict.rejected() if cfg.test_kind == "gutman" else Verdict.undecided()
+    return [
+        TrialTrace(r, t, _verdict(c, fail), tuple(f or None for f in fs))
+        for r, t, c, fs in zip(rows, times.tolist(), codes.tolist(), firsts.tolist())
+    ]
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
     """Run one fully traced trial; deterministic in ``(config, index)``."""
     if cfg.true_class is None:
         raise ValidationError("run_trial needs a configured true class")
-    return _trials(cfg, [trial_index], record=True)[0]
+    return _traced_trials(cfg, [trial_index])[0]
 
 
-def _summaries_serial(
-    cfg: ExperimentConfig, indices: range
-) -> list[tuple[int, str, int | None]]:
-    traces = []
-    for lo in range(indices.start, indices.stop, BLOCK_TRIALS):
-        traces.extend(_trials(cfg, range(lo, min(lo + BLOCK_TRIALS, indices.stop)), record=False))
-    return [(t.stopping_time, t.verdict.kind, t.verdict.index) for t in traces]
+def _summaries_serial(cfg: ExperimentConfig, indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping times and verdict codes of the trials ``indices``, in trial order."""
+    parts = [
+        _trials(cfg, range(lo, min(lo + BLOCK_TRIALS, indices.stop)), record=False)
+        for lo in range(indices.start, indices.stop, BLOCK_TRIALS)
+    ]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def _summary_batch(args) -> list[tuple[int, str, int | None]]:
+def _summary_batch(args) -> tuple[np.ndarray, np.ndarray]:
     cfg, start, stop = args
     return _summaries_serial(cfg, range(start, stop))
 
 
 def _collect_summaries(
     configs: list[ExperimentConfig], workers: int
-) -> list[list[tuple[int, str, int | None]]]:
-    """Per-trial summaries of each configuration, in trial order.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stopping times and verdict codes of each configuration, in trial order.
 
     All configurations share one trial count; with a worker pool their trial
     spans go to the same pool, and the results come back in submission
@@ -298,10 +317,8 @@ def _collect_summaries(
         batches = list(pool.map(_summary_batch, spans))
     out = []
     for c in range(len(configs)):
-        merged: list[tuple[int, str, int | None]] = []
-        for batch in batches[c * len(starts) : (c + 1) * len(starts)]:
-            merged.extend(batch)
-        out.append(merged)
+        mine = batches[c * len(starts) : (c + 1) * len(starts)]
+        out.append((np.concatenate([b[0] for b in mine]), np.concatenate([b[1] for b in mine])))
     return out
 
 
@@ -324,27 +341,18 @@ def _predicted_mean_t(cfg: ExperimentConfig, hypothesis: int) -> float:
 
 
 def _aggregate(
-    cfg: ExperimentConfig,
-    hypothesis: int,
-    summaries: list[tuple[int, str, int | None]],
+    cfg: ExperimentConfig, hypothesis: int, times: np.ndarray, codes: np.ndarray
 ) -> HypothesisReport:
-    trials = len(summaries)
-    errors = 0
-    nodecisions = 0
-    total_t = 0
-    total_t_sq = 0
-    min_t = None
-    max_t = None
-    for stopping_time, kind, index in summaries:
-        correct = kind == "class" and index == hypothesis
-        if not correct:
-            errors += 1
-        if kind != "class":
-            nodecisions += 1
-        total_t += stopping_time
-        total_t_sq += stopping_time * stopping_time
-        min_t = stopping_time if min_t is None else min(min_t, stopping_time)
-        max_t = stopping_time if max_t is None else max(max_t, stopping_time)
+    """Report of one hypothesis from its trials' stopping times and verdict codes.
+
+    Counts and sums are exact Python integers, whatever the size of ``T``.
+    """
+    trials = len(times)
+    errors = int(np.count_nonzero(codes != hypothesis))
+    nodecisions = int(np.count_nonzero(codes < 0))
+    stopping = times.tolist()
+    total_t = sum(stopping)
+    total_t_sq = sum(map(operator.mul, stopping, stopping))
     rate = errors / trials
     mean_t = total_t / trials
     if trials > 1:
@@ -362,8 +370,8 @@ def _aggregate(
         mean_T=mean_t,
         stddev_T=stddev,
         mean_T_half_width=_Z95 * stddev / math.sqrt(trials),
-        min_T=min_t,
-        max_T=max_t,
+        min_T=min(stopping),
+        max_T=max(stopping),
         predicted_mean_T=_predicted_mean_t(cfg, hypothesis),
         nodecision_rate=nodecisions / trials,
     )
@@ -383,7 +391,7 @@ def estimate(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     configs = [replace(cfg, true_class=hypothesis) for hypothesis in hypotheses]
     summaries = _collect_summaries(configs, workers)
     rows = [
-        _aggregate(cfg_h, hypothesis, summary)
+        _aggregate(cfg_h, hypothesis, *summary)
         for cfg_h, hypothesis, summary in zip(configs, hypotheses, summaries)
     ]
     bayes = None
@@ -438,7 +446,7 @@ def exponent_probe(
     configs = [replace(cfg, train_len=train_len, cap=None) for train_len in n_grid]
     rows = []
     for train_len, cfg_n, summaries in zip(n_grid, configs, _collect_summaries(configs, workers)):
-        report = _aggregate(cfg_n, cfg.true_class, summaries)
+        report = _aggregate(cfg_n, cfg.true_class, *summaries)
         usable = report.errors > 0
         if usable:
             neg_log = -math.log(report.error_rate)

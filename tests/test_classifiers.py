@@ -309,9 +309,10 @@ class TestSeqBinary:
             return np.zeros((len(rows), stop - start), dtype=np.int64)
 
         counts = np.array([[[3, 35, 12], [3, 27, 20]]])
-        (trace,) = classifiers._lockstep(counts, cfg, "smaller", only_a, record=False)
-        assert (trace.stopping_time, trace.crossing_times) == (1, (1, 1))
-        assert trace.verdict == Verdict.undecided()
+        outcome = classifiers._lockstep(counts, cfg, "smaller", only_a, record=False)
+        times, codes, firsts, _ = outcome
+        assert (times.tolist(), firsts.tolist()) == ([1], [[1, 1]])
+        assert codes.tolist() == [-1]
 
     def test_cap_yields_no_decision(self):
         # threshold far above the score bound, tiny cap

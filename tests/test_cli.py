@@ -19,6 +19,7 @@ from seqstat import (
 )
 from seqstat.cli import COMPARISON_COLUMNS, REPORT_COLUMNS, main
 from seqstat.errors import NonConvergence
+from seqstat.simulator import BLOCK_TRIALS
 
 NEAR_PAIR = {"P1": [0.1, 0.7, 0.2], "P2": [0.05, 0.55, 0.4]}
 TRIO = {"P1": [0.1, 0.7, 0.2], "P2": [0.4, 0.5, 0.1], "P3": [0.3, 0.3, 0.4]}
@@ -361,6 +362,31 @@ class TestSimulateCsv:
         assert names == [
             f"trace_h{h}_t{t}.csv" for h in (1, 2) for t in (0, 1, 2)
         ]
+
+    @pytest.mark.parametrize(
+        "test",
+        [None, {"kind": "gutman", "n_test": 30, "lambda": 0.02, "mode": "raw"}],
+        ids=["sequential", "gutman"],
+    )
+    def test_trace_dir_files_match_run_trial(self, tmp_path, test):
+        # traces are written from recorded batches of BLOCK_TRIALS trials;
+        # every file, on both sides of a batch boundary, must be the one
+        # `seqstat trace` writes from run_trial for that trial alone
+        extra = {} if test is None else {"test": test}
+        trials = BLOCK_TRIALS + 2
+        cfg = self.simulate_config(tmp_path, trials=trials, **extra)
+        traces = tmp_path / "traces"
+        out = str(tmp_path / "report.csv")
+        assert main(["simulate", "--config", cfg, "--out", out, "--trace-dir", str(traces)]) == 0
+        for h in (1, 2):
+            for t in range(trials):
+                single = self.simulate_config(
+                    tmp_path, name="one.json", trials=1, true_class=f"P{h}", trial_index=t, **extra
+                )
+                want = tmp_path / "one.csv"
+                assert main(["trace", "--config", single, "--out", str(want)]) == 0
+                got = traces / f"trace_h{h}_t{t}.csv"
+                assert got.read_bytes() == want.read_bytes(), got.name
 
 
 class TestTraceCsv:

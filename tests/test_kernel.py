@@ -39,7 +39,13 @@ from seqstat import classifiers
 from seqstat.classifiers import BLOCK_ENTRIES, FIRST_WIDTH, GROWTH
 from seqstat.errors import BadSeed, StreamExhausted, UnknownSymbol
 from seqstat.probability import stream_indices
-from seqstat.simulator import BLOCK_TRIALS, _sequential_trials, _summaries_serial, _training_counts
+from seqstat.simulator import (
+    BLOCK_TRIALS,
+    _sequential_trials,
+    _summaries_serial,
+    _traced_trials,
+    _training_counts,
+)
 
 import oracle
 
@@ -72,12 +78,25 @@ def outcome(trace):
     return trace.stopping_time, trace.verdict, trace.crossing_times
 
 
+def coded(trace):
+    """A trace's outcome in the kernel's terms: (T, class index or -1, first crossings or 0)."""
+    verdict = trace.verdict
+    code = verdict.index if verdict.is_class else -1
+    return trace.stopping_time, code, tuple(t or 0 for t in trace.crossing_times)
+
+
+def kernel_outcomes(cfg, trials):
+    """``(T, code, first crossings)`` of each trial from the unrecorded batch."""
+    times, codes, firsts, rows = _sequential_trials(cfg, range(trials), record=False)
+    assert rows is None
+    return list(zip(times.tolist(), codes.tolist(), map(tuple, firsts.tolist())))
+
+
 def mismatches(cfg, trials):
-    kernel = _sequential_trials(cfg, range(trials), record=False)
     return [
-        (cfg.master_seed, cfg.true_class, t, outcome(k), outcome(o))
-        for t, k in enumerate(kernel)
-        if outcome(k) != outcome(o := oracle.run_trial(cfg, t))
+        (cfg.master_seed, cfg.true_class, t, k, coded(o))
+        for t, k in enumerate(kernel_outcomes(cfg, trials))
+        if k != coded(o := oracle.run_trial(cfg, t))
     ]
 
 
@@ -96,7 +115,7 @@ def test_acceptance_configs_match_oracle(tag):
 def test_runs_across_several_blocks_match_oracle():
     # a long training sequence makes the test run for hundreds of symbols
     cfg = experiment(ALPH3, ACCEPTANCE["09"][1], 0.02, 2000, 3, 0)
-    times = sorted(t.stopping_time for t in _sequential_trials(cfg, range(12), record=False))
+    times = sorted(t for t, _, _ in kernel_outcomes(cfg, 12))
     # half the trials stop past the third block boundary
     assert times[6] > FIRST_WIDTH * (1 + GROWTH + GROWTH**2)
     assert mismatches(cfg, 12) == []
@@ -111,7 +130,7 @@ def test_step_one_ties_match_oracle():
     for h in range(2):
         cfg = experiment(ALPH3, weights, 0.05, 50, 7, h)
         assert mismatches(cfg, 1000) == []
-        for trace in _sequential_trials(cfg, range(1000), record=True):
+        for trace in _traced_trials(cfg, range(1000)):
             # unequal training counts of the first symbol put the two
             # step-1 scores at least 0.1 apart
             s0, s1 = trace.scores[0]
@@ -121,15 +140,35 @@ def test_step_one_ties_match_oracle():
     assert ties >= 5  # seven at seed 7
 
 
+@pytest.mark.parametrize("tag", [*sorted(ACCEPTANCE), "tie"])
+def test_record_modes_give_identical_arrays(tag):
+    # recording keeps the score rows and nothing else may differ; "tie" is
+    # the step-1 exact-tie config of test_step_one_ties_match_oracle
+    if tag == "tie":
+        alphabet, weights, gamma = ALPH3, ACCEPTANCE["09"][1], 0.05
+        lengths, trials = (50,), 1000
+    else:
+        alphabet, weights, gamma, lengths = ACCEPTANCE[tag]
+        trials = 200
+    for train_len in lengths:
+        for h in range(len(weights)):
+            cfg = experiment(alphabet, weights, gamma, train_len, 7, h)
+            plain = _sequential_trials(cfg, range(trials), record=False)
+            kept = _sequential_trials(cfg, range(trials), record=True)
+            for a, b in zip(plain[:3], kept[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert plain[3] is None
+            assert [r.shape for r in kept[3]] == [(t, len(weights)) for t in kept[0].tolist()]
+
+
 def test_cap_hit_stops_at_cap_with_no_decision():
     # both classes share one distribution and the threshold sits far above
     # the score's typical size, so no class is ever ruled out
     same = [0.2, 0.5, 0.3]
     cfg = experiment(ALPH3, (same, same), 0.2, 200, 5, 0, cap=1000)
-    traces = _sequential_trials(cfg, range(8), record=False)
-    for trace in traces:
-        assert trace.stopping_time == 1000
-        assert trace.verdict.is_no_decision
+    for stopping_time, code, _ in kernel_outcomes(cfg, 8):
+        assert stopping_time == 1000
+        assert code == -1
     assert mismatches(cfg, 8) == []
 
 
@@ -138,12 +177,12 @@ def test_run_trial_matches_batch_and_step_api():
     # definition, so their scores agree bit for bit
     alphabet, weights, gamma, _ = ACCEPTANCE["09"]
     cfg = experiment(alphabet, weights, gamma, 400, 11, 1)
-    batch = _sequential_trials(cfg, range(TRIALS), record=False)
+    batch = kernel_outcomes(cfg, TRIALS)
     d1, d2 = cfg.distributions
     seq_cfg = cfg.sequential_config()
     for t in range(TRIALS):
         trace = run_trial(cfg, t)
-        assert outcome(trace) == outcome(batch[t])
+        assert coded(trace) == batch[t]
         assert trace.scores.shape == (trace.stopping_time, 2)
         x1 = sample_iid(d1, 400, SeedSpec(cfg.master_seed, 3 * t))
         x2 = sample_iid(d2, 400, SeedSpec(cfg.master_seed, 3 * t + 1))
@@ -248,10 +287,11 @@ def test_fixed_length_batches_match_oracle(tag, mode):
     for seed in range(3):
         for h in range(len(ACCEPTANCE[tag][1])):
             cfg = fixed_length(tag, seed, h, mode)
-            for t, got in enumerate(_summaries_serial(cfg, range(trials))):
+            times, codes = _summaries_serial(cfg, range(trials))
+            for t, got in enumerate(zip(times.tolist(), codes.tolist())):
                 verdict, _ = oracle.fixed_length_trial(cfg, t)
                 kinds.add(verdict.kind if verdict.kind != "class" else verdict.index == h)
-                if got != (cfg.n_test, verdict.kind, verdict.index):
+                if got != (cfg.n_test, verdict.index if verdict.is_class else -1):
                     found.append((seed, h, t, got, verdict))
     assert found == []
     # the runs see more than the right verdict: wrong classes or rejects
@@ -292,14 +332,14 @@ def test_scores_past_the_table_match_the_table(monkeypatch):
     # directly; the scores and outcomes must keep their bits
     same = [0.2, 0.5, 0.3]
     cfg = experiment(ALPH3, (same, [0.25, 0.45, 0.3]), 0.2, 40, 5, 0, cap=300)
-    want = _sequential_trials(cfg, range(TRIALS), record=True)
+    want = _traced_trials(cfg, range(TRIALS))
     t = max(range(TRIALS), key=lambda t: want[t].stopping_time)
     x1 = sample_iid(cfg.distributions[0], 40, SeedSpec(5, 3 * t))
     x2 = sample_iid(cfg.distributions[1], 40, SeedSpec(5, 3 * t + 1))
     stream = sample_iid(cfg.distributions[0], want[t].stopping_time, SeedSpec(5, 3 * t + 2))
     monkeypatch.setattr(classifiers, "_TABLE_SIZE", 64)
     monkeypatch.setattr(classifiers, "_JLNJ", np.zeros(1))
-    got = _sequential_trials(cfg, range(TRIALS), record=True)
+    got = _traced_trials(cfg, range(TRIALS))
     assert len(classifiers._JLNJ) == 64
     assert want[t].stopping_time > 64
     for g, w in zip(got, want):

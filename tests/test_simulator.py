@@ -1,7 +1,7 @@
 """Monte Carlo harness: determinism, aggregation, and reference runs."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -252,6 +252,32 @@ class TestAggregation:
 
     def test_fixed_hypothesis_has_no_bayes_rate(self):
         assert estimate(basic_config()).bayes_error_rate is None
+
+    @pytest.mark.parametrize("kind", ["sequential", "gutman"])
+    def test_report_fields_keep_python_types(self, kind):
+        # the CLI prints a field that is not a Python int through float(),
+        # so a numpy integer min_T would come out as "5.0"
+        extra = dict(test_kind="gutman", n_test=20, gutman_lambda=0.05) if kind == "gutman" else {}
+        cfg = basic_config(true_class=None, trials=150, gamma=0.3, **extra)
+        for row in estimate(cfg).rows:
+            for f in fields(row):
+                value = getattr(row, f.name)
+                assert type(value) is {"int": int, "float": float}[f.type], (f.name, value)
+
+    def test_aggregate_sums_exactly_past_int64(self):
+        # sum T^2 = 1.8e19 > 2^63 - 1: an int64 reduction would wrap silently
+        cfg = basic_config()
+        stopping = [3 * 10**9, 3 * 10**9 + 1, 7, 1]
+        assert sum(t * t for t in stopping) > 2**63
+        codes = [0, -1, 1, 0]
+        row = simulator._aggregate(cfg, 0, np.array(stopping), np.array(codes))
+        n = len(stopping)
+        mean = sum(stopping) / n
+        variance = max(0.0, (sum(t * t for t in stopping) - n * mean * mean) / (n - 1))
+        assert (row.trials, row.errors, row.nodecisions) == (4, 2, 1)
+        assert (row.min_T, row.max_T) == (1, 3 * 10**9 + 1)
+        assert row.mean_T == mean
+        assert row.stddev_T == math.sqrt(variance) > 0.0
 
 
 class TestPredictedMeanT:

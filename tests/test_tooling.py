@@ -1,5 +1,6 @@
-"""The benchmark's hooks into the package still resolve, and nothing leans
-on a package the project does not declare.
+"""The benchmark's hooks into the package still resolve, nothing leans on a
+package the project does not declare, and ``estimate`` builds no per-trial
+objects.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -69,3 +70,72 @@ def test_comparison_calls_the_crossing_by_name(monkeypatch):
     monkeypatch.setattr(exponents, "gutman_bayes_exponent", counting)
     rows = exponents.compare_sequential_vs_gutman(p1, p2, [0.02, 0.05, 0.1])
     assert calls == [row.alpha_used for row in rows]
+
+
+class _Forbidden:
+    """Stands in for a per-trial class; any use fails the run."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} built on the estimate path")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self.name}.{attr} used on the estimate path")
+
+
+def test_estimate_builds_no_per_trial_objects(monkeypatch):
+    # estimate reduces array outcomes; traces and verdicts are built only
+    # for run_trial and --trace-dir.  The pinned rows are the reports of the
+    # per-trial implementation this replaced: (hypothesis, trials, errors,
+    # nodecisions, mean_T, stddev_T, min_T, max_T), then the Bayes rate.
+    from seqstat import Alphabet, ExperimentConfig, estimate, make_distribution
+    from seqstat import classifiers, simulator
+
+    for module in (classifiers, simulator):
+        for name in ("TrialTrace", "Verdict"):
+            monkeypatch.setattr(module, name, _Forbidden(name))
+    alphabet = Alphabet((0, 1, 2))
+    pair = ([0.1, 0.7, 0.2], [0.05, 0.55, 0.4])
+    trio = ([0.1, 0.7, 0.2], [0.4, 0.5, 0.1], [0.3, 0.3, 0.4])
+
+    def config(weights, **fields):
+        dists = tuple(make_distribution(w, alphabet) for w in weights)
+        return ExperimentConfig(distributions=dists, master_seed=7, trials=300, **fields)
+
+    runs = [
+        (
+            # both classes hit the cap (N^2 = 1600) on some trials
+            config(pair, gamma=0.05, train_len=40),
+            [
+                (0, 300, 80, 13, 42.13, 223.80391807521912, 1, 1600),
+                (1, 300, 100, 14, 58.99666666666667, 272.4460671777523, 1, 1600),
+            ],
+            0.3,
+        ),
+        (
+            config(pair, gamma=0.05, train_len=40, test_kind="gutman", n_test=30, gutman_lambda=0.02),
+            [(0, 300, 169, 0, 30.0, 0.0, 30, 30), (1, 300, 37, 0, 30.0, 0.0, 30, 30)],
+            0.3433333333333333,
+        ),
+        (
+            config(
+                trio, gamma=0.03, train_len=300, test_kind="gutman", n_test=44,
+                gutman_lambda=0.0123, gutman_mode="scaled",
+            ),
+            [
+                (0, 300, 14, 14, 44.0, 0.0, 44, 44),
+                (1, 300, 14, 14, 44.0, 0.0, 44, 44),
+                (2, 300, 11, 11, 44.0, 0.0, 44, 44),
+            ],
+            0.043333333333333335,
+        ),
+    ]
+    for cfg, rows, bayes in runs:
+        report = estimate(cfg, workers=1)
+        got = [
+            (r.hypothesis, r.trials, r.errors, r.nodecisions, r.mean_T, r.stddev_T, r.min_T, r.max_T)
+            for r in report.rows
+        ]
+        assert (got, report.bayes_error_rate) == (rows, bayes)
