@@ -31,12 +31,7 @@ from dataclasses import dataclass
 
 from .classifiers import TrialTrace
 from .divergence import chernoff, gjs
-from .errors import (
-    NoSolution,
-    NumericalError,
-    SeqstatError,
-    ValidationError,
-)
+from .errors import NumericalError, SeqstatError, ValidationError
 from .exponents import (
     bayes_multiclass_gutman,
     compare_sequential_vs_gutman,
@@ -558,9 +553,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, NoSolution) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SeqstatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,13 +27,13 @@ Newton point of ``W - T(W)``, whose Jacobian has a closed form; it returns
 only after a plain sweep that moves no coordinate more than
 ``INNER_TOLERANCE``.
 
-The constrained programs maximize the dual by bisecting ``mu`` on the sign
-of the constraint slack.  Both sides of the final bracket yield primal and
-dual bounds, so every returned value carries a certified duality gap
-instead of relying on an iteration heuristic.  The Bayes crossing instead
-follows the dual path to the multiplier at which the relaxed objective and
-constraint agree, with an Illinois (modified regula falsi) search that is
-safeguarded by bisection.
+Every multiplier search doubles the multiplier from the program's starting
+one, with ``mu = 0`` (the sources) as the first lower end, and narrows the
+bracket by an Illinois (modified regula falsi) search safeguarded by
+bisection.  The constrained programs search on the constraint slack and
+return a feasible end with its duality gap ``mu * slack`` certified, not an
+iteration heuristic; the Bayes crossing searches on the relaxed objective
+minus the relaxed constraint.
 
 Sources that share no symbol have a defined answer everywhere: every pair of
 finite objective then has the sources' own ``gjs``, so the programs are
@@ -63,7 +63,8 @@ INNER_MAX_SWEEPS = 20000
 NEWTON_MOVE = 1e-2
 # Multiplier searches run until the bracket is this narrow relatively.
 MU_RELATIVE_WIDTH = 1e-12
-# Search steps allowed on the crossing multiplier before it raises.
+# Search steps allowed on any multiplier bracket (the constrained programs'
+# and the crossing's) before the search raises.
 CROSSING_MAX_STEPS = 200
 # Certified duality gap allowed on a returned optimal value.
 GAP_BOUND = 1e-8
@@ -95,6 +96,91 @@ class ComparisonRow:
     sequential_bayes: float
     gutman_bayes: float
     margin: float
+
+
+class _End(NamedTuple):
+    """One end of a multiplier bracket: the relaxed state at ``mu``, the
+    caller's signed excess (growing with ``mu``) and the value the caller
+    reports at this end, ``inf`` where it reports none."""
+
+    mu: float
+    excess: float
+    value: float
+    state: tuple
+
+
+def _bracket(evaluate, lo: _End, mu: float) -> tuple[_End, _End]:
+    """Double the multiplier from ``mu`` until the excess is positive.
+
+    ``lo`` has excess at most 0; ``evaluate(mu, state)`` returns the end at
+    ``mu``, relaxed from ``state``: from ``lo``'s state first, then from the
+    previous end, which becomes the lower end.  Raises
+    :class:`NonConvergence` after 200 doublings.
+    """
+    hi = evaluate(mu, lo.state)
+    doublings = 0
+    while hi.excess <= 0.0:
+        lo = hi
+        hi = evaluate(2.0 * hi.mu, hi.state)
+        doublings += 1
+        if doublings > 200:
+            raise NonConvergence("multiplier bracketing diverged")
+    return lo, hi
+
+
+def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
+    """Illinois search for the multiplier at which the excess changes sign.
+
+    The excess is at most 0 at ``lo`` and positive at ``hi``;
+    ``evaluate(mu, state)`` returns the end at ``mu``, relaxed from
+    ``state``.  Each step is a regula falsi step on the ends' excesses,
+    with the excess of an end kept twice in a row halved (Illinois),
+    clamped strictly inside the bracket and relaxed from the nearer end.
+    The excess grows with ``mu``, so every step narrows the bracket and
+    lowers the smaller excess magnitude of its ends; a step that halves
+    neither is followed by a bisection.  (Regula falsi closing in from one
+    side cuts the excess while it leaves the bracket wide, so the width
+    alone would call for needless bisections.)  The search returns the
+    final ``(lo, hi)``, from which the caller picks its answer, once an end
+    of finite value has its excess within 1e-12 of 0 or the bracket is
+    ``MU_RELATIVE_WIDTH`` wide; :class:`NonConvergence` is raised when
+    ``CROSSING_MAX_STEPS`` steps end before either.
+    """
+    f_lo, f_hi = lo.excess, hi.excess
+    kept = None
+    halved = True
+    steps = 0
+    while True:
+        width = hi.mu - lo.mu
+        tol = MU_RELATIVE_WIDTH * hi.mu
+        smaller = min(hi.excess, -lo.excess)
+        if width <= tol or any(abs(e.excess) <= 1e-12 and e.value < math.inf for e in (lo, hi)):
+            return lo, hi
+        if steps == CROSSING_MAX_STEPS:
+            raise NonConvergence(
+                f"multiplier search unfinished after {steps} steps: "
+                f"excess {lo.excess} to {hi.excess}"
+            )
+        steps += 1
+        bisect = not halved
+        if bisect:
+            mu = 0.5 * (lo.mu + hi.mu)
+        else:
+            mu = hi.mu - f_hi * width / (f_hi - f_lo)
+            mu = min(max(mu, lo.mu + 0.25 * tol), hi.mu - 0.25 * tol)
+        nearer = lo if mu - lo.mu < hi.mu - mu else hi
+        end = evaluate(mu, nearer.state)
+        if end.excess > 0.0:
+            hi, f_hi = end, end.excess
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, f_lo = end, end.excess
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+        halved = bisect or hi.mu - lo.mu <= 0.5 * width or abs(end.excess) <= 0.5 * smaller
 
 
 class _PairProgram:
@@ -234,32 +320,22 @@ class _PairProgram:
             return value, q, q.copy()
 
         # Dual ascent: locate the multiplier whose relaxed solution meets
-        # the budget exactly.  The constraint value is nonincreasing in mu.
-        mu_lo = 0.0
-        mu_hi = self.mu_start
-        state_hi = self.relax(mu_hi, self.start())
-        doublings = 0
-        while self.constraint_value(state_hi[0], state_hi[1]) > budget:
-            mu_lo = mu_hi
-            mu_hi *= 2.0
-            state_hi = self.relax(mu_hi, state_hi)
-            doublings += 1
-            if doublings > 200:
-                raise NonConvergence("constraint multiplier bracketing diverged")
-        while (mu_hi - mu_lo) > MU_RELATIVE_WIDTH * mu_hi:
-            mu_mid = 0.5 * (mu_lo + mu_hi)
-            state_mid = self.relax(mu_mid, state_hi)
-            if self.constraint_value(state_mid[0], state_mid[1]) > budget:
-                mu_lo = mu_mid
-            else:
-                mu_hi, state_hi = mu_mid, state_mid
-        q1, q2, _ = state_hi
-        value = self.objective_value(q1, q2)
-        slack = budget - self.constraint_value(q1, q2)
-        gap = mu_hi * slack
-        if not (0.0 <= gap <= GAP_BOUND * (1.0 + abs(value))):
+        # the budget exactly.  The slack grows with mu.
+        def evaluate(mu: float, state) -> _End:
+            q1, q2, w = self.relax(mu, state)
+            slack = budget - self.constraint_value(q1, q2)
+            value = self.objective_value(q1, q2) if slack >= 0.0 else math.inf
+            return _End(mu, slack, value, (q1, q2, w))
+
+        lo = _End(0.0, budget - slack0, math.inf, self.start())
+        lo, hi = _search(evaluate, *_bracket(evaluate, lo, self.mu_start))
+        # The lower end is feasible only when its slack is exactly 0.
+        end = lo if lo.value < math.inf else hi
+        gap = end.mu * end.excess
+        if not (0.0 <= gap <= GAP_BOUND * (1.0 + abs(end.value))):
             raise NonConvergence(f"duality gap {gap} above the certified bound")
-        return value, q1, q2
+        q1, q2, _ = end.state
+        return end.value, q1, q2
 
 
 def _program_for(problem: SimplexOptProblem) -> tuple[_PairProgram, float]:
@@ -337,81 +413,6 @@ def gutman_bayes_curve_swapped(
     return _optimal_value(SimplexOptProblem(OBJECTIVE_BAYES_SWAPPED, alpha, lam, p1, p2))
 
 
-class _End(NamedTuple):
-    """One end of the crossing's multiplier bracket: the relaxed pair at ``mu``."""
-
-    mu: float
-    objective: float
-    constraint: float
-    state: tuple
-
-    @property
-    def excess(self) -> float:
-        return self.objective - self.constraint
-
-    @property
-    def value(self) -> float:
-        return 0.5 * (self.objective + self.constraint)
-
-
-def _crossing_search(evaluate, lo: _End, hi: _End) -> float:
-    """Illinois search for the multiplier at which the excess changes sign.
-
-    The excess ``objective - constraint`` is at most 0 at ``lo`` and
-    positive at ``hi``; ``evaluate(mu, state)`` returns the end at ``mu``,
-    relaxed from ``state``.  Each step is a regula falsi step on the ends'
-    excesses, with the excess of an end kept twice in a row halved
-    (Illinois), clamped strictly inside the bracket and relaxed from the
-    nearer end.  The excess grows with ``mu``, so every step narrows the
-    bracket and lowers the smaller excess magnitude of its ends; a step that
-    halves neither is followed by a bisection.  (Regula falsi closing in
-    from one side cuts the excess while it leaves the bracket wide, so the
-    width alone would call for needless bisections.)  The search stops when
-    an end's objective and constraint agree within 1e-12, returning their
-    mean, or when the bracket is ``MU_RELATIVE_WIDTH`` wide, returning the
-    mean at the end of smaller excess; :class:`NonConvergence` is raised
-    when ``CROSSING_MAX_STEPS`` steps end before either.
-    """
-    f_lo, f_hi = lo.excess, hi.excess
-    kept = None
-    halved = True
-    steps = 0
-    while True:
-        for end in (hi, lo):
-            if abs(end.excess) <= 1e-12:
-                return end.value
-        width = hi.mu - lo.mu
-        tol = MU_RELATIVE_WIDTH * hi.mu
-        if width <= tol:
-            return min(hi, lo, key=lambda end: abs(end.excess)).value
-        if steps == CROSSING_MAX_STEPS:
-            raise NonConvergence(
-                f"crossing multiplier bisection unfinished after {steps} steps: "
-                f"objective {hi.objective} against constraint {hi.constraint}"
-            )
-        steps += 1
-        bisect = not halved
-        if bisect:
-            mu = 0.5 * (lo.mu + hi.mu)
-        else:
-            mu = hi.mu - f_hi * width / (f_hi - f_lo)
-            mu = min(max(mu, lo.mu + 0.25 * tol), hi.mu - 0.25 * tol)
-        nearer = lo if mu - lo.mu < hi.mu - mu else hi
-        smaller = min(hi.excess, -lo.excess)
-        end = evaluate(mu, nearer.state)
-        if end.excess > 0.0:
-            hi, f_hi = end, end.excess
-            if kept == "lo":
-                f_lo *= 0.5
-            kept = "lo"
-        else:
-            lo, f_lo = end, end.excess
-            if kept == "hi":
-                f_hi *= 0.5
-            kept = "hi"
-        halved = bisect or hi.mu - lo.mu <= 0.5 * width or abs(end.excess) <= 0.5 * smaller
-
-
 def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> float:
     """Prior-weighted exponent of the fixed-length test at ratio ``alpha``.
 
@@ -420,10 +421,10 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     path of the curve's program: as the multiplier grows, the relaxed
     objective rises from 0 while the relaxed constraint falls from
     ``gjs(P1, P2, alpha) / alpha``, so their difference changes sign exactly
-    once.  The multiplier is bracketed by doubling from the program's
-    starting multiplier, with ``mu = 0`` (the sources themselves, which need
-    no relaxation) as the first lower end, and the bracket is narrowed by
-    :func:`_crossing_search`.  For an identical pair the curve is
+    once.  The multiplier is found by :func:`_bracket` and :func:`_search`
+    on that difference, and the crossing is the mean of objective and
+    constraint at an end where they agree within 1e-12, else at the end
+    where they are closer.  For an identical pair the curve is
     identically zero and so is the crossing.  For sources with disjoint
     supports the curve is ``inf`` below ``gjs(P1, P2, alpha) / alpha`` and 0
     from there on, so the crossing is that value, the supremum of
@@ -443,18 +444,14 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
         q1, q2, w = program.relax(mu, state)
         objective = program.objective_value(q1, q2)
         constraint = program.constraint_value(q1, q2) / alpha
-        return _End(mu, objective, constraint, (q1, q2, w))
+        return _End(mu, objective - constraint, 0.5 * (objective + constraint), (q1, q2, w))
 
-    lo = _End(0.0, 0.0, full, sources)
-    hi = evaluate(program.mu_start, sources)
-    doublings = 0
-    while hi.excess <= 0.0:
-        lo = hi
-        hi = evaluate(2.0 * hi.mu, hi.state)
-        doublings += 1
-        if doublings > 200:
-            raise NonConvergence("crossing multiplier bracketing diverged")
-    return _crossing_search(evaluate, lo, hi)
+    lo = _End(0.0, -full, 0.5 * full, sources)
+    lo, hi = _search(evaluate, *_bracket(evaluate, lo, program.mu_start))
+    for end in (hi, lo):
+        if abs(end.excess) <= 1e-12:
+            return end.value
+    return min(hi, lo, key=lambda end: abs(end.excess)).value
 
 
 def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:

@@ -28,6 +28,12 @@ Illinois search in ``seqstat.exponents`` replaced: ``sweep_relax`` repeats
 the sweep until one moves no coordinate more than ``INNER_TOLERANCE``, and
 the crossing halves the multiplier bracket, warm-starting every relaxation
 from its upper end.
+
+``bisect_program`` is the multiplier bisection that the same Illinois search
+replaced in ``_PairProgram.solve``: it doubles and then halves the
+multiplier on the sign of the constraint slack, with the program's own
+Newton relaxations warm-started from the upper end, until the bracket is
+``MU_RELATIVE_WIDTH`` wide, and certifies the upper end's duality gap.
 """
 
 from __future__ import annotations
@@ -52,13 +58,21 @@ from seqstat import (
 )
 from seqstat.exponents import (
     CROSSING_MAX_STEPS,
+    GAP_BOUND,
     INNER_MAX_SWEEPS,
     INNER_TOLERANCE,
     MU_RELATIVE_WIDTH,
     _PairProgram,
     _check_alpha,
 )
-from seqstat.errors import AlphabetMismatch, LengthMismatch, NoSolution, NonConvergence, StreamExhausted
+from seqstat.errors import (
+    AlphabetMismatch,
+    Infeasible,
+    LengthMismatch,
+    NoSolution,
+    NonConvergence,
+    StreamExhausted,
+)
 from seqstat.fixedpoint import (
     BRACKET_LOW,
     RELATIVE_BRACKET_WIDTH,
@@ -380,3 +394,42 @@ def bisect_bayes_crossing(alpha: float, p1, p2) -> float:
             mu_hi, state_hi, objective, constraint = mu_mid, state_mid, o_mid, c_mid
         else:
             mu_lo = mu_mid
+
+
+def bisect_program(program: _PairProgram, budget: float):
+    """``program.solve(budget)`` by doubling and bisecting the multiplier."""
+    if budget < 0.0:
+        raise Infeasible(f"divergence budget {budget} is negative")
+    slack0 = program.constraint_value(program.a, program.b)
+    if slack0 <= budget:
+        return 0.0, program.a.copy(), program.b.copy()
+    if not program.common:
+        return math.inf, None, None
+    if budget == 0.0:
+        value, q = program.collapsed()
+        return value, q, q.copy()
+    mu_lo = 0.0
+    mu_hi = program.mu_start
+    state_hi = program.relax(mu_hi, program.start())
+    doublings = 0
+    while program.constraint_value(state_hi[0], state_hi[1]) > budget:
+        mu_lo = mu_hi
+        mu_hi *= 2.0
+        state_hi = program.relax(mu_hi, state_hi)
+        doublings += 1
+        if doublings > 200:
+            raise NonConvergence("constraint multiplier bracketing diverged")
+    while (mu_hi - mu_lo) > MU_RELATIVE_WIDTH * mu_hi:
+        mu_mid = 0.5 * (mu_lo + mu_hi)
+        state_mid = program.relax(mu_mid, state_hi)
+        if program.constraint_value(state_mid[0], state_mid[1]) > budget:
+            mu_lo = mu_mid
+        else:
+            mu_hi, state_hi = mu_mid, state_mid
+    q1, q2, _ = state_hi
+    value = program.objective_value(q1, q2)
+    slack = budget - program.constraint_value(q1, q2)
+    gap = mu_hi * slack
+    if not (0.0 <= gap <= GAP_BOUND * (1.0 + abs(value))):
+        raise NonConvergence(f"duality gap {gap} above the certified bound")
+    return value, q1, q2

@@ -26,13 +26,15 @@ from seqstat import (
 )
 from seqstat import exponents
 from seqstat.exponents import (
+    GAP_BOUND,
     INNER_TOLERANCE,
     OBJECTIVE_BAYES,
     OBJECTIVE_BAYES_SWAPPED,
     OBJECTIVE_FIXED_LENGTH,
     _End,
     _PairProgram,
-    _crossing_search,
+    _program_for,
+    _search,
 )
 from seqstat.errors import (
     DuplicateDistribution,
@@ -292,9 +294,12 @@ class TestBayesCrossing:
         p1 = make_distribution(WIDE_PAIR[0], alph)
         p2 = make_distribution(WIDE_PAIR[1], alph)
         gutman_bayes_exponent(1.8, p1, p2)
+        gutman_bayes_curve(1.8, 0.01, p1, p2)
         monkeypatch.setattr(exponents, "CROSSING_MAX_STEPS", 1)
         with pytest.raises(NonConvergence, match="after 1 steps"):
             gutman_bayes_exponent(1.8, p1, p2)
+        with pytest.raises(NonConvergence, match="after 1 steps"):
+            gutman_bayes_curve(1.8, 0.01, p1, p2)
 
     def test_sweep_budget_exhausted_raises(self, monkeypatch):
         alph = alphabet(3)
@@ -462,22 +467,43 @@ class TestNewtonRelaxation:
             gutman_bayes_exponent(alpha, p1, p2)
             assert len(calls) <= 150
 
+    def test_relaxations_per_curve_point(self, monkeypatch):
+        # bisecting the multiplier took a median of 43 relaxations per point
+        calls = []
+        relax = _PairProgram.relax
+
+        def counting(self, *args):
+            calls.append(1)
+            return relax(self, *args)
+
+        monkeypatch.setattr(_PairProgram, "relax", counting)
+        counts = []
+        for alpha, p1, p2 in crossing_family(12, 50):
+            for share in (0.3, 0.6, 0.9):
+                calls.clear()
+                gutman_bayes_curve(alpha, share * gjs(p1, p2, alpha) / alpha, p1, p2)
+                counts.append(len(calls))
+        assert np.median(counts) <= 12
+
 
 class TestCrossingSearch:
     @staticmethod
     def search(excess, lo, hi):
-        """``_crossing_search`` on a scalar excess; returns the value and the
-        ``(mu, state)`` of every evaluation, where an end's state is its mu."""
+        """``_search`` on a scalar excess, with the crossing's value (the mean
+        of the excess and 0); returns the value at the final end of smaller
+        excess and the ``(mu, state)`` of every evaluation, where an end's
+        state is its mu."""
         calls = []
+
+        def end(mu):
+            return _End(mu, excess(mu), 0.5 * excess(mu), mu)
 
         def evaluate(mu, state):
             calls.append((mu, state))
-            return _End(mu, excess(mu), 0.0, mu)
+            return end(mu)
 
-        value = _crossing_search(
-            evaluate, _End(lo, excess(lo), 0.0, lo), _End(hi, excess(hi), 0.0, hi)
-        )
-        return value, calls
+        ends = _search(evaluate, end(lo), end(hi))
+        return min(ends, key=lambda e: abs(e.excess)).value, calls
 
     def test_jump_is_bracketed_within_the_step_budget(self):
         # regula falsi alone creeps toward a jump from one side and runs out
@@ -522,6 +548,58 @@ class TestCrossingSearch:
             lam = gutman_bayes_exponent(alpha, p1, p2)
             worst = max(worst, abs(lam - oracle.bisect_bayes_crossing(alpha, p1, p2)))
         assert worst <= 1e-12
+
+
+class TestConstrainedPrograms:
+    def test_agrees_with_bisection_oracle(self):
+        # on zero-weight pairs 0, 12 and 20 an end lands within 1e-12 above
+        # the budget while the feasible end is still well inside it, up to
+        # 2.5e-5 above the optimum; the search must not stop there
+        for alpha, p1, p2 in crossing_family(20191203, 40):
+            full = gjs(p1, p2, alpha)
+            for share in (0.3, 0.6, 0.9):
+                for objective, lam in (
+                    (OBJECTIVE_FIXED_LENGTH, share * full),
+                    (OBJECTIVE_BAYES, share * full / alpha),
+                ):
+                    problem = SimplexOptProblem(objective, alpha, lam, p1, p2)
+                    value, (q1, q2) = minimize_over_simplices(problem)
+                    program, budget = _program_for(problem)
+                    want, _, _ = oracle.bisect_program(program, budget)
+                    assert abs(value - want) <= GAP_BOUND * (1.0 + abs(want))
+                    assert gjs(q1, q2, alpha) <= budget
+
+    def test_exact_zero_slack_end_is_the_answer(self, monkeypatch):
+        # the search lands on a relaxation that meets the budget exactly,
+        # which sorts to the lower end; the upper end is 1.4e-8 short of
+        # the budget and fails the gap certificate
+        ends = []
+        search = exponents._search
+
+        def spy(*args):
+            ends.append(search(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(exponents, "_search", spy)
+        alpha, p1, p2 = crossing_family(20191203, 40)[36]
+        lam = 0.6 * gjs(p1, p2, alpha)
+        type2 = gutman_type2_exponent(alpha, lam, p1, p2)
+        curve = gutman_bayes_curve(alpha, lam / alpha, p1, p2)
+        assert [lo.excess for lo, _ in ends] == [0.0, 0.0]
+        assert abs(curve * alpha - type2) <= 1e-9 * alpha
+
+    def test_zero_weight_pairs_at_a_small_budget(self):
+        # alpha about 415 and 369 with one zero weight: relaxing every
+        # bisection point from the upper end runs out of sweeps here
+        family = crossing_family(20191203, 73)
+        for i, type2_want, curve_want in ((12, 53.6829, 0.129306), (72, 72.4710, 0.196401)):
+            alpha, p1, p2 = family[i]
+            lam = 0.05 * gjs(p1, p2, alpha)
+            type2 = gutman_type2_exponent(alpha, lam, p1, p2)
+            curve = gutman_bayes_curve(alpha, lam / alpha, p1, p2)
+            assert abs(curve * alpha - type2) <= 1e-9 * alpha
+            assert type2 == pytest.approx(type2_want, abs=1e-4)
+            assert curve == pytest.approx(curve_want, abs=1e-6)
 
 
 class TestDisjointSupports:
