@@ -10,14 +10,19 @@ Subcommands::
     simulate        run the Monte Carlo experiment and write the report CSV
     trace           write the per-step score trace of a single trial
 
-Inputs come from a JSON config (``--config``); ``--seed``, ``--gamma``,
-``--trials`` and ``--workers`` override the matching config entries.
-The scalar pair commands (gjs, chernoff, fixed-point) also accept the
-distributions inline as ``--p`` / ``--q`` comma-separated weights, in
-which case the config file is optional.  Scalars are printed with 12
-significant digits; CSV numbers use the shortest round-trip decimal
-form.  Exit codes: 0 on success, 2 on validation failure, 3 on a
-numerical failure.
+Inputs come from a JSON config (``--config``).  ``--seed``, ``--gamma``,
+``--trials`` and ``--alpha`` are merged into the config before anything is
+checked, so a flag is checked exactly like the field it replaces.  One
+table lists the number fields with whether each must be an integer and
+whether it must be positive, and one checker validates every number the
+config holds: those fields, each ``gamma_grid`` entry, each weight and each
+prior.  JSON booleans are not numbers.  The scalar pair commands (gjs,
+chernoff, fixed-point) also accept the distributions inline as ``--p`` /
+``--q`` comma-separated weights, in which case the config file is optional
+and the config is the flags alone.  Scalars are printed with 12
+significant digits; CSV numbers use the shortest round-trip decimal form.
+Exit codes: 0 on success, 2 on validation failure, 3 on a numerical
+failure.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, replace
 
 from .classifiers import TrialTrace
 from .divergence import chernoff, gjs
@@ -35,7 +41,6 @@ from .errors import NumericalError, SeqstatError, ValidationError
 from .exponents import (
     bayes_multiclass_gutman,
     compare_sequential_vs_gutman,
-    gutman_bayes_exponent,
 )
 from .fixedpoint import multiclass_thetas, solve_fixed_point
 from .probability import Alphabet, Distribution, make_distribution
@@ -49,22 +54,22 @@ from .simulator import (
 )
 
 _TOP_KEYS = {
-    "alphabet",
-    "distributions",
-    "gamma",
-    "gamma_grid",
-    "train_len",
-    "cap",
-    "trials",
-    "seed",
-    "true_class",
-    "priors",
-    "test",
-    "pair",
-    "alpha",
-    "trial_index",
+    "alphabet", "distributions", "gamma", "gamma_grid", "train_len", "cap", "trials",
+    "seed", "true_class", "priors", "test", "pair", "alpha", "trial_index",
 }
 _TEST_KEYS = {"kind", "n_test", "lambda", "mode"}
+# Number fields of the config and of its test object: (integer, positive).
+_NUMBERS = {
+    "gamma": (False, True),
+    "train_len": (True, True),
+    "cap": (True, True),
+    "trials": (True, True),
+    "seed": (True, False),
+    "alpha": (False, False),
+    "trial_index": (True, False),
+    "test.n_test": (True, False),
+    "test.lambda": (False, False),
+}
 
 COMPARISON_COLUMNS = (
     "gamma",
@@ -103,197 +108,145 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-@dataclass
-class _Config:
-    """Parsed and cross-checked contents of the JSON config file."""
-
-    alphabet: Alphabet
-    names: list[str]
-    dists: dict[str, Distribution]
-    gamma: float | None
-    gamma_grid: list[float] | None
-    train_len: int | None
-    cap: int | None
-    trials: int | None
-    seed: int | None
-    true_class: str | None
-    priors: dict[str, float] | None
-    test: dict
-    pair: list[str]
-    alpha: float | None
-    trial_index: int
-
-    def pair_dists(self) -> tuple[Distribution, Distribution]:
-        return self.dists[self.pair[0]], self.dists[self.pair[1]]
-
-    def ordered_dists(self) -> list[Distribution]:
-        return [self.dists[name] for name in self.names]
-
-
-def _fail(message: str) -> None:
-    raise ValidationError(message)
-
-
 def _expect(condition: bool, message: str) -> None:
     if not condition:
-        _fail(message)
+        raise ValidationError(message)
 
 
-def _load_config(path: str) -> _Config:
+def _number(value, field: str, integer: bool = False, positive: bool = False):
+    """``value`` checked as a number of the config ``field``.
+
+    An integer field comes back as an ``int`` (JSON ``5.0`` is ``5``); any
+    other number comes back as given.
+    """
+    _expect(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        f"config field {field!r} must be a number, got {value!r}",
+    )
+    if integer:
+        _expect(
+            isinstance(value, int) or value.is_integer(),
+            f"config field {field!r} must be an integer",
+        )
+        value = int(value)
+    if positive:
+        _expect(value > 0, f"config field {field!r} must be positive")
+    return value
+
+
+def _name(value, field: str, names: list[str]) -> None:
+    _expect(
+        isinstance(value, str) and value in names,
+        f"config field {field!r} names unknown distribution {value!r}",
+    )
+
+
+def _read_json(path: str) -> dict:
     try:
         with open(path) as handle:
             raw = json.load(handle)
     except FileNotFoundError:
-        _fail(f"config file not found: {path}")
+        raise ValidationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
-        _fail(f"config is not valid JSON: {exc}")
+        raise ValidationError(f"config is not valid JSON: {exc}")
     _expect(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
-        _fail(f"unknown config field: {sorted(unknown)[0]}")
+        raise ValidationError(f"unknown config field: {sorted(unknown)[0]}")
+    return raw
 
-    _expect("alphabet" in raw, "config field 'alphabet' is required")
-    _expect(
-        isinstance(raw["alphabet"], list) and raw["alphabet"],
-        "config field 'alphabet' must be a nonempty list",
-    )
-    alphabet = Alphabet(tuple(raw["alphabet"]))
 
+def _check_file(cfg: dict) -> None:
+    """Check what only a config file holds; weights become :class:`Distribution` objects."""
+    _expect("alphabet" in cfg, "config field 'alphabet' is required")
+    symbols = cfg["alphabet"]
+    scalars = isinstance(symbols, list) and not any(isinstance(s, (list, dict)) for s in symbols)
+    _expect(scalars and symbols, "config field 'alphabet' must be a nonempty list of JSON scalars")
+    alphabet = Alphabet(tuple(symbols))
+
+    dists = cfg.get("distributions")
     _expect(
-        isinstance(raw.get("distributions"), dict) and raw["distributions"],
+        isinstance(dists, dict) and dists,
         "config field 'distributions' must be a nonempty object",
     )
-    names = list(raw["distributions"])
-    dists = {}
-    for name, weights in raw["distributions"].items():
-        _expect(
-            isinstance(weights, list),
-            f"distribution {name!r} must be a list of weights",
-        )
-        dists[name] = make_distribution(weights, alphabet)
+    for name, weights in dists.items():
+        _expect(isinstance(weights, list), f"distribution {name!r} must be a list of weights")
+        checked = [_number(w, f"distributions.{name}") for w in weights]
+        dists[name] = make_distribution(checked, alphabet)
+    names = list(dists)
 
-    def opt_number(key, kind, positive=False):
-        if key not in raw or raw[key] is None:
-            return None
-        value = raw[key]
+    grid = cfg.get("gamma_grid")
+    if grid is not None:
         _expect(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"config field {key!r} must be a number",
-        )
-        if kind is int:
-            _expect(float(value).is_integer(), f"config field {key!r} must be an integer")
-            value = int(value)
-        else:
-            value = float(value)
-        if positive:
-            _expect(value > 0, f"config field {key!r} must be positive")
-        return value
-
-    gamma = opt_number("gamma", float, positive=True)
-    train_len = opt_number("train_len", int, positive=True)
-    cap = opt_number("cap", int, positive=True)
-    trials = opt_number("trials", int, positive=True)
-    seed = opt_number("seed", int)
-    alpha = opt_number("alpha", float)
-    trial_index = opt_number("trial_index", int) or 0
-
-    gamma_grid = None
-    if raw.get("gamma_grid") is not None:
-        _expect(
-            isinstance(raw["gamma_grid"], list) and raw["gamma_grid"],
+            isinstance(grid, list) and grid,
             "config field 'gamma_grid' must be a nonempty list",
         )
-        gamma_grid = [float(v) for v in raw["gamma_grid"]]
+        for gamma in grid:
+            _number(gamma, "gamma_grid")
 
-    true_class = raw.get("true_class")
-    if true_class is not None:
-        _expect(
-            true_class == "sweep" or true_class in dists,
-            f"config field 'true_class' must name a distribution or be 'sweep', got {true_class!r}",
-        )
+    if cfg.get("true_class") not in (None, "sweep"):
+        _name(cfg["true_class"], "true_class", names)
 
-    priors = raw.get("priors")
+    priors = cfg.get("priors")
     if priors is not None:
         _expect(isinstance(priors, dict), "config field 'priors' must be an object")
-        unknown_priors = set(priors) - set(dists)
-        if unknown_priors:
-            _fail(f"prior for unknown distribution: {sorted(unknown_priors)[0]}")
-        _expect(
-            set(priors) == set(dists),
-            "config field 'priors' must cover every distribution",
-        )
+        for name, weight in priors.items():
+            _name(name, "priors", names)
+            _number(weight, f"priors.{name}")
+        _expect(set(priors) == set(names), "config field 'priors' must cover every distribution")
 
-    test = raw.get("test", {"kind": "sequential"})
+    test = cfg.setdefault("test", {"kind": "sequential"})
     _expect(isinstance(test, dict), "config field 'test' must be an object")
     unknown_test = set(test) - _TEST_KEYS
     if unknown_test:
-        _fail(f"unknown config field: test.{sorted(unknown_test)[0]}")
-    kind = test.get("kind", "sequential")
+        raise ValidationError(f"unknown config field: test.{sorted(unknown_test)[0]}")
+    kind = test.setdefault("kind", "sequential")
     _expect(
         kind in ("sequential", "gutman"),
         f"config field 'test.kind' must be 'sequential' or 'gutman', got {kind!r}",
     )
 
-    pair = raw.get("pair", names[:2])
+    pair = cfg.setdefault("pair", names[:2])
     _expect(
         isinstance(pair, list) and len(pair) == 2,
         "config field 'pair' must list exactly two distribution names",
     )
     for name in pair:
-        _expect(name in dists, f"config field 'pair' names unknown distribution {name!r}")
-
-    return _Config(
-        alphabet=alphabet,
-        names=names,
-        dists=dists,
-        gamma=gamma,
-        gamma_grid=gamma_grid,
-        train_len=train_len,
-        cap=cap,
-        trials=trials,
-        seed=seed,
-        true_class=true_class,
-        priors=priors,
-        test={"kind": kind, **{k: v for k, v in test.items() if k != "kind"}},
-        pair=pair,
-        alpha=alpha,
-        trial_index=trial_index,
-    )
+        _name(name, "pair", names)
 
 
-def _apply_overrides(cfg: _Config, ns: argparse.Namespace) -> None:
-    if getattr(ns, "seed", None) is not None:
-        cfg.seed = ns.seed
-    if getattr(ns, "gamma", None) is not None:
-        cfg.gamma = ns.gamma
-    if getattr(ns, "trials", None) is not None:
-        cfg.trials = ns.trials
-    if getattr(ns, "alpha", None) is not None:
-        cfg.alpha = ns.alpha
+def _load_config(ns: argparse.Namespace) -> dict:
+    """The config file, or ``{}`` without one, with the flags merged in and checked."""
+    cfg = {} if ns.config is None else _read_json(ns.config)
+    flags = {key: getattr(ns, key) for key in ("seed", "gamma", "trials", "alpha")}
+    cfg.update({key: value for key, value in flags.items() if value is not None})
+    if ns.config is not None:
+        _check_file(cfg)
+    for field, (integer, positive) in _NUMBERS.items():
+        *outer, key = field.split(".")
+        holder = cfg.get(outer[0], {}) if outer else cfg
+        if holder.get(key) is not None:
+            holder[key] = _number(holder[key], field, integer, positive)
+    return cfg
 
 
-def _experiment(cfg: _Config) -> ExperimentConfig:
-    _expect(cfg.gamma is not None, "config field 'gamma' is required")
-    _expect(cfg.train_len is not None, "config field 'train_len' is required")
-    _expect(cfg.trials is not None, "config field 'trials' is required")
-    _expect(cfg.seed is not None, "config field 'seed' is required (seeds are mandatory)")
-    if cfg.true_class is None or cfg.true_class == "sweep":
-        true_class = None
-    else:
-        true_class = cfg.names.index(cfg.true_class)
-    priors = None
-    if cfg.priors is not None:
-        priors = tuple(float(cfg.priors[name]) for name in cfg.names)
-    test = cfg.test
+def _experiment(cfg: dict) -> ExperimentConfig:
+    for field in ("gamma", "train_len", "trials"):
+        _expect(cfg.get(field) is not None, f"config field {field!r} is required")
+    _expect(cfg.get("seed") is not None, "config field 'seed' is required (seeds are mandatory)")
+    names = list(cfg["distributions"])
+    true_class = cfg.get("true_class")
+    priors = cfg.get("priors")
+    test = cfg["test"]
     return ExperimentConfig(
-        distributions=tuple(cfg.ordered_dists()),
-        gamma=cfg.gamma,
-        train_len=cfg.train_len,
-        trials=cfg.trials,
-        master_seed=cfg.seed,
-        true_class=true_class,
-        cap=cfg.cap,
-        priors=priors,
+        distributions=tuple(cfg["distributions"].values()),
+        gamma=float(cfg["gamma"]),
+        train_len=cfg["train_len"],
+        trials=cfg["trials"],
+        master_seed=cfg["seed"],
+        true_class=None if true_class in (None, "sweep") else names.index(true_class),
+        cap=cfg.get("cap"),
+        priors=None if priors is None else tuple(priors[name] for name in names),
         test_kind=test["kind"],
         n_test=test.get("n_test"),
         gutman_lambda=test.get("lambda"),
@@ -317,90 +270,71 @@ def _parse_weights(text: str, flag: str) -> list[float]:
     try:
         weights = [float(part) for part in text.split(",")]
     except ValueError:
-        _fail(f"{flag} must be a comma-separated list of numbers")
+        raise ValidationError(f"{flag} must be a comma-separated list of numbers")
     _expect(len(weights) >= 2, f"{flag} needs at least two weights")
     return weights
 
 
-def _resolve_pair(cfg: _Config | None, ns: argparse.Namespace):
+def _pair(cfg: dict) -> list[Distribution]:
+    return [cfg["distributions"][name] for name in cfg["pair"]]
+
+
+def _resolve_pair(cfg: dict, ns: argparse.Namespace):
     if ns.p is not None or ns.q is not None:
-        _expect(
-            ns.p is not None and ns.q is not None,
-            "--p and --q must be given together",
-        )
+        _expect(ns.p is not None and ns.q is not None, "--p and --q must be given together")
         p_weights = _parse_weights(ns.p, "--p")
         q_weights = _parse_weights(ns.q, "--q")
-        _expect(
-            len(p_weights) == len(q_weights),
-            "--p and --q must have the same length",
-        )
+        _expect(len(p_weights) == len(q_weights), "--p and --q must have the same length")
         alphabet = Alphabet(tuple(range(len(p_weights))))
-        return (
-            make_distribution(p_weights, alphabet),
-            make_distribution(q_weights, alphabet),
-        )
-    _expect(cfg is not None, "either --config or --p/--q is required")
-    return cfg.pair_dists()
+        return make_distribution(p_weights, alphabet), make_distribution(q_weights, alphabet)
+    _expect(ns.config is not None, "either --config or --p/--q is required")
+    return _pair(cfg)
 
 
-def _cmd_gjs(cfg: _Config | None, ns: argparse.Namespace) -> int:
-    alpha = ns.alpha if ns.alpha is not None else (cfg.alpha if cfg else None)
-    _expect(alpha is not None, "alpha is required for gjs (--alpha or config)")
+def _cmd_gjs(cfg: dict, ns: argparse.Namespace) -> int:
+    _expect(cfg.get("alpha") is not None, "alpha is required for gjs (--alpha or config)")
     p, q = _resolve_pair(cfg, ns)
-    print(f"{gjs(p, q, alpha):.12g}")
+    print(f"{gjs(p, q, cfg['alpha']):.12g}")
     return 0
 
 
-def _cmd_chernoff(cfg: _Config | None, ns: argparse.Namespace) -> int:
+def _cmd_chernoff(cfg: dict, ns: argparse.Namespace) -> int:
     p, q = _resolve_pair(cfg, ns)
     print(f"{chernoff(p, q):.12g}")
     return 0
 
 
-def _cmd_fixed_point(cfg: _Config | None, ns: argparse.Namespace) -> int:
-    gamma = ns.gamma if ns.gamma is not None else (cfg.gamma if cfg else None)
-    _expect(gamma is not None, "gamma is required for fixed-point (--gamma or config)")
+def _cmd_fixed_point(cfg: dict, ns: argparse.Namespace) -> int:
+    _expect(cfg.get("gamma") is not None, "gamma is required for fixed-point (--gamma or config)")
     p, q = _resolve_pair(cfg, ns)
-    result = solve_fixed_point(p, q, gamma)
+    result = solve_fixed_point(p, q, float(cfg["gamma"]))
     print(f"theta_star {result.theta_star:.12g}")
     print(f"residual {result.residual:.12g}")
     print(f"iterations {result.iterations}")
     return 0
 
 
-def _gamma_grid(cfg: _Config) -> list[float]:
-    if cfg.gamma_grid is not None:
-        return cfg.gamma_grid
-    _expect(cfg.gamma is not None, "config needs 'gamma' or 'gamma_grid'")
-    return [cfg.gamma]
+def _gamma_grid(cfg: dict) -> list[float]:
+    grid = cfg.get("gamma_grid")
+    if grid is None:
+        _expect(cfg.get("gamma") is not None, "config needs 'gamma' or 'gamma_grid'")
+        grid = [cfg["gamma"]]
+    return [float(gamma) for gamma in grid]
 
 
-def _comparison_rows(cfg: _Config) -> list[tuple]:
-    p1, p2 = cfg.pair_dists()
-    rows = []
-    for row in compare_sequential_vs_gutman(p1, p2, _gamma_grid(cfg)):
-        rows.append(
-            (
-                row.gamma,
-                row.theta_star,
-                row.beta_star,
-                row.alpha_used,
-                row.sequential_bayes,
-                row.gutman_bayes,
-                row.margin,
-            )
-        )
-    return rows
+def _comparison_rows(cfg: dict) -> list[tuple]:
+    # ComparisonRow's fields are in COMPARISON_COLUMNS order
+    return [astuple(row) for row in compare_sequential_vs_gutman(*_pair(cfg), _gamma_grid(cfg))]
 
 
-def _cmd_exponents(cfg: _Config, ns: argparse.Namespace) -> int:
+def _cmd_exponents(cfg: dict, ns: argparse.Namespace) -> int:
     _expect(ns.out is not None, "--out is required for exponents")
     rows = _comparison_rows(cfg)
-    if len(cfg.names) >= 3:
+    dists = list(cfg["distributions"].values())
+    if len(dists) >= 3:
         # one summary row per rate for the full class set: the matched
         # budget is the smallest pairwise root and the fixed-length
         # exponent is evaluated there
-        dists = cfg.ordered_dists()
         for gamma in _gamma_grid(cfg):
             thetas = multiclass_thetas(dists, gamma)
             alpha_min = float(min(t for t in thetas.flat if not math.isnan(t)))
@@ -410,34 +344,21 @@ def _cmd_exponents(cfg: _Config, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare_gutman(cfg: _Config, ns: argparse.Namespace) -> int:
+def _cmd_compare_gutman(cfg: dict, ns: argparse.Namespace) -> int:
     _expect(ns.out is not None, "--out is required for compare-gutman")
     _write_csv(ns.out, COMPARISON_COLUMNS, _comparison_rows(cfg))
     return 0
 
 
 def _report_rows(report: SimulationReport) -> list[tuple]:
-    rows = []
-    for r in report.rows:
-        rows.append(
-            (
-                r.hypothesis + 1,
-                r.trials,
-                r.errors,
-                r.nodecisions,
-                r.error_rate,
-                r.mean_T,
-                r.stddev_T,
-                r.min_T,
-                r.max_T,
-                r.predicted_mean_T,
-                report.master_seed,
-            )
-        )
-    return rows
+    return [
+        (r.hypothesis + 1, r.trials, r.errors, r.nodecisions, r.error_rate, r.mean_T,
+         r.stddev_T, r.min_T, r.max_T, r.predicted_mean_T, report.master_seed)
+        for r in report.rows
+    ]
 
 
-def _cmd_simulate(cfg: _Config, ns: argparse.Namespace) -> int:
+def _cmd_simulate(cfg: dict, ns: argparse.Namespace) -> int:
     _expect(ns.out is not None, "--out is required for simulate")
     experiment = _experiment(cfg)
     report = estimate(experiment, workers=ns.workers)
@@ -455,18 +376,14 @@ def _trace_threshold(experiment: ExperimentConfig) -> float:
 
 
 def _dump_traces(experiment: ExperimentConfig, trace_dir: str) -> None:
-    import dataclasses
-    import os
-
     os.makedirs(trace_dir, exist_ok=True)
-    if experiment.true_class is None:
-        hypotheses = range(experiment.num_classes)
-    else:
-        hypotheses = [experiment.true_class]
+    hypotheses = (
+        range(experiment.num_classes) if experiment.true_class is None else [experiment.true_class]
+    )
     threshold = _trace_threshold(experiment)
     trials = experiment.trials
     for hyp in hypotheses:
-        fixed = dataclasses.replace(experiment, true_class=hyp)
+        fixed = replace(experiment, true_class=hyp)
         for lo in range(0, trials, BLOCK_TRIALS):
             batch = range(lo, min(lo + BLOCK_TRIALS, trials))
             for trial, trace in zip(batch, _traced_trials(fixed, batch)):
@@ -474,25 +391,21 @@ def _dump_traces(experiment: ExperimentConfig, trace_dir: str) -> None:
                 _write_trace_csv(path, trace, threshold)
 
 
-def _cmd_trace(cfg: _Config, ns: argparse.Namespace) -> int:
+def _cmd_trace(cfg: dict, ns: argparse.Namespace) -> int:
     _expect(ns.out is not None, "--out is required for trace")
     experiment = _experiment(cfg)
     _expect(
         experiment.true_class is not None,
         "config field 'true_class' must name a distribution for trace",
     )
-    trace = run_trial(experiment, cfg.trial_index)
+    trace = run_trial(experiment, cfg.get("trial_index") or 0)
     _write_trace_csv(ns.out, trace, _trace_threshold(experiment))
     return 0
 
 
 def _write_trace_csv(path: str, trace: TrialTrace, threshold: float) -> None:
     m = trace.scores.shape[1]
-    header = (
-        ("step",)
-        + tuple(f"score_{i + 1}" for i in range(m))
-        + ("crossed_flags", "verdict", "gamma_n")
-    )
+    header = ("step", *(f"score_{i + 1}" for i in range(m)), "crossed_flags", "verdict", "gamma_n")
     rows = []
     # the last row is the stopping step; a fixed-length trace has that row only
     last = trace.stopping_time
@@ -543,13 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(ns.config) if ns.config is not None else None
-        if cfg is not None:
-            _apply_overrides(cfg, ns)
-        return _COMMANDS[ns.command](cfg, ns)
+        return _COMMANDS[ns.command](_load_config(ns), ns)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -279,6 +279,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
     """Run one fully traced trial; deterministic in ``(config, index)``."""
     if cfg.true_class is None:
         raise ValidationError("run_trial needs a configured true class")
+    if trial_index < 0:
+        raise ValidationError(f"trial index must be >= 0, got {trial_index}")
     return _traced_trials(cfg, [trial_index])[0]
 
 
@@ -341,11 +343,13 @@ def _predicted_mean_t(cfg: ExperimentConfig, hypothesis: int) -> float:
 
 
 def _aggregate(
-    cfg: ExperimentConfig, hypothesis: int, times: np.ndarray, codes: np.ndarray
+    cfg: ExperimentConfig, hypothesis: int, times: np.ndarray, codes: np.ndarray,
+    predict: bool = True,
 ) -> HypothesisReport:
     """Report of one hypothesis from its trials' stopping times and verdict codes.
 
     Counts and sums are exact Python integers, whatever the size of ``T``.
+    Without ``predict`` the predicted mean length is NaN and no root is solved.
     """
     trials = len(times)
     errors = int(np.count_nonzero(codes != hypothesis))
@@ -372,7 +376,7 @@ def _aggregate(
         mean_T_half_width=_Z95 * stddev / math.sqrt(trials),
         min_T=min(stopping),
         max_T=max(stopping),
-        predicted_mean_T=_predicted_mean_t(cfg, hypothesis),
+        predicted_mean_T=_predicted_mean_t(cfg, hypothesis) if predict else math.nan,
         nodecision_rate=nodecisions / trials,
     )
 
@@ -446,7 +450,7 @@ def exponent_probe(
     configs = [replace(cfg, train_len=train_len, cap=None) for train_len in n_grid]
     rows = []
     for train_len, cfg_n, summaries in zip(n_grid, configs, _collect_summaries(configs, workers)):
-        report = _aggregate(cfg_n, cfg.true_class, *summaries)
+        report = _aggregate(cfg_n, cfg.true_class, *summaries, predict=False)
         usable = report.errors > 0
         if usable:
             neg_log = -math.log(report.error_rate)

@@ -153,6 +153,67 @@ class TestConfigValidation:
         assert main(["compare-gutman", "--config", cfg]) == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, fields, named",
+        [
+            ("compare-gutman", {"gamma_grid": ["abc"]}, "gamma_grid"),
+            ("compare-gutman", {"gamma_grid": [None]}, "gamma_grid"),
+            # a pair far enough apart that gamma 1.0 is in range: a boolean
+            # entry must not be read as 1.0
+            (
+                "compare-gutman",
+                {
+                    "alphabet": [0, 1],
+                    "distributions": {"P1": [0.999, 0.001], "P2": [0.001, 0.999]},
+                    "gamma_grid": [True],
+                },
+                "gamma_grid",
+            ),
+            (
+                "chernoff",
+                {"distributions": {"P1": ["a", 0.5, 0.5], "P2": NEAR_PAIR["P2"]}},
+                "distributions.P1",
+            ),
+            ("simulate", {"priors": {"P1": "x", "P2": 0.5}}, "priors.P1"),
+            ("simulate", {"test": {"kind": "gutman", "n_test": 2.5, "lambda": 0.05}}, "test.n_test"),
+            ("simulate", {"test": {"kind": "gutman", "n_test": "5", "lambda": 0.05}}, "test.n_test"),
+            ("simulate", {"test": {"kind": "gutman", "n_test": 5, "lambda": "x"}}, "test.lambda"),
+            ("chernoff", {"alphabet": [[0], [1], [2]]}, "alphabet"),
+            ("chernoff", {"pair": [["P1"], "P2"]}, "pair"),
+            ("chernoff", {"true_class": ["P1"]}, "true_class"),
+        ],
+        ids=[
+            "gamma_grid-string",
+            "gamma_grid-null",
+            "gamma_grid-boolean",
+            "weight-string",
+            "prior-string",
+            "n_test-fraction",
+            "n_test-string",
+            "lambda-string",
+            "alphabet-arrays",
+            "pair-array-name",
+            "true_class-array",
+        ],
+    )
+    def test_malformed_field_named(self, tmp_path, capsys, command, fields, named):
+        base = dict(gamma=0.02, train_len=20, trials=2, seed=7, true_class="P1")
+        cfg = write_config(tmp_path, **{**base, **fields})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"'{named}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_checked_like_field(self, tmp_path, capsys):
+        assert main(["fixed-point", "--config", write_config(tmp_path, gamma=-1)]) == 2
+        from_field = capsys.readouterr().err
+        assert "'gamma'" in from_field
+        inline = ["--p", "0.1,0.7,0.2", "--q", "0.05,0.55,0.4"]
+        over_config = ["--config", write_config(tmp_path, name="ok.json", gamma=0.02)]
+        for source in (inline, over_config):
+            assert main(["fixed-point", *source, "--gamma", "-1"]) == 2
+            assert capsys.readouterr().err == from_field
+
 
 class TestExitCodes:
     def test_gamma_above_information_rate(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ from seqstat.errors import (
     AlphabetMismatch,
     BadSeed,
     InsufficientErrors,
+    NonConvergence,
     SizeMismatch,
     ValidationError,
 )
@@ -168,6 +169,11 @@ class TestTrialMechanics:
         cfg = basic_config(true_class=None)
         with pytest.raises(ValidationError):
             run_trial(cfg, 0)
+
+    def test_run_trial_names_negative_index(self):
+        # a negative index must not reach the stream keys as a negative stream
+        with pytest.raises(ValidationError, match="trial index must be >= 0, got -1"):
+            run_trial(basic_config(), -1)
 
     def test_single_trial_aggregation_identity(self):
         cfg = basic_config(trials=1)
@@ -434,6 +440,23 @@ class TestExponentProbe:
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
         assert exponent_probe(cfg, [10, 15, 20], workers=2) == serial
         assert started == [2]
+
+    def test_probe_solves_no_roots(self, monkeypatch):
+        # probe rows carry no predicted length, so no threshold root is solved
+        def explode(*args, **kwargs):
+            raise NonConvergence("the probe solved a root")
+
+        monkeypatch.setattr(simulator, "solve_fixed_point", explode)
+        cfg = ExperimentConfig(
+            (bern(0.8), bern(0.2)),
+            gamma=0.2,
+            train_len=10,
+            trials=400,
+            master_seed=3,
+            true_class=0,
+        )
+        probe = exponent_probe(cfg, [10, 20])
+        assert [r.train_len for r in probe.rows] == [10, 20]
 
     def test_probe_needs_true_class(self):
         cfg = basic_config(true_class=None)

@@ -1,6 +1,6 @@
 """The benchmark's hooks into the package still resolve, nothing leans on a
-package the project does not declare, and ``estimate`` builds no per-trial
-objects.
+package the project does not declare, ``estimate`` builds no per-trial
+objects, and the README's example config still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -11,10 +11,14 @@ benchmark run, so this checks every one of them.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
+README = ROOT / "README.md"
 # Installed in some environments but not declared in pyproject.toml.
 UNDECLARED = {"scipy", "mpmath", "hypothesis", "pytest_benchmark"}
 
@@ -139,3 +143,21 @@ def test_estimate_builds_no_per_trial_objects(monkeypatch):
             for r in report.rows
         ]
         assert (got, report.bayes_error_rate) == (rows, bayes)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["exponents"], ["compare-gutman"], ["gjs"], ["simulate", "--trials", "8"]],
+    ids=lambda command: command[0],
+)
+def test_readme_config_runs(tmp_path, command):
+    # the JSON block under "A config that exercises most commands"
+    from seqstat.cli import main
+
+    text = README.read_text()
+    after = text[text.index("A config that exercises most commands") :]
+    block = re.search(r"```json\n(.*?)```", after, re.DOTALL).group(1)
+    config = tmp_path / "config.json"
+    config.write_text(block)
+    out = tmp_path / "out.csv"
+    assert main([command[0], "--config", str(config), "--out", str(out), *command[1:]]) == 0
