@@ -36,7 +36,6 @@ from .errors import (
 )
 from .exponents import (
     ComparisonRow,
-    SimplexOptProblem,
     bayes_multiclass_gutman,
     compare_sequential_vs_gutman,
     constrained_kl_min,
@@ -99,7 +98,6 @@ __all__ = [
     "SeqstatError",
     "SequentialConfig",
     "SequentialState",
-    "SimplexOptProblem",
     "SimulationReport",
     "TrialTrace",
     "ValidationError",

@@ -171,8 +171,12 @@ def _check_file(cfg: dict) -> None:
     )
     for name, weights in dists.items():
         _expect(isinstance(weights, list), f"distribution {name!r} must be a list of weights")
-        checked = [_number(w, f"distributions.{name}") for w in weights]
-        dists[name] = make_distribution(checked, alphabet)
+        field = f"distributions.{name}"
+        checked = [_number(w, field) for w in weights]
+        try:
+            dists[name] = make_distribution(checked, alphabet)
+        except ValidationError as exc:
+            raise type(exc)(f"config field {field!r}: {exc}") from exc
     names = list(dists)
 
     grid = cfg.get("gamma_grid")

@@ -6,11 +6,15 @@ The type-II exponent of the fixed-length test with training-to-test ratio
     minimize    alpha * D(Q1 || P1) + D(Q2 || P2)
     subject to  gjs(Q1, Q2, alpha) <= lam
 
-over pairs of distributions on the alphabet of ``P1``.  Rescaling the
-objective by ``1/alpha`` and the threshold to ``lam * alpha`` gives the
-variant normalized per training sample, whose crossing with the identity
-line fixes the prior-weighted (Bayesian) exponent of the test; swapping the
-roles of ``P1`` and ``P2`` gives the mirror-image curve.
+over pairs of distributions on the alphabet of ``P1``; its value is
+:func:`gutman_type2_exponent` and :func:`minimize_over_simplices` also
+returns its argmin.  Rescaling the objective by ``1/alpha`` and the
+threshold to ``lam * alpha`` gives :func:`gutman_bayes_curve`, the variant
+normalized per training sample, whose crossing with the identity line
+(:func:`gutman_bayes_exponent`) fixes the prior-weighted (Bayesian)
+exponent of the test; swapping the roles of ``P1`` and ``P2`` gives the
+mirror-image curve.  One builder, ``_program``, makes the program at
+either scaling.
 
 The solver exploits the variational identity
 
@@ -68,22 +72,6 @@ MU_RELATIVE_WIDTH = 1e-12
 CROSSING_MAX_STEPS = 200
 # Certified duality gap allowed on a returned optimal value.
 GAP_BOUND = 1e-8
-
-OBJECTIVE_FIXED_LENGTH = "fixed_length"
-OBJECTIVE_BAYES = "bayes"
-OBJECTIVE_BAYES_SWAPPED = "bayes_swapped"
-
-
-@dataclass(frozen=True)
-class SimplexOptProblem:
-    """One instance of the constrained divergence program."""
-
-    objective: str
-    alpha: float
-    threshold: float
-    p1: Distribution
-    p2: Distribution
-
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -338,50 +326,39 @@ class _PairProgram:
         return end.value, q1, q2
 
 
-def _program_for(problem: SimplexOptProblem) -> tuple[_PairProgram, float]:
-    alpha = _check_alpha(problem.alpha, strict=True)
-    _check_pair(problem.p1, problem.p2)
-    a1 = problem.p1.as_array()
-    a2 = problem.p2.as_array()
-    if problem.objective == OBJECTIVE_FIXED_LENGTH:
-        return _PairProgram(alpha, 1.0, a1, a2, alpha), problem.threshold
-    if problem.objective == OBJECTIVE_BAYES:
-        return _PairProgram(1.0, 1.0 / alpha, a1, a2, alpha), problem.threshold * alpha
-    if problem.objective == OBJECTIVE_BAYES_SWAPPED:
-        return _PairProgram(1.0, 1.0 / alpha, a2, a1, alpha), problem.threshold * alpha
-    raise Infeasible(f"unknown objective {problem.objective!r}")
+def _program(alpha: float, p1: Distribution, p2: Distribution, per_test: bool) -> _PairProgram:
+    """The fixed-length program at ratio ``alpha``, after checking the ratio
+    and the pair: its objective per test sample (``u = alpha``) or per
+    training sample (``u = 1``), with ``v = u / alpha`` in both."""
+    alpha = _check_alpha(alpha, strict=True)
+    _check_pair(p1, p2)
+    u = alpha if per_test else 1.0
+    return _PairProgram(u, u / alpha, p1.as_array(), p2.as_array(), alpha)
 
 
 def minimize_over_simplices(
-    problem: SimplexOptProblem,
+    alpha: float, lam: float, p1: Distribution, p2: Distribution
 ) -> tuple[float, tuple[Distribution, Distribution]]:
-    """Solve one constrained divergence program.
+    """Solve the type-II program of the fixed-length test.
 
-    Returns the optimal value together with the feasible argmin pair.
-    Raises :class:`Infeasible` when no pair of finite objective meets the
-    threshold, which happens exactly when the sources share no symbol and
-    the threshold is below their own divergence.
+    Returns the optimal value, :func:`gutman_type2_exponent`, together with
+    the feasible argmin pair.  Raises :class:`Infeasible` when no pair of
+    finite objective meets the threshold, which happens exactly when the
+    sources share no symbol and ``lam`` is below their own divergence.
     """
-    program, budget = _program_for(problem)
-    value, q1, q2 = program.solve(budget)
+    program = _program(alpha, p1, p2, per_test=True)
+    value, q1, q2 = program.solve(lam)
     if q1 is None:
         raise Infeasible(
             f"sources with disjoint supports: no pair of finite objective meets "
-            f"the divergence budget {budget}"
+            f"the divergence budget {lam}"
         )
-    alphabet = problem.p1.alphabet
     pair = []
     for q in (q1, q2):
-        full = np.zeros(alphabet.size)
+        full = np.zeros(p1.alphabet.size)
         full[program.keep] = q
-        pair.append(Distribution(alphabet, tuple(full)))
+        pair.append(Distribution(p1.alphabet, tuple(full)))
     return value, (pair[0], pair[1])
-
-
-def _optimal_value(problem: SimplexOptProblem) -> float:
-    """Optimal value of one program; ``inf`` when no pair is feasible."""
-    program, budget = _program_for(problem)
-    return program.solve(budget)[0]
 
 
 def gutman_type2_exponent(
@@ -392,7 +369,7 @@ def gutman_type2_exponent(
     For sources with disjoint supports it is ``inf`` below ``gjs(P1, P2,
     alpha)`` and 0 at or above it.
     """
-    return _optimal_value(SimplexOptProblem(OBJECTIVE_FIXED_LENGTH, alpha, lam, p1, p2))
+    return _program(alpha, p1, p2, per_test=True).solve(lam)[0]
 
 
 def gutman_bayes_curve(
@@ -403,14 +380,15 @@ def gutman_bayes_curve(
     For sources with disjoint supports it is ``inf`` below ``gjs(P1, P2,
     alpha) / alpha`` and 0 at or above it.
     """
-    return _optimal_value(SimplexOptProblem(OBJECTIVE_BAYES, alpha, lam, p1, p2))
+    program = _program(alpha, p1, p2, per_test=False)
+    return program.solve(lam * program.alpha)[0]
 
 
 def gutman_bayes_curve_swapped(
     alpha: float, lam: float, p1: Distribution, p2: Distribution
 ) -> float:
     """Mirror-image curve with the two sources exchanged."""
-    return _optimal_value(SimplexOptProblem(OBJECTIVE_BAYES_SWAPPED, alpha, lam, p1, p2))
+    return gutman_bayes_curve(alpha, lam, p2, p1)
 
 
 def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> float:
@@ -430,11 +408,10 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     from there on, so the crossing is that value, the supremum of
     ``min(lam, curve(lam))``.
     """
-    alpha = _check_alpha(alpha, strict=True)
-    _check_pair(p1, p2)
+    program = _program(alpha, p1, p2, per_test=False)
     if _same_pair(p1, p2):
         return 0.0
-    program = _PairProgram(1.0, 1.0 / alpha, p1.as_array(), p2.as_array(), alpha)
+    alpha = program.alpha
     sources = program.start()
     full = program.constraint_value(sources[0], sources[1]) / alpha
     if not program.common:

@@ -116,8 +116,11 @@ class ExperimentConfig:
                 raise SizeMismatch("a fixed-length run needs n_test >= 1")
             if self.gutman_lambda is None:
                 raise ValidationError("a fixed-length run needs a threshold")
-        # constructing the config validates gamma / train_len / cap
+        # constructing the configs validates gamma / train_len / cap, and
+        # the fixed-length threshold and mode
         self.sequential_config()
+        if self.test_kind == "gutman":
+            self.gutman_config()
 
     def sequential_config(self) -> SequentialConfig:
         return SequentialConfig(self.gamma, self.train_len, self.cap)
@@ -309,8 +312,10 @@ def _collect_summaries(
     whole ``BLOCK_TRIALS`` batches, so only a configuration's last span runs
     a partial batch.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     trials = configs[0].trials if configs else 0
-    if workers <= 1 or trials < 4 * workers:
+    if workers == 1 or trials < 4 * workers:
         return [_summaries_serial(cfg, range(trials)) for cfg in configs]
     block = BLOCK_TRIALS * -(-trials // (workers * 4 * BLOCK_TRIALS))
     starts = range(0, trials, block)

@@ -174,6 +174,16 @@ class TestConfigValidation:
                 {"distributions": {"P1": ["a", 0.5, 0.5], "P2": NEAR_PAIR["P2"]}},
                 "distributions.P1",
             ),
+            (
+                "chernoff",
+                {"distributions": {"P1": [-0.1, 0.6, 0.5], "P2": NEAR_PAIR["P2"]}},
+                "distributions.P1",
+            ),
+            (
+                "chernoff",
+                {"distributions": {"P1": NEAR_PAIR["P1"], "P2": [0.2, 0.2, 0.2]}},
+                "distributions.P2",
+            ),
             ("simulate", {"priors": {"P1": "x", "P2": 0.5}}, "priors.P1"),
             ("simulate", {"test": {"kind": "gutman", "n_test": 2.5, "lambda": 0.05}}, "test.n_test"),
             ("simulate", {"test": {"kind": "gutman", "n_test": "5", "lambda": 0.05}}, "test.n_test"),
@@ -187,6 +197,8 @@ class TestConfigValidation:
             "gamma_grid-null",
             "gamma_grid-boolean",
             "weight-string",
+            "weight-negative",
+            "weight-unnormalized",
             "prior-string",
             "n_test-fraction",
             "n_test-string",
@@ -377,6 +389,14 @@ class TestSimulateCsv:
         assert int(row[2]) == want.errors
         assert float(row[5]) == want.mean_T
         assert float(row[9]) == want.predicted_mean_T
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exits_two(self, tmp_path, capsys, workers):
+        cfg = self.simulate_config(tmp_path)
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_worker_count_keeps_bytes(self, tmp_path):
         cfg = self.simulate_config(tmp_path, trials=16)

@@ -7,7 +7,6 @@ import pytest
 
 from seqstat import (
     Alphabet,
-    SimplexOptProblem,
     bayes_multiclass_gutman,
     chernoff,
     compare_sequential_vs_gutman,
@@ -28,12 +27,9 @@ from seqstat import exponents
 from seqstat.exponents import (
     GAP_BOUND,
     INNER_TOLERANCE,
-    OBJECTIVE_BAYES,
-    OBJECTIVE_BAYES_SWAPPED,
-    OBJECTIVE_FIXED_LENGTH,
     _End,
     _PairProgram,
-    _program_for,
+    _program,
     _search,
 )
 from seqstat.errors import (
@@ -191,8 +187,7 @@ class TestFixedLengthProgram:
         p1, p2 = random_interior_pair(rng, 4)
         alpha = 2.0
         lam = 0.3 * gjs(p1, p2, alpha)
-        problem = SimplexOptProblem(OBJECTIVE_FIXED_LENGTH, alpha, lam, p1, p2)
-        value, (q1, q2) = minimize_over_simplices(problem)
+        value, (q1, q2) = minimize_over_simplices(alpha, lam, p1, p2)
         assert gjs(q1, q2, alpha) <= lam + 1e-8
         attained = alpha * kl(q1, p1) + kl(q2, p2)
         assert abs(attained - value) <= 1e-9
@@ -558,16 +553,20 @@ class TestConstrainedPrograms:
         for alpha, p1, p2 in crossing_family(20191203, 40):
             full = gjs(p1, p2, alpha)
             for share in (0.3, 0.6, 0.9):
-                for objective, lam in (
-                    (OBJECTIVE_FIXED_LENGTH, share * full),
-                    (OBJECTIVE_BAYES, share * full / alpha),
+                for per_test, curve, lam in (
+                    (True, gutman_type2_exponent, share * full),
+                    (False, gutman_bayes_curve, share * full / alpha),
                 ):
-                    problem = SimplexOptProblem(objective, alpha, lam, p1, p2)
-                    value, (q1, q2) = minimize_over_simplices(problem)
-                    program, budget = _program_for(problem)
+                    program = _program(alpha, p1, p2, per_test)
+                    budget = lam if per_test else lam * alpha
+                    value, q1, q2 = program.solve(budget)
+                    assert value == curve(alpha, lam, p1, p2)
                     want, _, _ = oracle.bisect_program(program, budget)
                     assert abs(value - want) <= GAP_BOUND * (1.0 + abs(want))
-                    assert gjs(q1, q2, alpha) <= budget
+                    assert program.constraint_value(q1, q2) <= budget
+                value, (q1, q2) = minimize_over_simplices(alpha, share * full, p1, p2)
+                assert value == gutman_type2_exponent(alpha, share * full, p1, p2)
+                assert gjs(q1, q2, alpha) <= share * full
 
     def test_exact_zero_slack_end_is_the_answer(self, monkeypatch):
         # the search lands on a relaxation that meets the budget exactly,
@@ -635,17 +634,10 @@ class TestDisjointSupports:
         p1, p2 = self.pair()
         alpha = 2.5
         full = gjs(p1, p2, alpha)
-        for objective, budget in (
-            (OBJECTIVE_FIXED_LENGTH, 0.0),
-            (OBJECTIVE_FIXED_LENGTH, 0.5 * full),
-            (OBJECTIVE_BAYES, 0.5 * full / alpha),
-            (OBJECTIVE_BAYES_SWAPPED, 0.0),
-        ):
+        for lam in (0.0, 0.5 * full):
             with pytest.raises(Infeasible):
-                minimize_over_simplices(SimplexOptProblem(objective, alpha, budget, p1, p2))
-        value, (q1, q2) = minimize_over_simplices(
-            SimplexOptProblem(OBJECTIVE_FIXED_LENGTH, alpha, 1.0001 * full, p1, p2)
-        )
+                minimize_over_simplices(alpha, lam, p1, p2)
+        value, (q1, q2) = minimize_over_simplices(alpha, 1.0001 * full, p1, p2)
         assert value == 0.0
         assert (q1, q2) == (p1, p2)
 

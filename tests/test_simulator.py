@@ -21,6 +21,7 @@ from seqstat import simulator
 from seqstat.errors import (
     AlphabetMismatch,
     BadSeed,
+    Infeasible,
     InsufficientErrors,
     NonConvergence,
     SizeMismatch,
@@ -100,6 +101,12 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError):
             basic_config(test_kind="gutman", n_test=5)
 
+    def test_gutman_threshold_and_mode_checked_at_construction(self):
+        with pytest.raises(Infeasible, match="threshold"):
+            basic_config(test_kind="gutman", n_test=5, gutman_lambda=-1.0)
+        with pytest.raises(Infeasible, match="mode"):
+            basic_config(test_kind="gutman", n_test=5, gutman_lambda=0.1, gutman_mode="odd")
+
     def test_default_cap_and_priors(self):
         cfg = basic_config()
         assert cfg.effective_cap == 900
@@ -116,6 +123,11 @@ class TestDeterminism:
         serial = estimate(cfg, workers=1)
         parallel = estimate(cfg, workers=2)
         assert report_key(serial) == report_key(parallel)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            estimate(basic_config(), workers=workers)
 
     def test_worker_spans_are_whole_batches(self, monkeypatch):
         cfg = basic_config(trials=300, true_class=None)

@@ -1,6 +1,7 @@
-"""The benchmark's hooks into the package still resolve, nothing leans on a
-package the project does not declare, ``estimate`` builds no per-trial
-objects, and the README's example config still runs.
+"""The benchmark's hooks into the package still resolve, every public name
+resolves and is listed once, nothing leans on a package the project does not
+declare, ``estimate`` builds no per-trial objects, and the README's example
+config still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -53,6 +54,13 @@ def test_span_targets_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_public_names_resolve_once():
+    seqstat = importlib.import_module("seqstat")
+    names = seqstat.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(seqstat, name)] == []
 
 
 def test_comparison_calls_the_crossing_by_name(monkeypatch):
