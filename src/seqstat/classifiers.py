@@ -21,11 +21,13 @@ every ``x``, i.e. when the two types coincide.  The kernel scores a block of
 trials x prefix lengths x classes at once: the lockstep sequential test of
 the Monte Carlo harness carries undecided trials into the next, wider block,
 and the harness's fixed-length trials are one block at the single prefix
-``n_test``.  The harness gets each batch's outcome as arrays (stopping
-times, verdict codes, first crossings); one rule, ``_stop``, decides when a
-sequential test stops and what it declares, for the lockstep batches and
-the step API alike.  ``score``, ``seq_binary_step`` and
-``seq_multiclass_run`` call the kernel on one trial and one prefix, so every
+``n_test``.  One run object, ``_Run``, is the only code that applies the
+sequential rule: it keeps each trial's counts and first crossings, and
+its ``block`` scores a block, finds the first crossings and decides when
+each trial stops and what it declares.  The harness feeds it growing
+blocks of a batch and gets each batch's outcome as arrays (stopping times,
+verdict codes, first crossings); ``seq_binary_step`` and
+``seq_multiclass_run`` feed a one-trial run one symbol at a time, so every
 entry point gives the same bits.  ``gutman_binary`` and ``gutman_multiclass``
 take a free ``alpha`` and score through :func:`seqstat.divergence.gjs`.
 """
@@ -47,7 +49,7 @@ from .errors import (
     StreamExhausted,
 )
 from .probability import (
-    Alphabet, EmpiricalType, Symbol, _check_alpha, _check_gamma, empirical_type
+    Alphabet, EmpiricalType, Symbol, _check_alpha, _check_gamma, _check_index, empirical_type
 )
 from .divergence import gjs
 
@@ -130,12 +132,15 @@ class SequentialConfig:
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
-        if self.train_len < 1:
-            raise SizeMismatch(f"training length must be >= 1, got {self.train_len}")
-        if self.cap is None:
-            object.__setattr__(self, "cap", self.train_len * self.train_len)
-        if self.cap < self.train_len:
-            raise SizeMismatch(f"cap {self.cap} is below the training length")
+        train_len = _check_index(self.train_len, SizeMismatch, "training length")
+        if train_len < 1:
+            raise SizeMismatch(f"training length must be >= 1, got {train_len}")
+        cap = train_len * train_len if self.cap is None else self.cap
+        cap = _check_index(cap, SizeMismatch, "cap")
+        if cap < train_len:
+            raise SizeMismatch(f"cap {cap} is below the training length")
+        object.__setattr__(self, "train_len", train_len)
+        object.__setattr__(self, "cap", cap)
 
     @property
     def threshold(self) -> float:
@@ -247,32 +252,6 @@ def _block_scores(
     return scores
 
 
-def _stop(firsts: np.ndarray, cap: int, rule: str, final) -> tuple[np.ndarray, np.ndarray]:
-    """Stopping times and verdict codes from first crossings ``(B, M)``.
-
-    A class is ruled out at its first crossing of ``gamma * N`` (``cap + 1``
-    where it has not crossed), and a trial stops once at most one class
-    survives, or at the cap.  The code is the survivor's index, or -1 for no
-    decision.  ``rule`` picks the verdict when the stopping step rules out
-    every class at once: ``"smaller"`` (binary rule) declares the class with
-    the strictly smaller score and gives up on an exact tie, ``"none"``
-    gives up outright.  ``final(j, t)`` returns what ``"smaller"`` compares
-    for row ``j`` stopping at ``t``: ``(scores, training counts, test
-    counts)`` at that step.
-    """
-    m = firsts.shape[1]
-    times = np.minimum(np.sort(firsts, axis=1)[:, m - 2], cap)
-    alive = firsts > times[:, None]
-    survivors = alive.sum(axis=1)
-    codes = np.where(survivors == 1, alive.argmax(axis=1), -1)
-    if rule == "smaller":
-        for j in np.flatnonzero(survivors == 0).tolist():
-            winner = _smaller_score(*final(j, int(times[j])))
-            if winner is not None:
-                codes[j] = winner
-    return times, codes
-
-
 def _verdict(code: int, fail: Verdict) -> Verdict:
     """The verdict a code stands for; ``fail`` where it is -1."""
     return Verdict.of_class(code) if code >= 0 else fail
@@ -305,6 +284,63 @@ def _smaller_score(
     return None
 
 
+class _Run:
+    """The sequential test on a batch of trials, fed block by block.
+
+    Holds each trial's training counts ``(B, M, K)`` and their ``Phi``, its
+    cumulative test counts, and the first crossing of ``gamma * N`` of each
+    class (``cap + 1`` where it has not crossed).  This is the only code that
+    applies the stopping rule: a class is ruled out at its first crossing,
+    and a trial stops once at most one class survives, or at the cap.
+    ``rule`` picks the verdict when the stopping step rules out every class
+    at once: ``"smaller"`` (binary rule) declares the class with the strictly
+    smaller score and gives up on an exact tie, ``"none"`` gives up outright.
+    """
+
+    def __init__(self, train: np.ndarray, cfg: SequentialConfig, rule: str) -> None:
+        self.train, self.cfg, self.rule = train, cfg, rule
+        self.phi_train = _phi_array(train.transpose(2, 0, 1), cfg.train_len, cfg.train_len)
+        self.first = np.full(train.shape[:2], cfg.cap + 1, dtype=np.int64)
+        self.counts = np.zeros((train.shape[2], len(train)), dtype=np.int64)
+
+    def block(
+        self, rows: np.ndarray | slice, start: int, symbols: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feed the trials ``rows`` their test symbols at positions ``start ..``.
+
+        ``rows`` is an index array, or a slice, which spares a one-trial run
+        the copies of fancy indexing; ``symbols`` holds ``L`` symbol indices
+        per trial fed.  Returns the scores ``(trials, M, L)`` at prefix
+        lengths ``start + 1 .. start + L``, and each trial's stopping time
+        and verdict code (the survivor's index, or -1 for no decision); a
+        time past ``start + L`` means the trial has not stopped.
+        """
+        cfg = self.cfg
+        k = len(self.counts)
+        counts = np.cumsum(symbols == np.arange(k)[:, None, None], axis=2, dtype=np.int64)
+        counts += self.counts[:, rows, None]
+        self.counts[:, rows] = counts[:, :, -1]
+        train = self.train[rows]
+        n = np.arange(start + 1, start + symbols.shape[1] + 1)
+        scores = _block_scores(train, self.phi_train[rows], counts, n, cfg.train_len)
+        crossed = scores >= cfg.threshold
+        at = np.where(crossed.any(axis=2), start + 1 + crossed.argmax(axis=2), cfg.cap + 1)
+        firsts = self.first[rows] = np.minimum(self.first[rows], at)
+        stop = np.minimum(np.sort(firsts, axis=1)[:, -2], cfg.cap)
+        alive = firsts > stop[:, None]
+        survivors = alive.sum(axis=1)
+        codes = np.where(survivors == 1, alive.argmax(axis=1), -1)
+        if self.rule == "smaller":
+            for j in np.flatnonzero(survivors == 0).tolist():
+                step = int(stop[j]) - start - 1
+                winner = _smaller_score(
+                    scores[j, :, step].tolist(), train[j].tolist(), counts[:, j, step].tolist()
+                )
+                if winner is not None:
+                    codes[j] = winner
+        return scores, stop, codes
+
+
 def _lockstep(
     train: np.ndarray,
     cfg: SequentialConfig,
@@ -315,66 +351,40 @@ def _lockstep(
     """Run the sequential test on a batch of trials in lockstep.
 
     ``train`` holds each trial's training counts ``(B, M, K)``, each of
-    length ``cfg.train_len``.
-    ``draw(rows, start, stop)`` returns the test symbol indices at positions
-    ``start .. stop-1`` of the batch trials ``rows``, shape
-    ``(len(rows), stop - start)``.  Every block scores all classes at a run
-    of prefix lengths at once; trials still undecided at its end carry their
-    counts and first crossings into the next, wider block.
+    length ``cfg.train_len``.  ``draw(rows, start, stop)`` returns the test
+    symbol indices at positions ``start .. stop-1`` of the batch trials
+    ``rows``, shape ``(len(rows), stop - start)``.  Every block scores all
+    classes at a run of prefix lengths at once; trials still undecided at
+    its end go on to the next, wider block.
 
     Returns the stopping times ``(B,)``, the verdict codes ``(B,)`` of
-    :func:`_stop` and the first crossings ``(B, M)``, 0 for a class that had
-    not crossed by the stopping time.  With ``record`` the fourth item lists
-    each trial's score rows ``(T, M)``; without it, it is ``None``.
+    :meth:`_Run.block` and the first crossings ``(B, M)``, 0 for a class
+    that had not crossed by the stopping time.  With ``record`` the fourth
+    item lists each trial's score rows ``(T, M)``; without it, it is ``None``.
     """
-    big_n = cfg.train_len
-    cap = cfg.cap
-    threshold = cfg.threshold
+    run = _Run(train, cfg, rule)
     batch, m, k = train.shape
-    phi_train = _phi_array(train.transpose(2, 0, 1), big_n, big_n)
-    never = cap + 1
-    first = np.full((batch, m), never, dtype=np.int64)
     times = np.empty(batch, dtype=np.int64)
     codes = np.empty(batch, dtype=np.int64)
-    carry = np.zeros((k, batch), dtype=np.int64)
     blocks: list[list[np.ndarray]] = [[] for _ in range(batch)]
     active = np.arange(batch)
     start = 0
     width = FIRST_WIDTH
     while active.size:
         fits = BLOCK_ENTRIES // (active.size * m * k) // 4 * 4
-        symbols = draw(active, start, min(start + max(4, min(width, fits)), cap))
-        w = symbols.shape[1]
-        n = np.arange(start + 1, start + w + 1)
-        counts = np.empty((k, active.size, w), dtype=np.int64)
-        for x in range(k):
-            np.cumsum(symbols == x, axis=1, out=counts[x])
-            counts[x] += carry[x, active, None]
-        scores = _block_scores(train[active], phi_train[active], counts, n, big_n)
-        crossed = scores >= threshold
-        at = np.where(crossed.any(axis=2), start + 1 + crossed.argmax(axis=2), never)
-        firsts = np.minimum(first[active], at)
-        first[active] = firsts
-
-        def final(j: int, t: int):
-            step = t - start - 1
-            row = active[j]
-            return scores[j, :, step].tolist(), train[row].tolist(), counts[:, j, step].tolist()
-
-        stop, code = _stop(firsts, cap, rule, final)
-        end = start + w
-        done = stop <= end
+        symbols = draw(active, start, min(start + max(4, min(width, fits)), cfg.cap))
+        scores, stop, code = run.block(active, start, symbols)
+        start += symbols.shape[1]
+        done = stop <= start
         times[active[done]] = stop[done]
         codes[active[done]] = code[done]
         if record:
             for j, i in enumerate(active.tolist()):
                 blocks[i].append(scores[j].T)
-        carry[:, active] = counts[:, :, -1]
         active = active[~done]
-        start = end
         width *= GROWTH
     rows = [np.concatenate(b)[:t] for b, t in zip(blocks, times.tolist())] if record else None
-    return times, codes, np.where(first <= times[:, None], first, 0), rows
+    return times, codes, np.where(run.first <= times[:, None], run.first, 0), rows
 
 
 # --------------------------------------------------------------------------
@@ -426,84 +436,56 @@ def gutman_multiclass(
 
 @dataclass(eq=False)
 class SequentialState:
-    """Mutable state of the sequential test between steps."""
+    """Mutable state of the sequential test between steps: a one-trial run."""
 
-    config: SequentialConfig
     alphabet: Alphabet
-    train: np.ndarray = field(repr=False)
-    phi_train: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
+    _run: _Run = field(repr=False)
     n: int = 0
     scores: tuple[float, ...] = ()
-    crossed: tuple[int | None, ...] = ()
     verdict: Verdict | None = None
+
+    @property
+    def config(self) -> SequentialConfig:
+        return self._run.cfg
+
+    @property
+    def crossed(self) -> tuple[int | None, ...]:
+        """Each class's first crossing of ``gamma * N``, ``None`` before it crosses."""
+        return tuple(t if t <= self.n else None for t in self._run.first[0].tolist())
 
 
 def _start(
-    train_sequences: Sequence[Sequence[Symbol]], cfg: SequentialConfig, alphabet: Alphabet
+    trains: Sequence[Sequence[Symbol]], cfg: SequentialConfig, alphabet: Alphabet, rule: str
 ) -> SequentialState:
-    """State before the first test symbol: training counts and their ``Phi``."""
-    for seq in train_sequences:
+    """State before the first test symbol, stopping by ``rule`` (see :class:`_Run`)."""
+    for seq in trains:
         if len(seq) != cfg.train_len:
-            raise LengthMismatch(
-                f"training length {len(seq)} != configured {cfg.train_len}"
-            )
-    train = np.array([empirical_type(seq, alphabet).counts for seq in train_sequences])
-    m = len(train)
-    return SequentialState(
-        config=cfg,
-        alphabet=alphabet,
-        train=train,
-        phi_train=_phi_array(train.T, cfg.train_len, cfg.train_len),
-        counts=np.zeros(alphabet.size, dtype=np.int64),
-        scores=(0.0,) * m,
-        crossed=(None,) * m,
-    )
+            raise LengthMismatch(f"training length {len(seq)} != configured {cfg.train_len}")
+    train = np.array([[empirical_type(seq, alphabet).counts for seq in trains]])
+    return SequentialState(alphabet, _Run(train, cfg, rule), scores=(0.0,) * train.shape[1])
 
 
-def _advance(state: SequentialState, y: Symbol, rule: str) -> Verdict | None:
-    """Feed one test symbol; returns the verdict once the test stops.
-
-    Every class is scored and its first crossing of ``gamma * N`` kept; the
-    test stops, with its verdict, as :func:`_stop` rules under ``rule``.
-    """
+def _advance(state: SequentialState, y: Symbol) -> Verdict | None:
+    """Feed one test symbol to the state's run; returns the verdict once the test stops."""
     if state.verdict is not None:
         raise SteppedAfterStop("the sequential test already delivered a verdict")
-    cfg = state.config
-    state.counts[state.alphabet.index_of(y)] += 1
-    n = state.n = state.n + 1
-    column = state.counts[:, None, None]
-    train, phi_train = state.train[None], state.phi_train[None]
-    scores = _block_scores(train, phi_train, column, np.array([n]), cfg.train_len)[0, :, 0].tolist()
-    state.scores = tuple(scores)
-    threshold = cfg.threshold
-    state.crossed = tuple(
-        n if c is None and s >= threshold else c for c, s in zip(state.crossed, scores)
-    )
-    firsts = np.array([[cfg.cap + 1 if c is None else c for c in state.crossed]])
-
-    def final(j: int, t: int):
-        return scores, state.train.tolist(), state.counts.tolist()
-
-    stop, code = _stop(firsts, cfg.cap, rule, final)
-    if stop[0] <= n:
+    symbol = np.array([[state.alphabet.index_of(y)]])
+    scores, stop, code = state._run.block(slice(None), state.n, symbol)
+    state.n += 1
+    state.scores = tuple(scores[0, :, 0].tolist())
+    if stop[0] <= state.n:
         state.verdict = _verdict(int(code[0]), Verdict.undecided())
     return state.verdict
 
 
 def seq_binary_start(
-    x1: Sequence[Symbol],
-    x2: Sequence[Symbol],
-    cfg: SequentialConfig,
-    alphabet: Alphabet,
+    x1: Sequence[Symbol], x2: Sequence[Symbol], cfg: SequentialConfig, alphabet: Alphabet
 ) -> SequentialState:
     """Initialize the binary sequential test from two training sequences."""
-    return _start((x1, x2), cfg, alphabet)
+    return _start((x1, x2), cfg, alphabet, "smaller")
 
 
-def seq_binary_step(
-    state: SequentialState, y: Symbol
-) -> tuple[SequentialState, Verdict | None]:
+def seq_binary_step(state: SequentialState, y: Symbol) -> tuple[SequentialState, Verdict | None]:
     """Feed one test symbol; returns the verdict once the test stops.
 
     At the first step where a score reaches ``gamma * N`` the crossed class
@@ -512,7 +494,7 @@ def seq_binary_step(
     the two are within rounding of each other; an exact tie, or reaching the
     cap without a crossing, yields no decision.
     """
-    return state, _advance(state, y, "smaller")
+    return state, _advance(state, y)
 
 
 def seq_multiclass_run(
@@ -532,15 +514,15 @@ def seq_multiclass_run(
     """
     if len(train_sequences) < 2:
         raise SizeMismatch("need at least two training sequences")
-    state = _start(train_sequences, cfg, alphabet)
+    state = _start(train_sequences, cfg, alphabet, "none")
     rows: list[tuple[float, ...]] = []
 
     def trace(verdict: Verdict) -> TrialTrace:
-        scores = np.array(rows).reshape(state.n, len(state.train))
+        scores = np.array(rows).reshape(state.n, len(state.scores))
         return TrialTrace(scores, state.n, verdict, state.crossed)
 
     for sym in stream:
-        verdict = _advance(state, sym, "none")
+        verdict = _advance(state, sym)
         rows.append(state.scores)
         if verdict is not None:
             return trace(verdict)

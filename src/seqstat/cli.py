@@ -14,15 +14,16 @@ Inputs come from a JSON config (``--config``).  ``--seed``, ``--gamma``,
 ``--trials`` and ``--alpha`` are merged into the config before anything is
 checked, so a flag is checked exactly like the field it replaces.  One
 table lists the number fields with whether each must be an integer and
-whether it must be positive, and one checker validates every number the
-config holds: those fields, each ``gamma_grid`` entry, each weight and each
-prior.  JSON booleans are not numbers.  The scalar pair commands (gjs,
-chernoff, fixed-point) also accept the distributions inline as ``--p`` /
-``--q`` comma-separated weights, in which case the config file is optional
-and the config is the flags alone.  Scalars are printed with 12
-significant digits; CSV numbers use the shortest round-trip decimal form.
-Exit codes: 0 on success, 2 on validation failure, 3 on a numerical
-failure.
+whether it must be positive or nonnegative, and one checker validates every
+number the config holds: those fields, each ``gamma_grid`` entry, each
+weight and each prior.  JSON booleans, ``NaN`` and ``Infinity`` are not
+accepted as numbers.  The scalar pair commands (gjs, chernoff, fixed-point)
+also accept the distributions inline as ``--p`` / ``--q`` comma-separated
+weights, in which case the config file is optional and the config is the
+flags alone.  A rejected weight names its field or flag.  Scalars are
+printed with 12 significant digits; CSV numbers use the shortest round-trip
+decimal form.  Exit codes: 0 on success, 2 on validation failure, 3 on a
+numerical failure.
 """
 
 from __future__ import annotations
@@ -58,17 +59,18 @@ _TOP_KEYS = {
     "seed", "true_class", "priors", "test", "pair", "alpha", "trial_index",
 }
 _TEST_KEYS = {"kind", "n_test", "lambda", "mode"}
-# Number fields of the config and of its test object: (integer, positive).
+# Number fields of the config and of its test object: (integer, sign), the
+# sign "positive" or "nonnegative".
 _NUMBERS = {
-    "gamma": (False, True),
-    "train_len": (True, True),
-    "cap": (True, True),
-    "trials": (True, True),
-    "seed": (True, False),
-    "alpha": (False, False),
-    "trial_index": (True, False),
-    "test.n_test": (True, False),
-    "test.lambda": (False, False),
+    "gamma": (False, "positive"),
+    "train_len": (True, "positive"),
+    "cap": (True, "positive"),
+    "trials": (True, "positive"),
+    "seed": (True, "nonnegative"),
+    "alpha": (False, "nonnegative"),
+    "trial_index": (True, "nonnegative"),
+    "test.n_test": (True, "positive"),
+    "test.lambda": (False, "nonnegative"),
 }
 
 COMPARISON_COLUMNS = (
@@ -113,15 +115,20 @@ def _expect(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _number(value, field: str, integer: bool = False, positive: bool = False):
-    """``value`` checked as a number of the config ``field``.
+def _number(value, field: str, integer: bool = False, sign: str | None = None):
+    """``value`` checked as a finite number of the config ``field``.
 
     An integer field comes back as an ``int`` (JSON ``5.0`` is ``5``); any
-    other number comes back as given.
+    other number comes back as given.  JSON's ``NaN`` and ``Infinity`` are
+    rejected.
     """
     _expect(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"config field {field!r} must be a number, got {value!r}",
+    )
+    _expect(
+        isinstance(value, int) or math.isfinite(value),
+        f"config field {field!r} must be finite, got {value!r}",
     )
     if integer:
         _expect(
@@ -129,8 +136,11 @@ def _number(value, field: str, integer: bool = False, positive: bool = False):
             f"config field {field!r} must be an integer",
         )
         value = int(value)
-    if positive:
-        _expect(value > 0, f"config field {field!r} must be positive")
+    if sign is not None:
+        _expect(
+            value > 0 or (sign == "nonnegative" and value == 0),
+            f"config field {field!r} must be {sign}",
+        )
     return value
 
 
@@ -139,6 +149,14 @@ def _name(value, field: str, names: list[str]) -> None:
         isinstance(value, str) and value in names,
         f"config field {field!r} names unknown distribution {value!r}",
     )
+
+
+def _distribution(weights: list, alphabet: Alphabet, source: str) -> Distribution:
+    """``make_distribution``, whose rejection names ``source``: the weights' flag or field."""
+    try:
+        return make_distribution(weights, alphabet)
+    except ValidationError as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
 
 
 def _read_json(path: str) -> dict:
@@ -173,10 +191,7 @@ def _check_file(cfg: dict) -> None:
         _expect(isinstance(weights, list), f"distribution {name!r} must be a list of weights")
         field = f"distributions.{name}"
         checked = [_number(w, field) for w in weights]
-        try:
-            dists[name] = make_distribution(checked, alphabet)
-        except ValidationError as exc:
-            raise type(exc)(f"config field {field!r}: {exc}") from exc
+        dists[name] = _distribution(checked, alphabet, f"config field {field!r}")
     names = list(dists)
 
     grid = cfg.get("gamma_grid")
@@ -186,7 +201,7 @@ def _check_file(cfg: dict) -> None:
             "config field 'gamma_grid' must be a nonempty list",
         )
         for gamma in grid:
-            _number(gamma, "gamma_grid")
+            _number(gamma, "gamma_grid", sign="positive")
 
     if cfg.get("true_class") not in (None, "sweep"):
         _name(cfg["true_class"], "true_class", names)
@@ -196,7 +211,7 @@ def _check_file(cfg: dict) -> None:
         _expect(isinstance(priors, dict), "config field 'priors' must be an object")
         for name, weight in priors.items():
             _name(name, "priors", names)
-            _number(weight, f"priors.{name}")
+            _number(weight, f"priors.{name}", sign="nonnegative")
         _expect(set(priors) == set(names), "config field 'priors' must cover every distribution")
 
     test = cfg.setdefault("test", {"kind": "sequential"})
@@ -208,6 +223,11 @@ def _check_file(cfg: dict) -> None:
     _expect(
         kind in ("sequential", "gutman"),
         f"config field 'test.kind' must be 'sequential' or 'gutman', got {kind!r}",
+    )
+    mode = test.get("mode", "raw")
+    _expect(
+        mode in ("raw", "scaled"),
+        f"config field 'test.mode' must be 'raw' or 'scaled', got {mode!r}",
     )
 
     pair = cfg.setdefault("pair", names[:2])
@@ -226,11 +246,11 @@ def _load_config(ns: argparse.Namespace) -> dict:
     cfg.update({key: value for key, value in flags.items() if value is not None})
     if ns.config is not None:
         _check_file(cfg)
-    for field, (integer, positive) in _NUMBERS.items():
+    for field, (integer, sign) in _NUMBERS.items():
         *outer, key = field.split(".")
         holder = cfg.get(outer[0], {}) if outer else cfg
         if holder.get(key) is not None:
-            holder[key] = _number(holder[key], field, integer, positive)
+            holder[key] = _number(holder[key], field, integer, sign)
     return cfg
 
 
@@ -290,7 +310,7 @@ def _resolve_pair(cfg: dict, ns: argparse.Namespace):
         q_weights = _parse_weights(ns.q, "--q")
         _expect(len(p_weights) == len(q_weights), "--p and --q must have the same length")
         alphabet = Alphabet(tuple(range(len(p_weights))))
-        return make_distribution(p_weights, alphabet), make_distribution(q_weights, alphabet)
+        return _distribution(p_weights, alphabet, "--p"), _distribution(q_weights, alphabet, "--q")
     _expect(ns.config is not None, "either --config or --p/--q is required")
     return _pair(cfg)
 

@@ -381,6 +381,8 @@ def gutman_bayes_curve(
     alpha) / alpha`` and 0 at or above it.
     """
     program = _program(alpha, p1, p2, per_test=False)
+    if lam < 0.0:
+        raise Infeasible(f"divergence budget {lam} is negative")
     return program.solve(lam * program.alpha)[0]
 
 

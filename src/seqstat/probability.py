@@ -27,6 +27,7 @@ generator for callers that keep one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -105,6 +106,8 @@ class Distribution:
         for w in ws:
             if w < 0.0:
                 raise NegativeWeight(f"weight {w} is negative")
+            if not math.isfinite(w):
+                raise NotNormalized(f"weight {w} is not finite")
         total = math.fsum(ws)
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NotNormalized(f"weights sum to {total}, not 1")
@@ -158,10 +161,11 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.master_seed <= _UINT64_MAX):
-            raise BadSeed(f"master_seed {self.master_seed} outside the 64-bit range")
-        if not (0 <= self.stream_index <= _UINT64_MAX):
-            raise BadSeed(f"stream_index {self.stream_index} outside the 64-bit range")
+        for name in ("master_seed", "stream_index"):
+            value = _check_index(getattr(self, name), BadSeed, name)
+            if not (0 <= value <= _UINT64_MAX):
+                raise BadSeed(f"{name} {value} outside the 64-bit range")
+            object.__setattr__(self, name, value)
 
 
 def make_distribution(weights: Sequence[float], alphabet: Alphabet) -> Distribution:
@@ -193,6 +197,14 @@ def entropy(p: Distribution) -> float:
 def _check_pair(p: Distribution, q: Distribution) -> None:
     if p.alphabet != q.alphabet:
         raise AlphabetMismatch("distributions live on different alphabets")
+
+
+def _check_index(value, error: type[Exception], what: str) -> int:
+    """``value`` as a Python int, numpy integers included; ``error`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_alpha(alpha: float, strict: bool) -> float:
@@ -271,7 +283,7 @@ def stream_indices(
     """
     if not 0 <= start <= stop:
         raise SizeMismatch(f"cannot draw positions {start} to {stop}")
-    SeedSpec(master_seed)
+    master_seed = SeedSpec(master_seed).master_seed
     if len(streams) and not (0 <= min(streams) and max(streams) <= _UINT64_MAX):
         raise BadSeed(
             f"stream indices {min(streams)} .. {max(streams)} outside the 64-bit range"

@@ -61,6 +61,7 @@ from .fixedpoint import solve_fixed_point
 from .probability import (
     Distribution,
     SeedSpec,
+    _check_index,
     bit_generator,  # noqa: F401  (wrapped by name in bench/spans.py)
     sample_indices,  # noqa: F401  (wrapped by name in bench/spans.py)
     stream_indices,
@@ -97,9 +98,13 @@ class ExperimentConfig:
         for d in self.distributions[1:]:
             if d.alphabet != alphabet:
                 raise AlphabetMismatch("experiment distributions share one alphabet")
+        for name in ("train_len", "cap", "trials", "n_test", "true_class"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _check_index(value, SizeMismatch, name))
         if self.trials < 1:
             raise SizeMismatch(f"trials must be >= 1, got {self.trials}")
-        SeedSpec(self.master_seed)
+        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         if self.true_class is not None and not (0 <= self.true_class < m):
             raise SizeMismatch(f"true_class {self.true_class} out of range")
         if self.priors is not None:
@@ -282,6 +287,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
     """Run one fully traced trial; deterministic in ``(config, index)``."""
     if cfg.true_class is None:
         raise ValidationError("run_trial needs a configured true class")
+    trial_index = _check_index(trial_index, ValidationError, "trial index")
     if trial_index < 0:
         raise ValidationError(f"trial index must be >= 0, got {trial_index}")
     return _traced_trials(cfg, [trial_index])[0]

@@ -438,6 +438,14 @@ class TestSequentialConfig:
     def test_default_cap(self):
         assert SequentialConfig(gamma=0.1, train_len=7).cap == 49
 
+    def test_sizes_must_be_integers(self):
+        with pytest.raises(SizeMismatch):
+            SequentialConfig(gamma=0.1, train_len=4.0)
+        with pytest.raises(SizeMismatch):
+            SequentialConfig(gamma=0.1, train_len=4, cap=30.5)
+        cfg = SequentialConfig(gamma=0.1, train_len=np.int64(4), cap=np.int32(20))
+        assert (type(cfg.train_len), type(cfg.cap)) == (int, int)
+
     def test_cap_below_train_len_rejected(self):
         with pytest.raises(SizeMismatch):
             SequentialConfig(gamma=0.1, train_len=10, cap=5)

@@ -96,6 +96,19 @@ class TestScalarCommands:
         assert main(["gjs", "--p", "0.5,0.5", "--q", "0.2,0.3,0.5", "--alpha", "1"]) == 2
         assert "length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["chernoff", "--p=-0.1,0.6,0.5", "--q", "0.3,0.3,0.4"], "--p"),
+            (["gjs", "--p", "nan,0.5,0.5", "--q", "0.2,0.3,0.5", "--alpha", "1"], "--p"),
+            (["chernoff", "--p", "0.3,0.3,0.4", "--q", "0.7,0.7,0.1"], "--q"),
+        ],
+        ids=["negative", "nan", "unnormalized"],
+    )
+    def test_bad_inline_weights_name_their_flag(self, capsys, flags, named):
+        assert main(flags) == 2
+        assert f"{named}: " in capsys.readouterr().err
+
     def test_pair_or_config_required(self, capsys):
         assert main(["chernoff"]) == 2
         assert "--p" in capsys.readouterr().err
@@ -188,6 +201,25 @@ class TestConfigValidation:
             ("simulate", {"test": {"kind": "gutman", "n_test": 2.5, "lambda": 0.05}}, "test.n_test"),
             ("simulate", {"test": {"kind": "gutman", "n_test": "5", "lambda": 0.05}}, "test.n_test"),
             ("simulate", {"test": {"kind": "gutman", "n_test": 5, "lambda": "x"}}, "test.lambda"),
+            ("simulate", {"test": {"kind": "gutman", "n_test": 5, "lambda": -1}}, "test.lambda"),
+            (
+                "simulate",
+                {"test": {"kind": "gutman", "n_test": 5, "lambda": 0.05, "mode": "odd"}},
+                "test.mode",
+            ),
+            ("simulate", {"test": {"kind": "gutman", "n_test": 0, "lambda": 0.05}}, "test.n_test"),
+            ("simulate", {"seed": -1}, "seed"),
+            ("gjs", {"alpha": -1}, "alpha"),
+            ("trace", {"trial_index": -1}, "trial_index"),
+            ("compare-gutman", {"gamma_grid": [0.02, -0.01]}, "gamma_grid"),
+            ("simulate", {"priors": {"P1": -0.5, "P2": 1.5}}, "priors.P1"),
+            ("simulate", {"gamma": math.inf}, "gamma"),
+            ("simulate", {"gamma_grid": [math.nan]}, "gamma_grid"),
+            (
+                "chernoff",
+                {"distributions": {"P1": [math.nan, 0.5, 0.5], "P2": NEAR_PAIR["P2"]}},
+                "distributions.P1",
+            ),
             ("chernoff", {"alphabet": [[0], [1], [2]]}, "alphabet"),
             ("chernoff", {"pair": [["P1"], "P2"]}, "pair"),
             ("chernoff", {"true_class": ["P1"]}, "true_class"),
@@ -203,6 +235,17 @@ class TestConfigValidation:
             "n_test-fraction",
             "n_test-string",
             "lambda-string",
+            "lambda-negative",
+            "mode-unknown",
+            "n_test-zero",
+            "seed-negative",
+            "alpha-negative",
+            "trial_index-negative",
+            "gamma_grid-negative",
+            "prior-negative",
+            "gamma-infinity",
+            "gamma_grid-nan",
+            "weight-nan",
             "alphabet-arrays",
             "pair-array-name",
             "true_class-array",

@@ -207,6 +207,14 @@ class TestFixedLengthProgram:
 
 
 class TestBayesCurves:
+    @pytest.mark.parametrize("curve", [gutman_bayes_curve, gutman_bayes_curve_swapped])
+    def test_negative_threshold_named_as_passed(self, curve, rng):
+        # the curve scales the threshold by alpha; the error must report
+        # the caller's number, not the scaled budget
+        p1, p2 = random_interior_pair(rng, 3)
+        with pytest.raises(Infeasible, match=r"budget -0\.1 is negative"):
+            curve(2.5, -0.1, p1, p2)
+
     def test_alpha_one_matches_fixed_length(self, rng):
         p1, p2 = random_interior_pair(rng, 3)
         lam = 0.4 * gjs(p1, p2, 1.0)

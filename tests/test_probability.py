@@ -85,6 +85,13 @@ class TestMakeDistribution:
     def test_interior_false_on_boundary(self):
         assert not make_distribution([1.0, 0.0], AB).interior
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight(self, bad):
+        # every comparison with NaN is false, so it would pass the sign and
+        # normalization tests
+        with pytest.raises(NotNormalized, match="not finite"):
+            make_distribution([bad, 0.5, 0.5], alphabet(3))
+
 
 class TestEmpiricalType:
     def test_counts(self):
@@ -232,6 +239,16 @@ class TestSampling:
             SeedSpec(-1, 0)
         with pytest.raises(BadSeed):
             SeedSpec(2**64, 0)
+
+    def test_seed_must_be_an_integer(self):
+        # a float key would silently replay the stream of its integer part
+        with pytest.raises(BadSeed, match="master_seed"):
+            SeedSpec(1.5, 0)
+        with pytest.raises(BadSeed, match="stream_index"):
+            SeedSpec(1, 2.7)
+        spec = SeedSpec(np.uint64(3), np.int64(4))
+        assert (type(spec.master_seed), type(spec.stream_index)) == (int, int)
+        assert spec == SeedSpec(3, 4)
 
 
 class TestImmutability:

@@ -79,6 +79,30 @@ class TestExperimentConfig:
         with pytest.raises(BadSeed):
             basic_config(master_seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("master_seed", 1.5, BadSeed),
+            ("train_len", 30.0, SizeMismatch),
+            ("cap", 30.5, SizeMismatch),
+            ("trials", 2.0, SizeMismatch),
+            ("true_class", 0.5, SizeMismatch),
+        ],
+    )
+    def test_integer_fields(self, field, value, error):
+        with pytest.raises(error, match=field):
+            basic_config(**{field: value})
+
+    def test_n_test_must_be_an_integer(self):
+        with pytest.raises(SizeMismatch, match="n_test"):
+            basic_config(test_kind="gutman", n_test=5.5, gutman_lambda=0.1)
+
+    def test_numpy_integers_stored_as_ints(self):
+        cfg = basic_config(train_len=np.int64(30), master_seed=np.uint64(42), trials=np.int32(16))
+        assert cfg == basic_config()
+        assert all(type(v) is int for v in (cfg.train_len, cfg.master_seed, cfg.trials))
+        assert type(estimate(cfg).rows[0].predicted_mean_T) is float
+
     def test_true_class_range(self):
         with pytest.raises(SizeMismatch):
             basic_config(true_class=2)
@@ -186,6 +210,10 @@ class TestTrialMechanics:
         # a negative index must not reach the stream keys as a negative stream
         with pytest.raises(ValidationError, match="trial index must be >= 0, got -1"):
             run_trial(basic_config(), -1)
+
+    def test_run_trial_index_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="trial index must be an integer"):
+            run_trial(basic_config(), 1.5)
 
     def test_single_trial_aggregation_identity(self):
         cfg = basic_config(trials=1)
