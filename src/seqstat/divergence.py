@@ -25,23 +25,33 @@ quantity, ``(1 + alpha)`` times the mutual information between a mixture
 label with prior ``(alpha, 1) / (1 + alpha)`` and the emitted symbol; it
 cancels on near-identical pairs and is kept only as
 :func:`gjs_mutual_info_form`.
+
+``_bracket`` and ``_search``, the package's one bracketed search (doubling,
+then an Illinois search safeguarded by bisection), live here, below every
+module that runs them: :func:`chernoff` runs it on its exponent, and
+:mod:`seqstat.exponents` on its multipliers and in ``constrained_kl_min``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlphabetMismatch, NotInterior
+from .errors import AlphabetMismatch, NonConvergence, NotInterior
 from .probability import Distribution, EmpiricalType, _check_alpha, _check_pair, entropy, kl
 
-# Bracket width, in eta, at which the Chernoff exponent search stops.
-CHERNOFF_ETA_TOLERANCE = 1e-12
+# Bracketed searches run until the bracket is this narrow relatively.
+MU_RELATIVE_WIDTH = 1e-12
+# Search steps allowed on any bracket (the exponent programs' multipliers,
+# the crossing's, the Chernoff exponent's eta) before the search raises.
+CROSSING_MAX_STEPS = 200
 
 
 # --------------------------------------------------------------------------
-# the evaluator and its array forms, shared with the solvers
+# the evaluator, its array forms and the bracketed search, shared with the
+# solvers
 # --------------------------------------------------------------------------
 
 def _mixture_divergences(p: np.ndarray, q: np.ndarray):
@@ -98,6 +108,91 @@ def _entropy_array(p: np.ndarray) -> float:
     return float(-np.sum(pm * np.log(pm)))
 
 
+class _End(NamedTuple):
+    """One end of a multiplier bracket: the relaxed state at ``mu``, the
+    caller's signed excess (growing with ``mu``) and the value the caller
+    reports at this end, ``inf`` where it reports none."""
+
+    mu: float
+    excess: float
+    value: float
+    state: tuple
+
+
+def _bracket(evaluate, lo: _End, mu: float) -> tuple[_End, _End]:
+    """Double the multiplier from ``mu`` until the excess is positive.
+
+    ``lo`` has excess at most 0; ``evaluate(mu, state)`` returns the end at
+    ``mu``, relaxed from ``state``: from ``lo``'s state first, then from the
+    previous end, which becomes the lower end.  Raises
+    :class:`NonConvergence` after 200 doublings.
+    """
+    hi = evaluate(mu, lo.state)
+    doublings = 0
+    while hi.excess <= 0.0:
+        lo = hi
+        hi = evaluate(2.0 * hi.mu, hi.state)
+        doublings += 1
+        if doublings > 200:
+            raise NonConvergence("multiplier bracketing diverged")
+    return lo, hi
+
+
+def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
+    """Illinois search for the multiplier at which the excess changes sign.
+
+    The excess is at most 0 at ``lo`` and positive at ``hi``;
+    ``evaluate(mu, state)`` returns the end at ``mu``, relaxed from
+    ``state``.  Each step is a regula falsi step on the ends' excesses,
+    with the excess of an end kept twice in a row halved (Illinois),
+    clamped strictly inside the bracket and relaxed from the nearer end.
+    The excess grows with ``mu``, so every step narrows the bracket and
+    lowers the smaller excess magnitude of its ends; a step that halves
+    neither is followed by a bisection.  (Regula falsi closing in from one
+    side cuts the excess while it leaves the bracket wide, so the width
+    alone would call for needless bisections.)  The search returns the
+    final ``(lo, hi)``, from which the caller picks its answer, once an end
+    of finite value has its excess within 1e-12 of 0 or the bracket is
+    ``MU_RELATIVE_WIDTH`` wide; :class:`NonConvergence` is raised when
+    ``CROSSING_MAX_STEPS`` steps end before either.
+    """
+    f_lo, f_hi = lo.excess, hi.excess
+    kept = None
+    halved = True
+    steps = 0
+    while True:
+        width = hi.mu - lo.mu
+        tol = MU_RELATIVE_WIDTH * hi.mu
+        smaller = min(hi.excess, -lo.excess)
+        if width <= tol or any(abs(e.excess) <= 1e-12 and e.value < math.inf for e in (lo, hi)):
+            return lo, hi
+        if steps == CROSSING_MAX_STEPS:
+            raise NonConvergence(
+                f"multiplier search unfinished after {steps} steps: "
+                f"excess {lo.excess} to {hi.excess}"
+            )
+        steps += 1
+        bisect = not halved
+        if bisect:
+            mu = 0.5 * (lo.mu + hi.mu)
+        else:
+            mu = hi.mu - f_hi * width / (f_hi - f_lo)
+            mu = min(max(mu, lo.mu + 0.25 * tol), hi.mu - 0.25 * tol)
+        nearer = lo if mu - lo.mu < hi.mu - mu else hi
+        end = evaluate(mu, nearer.state)
+        if end.excess > 0.0:
+            hi, f_hi = end, end.excess
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, f_lo = end, end.excess
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+        halved = bisect or hi.mu - lo.mu <= 0.5 * width or abs(end.excess) <= 0.5 * smaller
+
+
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------
@@ -146,9 +241,12 @@ def gjs_mutual_info_form(p: Distribution, q: Distribution, alpha: float) -> floa
 def chernoff(p: Distribution, q: Distribution) -> float:
     """Chernoff information C(p, q) = -min over eta in [0,1] of ln sum p^eta q^(1-eta).
 
-    The sum runs over the common support.  The inner function is convex in
-    eta; its minimizer is located by bisection on the analytic derivative
-    sign, which also handles pairs whose optimum sits at an endpoint.
+    The sum runs over the common support.  The inner function psi is convex
+    in eta; when its slope changes sign inside [0, 1], :func:`_search` finds
+    the root of the slope divided by its rise over [0, 1], so that the
+    search stops on a relative excess.  Every ``-psi(eta)`` is a lower bound
+    on C, and the value is the larger one at the final ends, which is an
+    endpoint's own value when the optimum sits there.
     """
     _check_pair(p, q)
     pa, qa = p.as_array(), q.as_array()
@@ -157,26 +255,19 @@ def chernoff(p: Distribution, q: Distribution) -> float:
         return math.inf
     lp = np.log(pa[common])
     lq = np.log(qa[common])
+    rise = 1.0  # the endpoints' raw slopes set the scale of every later one
 
-    def derivative(eta: float) -> float:
+    def end(eta: float, state=None) -> _End:
         terms = np.exp(eta * lp + (1.0 - eta) * lq)
-        return float(np.sum(terms * (lp - lq)) / np.sum(terms))
+        total = float(np.sum(terms))
+        return _End(eta, float(np.sum(terms * (lp - lq))) / total / rise, -math.log(total), None)
 
-    lo, hi = 0.0, 1.0
-    if derivative(lo) >= 0.0:
-        eta_star = 0.0
-    elif derivative(hi) <= 0.0:
-        eta_star = 1.0
-    else:
-        while hi - lo > CHERNOFF_ETA_TOLERANCE:
-            mid = 0.5 * (lo + hi)
-            if derivative(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        eta_star = 0.5 * (lo + hi)
-    value = math.log(float(np.sum(np.exp(eta_star * lp + (1.0 - eta_star) * lq))))
-    return -value
+    lo, hi = end(0.0), end(1.0)
+    if lo.excess < 0.0 < hi.excess:
+        rise = hi.excess - lo.excess
+        lo = lo._replace(excess=lo.excess / rise)
+        lo, hi = _search(end, lo, hi._replace(excess=hi.excess / rise))
+    return max(lo.value, hi.value)
 
 
 def joint_sequence_exponent(t1: EmpiricalType, t2: EmpiricalType, w: Distribution) -> float:

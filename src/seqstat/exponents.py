@@ -34,10 +34,11 @@ only after a plain sweep that moves no coordinate more than
 Every multiplier search doubles the multiplier from the program's starting
 one, with ``mu = 0`` (the sources) as the first lower end, and narrows the
 bracket by an Illinois (modified regula falsi) search safeguarded by
-bisection.  The constrained programs search on the constraint slack and
-return a feasible end with its duality gap ``mu * slack`` certified, not an
-iteration heuristic; the Bayes crossing searches on the relaxed objective
-minus the relaxed constraint.
+bisection (``_bracket`` and ``_search`` in :mod:`seqstat.divergence`, which
+:func:`constrained_kl_min` also runs on its path).  The constrained
+programs search on the constraint slack and return a feasible end with its
+duality gap ``mu * slack`` certified, not an iteration heuristic; the Bayes
+crossing searches on the relaxed objective minus the relaxed constraint.
 
 Sources that share no symbol have a defined answer everywhere: every pair of
 finite objective then has the sources' own ``gjs``, so the programs are
@@ -49,12 +50,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import chernoff, gjs, gjs_array, kl_array
-from .errors import EmptyWeights, Infeasible, NonConvergence
+from .divergence import _End, _bracket, _search, chernoff, gjs, gjs_array, kl_array
+from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
 from .fixedpoint import exponent_report
 from .probability import Distribution, _check_alpha, _check_distinct, _check_pair, _same_pair
 
@@ -65,11 +65,6 @@ INNER_MAX_SWEEPS = 20000
 # Relaxations take Newton steps once a sweep moves the mixture no more than
 # this; a Newton iteration counts as one sweep against INNER_MAX_SWEEPS.
 NEWTON_MOVE = 1e-2
-# Multiplier searches run until the bracket is this narrow relatively.
-MU_RELATIVE_WIDTH = 1e-12
-# Search steps allowed on any multiplier bracket (the constrained programs'
-# and the crossing's) before the search raises.
-CROSSING_MAX_STEPS = 200
 # Certified duality gap allowed on a returned optimal value.
 GAP_BOUND = 1e-8
 
@@ -86,89 +81,13 @@ class ComparisonRow:
     margin: float
 
 
-class _End(NamedTuple):
-    """One end of a multiplier bracket: the relaxed state at ``mu``, the
-    caller's signed excess (growing with ``mu``) and the value the caller
-    reports at this end, ``inf`` where it reports none."""
-
-    mu: float
-    excess: float
-    value: float
-    state: tuple
-
-
-def _bracket(evaluate, lo: _End, mu: float) -> tuple[_End, _End]:
-    """Double the multiplier from ``mu`` until the excess is positive.
-
-    ``lo`` has excess at most 0; ``evaluate(mu, state)`` returns the end at
-    ``mu``, relaxed from ``state``: from ``lo``'s state first, then from the
-    previous end, which becomes the lower end.  Raises
-    :class:`NonConvergence` after 200 doublings.
-    """
-    hi = evaluate(mu, lo.state)
-    doublings = 0
-    while hi.excess <= 0.0:
-        lo = hi
-        hi = evaluate(2.0 * hi.mu, hi.state)
-        doublings += 1
-        if doublings > 200:
-            raise NonConvergence("multiplier bracketing diverged")
-    return lo, hi
-
-
-def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
-    """Illinois search for the multiplier at which the excess changes sign.
-
-    The excess is at most 0 at ``lo`` and positive at ``hi``;
-    ``evaluate(mu, state)`` returns the end at ``mu``, relaxed from
-    ``state``.  Each step is a regula falsi step on the ends' excesses,
-    with the excess of an end kept twice in a row halved (Illinois),
-    clamped strictly inside the bracket and relaxed from the nearer end.
-    The excess grows with ``mu``, so every step narrows the bracket and
-    lowers the smaller excess magnitude of its ends; a step that halves
-    neither is followed by a bisection.  (Regula falsi closing in from one
-    side cuts the excess while it leaves the bracket wide, so the width
-    alone would call for needless bisections.)  The search returns the
-    final ``(lo, hi)``, from which the caller picks its answer, once an end
-    of finite value has its excess within 1e-12 of 0 or the bracket is
-    ``MU_RELATIVE_WIDTH`` wide; :class:`NonConvergence` is raised when
-    ``CROSSING_MAX_STEPS`` steps end before either.
-    """
-    f_lo, f_hi = lo.excess, hi.excess
-    kept = None
-    halved = True
-    steps = 0
-    while True:
-        width = hi.mu - lo.mu
-        tol = MU_RELATIVE_WIDTH * hi.mu
-        smaller = min(hi.excess, -lo.excess)
-        if width <= tol or any(abs(e.excess) <= 1e-12 and e.value < math.inf for e in (lo, hi)):
-            return lo, hi
-        if steps == CROSSING_MAX_STEPS:
-            raise NonConvergence(
-                f"multiplier search unfinished after {steps} steps: "
-                f"excess {lo.excess} to {hi.excess}"
-            )
-        steps += 1
-        bisect = not halved
-        if bisect:
-            mu = 0.5 * (lo.mu + hi.mu)
-        else:
-            mu = hi.mu - f_hi * width / (f_hi - f_lo)
-            mu = min(max(mu, lo.mu + 0.25 * tol), hi.mu - 0.25 * tol)
-        nearer = lo if mu - lo.mu < hi.mu - mu else hi
-        end = evaluate(mu, nearer.state)
-        if end.excess > 0.0:
-            hi, f_hi = end, end.excess
-            if kept == "lo":
-                f_lo *= 0.5
-            kept = "lo"
-        else:
-            lo, f_lo = end, end.excess
-            if kept == "hi":
-                f_hi *= 0.5
-            kept = "hi"
-        halved = bisect or hi.mu - lo.mu <= 0.5 * width or abs(end.excess) <= 0.5 * smaller
+def _check_budget(value: float, what: str) -> float:
+    """``value`` as a float; :class:`Infeasible` when it is negative or NaN.
+    An infinite budget is valid."""
+    value = float(value)
+    if not value >= 0.0:
+        raise Infeasible(f"{what} {value} is {'negative' if value < 0.0 else 'not a number'}")
+    return value
 
 
 class _PairProgram:
@@ -296,8 +215,7 @@ class _PairProgram:
         own ``gjs``, so a budget below it has no feasible pair: the value is
         ``inf`` and the pair ``None``.
         """
-        if budget < 0.0:
-            raise Infeasible(f"divergence budget {budget} is negative")
+        budget = _check_budget(budget, "divergence budget")
         slack0 = self.constraint_value(self.a, self.b)
         if slack0 <= budget:
             return 0.0, self.a.copy(), self.b.copy()
@@ -381,9 +299,7 @@ def gutman_bayes_curve(
     alpha) / alpha`` and 0 at or above it.
     """
     program = _program(alpha, p1, p2, per_test=False)
-    if lam < 0.0:
-        raise Infeasible(f"divergence budget {lam} is negative")
-    return program.solve(lam * program.alpha)[0]
+    return program.solve(_check_budget(lam, "divergence budget") * program.alpha)[0]
 
 
 def gutman_bayes_curve_swapped(
@@ -457,16 +373,16 @@ def constrained_kl_min(
 ) -> float:
     """min D(V || p_obj) over distributions with D(V || p_center) <= radius.
 
-    The optimizer lies on the geometric path between ``p_obj`` and
-    ``p_center`` restricted to their common support, so the value follows
-    from a one-dimensional bisection on the path parameter.  The value is
-    nonincreasing in ``radius`` and compares to ``radius`` itself exactly
-    as the radius compares to the Chernoff information of the pair.
+    The optimizer lies on the geometric path ``V_t`` from ``p_obj`` (t = 0)
+    to ``p_center`` (t = 1) restricted to their common support, along which
+    ``D(V_t || p_center)`` falls, so the value follows from :func:`_search`
+    on ``radius - D(V_t || p_center)`` over [0, 1]; it is ``inf`` when even
+    ``V_1`` lies outside the ball.  The value is nonincreasing in ``radius``
+    and compares to ``radius`` itself exactly as the radius compares to the
+    Chernoff information of the pair.
     """
     _check_pair(p_center, p_obj)
-    radius = float(radius)
-    if radius < 0.0:
-        raise Infeasible(f"radius {radius} is negative")
+    radius = _check_budget(radius, "radius")
     center = p_center.as_array()
     obj = p_obj.as_array()
     if radius == 0.0:
@@ -478,26 +394,20 @@ def constrained_kl_min(
         return math.inf
     log_center = np.log(center[common])
     log_obj = np.log(obj[common])
-    k = len(center)
 
-    def point(t: float) -> np.ndarray:
+    def end(t: float, state=None) -> _End:
         x = np.exp((1.0 - t) * log_obj + t * log_center)
-        v = np.zeros(k)
+        v = np.zeros(len(center))
         v[common] = x / x.sum()
-        return v
+        slack = radius - kl_array(v, center)
+        return _End(t, slack, kl_array(v, obj) if slack >= 0.0 else math.inf, None)
 
     # t = 0 is the objective's unconstrained optimum on the common support.
-    v0 = point(0.0)
-    if kl_array(v0, center) <= radius:
-        return kl_array(v0, obj)
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if kl_array(point(mid), center) > radius:
-            lo = mid
-        else:
-            hi = mid
-    return kl_array(point(hi), obj)
+    lo, hi = end(0.0), end(1.0)
+    if lo.excess < 0.0 <= hi.excess:
+        lo, hi = _search(end, lo, hi)
+    # the value of the feasible end nearer the objective, inf if neither is
+    return min(lo.value, hi.value)
 
 
 def lp_closed_form(weights: list[float], delta: float) -> float:
@@ -508,10 +418,11 @@ def lp_closed_form(weights: list[float], delta: float) -> float:
     """
     if len(weights) == 0:
         raise EmptyWeights("weight vector is empty")
-    delta = float(delta)
-    if delta < 0.0:
-        raise Infeasible(f"delta {delta} is negative")
-    return 0.5 * delta * (min(weights) - max(weights))
+    if not all(math.isfinite(w) for w in weights):
+        raise NotNormalized(f"weights must be finite, got {list(weights)}")
+    delta = _check_budget(delta, "delta")
+    spread = min(weights) - max(weights)
+    return 0.5 * delta * spread if spread else 0.0  # 0 for equal weights at any delta
 
 
 def compare_sequential_vs_gutman(

@@ -110,8 +110,8 @@ class ExperimentConfig:
         if self.priors is not None:
             if len(self.priors) != m:
                 raise SizeMismatch("one prior per distribution")
-            if any(p < 0 for p in self.priors):
-                raise ValidationError("priors must be nonnegative")
+            if not all(p >= 0 for p in self.priors):
+                raise ValidationError(f"priors must be nonnegative numbers, got {self.priors}")
             if abs(math.fsum(self.priors) - 1.0) > 1e-9:
                 raise ValidationError("priors must sum to 1")
         if self.test_kind not in ("sequential", "gutman"):
@@ -318,6 +318,7 @@ def _collect_summaries(
     whole ``BLOCK_TRIALS`` batches, so only a configuration's last span runs
     a partial batch.
     """
+    workers = _check_index(workers, ValidationError, "workers")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     trials = configs[0].trials if configs else 0
@@ -430,6 +431,9 @@ def gutman_reference_run(
     the crossing point that equalizes the two Bayes error exponents at
     ``alpha = train_len / n_test``.
     """
+    n_test = _check_index(n_test, SizeMismatch, "n_test")
+    if n_test < 1:
+        raise SizeMismatch("a fixed-length run needs n_test >= 1")
     lam = cfg.gutman_lambda
     mode = cfg.gutman_mode
     if lam is None:

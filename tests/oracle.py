@@ -34,6 +34,14 @@ replaced in ``_PairProgram.solve``: it doubles and then halves the
 multiplier on the sign of the constraint slack, with the program's own
 Newton relaxations warm-started from the upper end, until the bracket is
 ``MU_RELATIVE_WIDTH`` wide, and certifies the upper end's duality gap.
+
+``bisect_chernoff`` and ``bisect_constrained_kl_min`` are the bisections
+that the same search, now in ``seqstat.divergence``, replaced in
+``chernoff`` and ``constrained_kl_min``: the first halves [0, 1] on the
+sign of the slope of ``ln sum p^eta q^(1-eta)`` until the bracket is 1e-12
+wide and takes the value at its midpoint; the second halves the geometric
+path parameter on the sign of ``D(V_t || center) - radius`` until the
+bracket is 1e-14 wide and takes the value at its upper end.
 """
 
 from __future__ import annotations
@@ -56,12 +64,11 @@ from seqstat import (
     kl,
     sample_indices,
 )
+from seqstat.divergence import CROSSING_MAX_STEPS, MU_RELATIVE_WIDTH, kl_array
 from seqstat.exponents import (
-    CROSSING_MAX_STEPS,
     GAP_BOUND,
     INNER_MAX_SWEEPS,
     INNER_TOLERANCE,
-    MU_RELATIVE_WIDTH,
     _PairProgram,
     _check_alpha,
 )
@@ -433,3 +440,70 @@ def bisect_program(program: _PairProgram, budget: float):
     if not (0.0 <= gap <= GAP_BOUND * (1.0 + abs(value))):
         raise NonConvergence(f"duality gap {gap} above the certified bound")
     return value, q1, q2
+
+
+def bisect_chernoff(p, q) -> float:
+    """``chernoff`` by bisecting the sign of the slope on [0, 1]."""
+    _check_pair(p, q)
+    pa, qa = p.as_array(), q.as_array()
+    common = (pa > 0.0) & (qa > 0.0)
+    if not np.any(common):
+        return math.inf
+    lp = np.log(pa[common])
+    lq = np.log(qa[common])
+
+    def derivative(eta: float) -> float:
+        terms = np.exp(eta * lp + (1.0 - eta) * lq)
+        return float(np.sum(terms * (lp - lq)) / np.sum(terms))
+
+    lo, hi = 0.0, 1.0
+    if derivative(lo) >= 0.0:
+        eta_star = 0.0
+    elif derivative(hi) <= 0.0:
+        eta_star = 1.0
+    else:
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if derivative(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        eta_star = 0.5 * (lo + hi)
+    return -math.log(float(np.sum(np.exp(eta_star * lp + (1.0 - eta_star) * lq))))
+
+
+def bisect_constrained_kl_min(p_center, p_obj, radius: float) -> float:
+    """``constrained_kl_min`` by bisecting the geometric path parameter."""
+    _check_pair(p_center, p_obj)
+    radius = float(radius)
+    if radius < 0.0:
+        raise Infeasible(f"radius {radius} is negative")
+    center = p_center.as_array()
+    obj = p_obj.as_array()
+    if radius == 0.0:
+        return kl_array(center, obj)
+    if kl_array(obj, center) <= radius:
+        return 0.0
+    common = (center > 0.0) & (obj > 0.0)
+    if not np.any(common):
+        return math.inf
+    log_center = np.log(center[common])
+    log_obj = np.log(obj[common])
+
+    def point(t: float) -> np.ndarray:
+        x = np.exp((1.0 - t) * log_obj + t * log_center)
+        v = np.zeros(len(center))
+        v[common] = x / x.sum()
+        return v
+
+    v0 = point(0.0)
+    if kl_array(v0, center) <= radius:
+        return kl_array(v0, obj)
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if kl_array(point(mid), center) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return kl_array(point(hi), obj)

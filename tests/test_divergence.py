@@ -17,10 +17,11 @@ from seqstat import (
     kl,
     make_distribution,
 )
+from seqstat import divergence
 from seqstat.divergence import kl_array
 from seqstat.errors import AlphabetMismatch, NegativeAlpha, NotInterior
 from conftest import alphabet, random_interior, random_interior_pair
-from oracle import gjs_entropy_form, gjs_kl_form
+from oracle import bisect_chernoff, gjs_entropy_form, gjs_kl_form
 
 AB = alphabet(2)
 
@@ -275,6 +276,49 @@ class TestChernoff:
         p = make_distribution([1.0, 0.0], AB)
         q = make_distribution([0.0, 1.0], AB)
         assert chernoff(p, q) == math.inf
+
+    def test_agrees_with_bisection_oracle(self, monkeypatch):
+        # |X| = 2..5: interior pairs, a zero weight on one side, a point
+        # mass, and supports that overlap partly or not at all
+        rng = np.random.default_rng(20191203)
+        evaluations = []
+        search = divergence._search
+
+        def counting(evaluate, lo, hi):
+            calls = []
+
+            def counted(eta, state):
+                calls.append(eta)
+                return evaluate(eta, state)
+
+            ends = search(counted, lo, hi)
+            evaluations.append(2 + len(calls))
+            return ends
+
+        monkeypatch.setattr(divergence, "_search", counting)
+        for i in range(320):
+            size = int(rng.integers(2, 6))
+            p, q = rng.dirichlet(np.ones(size), 2)
+            kind = ("interior", "zero", "point", "split")[i % 4]
+            if kind == "zero":
+                p[int(rng.integers(size))] = 0.0
+            elif kind == "point":
+                p = np.eye(size)[int(rng.integers(size))]
+            elif kind == "split":
+                cut = int(rng.integers(1, size))
+                p[:cut] = 0.0
+                q[cut + int(rng.integers(3)) :] = 0.0
+            alph = alphabet(size)
+            p, q = (make_distribution(list(x / x.sum()), alph) for x in (p, q))
+            got, want = chernoff(p, q), bisect_chernoff(p, q)
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-15 + 1e-12 * want, (p, q, got, want)
+        # evaluations per call with an interior optimum, endpoints included
+        assert len(evaluations) >= 100, len(evaluations)
+        assert np.median(evaluations) <= 10
+        assert max(evaluations) <= 20
 
 
 class TestJointSequenceExponent:

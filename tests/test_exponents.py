@@ -23,7 +23,7 @@ from seqstat import (
     minimize_over_simplices,
     multiclass_thetas,
 )
-from seqstat import exponents
+from seqstat import divergence, exponents
 from seqstat.exponents import (
     GAP_BOUND,
     INNER_TOLERANCE,
@@ -39,6 +39,7 @@ from seqstat.errors import (
     Infeasible,
     NonConvergence,
     NonPositiveGamma,
+    NotNormalized,
     ValidationError,
 )
 from conftest import alphabet, random_interior_pair
@@ -206,6 +207,26 @@ class TestFixedLengthProgram:
             fixed_length_value(1.0, -0.1, p1, p2)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [gutman_type2_exponent, minimize_over_simplices, gutman_bayes_curve, gutman_bayes_curve_swapped],
+    ids=lambda solve: solve.__name__,
+)
+def test_nan_threshold_rejected_before_any_relaxation(solve, rng, monkeypatch):
+    # nan passes a "< 0" check; an infinite threshold is valid and admits
+    # the sources themselves
+    p1, p2 = random_interior_pair(rng, 3)
+    value = solve(2.5, math.inf, p1, p2)
+    assert (value[0] if isinstance(value, tuple) else value) == 0.0
+
+    def relax(*args):
+        raise AssertionError("relaxed a program at a NaN threshold")
+
+    monkeypatch.setattr(_PairProgram, "relax", relax)
+    with pytest.raises(Infeasible, match="budget nan is not a number"):
+        solve(2.5, math.nan, p1, p2)
+
+
 class TestBayesCurves:
     @pytest.mark.parametrize("curve", [gutman_bayes_curve, gutman_bayes_curve_swapped])
     def test_negative_threshold_named_as_passed(self, curve, rng):
@@ -298,7 +319,7 @@ class TestBayesCrossing:
         p2 = make_distribution(WIDE_PAIR[1], alph)
         gutman_bayes_exponent(1.8, p1, p2)
         gutman_bayes_curve(1.8, 0.01, p1, p2)
-        monkeypatch.setattr(exponents, "CROSSING_MAX_STEPS", 1)
+        monkeypatch.setattr(divergence, "CROSSING_MAX_STEPS", 1)
         with pytest.raises(NonConvergence, match="after 1 steps"):
             gutman_bayes_exponent(1.8, p1, p2)
         with pytest.raises(NonConvergence, match="after 1 steps"):
@@ -687,6 +708,20 @@ class TestConstrainedKlMin:
         with pytest.raises(Infeasible):
             constrained_kl_min(p, q, -0.01)
 
+    def test_nan_radius(self, rng):
+        p, q = random_interior_pair(rng, 3)
+        with pytest.raises(Infeasible, match="radius nan is not a number"):
+            constrained_kl_min(p, q, math.nan)
+
+    def test_ball_outside_the_objective_support(self):
+        # every V of finite D(V || objective) is the point mass on symbol 0,
+        # at D = ln 2 from the center, so a smaller ball holds none of them
+        alph = alphabet(2)
+        center = make_distribution([0.5, 0.5], alph)
+        objective = make_distribution([1.0, 0.0], alph)
+        assert constrained_kl_min(center, objective, 0.5) == math.inf
+        assert constrained_kl_min(center, objective, math.log(2.0)) == 0.0
+
     def test_nonincreasing_in_radius(self, rng):
         for _ in range(10):
             p, q = random_interior_pair(rng, 4)
@@ -722,6 +757,24 @@ class TestConstrainedKlMin:
             feasible = _kl2(vs, a) <= radius
             oracle = float(_kl2(vs[feasible], b).min())
             assert abs(value - oracle) <= 1e-6
+
+    def test_agrees_with_bisection_oracle(self, rng):
+        # the families above: random pairs over radii up to 1.1 D(q || p)
+        # and up to 1.6 times the Chernoff information, and binary pairs
+        cases = []
+        for _ in range(30):
+            p, q = random_interior_pair(rng, int(rng.integers(2, 6)))
+            radii = [*np.linspace(0.0, kl(q, p) * 1.1, 12), *np.linspace(0.01, 1.6, 20) * chernoff(p, q)]
+            cases += [(p, q, float(r)) for r in radii]
+        alph = alphabet(2)
+        for a, b in rng.uniform(0.15, 0.85, (20, 2)):
+            center = make_distribution([a, 1 - a], alph)
+            objective = make_distribution([b, 1 - b], alph)
+            cases.append((center, objective, float(rng.uniform(0.1, 0.9)) * kl(objective, center)))
+        for center, objective, radius in cases:
+            value = constrained_kl_min(center, objective, radius)
+            want = oracle.bisect_constrained_kl_min(center, objective, radius)
+            assert abs(value - want) <= 1e-11, (center, objective, radius)
 
 
 class TestLpClosedForm:
@@ -769,6 +822,20 @@ class TestLpClosedForm:
     def test_negative_delta(self):
         with pytest.raises(Infeasible):
             lp_closed_form([1.0, 2.0], -1.0)
+
+    def test_nan_delta(self):
+        with pytest.raises(Infeasible, match="delta nan is not a number"):
+            lp_closed_form([1.0, 2.0], math.nan)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(NotNormalized, match="weights must be finite"):
+            lp_closed_form([1.0, weight], 0.5)
+
+    def test_infinite_delta(self):
+        # no mass moves between equal weights, however much may
+        assert lp_closed_form([2.0, 2.0], math.inf) == 0.0
+        assert lp_closed_form([1.0, 2.0], math.inf) == -math.inf
 
 
 class TestMulticlassBayes:

@@ -57,6 +57,10 @@ def basic_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 def report_key(report):
     """Everything except the wall clock."""
     return (report.rows, report.bayes_error_rate, report.master_seed)
@@ -115,6 +119,12 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError):
             basic_config(priors=(0.6, 0.6))
 
+    def test_nan_prior_rejected(self):
+        # nan passes both "p < 0" and the sum test; estimate would report a
+        # nan Bayes error rate
+        with pytest.raises(ValidationError, match="nonnegative"):
+            basic_config(priors=(math.nan, 1.0))
+
     def test_unknown_test_kind(self):
         with pytest.raises(ValidationError):
             basic_config(test_kind="bootstrap")
@@ -152,6 +162,12 @@ class TestDeterminism:
     def test_worker_count_below_one_rejected(self, workers):
         with pytest.raises(ValidationError, match="workers"):
             estimate(basic_config(), workers=workers)
+
+    def test_worker_count_must_be_an_integer(self, monkeypatch):
+        # 16 trials would go to a pool at 1.5 workers
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValidationError, match="workers must be an integer"):
+            estimate(basic_config(), workers=1.5)
 
     def test_worker_spans_are_whole_batches(self, monkeypatch):
         cfg = basic_config(trials=300, true_class=None)
@@ -351,6 +367,12 @@ class TestPredictedMeanT:
 
 
 class TestGutmanReference:
+    def test_zero_test_length_rejected(self, monkeypatch):
+        # without a threshold the run divides train_len by n_test
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(SizeMismatch, match="n_test >= 1"):
+            gutman_reference_run(basic_config(), 0)
+
     def test_fixed_length_budget_respected(self):
         cfg = basic_config(trials=25, true_class=None)
         report = gutman_reference_run(cfg, n_test=7)

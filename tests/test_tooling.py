@@ -1,7 +1,7 @@
 """The benchmark's hooks into the package still resolve, every public name
 resolves and is listed once, nothing leans on a package the project does not
-declare, ``estimate`` builds no per-trial objects, and the README's example
-config still runs.
+declare, every module imports only the modules below it, ``estimate`` builds
+no per-trial objects, and the README's example config still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -22,6 +22,9 @@ SPANS = ROOT / "bench" / "spans.py"
 README = ROOT / "README.md"
 # Installed in some environments but not declared in pyproject.toml.
 UNDECLARED = {"scipy", "mpmath", "hypothesis", "pytest_benchmark"}
+# The package's layers, lowest first; a module may import only earlier ones.
+LAYERS = ["errors", "probability", "divergence", "fixedpoint", "exponents", "classifiers",
+          "simulator", "cli"]
 
 
 def test_no_undeclared_imports():
@@ -40,6 +43,24 @@ def test_no_undeclared_imports():
                 if name.split(".")[0] in UNDECLARED
             ]
     assert found == []
+
+
+def test_imports_follow_the_layers():
+    modules = sorted(path.stem for path in (ROOT / "src" / "seqstat").glob("*.py"))
+    assert modules == sorted([*LAYERS, "__init__"])
+    upward = []
+    for name in LAYERS:
+        path = ROOT / "src" / "seqstat" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                # "from . import x" names the module in the alias
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [
+                    f"{name}:{node.lineno} {target}"
+                    for target in targets
+                    if target not in LAYERS[: LAYERS.index(name)]
+                ]
+    assert upward == []
 
 
 def test_span_targets_resolve():
