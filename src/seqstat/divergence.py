@@ -16,9 +16,11 @@ derivative in ``alpha`` is ``D(p || m)``, and at ``alpha = 0`` that is
 raw weight arrays, all come from one evaluator, ``_mixture_divergences``:
 built once per pair, it maps ``alpha`` to ``(D(p || m), D(q || m))``.  On the common support its
 log-ratios are ``log1p`` of the exact difference ``p - q``, so near-identical
-pairs keep their digits; off it they are ``log1p(1 / alpha)`` (mass of ``p``
-only) and ``log1p(alpha)`` (mass of ``q`` only).  The threshold-equation
-solver in :mod:`seqstat.fixedpoint` evaluates the same function.
+pairs keep their digits, except where ``m <= p / 2``, where ``log(m / p)``
+comes from the ratio ``q / p``; off it they are ``log1p(1 / alpha)`` (mass
+of ``p`` only) and ``log1p(alpha)`` (mass of ``q`` only).  The
+threshold-equation solver in :mod:`seqstat.fixedpoint` evaluates the same
+function.
 
 The entropy form ``(1 + alpha) * H(m) - alpha * H(p) - H(q)`` is the same
 quantity, ``(1 + alpha)`` times the mutual information between a mixture
@@ -28,7 +30,9 @@ cancels on near-identical pairs and is kept only as
 
 ``_bracket`` and ``_search``, the package's one bracketed search (doubling,
 then an Illinois search safeguarded by bisection), live here, below every
-module that runs them: :func:`chernoff` runs it on its exponent, and
+module that runs them, with its one width, ``RELATIVE_BRACKET_WIDTH``, and
+its one step budget, ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on its
+exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
 :mod:`seqstat.exponents` on its multipliers and in ``constrained_kl_min``.
 """
 
@@ -42,11 +46,15 @@ import numpy as np
 from .errors import AlphabetMismatch, NonConvergence, NotInterior
 from .probability import Distribution, EmpiricalType, _check_alpha, _check_pair, entropy, kl
 
-# Bracketed searches run until the bracket is this narrow relatively.
-MU_RELATIVE_WIDTH = 1e-12
-# Search steps allowed on any bracket (the exponent programs' multipliers,
-# the crossing's, the Chernoff exponent's eta) before the search raises.
-CROSSING_MAX_STEPS = 200
+# Bracketed searches run until the bracket is this narrow relative to its top.
+RELATIVE_BRACKET_WIDTH = 1e-13
+# Search steps allowed on any bracket (the threshold equation's root, the
+# exponent programs' multipliers, the crossing's, the Chernoff exponent's
+# eta) before the search raises.  A step that fails to halve the bracket is
+# followed by a bisection, so any two steps at least halve it, and 84
+# halvings take a bracket of width 1 below RELATIVE_BRACKET_WIDTH times the
+# threshold equation's lowest bracket end, fixedpoint.BRACKET_LOW = 1e-12.
+CROSSING_MAX_STEPS = 168
 
 
 # --------------------------------------------------------------------------
@@ -61,30 +69,38 @@ def _mixture_divergences(p: np.ndarray, q: np.ndarray):
     and ``log(m / q) = log1p(alpha (p - q) / ((1 + alpha) q))``; mass of
     ``p`` only contributes ``log1p(1 / alpha)`` per unit and mass of ``q``
     only ``log1p(alpha)``.  At ``alpha = 0``, where the first value is
-    ``D(p || q)``, mass of ``p`` only makes it ``inf``, and symbols with
-    ``q <= p / 2`` take ``log(q / p)`` instead, which keeps the digits of a
-    small ratio that ``1 - (p - q) / p`` rounds away.
+    ``D(p || q)``, mass of ``p`` only makes it ``inf``.  Symbols with
+    ``m <= p / 2`` take ``log((alpha + q / p) / (1 + alpha))`` instead, which
+    keeps the digits of a small ratio that ``1 - (p - q) / ((1 + alpha) p)``
+    rounds away; one comparison with the pair's largest ``(p - q) / p`` skips them
+    when no symbol needs it.
     """
     both = (p > 0.0) & (q > 0.0)
     p_only = float(p[q == 0.0].sum())
     q_only = float(q[p == 0.0].sum())
     p, q = p[both], q[both]
-    to_p, to_q = (p - q) / p, (p - q) / q
+    diff = p - q
+    to_p, to_q = diff / p, diff / q
+    far_to_p = float(to_p.max()) if to_p.size else 0.0
 
     def divergences(alpha: float) -> tuple[float, float]:
         share = 1.0 / (1.0 + alpha)
         if alpha > 0.0:
             p_tail = p_only * math.log1p(1.0 / alpha)
+            d_q = q_only * math.log1p(alpha) - float(q @ np.log1p(alpha * share * to_q))
+        else:
+            # m = q
+            p_tail = math.inf if p_only else 0.0
+            d_q = 0.0
+        switch = 0.5 * (1.0 + alpha)  # m <= p / 2 exactly where to_p >= switch
+        if far_to_p < switch:
             log_m_p = np.log1p(-share * to_p)
         else:
-            # m = q; where q <= p / 2, 1 - to_p has lost the digits of q / p
-            p_tail = math.inf if p_only else 0.0
-            near = to_p < 0.5
-            log_m_p = np.log(q / p)
-            log_m_p[near] = np.log1p(-to_p[near])
-        d_p = p_tail - float(p @ log_m_p)
-        d_q = q_only * math.log1p(alpha) - float(q @ np.log1p(alpha * share * to_q))
-        return d_p, d_q
+            # there 1 - share * to_p has lost the digits of m / p
+            near = to_p < switch
+            log_m_p = np.log((alpha + q / p) / (1.0 + alpha) if alpha > 0.0 else q / p)
+            log_m_p[near] = np.log1p(-share * to_p[near])
+        return p_tail - float(p @ log_m_p), d_q
 
     return divergences
 
@@ -125,16 +141,13 @@ def _bracket(evaluate, lo: _End, mu: float) -> tuple[_End, _End]:
     ``lo`` has excess at most 0; ``evaluate(mu, state)`` returns the end at
     ``mu``, relaxed from ``state``: from ``lo``'s state first, then from the
     previous end, which becomes the lower end.  Raises
-    :class:`NonConvergence` after 200 doublings.
+    :class:`NonConvergence` when the next doubling would overflow.
     """
     hi = evaluate(mu, lo.state)
-    doublings = 0
     while hi.excess <= 0.0:
-        lo = hi
-        hi = evaluate(2.0 * hi.mu, hi.state)
-        doublings += 1
-        if doublings > 200:
-            raise NonConvergence("multiplier bracketing diverged")
+        if math.isinf(2.0 * hi.mu):
+            raise NonConvergence(f"bracketing overflowed past {hi.mu}, excess still {hi.excess}")
+        lo, hi = hi, evaluate(2.0 * hi.mu, hi.state)
     return lo, hi
 
 
@@ -153,8 +166,9 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     alone would call for needless bisections.)  The search returns the
     final ``(lo, hi)``, from which the caller picks its answer, once an end
     of finite value has its excess within 1e-12 of 0 or the bracket is
-    ``MU_RELATIVE_WIDTH`` wide; :class:`NonConvergence` is raised when
-    ``CROSSING_MAX_STEPS`` steps end before either.
+    ``RELATIVE_BRACKET_WIDTH`` wide; :class:`NonConvergence` is raised when
+    ``CROSSING_MAX_STEPS`` steps end before either.  A caller whose ends all
+    have value ``inf`` gets a bracket of that width.
     """
     f_lo, f_hi = lo.excess, hi.excess
     kept = None
@@ -162,16 +176,20 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     steps = 0
     while True:
         width = hi.mu - lo.mu
-        tol = MU_RELATIVE_WIDTH * hi.mu
-        smaller = min(hi.excess, -lo.excess)
-        if width <= tol or any(abs(e.excess) <= 1e-12 and e.value < math.inf for e in (lo, hi)):
+        tol = RELATIVE_BRACKET_WIDTH * hi.mu
+        if (
+            width <= tol
+            or (abs(lo.excess) <= 1e-12 and lo.value < math.inf)
+            or (abs(hi.excess) <= 1e-12 and hi.value < math.inf)
+        ):
             return lo, hi
         if steps == CROSSING_MAX_STEPS:
             raise NonConvergence(
-                f"multiplier search unfinished after {steps} steps: "
+                f"bracketed search unfinished after {steps} steps: "
                 f"excess {lo.excess} to {hi.excess}"
             )
         steps += 1
+        smaller = min(hi.excess, -lo.excess)
         bisect = not halved
         if bisect:
             mu = 0.5 * (lo.mu + hi.mu)

@@ -10,17 +10,14 @@ the left side is concave in ``theta``, vanishes at 0 with slope
 error exponent (``gamma * theta``) and the expected-stopping-time scale
 (training length divided by the root) of the sequential classifier.
 
-The solver brackets the root by doubling from ``theta = 1`` and narrows the
-bracket with a safeguarded Newton iteration on the excess ``gjs - gamma *
-theta`` and its slope ``D(p || m) - gamma``.  Both come from the pair's
-``(D(p || m), D(q || m))`` as the one evaluator in
-:mod:`seqstat.divergence` returns them, so the root solves the equation the
-public ``gjs`` evaluates.  Concavity makes every Newton step from the
-bracket top land between the root and the top, so the iterates descend
-monotonically; a probe just left of the Newton root then closes the bracket
-from below.  A step that fails to halve the bracket is followed by a
-bisection, so any two steps at least halve it and ``MAX_REFINE_STEPS``
-bounds every solve.
+The solver searches on the scaled excess ``(gamma * theta - gjs) / theta =
+gamma - D(p || m) - D(q || m) / theta``, which rises with ``theta`` from
+``gamma - D(p || q)`` at 0, so the lower end needs no evaluation.  It
+brackets the root by doubling from ``theta = 1`` and narrows the bracket
+with the package's one bracketed search (``_bracket`` and ``_search`` in
+:mod:`seqstat.divergence`).  Both divergences come from the one evaluator
+in :mod:`seqstat.divergence`, so the root solves the equation the public
+``gjs`` evaluates.
 """
 
 from __future__ import annotations
@@ -30,16 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _mixture_divergences, chernoff, gjs
+from .divergence import _End, _bracket, _mixture_divergences, _search, chernoff, gjs
 from .errors import GammaOutOfRange, NoSolution, NonConvergence
 from .probability import Distribution, EmpiricalType, _check_distinct, _check_gamma, _check_pair, kl
 
-# The root's bracket is narrowed until it is this narrow relative to its top.
-RELATIVE_BRACKET_WIDTH = 1e-13
-# Refinement steps allowed after the doubling.  Any two consecutive steps at
-# least halve the bracket, and 84 halvings take a bracket of width 1 below
-# RELATIVE_BRACKET_WIDTH * BRACKET_LOW, so a finished solve never needs more.
-MAX_REFINE_STEPS = 168
 # |gjs(p, q, root) - gamma * root| must come out at or below this.
 RESIDUAL_BOUND = 1e-10
 # Initial lower bracket edge; the root is strictly positive when it exists.
@@ -52,12 +43,12 @@ NEAR_CAP_WIDTH = 1e-9
 class FixedPointResult:
     """Root of ``gjs(p, q, theta) = gamma * theta`` with solve diagnostics.
 
-    The excess ``gjs - gamma * theta`` is positive at ``bracket_low`` and not
-    positive at ``bracket_high``, and ``residual`` is the public ``gjs``'s
-    excess at ``theta_star``.  ``iterations`` counts the excess evaluations
-    of the solve: the doubling's (``theta = 1`` included), the Newton,
-    probe and bisection steps, and the sign check at ``BRACKET_LOW`` when
-    the bracket ends there.
+    The excess ``gjs - gamma * theta`` is not negative at ``bracket_low``
+    and negative at ``bracket_high``, and ``residual`` is the public
+    ``gjs``'s excess at ``theta_star``.  ``iterations`` counts the excess
+    evaluations of the solve: the doubling's (``theta = 1`` included), the
+    search's, and the sign check at ``BRACKET_LOW`` when the bracket ends
+    there.
     """
 
     theta_star: float
@@ -86,8 +77,20 @@ class ExponentReport:
     near_cap: bool
 
 
-def _check_below_divergences(dists: list[Distribution], gamma: float) -> None:
-    """Reject ``gamma`` unless every ordered pair of ``dists`` has a root."""
+def _rate_gate(dists: list[Distribution], gamma: float) -> tuple[float, float]:
+    """Check ``gamma`` as a rate for the sequential test on ``dists``.
+
+    Returns ``(gamma, cap)`` with ``cap`` the smallest pairwise Chernoff
+    information.  Raises :class:`GammaOutOfRange` when ``gamma`` exceeds the
+    cap or is not below every ordered pair's divergence, so that every
+    threshold equation has a root; see :func:`exponent_report`.
+    """
+    gamma = _check_gamma(gamma)
+    cap = min(chernoff(p, q) for i, p in enumerate(dists) for q in dists[i + 1 :])
+    if gamma > cap + 1e-12:
+        raise GammaOutOfRange(
+            f"gamma={gamma} exceeds the smallest pairwise Chernoff information {cap}"
+        )
     for i, p in enumerate(dists):
         for j, q in enumerate(dists):
             if i != j and gamma >= kl(p, q):
@@ -95,6 +98,7 @@ def _check_below_divergences(dists: list[Distribution], gamma: float) -> None:
                     f"gamma={gamma} is not below D(P{i + 1}||P{j + 1})={kl(p, q)}, "
                     "so the threshold equation has no root"
                 )
+    return gamma, cap
 
 
 def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPointResult:
@@ -102,15 +106,14 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
 
     Raises :class:`NoSolution` when ``gamma >= D(p || q)``, the exact
     nonexistence condition.  The root is bracketed by doubling from
-    ``theta = 1``; a safeguarded Newton iteration then narrows the bracket
-    to a relative width of ``RELATIVE_BRACKET_WIDTH`` (see the module
+    ``theta = 1`` and the bracket narrowed to a relative width of
+    ``RELATIVE_BRACKET_WIDTH`` by the shared search (see the module
     docstring), one evaluation of the pair's divergences per step.  The
     result carries the bracket's certified signs and the residual of the
     public :func:`gjs` (see :class:`FixedPointResult`).  Raises
-    :class:`NonConvergence` when the doubling overflows, when the
-    refinement takes more than ``MAX_REFINE_STEPS`` steps, when the root
-    lies below ``BRACKET_LOW``, or when the residual exceeds
-    ``RESIDUAL_BOUND``.
+    :class:`NonConvergence` when the doubling overflows, when the search
+    takes more than ``CROSSING_MAX_STEPS`` steps, when the root lies below
+    ``BRACKET_LOW``, or when the residual exceeds ``RESIDUAL_BOUND``.
     """
     _check_pair(p, q)
     gamma = _check_gamma(gamma)
@@ -120,58 +123,24 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
             f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}"
         )
     divergences = _mixture_divergences(p.as_array(), q.as_array())
+    evaluations = 0
 
-    def excess(theta: float) -> tuple[float, float]:
-        # the excess gjs - gamma * theta and its slope D(p || m) - gamma
+    def end(theta: float, state=None) -> _End:
+        # the scaled excess (gamma * theta - gjs) / theta; no value to report
+        nonlocal evaluations
+        evaluations += 1
         d_p, d_q = divergences(theta)
-        return theta * d_p + d_q - gamma * theta, d_p - gamma
+        return _End(theta, gamma - d_p - d_q / theta, math.inf, None)
 
-    lo, hi = BRACKET_LOW, 1.0
-    value, slope = excess(hi)
-    iterations = 1
-    while value > 0.0:
-        lo, hi = hi, 2.0 * hi
-        if math.isinf(hi):
-            raise NonConvergence("root bracketing did not terminate")
-        value, slope = excess(hi)
-        iterations += 1
-    # The excess is concave, so a Newton step from hi (right of the root)
-    # lands between the root and hi.  Once that step is under 3/4 of the
-    # target width tol, a probe 3/4 tol below hi, left of the root, closes
-    # the bracket from below.  Newton points stay tol / 4 clear of lo, so
-    # the final bracket always holds its midpoint strictly inside.
-    halved = True
-    for _ in range(MAX_REFINE_STEPS):
-        width = hi - lo
-        tol = RELATIVE_BRACKET_WIDTH * hi
-        if width <= tol:
-            break
-        bisect = not (halved and slope < 0.0)
-        if bisect:
-            x = 0.5 * (lo + hi)
-        else:
-            x = max(hi - max(value / slope, 0.75 * tol), lo + 0.25 * tol)
-        fx, dx = excess(x)
-        iterations += 1
-        if fx > 0.0:
-            lo = x
-        else:
-            hi, value, slope = x, fx, dx
-        halved = bisect or hi - lo <= 0.5 * width
-    else:
-        if hi - lo > RELATIVE_BRACKET_WIDTH * hi:
-            raise NonConvergence(
-                f"fixed-point bracket still {hi - lo} wide after {MAX_REFINE_STEPS} steps"
-            )
-    if lo == BRACKET_LOW:
-        iterations += 1
-        if excess(lo)[0] <= 0.0:
-            raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
-    theta = 0.5 * (lo + hi)
+    floor = _End(BRACKET_LOW, gamma - slope_at_zero, math.inf, None)
+    lo, hi = _search(end, *_bracket(end, floor, 1.0))
+    if lo.mu == BRACKET_LOW and end(BRACKET_LOW).excess > 0.0:
+        raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
+    theta = 0.5 * (lo.mu + hi.mu)
     residual = abs(gjs(p, q, theta) - gamma * theta)
     if residual > RESIDUAL_BOUND:
         raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
-    return FixedPointResult(theta, residual, lo, hi, iterations)
+    return FixedPointResult(theta, residual, lo.mu, hi.mu, evaluations)
 
 
 def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> ExponentReport:
@@ -188,13 +157,7 @@ def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> Exponen
     rates raise :class:`NonPositiveGamma`.  The report flags rates within
     ``NEAR_CAP_WIDTH`` of the cap.
     """
-    gamma = _check_gamma(gamma)
-    cap = chernoff(p1, p2)
-    if gamma > cap + 1e-12:
-        raise GammaOutOfRange(
-            f"gamma={gamma} exceeds the Chernoff information {cap} of the pair"
-        )
-    _check_below_divergences([p1, p2], gamma)
+    gamma, cap = _rate_gate([p1, p2], gamma)
     beta = solve_fixed_point(p2, p1, gamma)
     theta = solve_fixed_point(p1, p2, gamma)
     return ExponentReport(
@@ -216,19 +179,11 @@ def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
     Requires ``0 < gamma <= min pairwise chernoff`` and ``gamma`` below every
     pairwise divergence, so every entry exists (see :func:`exponent_report`).
     """
-    gamma = _check_gamma(gamma)
     m = len(dists)
     if m < 2:
         raise GammaOutOfRange("need at least two distributions")
     _check_distinct(dists)
-    cap = min(
-        chernoff(dists[i], dists[j]) for i in range(m) for j in range(i + 1, m)
-    )
-    if gamma > cap + 1e-12:
-        raise GammaOutOfRange(
-            f"gamma={gamma} exceeds the smallest pairwise Chernoff information {cap}"
-        )
-    _check_below_divergences(dists, gamma)
+    gamma, _ = _rate_gate(dists, gamma)
     out = np.full((m, m), math.nan)
     for i in range(m):
         for j in range(m):

@@ -11,10 +11,10 @@ replaced: it draws every stream through the public ``sample_indices`` and
 decides through the public ``gutman_binary`` / ``gutman_multiclass``, which
 score with ``gjs`` on ``Distribution`` objects.
 
-``bisect_fixed_point`` is the bisection the safeguarded Newton solver in
-``seqstat.fixedpoint`` replaced: it halves the bracket on the sign of the
-validated public ``gjs`` until the bracket is ``RELATIVE_BRACKET_WIDTH``
-wide.
+``bisect_fixed_point`` is the bisection that ``seqstat.fixedpoint`` first
+replaced by a safeguarded Newton iteration and now by the shared Illinois
+search: it halves the bracket on the sign of the validated public ``gjs``
+until the bracket is ``RELATIVE_BRACKET_WIDTH`` wide.
 
 ``gjs_kl_form`` and ``gjs_entropy_form`` are the two forms the public
 ``gjs`` chose between before one ``log1p`` evaluator replaced both: the
@@ -33,7 +33,7 @@ from its upper end.
 replaced in ``_PairProgram.solve``: it doubles and then halves the
 multiplier on the sign of the constraint slack, with the program's own
 Newton relaxations warm-started from the upper end, until the bracket is
-``MU_RELATIVE_WIDTH`` wide, and certifies the upper end's duality gap.
+``RELATIVE_BRACKET_WIDTH`` wide, and certifies the upper end's duality gap.
 
 ``bisect_chernoff`` and ``bisect_constrained_kl_min`` are the bisections
 that the same search, now in ``seqstat.divergence``, replaced in
@@ -64,7 +64,7 @@ from seqstat import (
     kl,
     sample_indices,
 )
-from seqstat.divergence import CROSSING_MAX_STEPS, MU_RELATIVE_WIDTH, kl_array
+from seqstat.divergence import CROSSING_MAX_STEPS, RELATIVE_BRACKET_WIDTH, kl_array
 from seqstat.exponents import (
     GAP_BOUND,
     INNER_MAX_SWEEPS,
@@ -80,13 +80,7 @@ from seqstat.errors import (
     NonConvergence,
     StreamExhausted,
 )
-from seqstat.fixedpoint import (
-    BRACKET_LOW,
-    RELATIVE_BRACKET_WIDTH,
-    RESIDUAL_BOUND,
-    FixedPointResult,
-    _check_gamma,
-)
+from seqstat.fixedpoint import BRACKET_LOW, RESIDUAL_BOUND, FixedPointResult, _check_gamma
 from seqstat.probability import _check_pair, _same_pair
 
 # Test symbols are drawn from the stream generator in blocks of this size.
@@ -389,7 +383,7 @@ def bisect_bayes_crossing(alpha: float, p1, p2) -> float:
             raise NonConvergence("crossing multiplier bracketing diverged")
     steps = 0
     while True:
-        if abs(objective - constraint) <= 1e-12 or (mu_hi - mu_lo) <= MU_RELATIVE_WIDTH * mu_hi:
+        if abs(objective - constraint) <= 1e-12 or (mu_hi - mu_lo) <= RELATIVE_BRACKET_WIDTH * mu_hi:
             return 0.5 * (objective + constraint)
         if steps == CROSSING_MAX_STEPS:
             raise NonConvergence(f"crossing multiplier bisection unfinished after {steps} steps")
@@ -426,7 +420,7 @@ def bisect_program(program: _PairProgram, budget: float):
         doublings += 1
         if doublings > 200:
             raise NonConvergence("constraint multiplier bracketing diverged")
-    while (mu_hi - mu_lo) > MU_RELATIVE_WIDTH * mu_hi:
+    while (mu_hi - mu_lo) > RELATIVE_BRACKET_WIDTH * mu_hi:
         mu_mid = 0.5 * (mu_lo + mu_hi)
         state_mid = program.relax(mu_mid, state_hi)
         if program.constraint_value(state_mid[0], state_mid[1]) > budget:

@@ -186,6 +186,17 @@ class TestDecimalReference:
                 )
             assert abs(kl_array(p, q) - want) <= 1e-13 * want, (p, q)
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-12])
+    def test_small_alpha_far_pair(self, alpha):
+        # m <= p / 2 on the first symbol: 1 - (p - q) / ((1 + alpha) p)
+        # would round the digits of m / p away
+        p = make_distribution([0.5, 0.5], AB)
+        q = make_distribution([2e-9, 1.0 - 2e-9], AB)
+        want = decimal_reference(p, q, alpha)[:2]
+        got = (gjs(p, q, alpha), gjs_alpha_derivative(p, q, alpha))
+        for name, x, y in zip(("gjs", "derivative"), got, want):
+            assert abs(x - y) <= 1e-13 * y, (name, x, y)
+
 
 class TestDerivative:
     def test_equal_pair_zero(self, rng):

@@ -19,7 +19,8 @@ from seqstat import (
     sample_iid,
     solve_fixed_point,
 )
-from seqstat import fixedpoint
+from seqstat import divergence, fixedpoint
+from seqstat.divergence import CROSSING_MAX_STEPS, RELATIVE_BRACKET_WIDTH
 from seqstat.errors import (
     DuplicateDistribution,
     GammaOutOfRange,
@@ -27,12 +28,7 @@ from seqstat.errors import (
     NonPositiveGamma,
     NoSolution,
 )
-from seqstat.fixedpoint import (
-    BRACKET_LOW,
-    MAX_REFINE_STEPS,
-    RELATIVE_BRACKET_WIDTH,
-    RESIDUAL_BOUND,
-)
+from seqstat.fixedpoint import BRACKET_LOW, RESIDUAL_BOUND
 from conftest import alphabet, random_interior_pair
 import oracle
 
@@ -167,7 +163,7 @@ def boundary_pair(rng, size):
 
 
 def refine_steps(result):
-    """Newton, probe and bisection steps of a solve: the part MAX_REFINE_STEPS bounds."""
+    """Search steps of a solve: the part CROSSING_MAX_STEPS bounds."""
     bracket_evaluations = 1 + max(0, math.ceil(math.log2(result.theta_star)))
     floor_check = 1 if result.bracket_low == BRACKET_LOW else 0
     return result.iterations - bracket_evaluations - floor_check
@@ -181,7 +177,8 @@ def outcome(solve, p, q, gamma):
 
 
 class TestNewtonAgainstBisection:
-    """The safeguarded Newton solver against the bisection it replaced."""
+    """The fixed-point solver (once a safeguarded Newton, now the shared
+    bracketed search) against the bisection it replaced."""
 
     def test_boundary_and_interior_pairs(self):
         rng = np.random.default_rng(31)
@@ -207,16 +204,20 @@ class TestNewtonAgainstBisection:
             assert got.bracket_low < got.theta_star < got.bracket_high
             assert got.bracket_high - got.bracket_low <= RELATIVE_BRACKET_WIDTH * got.bracket_high
             assert got.residual <= RESIDUAL_BOUND
-            assert 0 < refine_steps(got) <= MAX_REFINE_STEPS
+            assert 0 < refine_steps(got) <= CROSSING_MAX_STEPS
         assert smallest < 1e-11
 
     def test_roots_agree_on_the_interior_family(self, rng):
+        evaluations = []
         for _ in range(1000):
             p, q = random_interior_pair(rng, int(rng.integers(2, 6)))
             gamma = float(rng.uniform(0.05, 0.95)) * kl(p, q)
-            got = solve_fixed_point(p, q, gamma).theta_star
+            got = solve_fixed_point(p, q, gamma)
             want = oracle.bisect_fixed_point(p, q, gamma).theta_star
-            assert abs(got - want) <= 1e-12 * want
+            assert abs(got.theta_star - want) <= 1e-12 * want
+            evaluations.append(got.iterations)
+        # the safeguarded Newton this search replaced took 12 and 17 here
+        assert np.median(evaluations) <= 12 and max(evaluations) <= 17
 
     def test_acceptance_pair_agrees_to_1e12(self):
         alph = alphabet(3)
@@ -234,7 +235,7 @@ class TestNewtonAgainstBisection:
         p = make_distribution(NEAR_PAIR[0], alph)
         q = make_distribution(NEAR_PAIR[1], alph)
         assert refine_steps(solve_fixed_point(p, q, 0.02)) > 1
-        monkeypatch.setattr(fixedpoint, "MAX_REFINE_STEPS", 1)
+        monkeypatch.setattr(divergence, "CROSSING_MAX_STEPS", 1)
         with pytest.raises(NonConvergence):
             solve_fixed_point(p, q, 0.02)
 
@@ -247,9 +248,19 @@ class TestNewtonAgainstBisection:
         with pytest.raises(NonConvergence, match="bracketing"):
             solve_fixed_point(p, q, 1e-310)
 
+    def test_tiny_rate_root_near_float_max(self):
+        # the root is about 1.1e299: the doubling runs until just short of
+        # overflow, far past any fixed count of doublings
+        alph = alphabet(3)
+        p = make_distribution(NEAR_PAIR[0], alph)
+        q = make_distribution(NEAR_PAIR[1], alph)
+        result = solve_fixed_point(p, q, 1e-300)
+        assert result.theta_star > 1e299
+        assert result.residual <= RESIDUAL_BOUND
+
     def test_root_below_bracket_low_raises(self):
         # the bisection settles on BRACKET_LOW itself; the solver refuses
-        # because the excess is not positive there
+        # because the excess is negative there
         alph = alphabet(2)
         p = make_distribution([0.3, 0.7], alph)
         q = make_distribution([1.0, 0.0], alph)

@@ -105,6 +105,56 @@ def test_comparison_calls_the_crossing_by_name(monkeypatch):
     assert calls == [row.alpha_used for row in rows]
 
 
+def test_one_bracketed_search(monkeypatch):
+    # every root and multiplier search in the package runs the one search
+    # in seqstat.divergence, looked up in the caller's own globals
+    from seqstat import (
+        Alphabet,
+        chernoff,
+        constrained_kl_min,
+        divergence,
+        gjs,
+        gutman_bayes_exponent,
+        gutman_type2_exponent,
+        make_distribution,
+        solve_fixed_point,
+    )
+
+    calls = []
+    search = divergence._search
+
+    def recording(*args):
+        calls.append(args)
+        return search(*args)
+
+    patched = []
+    for name in LAYERS:
+        module = importlib.import_module(f"seqstat.{name}")
+        if getattr(module, "_search", None) is search:
+            monkeypatch.setattr(module, "_search", recording)
+            patched.append(name)
+    assert patched == ["divergence", "fixedpoint", "exponents"]
+    alphabet = Alphabet((0, 1, 2))
+    p1 = make_distribution([0.1, 0.7, 0.2], alphabet)
+    p2 = make_distribution([0.05, 0.55, 0.4], alphabet)
+    cap = chernoff(p1, p2)
+    runs = {
+        "solve_fixed_point": lambda: solve_fixed_point(p1, p2, 0.02),
+        # an interior pair: the optimal eta lies inside (0, 1)
+        "chernoff": lambda: chernoff(p1, p2),
+        "constrained_kl_min": lambda: constrained_kl_min(p1, p2, 0.5 * cap),
+        "gutman_type2_exponent": lambda: gutman_type2_exponent(1.0, 0.5 * gjs(p1, p2, 1.0), p1, p2),
+        "gutman_bayes_exponent": lambda: gutman_bayes_exponent(1.0, p1, p2),
+    }
+    silent = []
+    for name, run in runs.items():
+        before = len(calls)
+        run()
+        if len(calls) == before:
+            silent.append(name)
+    assert silent == []
+
+
 class _Forbidden:
     """Stands in for a per-trial class; any use fails the run."""
 
