@@ -43,7 +43,7 @@ from .exponents import (
     bayes_multiclass_gutman,
     compare_sequential_vs_gutman,
 )
-from .fixedpoint import multiclass_thetas, solve_fixed_point
+from .fixedpoint import _multiclass_thetas, solve_fixed_point
 from .probability import Alphabet, Distribution, make_distribution
 from .simulator import (
     BLOCK_TRIALS,
@@ -359,8 +359,9 @@ def _cmd_exponents(cfg: dict, ns: argparse.Namespace) -> int:
         # one summary row per rate for the full class set: the matched
         # budget is the smallest pairwise root and the fixed-length
         # exponent is evaluated there
+        cap = None
         for gamma in _gamma_grid(cfg):
-            thetas = multiclass_thetas(dists, gamma)
+            thetas, cap = _multiclass_thetas(dists, gamma, cap)
             alpha_min = float(min(t for t in thetas.flat if not math.isnan(t)))
             lam = bayes_multiclass_gutman(dists, alpha_min)
             rows.append((gamma, None, None, alpha_min, gamma, lam, gamma - lam))

@@ -163,7 +163,10 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     lowers the smaller excess magnitude of its ends; a step that halves
     neither is followed by a bisection.  (Regula falsi closing in from one
     side cuts the excess while it leaves the bracket wide, so the width
-    alone would call for needless bisections.)  The search returns the
+    alone would call for needless bisections.)  While an end's excess is
+    infinite, as the threshold equation's lower end is when ``D(p || q) =
+    inf``, regula falsi would land on the other end, so every step there
+    is a bisection.  The search returns the
     final ``(lo, hi)``, from which the caller picks its answer, once an end
     of finite value has its excess within 1e-12 of 0 or the bracket is
     ``RELATIVE_BRACKET_WIDTH`` wide; :class:`NonConvergence` is raised when
@@ -190,7 +193,7 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
             )
         steps += 1
         smaller = min(hi.excess, -lo.excess)
-        bisect = not halved
+        bisect = not halved or math.isinf(f_hi - f_lo)
         if bisect:
             mu = 0.5 * (lo.mu + hi.mu)
         else:

@@ -23,13 +23,11 @@ The solver exploits the variational identity
 whose minimizer is the ``alpha``-mixture of the pair.  Dualizing the
 divergence constraint with multiplier ``mu`` makes every block of the
 Lagrangian a weighted relative-entropy sum, so each block minimizer is a
-normalized weighted geometric mean, and the Lagrangian's minimizer is the
-fixed point ``W = T(W)`` of one block-descent sweep (the Lagrangian is
-jointly convex with unique block minimizers).  A relaxation iterates the
-sweep and, once the iterate is near the fixed point, replaces it by the
-Newton point of ``W - T(W)``, whose Jacobian has a closed form; it returns
-only after a plain sweep that moves no coordinate more than
-``INNER_TOLERANCE``.
+normalized weighted geometric mean.  Minimizing both blocks in closed form
+leaves a convex function of the mixture ``W`` alone, whose minimizer on the
+simplex is the fixed point ``W = T(W)`` of one block-descent sweep.  A
+relaxation minimizes it by damped Newton steps and returns once a sweep
+moves no coordinate more than ``INNER_TOLERANCE``.
 
 Every multiplier search doubles the multiplier from the program's starting
 one, with ``mu = 0`` (the sources) as the first lower end, and narrows the
@@ -53,18 +51,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _End, _bracket, _search, chernoff, gjs, gjs_array, kl_array
+from .divergence import _End, _bracket, _search, gjs, gjs_array, kl_array
 from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
-from .fixedpoint import exponent_report
+from .fixedpoint import _exponent_report
+from .fixedpoint import exponent_report  # noqa: F401  (wrapped by name in bench/spans.py)
 from .probability import Distribution, _check_alpha, _check_distinct, _check_pair, _same_pair
 
-# Block-descent sweep stops once no coordinate moves more than this; a
-# relaxation that needs more than INNER_MAX_SWEEPS sweeps raises.
+# A relaxation stops once its sweep moves no coordinate more than this; one
+# that needs more than INNER_MAX_SWEEPS sweeps (Newton iterations) raises.
 INNER_TOLERANCE = 1e-15
 INNER_MAX_SWEEPS = 20000
-# Relaxations take Newton steps once a sweep moves the mixture no more than
-# this; a Newton iteration counts as one sweep against INNER_MAX_SWEEPS.
-NEWTON_MOVE = 1e-2
 # Certified duality gap allowed on a returned optimal value.
 GAP_BOUND = 1e-8
 
@@ -124,10 +120,7 @@ class _PairProgram:
 
     def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The relaxed state at ``mu = 0``: the sources and their mixture."""
-        q1 = self.a.copy()
-        q2 = self.b.copy()
-        w = (self.alpha * q1 + q2) / (1.0 + self.alpha)
-        return q1, q2, w
+        return self.a.copy(), self.b.copy(), (self.alpha * self.a + self.b) / (1.0 + self.alpha)
 
     def exponents(self, mu: float) -> tuple[float, float]:
         """Block exponents ``e1``, ``e2`` of the sources at multiplier ``mu``."""
@@ -146,56 +139,64 @@ class _PairProgram:
         q2 = x2 / x2.sum()
         return q1, q2, (self.alpha * q1 + q2) / (1.0 + self.alpha)
 
-    def jacobian(self, q1: np.ndarray, q2: np.ndarray, w: np.ndarray, e1: float, e2: float):
-        """Jacobian of ``T`` at ``w``, given ``q1 = q1(w)`` and ``q2 = q2(w)``.
-
-        ``dq/dw = (1 - e) * (diag q - q q^T) * diag(1 / w)`` for each block.
-        """
-        c1 = self.alpha * (1.0 - e1)
-        c2 = 1.0 - e2
-        jac = np.diag(c1 * q1 + c2 * q2)
-        jac -= c1 * np.outer(q1, q1) + c2 * np.outer(q2, q2)
-        return jac / (w * (1.0 + self.alpha))
+    def derivatives(self, w: np.ndarray, q1: np.ndarray, q2: np.ndarray, t_w: np.ndarray, e: float):
+        """Gradient and Hessian of ``L_mu / (v + mu) + (1 - e)(1 + alpha) sum
+        W`` (see :meth:`relax`) in the relative step ``d = dW / w`` at ``d =
+        0``, from the sweep ``(q1(w), q2(w), T(w))``."""
+        hess = (1.0 - e) ** 2 * (self.alpha * q1[:, None] * q1 + q2[:, None] * q2)
+        hess.flat[:: len(w) + 1] += e * (1.0 - e) * (1.0 + self.alpha) * t_w
+        return (1.0 - e) * (1.0 + self.alpha) * (w - t_w), hess
 
     def relax(self, mu: float, state):
         """Minimize the Lagrangian at multiplier ``mu``, starting from ``state``.
 
-        The minimizer's mixture is the fixed point of the sweep map ``T``.
-        Each iteration is one sweep.  When the sweep moved the mixture by
-        more than ``INNER_TOLERANCE`` but at most ``NEWTON_MOVE``, the next
-        iterate is the Newton point ``w + (I - J)^-1 (T(w) - w)`` instead of
-        ``T(w)``, unless that point leaves the positive orthant.  The state
-        is returned after a plain sweep that moved no coordinate more than
-        ``INNER_TOLERANCE``; :class:`NonConvergence` is raised when
-        ``INNER_MAX_SWEEPS`` iterations end before one.
+        Over ``(Q1, Q2)`` its minimum is ``L_mu(W) = -(v + mu) * [alpha * log
+        S1 + log S2]``, ``S1 = sum a^e W^(1-e)``, ``S2 = sum b^e W^(1-e)``, ``e
+        = v / (v + mu)``, convex in the mixture ``W``.  Each iteration is one
+        sweep from ``w``, whose block minimizers give the derivatives, and one
+        Newton step under ``sum W = 1``, halved until it stays positive and
+        lowers ``L_mu`` by a quarter of the slope's prediction (Boyd &
+        Vandenberghe, *Convex Optimization*, 9.5 and 10.2).  Returns ``(q1(w),
+        q2(w), w)`` once that sweep moves no coordinate more than
+        ``INNER_TOLERANCE``; :class:`NonConvergence` after ``INNER_MAX_SWEEPS``.
         """
         e1, e2 = self.exponents(mu)
-        q1, q2, w = state
-        eye = np.eye(len(w))
+        w = state[2]
+        k = len(w)
+        kkt, rhs = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
         for _ in range(INNER_MAX_SWEEPS):
-            q1n, q2n, wn = self.sweep(w, e1, e2)
-            move = abs(wn - w).max()
-            delta = max(abs(q1n - q1).max(), abs(q2n - q2).max(), move)
-            if delta <= INNER_TOLERANCE:
-                return q1n, q2n, wn
-            # A move already at the tolerance takes the plain sweep: the
-            # Newton point's rounding, amplified by (I - J)^-1, would keep the
-            # q moves above it.
-            if INNER_TOLERANCE < move <= NEWTON_MOVE:
-                jac = self.jacobian(q1n, q2n, w, e1, e2)
-                newton = w + np.linalg.solve(eye - jac, wn - w)
-                if (newton > 0.0).all():
-                    wn = newton
-            q1, q2, w = q1n, q2n, wn
+            q1, q2, t_w = self.sweep(w, e1, e2)
+            move = abs(t_w - w).max()
+            if move <= INNER_TOLERANCE:
+                return q1, q2, w
+            # adding (1 - e)(1 + alpha) sum W, constant on the simplex, makes
+            # the gradient vanish where the sweep stands still
+            grad, kkt[:k, :k] = self.derivatives(w, q1, q2, t_w, e2)
+            kkt[:k, k] = kkt[k, :k] = w
+            rhs[:k] = -grad
+            d = np.linalg.solve(kkt, rhs)[:k]
+            slope, mass, lowest = grad @ d, w @ d, d.min()
+            t = 1.0  # t = 0 always passes
+            while True:
+                if t * lowest > -1.0:
+                    # S(w (1 + t d)) / S(w) = 1 + q . z keeps the change's digits
+                    z = np.expm1((1.0 - e2) * np.log1p(t * d))
+                    change = (1.0 - e2) * (1.0 + self.alpha) * t * mass
+                    change -= self.alpha * math.log1p(q1 @ z) + math.log1p(q2 @ z)
+                    if change <= 0.25 * t * slope:
+                        break
+                t *= 0.5
+            w = w * (1.0 + t * d)
         raise NonConvergence(
-            f"block descent at mu={mu} still moving {delta} after {INNER_MAX_SWEEPS} sweeps"
+            f"block descent at mu={mu} still moving {move} after {INNER_MAX_SWEEPS} sweeps"
         )
 
     def objective_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
         return self.u * kl_array(q1, self.a) + self.v * kl_array(q2, self.b)
 
     def constraint_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
-        return gjs_array(q1, q2, self.alpha)
+        # on the weights that Distribution objects of the pair hold
+        return gjs_array(q1 / math.fsum(q1), q2 / math.fsum(q2), self.alpha)
 
     def collapsed(self) -> tuple[float, np.ndarray]:
         """Zero-budget case: both arguments coincide with one distribution."""
@@ -361,10 +362,7 @@ def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:
         raise EmptyWeights("need at least two distributions")
     _check_distinct(dists)
     return min(
-        gjs(dists[i], dists[j], alpha) / alpha
-        for i in range(m)
-        for j in range(m)
-        if i != j
+        gjs(p, q, alpha) / alpha for i, p in enumerate(dists) for j, q in enumerate(dists) if i != j
     )
 
 
@@ -440,8 +438,9 @@ def compare_sequential_vs_gutman(
     margin is 0 up to the root's residual.
     """
     rows = []
+    cap = None
     for gamma in gamma_grid:
-        report = exponent_report(p1, p2, gamma)
+        report, cap = _exponent_report(p1, p2, gamma, cap)
         alpha_used = min(report.theta_star, report.beta_star)
         gutman = gutman_bayes_exponent(alpha_used, p1, p2)
         rows.append(

@@ -77,16 +77,20 @@ class ExponentReport:
     near_cap: bool
 
 
-def _rate_gate(dists: list[Distribution], gamma: float) -> tuple[float, float]:
+def _rate_gate(
+    dists: list[Distribution], gamma: float, cap: float | None = None
+) -> tuple[float, float]:
     """Check ``gamma`` as a rate for the sequential test on ``dists``.
 
     Returns ``(gamma, cap)`` with ``cap`` the smallest pairwise Chernoff
-    information.  Raises :class:`GammaOutOfRange` when ``gamma`` exceeds the
-    cap or is not below every ordered pair's divergence, so that every
-    threshold equation has a root; see :func:`exponent_report`.
+    information, computed here unless a gate on the same ``dists`` earlier
+    in the call returned it.  Raises :class:`GammaOutOfRange` when ``gamma``
+    exceeds the cap or is not below every ordered pair's divergence, so that
+    every threshold equation has a root; see :func:`exponent_report`.
     """
     gamma = _check_gamma(gamma)
-    cap = min(chernoff(p, q) for i, p in enumerate(dists) for q in dists[i + 1 :])
+    if cap is None:
+        cap = min(chernoff(p, q) for i, p in enumerate(dists) for q in dists[i + 1 :])
     if gamma > cap + 1e-12:
         raise GammaOutOfRange(
             f"gamma={gamma} exceeds the smallest pairwise Chernoff information {cap}"
@@ -157,10 +161,17 @@ def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> Exponen
     rates raise :class:`NonPositiveGamma`.  The report flags rates within
     ``NEAR_CAP_WIDTH`` of the cap.
     """
-    gamma, cap = _rate_gate([p1, p2], gamma)
+    return _exponent_report(p1, p2, gamma)[0]
+
+
+def _exponent_report(
+    p1: Distribution, p2: Distribution, gamma: float, cap: float | None = None
+) -> tuple[ExponentReport, float]:
+    """:func:`exponent_report` and the cap, for the next rate of a grid."""
+    gamma, cap = _rate_gate([p1, p2], gamma, cap)
     beta = solve_fixed_point(p2, p1, gamma)
     theta = solve_fixed_point(p1, p2, gamma)
-    return ExponentReport(
+    report = ExponentReport(
         gamma=gamma,
         beta_star=beta.theta_star,
         theta_star=theta.theta_star,
@@ -169,6 +180,7 @@ def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> Exponen
         bayes_exponent=gamma,
         near_cap=(cap - gamma) <= NEAR_CAP_WIDTH,
     )
+    return report, cap
 
 
 def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
@@ -179,17 +191,24 @@ def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
     Requires ``0 < gamma <= min pairwise chernoff`` and ``gamma`` below every
     pairwise divergence, so every entry exists (see :func:`exponent_report`).
     """
+    return _multiclass_thetas(dists, gamma)[0]
+
+
+def _multiclass_thetas(
+    dists: list[Distribution], gamma: float, cap: float | None = None
+) -> tuple[np.ndarray, float]:
+    """:func:`multiclass_thetas` and the cap, for the next rate of a grid."""
     m = len(dists)
     if m < 2:
         raise GammaOutOfRange("need at least two distributions")
     _check_distinct(dists)
-    gamma, _ = _rate_gate(dists, gamma)
+    gamma, cap = _rate_gate(dists, gamma, cap)
     out = np.full((m, m), math.nan)
     for i in range(m):
         for j in range(m):
             if i != j:
                 out[i, j] = solve_fixed_point(dists[j], dists[i], gamma).theta_star
-    return out
+    return out, cap
 
 
 def empirical_fixed_point(

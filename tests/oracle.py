@@ -23,17 +23,19 @@ relative-entropy form with ``log(p / m)`` ratios, and the entropy form
 pairs.
 
 ``sweep_relax`` and ``bisect_bayes_crossing`` are the plain block-descent
-relaxation and the multiplier bisection that the Newton relaxation and the
-Illinois search in ``seqstat.exponents`` replaced: ``sweep_relax`` repeats
-the sweep until one moves no coordinate more than ``INNER_TOLERANCE``, and
-the crossing halves the multiplier bracket, warm-starting every relaxation
-from its upper end.
+relaxation and the multiplier bisection that the damped Newton relaxation
+and the Illinois search in ``seqstat.exponents`` replaced: ``sweep_relax``
+repeats the sweep until one moves no coordinate more than
+``INNER_TOLERANCE`` (alternating minimization, which shares no arithmetic
+with Newton steps on the reduced Lagrangian), and the crossing halves the
+multiplier bracket, warm-starting every relaxation from its upper end.
 
 ``bisect_program`` is the multiplier bisection that the same Illinois search
 replaced in ``_PairProgram.solve``: it doubles and then halves the
 multiplier on the sign of the constraint slack, with the program's own
-Newton relaxations warm-started from the upper end, until the bracket is
-``RELATIVE_BRACKET_WIDTH`` wide, and certifies the upper end's duality gap.
+damped Newton relaxations warm-started from the upper end, until the
+bracket is ``RELATIVE_BRACKET_WIDTH`` wide, and certifies the upper end's
+duality gap.
 
 ``bisect_chernoff`` and ``bisect_constrained_kl_min`` are the bisections
 that the same search, now in ``seqstat.divergence``, replaced in

@@ -382,6 +382,25 @@ class TestComparisonCsv:
             assert float(row[5]) == lam
             assert math.isclose(float(row[6]), gamma - lam, abs_tol=1e-15)
 
+    def test_exponents_computes_each_cap_once(self, tmp_path, monkeypatch):
+        # one cap for the pair's rows and one for the class set's, where the
+        # cap was computed again for every rate (5 + 5 x 3 calls)
+        from seqstat import fixedpoint
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return chernoff(*args)
+
+        monkeypatch.setattr(fixedpoint, "chernoff", counting)
+        grid = [0.01, 0.015, 0.02, 0.025, 0.03]
+        cfg = write_config(tmp_path, distributions=TRIO, gamma_grid=grid, pair=["P1", "P2"])
+        out = tmp_path / "exp.csv"
+        assert main(["exponents", "--config", cfg, "--out", str(out)]) == 0
+        assert len(read_csv(str(out))[1]) == 10
+        assert len(calls) == 1 + 3
+
 
 class TestSimulateCsv:
     def simulate_config(self, tmp_path, **extra):

@@ -23,7 +23,7 @@ from seqstat import (
     minimize_over_simplices,
     multiclass_thetas,
 )
-from seqstat import divergence, exponents
+from seqstat import divergence, exponents, fixedpoint
 from seqstat.exponents import (
     GAP_BOUND,
     INNER_TOLERANCE,
@@ -384,8 +384,20 @@ def plain_move(program, state, mu):
     return max(np.max(np.abs(q1n - q1)), np.max(np.abs(q2n - q2)), np.max(np.abs(wn - w)))
 
 
+def reduced_lagrangian(program, w, e):
+    """``L_mu(w) / (v + mu)``, the Lagrangian minimized over both blocks,
+    plus ``(1 - e)(1 + alpha) sum w``, a constant on the simplex."""
+    s1 = np.sum(program.a**e * w ** (1.0 - e))
+    s2 = np.sum(program.b**e * w ** (1.0 - e))
+    shift = (1.0 - e) * (1.0 + program.alpha) * np.sum(w)
+    return shift - (program.alpha * math.log(s1) + math.log(s2))
+
+
 class TestNewtonRelaxation:
-    def test_jacobian_matches_central_differences(self, rng):
+    def test_derivatives_match_central_differences(self, rng):
+        # in the relative step d = dW / w: the gradient against central
+        # differences of the shifted L_mu(w (1 + d)), the Hessian against
+        # central differences of that gradient
         for case in range(40):
             size = int(rng.integers(2, 6))
             a = rng.dirichlet(np.ones(size))
@@ -397,15 +409,20 @@ class TestNewtonRelaxation:
             program = _PairProgram(1.0, 1.0 / alpha, a, b, alpha)
             e1, e2 = program.exponents(float(rng.uniform(0.01, 10.0)) * program.mu_start)
             w = rng.dirichlet(np.ones(size))
-            q1, q2, _ = program.sweep(w, e1, e2)
-            jac = program.jacobian(q1, q2, w, e1, e2)
+
+            def gradient(x):
+                # the gradient at x in the step relative to w, not to x
+                return program.derivatives(x, *program.sweep(x, e1, e2), e2)[0] / x * w
+
+            grad, hess = program.derivatives(w, *program.sweep(w, e1, e2), e2)
             for j in range(size):
-                h = 1e-5 * w[j]
                 up, down = w.copy(), w.copy()
-                up[j] += h
-                down[j] -= h
-                column = (program.sweep(up, e1, e2)[2] - program.sweep(down, e1, e2)[2]) / (2 * h)
-                assert np.max(np.abs(column - jac[:, j])) <= 1e-7
+                up[j] += 1e-5 * w[j]
+                down[j] -= 1e-5 * w[j]
+                rise = reduced_lagrangian(program, up, e2) - reduced_lagrangian(program, down, e2)
+                assert abs(rise / 2e-5 - grad[j]) <= 1e-7
+                column = (gradient(up) - gradient(down)) / 2e-5
+                assert np.max(np.abs(column - hess[:, j])) <= 1e-7
 
     def test_every_relaxation_passes_a_plain_sweep(self, monkeypatch):
         returns = []
@@ -436,19 +453,14 @@ class TestNewtonRelaxation:
                 assert np.max(np.abs(x - y)) <= 1e-12
 
     def test_newton_point_outside_the_orthant_falls_back(self):
-        # from the sources, the first Newton point of this relaxation has a
-        # negative coordinate; the relaxation must take the plain sweep
+        # from the sources, the full Newton step of this relaxation leaves
+        # the positive orthant (its smallest relative step is about -210);
+        # the step must be halved
         a = np.array([0.02, 0.48, 0.5, 0.0])
         b = np.array([0.5, 0.0, 0.2, 0.3])
         alpha = 70.0
         program = _PairProgram(1.0, 1.0 / alpha, a, b, alpha)
         mu = 64.0 * program.mu_start
-        e1, e2 = program.exponents(mu)
-        _, _, w = program.start()
-        q1, q2, t = program.sweep(w, e1, e2)
-        assert np.max(np.abs(t - w)) <= exponents.NEWTON_MOVE
-        jac = program.jacobian(q1, q2, w, e1, e2)
-        assert np.min(w + np.linalg.solve(np.eye(len(w)) - jac, t - w)) < 0.0
         state = program.relax(mu, program.start())
         assert plain_move(program, state, mu) <= INNER_TOLERANCE
         slow = oracle.sweep_relax(program, mu, program.start())
@@ -598,9 +610,9 @@ class TestConstrainedPrograms:
                 assert gjs(q1, q2, alpha) <= share * full
 
     def test_exact_zero_slack_end_is_the_answer(self, monkeypatch):
-        # the search lands on a relaxation that meets the budget exactly,
-        # which sorts to the lower end; the upper end is 1.4e-8 short of
-        # the budget and fails the gap certificate
+        # a budget equal to the constraint at the search's first relaxed end
+        # (mu_start, relaxed from the sources) is met exactly there; that
+        # end sorts to the lower end and is the answer
         ends = []
         search = exponents._search
 
@@ -610,17 +622,26 @@ class TestConstrainedPrograms:
 
         monkeypatch.setattr(exponents, "_search", spy)
         alpha, p1, p2 = crossing_family(20191203, 40)[36]
-        lam = 0.6 * gjs(p1, p2, alpha)
-        type2 = gutman_type2_exponent(alpha, lam, p1, p2)
-        curve = gutman_bayes_curve(alpha, lam / alpha, p1, p2)
+        values = []
+        for per_test in (True, False):
+            program = _program(alpha, p1, p2, per_test)
+            q1, q2, _ = program.relax(program.mu_start, program.start())
+            values.append(program.solve(program.constraint_value(q1, q2))[0])
+        type2, curve = values
         assert [lo.excess for lo, _ in ends] == [0.0, 0.0]
         assert abs(curve * alpha - type2) <= 1e-9 * alpha
 
     def test_zero_weight_pairs_at_a_small_budget(self):
-        # alpha about 415 and 369 with one zero weight: relaxing every
-        # bisection point from the upper end runs out of sweeps here
+        # alpha about 415, 369 and 397 with one zero weight: relaxing every
+        # bisection point from the upper end runs out of sweeps on the first
+        # two; on pair 32 (P2 = (0, 1)) plain sweeps contract at 0.99928 and
+        # ran out of sweeps at mu about 1592 and 4.0 before damped Newton
         family = crossing_family(20191203, 73)
-        for i, type2_want, curve_want in ((12, 53.6829, 0.129306), (72, 72.4710, 0.196401)):
+        for i, type2_want, curve_want in (
+            (12, 53.6829, 0.129306),
+            (72, 72.4710, 0.196401),
+            (32, 358.2061, 0.901251),
+        ):
             alpha, p1, p2 = family[i]
             lam = 0.05 * gjs(p1, p2, alpha)
             type2 = gutman_type2_exponent(alpha, lam, p1, p2)
@@ -917,3 +938,20 @@ class TestComparisonTable:
         p2 = make_distribution(WIDE_PAIR[1], alph)
         with pytest.raises(GammaOutOfRange):
             compare_sequential_vs_gutman(p1, p2, [chernoff(p1, p2) * 1.05])
+
+    def test_one_cap_per_call(self, monkeypatch):
+        # the cap was computed once per rate
+        alph = alphabet(3)
+        p1 = make_distribution(WIDE_PAIR[0], alph)
+        p2 = make_distribution(WIDE_PAIR[1], alph)
+        cap = chernoff(p1, p2)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return chernoff(*args)
+
+        monkeypatch.setattr(fixedpoint, "chernoff", counting)
+        rows = compare_sequential_vs_gutman(p1, p2, [cap * k / 5 for k in range(1, 6)])
+        assert len(rows) == 5 and rows[-1].gamma == cap
+        assert calls == [(p1, p2)]

@@ -223,12 +223,16 @@ class TestNewtonAgainstBisection:
         alph = alphabet(3)
         p = make_distribution(NEAR_PAIR[0], alph)
         q = make_distribution(NEAR_PAIR[1], alph)
-        for gamma in (0.02, 0.05):
-            for a, b in ((p, q), (q, p)):
-                got = solve_fixed_point(a, b, gamma)
-                want = oracle.bisect_fixed_point(a, b, gamma)
-                assert abs(got.theta_star - want.theta_star) <= 1e-12 * want.theta_star
-                assert got.iterations <= 15
+        cases = [(a, b, gamma, 15) for gamma in (0.02, 0.05) for a, b in ((p, q), (q, p))]
+        # D(p || q) = inf: the search starts from a lower excess of -inf, where
+        # a regula falsi step lands on the upper end (29 evaluations then)
+        far = make_distribution([0.3, 0.4, 0.3], alph), make_distribution([0.0, 0.5, 0.5], alph)
+        cases.append((*far, 2.0, 20))
+        for a, b, gamma, evaluations in cases:
+            got = solve_fixed_point(a, b, gamma)
+            want = oracle.bisect_fixed_point(a, b, gamma)
+            assert abs(got.theta_star - want.theta_star) <= 1e-12 * want.theta_star
+            assert got.iterations <= evaluations
 
     def test_budget_cut_to_one_raises(self, monkeypatch):
         alph = alphabet(3)
