@@ -49,7 +49,8 @@ from .errors import (
     StreamExhausted,
 )
 from .probability import (
-    Alphabet, EmpiricalType, Symbol, _check_alpha, _check_gamma, _check_index, empirical_type
+    Alphabet, EmpiricalType, Symbol, _check_alpha, _check_gamma, _check_index, _check_real,
+    empirical_type,
 )
 from .divergence import gjs
 
@@ -109,7 +110,8 @@ class GutmanConfig:
     threshold_mode: str = "raw"
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha, strict=True)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha, strict=True))
+        object.__setattr__(self, "lam", _check_real(self.lam, Infeasible, "threshold"))
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise Infeasible(f"threshold must be finite and >= 0, got {self.lam}")
         if self.threshold_mode not in ("raw", "scaled"):
@@ -131,7 +133,7 @@ class SequentialConfig:
     cap: int | None = None
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
         train_len = _check_index(self.train_len, SizeMismatch, "training length")
         if train_len < 1:
             raise SizeMismatch(f"training length must be >= 1, got {train_len}")

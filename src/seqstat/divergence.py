@@ -28,12 +28,12 @@ label with prior ``(alpha, 1) / (1 + alpha)`` and the emitted symbol; it
 cancels on near-identical pairs and is kept only as
 :func:`gjs_mutual_info_form`.
 
-``_bracket`` and ``_search``, the package's one bracketed search (doubling,
-then an Illinois search safeguarded by bisection), live here, below every
-module that runs them, with its one width, ``RELATIVE_BRACKET_WIDTH``, and
-its one step budget, ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on its
-exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
-:mod:`seqstat.exponents` on its multipliers and in ``constrained_kl_min``.
+``_bracket`` and ``_search``, the package's one bracketed search (doubling
+from 1, then an Illinois search safeguarded by bisection), live here, below
+every module that runs them, with its one width, ``RELATIVE_BRACKET_WIDTH``,
+and its one step budget, ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on
+its exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
+:mod:`seqstat.exponents` on its multiplier and in ``constrained_kl_min``.
 """
 
 from __future__ import annotations
@@ -135,15 +135,17 @@ class _End(NamedTuple):
     state: tuple
 
 
-def _bracket(evaluate, lo: _End, mu: float) -> tuple[_End, _End]:
-    """Double the multiplier from ``mu`` until the excess is positive.
+def _bracket(evaluate, lo: _End) -> tuple[_End, _End]:
+    """Double the multiplier from 1 until the excess is positive.
 
-    ``lo`` has excess at most 0; ``evaluate(mu, state)`` returns the end at
-    ``mu``, relaxed from ``state``: from ``lo``'s state first, then from the
+    Every caller starts at 1: ``theta = 1`` for the threshold equation, and
+    ``mu = 1``, block exponent 1/2, for the exponent program.  ``lo`` has
+    excess at most 0; ``evaluate(mu, state)`` returns the end at ``mu``,
+    relaxed from ``state``: from ``lo``'s state first, then from the
     previous end, which becomes the lower end.  Raises
     :class:`NonConvergence` when the next doubling would overflow.
     """
-    hi = evaluate(mu, lo.state)
+    hi = evaluate(1.0, lo.state)
     while hi.excess <= 0.0:
         if math.isinf(2.0 * hi.mu):
             raise NonConvergence(f"bracketing overflowed past {hi.mu}, excess still {hi.excess}")

@@ -8,13 +8,11 @@ The type-II exponent of the fixed-length test with training-to-test ratio
 
 over pairs of distributions on the alphabet of ``P1``; its value is
 :func:`gutman_type2_exponent` and :func:`minimize_over_simplices` also
-returns its argmin.  Rescaling the objective by ``1/alpha`` and the
-threshold to ``lam * alpha`` gives :func:`gutman_bayes_curve`, the variant
-normalized per training sample, whose crossing with the identity line
-(:func:`gutman_bayes_exponent`) fixes the prior-weighted (Bayesian)
-exponent of the test; swapping the roles of ``P1`` and ``P2`` gives the
-mirror-image curve.  One builder, ``_program``, makes the program at
-either scaling.
+returns its argmin.  Its value at threshold ``lam * alpha``, divided by
+``alpha``, is :func:`gutman_bayes_curve`, the exponent per training sample,
+whose crossing with the identity line (:func:`gutman_bayes_exponent`) fixes
+the prior-weighted (Bayesian) exponent of the test; swapping ``P1`` and
+``P2`` gives the mirror-image curve.
 
 The solver exploits the variational identity
 
@@ -23,20 +21,21 @@ The solver exploits the variational identity
 whose minimizer is the ``alpha``-mixture of the pair.  Dualizing the
 divergence constraint with multiplier ``mu`` makes every block of the
 Lagrangian a weighted relative-entropy sum, so each block minimizer is a
-normalized weighted geometric mean.  Minimizing both blocks in closed form
-leaves a convex function of the mixture ``W`` alone, whose minimizer on the
-simplex is the fixed point ``W = T(W)`` of one block-descent sweep.  A
-relaxation minimizes it by damped Newton steps and returns once a sweep
-moves no coordinate more than ``INNER_TOLERANCE``.
+normalized weighted geometric mean, both with the exponent ``1 / (1 + mu)``
+on their source.  Minimizing both blocks in closed form leaves a convex
+function of the mixture ``W`` alone, whose minimizer on the simplex is the
+fixed point ``W = T(W)`` of one block-descent sweep.  A relaxation
+minimizes it by damped Newton steps and returns once a sweep moves no
+coordinate more than ``INNER_TOLERANCE``.
 
-Every multiplier search doubles the multiplier from the program's starting
-one, with ``mu = 0`` (the sources) as the first lower end, and narrows the
+Every multiplier search doubles the multiplier from 1 (block exponent 1/2),
+with ``mu = 0`` (the sources) as the first lower end, and narrows the
 bracket by an Illinois (modified regula falsi) search safeguarded by
 bisection (``_bracket`` and ``_search`` in :mod:`seqstat.divergence`, which
-:func:`constrained_kl_min` also runs on its path).  The constrained
-programs search on the constraint slack and return a feasible end with its
-duality gap ``mu * slack`` certified, not an iteration heuristic; the Bayes
-crossing searches on the relaxed objective minus the relaxed constraint.
+:func:`constrained_kl_min` also runs on its path).  The program searches on
+the constraint slack and returns a feasible end with its duality gap ``mu *
+slack`` certified; the Bayes crossing searches on the relaxed objective
+minus the relaxed constraint, both divided by ``alpha``.
 
 Sources that share no symbol have a defined answer everywhere: every pair of
 finite objective then has the sources' own ``gjs``, so the programs are
@@ -55,7 +54,9 @@ from .divergence import _End, _bracket, _search, gjs, gjs_array, kl_array
 from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
 from .fixedpoint import _exponent_report
 from .fixedpoint import exponent_report  # noqa: F401  (wrapped by name in bench/spans.py)
-from .probability import Distribution, _check_alpha, _check_distinct, _check_pair, _same_pair
+from .probability import (
+    Distribution, _check_alpha, _check_distinct, _check_pair, _check_real, _same_pair,
+)
 
 # A relaxation stops once its sweep moves no coordinate more than this; one
 # that needs more than INNER_MAX_SWEEPS sweeps (Newton iterations) raises.
@@ -78,16 +79,15 @@ class ComparisonRow:
 
 
 def _check_budget(value: float, what: str) -> float:
-    """``value`` as a float; :class:`Infeasible` when it is negative or NaN.
-    An infinite budget is valid."""
-    value = float(value)
+    """``value`` as a float; :class:`Infeasible` if negative, NaN or not a number."""
+    value = _check_real(value, Infeasible, what)
     if not value >= 0.0:
         raise Infeasible(f"{what} {value} is {'negative' if value < 0.0 else 'not a number'}")
     return value
 
 
 class _PairProgram:
-    """minimize u*D(Q1||A) + v*D(Q2||B) s.t. gjs(Q1,Q2,alpha) <= budget.
+    """minimize alpha*D(Q1||A) + D(Q2||B) s.t. gjs(Q1,Q2,alpha) <= budget.
 
     The program lives on the union of the two supports: symbols outside
     it carry no mass in any pair of finite objective, so ``keep`` marks the
@@ -95,10 +95,8 @@ class _PairProgram:
     has one entry per kept symbol, with ``w > 0`` throughout.
     """
 
-    def __init__(self, u: float, v: float, a: np.ndarray, b: np.ndarray, alpha: float):
+    def __init__(self, a: np.ndarray, b: np.ndarray, alpha: float):
         self.keep = (a > 0.0) | (b > 0.0)
-        self.u = u
-        self.v = v
         self.a = a[self.keep]
         self.b = b[self.keep]
         self.alpha = alpha
@@ -107,40 +105,25 @@ class _PairProgram:
             self.log_a = np.log(self.a)
             self.log_b = np.log(self.b)
 
-    @property
-    def mu_start(self) -> float:
-        """Multiplier at which every multiplier search starts.
-
-        The block exponents ``u / (u + mu * alpha)`` and ``v / (v + mu)``
-        are both 1/2 at ``mu = v``, since every program here has
-        ``u = v * alpha``.  Relaxations at multipliers far above the
-        solution's converge slowly, so searches start there, not at 1.
-        """
-        return self.v
-
     def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The relaxed state at ``mu = 0``: the sources and their mixture."""
         return self.a.copy(), self.b.copy(), (self.alpha * self.a + self.b) / (1.0 + self.alpha)
 
-    def exponents(self, mu: float) -> tuple[float, float]:
-        """Block exponents ``e1``, ``e2`` of the sources at multiplier ``mu``."""
-        return self.u / (self.u + mu * self.alpha), self.v / (self.v + mu)
-
-    def sweep(self, w: np.ndarray, e1: float, e2: float):
+    def sweep(self, w: np.ndarray, e: float):
         """One block-descent sweep from ``w``: ``(q1(w), q2(w), T(w))``.
 
-        ``q1`` is the normalized geometric mean ``a^e1 * w^(1-e1)``, ``q2``
+        ``q1`` is the normalized geometric mean ``a^e * w^(1-e)``, ``q2``
         likewise on ``b``, and ``T(w)`` their ``alpha``-mixture.
         """
         log_w = np.log(w)
-        x1 = np.exp(e1 * self.log_a + (1.0 - e1) * log_w)
-        x2 = np.exp(e2 * self.log_b + (1.0 - e2) * log_w)
+        x1 = np.exp(e * self.log_a + (1.0 - e) * log_w)
+        x2 = np.exp(e * self.log_b + (1.0 - e) * log_w)
         q1 = x1 / x1.sum()
         q2 = x2 / x2.sum()
         return q1, q2, (self.alpha * q1 + q2) / (1.0 + self.alpha)
 
     def derivatives(self, w: np.ndarray, q1: np.ndarray, q2: np.ndarray, t_w: np.ndarray, e: float):
-        """Gradient and Hessian of ``L_mu / (v + mu) + (1 - e)(1 + alpha) sum
+        """Gradient and Hessian of ``L_mu / (1 + mu) + (1 - e)(1 + alpha) sum
         W`` (see :meth:`relax`) in the relative step ``d = dW / w`` at ``d =
         0``, from the sweep ``(q1(w), q2(w), T(w))``."""
         hess = (1.0 - e) ** 2 * (self.alpha * q1[:, None] * q1 + q2[:, None] * q2)
@@ -150,49 +133,53 @@ class _PairProgram:
     def relax(self, mu: float, state):
         """Minimize the Lagrangian at multiplier ``mu``, starting from ``state``.
 
-        Over ``(Q1, Q2)`` its minimum is ``L_mu(W) = -(v + mu) * [alpha * log
+        Over ``(Q1, Q2)`` its minimum is ``L_mu(W) = -(1 + mu) * [alpha * log
         S1 + log S2]``, ``S1 = sum a^e W^(1-e)``, ``S2 = sum b^e W^(1-e)``, ``e
-        = v / (v + mu)``, convex in the mixture ``W``.  Each iteration is one
+        = 1 / (1 + mu)``, convex in the mixture ``W``.  Each iteration is one
         sweep from ``w``, whose block minimizers give the derivatives, and one
         Newton step under ``sum W = 1``, halved until it stays positive and
         lowers ``L_mu`` by a quarter of the slope's prediction (Boyd &
-        Vandenberghe, *Convex Optimization*, 9.5 and 10.2).  Returns ``(q1(w),
-        q2(w), w)`` once that sweep moves no coordinate more than
-        ``INNER_TOLERANCE``; :class:`NonConvergence` after ``INNER_MAX_SWEEPS``.
+        Vandenberghe, *Convex Optimization*, 9.5 and 10.2), or else, once it
+        moves no coordinate by a relative machine epsilon, the sweep's
+        ``T(w)``, which never raises ``L_mu``.  Returns ``(q1(w), q2(w), w)``
+        once that sweep moves no coordinate more than ``INNER_TOLERANCE``;
+        :class:`NonConvergence` after ``INNER_MAX_SWEEPS``.
         """
-        e1, e2 = self.exponents(mu)
+        e = 1.0 / (1.0 + mu)
         w = state[2]
         k = len(w)
         kkt, rhs = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
         for _ in range(INNER_MAX_SWEEPS):
-            q1, q2, t_w = self.sweep(w, e1, e2)
+            q1, q2, t_w = self.sweep(w, e)
             move = abs(t_w - w).max()
             if move <= INNER_TOLERANCE:
                 return q1, q2, w
             # adding (1 - e)(1 + alpha) sum W, constant on the simplex, makes
             # the gradient vanish where the sweep stands still
-            grad, kkt[:k, :k] = self.derivatives(w, q1, q2, t_w, e2)
+            grad, kkt[:k, :k] = self.derivatives(w, q1, q2, t_w, e)
             kkt[:k, k] = kkt[k, :k] = w
             rhs[:k] = -grad
             d = np.linalg.solve(kkt, rhs)[:k]
             slope, mass, lowest = grad @ d, w @ d, d.min()
-            t = 1.0  # t = 0 always passes
-            while True:
+            t = 1.0  # the full step is always tried; the bound costs a reduction
+            while t == 1.0 or t * abs(d).max() >= np.finfo(float).eps:
                 if t * lowest > -1.0:
                     # S(w (1 + t d)) / S(w) = 1 + q . z keeps the change's digits
-                    z = np.expm1((1.0 - e2) * np.log1p(t * d))
-                    change = (1.0 - e2) * (1.0 + self.alpha) * t * mass
+                    z = np.expm1((1.0 - e) * np.log1p(t * d))
+                    change = (1.0 - e) * (1.0 + self.alpha) * t * mass
                     change -= self.alpha * math.log1p(q1 @ z) + math.log1p(q2 @ z)
                     if change <= 0.25 * t * slope:
+                        w = w * (1.0 + t * d)
                         break
                 t *= 0.5
-            w = w * (1.0 + t * d)
+            else:
+                w = t_w
         raise NonConvergence(
             f"block descent at mu={mu} still moving {move} after {INNER_MAX_SWEEPS} sweeps"
         )
 
     def objective_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
-        return self.u * kl_array(q1, self.a) + self.v * kl_array(q2, self.b)
+        return self.alpha * kl_array(q1, self.a) + kl_array(q2, self.b)
 
     def constraint_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
         # on the weights that Distribution objects of the pair hold
@@ -201,7 +188,7 @@ class _PairProgram:
     def collapsed(self) -> tuple[float, np.ndarray]:
         """Zero-budget case: both arguments coincide with one distribution."""
         common = (self.a > 0.0) & (self.b > 0.0)
-        share = self.u / (self.u + self.v)
+        share = self.alpha / (1.0 + self.alpha)
         x = np.exp(share * self.log_a[common] + (1.0 - share) * self.log_b[common])
         q = np.zeros(len(self.a))
         q[common] = x / x.sum()
@@ -235,7 +222,7 @@ class _PairProgram:
             return _End(mu, slack, value, (q1, q2, w))
 
         lo = _End(0.0, budget - slack0, math.inf, self.start())
-        lo, hi = _search(evaluate, *_bracket(evaluate, lo, self.mu_start))
+        lo, hi = _search(evaluate, *_bracket(evaluate, lo))
         # The lower end is feasible only when its slack is exactly 0.
         end = lo if lo.value < math.inf else hi
         gap = end.mu * end.excess
@@ -245,14 +232,11 @@ class _PairProgram:
         return end.value, q1, q2
 
 
-def _program(alpha: float, p1: Distribution, p2: Distribution, per_test: bool) -> _PairProgram:
-    """The fixed-length program at ratio ``alpha``, after checking the ratio
-    and the pair: its objective per test sample (``u = alpha``) or per
-    training sample (``u = 1``), with ``v = u / alpha`` in both."""
+def _program(alpha: float, p1: Distribution, p2: Distribution) -> _PairProgram:
+    """The fixed-length program at ratio ``alpha``, after checking the ratio and the pair."""
     alpha = _check_alpha(alpha, strict=True)
     _check_pair(p1, p2)
-    u = alpha if per_test else 1.0
-    return _PairProgram(u, u / alpha, p1.as_array(), p2.as_array(), alpha)
+    return _PairProgram(p1.as_array(), p2.as_array(), alpha)
 
 
 def minimize_over_simplices(
@@ -265,7 +249,7 @@ def minimize_over_simplices(
     finite objective meets the threshold, which happens exactly when the
     sources share no symbol and ``lam`` is below their own divergence.
     """
-    program = _program(alpha, p1, p2, per_test=True)
+    program = _program(alpha, p1, p2)
     value, q1, q2 = program.solve(lam)
     if q1 is None:
         raise Infeasible(
@@ -288,7 +272,7 @@ def gutman_type2_exponent(
     For sources with disjoint supports it is ``inf`` below ``gjs(P1, P2,
     alpha)`` and 0 at or above it.
     """
-    return _program(alpha, p1, p2, per_test=True).solve(lam)[0]
+    return _program(alpha, p1, p2).solve(lam)[0]
 
 
 def gutman_bayes_curve(
@@ -299,8 +283,9 @@ def gutman_bayes_curve(
     For sources with disjoint supports it is ``inf`` below ``gjs(P1, P2,
     alpha) / alpha`` and 0 at or above it.
     """
-    program = _program(alpha, p1, p2, per_test=False)
-    return program.solve(_check_budget(lam, "divergence budget") * program.alpha)[0]
+    program = _program(alpha, p1, p2)
+    budget = _check_budget(lam, "divergence budget") * program.alpha
+    return program.solve(budget)[0] / program.alpha
 
 
 def gutman_bayes_curve_swapped(
@@ -314,20 +299,19 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     """Prior-weighted exponent of the fixed-length test at ratio ``alpha``.
 
     This is the threshold at which the per-training-sample exponent curve
-    crosses the identity line.  The crossing is found by following the dual
-    path of the curve's program: as the multiplier grows, the relaxed
-    objective rises from 0 while the relaxed constraint falls from
-    ``gjs(P1, P2, alpha) / alpha``, so their difference changes sign exactly
-    once.  The multiplier is found by :func:`_bracket` and :func:`_search`
-    on that difference, and the crossing is the mean of objective and
-    constraint at an end where they agree within 1e-12, else at the end
-    where they are closer.  For an identical pair the curve is
-    identically zero and so is the crossing.  For sources with disjoint
-    supports the curve is ``inf`` below ``gjs(P1, P2, alpha) / alpha`` and 0
-    from there on, so the crossing is that value, the supremum of
-    ``min(lam, curve(lam))``.
+    crosses the identity line.  Along the program's dual path, as the
+    multiplier grows, the relaxed objective rises from 0 while the relaxed
+    constraint falls from ``gjs(P1, P2, alpha)``, so their difference,
+    divided by ``alpha``, changes sign exactly once.  :func:`_bracket` and
+    :func:`_search` find that multiplier, and the crossing is the mean of
+    objective and constraint over ``alpha`` at an end where they agree within
+    1e-12, else at the end where they are closer.  For an identical pair the
+    curve is identically zero and so is the crossing.  For sources with
+    disjoint supports the curve is ``inf`` below ``gjs(P1, P2, alpha) /
+    alpha`` and 0 from there on, so the crossing is that value, the supremum
+    of ``min(lam, curve(lam))``.
     """
-    program = _program(alpha, p1, p2, per_test=False)
+    program = _program(alpha, p1, p2)
     if _same_pair(p1, p2):
         return 0.0
     alpha = program.alpha
@@ -338,16 +322,14 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
 
     def evaluate(mu: float, state) -> _End:
         q1, q2, w = program.relax(mu, state)
-        objective = program.objective_value(q1, q2)
+        objective = program.objective_value(q1, q2) / alpha
         constraint = program.constraint_value(q1, q2) / alpha
         return _End(mu, objective - constraint, 0.5 * (objective + constraint), (q1, q2, w))
 
     lo = _End(0.0, -full, 0.5 * full, sources)
-    lo, hi = _search(evaluate, *_bracket(evaluate, lo, program.mu_start))
-    for end in (hi, lo):
-        if abs(end.excess) <= 1e-12:
-            return end.value
-    return min(hi, lo, key=lambda end: abs(end.excess)).value
+    lo, hi = _search(evaluate, *_bracket(evaluate, lo))
+    # the end of smaller excess, hi first; an excess within 1e-12 counts as 0
+    return min(hi, lo, key=lambda end: max(abs(end.excess), 1e-12)).value
 
 
 def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:
@@ -416,6 +398,7 @@ def lp_closed_form(weights: list[float], delta: float) -> float:
     """
     if len(weights) == 0:
         raise EmptyWeights("weight vector is empty")
+    weights = [_check_real(w, NotNormalized, "weight") for w in weights]
     if not all(math.isfinite(w) for w in weights):
         raise NotNormalized(f"weights must be finite, got {list(weights)}")
     delta = _check_budget(delta, "delta")

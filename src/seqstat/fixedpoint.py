@@ -137,7 +137,7 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
         return _End(theta, gamma - d_p - d_q / theta, math.inf, None)
 
     floor = _End(BRACKET_LOW, gamma - slope_at_zero, math.inf, None)
-    lo, hi = _search(end, *_bracket(end, floor, 1.0))
+    lo, hi = _search(end, *_bracket(end, floor))
     if lo.mu == BRACKET_LOW and end(BRACKET_LOW).excess > 0.0:
         raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
     theta = 0.5 * (lo.mu + hi.mu)

@@ -102,7 +102,7 @@ class Distribution:
             raise SizeMismatch(
                 f"{len(self.weights)} weights for an alphabet of size {self.alphabet.size}"
             )
-        ws = [float(w) for w in self.weights]
+        ws = [_check_real(w, NotNormalized, "weight") for w in self.weights]
         for w in ws:
             if w < 0.0:
                 raise NegativeWeight(f"weight {w} is negative")
@@ -207,9 +207,17 @@ def _check_index(value, error: type[Exception], what: str) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def _check_real(value, error: type[Exception], what: str) -> float:
+    """``value`` as a float, numeric strings included; ``error`` if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise error(f"{what} must be a number, got {value!r}") from None
+
+
 def _check_alpha(alpha: float, strict: bool) -> float:
     """A finite weight ``alpha``, ``> 0`` when ``strict`` and ``>= 0`` otherwise."""
-    alpha = float(alpha)
+    alpha = _check_real(alpha, NegativeAlpha, "alpha")
     if not math.isfinite(alpha) or alpha < 0.0 or (strict and alpha == 0.0):
         bound = "> 0" if strict else ">= 0"
         raise NegativeAlpha(f"alpha must be finite and {bound}, got {alpha}")
@@ -218,7 +226,7 @@ def _check_alpha(alpha: float, strict: bool) -> float:
 
 def _check_gamma(gamma: float) -> float:
     """A rate ``0 < gamma < inf``; an infinite rate is out of range, not nonpositive."""
-    gamma = float(gamma)
+    gamma = _check_real(gamma, NonPositiveGamma, "gamma")
     if gamma == math.inf:
         raise GammaOutOfRange(f"gamma must be finite, got {gamma}")
     if not gamma > 0.0:

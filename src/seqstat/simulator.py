@@ -62,6 +62,7 @@ from .probability import (
     Distribution,
     SeedSpec,
     _check_index,
+    _check_real,
     bit_generator,  # noqa: F401  (wrapped by name in bench/spans.py)
     sample_indices,  # noqa: F401  (wrapped by name in bench/spans.py)
     stream_indices,
@@ -110,10 +111,12 @@ class ExperimentConfig:
         if self.priors is not None:
             if len(self.priors) != m:
                 raise SizeMismatch("one prior per distribution")
-            if not all(p >= 0 for p in self.priors):
+            priors = tuple(_check_real(p, ValidationError, "prior") for p in self.priors)
+            if not all(p >= 0 for p in priors):
                 raise ValidationError(f"priors must be nonnegative numbers, got {self.priors}")
-            if abs(math.fsum(self.priors) - 1.0) > 1e-9:
+            if abs(math.fsum(priors) - 1.0) > 1e-9:
                 raise ValidationError("priors must sum to 1")
+            object.__setattr__(self, "priors", priors)
         if self.test_kind not in ("sequential", "gutman"):
             raise ValidationError(f"unknown test kind {self.test_kind!r}")
         if self.test_kind == "gutman":

@@ -22,6 +22,11 @@ relative-entropy form with ``log(p / m)`` ratios, and the entropy form
 ``(1 + alpha) H(m) - alpha H(p) - H(q)``, which cancels on near-identical
 pairs.
 
+``binary_fixed_length_errors`` is the exact error probability of the binary
+fixed-length test on a two-symbol alphabet: the rule reads only class 1's
+score, so each hypothesis's error is a finite sum over the training count
+of class 1 and the test count, with binomial weights.
+
 ``sweep_relax`` and ``bisect_bayes_crossing`` are the plain block-descent
 relaxation and the multiplier bisection that the damped Newton relaxation
 and the Illinois search in ``seqstat.exponents`` replaced: ``sweep_relax``
@@ -256,6 +261,44 @@ def fixed_length_trial(cfg, trial_index: int) -> tuple[Verdict, list[float]]:
     return verdict, row
 
 
+def binary_fixed_length_errors(cfg) -> tuple[list[float], float]:
+    """Exact P(error | H_h) of the binary fixed-length test for |X| = 2.
+
+    Class 1's training type has ``x`` of its ``N`` symbols equal to the
+    first one, with weight ``Bin(x; N, P1)``, and the test type ``c`` of its
+    ``n``, with weight ``Bin(c; n, P_h)``; class 1 is declared iff the public
+    ``gjs`` of the two types is at or below the raw threshold.  Also returns
+    the smallest distance of a score from the threshold.
+    """
+    big_n, n = cfg.train_len, cfg.n_test
+    gcfg = cfg.gutman_config()
+    alphabet = cfg.distributions[0].alphabet
+
+    def binomial(k: int, trials: int, p: float) -> float:
+        return math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k)
+
+    accepted = {}
+    closest = math.inf
+    for x in range(big_n + 1):
+        train = EmpiricalType(alphabet, (x, big_n - x)).as_distribution()
+        for c in range(n + 1):
+            test = EmpiricalType(alphabet, (c, n - c)).as_distribution()
+            score = gjs(train, test, gcfg.alpha)
+            closest = min(closest, abs(score - gcfg.raw_threshold))
+            accepted[x, c] = score <= gcfg.raw_threshold
+    p1 = cfg.distributions[0].weights[0]
+    errors = []
+    for h, source in enumerate(cfg.distributions):
+        errors.append(
+            math.fsum(
+                binomial(x, big_n, p1) * binomial(c, n, source.weights[0])
+                for (x, c), yes in accepted.items()
+                if yes != (h == 0)
+            )
+        )
+    return errors, closest
+
+
 def bisect_fixed_point(p, q, gamma: float) -> FixedPointResult:
     """Root of ``gjs(p, q, theta) = gamma * theta`` by doubling, then bisection.
 
@@ -329,18 +372,17 @@ def gjs_entropy_form(p, q, alpha: float) -> float:
 def sweep_relax(program: _PairProgram, mu: float, state):
     """Plain block descent on ``program``'s Lagrangian at multiplier ``mu``."""
     q1, q2, w = state
-    e1 = program.u / (program.u + mu * program.alpha)
-    e2 = program.v / (program.v + mu)
+    e = 1.0 / (1.0 + mu)
     supp_a = program.a > 0.0
     supp_b = program.b > 0.0
     log_a = np.log(program.a[supp_a])
     log_b = np.log(program.b[supp_b])
     k = len(program.a)
     for _ in range(INNER_MAX_SWEEPS):
-        x1 = np.exp(e1 * log_a + (1.0 - e1) * np.log(w[supp_a]))
+        x1 = np.exp(e * log_a + (1.0 - e) * np.log(w[supp_a]))
         q1n = np.zeros(k)
         q1n[supp_a] = x1 / x1.sum()
-        x2 = np.exp(e2 * log_b + (1.0 - e2) * np.log(w[supp_b]))
+        x2 = np.exp(e * log_b + (1.0 - e) * np.log(w[supp_b]))
         q2n = np.zeros(k)
         q2n[supp_b] = x2 / x2.sum()
         wn = (program.alpha * q1n + q2n) / (1.0 + program.alpha)
@@ -363,14 +405,14 @@ def bisect_bayes_crossing(alpha: float, p1, p2) -> float:
     _check_pair(p1, p2)
     if _same_pair(p1, p2):
         return 0.0
-    program = _PairProgram(1.0, 1.0 / alpha, p1.as_array(), p2.as_array(), alpha)
+    program = _PairProgram(p1.as_array(), p2.as_array(), alpha)
 
     def split(state) -> tuple[float, float]:
         q1, q2, _ = state
-        return program.objective_value(q1, q2), program.constraint_value(q1, q2) / alpha
+        return program.objective_value(q1, q2) / alpha, program.constraint_value(q1, q2) / alpha
 
     mu_lo = 0.0
-    mu_hi = program.mu_start
+    mu_hi = 1.0
     state_hi = sweep_relax(program, mu_hi, program.start())
     doublings = 0
     while True:
@@ -412,7 +454,7 @@ def bisect_program(program: _PairProgram, budget: float):
         value, q = program.collapsed()
         return value, q, q.copy()
     mu_lo = 0.0
-    mu_hi = program.mu_start
+    mu_hi = 1.0
     state_hi = program.relax(mu_hi, program.start())
     doublings = 0
     while program.constraint_value(state_hi[0], state_hi[1]) > budget:

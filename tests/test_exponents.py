@@ -251,6 +251,15 @@ class TestBayesCurves:
             rhs = fixed_length_value(alpha, lam * alpha, p1, p2) / alpha
             assert abs(lhs - rhs) <= 1e-9
 
+    def test_curve_is_the_rescaled_type2_exponent(self):
+        # one program at one scale: the curve divides the type-II value at
+        # the budget lam * alpha by alpha, bit for bit
+        for alpha, p1, p2 in crossing_family(20191203, 40):
+            for share in (0.3, 0.6, 0.9):
+                lam = share * gjs(p1, p2, alpha) / alpha
+                curve = gutman_bayes_curve(alpha, lam, p1, p2)
+                assert curve == gutman_type2_exponent(alpha, lam * alpha, p1, p2) / alpha
+
     def test_zero_beyond_scaled_divergence(self, rng):
         p1, p2 = random_interior_pair(rng, 3)
         alpha = 2.5
@@ -337,8 +346,9 @@ class TestBayesCrossing:
 
     def test_large_alpha_relaxations_converge(self):
         # the matched ratio at gamma = 1e-3 C is about 3500; a multiplier
-        # search that starts at mu = 1 needs 58,277 sweeps for its first
-        # relaxation, above INNER_MAX_SWEEPS
+        # search that starts at the block exponent 1 / (1 + alpha) instead of
+        # 1/2 needs 58,277 sweeps for its first relaxation, above
+        # INNER_MAX_SWEEPS
         alph = alphabet(3)
         p1 = make_distribution(WIDE_PAIR[0], alph)
         p2 = make_distribution(WIDE_PAIR[1], alph)
@@ -380,12 +390,12 @@ def wide_pair_at_tiny_rate():
 def plain_move(program, state, mu):
     """Largest coordinate move of one plain sweep from ``state``."""
     q1, q2, w = state
-    q1n, q2n, wn = program.sweep(w, *program.exponents(mu))
+    q1n, q2n, wn = program.sweep(w, 1.0 / (1.0 + mu))
     return max(np.max(np.abs(q1n - q1)), np.max(np.abs(q2n - q2)), np.max(np.abs(wn - w)))
 
 
 def reduced_lagrangian(program, w, e):
-    """``L_mu(w) / (v + mu)``, the Lagrangian minimized over both blocks,
+    """``L_mu(w) / (1 + mu)``, the Lagrangian minimized over both blocks,
     plus ``(1 - e)(1 + alpha) sum w``, a constant on the simplex."""
     s1 = np.sum(program.a**e * w ** (1.0 - e))
     s2 = np.sum(program.b**e * w ** (1.0 - e))
@@ -406,20 +416,20 @@ class TestNewtonRelaxation:
                 a[int(rng.integers(size))] = 0.0
                 a /= a.sum()
             alpha = float(np.exp(rng.uniform(math.log(0.1), math.log(100.0))))
-            program = _PairProgram(1.0, 1.0 / alpha, a, b, alpha)
-            e1, e2 = program.exponents(float(rng.uniform(0.01, 10.0)) * program.mu_start)
+            program = _PairProgram(a, b, alpha)
+            e = 1.0 / (1.0 + float(rng.uniform(0.01, 10.0)))
             w = rng.dirichlet(np.ones(size))
 
             def gradient(x):
                 # the gradient at x in the step relative to w, not to x
-                return program.derivatives(x, *program.sweep(x, e1, e2), e2)[0] / x * w
+                return program.derivatives(x, *program.sweep(x, e), e)[0] / x * w
 
-            grad, hess = program.derivatives(w, *program.sweep(w, e1, e2), e2)
+            grad, hess = program.derivatives(w, *program.sweep(w, e), e)
             for j in range(size):
                 up, down = w.copy(), w.copy()
                 up[j] += 1e-5 * w[j]
                 down[j] -= 1e-5 * w[j]
-                rise = reduced_lagrangian(program, up, e2) - reduced_lagrangian(program, down, e2)
+                rise = reduced_lagrangian(program, up, e) - reduced_lagrangian(program, down, e)
                 assert abs(rise / 2e-5 - grad[j]) <= 1e-7
                 column = (gradient(up) - gradient(down)) / 2e-5
                 assert np.max(np.abs(column - hess[:, j])) <= 1e-7
@@ -445,8 +455,8 @@ class TestNewtonRelaxation:
         for _ in range(20):
             p1, p2 = random_interior_pair(rng, int(rng.integers(2, 6)))
             alpha = float(rng.uniform(0.2, 20.0))
-            program = _PairProgram(1.0, 1.0 / alpha, p1.as_array(), p2.as_array(), alpha)
-            mu = float(rng.uniform(0.1, 10.0)) * program.mu_start
+            program = _PairProgram(p1.as_array(), p2.as_array(), alpha)
+            mu = float(rng.uniform(0.1, 10.0))
             fast = program.relax(mu, program.start())
             slow = oracle.sweep_relax(program, mu, program.start())
             for x, y in zip(fast, slow):
@@ -459,11 +469,30 @@ class TestNewtonRelaxation:
         a = np.array([0.02, 0.48, 0.5, 0.0])
         b = np.array([0.5, 0.0, 0.2, 0.3])
         alpha = 70.0
-        program = _PairProgram(1.0, 1.0 / alpha, a, b, alpha)
-        mu = 64.0 * program.mu_start
+        program = _PairProgram(a, b, alpha)
+        mu = 64.0
         state = program.relax(mu, program.start())
         assert plain_move(program, state, mu) <= INNER_TOLERANCE
         slow = oracle.sweep_relax(program, mu, program.start())
+        for x, y in zip(state, slow):
+            assert np.max(np.abs(x - y)) <= 1e-12
+
+    def test_ascent_steps_fall_back_to_the_plain_sweep(self, monkeypatch):
+        # with the gradient negated every trial step climbs; the halving
+        # stops once the step is below machine epsilon and the plain sweep
+        # moves instead (it used to halve until t underflowed to 0)
+        derivatives = _PairProgram.derivatives
+
+        def negated(self, *args):
+            grad, hess = derivatives(self, *args)
+            return -grad, hess
+
+        monkeypatch.setattr(_PairProgram, "derivatives", negated)
+        program = _PairProgram(np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.1, 0.3]), 2.0)
+        with np.errstate(all="raise"):
+            state = program.relax(1.0, program.start())
+        assert plain_move(program, state, 1.0) <= INNER_TOLERANCE
+        slow = oracle.sweep_relax(program, 1.0, program.start())
         for x, y in zip(state, slow):
             assert np.max(np.abs(x - y)) <= 1e-12
 
@@ -471,7 +500,7 @@ class TestNewtonRelaxation:
         alph = alphabet(3)
         p1 = make_distribution(WIDE_PAIR[0], alph)
         p2 = make_distribution(WIDE_PAIR[1], alph)
-        program = _PairProgram(1.0, 1.0 / 1.8, p1.as_array(), p2.as_array(), 1.8)
+        program = _PairProgram(p1.as_array(), p2.as_array(), 1.8)
         calls = []
         sweep = _PairProgram.sweep
 
@@ -480,13 +509,13 @@ class TestNewtonRelaxation:
             return sweep(self, *args)
 
         monkeypatch.setattr(_PairProgram, "sweep", counting)
-        program.relax(4.0 * program.mu_start, program.start())
+        program.relax(4.0, program.start())
         needed = len(calls)
         monkeypatch.setattr(exponents, "INNER_MAX_SWEEPS", needed)
-        program.relax(4.0 * program.mu_start, program.start())
+        program.relax(4.0, program.start())
         monkeypatch.setattr(exponents, "INNER_MAX_SWEEPS", needed - 1)
         with pytest.raises(NonConvergence, match=f"after {needed - 1} sweeps"):
-            program.relax(4.0 * program.mu_start, program.start())
+            program.relax(4.0, program.start())
 
     def test_sweeps_per_crossing(self, monkeypatch):
         # the plain-sweep bisection needs about 1,000 sweeps per crossing
@@ -593,26 +622,27 @@ class TestConstrainedPrograms:
         # 2.5e-5 above the optimum; the search must not stop there
         for alpha, p1, p2 in crossing_family(20191203, 40):
             full = gjs(p1, p2, alpha)
+            program = _program(alpha, p1, p2)
             for share in (0.3, 0.6, 0.9):
-                for per_test, curve, lam in (
-                    (True, gutman_type2_exponent, share * full),
-                    (False, gutman_bayes_curve, share * full / alpha),
-                ):
-                    program = _program(alpha, p1, p2, per_test)
-                    budget = lam if per_test else lam * alpha
+                lam = share * full / alpha
+                # the type-II exponent's budget, then the curve's
+                for budget in (share * full, lam * alpha):
                     value, q1, q2 = program.solve(budget)
-                    assert value == curve(alpha, lam, p1, p2)
+                    assert value == gutman_type2_exponent(alpha, budget, p1, p2)
                     want, _, _ = oracle.bisect_program(program, budget)
                     assert abs(value - want) <= GAP_BOUND * (1.0 + abs(want))
                     assert program.constraint_value(q1, q2) <= budget
+                assert value / alpha == gutman_bayes_curve(alpha, lam, p1, p2)
                 value, (q1, q2) = minimize_over_simplices(alpha, share * full, p1, p2)
                 assert value == gutman_type2_exponent(alpha, share * full, p1, p2)
                 assert gjs(q1, q2, alpha) <= share * full
 
     def test_exact_zero_slack_end_is_the_answer(self, monkeypatch):
         # a budget equal to the constraint at the search's first relaxed end
-        # (mu_start, relaxed from the sources) is met exactly there; that
-        # end sorts to the lower end and is the answer
+        # (mu = 1, relaxed from the sources) is met exactly there; that end
+        # sorts to the lower end and is the answer, on the type-II scale
+        # and on the curve's, whose budget (budget / alpha) * alpha is the
+        # same number for this pair
         ends = []
         search = exponents._search
 
@@ -622,14 +652,13 @@ class TestConstrainedPrograms:
 
         monkeypatch.setattr(exponents, "_search", spy)
         alpha, p1, p2 = crossing_family(20191203, 40)[36]
-        values = []
-        for per_test in (True, False):
-            program = _program(alpha, p1, p2, per_test)
-            q1, q2, _ = program.relax(program.mu_start, program.start())
-            values.append(program.solve(program.constraint_value(q1, q2))[0])
-        type2, curve = values
+        program = _program(alpha, p1, p2)
+        q1, q2, _ = program.relax(1.0, program.start())
+        budget = program.constraint_value(q1, q2)
+        type2 = gutman_type2_exponent(alpha, budget, p1, p2)
+        curve = gutman_bayes_curve(alpha, budget / alpha, p1, p2)
         assert [lo.excess for lo, _ in ends] == [0.0, 0.0]
-        assert abs(curve * alpha - type2) <= 1e-9 * alpha
+        assert curve == type2 / alpha
 
     def test_zero_weight_pairs_at_a_small_budget(self):
         # alpha about 415, 369 and 397 with one zero weight: relaxing every

@@ -11,12 +11,21 @@ from seqstat import (
     Alphabet,
     Distribution,
     EmpiricalType,
+    ExperimentConfig,
+    GutmanConfig,
     SeedSpec,
+    SequentialConfig,
+    constrained_kl_min,
     empirical_type,
     entropy,
+    exponent_report,
+    gjs,
+    gutman_type2_exponent,
     kl,
+    lp_closed_form,
     make_distribution,
     sample_iid,
+    solve_fixed_point,
 )
 from seqstat.errors import (
     AlphabetMismatch,
@@ -26,6 +35,7 @@ from seqstat.errors import (
     NotNormalized,
     SizeMismatch,
     UnknownSymbol,
+    ValidationError,
 )
 from conftest import alphabet, random_interior
 
@@ -256,3 +266,44 @@ class TestImmutability:
         d = make_distribution([0.5, 0.5], AB)
         with pytest.raises(Exception):
             d.weights = (1.0, 0.0)
+
+
+P_AB = make_distribution([0.3, 0.7], AB)
+Q_AB = make_distribution([0.6, 0.4], AB)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gjs(P_AB, Q_AB, "x"),
+        lambda: gjs(P_AB, Q_AB, None),
+        lambda: solve_fixed_point(P_AB, Q_AB, "x"),
+        lambda: exponent_report(P_AB, Q_AB, None),
+        lambda: gutman_type2_exponent(1.0, "x", P_AB, Q_AB),
+        lambda: constrained_kl_min(P_AB, Q_AB, "x"),
+        lambda: lp_closed_form([0.1, 0.2], "x"),
+        lambda: lp_closed_form(["a", 0.2], 0.1),
+        lambda: make_distribution(["a", 0.5], AB),
+        lambda: GutmanConfig(1.0, "x"),
+        lambda: SequentialConfig("x", 10),
+        lambda: ExperimentConfig((P_AB, Q_AB), 0.1, 10, 1, 0, priors=("a", "b")),
+    ],
+    ids=[
+        "gjs-alpha-str", "gjs-alpha-none", "fixed-point-gamma", "report-gamma",
+        "type2-threshold", "kl-min-radius", "lp-delta", "lp-weight", "weight",
+        "gutman-threshold", "sequential-gamma", "priors",
+    ],
+)
+def test_non_numeric_input_is_a_validation_error(call):
+    # a bare float() would leak ValueError or TypeError
+    with pytest.raises(ValidationError, match="must be a number"):
+        call()
+
+
+def test_numeric_strings_are_numbers():
+    assert gjs(P_AB, Q_AB, "0.5") == gjs(P_AB, Q_AB, 0.5)
+    assert make_distribution(["0.3", 0.7], AB) == P_AB
+    assert GutmanConfig("2", "0.5").raw_threshold == 0.5
+    assert SequentialConfig("0.5", 10).threshold == 5.0
+    cfg = ExperimentConfig((P_AB, Q_AB), 0.1, 10, 1, 0, priors=("0.25", 0.75))
+    assert cfg.effective_priors == (0.25, 0.75)

@@ -27,6 +27,7 @@ from seqstat.errors import (
     SizeMismatch,
     ValidationError,
 )
+import oracle
 
 ALPH2 = Alphabet((0, 1))
 ALPH3 = Alphabet((0, 1, 2))
@@ -395,6 +396,27 @@ class TestGutmanReference:
         assert report.rows[0].errors == 0
         assert report.rows[1].errors == 40
         assert report.bayes_error_rate == 0.5
+
+    def test_binary_error_rates_match_the_exact_oracle(self):
+        # P1 = (0.3, 0.7), P2 = (0.6, 0.4), N = n = 10: the exact rates are
+        # about 0.3044 and 0.3865; 40,000 trials put each Monte Carlo rate
+        # within 4 binomial standard errors of them
+        cfg = ExperimentConfig(
+            (bern(0.3), bern(0.6)),
+            gamma=0.05,
+            train_len=10,
+            trials=40000,
+            master_seed=7,
+            true_class=None,
+            test_kind="gutman",
+            n_test=10,
+            gutman_lambda=0.06,
+        )
+        exact, closest = oracle.binary_fixed_length_errors(cfg)
+        assert closest > 1e-9
+        for row, p in zip(estimate(cfg).rows, exact):
+            z = (row.error_rate - p) / math.sqrt(p * (1.0 - p) / row.trials)
+            assert abs(z) <= 4.0
 
     def test_scaled_mode_matches_rescaled_raw(self):
         # alpha = 32 / 8 = 4, a power of two, so the rescaling is lossless
