@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -456,6 +457,8 @@ _COMMANDS = {
 }
 
 
+# built once per process: parsing is cheap, building is not
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqstat",

@@ -5,10 +5,18 @@ reported in nats.  Distributions are immutable: weights are validated once at
 construction and the stored tuple is never mutated afterwards.
 
 Sampling is counter-based.  Each stream is the Philox4x64 sequence keyed by
-``(master_seed, stream_index)``, and symbols are produced by inverse-CDF
-lookup on the cumulative weights.  Two calls with the same :class:`SeedSpec`
-therefore produce bit-identical output on any platform, and the draws of one
-stream never depend on how many other streams exist.
+``(master_seed, stream_index)``, and each uniform ``u`` becomes a symbol by
+comparing it with the thresholds ``cdf[0] .. cdf[K-2]`` of the cumulative
+weights: symbol ``x`` is drawn iff ``cdf[x-1] <= u < cdf[x]``, the number of
+thresholds at or below ``u``.  Because the cdf is nondecreasing, that number
+is the binary search ``searchsorted(cdf, u, side="right")`` clamped to
+``K - 1``, so the map gives exactly the draws of the inverse-CDF lookup,
+zero weights and a cdf top a hair under 1.0 included, at ``K - 1`` compares
+per symbol.  Counts of a stream are taken straight from its uniforms, as
+differences of the number of uniforms below each threshold.  Two calls with
+the same :class:`SeedSpec` therefore produce bit-identical output on any
+platform, and the draws of one stream never depend on how many other streams
+exist.
 
 Streams are drawn by re-keying one shared Philox bit generator rather than
 constructing a new one: construction seeds through ``os.urandom`` even when a
@@ -19,9 +27,9 @@ handed to the generator as Python ints, not numpy arrays: its setter reads
 the counter, key and buffer element by element, and indexing numpy arrays
 for each element about doubles the cost of a re-key (0.8-1.0 us with ints
 against 1.9 us with arrays, numpy 2.4 on a 2-vCPU Xeon).  The values, and
-so the draws, are the same either way.  Every sampler goes through
-:func:`stream_indices`; :func:`bit_generator` still hands out an independent
-generator for callers that keep one.
+so the draws, are the same either way.  Every sampler draws its uniforms
+through ``_stream_uniforms``; :func:`bit_generator` still hands out an
+independent generator for callers that keep one.
 """
 
 from __future__ import annotations
@@ -136,7 +144,7 @@ class EmpiricalType:
             raise SizeMismatch(
                 f"{len(self.counts)} counts for an alphabet of size {self.alphabet.size}"
             )
-        cs = tuple(int(c) for c in self.counts)
+        cs = tuple(_check_count(c) for c in self.counts)
         for c in cs:
             if c < 0:
                 raise NegativeWeight(f"count {c} is negative")
@@ -215,6 +223,18 @@ def _check_real(value, error: type[Exception], what: str) -> float:
         raise error(f"{what} must be a number, got {value!r}") from None
 
 
+def _check_count(value) -> int:
+    """``value`` as an exact int; integers, numpy ones included, and whole numbers like ``2.0``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        number = _check_real(value, SizeMismatch, "count")
+    # false for nan and the infinities too
+    if not number.is_integer():
+        raise SizeMismatch(f"count {value!r} is not a whole number")
+    return int(number)
+
+
 def _check_alpha(alpha: float, strict: bool) -> float:
     """A finite weight ``alpha``, ``> 0`` when ``strict`` and ``>= 0`` otherwise."""
     alpha = _check_real(alpha, NegativeAlpha, "alpha")
@@ -279,16 +299,8 @@ def _shared_generator() -> np.random.Generator:
     return _SHARED
 
 
-def stream_indices(
-    p: Distribution, master_seed: int, streams: Sequence[int], start: int, stop: int
-) -> np.ndarray:
-    """Symbol indices ``start .. stop-1`` of each stream ``(master_seed, s)``.
-
-    Returns an array of shape ``(len(streams), stop - start)`` whose row ``i``
-    equals positions ``start .. stop-1`` of ``sample_indices`` on
-    ``SeedSpec(master_seed, streams[i])``; seeds and stream indices are
-    checked as :class:`SeedSpec` checks them.
-    """
+def _stream_uniforms(master_seed: int, streams: Sequence[int], start: int, stop: int) -> np.ndarray:
+    """Uniforms ``start .. stop-1`` of each stream ``(master_seed, s)``, one row per stream."""
     if not 0 <= start <= stop:
         raise SizeMismatch(f"cannot draw positions {start} to {stop}")
     master_seed = SeedSpec(master_seed).master_seed
@@ -319,6 +331,20 @@ def stream_indices(
             if skip:
                 gen.random(skip)
             gen.random(out=row)
+    return uniforms
+
+
+def stream_indices(
+    p: Distribution, master_seed: int, streams: Sequence[int], start: int, stop: int
+) -> np.ndarray:
+    """Symbol indices ``start .. stop-1`` of each stream ``(master_seed, s)``.
+
+    Returns an array of shape ``(len(streams), stop - start)`` whose row ``i``
+    equals positions ``start .. stop-1`` of ``sample_indices`` on
+    ``SeedSpec(master_seed, streams[i])``; seeds and stream indices are
+    checked as :class:`SeedSpec` checks them.
+    """
+    uniforms = _stream_uniforms(master_seed, streams, start, stop)
     return _indices_from_uniforms(p.as_array(), uniforms)
 
 
@@ -329,11 +355,30 @@ def sample_indices(p: Distribution, n: int, seed: SeedSpec) -> np.ndarray:
     return stream_indices(p, seed.master_seed, (seed.stream_index,), 0, n)[0]
 
 
+def _thresholds(weights: np.ndarray) -> np.ndarray:
+    """``cdf[0] .. cdf[K-2]``: ``u`` is symbol ``x`` iff ``cdf[x-1] <= u < cdf[x]``."""
+    return np.cumsum(weights)[:-1]
+
+
 def _indices_from_uniforms(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(weights)
-    idx = np.searchsorted(cdf, uniforms, side="right")
-    # the top of the cdf can land a hair under 1.0
-    return np.minimum(idx, len(weights) - 1)
+    """The symbol index of each uniform: the number of thresholds at or below it."""
+    idx = np.zeros(uniforms.shape, dtype=np.intp)
+    for c in _thresholds(weights):
+        idx += uniforms >= c
+    return idx
+
+
+def _counts_from_uniforms(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Symbol counts ``(rows, K)`` of each row of ``uniforms``, without building indices."""
+    counts = np.empty((len(uniforms), len(weights)), dtype=np.int64)
+    below = 0
+    for x, c in enumerate(_thresholds(weights)):
+        # the uniforms under cdf[x] are the draws of symbols 0 .. x
+        upto = np.count_nonzero(uniforms < c, axis=1)
+        counts[:, x] = upto - below
+        below = upto
+    counts[:, -1] = uniforms.shape[1] - below
+    return counts
 
 
 def sample_iid(p: Distribution, n: int, seed: SeedSpec) -> list[Symbol]:

@@ -63,6 +63,8 @@ from .probability import (
     SeedSpec,
     _check_index,
     _check_real,
+    _counts_from_uniforms,
+    _stream_uniforms,
     bit_generator,  # noqa: F401  (wrapped by name in bench/spans.py)
     sample_indices,  # noqa: F401  (wrapped by name in bench/spans.py)
     stream_indices,
@@ -204,14 +206,13 @@ def _stream_counts(
     dist: Distribution, master_seed: int, streams: Sequence[int], length: int
 ) -> np.ndarray:
     """Symbol counts ``(len(streams), K)`` of the first ``length`` draws of each stream."""
-    k = dist.alphabet.size
-    out = np.empty((len(streams), k), dtype=np.int64)
+    weights = dist.as_array()
+    out = np.empty((len(streams), len(weights)), dtype=np.int64)
     # at most BLOCK_ENTRIES symbols are drawn at once, whatever the batch and length
     rows = max(1, BLOCK_ENTRIES // length)
     for lo in range(0, len(streams), rows):
-        idx = stream_indices(dist, master_seed, streams[lo : lo + rows], 0, length)
-        for x in range(k):
-            out[lo : lo + rows, x] = np.count_nonzero(idx == x, axis=1)
+        uniforms = _stream_uniforms(master_seed, streams[lo : lo + rows], 0, length)
+        out[lo : lo + rows] = _counts_from_uniforms(weights, uniforms)
     return out
 
 

@@ -49,6 +49,11 @@ sign of the slope of ``ln sum p^eta q^(1-eta)`` until the bracket is 1e-12
 wide and takes the value at its midpoint; the second halves the geometric
 path parameter on the sign of ``D(V_t || center) - radius`` until the
 bracket is 1e-14 wide and takes the value at its upper end.
+
+``indices_from_uniforms`` is the inverse-CDF lookup that the threshold map
+in ``seqstat.probability`` replaced: ``searchsorted(cdf, u, side="right")``
+clamped to ``K - 1``.  ``fresh_indices`` and ``stream_indices`` map the
+uniforms of a freshly constructed generator through it.
 """
 
 from __future__ import annotations
@@ -200,23 +205,25 @@ class SequentialEngine:
         return TrialTrace(matrix, self.n, verdict, tuple(self.crossed))
 
 
+def indices_from_uniforms(weights: Sequence[float], uniforms: np.ndarray) -> np.ndarray:
+    """Symbol indices of ``uniforms`` by binary search on the cumulative weights."""
+    cdf = np.cumsum(weights)
+    # the top of the cdf can land a hair under 1.0
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
+
+
 def fresh_indices(weights: Sequence[float], seed: SeedSpec, n: int) -> np.ndarray:
     """``n`` symbol indices from a newly constructed generator on ``seed``."""
-    cdf = np.cumsum(weights)
-    uniforms = bit_generator(seed).random(n)
-    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
+    return indices_from_uniforms(weights, bit_generator(seed).random(n))
 
 
 def stream_indices(weights: Sequence[float], seed: SeedSpec, limit: int) -> Iterator[int]:
     """Lazy iid index stream; the draw pattern depends only on the seed."""
     rng = bit_generator(seed)
-    cdf = np.cumsum(weights)
-    top = len(cdf) - 1
     produced = 0
     while produced < limit:
         block = min(STREAM_CHUNK, limit - produced)
-        uniforms = rng.random(block)
-        indices = np.minimum(np.searchsorted(cdf, uniforms, side="right"), top)
+        indices = indices_from_uniforms(weights, rng.random(block))
         for value in indices:
             yield int(value)
         produced += block

@@ -17,6 +17,7 @@ from seqstat import (
     run_trial,
     solve_fixed_point,
 )
+from seqstat import cli
 from seqstat.cli import COMPARISON_COLUMNS, REPORT_COLUMNS, main
 from seqstat.errors import NonConvergence
 from seqstat.simulator import BLOCK_TRIALS
@@ -37,6 +38,22 @@ def read_csv(path):
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     return rows[0], rows[1:]
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; each call still parses afresh
+    # and argparse writes to the stderr of the moment
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["gjs", "--workers", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["gjs", "--p", "0.5,0.5", "--q", "0.3,0.7", "--alpha", "1"]) == 0
+    capsys.readouterr()
+    # no flag carries over from the call before
+    assert main(["gjs", "--p", "0.5,0.5", "--q", "0.3,0.7"]) == 2
+    assert "alpha is required" in capsys.readouterr().err
 
 
 class TestScalarCommands:

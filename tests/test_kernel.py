@@ -38,7 +38,7 @@ from seqstat import (
 from seqstat import classifiers
 from seqstat.classifiers import BLOCK_ENTRIES, FIRST_WIDTH, GROWTH
 from seqstat.errors import BadSeed, StreamExhausted, UnknownSymbol
-from seqstat.probability import stream_indices
+from seqstat.probability import _counts_from_uniforms, _indices_from_uniforms, stream_indices
 from seqstat.simulator import (
     BLOCK_TRIALS,
     _sequential_trials,
@@ -386,6 +386,78 @@ def test_long_training_draws_in_chunks_match_fresh_generator():
         for role, d in enumerate(cfg.distributions):
             idx = oracle.fresh_indices(d.weights, SeedSpec(7, 3 * t + role), cfg.train_len)
             assert counts[t, role].tolist() == np.bincount(idx, minlength=3).tolist()
+
+
+def weights_with_zeros(k, zeros, seed):
+    """Random weights on ``k`` symbols with the positions ``zeros`` set to 0."""
+    w = np.random.default_rng(seed).random(k) + 0.05
+    w[list(zeros)] = 0.0
+    return (w / w.sum()).tolist()
+
+
+def zero_placements(k):
+    """No zero weight, one first, in the middle or last, and all three where they fit."""
+    spread = [(0, k // 2, k - 1)] if k > 3 else []
+    return [(), (0,), (k // 2,), (k - 1,), *spread]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 16, 64])
+def test_threshold_map_equals_binary_search_on_fresh_generator(k):
+    # the sampler's threshold compares against the searchsorted lookup
+    # it replaced, with zero weights first, in the middle and last
+    alphabet = Alphabet(tuple(range(k)))
+    streams = [0, 5, 2**64 - 1]
+    length = 67
+    # uneven pieces, so pieces start at every offset modulo four
+    cuts = [0, 1, 2, 3, 7, 12, 30, 45, length]
+    for zeros in zero_placements(k):
+        p = make_distribution(weights_with_zeros(k, zeros, k), alphabet)
+        fresh = np.array(
+            [oracle.fresh_indices(p.weights, SeedSpec(11, s), length) for s in streams]
+        )
+        pieces = [stream_indices(p, 11, streams, a, b) for a, b in zip(cuts, cuts[1:])]
+        got = np.concatenate(pieces, axis=1)
+        assert got.dtype == fresh.dtype
+        assert np.array_equal(got, fresh)
+        assert not np.isin(np.flatnonzero(np.array(p.weights) == 0.0), got).any()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.1, 0.7, 0.2],
+        [0.0, 0.5, 0.0, 0.5, 0.0],
+        [0.25, 0.0, 0.0, 0.75],
+        # the cdf's top is 0.9999999999999999: u from there up is the last symbol
+        [0.1] * 10,
+        [1.0],
+    ],
+)
+def test_threshold_map_on_hand_placed_uniforms(weights):
+    cdf = np.cumsum(weights)
+    u = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), [np.nextafter(1.0, 0.0)]])
+    u = u[u < 1.0][None, :]
+    want = oracle.indices_from_uniforms(weights, u)
+    assert np.array_equal(_indices_from_uniforms(np.array(weights), u), want)
+    counts = _counts_from_uniforms(np.array(weights), u)
+    assert counts.tolist() == [np.bincount(want[0], minlength=len(weights)).tolist()]
+
+
+@pytest.mark.parametrize(
+    "alphabet, weights",
+    [
+        (ALPH2, ([0.0, 1.0], [0.3, 0.7], [1.0, 0.0])),
+        (Alphabet(tuple(range(5))), tuple(weights_with_zeros(5, z, 5) for z in zero_placements(5))),
+    ],
+)
+def test_training_counts_equal_fresh_generator_counts(alphabet, weights):
+    cfg = experiment(alphabet, weights, 0.05, 97, 13, 0)
+    counts = _training_counts(cfg, range(4))
+    m = len(weights)
+    for t in range(4):
+        for role, d in enumerate(cfg.distributions):
+            idx = oracle.fresh_indices(d.weights, SeedSpec(13, t * (m + 1) + role), cfg.train_len)
+            assert counts[t, role].tolist() == np.bincount(idx, minlength=alphabet.size).tolist()
 
 
 def test_concurrent_draws_keep_their_streams():

@@ -287,17 +287,34 @@ Q_AB = make_distribution([0.6, 0.4], AB)
         lambda: GutmanConfig(1.0, "x"),
         lambda: SequentialConfig("x", 10),
         lambda: ExperimentConfig((P_AB, Q_AB), 0.1, 10, 1, 0, priors=("a", "b")),
+        lambda: EmpiricalType(AB, ("x", 2)),
+        lambda: EmpiricalType(AB, (None, 2)),
     ],
     ids=[
         "gjs-alpha-str", "gjs-alpha-none", "fixed-point-gamma", "report-gamma",
         "type2-threshold", "kl-min-radius", "lp-delta", "lp-weight", "weight",
-        "gutman-threshold", "sequential-gamma", "priors",
+        "gutman-threshold", "sequential-gamma", "priors", "count-str", "count-none",
     ],
 )
 def test_non_numeric_input_is_a_validation_error(call):
     # a bare float() would leak ValueError or TypeError
     with pytest.raises(ValidationError, match="must be a number"):
         call()
+
+
+@pytest.mark.parametrize("count", [1.5, math.nan, math.inf, -math.inf])
+def test_counts_that_are_not_whole_are_rejected(count):
+    # int() would truncate 1.5 and leak ValueError or OverflowError on the rest
+    with pytest.raises(SizeMismatch, match=f"count {count!r} is not a whole number"):
+        EmpiricalType(AB, (count, 2))
+
+
+def test_counts_are_exact_ints():
+    for count in (2, np.int64(2), np.uint8(2), 2.0, np.float64(2.0)):
+        counts = EmpiricalType(AB, (count, 3)).counts
+        assert counts == (2, 3) and type(counts[0]) is int
+    big = 2**70 + 1
+    assert EmpiricalType(AB, (big, 1)).counts == (big, 1)
 
 
 def test_numeric_strings_are_numbers():

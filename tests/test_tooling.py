@@ -1,7 +1,8 @@
 """The benchmark's hooks into the package still resolve, every public name
 resolves and is listed once, nothing leans on a package the project does not
 declare, every module imports only the modules below it, ``estimate`` builds
-no per-trial objects, and the README's example config still runs.
+no per-trial objects, every symbol is drawn by one sampler, and the
+README's example config still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -153,6 +154,24 @@ def test_one_bracketed_search(monkeypatch):
         if len(calls) == before:
             silent.append(name)
     assert silent == []
+
+
+def test_one_sampler():
+    # symbols come from the threshold map on the uniforms of one function;
+    # the binary-search lookup it replaced lives only in tests/oracle.py
+    searches = []
+    draws = []
+    home = None
+    for path in sorted((ROOT / "src" / "seqstat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if getattr(node, "attr", getattr(node, "id", None)) == "searchsorted":
+                searches.append(f"{path.stem}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "random":
+                draws.append((path.stem, node.lineno))
+            if getattr(node, "name", None) == "_stream_uniforms" and path.stem == "probability":
+                home = range(node.lineno, node.end_lineno + 1)
+    assert searches == []
+    assert draws and all(stem == "probability" and line in home for stem, line in draws)
 
 
 class _Forbidden:
