@@ -29,7 +29,8 @@ blocks of a batch and gets each batch's outcome as arrays (stopping times,
 verdict codes, first crossings); ``seq_binary_step`` and
 ``seq_multiclass_run`` feed a one-trial run one symbol at a time, so every
 entry point gives the same bits.  ``gutman_binary`` and ``gutman_multiclass``
-take a free ``alpha`` and score through :func:`seqstat.divergence.gjs`.
+share one body, which takes a free ``alpha`` and scores through
+:func:`seqstat.divergence.gjs`.
 """
 
 from __future__ import annotations
@@ -40,17 +41,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AlphabetMismatch,
-    Infeasible,
-    LengthMismatch,
-    SizeMismatch,
-    SteppedAfterStop,
-    StreamExhausted,
-)
+from .errors import Infeasible, LengthMismatch, SizeMismatch, SteppedAfterStop, StreamExhausted
 from .probability import (
-    Alphabet, EmpiricalType, Symbol, _check_alpha, _check_gamma, _check_index, _check_real,
-    empirical_type,
+    Alphabet, EmpiricalType, Symbol, _check_alpha, _check_classes, _check_gamma, _check_index,
+    _check_real, empirical_type,
 )
 from .divergence import gjs
 
@@ -134,9 +128,7 @@ class SequentialConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", _check_gamma(self.gamma))
-        train_len = _check_index(self.train_len, SizeMismatch, "training length")
-        if train_len < 1:
-            raise SizeMismatch(f"training length must be >= 1, got {train_len}")
+        train_len = _check_index(self.train_len, SizeMismatch, "training length", 1)
         cap = train_len * train_len if self.cap is None else self.cap
         cap = _check_index(cap, SizeMismatch, "cap")
         if cap < train_len:
@@ -162,8 +154,7 @@ class TrialTrace:
 
 def score(t_train: EmpiricalType, t_test: EmpiricalType) -> float:
     """Test statistic ``n * gjs(T_train, T_test, N / n)`` from two types."""
-    if t_train.alphabet != t_test.alphabet:
-        raise AlphabetMismatch("types live on different alphabets")
+    _check_classes((t_train, t_test), "types")
     big_n = t_train.total
     train = np.array([[t_train.counts]])
     phi_train = _phi_array(train.transpose(2, 0, 1), big_n, big_n)
@@ -407,29 +398,32 @@ def _fixed_length_codes(values: np.ndarray, threshold: float, binary: bool) -> n
     return np.where(accepted.sum(axis=1) == 1, accepted.argmax(axis=1), -1)
 
 
+def _fixed_length(
+    types: Sequence[EmpiricalType], ty: EmpiricalType, cfg: GutmanConfig, binary: bool
+) -> Verdict:
+    """The fixed-length rule on ``gjs(t, ty, alpha)`` of each training type ``t``.
+
+    The training types and the test type share one alphabet; the binary rule
+    is given class 1's type alone (see :func:`_fixed_length_codes`).
+    """
+    _check_classes((*types, ty), "types")
+    ty_dist = ty.as_distribution()
+    values = [gjs(t.as_distribution(), ty_dist, cfg.alpha) for t in types]
+    code = _fixed_length_codes(np.array([values]), cfg.raw_threshold, binary)
+    return _verdict(int(code[0]), Verdict.rejected())
+
+
 def gutman_binary(t1: EmpiricalType, ty: EmpiricalType, cfg: GutmanConfig) -> Verdict:
     """Accept class 1 iff its score is at or below the threshold."""
-    if t1.alphabet != ty.alphabet:
-        raise AlphabetMismatch("types live on different alphabets")
-    value = gjs(t1.as_distribution(), ty.as_distribution(), cfg.alpha)
-    code = _fixed_length_codes(np.array([[value]]), cfg.raw_threshold, binary=True)
-    return _verdict(int(code[0]), Verdict.rejected())
+    return _fixed_length((t1,), ty, cfg, binary=True)
 
 
 def gutman_multiclass(
     types: Sequence[EmpiricalType], ty: EmpiricalType, cfg: GutmanConfig
 ) -> Verdict:
     """Declare the unique class scoring at or below the threshold, else reject."""
-    if len(types) < 2:
-        raise SizeMismatch("need at least two training types")
-    ty_dist = ty.as_distribution()
-    values = []
-    for t in types:
-        if t.alphabet != ty.alphabet:
-            raise AlphabetMismatch("types live on different alphabets")
-        values.append(gjs(t.as_distribution(), ty_dist, cfg.alpha))
-    code = _fixed_length_codes(np.array([values]), cfg.raw_threshold, binary=False)
-    return _verdict(int(code[0]), Verdict.rejected())
+    _check_classes(types, "training types")
+    return _fixed_length(types, ty, cfg, binary=False)
 
 
 # --------------------------------------------------------------------------

@@ -43,8 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlphabetMismatch, NonConvergence, NotInterior
-from .probability import Distribution, EmpiricalType, _check_alpha, _check_pair, entropy, kl
+from .errors import NonConvergence, NotInterior
+from .probability import (
+    Distribution, EmpiricalType, _check_alpha, _check_classes, _check_pair, entropy, kl,
+)
 
 # Bracketed searches run until the bracket is this narrow relative to its top.
 RELATIVE_BRACKET_WIDTH = 1e-13
@@ -302,8 +304,7 @@ def joint_sequence_exponent(t1: EmpiricalType, t2: EmpiricalType, w: Distributio
     ``gjs(T1, T2, N/n)`` plus the same entropy terms.  May be ``inf`` when
     ``w`` misses either support.
     """
-    if t1.alphabet != t2.alphabet or t1.alphabet != w.alphabet:
-        raise AlphabetMismatch("types and reference distribution must share one alphabet")
+    _check_classes((t1, t2, w), "types and reference distribution")
     d1 = t1.as_distribution()
     d2 = t2.as_distribution()
     ratio = t1.total / t2.total

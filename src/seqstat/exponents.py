@@ -339,9 +339,6 @@ def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:
     of distinct classes.
     """
     alpha = _check_alpha(alpha, strict=True)
-    m = len(dists)
-    if m < 2:
-        raise EmptyWeights("need at least two distributions")
     _check_distinct(dists)
     return min(
         gjs(p, q, alpha) / alpha for i, p in enumerate(dists) for j, q in enumerate(dists) if i != j

@@ -199,8 +199,6 @@ def _multiclass_thetas(
 ) -> tuple[np.ndarray, float]:
     """:func:`multiclass_thetas` and the cap, for the next rate of a grid."""
     m = len(dists)
-    if m < 2:
-        raise GammaOutOfRange("need at least two distributions")
     _check_distinct(dists)
     gamma, cap = _rate_gate(dists, gamma, cap)
     out = np.full((m, m), math.nan)

@@ -185,15 +185,11 @@ def empirical_type(sequence: Iterable[Symbol], alphabet: Alphabet) -> EmpiricalT
     """Count symbol occurrences of ``sequence`` under ``alphabet``."""
     table = alphabet._index
     counts = [0] * alphabet.size
-    n = 0
     for sym in sequence:
         try:
             counts[table[sym]] += 1
         except KeyError:
             raise UnknownSymbol(f"symbol {sym!r} is not in the alphabet") from None
-        n += 1
-    if n == 0:
-        raise EmptySequence("cannot build the empirical type of an empty sequence")
     return EmpiricalType(alphabet, tuple(counts))
 
 
@@ -207,12 +203,23 @@ def _check_pair(p: Distribution, q: Distribution) -> None:
         raise AlphabetMismatch("distributions live on different alphabets")
 
 
-def _check_index(value, error: type[Exception], what: str) -> int:
-    """``value`` as a Python int, numpy integers included; ``error`` if it is not an integer."""
+def _check_classes(items: Sequence, what: str) -> None:
+    """A class set: at least two ``items`` (distributions or types) on one alphabet."""
+    if len(items) < 2:
+        raise SizeMismatch(f"need at least two {what}, got {len(items)}")
+    if any(item.alphabet != items[0].alphabet for item in items):
+        raise AlphabetMismatch(f"{what} live on different alphabets")
+
+
+def _check_index(value, error: type[Exception], what: str, low: int | None = None) -> int:
+    """``value`` as a Python int, numpy integers included; ``error`` if it is not one ``>= low``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 def _check_real(value, error: type[Exception], what: str) -> float:
@@ -260,6 +267,8 @@ def _same_pair(p: Distribution, q: Distribution) -> bool:
 
 
 def _check_distinct(dists: Sequence[Distribution]) -> None:
+    """A class set of distributions no two of which coincide."""
+    _check_classes(dists, "distributions")
     for i in range(len(dists)):
         for j in range(i + 1, len(dists)):
             if _same_pair(dists[i], dists[j]):
@@ -350,8 +359,7 @@ def stream_indices(
 
 def sample_indices(p: Distribution, n: int, seed: SeedSpec) -> np.ndarray:
     """Draw ``n`` iid symbol indices from ``p`` on the stream ``seed``."""
-    if n < 0:
-        raise SizeMismatch(f"cannot draw {n} samples")
+    n = _check_index(n, SizeMismatch, "sample size", 0)
     return stream_indices(p, seed.master_seed, (seed.stream_index,), 0, n)[0]
 
 

@@ -50,17 +50,12 @@ from .classifiers import (
 )
 from .divergence import gjs  # noqa: F401  (wrapped by name in bench/spans.py)
 from .exponents import bayes_multiclass_gutman, gutman_bayes_exponent
-from .errors import (
-    AlphabetMismatch,
-    InsufficientErrors,
-    NoSolution,
-    SizeMismatch,
-    ValidationError,
-)
+from .errors import InsufficientErrors, NoSolution, SizeMismatch, ValidationError
 from .fixedpoint import solve_fixed_point
 from .probability import (
     Distribution,
     SeedSpec,
+    _check_classes,
     _check_index,
     _check_real,
     _counts_from_uniforms,
@@ -94,19 +89,13 @@ class ExperimentConfig:
     gutman_mode: str = "raw"
 
     def __post_init__(self) -> None:
+        _check_classes(self.distributions, "distributions")
         m = len(self.distributions)
-        if m < 2:
-            raise SizeMismatch("an experiment needs at least two distributions")
-        alphabet = self.distributions[0].alphabet
-        for d in self.distributions[1:]:
-            if d.alphabet != alphabet:
-                raise AlphabetMismatch("experiment distributions share one alphabet")
-        for name in ("train_len", "cap", "trials", "n_test", "true_class"):
+        object.__setattr__(self, "trials", _check_index(self.trials, SizeMismatch, "trials", 1))
+        for name in ("train_len", "cap", "n_test", "true_class"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, _check_index(value, SizeMismatch, name))
-        if self.trials < 1:
-            raise SizeMismatch(f"trials must be >= 1, got {self.trials}")
         object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         if self.true_class is not None and not (0 <= self.true_class < m):
             raise SizeMismatch(f"true_class {self.true_class} out of range")
@@ -291,9 +280,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
     """Run one fully traced trial; deterministic in ``(config, index)``."""
     if cfg.true_class is None:
         raise ValidationError("run_trial needs a configured true class")
-    trial_index = _check_index(trial_index, ValidationError, "trial index")
-    if trial_index < 0:
-        raise ValidationError(f"trial index must be >= 0, got {trial_index}")
+    trial_index = _check_index(trial_index, ValidationError, "trial index", 0)
     return _traced_trials(cfg, [trial_index])[0]
 
 
@@ -322,9 +309,7 @@ def _collect_summaries(
     whole ``BLOCK_TRIALS`` batches, so only a configuration's last span runs
     a partial batch.
     """
-    workers = _check_index(workers, ValidationError, "workers")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = _check_index(workers, ValidationError, "workers", 1)
     trials = configs[0].trials if configs else 0
     if workers == 1 or trials < 4 * workers:
         return [_summaries_serial(cfg, range(trials)) for cfg in configs]

@@ -15,16 +15,21 @@ from seqstat import (
     GutmanConfig,
     SeedSpec,
     SequentialConfig,
+    bayes_multiclass_gutman,
     constrained_kl_min,
     empirical_type,
     entropy,
     exponent_report,
     gjs,
+    gutman_multiclass,
     gutman_type2_exponent,
+    joint_sequence_exponent,
     kl,
     lp_closed_form,
     make_distribution,
+    multiclass_thetas,
     sample_iid,
+    sample_indices,
     solve_fixed_point,
 )
 from seqstat.errors import (
@@ -324,3 +329,45 @@ def test_numeric_strings_are_numbers():
     assert SequentialConfig("0.5", 10).threshold == 5.0
     cfg = ExperimentConfig((P_AB, Q_AB), 0.1, 10, 1, 0, priors=("0.25", 0.75))
     assert cfg.effective_priors == (0.25, 0.75)
+
+
+ABC = Alphabet(("a", "b", "c"))
+# on a wider alphabet, with P_AB's weights first: a pairwise comparison that
+# zips the two weight tuples would take them for one distribution
+P_ABC = make_distribution([0.3, 0.7, 0.0], ABC)
+R_ABC = make_distribution([0.2, 0.3, 0.5], ABC)
+T_AB = EmpiricalType(AB, (1, 2))
+T_ABC = EmpiricalType(ABC, (1, 2, 0))
+U_ABC = EmpiricalType(ABC, (0, 1, 3))
+G = GutmanConfig(1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: multiclass_thetas([P_AB, P_ABC, R_ABC], 0.01), AlphabetMismatch),
+        (lambda: bayes_multiclass_gutman([P_AB, P_ABC], 1.0), AlphabetMismatch),
+        (lambda: gutman_multiclass([T_ABC, T_AB], U_ABC, G), AlphabetMismatch),
+        (lambda: gutman_multiclass([T_ABC, U_ABC], T_AB, G), AlphabetMismatch),
+        (lambda: joint_sequence_exponent(T_ABC, U_ABC, P_AB), AlphabetMismatch),
+        (lambda: multiclass_thetas([R_ABC], 0.01), SizeMismatch),
+        (lambda: bayes_multiclass_gutman([R_ABC], 1.0), SizeMismatch),
+    ],
+    ids=[
+        "thetas-mixed", "bayes-mixed", "gutman-mixed", "gutman-test-mixed", "joint-mixed",
+        "thetas-one", "bayes-one",
+    ],
+)
+def test_class_sets_are_checked_first(call, error):
+    # a class set is at least two distributions or types on one alphabet,
+    # checked before any pairwise comparison or rate gate reads the weights
+    with pytest.raises(error, match="need at least two|live on different alphabets"):
+        call()
+
+
+@pytest.mark.parametrize("n", [2.5, "3", None, -1])
+@pytest.mark.parametrize("draw", [sample_indices, sample_iid])
+def test_sample_sizes_are_checked(draw, n):
+    # a bare ``n < 0`` would leak TypeError on the first three
+    with pytest.raises(SizeMismatch, match="sample size must be"):
+        draw(P_AB, n, SeedSpec(1))

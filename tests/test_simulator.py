@@ -91,6 +91,7 @@ class TestExperimentConfig:
             ("train_len", 30.0, SizeMismatch),
             ("cap", 30.5, SizeMismatch),
             ("trials", 2.0, SizeMismatch),
+            ("trials", None, SizeMismatch),
             ("true_class", 0.5, SizeMismatch),
         ],
     )

@@ -1,8 +1,9 @@
 """The benchmark's hooks into the package still resolve, every public name
 resolves and is listed once, nothing leans on a package the project does not
 declare, every module imports only the modules below it, ``estimate`` builds
-no per-trial objects, every symbol is drawn by one sampler, and the
-README's example config still runs.
+no per-trial objects, every symbol is drawn by one sampler, one validator
+module raises every alphabet mismatch, and the README's example config
+still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -172,6 +173,19 @@ def test_one_sampler():
                 home = range(node.lineno, node.end_lineno + 1)
     assert searches == []
     assert draws and all(stem == "probability" and line in home for stem, line in draws)
+
+
+def test_one_alphabet_check():
+    # the class-set and pair validators in probability.py are the only code
+    # that raises AlphabetMismatch; every other module calls them
+    built = []
+    for path in sorted((ROOT / "src" / "seqstat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "AlphabetMismatch":
+                    built.append(path.stem)
+    assert built and set(built) == {"probability"}
 
 
 class _Forbidden:
