@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 from .classifiers import TrialTrace
 from .divergence import chernoff, gjs
@@ -50,7 +50,7 @@ from .simulator import (
     BLOCK_TRIALS,
     ExperimentConfig,
     SimulationReport,
-    _traced_trials,
+    _traces,
     estimate,
     run_trial,
 )
@@ -408,11 +408,10 @@ def _dump_traces(experiment: ExperimentConfig, trace_dir: str) -> None:
     )
     threshold = _trace_threshold(experiment)
     trials = experiment.trials
-    for hyp in hypotheses:
-        fixed = replace(experiment, true_class=hyp)
-        for lo in range(0, trials, BLOCK_TRIALS):
-            batch = range(lo, min(lo + BLOCK_TRIALS, trials))
-            for trial, trace in zip(batch, _traced_trials(fixed, batch)):
+    for lo in range(0, trials, BLOCK_TRIALS):
+        batch = range(lo, min(lo + BLOCK_TRIALS, trials))
+        for hyp, traces in zip(hypotheses, _traces(experiment, hypotheses, batch)):
+            for trial, trace in zip(batch, traces):
                 path = os.path.join(trace_dir, f"trace_h{hyp + 1}_t{trial}.csv")
                 _write_trace_csv(path, trace, threshold)
 

@@ -11,16 +11,26 @@ any worker count.
 Trials run in batches of ``BLOCK_TRIALS`` and are scored by the count
 kernel of :mod:`seqstat.classifiers`: the sequential test in lockstep,
 pulling each batch's test streams block by block, and the fixed-length test
-as one block at the single prefix ``n_test``.  A batch's outcome is a set of
-arrays: stopping times, verdict codes (class index, or -1 for no decision or
-reject) and first crossings.  ``estimate`` keeps only the times and codes,
-concatenated in trial order (workers return them as arrays too), and reduces
-them with exact integer sums; no per-trial object is built.
+as one block at the single prefix ``n_test``.  The hypothesis is not part of
+a stream's key, so the hypotheses of a sweep (``true_class`` unset) read the
+same streams, and a batch draws each of them once for all hypotheses: its
+training counts serve every hypothesis, the sequential test runs every
+(trial, hypothesis) row in one lockstep that maps each block's uniforms
+through each row's hypothesis, and the fixed-length test counts each test
+stream through each hypothesis's thresholds.  ``_trials`` is the one batch
+function; ``estimate``, ``exponent_probe`` (one hypothesis per training
+length), ``run_trial``, ``--trace-dir`` and the worker pool all call it.  A
+batch's outcome is a set of arrays per hypothesis: stopping times, verdict
+codes (class index, or -1 for no decision or reject) and first crossings.
+``estimate`` keeps only the times and codes, concatenated in trial order
+(workers return them as arrays too), and reduces them with exact integer
+sums; no per-trial object is built.
 :class:`~seqstat.classifiers.TrialTrace` and its verdict are built only for
 ``run_trial`` (a recorded batch of one) and ``seqstat simulate
 --trace-dir`` (recorded batches of ``BLOCK_TRIALS``).  ``estimate`` and
 ``exponent_probe`` start at most one worker pool per call and feed it the
-trial blocks of every hypothesis or training length.
+trial spans of the sweep or of every training length; each span runs all of
+its hypotheses.
 """
 
 from __future__ import annotations
@@ -59,15 +69,15 @@ from .probability import (
     _check_index,
     _check_real,
     _counts_from_uniforms,
+    _indices_from_uniforms,
     _stream_uniforms,
     bit_generator,  # noqa: F401  (wrapped by name in bench/spans.py)
     sample_indices,  # noqa: F401  (wrapped by name in bench/spans.py)
-    stream_indices,
 )
 
 # Trials run in batches of this size.
 BLOCK_TRIALS = 128
-# Two-sided normal quantile used for the 95% confidence half-widths.
+# Two-sided normal quantile used for the 95% confidence bounds.
 _Z95 = 1.959963984540054
 
 
@@ -146,7 +156,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Aggregate outcome of all trials under one true class."""
+    """Aggregate outcome of all trials under one true class.
+
+    ``error_half_width`` is the Wald half-width, 0 at zero errors;
+    ``error_upper_95`` is the upper end of the 95% Wilson score interval,
+    which stays above 0 there.
+    """
 
     hypothesis: int
     trials: int
@@ -154,6 +169,7 @@ class HypothesisReport:
     nodecisions: int
     error_rate: float
     error_half_width: float
+    error_upper_95: float
     mean_T: float
     stddev_T: float
     mean_T_half_width: float
@@ -192,16 +208,20 @@ class ProbeReport:
 
 
 def _stream_counts(
-    dist: Distribution, master_seed: int, streams: Sequence[int], length: int
+    weights: Sequence[np.ndarray], master_seed: int, streams: Sequence[int], length: int
 ) -> np.ndarray:
-    """Symbol counts ``(len(streams), K)`` of the first ``length`` draws of each stream."""
-    weights = dist.as_array()
-    out = np.empty((len(streams), len(weights)), dtype=np.int64)
+    """Symbol counts ``(len(weights), len(streams), K)`` of each stream's first ``length`` draws.
+
+    Each stream is drawn once and counted through the thresholds of each
+    entry of ``weights``.
+    """
+    out = np.empty((len(weights), len(streams), len(weights[0])), dtype=np.int64)
     # at most BLOCK_ENTRIES symbols are drawn at once, whatever the batch and length
     rows = max(1, BLOCK_ENTRIES // length)
     for lo in range(0, len(streams), rows):
         uniforms = _stream_uniforms(master_seed, streams[lo : lo + rows], 0, length)
-        out[lo : lo + rows] = _counts_from_uniforms(weights, uniforms)
+        for counts, w in zip(out, weights):
+            counts[lo : lo + rows] = _counts_from_uniforms(w, uniforms)
     return out
 
 
@@ -209,7 +229,9 @@ def _training_counts(cfg: ExperimentConfig, indices: Sequence[int]) -> np.ndarra
     """Training counts ``(B, M, K)`` of the trials ``indices``, from their role streams."""
     m = cfg.num_classes
     per_role = [
-        _stream_counts(dist, cfg.master_seed, [t * (m + 1) + role for t in indices], cfg.train_len)
+        _stream_counts(
+            [dist.as_array()], cfg.master_seed, [t * (m + 1) + role for t in indices], cfg.train_len
+        )[0]
         for role, dist in enumerate(cfg.distributions)
     ]
     return np.stack(per_role, axis=1)
@@ -222,58 +244,91 @@ def _training_counts(cfg: ExperimentConfig, indices: Sequence[int]) -> np.ndarra
 Outcome = tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray] | None]
 
 
-def _sequential_trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> Outcome:
-    """Sequential test on the trials ``indices``, run as one lockstep batch."""
-    m = cfg.num_classes
-    train = _training_counts(cfg, indices)
-    streams = [t * (m + 1) + m for t in indices]
-    source = cfg.distributions[cfg.true_class]
+def _trials(
+    cfg: ExperimentConfig, hypotheses: Sequence[int], indices: Sequence[int], record: bool
+) -> list[Outcome]:
+    """The configured test on the trials ``indices`` under each of ``hypotheses``.
 
-    def draw(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-        keys = [streams[r] for r in rows.tolist()]
-        return stream_indices(source, cfg.master_seed, keys, start, stop)
-
-    rule = "smaller" if m == 2 else "none"
-    return _lockstep(train, cfg.sequential_config(), rule, draw, record)
-
-
-def _fixed_length_trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> Outcome:
-    """Fixed-length test on the trials ``indices``, scored as one batch.
-
-    A trace's one row holds each class's ``gjs(T_train, T_test, N / n)``:
-    its score at the single prefix ``n_test``, divided by ``n_test``.
+    Every stream of a trial is drawn once, whatever the number of
+    hypotheses.  The training counts serve every hypothesis, and the test
+    runs on the rows ``j * B + i`` (trial ``indices[i]`` under
+    ``hypotheses[j]``) at once: the sequential test in one lockstep that
+    maps each block's uniforms through each row's hypothesis, the
+    fixed-length test by counting each test stream through each
+    hypothesis's thresholds.  A fixed-length trace's one row holds each
+    class's ``gjs(T_train, T_test, N / n)``: its score at the single prefix
+    ``n_test``, divided by ``n_test``.  One outcome per hypothesis, in order.
     """
     m = cfg.num_classes
     big_n = cfg.train_len
-    n_test = cfg.n_test
     train = _training_counts(cfg, indices)
+    batch = len(train)
     streams = [t * (m + 1) + m for t in indices]
-    test = _stream_counts(cfg.distributions[cfg.true_class], cfg.master_seed, streams, n_test)
-    phi_train = _phi_array(train.transpose(2, 0, 1), big_n, big_n)
-    scores = _block_scores(train, phi_train, test.T[:, :, None], np.array([n_test]), big_n)
-    values = scores[:, :, 0] / n_test
-    threshold = cfg.gutman_config().raw_threshold
-    codes = _fixed_length_codes(values, threshold, binary=m == 2)
-    times = np.full(len(values), n_test, dtype=np.int64)
-    firsts = np.where(values > threshold, n_test, 0)
-    return times, codes, firsts, list(values[:, None]) if record else None
+    weights = [cfg.distributions[h].as_array() for h in hypotheses]
+    rows = np.tile(train, (len(weights), 1, 1))
+    if cfg.test_kind == "sequential":
+
+        def draw(active: np.ndarray, start: int, stop: int) -> np.ndarray:
+            if len(weights) == 1:
+                # each row is its own trial, so no trial's uniforms are shared
+                keys = [streams[r] for r in active.tolist()]
+                uniforms = _stream_uniforms(cfg.master_seed, keys, start, stop)
+                return _indices_from_uniforms(weights[0], uniforms)
+            trials, inverse = np.unique(active % batch, return_inverse=True)
+            keys = [streams[i] for i in trials.tolist()]
+            uniforms = _stream_uniforms(cfg.master_seed, keys, start, stop)
+            symbols = np.empty((len(active), stop - start), dtype=np.intp)
+            hypothesis = active // batch
+            for j, w in enumerate(weights):
+                mine = hypothesis == j
+                symbols[mine] = _indices_from_uniforms(w, uniforms[inverse[mine]])
+            return symbols
+
+        rule = "smaller" if m == 2 else "none"
+        times, codes, firsts, traces = _lockstep(rows, cfg.sequential_config(), rule, draw, record)
+    else:
+        n_test = cfg.n_test
+        test = _stream_counts(weights, cfg.master_seed, streams, n_test).reshape(len(rows), -1)
+        phi_train = _phi_array(rows.transpose(2, 0, 1), big_n, big_n)
+        scores = _block_scores(rows, phi_train, test.T[:, :, None], np.array([n_test]), big_n)
+        values = scores[:, :, 0] / n_test
+        threshold = cfg.gutman_config().raw_threshold
+        codes = _fixed_length_codes(values, threshold, binary=m == 2)
+        times = np.full(len(values), n_test, dtype=np.int64)
+        firsts = np.where(values > threshold, n_test, 0)
+        traces = list(values[:, None]) if record else None
+    return [
+        (times[lo : lo + batch], codes[lo : lo + batch], firsts[lo : lo + batch],
+         traces[lo : lo + batch] if record else None)
+        for lo in range(0, len(rows), batch)
+    ]
 
 
-def _trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> Outcome:
-    """The configured test on the trials ``indices``, run as one batch."""
-    if cfg.test_kind == "gutman":
-        return _fixed_length_trials(cfg, indices, record)
-    return _sequential_trials(cfg, indices, record)
+def _sequential_trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> Outcome:
+    """The configured test (sequential or fixed-length) under the configured true class.
+
+    A one-hypothesis batch of the trials ``indices``.
+    """
+    return _trials(cfg, [cfg.true_class], indices, record)[0]
+
+
+def _traces(
+    cfg: ExperimentConfig, hypotheses: Sequence[int], indices: Sequence[int]
+) -> list[list[TrialTrace]]:
+    """Full traces of the trials ``indices`` under each of ``hypotheses``, one recorded batch."""
+    fail = Verdict.rejected() if cfg.test_kind == "gutman" else Verdict.undecided()
+    return [
+        [
+            TrialTrace(r, t, _verdict(c, fail), tuple(f or None for f in fs))
+            for r, t, c, fs in zip(rows, times.tolist(), codes.tolist(), firsts.tolist())
+        ]
+        for times, codes, firsts, rows in _trials(cfg, hypotheses, indices, record=True)
+    ]
 
 
 def _traced_trials(cfg: ExperimentConfig, indices: Sequence[int]) -> list[TrialTrace]:
-    """Full traces of the trials ``indices``, run as one recorded batch."""
-    times, codes, firsts, rows = _trials(cfg, indices, record=True)
-    fail = Verdict.rejected() if cfg.test_kind == "gutman" else Verdict.undecided()
-    return [
-        TrialTrace(r, t, _verdict(c, fail), tuple(f or None for f in fs))
-        for r, t, c, fs in zip(rows, times.tolist(), codes.tolist(), firsts.tolist())
-    ]
+    """Full traces of the trials ``indices`` under the configured true class."""
+    return _traces(cfg, [cfg.true_class], indices)[0]
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
@@ -284,45 +339,61 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
     return _traced_trials(cfg, [trial_index])[0]
 
 
-def _summaries_serial(cfg: ExperimentConfig, indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """Stopping times and verdict codes of the trials ``indices``, in trial order."""
-    parts = [
-        _trials(cfg, range(lo, min(lo + BLOCK_TRIALS, indices.stop)), record=False)
-        for lo in range(indices.start, indices.stop, BLOCK_TRIALS)
+# Stopping times and verdict codes of one hypothesis's trials, in trial order.
+_Summary = tuple[np.ndarray, np.ndarray]
+
+
+def _joined(parts: list[list[_Summary | Outcome]]) -> list[_Summary]:
+    """Per hypothesis, the summaries of ``parts`` (outcome lists of batches or spans) joined."""
+    return [
+        (np.concatenate([o[0] for o in mine]), np.concatenate([o[1] for o in mine]))
+        for mine in zip(*parts)
     ]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def _summary_batch(args) -> tuple[np.ndarray, np.ndarray]:
-    cfg, start, stop = args
-    return _summaries_serial(cfg, range(start, stop))
+def _summaries(span: tuple[ExperimentConfig, Sequence[int], int, int]) -> list[_Summary]:
+    """Summaries of the span ``(cfg, hypotheses, start, stop)``, one per hypothesis.
+
+    The span's trials ``start .. stop-1`` run in batches of ``BLOCK_TRIALS``,
+    each batch under every hypothesis at once.
+    """
+    cfg, hypotheses, start, stop = span
+    return _joined([
+        _trials(cfg, hypotheses, range(lo, min(lo + BLOCK_TRIALS, stop)), record=False)
+        for lo in range(start, stop, BLOCK_TRIALS)
+    ])
+
+
+def _summaries_serial(cfg: ExperimentConfig, indices: range) -> _Summary:
+    """Summary of the trials ``indices`` under the configured true class."""
+    return _summaries((cfg, [cfg.true_class], indices.start, indices.stop))[0]
 
 
 def _collect_summaries(
-    configs: list[ExperimentConfig], workers: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stopping times and verdict codes of each configuration, in trial order.
+    jobs: list[tuple[ExperimentConfig, Sequence[int]]], workers: int
+) -> list[list[_Summary]]:
+    """Summaries of each ``(configuration, hypotheses)`` job, one per hypothesis.
 
-    All configurations share one trial count; with a worker pool their trial
-    spans go to the same pool, and the results come back in submission
-    order.  A span is about a quarter of a worker's share, rounded up to
-    whole ``BLOCK_TRIALS`` batches, so only a configuration's last span runs
-    a partial batch.
+    All jobs share one trial count; with a worker pool their trial spans
+    ``(cfg, hypotheses, start, stop)`` go to the same pool, and the results
+    come back in submission order.  A span runs every hypothesis of its job
+    and is about a quarter of a worker's share, rounded up to whole
+    ``BLOCK_TRIALS`` batches, so only a job's last span runs a partial batch.
     """
     workers = _check_index(workers, ValidationError, "workers", 1)
-    trials = configs[0].trials if configs else 0
+    trials = jobs[0][0].trials if jobs else 0
     if workers == 1 or trials < 4 * workers:
-        return [_summaries_serial(cfg, range(trials)) for cfg in configs]
+        return [_summaries((cfg, hypotheses, 0, trials)) for cfg, hypotheses in jobs]
     block = BLOCK_TRIALS * -(-trials // (workers * 4 * BLOCK_TRIALS))
     starts = range(0, trials, block)
-    spans = [(cfg, start, min(start + block, trials)) for cfg in configs for start in starts]
+    spans = [
+        (cfg, hypotheses, start, min(start + block, trials))
+        for cfg, hypotheses in jobs
+        for start in starts
+    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        batches = list(pool.map(_summary_batch, spans))
-    out = []
-    for c in range(len(configs)):
-        mine = batches[c * len(starts) : (c + 1) * len(starts)]
-        out.append((np.concatenate([b[0] for b in mine]), np.concatenate([b[1] for b in mine])))
-    return out
+        batches = list(pool.map(_summaries, spans))
+    return [_joined(batches[c : c + len(starts)]) for c in range(0, len(batches), len(starts))]
 
 
 def _predicted_mean_t(cfg: ExperimentConfig, hypothesis: int) -> float:
@@ -341,6 +412,13 @@ def _predicted_mean_t(cfg: ExperimentConfig, hypothesis: int) -> float:
             continue
         slowest = min(slowest, root)
     return cfg.train_len / slowest if math.isfinite(slowest) else math.nan
+
+
+def _wilson_upper(rate: float, trials: int) -> float:
+    """Upper end of the 95% Wilson score interval for ``rate`` observed over ``trials``."""
+    z2 = _Z95 * _Z95
+    spread = _Z95 * math.sqrt(rate * (1.0 - rate) / trials + z2 / (4.0 * trials * trials))
+    return (rate + z2 / (2.0 * trials) + spread) / (1.0 + z2 / trials)
 
 
 def _aggregate(
@@ -372,6 +450,7 @@ def _aggregate(
         nodecisions=nodecisions,
         error_rate=rate,
         error_half_width=_Z95 * math.sqrt(rate * (1.0 - rate) / trials),
+        error_upper_95=_wilson_upper(rate, trials),
         mean_T=mean_t,
         stddev_T=stddev,
         mean_T_half_width=_Z95 * stddev / math.sqrt(trials),
@@ -393,11 +472,9 @@ def estimate(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
         hypotheses = list(range(cfg.num_classes))
     else:
         hypotheses = [cfg.true_class]
-    configs = [replace(cfg, true_class=hypothesis) for hypothesis in hypotheses]
-    summaries = _collect_summaries(configs, workers)
+    [summaries] = _collect_summaries([(cfg, hypotheses)], workers)
     rows = [
-        _aggregate(cfg_h, hypothesis, *summary)
-        for cfg_h, hypothesis, summary in zip(configs, hypotheses, summaries)
+        _aggregate(cfg, hypothesis, *summary) for hypothesis, summary in zip(hypotheses, summaries)
     ]
     bayes = None
     if len(hypotheses) == cfg.num_classes:
@@ -452,9 +529,10 @@ def exponent_probe(
     if cfg.true_class is None:
         raise ValidationError("the probe needs a configured true class")
     configs = [replace(cfg, train_len=train_len, cap=None) for train_len in n_grid]
+    jobs = [(cfg_n, [cfg.true_class]) for cfg_n in configs]
     rows = []
-    for train_len, cfg_n, summaries in zip(n_grid, configs, _collect_summaries(configs, workers)):
-        report = _aggregate(cfg_n, cfg.true_class, *summaries, predict=False)
+    for train_len, cfg_n, [summary] in zip(n_grid, configs, _collect_summaries(jobs, workers)):
+        report = _aggregate(cfg_n, cfg.true_class, *summary, predict=False)
         usable = report.errors > 0
         if usable:
             neg_log = -math.log(report.error_rate)

@@ -17,7 +17,7 @@ from seqstat import (
     run_trial,
     solve_fixed_point,
 )
-from seqstat import simulator
+from seqstat import probability, simulator
 from seqstat.errors import (
     AlphabetMismatch,
     BadSeed,
@@ -188,13 +188,13 @@ class TestDeterminism:
 
             def map(self, fn, jobs):
                 jobs = list(jobs)
-                spans.extend((start, stop) for _, start, stop in jobs)
+                spans.extend((start, stop) for _, _, start, stop in jobs)
                 return map(fn, jobs)
 
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
         assert report_key(estimate(cfg, workers=2)) == report_key(serial)
         assert simulator.BLOCK_TRIALS == 128
-        assert spans == [(0, 128), (128, 256), (256, 300)] * 2
+        assert spans == [(0, 128), (128, 256), (256, 300)]
 
     def test_trial_traces_repeat(self):
         cfg = basic_config()
@@ -216,6 +216,65 @@ class TestDeterminism:
         ra = estimate(cfg).rows[0]
         rb = estimate(other).rows[0]
         assert (ra.mean_T, ra.errors) != (rb.mean_T, rb.errors)
+
+
+def sweep_config(weights, kind, **overrides):
+    """A sweep over every class of ``weights``, sequential or fixed-length."""
+    extra = dict(test_kind="gutman", n_test=30, gutman_lambda=0.03, gutman_mode="scaled")
+    base = dict(
+        distributions=tuple(tern(w) for w in weights),
+        gamma=0.03,
+        train_len=60,
+        trials=40,
+        master_seed=7,
+        **(extra if kind == "gutman" else {}),
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+class TestSweepSharing:
+    @pytest.mark.parametrize("kind", ["sequential", "gutman"])
+    @pytest.mark.parametrize("weights", [NEAR_PAIR, TRIO], ids=["M2", "M3"])
+    def test_each_stream_is_drawn_once(self, monkeypatch, weights, kind):
+        # a sweep draws each trial's training streams and fixed-length test
+        # stream once, for all hypotheses; a sequential test stream may be
+        # drawn in several pieces, but no position twice
+        cfg = sweep_config(weights, kind, trials=simulator.BLOCK_TRIALS + 12)
+        draws = {}
+        original = probability._stream_uniforms
+
+        def recording(master_seed, streams, start, stop):
+            for stream in streams:
+                draws.setdefault((master_seed, stream), []).append((start, stop))
+            return original(master_seed, streams, start, stop)
+
+        monkeypatch.setattr(simulator, "_stream_uniforms", recording)
+        monkeypatch.setattr(probability, "_stream_uniforms", recording)
+        estimate(cfg, workers=1)
+        m = cfg.num_classes
+        keys = [(7, t * (m + 1) + role) for t in range(cfg.trials) for role in range(m + 1)]
+        assert sorted(draws) == sorted(keys)
+        for (_, stream), pieces in draws.items():
+            if stream % (m + 1) < m:
+                assert pieces == [(0, cfg.train_len)], stream
+            elif kind == "gutman":
+                assert pieces == [(0, cfg.n_test)], stream
+            else:
+                pieces.sort()
+                assert pieces[0][0] == 0
+                assert all(a[1] <= b[0] for a, b in zip(pieces, pieces[1:])), (stream, pieces)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["sequential", "gutman"])
+    @pytest.mark.parametrize("weights", [NEAR_PAIR, TRIO], ids=["M2", "M3"])
+    def test_sweep_rows_equal_single_hypothesis_runs(self, weights, kind, workers):
+        # more trials than one batch holds, so a batch boundary is crossed
+        cfg = sweep_config(weights, kind, trials=simulator.BLOCK_TRIALS + 12)
+        sweep = estimate(cfg, workers=workers)
+        for h in range(cfg.num_classes):
+            [row] = estimate(replace(cfg, true_class=h), workers=workers).rows
+            assert sweep.rows[h] == row
 
 
 class TestTrialMechanics:
@@ -327,6 +386,25 @@ class TestAggregation:
             for f in fields(row):
                 value = getattr(row, f.name)
                 assert type(value) is {"int": int, "float": float}[f.type], (f.name, value)
+
+    def test_error_upper_bound_is_wilson(self):
+        # the Wald half-width is 0 at zero errors; the Wilson bound is not,
+        # and at 3/2000 it sits near 4.4e-3, above the acceptance-09 gate
+        cfg = basic_config()
+        z = 1.959963984540054
+        for trials, errors, approx in [(2000, 0, 1.917e-3), (2000, 3, 4.401e-3), (50, 0, 7.14e-2)]:
+            codes = np.array([1] * errors + [0] * (trials - errors))
+            row = simulator._aggregate(cfg, 0, np.ones(trials, dtype=np.int64), codes)
+            upper = row.error_upper_95
+            assert upper == pytest.approx(approx, rel=1e-3)
+            # the upper root of (rate - u)^2 = z^2 u (1 - u) / n
+            rate = errors / trials
+            want = z * z * upper * (1 - upper) / trials
+            assert (rate - upper) ** 2 == pytest.approx(want, rel=1e-12)
+            assert upper > rate
+            if errors == 0:
+                assert row.error_half_width == 0.0
+                assert upper == pytest.approx(z * z / (trials + z * z), rel=1e-12)
 
     def test_aggregate_sums_exactly_past_int64(self):
         # sum T^2 = 1.8e19 > 2^63 - 1: an int64 reduction would wrap silently
