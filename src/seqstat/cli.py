@@ -47,9 +47,9 @@ from .exponents import (
 from .fixedpoint import _multiclass_thetas, solve_fixed_point
 from .probability import Alphabet, Distribution, make_distribution
 from .simulator import (
-    BLOCK_TRIALS,
     ExperimentConfig,
     SimulationReport,
+    _spans,
     _traces,
     estimate,
     run_trial,
@@ -403,15 +403,11 @@ def _trace_threshold(experiment: ExperimentConfig) -> float:
 
 def _dump_traces(experiment: ExperimentConfig, trace_dir: str) -> None:
     os.makedirs(trace_dir, exist_ok=True)
-    hypotheses = (
-        range(experiment.num_classes) if experiment.true_class is None else [experiment.true_class]
-    )
     threshold = _trace_threshold(experiment)
-    trials = experiment.trials
-    for lo in range(0, trials, BLOCK_TRIALS):
-        batch = range(lo, min(lo + BLOCK_TRIALS, trials))
-        for hyp, traces in zip(hypotheses, _traces(experiment, hypotheses, batch)):
-            for trial, trace in zip(batch, traces):
+    for span in _spans(experiment):
+        _, hypotheses, start, _ = span
+        for hyp, traces in zip(hypotheses, _traces(span)):
+            for trial, trace in enumerate(traces, start):
                 path = os.path.join(trace_dir, f"trace_h{hyp + 1}_t{trial}.csv")
                 _write_trace_csv(path, trace, threshold)
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NonConvergence, NotInterior
 from .probability import (
-    Distribution, EmpiricalType, _check_alpha, _check_classes, _check_pair, entropy, kl,
+    Distribution, EmpiricalType, _check_alpha, _check_classes, entropy, kl,
 )
 
 # Bracketed searches run until the bracket is this narrow relative to its top.
@@ -229,7 +229,7 @@ def gjs(p: Distribution, q: Distribution, alpha: float) -> float:
     boundary ones.  Concave and differentiable in ``alpha``, jointly convex
     in ``(p, q)``.
     """
-    _check_pair(p, q)
+    _check_classes((p, q), "distributions")
     alpha = _check_alpha(alpha, strict=False)
     return gjs_array(p.as_array(), q.as_array(), alpha)
 
@@ -239,7 +239,7 @@ def gjs_alpha_derivative(p: Distribution, q: Distribution, alpha: float) -> floa
 
     Requires interior inputs so the derivative is finite and stable.
     """
-    _check_pair(p, q)
+    _check_classes((p, q), "distributions")
     alpha = _check_alpha(alpha, strict=False)
     if not (p.interior and q.interior):
         raise NotInterior("the alpha-derivative needs interior distributions")
@@ -252,7 +252,7 @@ def gjs_mutual_info_form(p: Distribution, q: Distribution, alpha: float) -> floa
     The label picks ``p`` with prior ``alpha / (1 + alpha)`` and ``q``
     otherwise; the symbol is emitted by the picked distribution.
     """
-    _check_pair(p, q)
+    _check_classes((p, q), "distributions")
     alpha = _check_alpha(alpha, strict=False)
     if alpha == 0.0 or p.weights == q.weights:
         return 0.0
@@ -273,7 +273,7 @@ def chernoff(p: Distribution, q: Distribution) -> float:
     on C, and the value is the larger one at the final ends, which is an
     endpoint's own value when the optimum sits there.
     """
-    _check_pair(p, q)
+    _check_classes((p, q), "distributions")
     pa, qa = p.as_array(), q.as_array()
     common = (pa > 0.0) & (qa > 0.0)
     if not np.any(common):

@@ -55,7 +55,7 @@ from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
 from .fixedpoint import _exponent_report
 from .fixedpoint import exponent_report  # noqa: F401  (wrapped by name in bench/spans.py)
 from .probability import (
-    Distribution, _check_alpha, _check_distinct, _check_pair, _check_real, _same_pair,
+    Distribution, _check_alpha, _check_classes, _check_distinct, _check_real, _same_pair,
 )
 
 # A relaxation stops once its sweep moves no coordinate more than this; one
@@ -235,7 +235,7 @@ class _PairProgram:
 def _program(alpha: float, p1: Distribution, p2: Distribution) -> _PairProgram:
     """The fixed-length program at ratio ``alpha``, after checking the ratio and the pair."""
     alpha = _check_alpha(alpha, strict=True)
-    _check_pair(p1, p2)
+    _check_classes((p1, p2), "distributions")
     return _PairProgram(p1.as_array(), p2.as_array(), alpha)
 
 
@@ -358,7 +358,7 @@ def constrained_kl_min(
     and compares to ``radius`` itself exactly as the radius compares to the
     Chernoff information of the pair.
     """
-    _check_pair(p_center, p_obj)
+    _check_classes((p_center, p_obj), "distributions")
     radius = _check_budget(radius, "radius")
     center = p_center.as_array()
     obj = p_obj.as_array()

@@ -29,7 +29,9 @@ import numpy as np
 
 from .divergence import _End, _bracket, _mixture_divergences, _search, chernoff, gjs
 from .errors import GammaOutOfRange, NoSolution, NonConvergence
-from .probability import Distribution, EmpiricalType, _check_distinct, _check_gamma, _check_pair, kl
+from .probability import (
+    Distribution, EmpiricalType, _check_classes, _check_distinct, _check_gamma, kl,
+)
 
 # |gjs(p, q, root) - gamma * root| must come out at or below this.
 RESIDUAL_BOUND = 1e-10
@@ -119,7 +121,7 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     takes more than ``CROSSING_MAX_STEPS`` steps, when the root lies below
     ``BRACKET_LOW``, or when the residual exceeds ``RESIDUAL_BOUND``.
     """
-    _check_pair(p, q)
+    _check_classes((p, q), "distributions")
     gamma = _check_gamma(gamma)
     slope_at_zero = kl(p, q)
     if gamma >= slope_at_zero:
@@ -219,8 +221,7 @@ def empirical_fixed_point(
     only matters on the event that the empirical type stays close to its
     source, which forces the root to exist.
     """
-    gamma = _check_gamma(gamma)
-    t_dist = t.as_distribution()
-    if kl(t_dist, q) > gamma:
-        return solve_fixed_point(t_dist, q, gamma).theta_star
-    return float(fallback)
+    try:
+        return solve_fixed_point(t.as_distribution(), q, gamma).theta_star
+    except NoSolution:
+        return float(fallback)

@@ -198,11 +198,6 @@ def entropy(p: Distribution) -> float:
     return -math.fsum(w * math.log(w) for w in p.weights if w > 0.0)
 
 
-def _check_pair(p: Distribution, q: Distribution) -> None:
-    if p.alphabet != q.alphabet:
-        raise AlphabetMismatch("distributions live on different alphabets")
-
-
 def _check_classes(items: Sequence, what: str) -> None:
     """A class set: at least two ``items`` (distributions or types) on one alphabet."""
     if len(items) < 2:
@@ -280,7 +275,7 @@ def kl(p: Distribution, q: Distribution) -> float:
 
     Returns ``inf`` when ``p`` puts mass outside the support of ``q``.
     """
-    _check_pair(p, q)
+    _check_classes((p, q), "distributions")
     acc = []
     for pw, qw in zip(p.weights, q.weights):
         if pw == 0.0:

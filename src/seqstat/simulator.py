@@ -18,19 +18,19 @@ training counts serve every hypothesis, the sequential test runs every
 (trial, hypothesis) row in one lockstep that maps each block's uniforms
 through each row's hypothesis, and the fixed-length test counts each test
 stream through each hypothesis's thresholds.  ``_trials`` is the one batch
-function; ``estimate``, ``exponent_probe`` (one hypothesis per training
-length), ``run_trial``, ``--trace-dir`` and the worker pool all call it.  A
-batch's outcome is a set of arrays per hypothesis: stopping times, verdict
-codes (class index, or -1 for no decision or reject) and first crossings.
-``estimate`` keeps only the times and codes, concatenated in trial order
-(workers return them as arrays too), and reduces them with exact integer
-sums; no per-trial object is built.
-:class:`~seqstat.classifiers.TrialTrace` and its verdict are built only for
-``run_trial`` (a recorded batch of one) and ``seqstat simulate
---trace-dir`` (recorded batches of ``BLOCK_TRIALS``).  ``estimate`` and
-``exponent_probe`` start at most one worker pool per call and feed it the
-trial spans of the sweep or of every training length; each span runs all of
-its hypotheses.
+function, and ``_spans`` the one list of a run's batches: spans ``(cfg,
+hypotheses, start, stop)`` of ``BLOCK_TRIALS`` trials (the last may be
+shorter), each under every hypothesis the run covers.  ``estimate`` and
+``exponent_probe`` (one configuration per training length) map each
+configuration's spans in order, or hand them all to one worker pool, and
+``seqstat simulate --trace-dir`` runs the recorded form of the same spans;
+``run_trial`` runs a recorded span of one trial.  A batch's outcome is a
+set of arrays per hypothesis: stopping times, verdict codes (class index,
+or -1 for no decision or reject) and first crossings.  ``estimate`` keeps
+only the times and codes, concatenated in trial order (workers return them
+as arrays too), and reduces them with exact integer sums; no per-trial
+object is built.  :class:`~seqstat.classifiers.TrialTrace` and its verdict
+are built only for recorded spans.
 """
 
 from __future__ import annotations
@@ -304,31 +304,44 @@ def _trials(
     ]
 
 
-def _sequential_trials(cfg: ExperimentConfig, indices: Sequence[int], record: bool) -> Outcome:
-    """The configured test (sequential or fixed-length) under the configured true class.
+# A span of trials: ``(cfg, hypotheses, start, stop)``.
+_Span = tuple[ExperimentConfig, Sequence[int], int, int]
 
-    A one-hypothesis batch of the trials ``indices``.
+
+def _spans(cfg: ExperimentConfig) -> list[_Span]:
+    """The run's trials in whole ``BLOCK_TRIALS`` batches, each under every hypothesis it covers.
+
+    A run covers its true class, or every class in a sweep.  Only the last
+    batch may be partial.
     """
-    return _trials(cfg, [cfg.true_class], indices, record)[0]
+    hypotheses = list(range(cfg.num_classes)) if cfg.true_class is None else [cfg.true_class]
+    return [
+        (cfg, hypotheses, lo, min(lo + BLOCK_TRIALS, cfg.trials))
+        for lo in range(0, cfg.trials, BLOCK_TRIALS)
+    ]
 
 
-def _traces(
-    cfg: ExperimentConfig, hypotheses: Sequence[int], indices: Sequence[int]
-) -> list[list[TrialTrace]]:
-    """Full traces of the trials ``indices`` under each of ``hypotheses``, one recorded batch."""
+# Stopping times and verdict codes of one hypothesis's trials, in trial order.
+_Summary = tuple[np.ndarray, np.ndarray]
+
+
+def _batch(span: _Span) -> list[_Summary]:
+    """Summaries of the span ``(cfg, hypotheses, start, stop)``, one per hypothesis."""
+    cfg, hypotheses, start, stop = span
+    return [o[:2] for o in _trials(cfg, hypotheses, range(start, stop), record=False)]
+
+
+def _traces(span: _Span) -> list[list[TrialTrace]]:
+    """Full traces of the span ``(cfg, hypotheses, start, stop)``, one list per hypothesis."""
+    cfg, hypotheses, start, stop = span
     fail = Verdict.rejected() if cfg.test_kind == "gutman" else Verdict.undecided()
     return [
         [
             TrialTrace(r, t, _verdict(c, fail), tuple(f or None for f in fs))
             for r, t, c, fs in zip(rows, times.tolist(), codes.tolist(), firsts.tolist())
         ]
-        for times, codes, firsts, rows in _trials(cfg, hypotheses, indices, record=True)
+        for times, codes, firsts, rows in _trials(cfg, hypotheses, range(start, stop), record=True)
     ]
-
-
-def _traced_trials(cfg: ExperimentConfig, indices: Sequence[int]) -> list[TrialTrace]:
-    """Full traces of the trials ``indices`` under the configured true class."""
-    return _traces(cfg, [cfg.true_class], indices)[0]
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
@@ -336,64 +349,35 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialTrace:
     if cfg.true_class is None:
         raise ValidationError("run_trial needs a configured true class")
     trial_index = _check_index(trial_index, ValidationError, "trial index", 0)
-    return _traced_trials(cfg, [trial_index])[0]
-
-
-# Stopping times and verdict codes of one hypothesis's trials, in trial order.
-_Summary = tuple[np.ndarray, np.ndarray]
-
-
-def _joined(parts: list[list[_Summary | Outcome]]) -> list[_Summary]:
-    """Per hypothesis, the summaries of ``parts`` (outcome lists of batches or spans) joined."""
-    return [
-        (np.concatenate([o[0] for o in mine]), np.concatenate([o[1] for o in mine]))
-        for mine in zip(*parts)
-    ]
-
-
-def _summaries(span: tuple[ExperimentConfig, Sequence[int], int, int]) -> list[_Summary]:
-    """Summaries of the span ``(cfg, hypotheses, start, stop)``, one per hypothesis.
-
-    The span's trials ``start .. stop-1`` run in batches of ``BLOCK_TRIALS``,
-    each batch under every hypothesis at once.
-    """
-    cfg, hypotheses, start, stop = span
-    return _joined([
-        _trials(cfg, hypotheses, range(lo, min(lo + BLOCK_TRIALS, stop)), record=False)
-        for lo in range(start, stop, BLOCK_TRIALS)
-    ])
-
-
-def _summaries_serial(cfg: ExperimentConfig, indices: range) -> _Summary:
-    """Summary of the trials ``indices`` under the configured true class."""
-    return _summaries((cfg, [cfg.true_class], indices.start, indices.stop))[0]
+    return _traces((cfg, [cfg.true_class], trial_index, trial_index + 1))[0][0]
 
 
 def _collect_summaries(
-    jobs: list[tuple[ExperimentConfig, Sequence[int]]], workers: int
-) -> list[list[_Summary]]:
-    """Summaries of each ``(configuration, hypotheses)`` job, one per hypothesis.
+    configs: list[ExperimentConfig], workers: int
+) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Per configuration, ``(hypothesis, times, codes)`` of each hypothesis its run covers.
 
-    All jobs share one trial count; with a worker pool their trial spans
-    ``(cfg, hypotheses, start, stop)`` go to the same pool, and the results
-    come back in submission order.  A span runs every hypothesis of its job
-    and is about a quarter of a worker's share, rounded up to whole
-    ``BLOCK_TRIALS`` batches, so only a job's last span runs a partial batch.
+    All configurations share one trial count.  Their batches (see
+    :func:`_spans`) run in order, or go to one worker pool, whose results
+    come back in submission order; each hypothesis's batches are then joined.
     """
     workers = _check_index(workers, ValidationError, "workers", 1)
-    trials = jobs[0][0].trials if jobs else 0
+    runs = [_spans(cfg) for cfg in configs]
+    spans = [span for run in runs for span in run]
+    trials = configs[0].trials if configs else 0
     if workers == 1 or trials < 4 * workers:
-        return [_summaries((cfg, hypotheses, 0, trials)) for cfg, hypotheses in jobs]
-    block = BLOCK_TRIALS * -(-trials // (workers * 4 * BLOCK_TRIALS))
-    starts = range(0, trials, block)
-    spans = [
-        (cfg, hypotheses, start, min(start + block, trials))
-        for cfg, hypotheses in jobs
-        for start in starts
+        batches = list(map(_batch, spans))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_batch, spans))
+    done = iter(batches)
+    return [
+        [
+            (h, np.concatenate([o[0] for o in mine]), np.concatenate([o[1] for o in mine]))
+            for h, mine in zip(run[0][1], zip(*[next(done) for _ in run]))
+        ]
+        for run in runs
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        batches = list(pool.map(_summaries, spans))
-    return [_joined(batches[c : c + len(starts)]) for c in range(0, len(batches), len(starts))]
 
 
 def _predicted_mean_t(cfg: ExperimentConfig, hypothesis: int) -> float:
@@ -468,16 +452,10 @@ def estimate(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     budget and the prior-weighted error rate is reported alongside.
     """
     start = time.perf_counter()
-    if cfg.true_class is None:
-        hypotheses = list(range(cfg.num_classes))
-    else:
-        hypotheses = [cfg.true_class]
-    [summaries] = _collect_summaries([(cfg, hypotheses)], workers)
-    rows = [
-        _aggregate(cfg, hypothesis, *summary) for hypothesis, summary in zip(hypotheses, summaries)
-    ]
+    [summaries] = _collect_summaries([cfg], workers)
+    rows = [_aggregate(cfg, *summary) for summary in summaries]
     bayes = None
-    if len(hypotheses) == cfg.num_classes:
+    if len(rows) == cfg.num_classes:
         priors = cfg.effective_priors
         bayes = math.fsum(priors[r.hypothesis] * r.error_rate for r in rows)
     return SimulationReport(
@@ -529,10 +507,9 @@ def exponent_probe(
     if cfg.true_class is None:
         raise ValidationError("the probe needs a configured true class")
     configs = [replace(cfg, train_len=train_len, cap=None) for train_len in n_grid]
-    jobs = [(cfg_n, [cfg.true_class]) for cfg_n in configs]
     rows = []
-    for train_len, cfg_n, [summary] in zip(n_grid, configs, _collect_summaries(jobs, workers)):
-        report = _aggregate(cfg_n, cfg.true_class, *summary, predict=False)
+    for train_len, cfg_n, [summary] in zip(n_grid, configs, _collect_summaries(configs, workers)):
+        report = _aggregate(cfg_n, *summary, predict=False)
         usable = report.errors > 0
         if usable:
             neg_log = -math.log(report.error_rate)

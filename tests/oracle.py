@@ -93,7 +93,7 @@ from seqstat.errors import (
     StreamExhausted,
 )
 from seqstat.fixedpoint import BRACKET_LOW, RESIDUAL_BOUND, FixedPointResult, _check_gamma
-from seqstat.probability import _check_pair, _same_pair
+from seqstat.probability import _check_classes, _same_pair
 
 # Test symbols are drawn from the stream generator in blocks of this size.
 STREAM_CHUNK = 128
@@ -409,7 +409,7 @@ def sweep_relax(program: _PairProgram, mu: float, state):
 def bisect_bayes_crossing(alpha: float, p1, p2) -> float:
     """``gutman_bayes_exponent`` by doubling and bisecting the multiplier."""
     alpha = _check_alpha(alpha, strict=True)
-    _check_pair(p1, p2)
+    _check_classes((p1, p2), "distributions")
     if _same_pair(p1, p2):
         return 0.0
     program = _PairProgram(p1.as_array(), p2.as_array(), alpha)
@@ -489,7 +489,7 @@ def bisect_program(program: _PairProgram, budget: float):
 
 def bisect_chernoff(p, q) -> float:
     """``chernoff`` by bisecting the sign of the slope on [0, 1]."""
-    _check_pair(p, q)
+    _check_classes((p, q), "distributions")
     pa, qa = p.as_array(), q.as_array()
     common = (pa > 0.0) & (qa > 0.0)
     if not np.any(common):
@@ -519,7 +519,7 @@ def bisect_chernoff(p, q) -> float:
 
 def bisect_constrained_kl_min(p_center, p_obj, radius: float) -> float:
     """``constrained_kl_min`` by bisecting the geometric path parameter."""
-    _check_pair(p_center, p_obj)
+    _check_classes((p_center, p_obj), "distributions")
     radius = float(radius)
     if radius < 0.0:
         raise Infeasible(f"radius {radius} is negative")

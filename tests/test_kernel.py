@@ -13,6 +13,7 @@ one.
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,10 +42,10 @@ from seqstat.errors import BadSeed, StreamExhausted, UnknownSymbol
 from seqstat.probability import _counts_from_uniforms, _indices_from_uniforms, stream_indices
 from seqstat.simulator import (
     BLOCK_TRIALS,
-    _sequential_trials,
-    _summaries_serial,
-    _traced_trials,
+    _collect_summaries,
+    _traces,
     _training_counts,
+    _trials,
 )
 
 import oracle
@@ -87,7 +88,7 @@ def coded(trace):
 
 def kernel_outcomes(cfg, trials):
     """``(T, code, first crossings)`` of each trial from the unrecorded batch."""
-    times, codes, firsts, rows = _sequential_trials(cfg, range(trials), record=False)
+    times, codes, firsts, rows = _trials(cfg, [cfg.true_class], range(trials), record=False)[0]
     assert rows is None
     return list(zip(times.tolist(), codes.tolist(), map(tuple, firsts.tolist())))
 
@@ -130,7 +131,7 @@ def test_step_one_ties_match_oracle():
     for h in range(2):
         cfg = experiment(ALPH3, weights, 0.05, 50, 7, h)
         assert mismatches(cfg, 1000) == []
-        for trace in _traced_trials(cfg, range(1000)):
+        for trace in _traces((cfg, [h], 0, 1000))[0]:
             # unequal training counts of the first symbol put the two
             # step-1 scores at least 0.1 apart
             s0, s1 = trace.scores[0]
@@ -153,8 +154,8 @@ def test_record_modes_give_identical_arrays(tag):
     for train_len in lengths:
         for h in range(len(weights)):
             cfg = experiment(alphabet, weights, gamma, train_len, 7, h)
-            plain = _sequential_trials(cfg, range(trials), record=False)
-            kept = _sequential_trials(cfg, range(trials), record=True)
+            [plain] = _trials(cfg, [h], range(trials), record=False)
+            [kept] = _trials(cfg, [h], range(trials), record=True)
             for a, b in zip(plain[:3], kept[:3]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert plain[3] is None
@@ -287,7 +288,7 @@ def test_fixed_length_batches_match_oracle(tag, mode):
     for seed in range(3):
         for h in range(len(ACCEPTANCE[tag][1])):
             cfg = fixed_length(tag, seed, h, mode)
-            times, codes = _summaries_serial(cfg, range(trials))
+            [[(_, times, codes)]] = _collect_summaries([replace(cfg, trials=trials)], 1)
             for t, got in enumerate(zip(times.tolist(), codes.tolist())):
                 verdict, _ = oracle.fixed_length_trial(cfg, t)
                 kinds.add(verdict.kind if verdict.kind != "class" else verdict.index == h)
@@ -332,14 +333,14 @@ def test_scores_past_the_table_match_the_table(monkeypatch):
     # directly; the scores and outcomes must keep their bits
     same = [0.2, 0.5, 0.3]
     cfg = experiment(ALPH3, (same, [0.25, 0.45, 0.3]), 0.2, 40, 5, 0, cap=300)
-    want = _traced_trials(cfg, range(TRIALS))
+    want = _traces((cfg, [0], 0, TRIALS))[0]
     t = max(range(TRIALS), key=lambda t: want[t].stopping_time)
     x1 = sample_iid(cfg.distributions[0], 40, SeedSpec(5, 3 * t))
     x2 = sample_iid(cfg.distributions[1], 40, SeedSpec(5, 3 * t + 1))
     stream = sample_iid(cfg.distributions[0], want[t].stopping_time, SeedSpec(5, 3 * t + 2))
     monkeypatch.setattr(classifiers, "_TABLE_SIZE", 64)
     monkeypatch.setattr(classifiers, "_JLNJ", np.zeros(1))
-    got = _traced_trials(cfg, range(TRIALS))
+    got = _traces((cfg, [0], 0, TRIALS))[0]
     assert len(classifiers._JLNJ) == 64
     assert want[t].stopping_time > 64
     for g, w in zip(got, want):

@@ -172,8 +172,7 @@ class TestDeterminism:
             estimate(basic_config(), workers=1.5)
 
     def test_worker_spans_are_whole_batches(self, monkeypatch):
-        cfg = basic_config(trials=300, true_class=None)
-        serial = estimate(cfg, workers=1)
+        # the pool gets the serial run's batches, at every trial count
         spans = []
 
         class InlinePool:
@@ -192,9 +191,14 @@ class TestDeterminism:
                 return map(fn, jobs)
 
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
-        assert report_key(estimate(cfg, workers=2)) == report_key(serial)
         assert simulator.BLOCK_TRIALS == 128
-        assert spans == [(0, 128), (128, 256), (256, 300)]
+        nine = [(lo, min(lo + 128, 1100)) for lo in range(0, 1100, 128)]
+        assert len(nine) == 9
+        for trials, want in [(300, [(0, 128), (128, 256), (256, 300)]), (1100, nine)]:
+            cfg = basic_config(trials=trials, true_class=None)
+            spans.clear()
+            assert report_key(estimate(cfg, workers=2)) == report_key(estimate(cfg, workers=1))
+            assert spans == want
 
     def test_trial_traces_repeat(self):
         cfg = basic_config()
@@ -637,3 +641,8 @@ class TestExponentProbe:
         )
         with pytest.raises(InsufficientErrors):
             exponent_probe(cfg, [80, 100])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_grid_has_insufficient_errors(self, workers):
+        with pytest.raises(InsufficientErrors):
+            exponent_probe(basic_config(), [], workers=workers)

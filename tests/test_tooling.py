@@ -176,8 +176,8 @@ def test_one_sampler():
 
 
 def test_one_alphabet_check():
-    # the class-set and pair validators in probability.py are the only code
-    # that raises AlphabetMismatch; every other module calls them
+    # the class-set validator in probability.py is the only code that
+    # raises AlphabetMismatch; every other module calls it
     built = []
     for path in sorted((ROOT / "src" / "seqstat").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -186,6 +186,26 @@ def test_one_alphabet_check():
                 if name == "AlphabetMismatch":
                     built.append(path.stem)
     assert built and set(built) == {"probability"}
+
+
+def test_one_list_of_batches():
+    # simulator.py alone cuts a run into batches: the CLI never names the
+    # batch size, and only the summary and trace forms of a span call _trials
+    def names(node):
+        return {getattr(node, field, None) for field in ("id", "name", "attr")}
+
+    cli = ast.parse((ROOT / "src" / "seqstat" / "cli.py").read_text())
+    assert [node.lineno for node in ast.walk(cli) if "BLOCK_TRIALS" in names(node)] == []
+    calls = []
+    homes = []
+    for path in sorted((ROOT / "src" / "seqstat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "_trials" in names(node.func):
+                calls.append((path.stem, node.lineno))
+            if path.stem == "simulator" and getattr(node, "name", None) in ("_batch", "_traces"):
+                homes.append(range(node.lineno, node.end_lineno + 1))
+    assert len(homes) == 2 and len(calls) == 2
+    assert all(stem == "simulator" and any(line in home for home in homes) for stem, line in calls)
 
 
 class _Forbidden:
