@@ -29,7 +29,8 @@ cancels on near-identical pairs and is kept only as
 :func:`gjs_mutual_info_form`.
 
 ``_bracket`` and ``_search``, the package's one bracketed search (doubling
-from 1, then an Illinois search safeguarded by bisection), live here, below
+from 1, then an Illinois search safeguarded by bisection, with Newton steps
+where the ends carry slopes), live here, below
 every module that runs them, with its one width, ``RELATIVE_BRACKET_WIDTH``,
 and its one step budget, ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on
 its exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
@@ -128,13 +129,15 @@ def _entropy_array(p: np.ndarray) -> float:
 
 class _End(NamedTuple):
     """One end of a multiplier bracket: the relaxed state at ``mu``, the
-    caller's signed excess (growing with ``mu``) and the value the caller
-    reports at this end, ``inf`` where it reports none."""
+    caller's signed excess (growing with ``mu``), the value the caller
+    reports at this end, ``inf`` where it reports none, and the excess's
+    slope in ``mu`` where the caller has one."""
 
     mu: float
     excess: float
     value: float
     state: tuple
+    slope: float | None = None
 
 
 def _bracket(evaluate, lo: _End) -> tuple[_End, _End]:
@@ -156,7 +159,8 @@ def _bracket(evaluate, lo: _End) -> tuple[_End, _End]:
 
 
 def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
-    """Illinois search for the multiplier at which the excess changes sign.
+    """Illinois search for the multiplier at which the excess changes sign,
+    with Newton steps where the ends carry slopes.
 
     The excess is at most 0 at ``lo`` and positive at ``hi``;
     ``evaluate(mu, state)`` returns the end at ``mu``, relaxed from
@@ -170,9 +174,14 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     alone would call for needless bisections.)  While an end's excess is
     infinite, as the threshold equation's lower end is when ``D(p || q) =
     inf``, regula falsi would land on the other end, so every step there
-    is a bisection.  The search returns the
-    final ``(lo, hi)``, from which the caller picks its answer, once an end
-    of finite value has its excess within 1e-12 of 0 or the bracket is
+    is a bisection.  Where the end of smaller excess magnitude has a
+    positive finite slope, a step that would be regula falsi's is a Newton
+    step from that end instead, if it lands inside the same clamped bracket
+    (Press et al., *Numerical Recipes*, 3rd ed., 9.4, ``rtsafe``); it too is
+    followed by a bisection unless it halves the bracket or the excess.
+    Ends without a slope get the Illinois steps alone.  The search returns
+    the final ``(lo, hi)``, from which the caller picks its answer, once an
+    end of finite value has its excess within 1e-12 of 0 or the bracket is
     ``RELATIVE_BRACKET_WIDTH`` wide; :class:`NonConvergence` is raised when
     ``CROSSING_MAX_STEPS`` steps end before either.  A caller whose ends all
     have value ``inf`` gets a bracket of that width.
@@ -201,8 +210,14 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
         if bisect:
             mu = 0.5 * (lo.mu + hi.mu)
         else:
-            mu = hi.mu - f_hi * width / (f_hi - f_lo)
-            mu = min(max(mu, lo.mu + 0.25 * tol), hi.mu - 0.25 * tol)
+            # Newton from the end of smaller excess: a missing or zero slope
+            # gives NaN, and a negative or infinite one a point at or beyond
+            # that end, so only a positive finite slope can pass the clamp
+            better = hi if hi.excess <= -lo.excess else lo
+            mu = better.mu - better.excess / (better.slope or math.nan)
+            if not lo.mu + 0.25 * tol <= mu <= hi.mu - 0.25 * tol:
+                mu = hi.mu - f_hi * width / (f_hi - f_lo)
+                mu = min(max(mu, lo.mu + 0.25 * tol), hi.mu - 0.25 * tol)
         nearer = lo if mu - lo.mu < hi.mu - mu else hi
         end = evaluate(mu, nearer.state)
         if end.excess > 0.0:

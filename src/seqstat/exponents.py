@@ -35,7 +35,11 @@ bisection (``_bracket`` and ``_search`` in :mod:`seqstat.divergence`, which
 :func:`constrained_kl_min` also runs on its path).  The program searches on
 the constraint slack and returns a feasible end with its duality gap ``mu *
 slack`` certified; the Bayes crossing searches on the relaxed objective
-minus the relaxed constraint, both divided by ``alpha``.
+minus the relaxed constraint, both divided by ``alpha``, and gives each end
+that excess's slope (:meth:`_PairProgram.curvature`, one more solve with
+the relaxation's KKT matrix), so that its search takes Newton steps.  The
+program's search keeps the Illinois steps: Newton steps close in from the
+infeasible side, and that search stops only on a feasible end.
 
 Sources that share no symbol have a defined answer everywhere: every pair of
 finite objective then has the sources' own ``gjs``, so the programs are
@@ -84,6 +88,18 @@ def _check_budget(value: float, what: str) -> float:
     if not value >= 0.0:
         raise Infeasible(f"{what} {value} is {'negative' if value < 0.0 else 'not a number'}")
     return value
+
+
+def _simplex_solve(hess: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The relative step ``d`` with ``hess d = rhs`` up to a multiple of
+    ``w``, and ``w . d = 0``, so that ``sum W`` stays put: the KKT system
+    ``[[hess, w], [w^T, 0]] [d; nu] = [rhs; 0]``."""
+    k = len(w)
+    kkt, full = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
+    kkt[:k, :k] = hess
+    kkt[:k, k] = kkt[k, :k] = w
+    full[:k] = rhs
+    return np.linalg.solve(kkt, full)[:k]
 
 
 class _PairProgram:
@@ -147,8 +163,6 @@ class _PairProgram:
         """
         e = 1.0 / (1.0 + mu)
         w = state[2]
-        k = len(w)
-        kkt, rhs = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
         for _ in range(INNER_MAX_SWEEPS):
             q1, q2, t_w = self.sweep(w, e)
             move = abs(t_w - w).max()
@@ -156,10 +170,8 @@ class _PairProgram:
                 return q1, q2, w
             # adding (1 - e)(1 + alpha) sum W, constant on the simplex, makes
             # the gradient vanish where the sweep stands still
-            grad, kkt[:k, :k] = self.derivatives(w, q1, q2, t_w, e)
-            kkt[:k, k] = kkt[k, :k] = w
-            rhs[:k] = -grad
-            d = np.linalg.solve(kkt, rhs)[:k]
+            grad, hess = self.derivatives(w, q1, q2, t_w, e)
+            d = _simplex_solve(hess, w, -grad)
             slope, mass, lowest = grad @ d, w @ d, d.min()
             t = 1.0  # the full step is always tried; the bound costs a reduction
             while t == 1.0 or t * abs(d).max() >= np.finfo(float).eps:
@@ -177,6 +189,33 @@ class _PairProgram:
         raise NonConvergence(
             f"block descent at mu={mu} still moving {move} after {INNER_MAX_SWEEPS} sweeps"
         )
+
+    def curvature(self, mu: float, state) -> float:
+        """Slope in ``mu`` of the Bayes crossing's excess at the relaxed ``state``.
+
+        The dual function ``Lambda(mu) = min_W L_mu(W)`` has the relaxed
+        constraint as its slope, so the excess, objective minus constraint
+        over ``alpha``, is ``(Lambda - (1 + mu) Lambda') / alpha`` and its
+        slope ``-(1 + mu) Lambda'' / alpha >= 0``.  With ``u1 = log a - log
+        w`` and ``u2 = log b - log w``, ``Lambda'' = e^3 (psi - c . z)``:
+        ``psi = -alpha Var_q1(u1) - Var_q2(u2)`` is the second derivative in
+        ``e`` at fixed ``W``, ``c`` the mixed one in ``e`` and the relative
+        step, and ``z`` its response through :meth:`relax`'s KKT matrix
+        (the implicit function theorem; Boyd & Vandenberghe, 10.2).
+        """
+        e = 1.0 / (1.0 + mu)
+        q1, q2, w = state
+        log_w = np.log(w)
+        # a symbol that a source misses has no mass in its block: u = 0 there
+        u1 = np.where(self.a > 0.0, self.log_a - log_w, 0.0)
+        u2 = np.where(self.b > 0.0, self.log_b - log_w, 0.0)
+        v1 = q1 * (u1 - q1 @ u1)
+        v2 = q2 * (u2 - q2 @ u2)
+        psi = -self.alpha * (v1 @ u1) - v2 @ u2
+        c = -(1.0 - e) * (self.alpha * v1 + v2)
+        # at the relaxed state the sweep stands still: T(w) = w
+        z = _simplex_solve(self.derivatives(w, q1, q2, w, e)[1], w, c)
+        return float(-e * e * (psi - c @ z) / self.alpha)
 
     def objective_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
         return self.alpha * kl_array(q1, self.a) + kl_array(q2, self.b)
@@ -321,10 +360,14 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
         return full
 
     def evaluate(mu: float, state) -> _End:
-        q1, q2, w = program.relax(mu, state)
+        state = program.relax(mu, state)
+        q1, q2, _ = state
         objective = program.objective_value(q1, q2) / alpha
         constraint = program.constraint_value(q1, q2) / alpha
-        return _End(mu, objective - constraint, 0.5 * (objective + constraint), (q1, q2, w))
+        return _End(
+            mu, objective - constraint, 0.5 * (objective + constraint), state,
+            program.curvature(mu, state),
+        )
 
     lo = _End(0.0, -full, 0.5 * full, sources)
     lo, hi = _search(evaluate, *_bracket(evaluate, lo))

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -74,6 +73,20 @@ from .probability import (
     bit_generator,  # noqa: F401  (wrapped by name in bench/spans.py)
     sample_indices,  # noqa: F401  (wrapped by name in bench/spans.py)
 )
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: its module pulls in
+    ``multiprocessing``, ``socket``, ``subprocess`` and ``logging``, which a
+    run at one worker never needs.  Once imported it is a module global, so
+    it can be replaced like one."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
 
 # Trials run in batches of this size.
 BLOCK_TRIALS = 128
@@ -368,7 +381,9 @@ def _collect_summaries(
     if workers == 1 or trials < 4 * workers:
         batches = list(map(_batch, spans))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a replaced pool class is a global; the real one is imported here
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=workers) as pool:
             batches = list(pool.map(_batch, spans))
     done = iter(batches)
     return [

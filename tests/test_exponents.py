@@ -532,6 +532,44 @@ class TestNewtonRelaxation:
             gutman_bayes_exponent(alpha, p1, p2)
             assert len(calls) <= 150
 
+    def test_crossing_slope_matches_central_differences(self):
+        # the excess's central difference, relaxed from the state at mu; the
+        # excesses are good to about 1e-16 (relax stops on INNER_TOLERANCE),
+        # so the difference carries about 1e-16 / h of noise
+        def excess(program, mu, state):
+            q1, q2, _ = program.relax(mu, state)
+            objective = program.objective_value(q1, q2)
+            return (objective - program.constraint_value(q1, q2)) / program.alpha
+
+        with np.errstate(all="raise"):
+            for alpha, p1, p2 in crossing_family(12, 50):
+                program = _program(alpha, p1, p2)
+                for mu in (0.3, 1.0, 2.5, 7.0):
+                    state = program.relax(mu, program.start())
+                    slope = program.curvature(mu, state)
+                    h = 1e-5 * mu
+                    rise = excess(program, mu + h, state) - excess(program, mu - h, state)
+                    assert abs(rise / (2.0 * h) - slope) <= 1e-6 * slope + 1e-16 / h
+
+    def test_relaxations_per_crossing(self, monkeypatch):
+        # the Illinois search alone took a median of 9 relaxations per
+        # crossing here, and at most 13
+        calls = []
+        relax = _PairProgram.relax
+
+        def counting(self, *args):
+            calls.append(1)
+            return relax(self, *args)
+
+        monkeypatch.setattr(_PairProgram, "relax", counting)
+        counts = []
+        for alpha, p1, p2 in crossing_family(12, 50):
+            calls.clear()
+            gutman_bayes_exponent(alpha, p1, p2)
+            counts.append(len(calls))
+        assert np.median(counts) <= 6
+        assert max(counts) <= 13
+
     def test_relaxations_per_curve_point(self, monkeypatch):
         # bisecting the multiplier took a median of 43 relaxations per point
         calls = []
@@ -553,15 +591,15 @@ class TestNewtonRelaxation:
 
 class TestCrossingSearch:
     @staticmethod
-    def search(excess, lo, hi):
+    def search(excess, lo, hi, slope=None):
         """``_search`` on a scalar excess, with the crossing's value (the mean
-        of the excess and 0); returns the value at the final end of smaller
-        excess and the ``(mu, state)`` of every evaluation, where an end's
-        state is its mu."""
+        of the excess and 0) and, if given, ``slope(mu)`` on every end;
+        returns the value at the final end of smaller excess and the ``(mu,
+        state)`` of every evaluation, where an end's state is its mu."""
         calls = []
 
         def end(mu):
-            return _End(mu, excess(mu), 0.5 * excess(mu), mu)
+            return _End(mu, excess(mu), 0.5 * excess(mu), mu, slope(mu) if slope else None)
 
         def evaluate(mu, state):
             calls.append((mu, state))
@@ -591,6 +629,59 @@ class TestCrossingSearch:
                 value, calls = self.search(excess, 0.0, 1.0)
                 assert len(calls) <= 14
                 assert abs(value) <= 1e-12
+
+    @staticmethod
+    def smooth_family():
+        """The convex and concave expm1 excesses with root 0.3, and their slopes."""
+        for k in (1.0, 3.0, 10.0):
+            yield (
+                lambda mu, k=k: math.expm1(k * (mu - 0.3)),
+                lambda mu, k=k: k * math.exp(k * (mu - 0.3)),
+            )
+            yield (
+                lambda mu, k=k: -math.expm1(-k * (mu - 0.3)),
+                lambda mu, k=k: k * math.exp(-k * (mu - 0.3)),
+            )
+
+    def test_exact_slopes_take_fewer_steps(self):
+        for excess, slope in self.smooth_family():
+            _, plain = self.search(excess, 0.0, 1.0)
+            value, newton = self.search(excess, 0.0, 1.0, slope)
+            assert len(newton) < len(plain)
+            assert abs(value) <= 1e-12
+
+    @pytest.mark.parametrize("scale, budget", [(1e-3, 14), (-1.0, 14), (1e3, 90)])
+    def test_wrong_slopes_stay_bracketed(self, scale, budget):
+        # too flat a slope sends the Newton point out of the bracket, a
+        # negative one is never used, and too steep a one creeps, so that
+        # bisections take over; every step stays strictly inside the bracket
+        for excess, slope in self.smooth_family():
+            value, calls = self.search(excess, 0.0, 1.0, lambda mu: scale * slope(mu))
+            assert len(calls) <= budget
+            assert abs(value) <= 1e-12
+            lo, hi = 0.0, 1.0
+            for mu, _ in calls:
+                assert lo < mu < hi
+                if excess(mu) > 0.0:
+                    hi = mu
+                else:
+                    lo = mu
+
+    def test_ends_without_slopes_keep_the_illinois_steps(self):
+        # the evaluations the search made before ends carried slopes
+        _, calls = self.search(lambda mu: math.expm1(3.0 * (mu - 0.3)), 0.0, 1.0)
+        assert [mu for mu, _ in calls] == [
+            0.07647692160987252, 0.5382384608049362, 0.22372303370929308,
+            0.2752636716196671, 0.30696397710095735, 0.29973934292266996,
+            0.2999972863147011, 0.30000265511900015, 0.29999999998919225,
+            0.29999999999999993,
+        ]
+        _, calls = self.search(lambda mu: -math.expm1(-3.0 * (mu - 0.3)), 0.0, 1.0)
+        assert [mu for mu, _ in calls] == [
+            0.6245235362563352, 0.3122617681281676, 0.2975370406080633,
+            0.3000455212639665, 0.300000167972246, 0.29999983329009144,
+            0.300000000000042,
+        ]
 
     def test_relaxes_from_the_nearer_end(self):
         def excess(mu):
