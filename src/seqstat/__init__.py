@@ -22,10 +22,12 @@ from .classifiers import (
 )
 from .divergence import (
     chernoff,
+    entropy,
     gjs,
     gjs_alpha_derivative,
     gjs_mutual_info_form,
     joint_sequence_exponent,
+    kl,
 )
 from .errors import (
     NoSolution,
@@ -61,8 +63,6 @@ from .probability import (
     SeedSpec,
     bit_generator,
     empirical_type,
-    entropy,
-    kl,
     make_distribution,
     sample_iid,
     sample_indices,

@@ -1,7 +1,8 @@
 """Generalized Jensen-Shannon divergence and related information measures.
 
-For a weight ``alpha >= 0`` and distributions ``p``, ``q`` on one alphabet,
-the generalized Jensen-Shannon divergence is
+All logarithms in this package are natural, so every information quantity is
+reported in nats.  For a weight ``alpha >= 0`` and distributions ``p``, ``q``
+on one alphabet, the generalized Jensen-Shannon divergence is
 
     gjs(p, q, alpha) = alpha * D(p || m) + D(q || m),
     m = (alpha * p + q) / (1 + alpha).
@@ -12,21 +13,24 @@ twice the classical Jensen-Shannon divergence at ``alpha = 1``, vanishes as
 derivative in ``alpha`` is ``D(p || m)``, and at ``alpha = 0`` that is
 ``D(p || q)``.
 
-``gjs``, its derivative and the relative entropy, on distributions and on
-raw weight arrays, all come from one evaluator, ``_mixture_divergences``:
-built once per pair, it maps ``alpha`` to ``(D(p || m), D(q || m))``.  On the common support its
+``gjs``, its derivative and the relative entropy (:func:`kl`, the first
+value at ``alpha = 0``), on distributions and on raw weight arrays, all come
+from one evaluator, ``_mixture_divergences``: built once per pair, it maps
+``alpha`` to ``(D(p || m), D(q || m))``.  On the common support its
 log-ratios are ``log1p`` of the exact difference ``p - q``, so near-identical
 pairs keep their digits, except where ``m <= p / 2``, where ``log(m / p)``
 comes from the ratio ``q / p``; off it they are ``log1p(1 / alpha)`` (mass
 of ``p`` only) and ``log1p(alpha)`` (mass of ``q`` only).  The
 threshold-equation solver in :mod:`seqstat.fixedpoint` evaluates the same
-function.
+function: its no-root gate, its search and its residual all read the one
+evaluator of the pair.
 
 The entropy form ``(1 + alpha) * H(m) - alpha * H(p) - H(q)`` is the same
 quantity, ``(1 + alpha)`` times the mutual information between a mixture
 label with prior ``(alpha, 1) / (1 + alpha)`` and the emitted symbol; it
 cancels on near-identical pairs and is kept only as
-:func:`gjs_mutual_info_form`.
+:func:`gjs_mutual_info_form`, on the package's one Shannon entropy,
+:func:`entropy`.
 
 ``_bracket`` and ``_search``, the package's one bracketed search (doubling
 from 1, then an Illinois search safeguarded by bisection, with Newton steps
@@ -45,9 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergence, NotInterior
-from .probability import (
-    Distribution, EmpiricalType, _check_alpha, _check_classes, entropy, kl,
-)
+from .probability import Distribution, EmpiricalType, _check_alpha, _check_classes
 
 # Bracketed searches run until the bracket is this narrow relative to its top.
 RELATIVE_BRACKET_WIDTH = 1e-13
@@ -119,12 +121,6 @@ def gjs_array(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
         return 0.0
     d_p, d_q = _mixture_divergences(p, q)(alpha)
     return alpha * d_p + d_q
-
-
-def _entropy_array(p: np.ndarray) -> float:
-    mask = p > 0.0
-    pm = p[mask]
-    return float(-np.sum(pm * np.log(pm)))
 
 
 class _End(NamedTuple):
@@ -237,6 +233,20 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
 # public operations
 # --------------------------------------------------------------------------
 
+def kl(p: Distribution, q: Distribution) -> float:
+    """Relative entropy D(p || q) in nats: :func:`kl_array` on the stored weights.
+
+    Returns ``inf`` when ``p`` puts mass outside the support of ``q``.
+    """
+    _check_classes((p, q), "distributions")
+    return kl_array(p.as_array(), q.as_array())
+
+
+def entropy(p: Distribution) -> float:
+    """Shannon entropy in nats; zero-weight terms contribute nothing."""
+    return -math.fsum(w * math.log(w) for w in p.weights if w > 0.0)
+
+
 def gjs(p: Distribution, q: Distribution, alpha: float) -> float:
     """Generalized Jensen-Shannon divergence, in nats.
 
@@ -271,10 +281,10 @@ def gjs_mutual_info_form(p: Distribution, q: Distribution, alpha: float) -> floa
     alpha = _check_alpha(alpha, strict=False)
     if alpha == 0.0 or p.weights == q.weights:
         return 0.0
-    pa, qa = p.as_array(), q.as_array()
-    m = (alpha * pa + qa) / (1.0 + alpha)
+    pairs = zip(p.weights, q.weights)
+    m = Distribution(p.alphabet, tuple((alpha * a + b) / (1.0 + alpha) for a, b in pairs))
     w1 = alpha / (1.0 + alpha)
-    mutual_info = _entropy_array(m) - w1 * _entropy_array(pa) - (1.0 - w1) * _entropy_array(qa)
+    mutual_info = entropy(m) - w1 * entropy(p) - (1.0 - w1) * entropy(q)
     return (1.0 + alpha) * mutual_info
 
 

@@ -15,9 +15,11 @@ gamma - D(p || m) - D(q || m) / theta``, which rises with ``theta`` from
 ``gamma - D(p || q)`` at 0, so the lower end needs no evaluation.  It
 brackets the root by doubling from ``theta = 1`` and narrows the bracket
 with the package's one bracketed search (``_bracket`` and ``_search`` in
-:mod:`seqstat.divergence`).  Both divergences come from the one evaluator
-in :mod:`seqstat.divergence`, so the root solves the equation the public
-``gjs`` evaluates.
+:mod:`seqstat.divergence`).  One solve builds one evaluator of the pair in
+:mod:`seqstat.divergence` and reads everything from it: the no-root gate
+``gamma >= D(p || q)`` (its first value at ``theta = 0``), every step of the
+search, and the residual, so the gate and the root read the same ``D`` and
+the root solves the equation the public ``gjs`` evaluates.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _End, _bracket, _mixture_divergences, _search, chernoff, gjs
+from .divergence import _End, _bracket, _mixture_divergences, _search, chernoff, gjs, kl
 from .errors import GammaOutOfRange, NoSolution, NonConvergence
 from .probability import (
-    Distribution, EmpiricalType, _check_classes, _check_distinct, _check_gamma, kl,
+    Distribution, EmpiricalType, _check_classes, _check_distinct, _check_gamma,
 )
 
 # |gjs(p, q, root) - gamma * root| must come out at or below this.
@@ -46,11 +48,11 @@ class FixedPointResult:
     """Root of ``gjs(p, q, theta) = gamma * theta`` with solve diagnostics.
 
     The excess ``gjs - gamma * theta`` is not negative at ``bracket_low``
-    and negative at ``bracket_high``, and ``residual`` is the public
-    ``gjs``'s excess at ``theta_star``.  ``iterations`` counts the excess
-    evaluations of the solve: the doubling's (``theta = 1`` included), the
-    search's, and the sign check at ``BRACKET_LOW`` when the bracket ends
-    there.
+    and negative at ``bracket_high``, and ``residual`` is its magnitude at
+    ``theta_star``, read from the solve's own evaluator: the bits the public
+    ``gjs`` gives.  ``iterations`` counts the excess evaluations of the
+    solve: the doubling's (``theta = 1`` included), the search's, and the
+    sign check at ``BRACKET_LOW`` when the bracket ends there.
     """
 
     theta_star: float
@@ -123,12 +125,12 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     """
     _check_classes((p, q), "distributions")
     gamma = _check_gamma(gamma)
-    slope_at_zero = kl(p, q)
+    divergences = _mixture_divergences(p.as_array(), q.as_array())
+    slope_at_zero = divergences(0.0)[0]
     if gamma >= slope_at_zero:
         raise NoSolution(
             f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}"
         )
-    divergences = _mixture_divergences(p.as_array(), q.as_array())
     evaluations = 0
 
     def end(theta: float, state=None) -> _End:
@@ -143,7 +145,8 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     if lo.mu == BRACKET_LOW and end(BRACKET_LOW).excess > 0.0:
         raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
     theta = 0.5 * (lo.mu + hi.mu)
-    residual = abs(gjs(p, q, theta) - gamma * theta)
+    d_p, d_q = divergences(theta)
+    residual = abs(theta * d_p + d_q - gamma * theta)
     if residual > RESIDUAL_BOUND:
         raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
     return FixedPointResult(theta, residual, lo.mu, hi.mu, evaluations)

@@ -1,8 +1,10 @@
-"""Finite-alphabet distributions, empirical types, and reproducible sampling.
+"""Finite-alphabet distributions, empirical types, reproducible sampling and
+the package's input validators.
 
-All logarithms in this package are natural, so every information quantity is
-reported in nats.  Distributions are immutable: weights are validated once at
-construction and the stored tuple is never mutated afterwards.
+Distributions are immutable: weights are validated once at construction and
+the stored tuple is never mutated afterwards.  The module holds values, the
+sampler and the checks only; every information quantity on a distribution,
+relative entropy and entropy included, lives in :mod:`seqstat.divergence`.
 
 Sampling is counter-based.  Each stream is the Philox4x64 sequence keyed by
 ``(master_seed, stream_index)``, and each uniform ``u`` becomes a symbol by
@@ -193,11 +195,6 @@ def empirical_type(sequence: Iterable[Symbol], alphabet: Alphabet) -> EmpiricalT
     return EmpiricalType(alphabet, tuple(counts))
 
 
-def entropy(p: Distribution) -> float:
-    """Shannon entropy in nats; zero-weight terms contribute nothing."""
-    return -math.fsum(w * math.log(w) for w in p.weights if w > 0.0)
-
-
 def _check_classes(items: Sequence, what: str) -> None:
     """A class set: at least two ``items`` (distributions or types) on one alphabet."""
     if len(items) < 2:
@@ -268,22 +265,6 @@ def _check_distinct(dists: Sequence[Distribution]) -> None:
         for j in range(i + 1, len(dists)):
             if _same_pair(dists[i], dists[j]):
                 raise DuplicateDistribution(f"distributions {i} and {j} coincide")
-
-
-def kl(p: Distribution, q: Distribution) -> float:
-    """Relative entropy D(p || q) in nats.
-
-    Returns ``inf`` when ``p`` puts mass outside the support of ``q``.
-    """
-    _check_classes((p, q), "distributions")
-    acc = []
-    for pw, qw in zip(p.weights, q.weights):
-        if pw == 0.0:
-            continue
-        if qw == 0.0:
-            return math.inf
-        acc.append(pw * math.log(pw / qw))
-    return math.fsum(acc)
 
 
 def bit_generator(seed: SeedSpec) -> np.random.Generator:

@@ -20,7 +20,7 @@ from seqstat import (
     solve_fixed_point,
 )
 from seqstat import divergence, fixedpoint
-from seqstat.divergence import CROSSING_MAX_STEPS, RELATIVE_BRACKET_WIDTH
+from seqstat.divergence import CROSSING_MAX_STEPS, RELATIVE_BRACKET_WIDTH, kl_array
 from seqstat.errors import (
     DuplicateDistribution,
     GammaOutOfRange,
@@ -143,6 +143,49 @@ class TestSolveFixedPoint:
                 for g in np.linspace(0.05, 0.95, 10) * top
             ]
             assert all(b < a for a, b in zip(roots, roots[1:]))
+
+    def test_gate_reads_the_searched_divergence(self):
+        # a root exists at half of D(p || q), so neither the gate nor the
+        # search may refuse it: both must read the D that the evaluator
+        # gives, on near-identical pairs and zero weights too
+        mismatched, refused, stalled = [], [], []
+        for i, (p, q) in enumerate(divergence_family()):
+            d = kl_array(p.as_array(), q.as_array())
+            if kl(p, q) != d:
+                mismatched.append(i)
+            if not 0.0 < d < math.inf:
+                continue
+            try:
+                solve_fixed_point(p, q, 0.5 * d)
+            except NoSolution:
+                refused.append(i)
+            except NonConvergence:
+                # the root lies below BRACKET_LOW at a divergence near rounding
+                stalled.append(d)
+        assert (mismatched, refused) == ([], [])
+        assert all(d < 1e-15 for d in stalled), stalled
+
+
+def divergence_family(seed=99, count=600):
+    """Pairs on 2 to 6 symbols: every third near-identical, ``q = p (1 + eps d)``
+    renormalized with ``eps`` log-uniform in [1e-8, 1e-2] and ``d`` uniform in
+    [-1, 1] per symbol, the others independent; every fifth ``p`` has one zero
+    weight, so ``D(p || q)`` stays finite."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        size = int(rng.integers(2, 7))
+        p = rng.dirichlet(np.ones(size))
+        if i % 5 == 0:
+            p[rng.integers(size)] = 0.0
+            p /= p.sum()
+        if i % 3 == 0:
+            eps = 10.0 ** rng.uniform(-8.0, -2.0)
+            q = p * (1.0 + eps * rng.uniform(-1.0, 1.0, size))
+            q /= q.sum()
+        else:
+            q = rng.dirichlet(np.ones(size))
+        alph = alphabet(size)
+        yield make_distribution(list(p), alph), make_distribution(list(q), alph)
 
 
 def boundary_pair(rng, size):

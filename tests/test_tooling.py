@@ -1,9 +1,10 @@
 """The benchmark's hooks into the package still resolve, every public name
 resolves and is listed once, nothing leans on a package the project does not
-declare, every module imports only the modules below it, ``estimate`` builds
-no per-trial objects, every symbol is drawn by one sampler, one validator
-module raises every alphabet mismatch, and the README's example config
-still runs.
+declare, every module imports only the modules below it, every root is
+solved through the names the benchmark wraps, ``estimate`` builds no
+per-trial objects, every symbol is drawn by one sampler, one module defines
+the relative entropy, one validator module raises every alphabet mismatch,
+and the README's example config still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -105,6 +106,87 @@ def test_comparison_calls_the_crossing_by_name(monkeypatch):
     monkeypatch.setattr(exponents, "gutman_bayes_exponent", counting)
     rows = exponents.compare_sequential_vs_gutman(p1, p2, [0.02, 0.05, 0.1])
     assert calls == [row.alpha_used for row in rows]
+
+
+def test_roots_are_solved_by_name(monkeypatch):
+    # bench/spans.py traces fixedpoint.solves, solve_ms and residual_max by
+    # wrapping these two module globals; a path that solved its roots some
+    # other way would drop out of all three
+    from seqstat import (
+        Alphabet,
+        ExperimentConfig,
+        compare_sequential_vs_gutman,
+        estimate,
+        exponent_report,
+        make_distribution,
+        multiclass_thetas,
+    )
+    from seqstat import fixedpoint, simulator
+
+    calls = []
+    for module in (fixedpoint, simulator):
+        solve = module.solve_fixed_point
+
+        def recording(*args, _module=module.__name__, _solve=solve):
+            calls.append(_module)
+            return _solve(*args)
+
+        monkeypatch.setattr(module, "solve_fixed_point", recording)
+    alphabet = Alphabet((0, 1, 2))
+    pair = [make_distribution(w, alphabet) for w in ([0.1, 0.7, 0.2], [0.05, 0.55, 0.4])]
+    trio = [
+        make_distribution(w, alphabet)
+        for w in ([0.1, 0.7, 0.2], [0.4, 0.5, 0.1], [0.3, 0.3, 0.4])
+    ]
+    cfg = ExperimentConfig(distributions=tuple(pair), gamma=0.02, train_len=40, trials=8, master_seed=7)
+    runs = {
+        "exponent_report": (lambda: exponent_report(*pair, 0.02), 2 * ["seqstat.fixedpoint"]),
+        "multiclass_thetas": (lambda: multiclass_thetas(trio, 0.03), 6 * ["seqstat.fixedpoint"]),
+        "compare_sequential_vs_gutman": (
+            lambda: compare_sequential_vs_gutman(*pair, [0.01, 0.02]),
+            4 * ["seqstat.fixedpoint"],
+        ),
+        # the predicted mean length of each hypothesis of the sweep
+        "estimate": (lambda: estimate(cfg), 2 * ["seqstat.simulator"]),
+    }
+    got = {}
+    for name, (run, _) in runs.items():
+        calls.clear()
+        run()
+        got[name] = list(calls)
+    assert got == {name: want for name, (_, want) in runs.items()}
+
+
+def test_one_relative_entropy():
+    # kl and entropy live beside the divergence evaluator, which they read,
+    # and a root's gate and residual read the solve's own evaluator: one D
+    # for the gate and the search
+    def names(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    homes = []
+    for path in sorted((ROOT / "src" / "seqstat").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        homes += [
+            (node.name, path.stem)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in ("kl", "entropy")
+        ]
+        if path.stem == "probability":
+            logs = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and names(node.func) in ("log", "log1p")
+            ]
+            assert logs == []
+        if path.stem == "fixedpoint":
+            [solve] = [
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "solve_fixed_point"
+            ]
+            called = {names(node.func) for node in ast.walk(solve) if isinstance(node, ast.Call)}
+            assert called & {"kl", "gjs", "kl_array", "gjs_array"} == set()
+    assert sorted(homes) == [("entropy", "divergence"), ("kl", "divergence")]
 
 
 def test_one_bracketed_search(monkeypatch):
