@@ -323,14 +323,20 @@ class _Run:
         alive = firsts > stop[:, None]
         survivors = alive.sum(axis=1)
         codes = np.where(survivors == 1, alive.argmax(axis=1), -1)
-        if self.rule == "smaller":
-            for j in np.flatnonzero(survivors == 0).tolist():
-                step = int(stop[j]) - start - 1
+        if self.rule == "smaller" and not survivors.all():
+            tied = np.flatnonzero(survivors == 0)
+            steps = stop[tied] - start - 1
+            s0, s1 = scores[tied, :, steps].T
+            codes[tied] = s1 < s0  # the class of the smaller score
+            # pairs the float scores may not tell apart go to the exact rule;
+            # twice its guard covers any rounding of the guard itself
+            total = cfg.train_len + stop[tied]
+            near = np.abs(s0 - s1) <= 2.0 * _ZERO_GUARD * total * np.log(total)
+            for j, step in zip(tied[near].tolist(), steps[near].tolist()):
                 winner = _smaller_score(
                     scores[j, :, step].tolist(), train[j].tolist(), counts[:, j, step].tolist()
                 )
-                if winner is not None:
-                    codes[j] = winner
+                codes[j] = -1 if winner is None else winner
         return scores, stop, codes
 
 

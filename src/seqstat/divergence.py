@@ -23,7 +23,11 @@ comes from the ratio ``q / p``; off it they are ``log1p(1 / alpha)`` (mass
 of ``p`` only) and ``log1p(alpha)`` (mass of ``q`` only).  The
 threshold-equation solver in :mod:`seqstat.fixedpoint` evaluates the same
 function: its no-root gate, its search and its residual all read the one
-evaluator of the pair.
+evaluator of the pair.  The evaluator and :func:`chernoff` are scalar
+``math`` loops over the kept symbols (the common support): the package's
+alphabets have a handful of symbols, where one numpy call costs more than
+the loop's arithmetic; past about 32 symbols numpy would win (README,
+"Performance notes").
 
 The entropy form ``(1 + alpha) * H(m) - alpha * H(p) - H(q)`` is the same
 quantity, ``(1 + alpha)`` times the mutual information between a mixture
@@ -77,35 +81,35 @@ def _mixture_divergences(p: np.ndarray, q: np.ndarray):
     ``D(p || q)``, mass of ``p`` only makes it ``inf``.  Symbols with
     ``m <= p / 2`` take ``log((alpha + q / p) / (1 + alpha))`` instead, which
     keeps the digits of a small ratio that ``1 - (p - q) / ((1 + alpha) p)``
-    rounds away; one comparison with the pair's largest ``(p - q) / p`` skips them
-    when no symbol needs it.
+    rounds away.  Both sums are one scalar loop over the kept symbols.
     """
-    both = (p > 0.0) & (q > 0.0)
-    p_only = float(p[q == 0.0].sum())
-    q_only = float(q[p == 0.0].sum())
-    p, q = p[both], q[both]
-    diff = p - q
-    to_p, to_q = diff / p, diff / q
-    far_to_p = float(to_p.max()) if to_p.size else 0.0
+    p_only = q_only = 0.0
+    kept = []  # (p, q, (p - q) / p, (p - q) / q) on the common support
+    for a, b in zip(p.tolist(), q.tolist()):
+        if a > 0.0 and b > 0.0:
+            diff = a - b
+            kept.append((a, b, diff / a, diff / b))
+        elif b == 0.0:
+            p_only += a
+        elif a == 0.0:
+            q_only += b
 
     def divergences(alpha: float) -> tuple[float, float]:
         share = 1.0 / (1.0 + alpha)
-        if alpha > 0.0:
-            p_tail = p_only * math.log1p(1.0 / alpha)
-            d_q = q_only * math.log1p(alpha) - float(q @ np.log1p(alpha * share * to_q))
-        else:
-            # m = q
-            p_tail = math.inf if p_only else 0.0
-            d_q = 0.0
         switch = 0.5 * (1.0 + alpha)  # m <= p / 2 exactly where to_p >= switch
-        if far_to_p < switch:
-            log_m_p = np.log1p(-share * to_p)
-        else:
-            # there 1 - share * to_p has lost the digits of m / p
-            near = to_p < switch
-            log_m_p = np.log((alpha + q / p) / (1.0 + alpha) if alpha > 0.0 else q / p)
-            log_m_p[near] = np.log1p(-share * to_p[near])
-        return p_tail - float(p @ log_m_p), d_q
+        to_m = alpha * share
+        d_p = d_q = 0.0
+        for a, b, to_p, to_q in kept:
+            if to_p < switch:
+                d_p += a * math.log1p(-share * to_p)
+            else:
+                # there 1 - share * to_p has lost the digits of m / p
+                d_p += a * math.log((alpha + b / a) / (1.0 + alpha) if alpha > 0.0 else b / a)
+            d_q += b * math.log1p(to_m * to_q)
+        if alpha > 0.0:
+            return p_only * math.log1p(1.0 / alpha) - d_p, q_only * math.log1p(alpha) - d_q
+        # m = q
+        return (math.inf if p_only else 0.0) - d_p, 0.0
 
     return divergences
 
@@ -299,18 +303,25 @@ def chernoff(p: Distribution, q: Distribution) -> float:
     endpoint's own value when the optimum sits there.
     """
     _check_classes((p, q), "distributions")
-    pa, qa = p.as_array(), q.as_array()
-    common = (pa > 0.0) & (qa > 0.0)
-    if not np.any(common):
+    # log p, log q and the log-ratio log(p / q) = log1p((p - q) / q) on the
+    # common support: the slope's ratio keeps its digits on near-identical
+    # pairs, where log p - log q would carry the rounding of both logs
+    kept = [
+        (math.log(a), math.log(b), math.log1p((a - b) / b))
+        for a, b in zip(p.weights, q.weights)
+        if a > 0.0 and b > 0.0
+    ]
+    if not kept:
         return math.inf
-    lp = np.log(pa[common])
-    lq = np.log(qa[common])
     rise = 1.0  # the endpoints' raw slopes set the scale of every later one
 
     def end(eta: float, state=None) -> _End:
-        terms = np.exp(eta * lp + (1.0 - eta) * lq)
-        total = float(np.sum(terms))
-        return _End(eta, float(np.sum(terms * (lp - lq))) / total / rise, -math.log(total), None)
+        total = slope = 0.0
+        for lp, lq, ratio in kept:
+            term = math.exp(eta * lp + (1.0 - eta) * lq)
+            total += term
+            slope += term * ratio
+        return _End(eta, slope / total / rise, -math.log(total), None)
 
     lo, hi = end(0.0), end(1.0)
     if lo.excess < 0.0 < hi.excess:

@@ -383,8 +383,11 @@ def _collect_summaries(
     else:
         # a replaced pool class is a global; the real one is imported here
         pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        # a few tasks per worker: short batches stop paying one round trip
+        # each, and the last tasks still even out the workers' loads
+        chunksize = -(-len(spans) // (4 * workers))
         with pool_class(max_workers=workers) as pool:
-            batches = list(pool.map(_batch, spans))
+            batches = list(pool.map(_batch, spans, chunksize=chunksize))
     done = iter(batches)
     return [
         [

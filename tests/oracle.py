@@ -22,6 +22,12 @@ relative-entropy form with ``log(p / m)`` ratios, and the entropy form
 ``(1 + alpha) H(m) - alpha H(p) - H(q)``, which cancels on near-identical
 pairs.
 
+``numpy_mixture_divergences`` and ``numpy_chernoff`` are the numpy forms
+of the divergence evaluator and of ``chernoff`` that the scalar ``math``
+loops in ``seqstat.divergence`` replaced: the same formulas and branches on
+masked arrays, except that the Chernoff slope takes its log-ratio as
+``log p - log q``.
+
 ``binary_fixed_length_errors`` is the exact error probability of the binary
 fixed-length test on a two-symbol alphabet: the rule reads only class 1's
 score, so each hypothesis's error is a finite sum over the training count
@@ -76,7 +82,13 @@ from seqstat import (
     kl,
     sample_indices,
 )
-from seqstat.divergence import CROSSING_MAX_STEPS, RELATIVE_BRACKET_WIDTH, kl_array
+from seqstat.divergence import (
+    CROSSING_MAX_STEPS,
+    RELATIVE_BRACKET_WIDTH,
+    _End,
+    _search,
+    kl_array,
+)
 from seqstat.exponents import (
     GAP_BOUND,
     INNER_MAX_SWEEPS,
@@ -374,6 +386,63 @@ def gjs_entropy_form(p, q, alpha: float) -> float:
     pa, qa = p.as_array(), q.as_array()
     m = (alpha * pa + qa) / (1.0 + alpha)
     return (1.0 + alpha) * _entropy(m) - alpha * _entropy(pa) - _entropy(qa)
+
+
+def numpy_mixture_divergences(p: np.ndarray, q: np.ndarray):
+    """The numpy form of ``divergence._mixture_divergences``: the same
+    formulas and branches on masked arrays, with ``np.log1p`` and dot
+    products in place of the scalar loop."""
+    both = (p > 0.0) & (q > 0.0)
+    p_only = float(p[q == 0.0].sum())
+    q_only = float(q[p == 0.0].sum())
+    p, q = p[both], q[both]
+    diff = p - q
+    to_p, to_q = diff / p, diff / q
+    far_to_p = float(to_p.max()) if to_p.size else 0.0
+
+    def divergences(alpha: float) -> tuple[float, float]:
+        share = 1.0 / (1.0 + alpha)
+        if alpha > 0.0:
+            p_tail = p_only * math.log1p(1.0 / alpha)
+            d_q = q_only * math.log1p(alpha) - float(q @ np.log1p(alpha * share * to_q))
+        else:
+            p_tail = math.inf if p_only else 0.0
+            d_q = 0.0
+        switch = 0.5 * (1.0 + alpha)
+        if far_to_p < switch:
+            log_m_p = np.log1p(-share * to_p)
+        else:
+            near = to_p < switch
+            log_m_p = np.log((alpha + q / p) / (1.0 + alpha) if alpha > 0.0 else q / p)
+            log_m_p[near] = np.log1p(-share * to_p[near])
+        return p_tail - float(p @ log_m_p), d_q
+
+    return divergences
+
+
+def numpy_chernoff(p, q) -> float:
+    """The numpy form of ``chernoff``: the same search on the slope of
+    ``ln sum p^eta q^(1-eta)``, with the log-ratio taken as ``log p - log q``."""
+    _check_classes((p, q), "distributions")
+    pa, qa = p.as_array(), q.as_array()
+    common = (pa > 0.0) & (qa > 0.0)
+    if not np.any(common):
+        return math.inf
+    lp = np.log(pa[common])
+    lq = np.log(qa[common])
+    rise = 1.0
+
+    def end(eta: float, state=None) -> _End:
+        terms = np.exp(eta * lp + (1.0 - eta) * lq)
+        total = float(np.sum(terms))
+        return _End(eta, float(np.sum(terms * (lp - lq))) / total / rise, -math.log(total), None)
+
+    lo, hi = end(0.0), end(1.0)
+    if lo.excess < 0.0 < hi.excess:
+        rise = hi.excess - lo.excess
+        lo = lo._replace(excess=lo.excess / rise)
+        lo, hi = _search(end, lo, hi._replace(excess=hi.excess / rise))
+    return max(lo.value, hi.value)
 
 
 def sweep_relax(program: _PairProgram, mu: float, state):

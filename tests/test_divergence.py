@@ -21,7 +21,13 @@ from seqstat import divergence
 from seqstat.divergence import kl_array
 from seqstat.errors import AlphabetMismatch, NegativeAlpha, NotInterior
 from conftest import alphabet, random_interior, random_interior_pair
-from oracle import bisect_chernoff, gjs_entropy_form, gjs_kl_form
+from oracle import (
+    bisect_chernoff,
+    gjs_entropy_form,
+    gjs_kl_form,
+    numpy_chernoff,
+    numpy_mixture_divergences,
+)
 
 AB = alphabet(2)
 
@@ -196,6 +202,76 @@ class TestDecimalReference:
         got = (gjs(p, q, alpha), gjs_alpha_derivative(p, q, alpha))
         for name, x, y in zip(("gjs", "derivative"), got, want):
             assert abs(x - y) <= 1e-13 * y, (name, x, y)
+
+
+class TestScalarAgainstNumpy:
+    """The scalar evaluator and ``chernoff`` against their numpy forms in
+    ``tests/oracle.py``, on ``divergence_family`` and boundary pairs.
+
+    The two evaluators differ only in rounding: ``math.log1p`` against
+    ``np.log1p`` and a left-to-right sum against a dot product.  So each
+    value must agree to ``EVALUATOR_BOUND`` relative to the sum of its
+    terms' magnitudes ``sum_x w_x |log(m_x / w_x)|``, not to the value,
+    which cancels on near-identical pairs.  The Chernoff value is ``-ln``
+    of a sum within ``C`` of 1, whose rounding is absolute, and the two
+    searches stop on their own noisy slopes, so it must agree to
+    ``CHERNOFF_BOUND`` times ``max(1, C)``.
+    """
+
+    EVALUATOR_BOUND = 4 * 2.0**-52  # 1.4 units measured on the family
+    CHERNOFF_BOUND = 8 * 2.0**-52  # 6.7e-16 measured on the family
+    ALPHAS = (0.0, 1e-3, 1.0, 50.0, 5000.0)
+    BOUNDARY = [
+        ([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7]),  # disjoint supports
+        ([0.2, 0.8, 0.0], [0.1, 0.3, 0.6]),  # mass of q only
+        ([0.2, 0.3, 0.5], [0.4, 0.6, 0.0]),  # mass of p only
+        ([0.5, 0.5], [2e-9, 1.0 - 2e-9]),  # m <= p / 2 at every alpha below 1
+        ([0.0, 1.0], [0.0, 1.0]),  # one common symbol, equal weights
+    ]
+
+    @staticmethod
+    def magnitude(w, m):
+        # sum_x w_x |log(m_x / w_x)| over w > 0; inf where m_x = 0 < w_x
+        kept = w > 0.0
+        with np.errstate(divide="ignore"):
+            return float(np.sum(w[kept] * np.abs(np.log(m[kept] / w[kept]))))
+
+    def pairs(self):
+        from test_fixedpoint import divergence_family
+
+        yield from divergence_family()
+        for weights in self.BOUNDARY:
+            p, q = (make_distribution(w, alphabet(len(w))) for w in weights)
+            yield p, q
+            yield q, p
+
+    def test_evaluator(self):
+        ratio_branch = 0
+        for p, q in self.pairs():
+            pa, qa = p.as_array(), q.as_array()
+            got = divergence._mixture_divergences(pa, qa)
+            want = numpy_mixture_divergences(pa, qa)
+            both = (pa > 0.0) & (qa > 0.0)
+            for alpha in self.ALPHAS:
+                m = (alpha * pa + qa) / (1.0 + alpha)
+                ratio_branch += bool(np.any(pa[both] - qa[both] >= 0.5 * (1.0 + alpha) * pa[both]))
+                for x, y, w in zip(got(alpha), want(alpha), (pa, qa)):
+                    if math.isinf(y):
+                        assert x == y, (p, q, alpha)
+                    else:
+                        bound = self.EVALUATOR_BOUND * self.magnitude(w, m)
+                        assert abs(x - y) <= bound, (p, q, alpha, x, y)
+        # the m <= p / 2 branch ran (623 (pair, alpha) points on the family alone)
+        assert ratio_branch >= 100
+
+    def test_chernoff(self):
+        for p, q in self.pairs():
+            want = numpy_chernoff(p, q)
+            got = chernoff(p, q)
+            if math.isinf(want):
+                assert got == want, (p, q)
+            else:
+                assert abs(got - want) <= self.CHERNOFF_BOUND * max(1.0, want), (p, q, got, want)
 
 
 class TestDerivative:

@@ -172,8 +172,10 @@ class TestDeterminism:
             estimate(basic_config(), workers=1.5)
 
     def test_worker_spans_are_whole_batches(self, monkeypatch):
-        # the pool gets the serial run's batches, at every trial count
+        # the pool gets the serial run's batches, at every trial count, in
+        # chunks of a few per worker
         spans = []
+        chunks = []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -185,9 +187,10 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
                 jobs = list(jobs)
                 spans.extend((start, stop) for _, _, start, stop in jobs)
+                chunks.append(chunksize)
                 return map(fn, jobs)
 
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
@@ -197,8 +200,10 @@ class TestDeterminism:
         for trials, want in [(300, [(0, 128), (128, 256), (256, 300)]), (1100, nine)]:
             cfg = basic_config(trials=trials, true_class=None)
             spans.clear()
+            chunks.clear()
             assert report_key(estimate(cfg, workers=2)) == report_key(estimate(cfg, workers=1))
             assert spans == want
+            assert chunks == [-(-len(want) // 8)]
 
     def test_trial_traces_repeat(self):
         cfg = basic_config()

@@ -3,8 +3,9 @@ resolves and is listed once, nothing leans on a package the project does not
 declare, every module imports only the modules below it, every root is
 solved through the names the benchmark wraps, ``estimate`` builds no
 per-trial objects, every symbol is drawn by one sampler, one module defines
-the relative entropy, one validator module raises every alphabet mismatch,
-and the README's example config still runs.
+the relative entropy, one scalar evaluator computes it, one validator
+module raises every alphabet mismatch, and the README's example config
+still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -187,6 +188,39 @@ def test_one_relative_entropy():
             called = {names(node.func) for node in ast.walk(solve) if isinstance(node, ast.Call)}
             assert called & {"kl", "gjs", "kl_array", "gjs_array"} == set()
     assert sorted(homes) == [("entropy", "divergence"), ("kl", "divergence")]
+
+
+def test_one_evaluator():
+    # one divergence evaluator, the scalar loop in divergence.py: the array
+    # forms and the threshold-equation solver call it, and divergence.py
+    # keeps no numpy log or exp beside it (the numpy forms are the oracle's)
+    def names(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    homes = []
+    callers = set()
+    for path in sorted((ROOT / "src" / "seqstat").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "_mixture_divergences":
+                    homes.append(path.stem)
+                if any(
+                    isinstance(call, ast.Call) and names(call.func) == "_mixture_divergences"
+                    for call in ast.walk(node)
+                ):
+                    callers.add(node.name)
+        if path.stem == "divergence":
+            vectorised = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "np"
+                and node.attr in ("log", "log1p", "exp", "expm1")
+            ]
+            assert vectorised == []
+    assert homes == ["divergence"]
+    assert {"kl_array", "gjs_array", "solve_fixed_point"} <= callers
 
 
 def test_one_bracketed_search(monkeypatch):
