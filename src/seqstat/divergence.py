@@ -299,8 +299,10 @@ def chernoff(p: Distribution, q: Distribution) -> float:
     in eta; when its slope changes sign inside [0, 1], :func:`_search` finds
     the root of the slope divided by its rise over [0, 1], so that the
     search stops on a relative excess.  Every ``-psi(eta)`` is a lower bound
-    on C, and the value is the larger one at the final ends, which is an
-    endpoint's own value when the optimum sits there.
+    on C, and the value is the largest one at the final ends, which is an
+    endpoint's own value when the optimum sits there, or 0: ``-psi(0) = -ln
+    sum q`` over the common support is at least 0, though its rounded sum can
+    exceed 1 by an ulp on near-identical pairs.
     """
     _check_classes((p, q), "distributions")
     # log p, log q and the log-ratio log(p / q) = log1p((p - q) / q) on the
@@ -328,7 +330,7 @@ def chernoff(p: Distribution, q: Distribution) -> float:
         rise = hi.excess - lo.excess
         lo = lo._replace(excess=lo.excess / rise)
         lo, hi = _search(end, lo, hi._replace(excess=hi.excess / rise))
-    return max(lo.value, hi.value)
+    return max(lo.value, hi.value, 0.0)
 
 
 def joint_sequence_exponent(t1: EmpiricalType, t2: EmpiricalType, w: Distribution) -> float:

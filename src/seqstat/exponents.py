@@ -26,7 +26,15 @@ on their source.  Minimizing both blocks in closed form leaves a convex
 function of the mixture ``W`` alone, whose minimizer on the simplex is the
 fixed point ``W = T(W)`` of one block-descent sweep.  A relaxation
 minimizes it by damped Newton steps and returns once a sweep moves no
-coordinate more than ``INNER_TOLERANCE``.
+coordinate more than ``INNER_TOLERANCE``.  The Hessian is a diagonal plus a
+rank-two term, so each step's KKT system, bordered by ``sum W = 1``, is
+solved in closed form (``_simplex_solve``: Woodbury's identity, a 2x2 solve
+and the multiplier of the border), and the sweep, the step and its line
+search are scalar ``math`` loops over the kept symbols: on the package's
+alphabets of a handful of symbols one numpy call costs more than the
+loop's arithmetic (README, "Performance notes").  A coordinate that the
+full step would empty is held at the relative step ``-HELD_STEP`` and the
+others are solved again (``_newton_step``).
 
 Every multiplier search doubles the multiplier from 1 (block exponent 1/2),
 with ``mu = 0`` (the sources) as the first lower end, and narrows the
@@ -36,8 +44,8 @@ bisection (``_bracket`` and ``_search`` in :mod:`seqstat.divergence`, which
 the constraint slack and returns a feasible end with its duality gap ``mu *
 slack`` certified; the Bayes crossing searches on the relaxed objective
 minus the relaxed constraint, both divided by ``alpha``, and gives each end
-that excess's slope (:meth:`_PairProgram.curvature`, one more solve with
-the relaxation's KKT matrix), so that its search takes Newton steps.  The
+that excess's slope (:meth:`_PairProgram.curvature`, one more solve of
+the relaxation's KKT system), so that its search takes Newton steps.  The
 program's search keeps the Illinois steps: Newton steps close in from the
 infeasible side, and that search stops only on a feasible end.
 
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 
 import numpy as np
 
@@ -68,6 +77,9 @@ INNER_TOLERANCE = 1e-15
 INNER_MAX_SWEEPS = 20000
 # Certified duality gap allowed on a returned optimal value.
 GAP_BOUND = 1e-8
+# Relative step of a coordinate that a full Newton step would empty: it
+# shrinks by a factor 1 - HELD_STEP per full step.
+HELD_STEP = 0.99
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -90,16 +102,80 @@ def _check_budget(value: float, what: str) -> float:
     return value
 
 
-def _simplex_solve(hess: np.ndarray, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The relative step ``d`` with ``hess d = rhs`` up to a multiple of
-    ``w``, and ``w . d = 0``, so that ``sum W`` stays put: the KKT system
-    ``[[hess, w], [w^T, 0]] [d; nu] = [rhs; 0]``."""
-    k = len(w)
-    kkt, full = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
-    kkt[:k, :k] = hess
-    kkt[:k, k] = kkt[k, :k] = w
-    full[:k] = rhs
-    return np.linalg.solve(kkt, full)[:k]
+def _simplex_solve(
+    diag: list[float], u1: list[float], u2: list[float], w: list[float], rhs: list[float],
+    mass: float = 0.0,
+) -> list[float]:
+    """The relative step ``d`` with ``H d = rhs`` up to a multiple of ``w``,
+    and ``w . d = mass`` (0 keeps ``sum W`` put): the KKT system ``[[H, w],
+    [w^T, 0]] [d; nu] = [rhs; mass]`` for ``H = diag(diag) + u1 u1^T + u2
+    u2^T``, the factored Hessian of :meth:`_PairProgram.derivatives`.
+
+    Woodbury's identity gives ``H^-1 x = D^-1 x - D^-1 U M^-1 U^T D^-1 x``
+    with ``U = [u1 u2]`` and the 2x2 ``M = I + U^T D^-1 U``; then ``d =
+    H^-1 rhs - nu H^-1 w`` with ``nu = (w^T H^-1 rhs - mass) / w^T H^-1 w``
+    (KKT block elimination; Boyd & Vandenberghe, *Convex Optimization*,
+    10.2).  Every sum is one pass over the symbols.  Each row is divided by
+    its own diagonal entry, so a coordinate of ``W`` many orders below the
+    others keeps its relative step's digits, which a dense solve of the
+    bordered matrix loses to that row's scale.
+    """
+    m11 = m22 = 1.0
+    m12 = r1 = r2 = w1 = w2 = wr = ww = 0.0
+    for x, y1, y2, wi, ri in zip(diag, u1, u2, w, rhs):
+        a1, a2 = y1 / x, y2 / x
+        m11 += y1 * a1
+        m12 += y1 * a2
+        m22 += y2 * a2
+        r1 += a1 * ri
+        r2 += a2 * ri
+        w1 += a1 * wi
+        w2 += a2 * wi
+        wr += wi * ri / x
+        ww += wi * wi / x
+    det = m11 * m22 - m12 * m12
+    # M^-1 (U^T D^-1 rhs) and M^-1 (U^T D^-1 w)
+    s1, s2 = (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
+    t1, t2 = (m22 * w1 - m12 * w2) / det, (m11 * w2 - m12 * w1) / det
+    nu = (wr - w1 * s1 - w2 * s2 - mass) / (ww - w1 * t1 - w2 * t2)
+    s1 -= nu * t1
+    s2 -= nu * t2
+    d = [(ri - nu * wi - y1 * s1 - y2 * s2) / x for x, y1, y2, wi, ri in zip(diag, u1, u2, w, rhs)]
+    # nu carries the rounding of sums as large as 1 / diag, which leaves w . d
+    # off its mass by as much; an equal shift of every relative step takes it out
+    excess = (sum(map(mul, w, d)) - mass) / sum(w)
+    return [x - excess for x in d]
+
+
+def _newton_step(
+    diag: list[float], u1: list[float], u2: list[float], w: list[float], rhs: list[float]
+) -> list[float]:
+    """:func:`_simplex_solve`'s step, with every coordinate that its full
+    step would empty (``d <= -1``) held at ``-HELD_STEP`` instead.
+
+    The step of the others is solved again with the held ones fixed: their
+    Hessian columns move to the right-hand side and their mass to the
+    constraint, until no free coordinate would be emptied.  Without this,
+    one coordinate on its way to 0, as a symbol of only one source's support
+    goes at large ``mu``, caps the step length of all the others, and the
+    relaxation stalls while that coordinate shrinks toward underflow.
+    """
+    d = _simplex_solve(diag, u1, u2, w, rhs)
+    held: set[int] = set()
+    while min(d) <= -1.0:
+        held.update(i for i, x in enumerate(d) if x <= -1.0)
+        free = [i for i in range(len(d)) if i not in held]
+        c1 = -HELD_STEP * sum(u1[i] for i in held)
+        c2 = -HELD_STEP * sum(u2[i] for i in held)
+        step = _simplex_solve(
+            [diag[i] for i in free], [u1[i] for i in free], [u2[i] for i in free],
+            [w[i] for i in free], [rhs[i] - u1[i] * c1 - u2[i] * c2 for i in free],
+            HELD_STEP * sum(w[i] for i in held),
+        )
+        d = [-HELD_STEP] * len(d)
+        for i, x in zip(free, step):
+            d[i] = x
+    return d
 
 
 class _PairProgram:
@@ -108,7 +184,8 @@ class _PairProgram:
     The program lives on the union of the two supports: symbols outside
     it carry no mass in any pair of finite objective, so ``keep`` marks the
     alphabet positions of the stored arrays and every state ``(q1, q2, w)``
-    has one entry per kept symbol, with ``w > 0`` throughout.
+    has one entry per kept symbol, with ``w > 0`` throughout.  States are
+    arrays; the relaxation's iterations run on lists of floats.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, alpha: float):
@@ -120,31 +197,48 @@ class _PairProgram:
         with np.errstate(divide="ignore"):
             self.log_a = np.log(self.a)
             self.log_b = np.log(self.b)
+        # -inf off a source's support, where the sweep's weight is exp(-inf) = 0
+        self.logs = list(zip(self.log_a.tolist(), self.log_b.tolist()))
 
     def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The relaxed state at ``mu = 0``: the sources and their mixture."""
         return self.a.copy(), self.b.copy(), (self.alpha * self.a + self.b) / (1.0 + self.alpha)
 
-    def sweep(self, w: np.ndarray, e: float):
+    def sweep(self, w, e: float) -> tuple[list[float], list[float], list[float]]:
         """One block-descent sweep from ``w``: ``(q1(w), q2(w), T(w))``.
 
         ``q1`` is the normalized geometric mean ``a^e * w^(1-e)``, ``q2``
         likewise on ``b``, and ``T(w)`` their ``alpha``-mixture.
         """
-        log_w = np.log(w)
-        x1 = np.exp(e * self.log_a + (1.0 - e) * log_w)
-        x2 = np.exp(e * self.log_b + (1.0 - e) * log_w)
-        q1 = x1 / x1.sum()
-        q2 = x2 / x2.sum()
-        return q1, q2, (self.alpha * q1 + q2) / (1.0 + self.alpha)
+        f = 1.0 - e
+        x1, x2 = [], []
+        for (log_a, log_b), x in zip(self.logs, w):
+            log_w = f * math.log(x)
+            x1.append(math.exp(e * log_a + log_w))
+            x2.append(math.exp(e * log_b + log_w))
+        s1, s2 = sum(x1), sum(x2)
+        q1 = [x / s1 for x in x1]
+        q2 = [x / s2 for x in x2]
+        alpha = self.alpha
+        return q1, q2, [(alpha * y1 + y2) / (1.0 + alpha) for y1, y2 in zip(q1, q2)]
 
-    def derivatives(self, w: np.ndarray, q1: np.ndarray, q2: np.ndarray, t_w: np.ndarray, e: float):
+    def derivatives(self, w, q1, q2, t_w, e: float):
         """Gradient and Hessian of ``L_mu / (1 + mu) + (1 - e)(1 + alpha) sum
         W`` (see :meth:`relax`) in the relative step ``d = dW / w`` at ``d =
-        0``, from the sweep ``(q1(w), q2(w), T(w))``."""
-        hess = (1.0 - e) ** 2 * (self.alpha * q1[:, None] * q1 + q2[:, None] * q2)
-        hess.flat[:: len(w) + 1] += e * (1.0 - e) * (1.0 + self.alpha) * t_w
-        return (1.0 - e) * (1.0 + self.alpha) * (w - t_w), hess
+        0``, from the sweep ``(q1(w), q2(w), T(w))``.
+
+        The Hessian ``(1 - e)^2 (alpha q1 q1^T + q2 q2^T) + e (1 - e)(1 +
+        alpha) diag(T(w))`` comes factored as ``(diag, u1, u2)``: ``diag =
+        e (1 - e)(1 + alpha) T(w)``, ``u1 = (1 - e) sqrt(alpha) q1`` and
+        ``u2 = (1 - e) q2``, the form :func:`_simplex_solve` takes.
+        """
+        f = 1.0 - e
+        scale = f * (1.0 + self.alpha)
+        root = f * math.sqrt(self.alpha)
+        grad = [scale * (x - t) for x, t in zip(w, t_w)]
+        return grad, (
+            [e * scale * t for t in t_w], [root * y for y in q1], [f * y for y in q2],
+        )
 
     def relax(self, mu: float, state):
         """Minimize the Lagrangian at multiplier ``mu``, starting from ``state``.
@@ -153,35 +247,38 @@ class _PairProgram:
         S1 + log S2]``, ``S1 = sum a^e W^(1-e)``, ``S2 = sum b^e W^(1-e)``, ``e
         = 1 / (1 + mu)``, convex in the mixture ``W``.  Each iteration is one
         sweep from ``w``, whose block minimizers give the derivatives, and one
-        Newton step under ``sum W = 1``, halved until it stays positive and
-        lowers ``L_mu`` by a quarter of the slope's prediction (Boyd &
-        Vandenberghe, *Convex Optimization*, 9.5 and 10.2), or else, once it
-        moves no coordinate by a relative machine epsilon, the sweep's
-        ``T(w)``, which never raises ``L_mu``.  Returns ``(q1(w), q2(w), w)``
+        Newton step under ``sum W = 1`` (:func:`_newton_step`), halved until
+        it stays positive and lowers ``L_mu`` by a quarter of the slope's
+        prediction (Boyd & Vandenberghe, *Convex Optimization*, 9.5 and
+        10.2), or else, once it moves no coordinate by a relative machine
+        epsilon, the sweep's ``T(w)``, which never raises ``L_mu``.  Returns ``(q1(w), q2(w), w)``
         once that sweep moves no coordinate more than ``INNER_TOLERANCE``;
         :class:`NonConvergence` after ``INNER_MAX_SWEEPS``.
         """
         e = 1.0 / (1.0 + mu)
-        w = state[2]
+        f = 1.0 - e
+        shift = f * (1.0 + self.alpha)
+        w = state[2].tolist()
         for _ in range(INNER_MAX_SWEEPS):
             q1, q2, t_w = self.sweep(w, e)
-            move = abs(t_w - w).max()
+            move = max(map(abs, map(sub, t_w, w)))
             if move <= INNER_TOLERANCE:
-                return q1, q2, w
+                return np.array(q1), np.array(q2), np.array(w)
             # adding (1 - e)(1 + alpha) sum W, constant on the simplex, makes
             # the gradient vanish where the sweep stands still
             grad, hess = self.derivatives(w, q1, q2, t_w, e)
-            d = _simplex_solve(hess, w, -grad)
-            slope, mass, lowest = grad @ d, w @ d, d.min()
+            d = _newton_step(*hess, w, [-g for g in grad])
+            slope, mass, lowest = sum(map(mul, grad, d)), sum(map(mul, w, d)), min(d)
+            largest = max(map(abs, d))
             t = 1.0  # the full step is always tried; the bound costs a reduction
-            while t == 1.0 or t * abs(d).max() >= np.finfo(float).eps:
+            while t == 1.0 or t * largest >= math.ulp(1.0):
                 if t * lowest > -1.0:
                     # S(w (1 + t d)) / S(w) = 1 + q . z keeps the change's digits
-                    z = np.expm1((1.0 - e) * np.log1p(t * d))
-                    change = (1.0 - e) * (1.0 + self.alpha) * t * mass
-                    change -= self.alpha * math.log1p(q1 @ z) + math.log1p(q2 @ z)
+                    z = [math.expm1(f * math.log1p(t * x)) for x in d]
+                    g1, g2 = sum(map(mul, q1, z)), sum(map(mul, q2, z))
+                    change = shift * t * mass - (self.alpha * math.log1p(g1) + math.log1p(g2))
                     if change <= 0.25 * t * slope:
-                        w = w * (1.0 + t * d)
+                        w = [x * (1.0 + t * y) for x, y in zip(w, d)]
                         break
                 t *= 0.5
             else:
@@ -200,29 +297,37 @@ class _PairProgram:
         w`` and ``u2 = log b - log w``, ``Lambda'' = e^3 (psi - c . z)``:
         ``psi = -alpha Var_q1(u1) - Var_q2(u2)`` is the second derivative in
         ``e`` at fixed ``W``, ``c`` the mixed one in ``e`` and the relative
-        step, and ``z`` its response through :meth:`relax`'s KKT matrix
+        step, and ``z`` its response through :meth:`relax`'s KKT system
         (the implicit function theorem; Boyd & Vandenberghe, 10.2).
         """
         e = 1.0 / (1.0 + mu)
-        q1, q2, w = state
-        log_w = np.log(w)
+        q1, q2, w = (x.tolist() for x in state)
         # a symbol that a source misses has no mass in its block: u = 0 there
-        u1 = np.where(self.a > 0.0, self.log_a - log_w, 0.0)
-        u2 = np.where(self.b > 0.0, self.log_b - log_w, 0.0)
-        v1 = q1 * (u1 - q1 @ u1)
-        v2 = q2 * (u2 - q2 @ u2)
-        psi = -self.alpha * (v1 @ u1) - v2 @ u2
-        c = -(1.0 - e) * (self.alpha * v1 + v2)
+        u1, u2 = [], []
+        for (log_a, log_b), x in zip(self.logs, w):
+            log_w = math.log(x)
+            u1.append(log_a - log_w if log_a > -math.inf else 0.0)
+            u2.append(log_b - log_w if log_b > -math.inf else 0.0)
+        # the variances as sums of centred squares: sum q u (u - m) would
+        # carry m's rounding times m, which swamps a variance below m^2 eps
+        m1, m2 = sum(map(mul, q1, u1)), sum(map(mul, q2, u2))
+        u1 = [u - m1 for u in u1]
+        u2 = [u - m2 for u in u2]
+        v1, v2 = list(map(mul, q1, u1)), list(map(mul, q2, u2))
+        psi = -self.alpha * sum(map(mul, v1, u1)) - sum(map(mul, v2, u2))
+        c = [-(1.0 - e) * (self.alpha * x + y) for x, y in zip(v1, v2)]
         # at the relaxed state the sweep stands still: T(w) = w
-        z = _simplex_solve(self.derivatives(w, q1, q2, w, e)[1], w, c)
-        return float(-e * e * (psi - c @ z) / self.alpha)
+        z = _simplex_solve(*self.derivatives(w, q1, q2, w, e)[1], w, c)
+        return -e * e * (psi - sum(map(mul, c, z))) / self.alpha
 
     def objective_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
         return self.alpha * kl_array(q1, self.a) + kl_array(q2, self.b)
 
     def constraint_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
         # on the weights that Distribution objects of the pair hold
-        return gjs_array(q1 / math.fsum(q1), q2 / math.fsum(q2), self.alpha)
+        q1, q2 = q1.tolist(), q2.tolist()
+        s1, s2 = math.fsum(q1), math.fsum(q2)
+        return gjs_array(np.array([x / s1 for x in q1]), np.array([x / s2 for x in q2]), self.alpha)
 
     def collapsed(self) -> tuple[float, np.ndarray]:
         """Zero-budget case: both arguments coincide with one distribution."""

@@ -28,6 +28,15 @@ loops in ``seqstat.divergence`` replaced: the same formulas and branches on
 masked arrays, except that the Chernoff slope takes its log-ratio as
 ``log p - log q``.
 
+``dense_derivatives``, ``dense_simplex_solve``, ``dense_slope_terms``,
+``dense_curvature`` and ``numpy_relax`` are the numpy forms of the
+exponent programs' relaxation that the scalar ``math`` loops in
+``seqstat.exponents`` replaced: the Hessian as a dense matrix and the KKT
+step by ``np.linalg.solve`` on the bordered matrix, where the package
+solves it in closed form.  ``numpy_relax`` holds no coordinate: it halves a
+step that would empty one.  ``exact_simplex_solve`` solves the same
+bordered system in rational arithmetic on the same floats.
+
 ``binary_fixed_length_errors`` is the exact error probability of the binary
 fixed-length test on a two-symbol alphabet: the rule reads only class 1's
 score, so each hypothesis's error is a finite sum over the training count
@@ -65,6 +74,7 @@ uniforms of a freshly constructed generator through it.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -473,6 +483,116 @@ def sweep_relax(program: _PairProgram, mu: float, state):
     raise NonConvergence(
         f"block descent at mu={mu} still moving {delta} after {INNER_MAX_SWEEPS} sweeps"
     )
+
+
+def dense_derivatives(program: _PairProgram, w, q1, q2, t_w, e: float):
+    """The numpy form of ``_PairProgram.derivatives``: the gradient and the
+    Hessian as a dense K x K matrix."""
+    w, q1, q2, t_w = (np.asarray(x, dtype=float) for x in (w, q1, q2, t_w))
+    hess = (1.0 - e) ** 2 * (program.alpha * q1[:, None] * q1 + q2[:, None] * q2)
+    hess.flat[:: len(w) + 1] += e * (1.0 - e) * (1.0 + program.alpha) * t_w
+    return (1.0 - e) * (1.0 + program.alpha) * (w - t_w), hess
+
+
+def dense_simplex_solve(hess: np.ndarray, w, rhs) -> np.ndarray:
+    """The numpy form of ``exponents._simplex_solve``: ``np.linalg.solve`` on
+    the bordered KKT matrix ``[[hess, w], [w^T, 0]]``."""
+    k = len(w)
+    kkt, full = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
+    kkt[:k, :k] = hess
+    kkt[:k, k] = kkt[k, :k] = w
+    full[:k] = rhs
+    return np.linalg.solve(kkt, full)[:k]
+
+
+def exact_simplex_solve(diag, u1, u2, w, rhs) -> list[float]:
+    """``exponents._simplex_solve`` in exact rational arithmetic on the same
+    floats: Gauss-Jordan elimination of the bordered KKT matrix with
+    ``Fraction`` entries, rounded once at the end."""
+    k = len(w)
+    rows = [
+        [Fraction(diag[i] * (i == j)) + Fraction(u1[i]) * Fraction(u1[j])
+         + Fraction(u2[i]) * Fraction(u2[j]) for j in range(k)]
+        + [Fraction(w[i]), Fraction(rhs[i])]
+        for i in range(k)
+    ]
+    rows.append([Fraction(x) for x in w] + [Fraction(0), Fraction(0)])
+    for col in range(k + 1):
+        pivot = next(r for r in range(col, k + 1) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(k + 1):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [float(rows[i][-1] / rows[i][i]) for i in range(k)]
+
+
+def numpy_relax(program: _PairProgram, mu: float, state):
+    """The numpy form of ``_PairProgram.relax``: the same sweep, damped
+    Newton step, line search and plain-sweep fallback on arrays, with the
+    dense derivatives and KKT solve and no held coordinates."""
+    e = 1.0 / (1.0 + mu)
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(program.a), np.log(program.b)
+
+    def sweep(w):
+        log_w = np.log(w)
+        x1 = np.exp(e * log_a + (1.0 - e) * log_w)
+        x2 = np.exp(e * log_b + (1.0 - e) * log_w)
+        q1, q2 = x1 / x1.sum(), x2 / x2.sum()
+        return q1, q2, (program.alpha * q1 + q2) / (1.0 + program.alpha)
+
+    w = state[2]
+    for _ in range(INNER_MAX_SWEEPS):
+        q1, q2, t_w = sweep(w)
+        move = abs(t_w - w).max()
+        if move <= INNER_TOLERANCE:
+            return q1, q2, w
+        grad, hess = dense_derivatives(program, w, q1, q2, t_w, e)
+        d = dense_simplex_solve(hess, w, -grad)
+        slope, mass, lowest = grad @ d, w @ d, d.min()
+        t = 1.0
+        while t == 1.0 or t * abs(d).max() >= np.finfo(float).eps:
+            if t * lowest > -1.0:
+                z = np.expm1((1.0 - e) * np.log1p(t * d))
+                change = (1.0 - e) * (1.0 + program.alpha) * t * mass
+                change -= program.alpha * math.log1p(q1 @ z) + math.log1p(q2 @ z)
+                if change <= 0.25 * t * slope:
+                    w = w * (1.0 + t * d)
+                    break
+            t *= 0.5
+        else:
+            w = t_w
+    raise NonConvergence(
+        f"block descent at mu={mu} still moving {move} after {INNER_MAX_SWEEPS} sweeps"
+    )
+
+
+def dense_slope_terms(program: _PairProgram, mu: float, state) -> tuple[float, np.ndarray]:
+    """``(psi, c)`` of ``_PairProgram.curvature`` in numpy: the second
+    derivative of the reduced Lagrangian in ``e`` and its mixed derivative
+    in ``e`` and the relative step, at the relaxed ``state``."""
+    e = 1.0 / (1.0 + mu)
+    q1, q2, w = (np.asarray(x, dtype=float) for x in state)
+    log_w = np.log(w)
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(program.a), np.log(program.b)
+    u1 = np.where(program.a > 0.0, log_a - log_w, 0.0)
+    u2 = np.where(program.b > 0.0, log_b - log_w, 0.0)
+    u1 = u1 - q1 @ u1
+    u2 = u2 - q2 @ u2
+    v1, v2 = q1 * u1, q2 * u2
+    psi = -program.alpha * (v1 @ u1) - v2 @ u2
+    return psi, -(1.0 - e) * (program.alpha * v1 + v2)
+
+
+def dense_curvature(program: _PairProgram, mu: float, state) -> float:
+    """The numpy form of ``_PairProgram.curvature``, with the dense KKT solve."""
+    e = 1.0 / (1.0 + mu)
+    q1, q2, w = state
+    psi, c = dense_slope_terms(program, mu, state)
+    z = dense_simplex_solve(dense_derivatives(program, w, q1, q2, w, e)[1], w, c)
+    return float(-e * e * (psi - c @ z) / program.alpha)
 
 
 def bisect_bayes_crossing(alpha: float, p1, p2) -> float:

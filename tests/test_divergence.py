@@ -364,6 +364,20 @@ class TestChernoff:
         q = make_distribution([0.0, 1.0], AB)
         assert chernoff(p, q) == math.inf
 
+    def test_nonnegative_on_near_identical_pairs(self):
+        # q = p (1 + eps d), renormalized, eps log-uniform in [1e-8, 1e-3]:
+        # the endpoint sums round to 1 + ulp, and without the floor at 0
+        # seven of these pairs read -2.2e-16
+        rng = np.random.default_rng(2024)
+        for _ in range(4000):
+            size = int(rng.integers(2, 7))
+            p = rng.dirichlet(np.ones(size))
+            eps = 10.0 ** rng.uniform(-8.0, -3.0)
+            q = p * (1.0 + eps * rng.uniform(-1.0, 1.0, size))
+            alph = alphabet(size)
+            p, q = make_distribution(list(p), alph), make_distribution(list(q / q.sum()), alph)
+            assert chernoff(p, q) >= 0.0, (p, q)
+
     def test_agrees_with_bisection_oracle(self, monkeypatch):
         # |X| = 2..5: interior pairs, a zero weight on one side, a point
         # mass, and supports that overlap partly or not at all

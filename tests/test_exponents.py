@@ -26,11 +26,14 @@ from seqstat import (
 from seqstat import divergence, exponents, fixedpoint
 from seqstat.exponents import (
     GAP_BOUND,
+    HELD_STEP,
     INNER_TOLERANCE,
     _End,
     _PairProgram,
+    _newton_step,
     _program,
     _search,
+    _simplex_solve,
 )
 from seqstat.errors import (
     DuplicateDistribution,
@@ -424,7 +427,8 @@ class TestNewtonRelaxation:
                 # the gradient at x in the step relative to w, not to x
                 return program.derivatives(x, *program.sweep(x, e), e)[0] / x * w
 
-            grad, hess = program.derivatives(w, *program.sweep(w, e), e)
+            grad, (diag, u1, u2) = program.derivatives(w, *program.sweep(w, e), e)
+            hess = np.diag(diag) + np.outer(u1, u1) + np.outer(u2, u2)
             for j in range(size):
                 up, down = w.copy(), w.copy()
                 up[j] += 1e-5 * w[j]
@@ -485,7 +489,7 @@ class TestNewtonRelaxation:
 
         def negated(self, *args):
             grad, hess = derivatives(self, *args)
-            return -grad, hess
+            return [-g for g in grad], hess
 
         monkeypatch.setattr(_PairProgram, "derivatives", negated)
         program = _PairProgram(np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.1, 0.3]), 2.0)
@@ -587,6 +591,122 @@ class TestNewtonRelaxation:
                 gutman_bayes_curve(alpha, share * gjs(p1, p2, alpha) / alpha, p1, p2)
                 counts.append(len(calls))
         assert np.median(counts) <= 12
+
+
+def kkt_family(seed, count):
+    """Seeded ``(program, mu)`` for the KKT step: the pairs of
+    :func:`crossing_family` (every fourth with one zero weight, alpha
+    log-uniform in [0.05, 5000]) with every eighth first source made a
+    point mass, mu log-uniform in [1e-3, 1e6], then
+    :func:`wide_pair_at_tiny_rate` at mu = 1e-3, 1, 1e3 and 1e6.  Pairs that
+    share no symbol have no relaxation and are left out."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i, (alpha, p1, p2) in enumerate(crossing_family(seed, count)):
+        if i % 8 == 3:
+            mass = [0.0] * p1.alphabet.size
+            mass[int(rng.integers(len(mass)))] = 1.0
+            p1 = make_distribution(mass, p1.alphabet)
+        pairs.append((alpha, p1, p2, float(np.exp(rng.uniform(math.log(1e-3), math.log(1e6))))))
+    alpha, p1, p2 = wide_pair_at_tiny_rate()
+    pairs += [(alpha, p1, p2, mu) for mu in (1e-3, 1.0, 1e3, 1e6)]
+    for alpha, p1, p2, mu in pairs:
+        program = _program(alpha, p1, p2)
+        if program.common:
+            yield program, mu
+
+
+class TestKktSolve:
+    """The scalar KKT step and slope against the dense forms in the oracle."""
+
+    @staticmethod
+    def relaxed(program, mu):
+        state = program.relax(mu, program.start())
+        # large mu drives a symbol of one source only toward W = 0, which
+        # must not stall the relaxation
+        assert plain_move(program, state, mu) <= INNER_TOLERANCE
+        return state
+
+    def test_step_matches_the_dense_and_exact_solves(self):
+        # The two right-hand sides the package solves for: relax's first
+        # step from the sources (the negated gradient) and curvature's at the
+        # relaxed state.  The KKT system's condition number grows like 1 / e
+        # = 1 + mu (the Hessian's diagonal is e (1 - e)(1 + alpha) T(w), its
+        # rank-two part O(1)), so no solve on the rounded entries beats eps
+        # (1 + mu) relative.  The dense solve is normwise stable: a
+        # coordinate of W far below the others has no digits in its
+        # relative step there, so the two forms are compared on the move
+        # w d in W, and the exact rational solve of the same floats checks
+        # d itself.
+        checked = 0
+        with np.errstate(all="raise"):
+            for program, mu in kkt_family(24, 200):
+                e = 1.0 / (1.0 + mu)
+                bound = 1e-13 * (1.0 + mu)
+                w = program.start()[2].tolist()
+                q1, q2, t_w = program.sweep(w, e)
+                grad = program.derivatives(w, q1, q2, t_w, e)[0]
+                relaxed = self.relaxed(program, mu)
+                solves = [(w, q1, q2, t_w, [-g for g in grad])]
+                q1, q2, w = (x.tolist() for x in relaxed)
+                c = oracle.dense_slope_terms(program, mu, relaxed)[1]
+                solves.append((w, q1, q2, w, c.tolist()))
+                for w, q1, q2, t_w, rhs in solves:
+                    if not any(rhs):
+                        continue
+                    diag, u1, u2 = program.derivatives(w, q1, q2, t_w, e)[1]
+                    d = np.array(_simplex_solve(diag, u1, u2, w, rhs))
+                    dense = oracle.dense_simplex_solve(
+                        oracle.dense_derivatives(program, w, q1, q2, t_w, e)[1], w, rhs
+                    )
+                    exact = np.array(oracle.exact_simplex_solve(diag, u1, u2, w, rhs))
+                    move, dense_move = np.multiply(w, d), np.multiply(w, dense)
+                    assert np.max(np.abs(move - dense_move)) <= bound * np.max(np.abs(dense_move))
+                    assert np.max(np.abs(d - exact)) <= bound * np.max(np.abs(exact))
+                    checked += 1
+        assert checked >= 300
+
+    def test_curvature_matches_the_dense_form(self):
+        with np.errstate(all="raise"):
+            for program, mu in kkt_family(24, 200):
+                state = self.relaxed(program, mu)
+                slope = program.curvature(mu, state)
+                want = oracle.dense_curvature(program, mu, state)
+                assert abs(slope - want) <= 1e-11 * want
+
+    def test_relaxation_matches_the_numpy_form(self, rng):
+        for _ in range(40):
+            p1, p2 = random_interior_pair(rng, int(rng.integers(2, 6)))
+            program = _PairProgram(p1.as_array(), p2.as_array(), float(rng.uniform(0.2, 20.0)))
+            mu = float(rng.uniform(0.1, 10.0))
+            fast = program.relax(mu, program.start())
+            slow = oracle.numpy_relax(program, mu, program.start())
+            # both stop within a sweep move of 1e-15 of the fixed point
+            for x, y in zip(fast, slow):
+                assert np.max(np.abs(x - y)) <= 1e-13
+
+    def test_emptied_coordinates_are_held(self):
+        # from the sources the full step of this relaxation sends the
+        # relative step of the second symbol to about -210 (see
+        # test_newton_point_outside_the_orthant_falls_back)
+        a = np.array([0.02, 0.48, 0.5, 0.0])
+        program = _PairProgram(a, np.array([0.5, 0.0, 0.2, 0.3]), 70.0)
+        e = 1.0 / 65.0
+        w = program.start()[2].tolist()
+        q1, q2, t_w = program.sweep(w, e)
+        grad, hess = program.derivatives(w, q1, q2, t_w, e)
+        rhs = [-g for g in grad]
+        assert min(_simplex_solve(*hess, w, rhs)) < -100.0
+        d = _newton_step(*hess, w, rhs)
+        held = [i for i, x in enumerate(d) if x == -HELD_STEP]
+        assert held and min(d) == -HELD_STEP
+        assert abs(np.dot(w, d)) <= 1e-16
+        # the free coordinates solve the KKT system with the held ones fixed
+        dense = np.diag(hess[0]) + np.outer(hess[1], hess[1]) + np.outer(hess[2], hess[2])
+        free = [i for i in range(len(d)) if i not in held]
+        residual = (dense @ d - rhs)[free]
+        nu = residual[0] / w[free[0]]
+        assert np.max(np.abs(residual - nu * np.array(w)[free])) <= 1e-12 * np.max(np.abs(rhs))
 
 
 class TestCrossingSearch:

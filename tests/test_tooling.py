@@ -223,6 +223,18 @@ def test_one_evaluator():
     assert {"kl_array", "gjs_array", "solve_fixed_point"} <= callers
 
 
+def test_no_dense_solver():
+    # the relaxation's KKT step is the scalar Woodbury solve in exponents.py;
+    # the dense np.linalg solve it replaced lives only in tests/oracle.py
+    uses = [
+        f"{path.stem}:{line}"
+        for path in sorted((ROOT / "src" / "seqstat").glob("*.py"))
+        for line, text in enumerate(path.read_text().splitlines(), 1)
+        if "linalg" in text
+    ]
+    assert uses == []
+
+
 def test_one_bracketed_search(monkeypatch):
     # every root and multiplier search in the package runs the one search
     # in seqstat.divergence, looked up in the caller's own globals
