@@ -14,7 +14,7 @@ derivative in ``alpha`` is ``D(p || m)``, and at ``alpha = 0`` that is
 ``D(p || q)``.
 
 ``gjs``, its derivative and the relative entropy (:func:`kl`, the first
-value at ``alpha = 0``), on distributions and on raw weight arrays, all come
+value at ``alpha = 0``), on distributions and on weight sequences, all come
 from one evaluator, ``_mixture_divergences``: built once per pair, it maps
 ``alpha`` to ``(D(p || m), D(q || m))``.  On the common support its
 log-ratios are ``log1p`` of the exact difference ``p - q``, so near-identical
@@ -27,7 +27,8 @@ evaluator of the pair.  The evaluator and :func:`chernoff` are scalar
 ``math`` loops over the kept symbols (the common support): the package's
 alphabets have a handful of symbols, where one numpy call costs more than
 the loop's arithmetic; past about 32 symbols numpy would win (README,
-"Performance notes").
+"Performance notes").  The relative entropy and the alpha-derivative are
+floored at 0, which a near-identical pair's sum can round below.
 
 The entropy form ``(1 + alpha) * H(m) - alpha * H(p) - H(q)`` is the same
 quantity, ``(1 + alpha)`` times the mutual information between a mixture
@@ -48,9 +49,7 @@ its exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from .errors import NonConvergence, NotInterior
 from .probability import Distribution, EmpiricalType, _check_alpha, _check_classes
@@ -67,11 +66,11 @@ CROSSING_MAX_STEPS = 168
 
 
 # --------------------------------------------------------------------------
-# the evaluator, its array forms and the bracketed search, shared with the
+# the evaluator, its sequence forms and the bracketed search, shared with the
 # solvers
 # --------------------------------------------------------------------------
 
-def _mixture_divergences(p: np.ndarray, q: np.ndarray):
+def _mixture_divergences(p: Sequence[float], q: Sequence[float]):
     """``alpha -> (D(p || m), D(q || m))`` with ``m = (alpha * p + q) / (1 + alpha)``.
 
     On the common support ``log(m / p) = log1p(-(p - q) / ((1 + alpha) p))``
@@ -85,7 +84,7 @@ def _mixture_divergences(p: np.ndarray, q: np.ndarray):
     """
     p_only = q_only = 0.0
     kept = []  # (p, q, (p - q) / p, (p - q) / q) on the common support
-    for a, b in zip(p.tolist(), q.tolist()):
+    for a, b in zip(p, q):
         if a > 0.0 and b > 0.0:
             diff = a - b
             kept.append((a, b, diff / a, diff / b))
@@ -114,13 +113,13 @@ def _mixture_divergences(p: np.ndarray, q: np.ndarray):
     return divergences
 
 
-def kl_array(p: np.ndarray, q: np.ndarray) -> float:
-    """D(p || q) for raw weight arrays; inf when q misses the support of p."""
-    return _mixture_divergences(p, q)(0.0)[0]
+def kl_array(p: Sequence[float], q: Sequence[float]) -> float:
+    """D(p || q) >= 0 for raw weight sequences; inf when q misses the support of p."""
+    return max(_mixture_divergences(p, q)(0.0)[0], 0.0)
 
 
-def gjs_array(p: np.ndarray, q: np.ndarray, alpha: float) -> float:
-    """gjs on raw weight arrays, for ``alpha >= 0``."""
+def gjs_array(p: Sequence[float], q: Sequence[float], alpha: float) -> float:
+    """gjs on raw weight sequences, for ``alpha >= 0``."""
     if alpha == 0.0:
         return 0.0
     d_p, d_q = _mixture_divergences(p, q)(alpha)
@@ -243,7 +242,7 @@ def kl(p: Distribution, q: Distribution) -> float:
     Returns ``inf`` when ``p`` puts mass outside the support of ``q``.
     """
     _check_classes((p, q), "distributions")
-    return kl_array(p.as_array(), q.as_array())
+    return kl_array(p.weights, q.weights)
 
 
 def entropy(p: Distribution) -> float:
@@ -260,11 +259,11 @@ def gjs(p: Distribution, q: Distribution, alpha: float) -> float:
     """
     _check_classes((p, q), "distributions")
     alpha = _check_alpha(alpha, strict=False)
-    return gjs_array(p.as_array(), q.as_array(), alpha)
+    return gjs_array(p.weights, q.weights, alpha)
 
 
 def gjs_alpha_derivative(p: Distribution, q: Distribution, alpha: float) -> float:
-    """Partial derivative of ``gjs`` in ``alpha``: D(p || m) at the mixture m.
+    """Partial derivative of ``gjs`` in ``alpha``: D(p || m) >= 0 at the mixture m.
 
     Requires interior inputs so the derivative is finite and stable.
     """
@@ -272,7 +271,7 @@ def gjs_alpha_derivative(p: Distribution, q: Distribution, alpha: float) -> floa
     alpha = _check_alpha(alpha, strict=False)
     if not (p.interior and q.interior):
         raise NotInterior("the alpha-derivative needs interior distributions")
-    return _mixture_divergences(p.as_array(), q.as_array())(alpha)[0]
+    return max(_mixture_divergences(p.weights, q.weights)(alpha)[0], 0.0)
 
 
 def gjs_mutual_info_form(p: Distribution, q: Distribution, alpha: float) -> float:

@@ -34,7 +34,8 @@ search are scalar ``math`` loops over the kept symbols: on the package's
 alphabets of a handful of symbols one numpy call costs more than the
 loop's arithmetic (README, "Performance notes").  A coordinate that the
 full step would empty is held at the relative step ``-HELD_STEP`` and the
-others are solved again (``_newton_step``).
+others are solved again (``_newton_step``).  From a distribution's
+``weights`` to the returned pair, every state and value is a Python float.
 
 Every multiplier search doubles the multiplier from 1 (block exponent 1/2),
 with ``mu = 0`` (the sources) as the first lower end, and narrows the
@@ -60,8 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul, sub
-
-import numpy as np
+from typing import Sequence
 
 from .divergence import _End, _bracket, _search, gjs, gjs_array, kl_array
 from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
@@ -182,27 +182,27 @@ class _PairProgram:
     """minimize alpha*D(Q1||A) + D(Q2||B) s.t. gjs(Q1,Q2,alpha) <= budget.
 
     The program lives on the union of the two supports: symbols outside
-    it carry no mass in any pair of finite objective, so ``keep`` marks the
-    alphabet positions of the stored arrays and every state ``(q1, q2, w)``
-    has one entry per kept symbol, with ``w > 0`` throughout.  States are
-    arrays; the relaxation's iterations run on lists of floats.
+    it carry no mass in any pair of finite objective, so ``keep`` lists the
+    alphabet positions of the kept symbols, ``a`` and ``b`` hold the
+    sources' weights there and ``logs`` their logs.  Every state ``(q1, q2,
+    w)`` is three float sequences with one entry per kept symbol and ``w >
+    0`` throughout, read and passed on but never changed in place.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, alpha: float):
-        self.keep = (a > 0.0) | (b > 0.0)
-        self.a = a[self.keep]
-        self.b = b[self.keep]
+    def __init__(self, a: Sequence[float], b: Sequence[float], alpha: float):
+        self.keep = [i for i, (x, y) in enumerate(zip(a, b)) if x > 0.0 or y > 0.0]
+        self.a = [a[i] for i in self.keep]
+        self.b = [b[i] for i in self.keep]
         self.alpha = alpha
-        self.common = bool(np.any((self.a > 0.0) & (self.b > 0.0)))
-        with np.errstate(divide="ignore"):
-            self.log_a = np.log(self.a)
-            self.log_b = np.log(self.b)
+        self.common = any(x > 0.0 and y > 0.0 for x, y in zip(self.a, self.b))
         # -inf off a source's support, where the sweep's weight is exp(-inf) = 0
-        self.logs = list(zip(self.log_a.tolist(), self.log_b.tolist()))
+        self.logs = [tuple(math.log(x) if x > 0.0 else -math.inf for x in pair)
+                     for pair in zip(self.a, self.b)]
 
-    def start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def start(self) -> tuple[list[float], list[float], list[float]]:
         """The relaxed state at ``mu = 0``: the sources and their mixture."""
-        return self.a.copy(), self.b.copy(), (self.alpha * self.a + self.b) / (1.0 + self.alpha)
+        alpha = self.alpha
+        return self.a, self.b, [(alpha * x + y) / (1.0 + alpha) for x, y in zip(self.a, self.b)]
 
     def sweep(self, w, e: float) -> tuple[list[float], list[float], list[float]]:
         """One block-descent sweep from ``w``: ``(q1(w), q2(w), T(w))``.
@@ -258,12 +258,12 @@ class _PairProgram:
         e = 1.0 / (1.0 + mu)
         f = 1.0 - e
         shift = f * (1.0 + self.alpha)
-        w = state[2].tolist()
+        w = state[2]
         for _ in range(INNER_MAX_SWEEPS):
             q1, q2, t_w = self.sweep(w, e)
             move = max(map(abs, map(sub, t_w, w)))
             if move <= INNER_TOLERANCE:
-                return np.array(q1), np.array(q2), np.array(w)
+                return q1, q2, w
             # adding (1 - e)(1 + alpha) sum W, constant on the simplex, makes
             # the gradient vanish where the sweep stands still
             grad, hess = self.derivatives(w, q1, q2, t_w, e)
@@ -301,7 +301,7 @@ class _PairProgram:
         (the implicit function theorem; Boyd & Vandenberghe, 10.2).
         """
         e = 1.0 / (1.0 + mu)
-        q1, q2, w = (x.tolist() for x in state)
+        q1, q2, w = state
         # a symbol that a source misses has no mass in its block: u = 0 there
         u1, u2 = [], []
         for (log_a, log_b), x in zip(self.logs, w):
@@ -320,22 +320,21 @@ class _PairProgram:
         z = _simplex_solve(*self.derivatives(w, q1, q2, w, e)[1], w, c)
         return -e * e * (psi - sum(map(mul, c, z))) / self.alpha
 
-    def objective_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
+    def objective_value(self, q1: Sequence[float], q2: Sequence[float]) -> float:
         return self.alpha * kl_array(q1, self.a) + kl_array(q2, self.b)
 
-    def constraint_value(self, q1: np.ndarray, q2: np.ndarray) -> float:
+    def constraint_value(self, q1: Sequence[float], q2: Sequence[float]) -> float:
         # on the weights that Distribution objects of the pair hold
-        q1, q2 = q1.tolist(), q2.tolist()
         s1, s2 = math.fsum(q1), math.fsum(q2)
-        return gjs_array(np.array([x / s1 for x in q1]), np.array([x / s2 for x in q2]), self.alpha)
+        return gjs_array([x / s1 for x in q1], [x / s2 for x in q2], self.alpha)
 
-    def collapsed(self) -> tuple[float, np.ndarray]:
+    def collapsed(self) -> tuple[float, list[float]]:
         """Zero-budget case: both arguments coincide with one distribution."""
-        common = (self.a > 0.0) & (self.b > 0.0)
         share = self.alpha / (1.0 + self.alpha)
-        x = np.exp(share * self.log_a[common] + (1.0 - share) * self.log_b[common])
-        q = np.zeros(len(self.a))
-        q[common] = x / x.sum()
+        x = [math.exp(share * la + (1.0 - share) * lb) if min(la, lb) > -math.inf else 0.0
+             for la, lb in self.logs]
+        total = sum(x)
+        q = [y / total for y in x]
         return self.objective_value(q, q), q
 
     def solve(self, budget: float):
@@ -350,12 +349,12 @@ class _PairProgram:
         budget = _check_budget(budget, "divergence budget")
         slack0 = self.constraint_value(self.a, self.b)
         if slack0 <= budget:
-            return 0.0, self.a.copy(), self.b.copy()
+            return 0.0, self.a, self.b
         if not self.common:
             return math.inf, None, None
         if budget == 0.0:
             value, q = self.collapsed()
-            return value, q, q.copy()
+            return value, q, q
 
         # Dual ascent: locate the multiplier whose relaxed solution meets
         # the budget exactly.  The slack grows with mu.
@@ -372,15 +371,14 @@ class _PairProgram:
         gap = end.mu * end.excess
         if not (0.0 <= gap <= GAP_BOUND * (1.0 + abs(end.value))):
             raise NonConvergence(f"duality gap {gap} above the certified bound")
-        q1, q2, _ = end.state
-        return end.value, q1, q2
+        return (end.value, *end.state[:2])
 
 
 def _program(alpha: float, p1: Distribution, p2: Distribution) -> _PairProgram:
     """The fixed-length program at ratio ``alpha``, after checking the ratio and the pair."""
     alpha = _check_alpha(alpha, strict=True)
     _check_classes((p1, p2), "distributions")
-    return _PairProgram(p1.as_array(), p2.as_array(), alpha)
+    return _PairProgram(p1.weights, p2.weights, alpha)
 
 
 def minimize_over_simplices(
@@ -402,8 +400,9 @@ def minimize_over_simplices(
         )
     pair = []
     for q in (q1, q2):
-        full = np.zeros(p1.alphabet.size)
-        full[program.keep] = q
+        full = [0.0] * p1.alphabet.size
+        for i, x in zip(program.keep, q):
+            full[i] = x
         pair.append(Distribution(p1.alphabet, tuple(full)))
     return value, (pair[0], pair[1])
 
@@ -450,7 +449,8 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     :func:`_search` find that multiplier, and the crossing is the mean of
     objective and constraint over ``alpha`` at an end where they agree within
     1e-12, else at the end where they are closer.  For an identical pair the
-    curve is identically zero and so is the crossing.  For sources with
+    curve is identically zero and so is the crossing; where ``gjs(P1, P2,
+    alpha) / alpha <= 1e-12`` the sources already meet the stop.  For sources with
     disjoint supports the curve is ``inf`` below ``gjs(P1, P2, alpha) /
     alpha`` and 0 from there on, so the crossing is that value, the supremum
     of ``min(lam, curve(lam))``.
@@ -463,6 +463,9 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     full = program.constraint_value(sources[0], sources[1]) / alpha
     if not program.common:
         return full
+    lo = _End(0.0, -full, 0.5 * full, sources)
+    if full <= 1e-12:  # the sources already meet the search's stop
+        return lo.value
 
     def evaluate(mu: float, state) -> _End:
         state = program.relax(mu, state)
@@ -474,7 +477,6 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
             program.curvature(mu, state),
         )
 
-    lo = _End(0.0, -full, 0.5 * full, sources)
     lo, hi = _search(evaluate, *_bracket(evaluate, lo))
     # the end of smaller excess, hi first; an excess within 1e-12 counts as 0
     return min(hi, lo, key=lambda end: max(abs(end.excess), 1e-12)).value
@@ -508,22 +510,21 @@ def constrained_kl_min(
     """
     _check_classes((p_center, p_obj), "distributions")
     radius = _check_budget(radius, "radius")
-    center = p_center.as_array()
-    obj = p_obj.as_array()
+    center, obj = p_center.weights, p_obj.weights
     if radius == 0.0:
         return kl_array(center, obj)
     if kl_array(obj, center) <= radius:
         return 0.0
-    common = (center > 0.0) & (obj > 0.0)
-    if not np.any(common):
+    common = [(c, o) for c, o in zip(center, obj) if c > 0.0 and o > 0.0]
+    if not common:
         return math.inf
-    log_center = np.log(center[common])
-    log_obj = np.log(obj[common])
+    center, obj = zip(*common)  # D(V_t || .) reads only V_t's support
+    logs = [(math.log(c), math.log(o)) for c, o in common]
 
     def end(t: float, state=None) -> _End:
-        x = np.exp((1.0 - t) * log_obj + t * log_center)
-        v = np.zeros(len(center))
-        v[common] = x / x.sum()
+        x = [math.exp((1.0 - t) * log_obj + t * log_center) for log_center, log_obj in logs]
+        total = sum(x)
+        v = [y / total for y in x]
         slack = radius - kl_array(v, center)
         return _End(t, slack, kl_array(v, obj) if slack >= 0.0 else math.inf, None)
 

@@ -125,7 +125,7 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     """
     _check_classes((p, q), "distributions")
     gamma = _check_gamma(gamma)
-    divergences = _mixture_divergences(p.as_array(), q.as_array())
+    divergences = _mixture_divergences(p.weights, q.weights)
     slope_at_zero = divergences(0.0)[0]
     if gamma >= slope_at_zero:
         raise NoSolution(

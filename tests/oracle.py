@@ -35,7 +35,9 @@ exponent programs' relaxation that the scalar ``math`` loops in
 step by ``np.linalg.solve`` on the bordered matrix, where the package
 solves it in closed form.  ``numpy_relax`` holds no coordinate: it halves a
 step that would empty one.  ``exact_simplex_solve`` solves the same
-bordered system in rational arithmetic on the same floats.
+bordered system in rational arithmetic on the same floats.  These forms and
+``sweep_relax`` read a program's sources and states, which are lists of
+floats, as arrays.
 
 ``binary_fixed_length_errors`` is the exact error probability of the binary
 fixed-length test on a two-symbol alphabet: the rule reads only class 1's
@@ -457,13 +459,14 @@ def numpy_chernoff(p, q) -> float:
 
 def sweep_relax(program: _PairProgram, mu: float, state):
     """Plain block descent on ``program``'s Lagrangian at multiplier ``mu``."""
-    q1, q2, w = state
+    q1, q2, w = (np.asarray(x, dtype=float) for x in state)
+    a, b = np.asarray(program.a), np.asarray(program.b)
     e = 1.0 / (1.0 + mu)
-    supp_a = program.a > 0.0
-    supp_b = program.b > 0.0
-    log_a = np.log(program.a[supp_a])
-    log_b = np.log(program.b[supp_b])
-    k = len(program.a)
+    supp_a = a > 0.0
+    supp_b = b > 0.0
+    log_a = np.log(a[supp_a])
+    log_b = np.log(b[supp_b])
+    k = len(a)
     for _ in range(INNER_MAX_SWEEPS):
         x1 = np.exp(e * log_a + (1.0 - e) * np.log(w[supp_a]))
         q1n = np.zeros(k)
@@ -574,11 +577,12 @@ def dense_slope_terms(program: _PairProgram, mu: float, state) -> tuple[float, n
     in ``e`` and the relative step, at the relaxed ``state``."""
     e = 1.0 / (1.0 + mu)
     q1, q2, w = (np.asarray(x, dtype=float) for x in state)
+    a, b = np.asarray(program.a), np.asarray(program.b)
     log_w = np.log(w)
     with np.errstate(divide="ignore"):
-        log_a, log_b = np.log(program.a), np.log(program.b)
-    u1 = np.where(program.a > 0.0, log_a - log_w, 0.0)
-    u2 = np.where(program.b > 0.0, log_b - log_w, 0.0)
+        log_a, log_b = np.log(a), np.log(b)
+    u1 = np.where(a > 0.0, log_a - log_w, 0.0)
+    u2 = np.where(b > 0.0, log_b - log_w, 0.0)
     u1 = u1 - q1 @ u1
     u2 = u2 - q2 @ u2
     v1, v2 = q1 * u1, q2 * u2

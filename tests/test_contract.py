@@ -1,0 +1,79 @@
+"""The public numeric API's contract on seeded input families.
+
+Every divergence and exponent below must come out finite and nonnegative,
+and no call may raise: each input has a defined answer.  The calls run under
+``np.errstate(all="raise")``, so a numpy warning fails them too.
+"""
+
+import math
+
+import numpy as np
+
+from seqstat import (
+    gjs,
+    gjs_alpha_derivative,
+    gutman_bayes_curve,
+    gutman_bayes_exponent,
+    gutman_type2_exponent,
+    kl,
+    make_distribution,
+)
+from conftest import alphabet, random_interior
+
+ALPHAS = (1.0, 50.0, 5000.0)
+# q so close to p that gjs / alpha is about 1e-20: the crossing's excess
+# never clears its rounding, and a doubled multiplier reached about 1e17,
+# where the KKT solve's 2x2 determinant cancelled to 0 (ZeroDivisionError)
+REPRO_PAIR = (
+    (0.0886171476914497, 0.8643319882300091, 0.04705086407854129),
+    (0.08861714746561408, 0.8643319883558921, 0.047050864178493815),
+)
+
+
+def near_identical_family(seed, count):
+    """Seeded interior pairs ``(p, q)`` with ``q = p (1 + eps d)`` renormalised,
+    |X| = 2..6, ``d`` standard normal and ``eps`` log-uniform in [1e-12,
+    1e-2], then :data:`REPRO_PAIR`."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        size = int(rng.integers(2, 7))
+        p = random_interior(rng, size)
+        eps = math.exp(rng.uniform(math.log(1e-12), math.log(1e-2)))
+        weights = np.asarray(p.weights) * (1.0 + eps * rng.standard_normal(size))
+        pairs.append((p, make_distribution(list(weights / weights.sum()), p.alphabet)))
+    alph = alphabet(3)
+    pairs.append(tuple(make_distribution(list(w), alph) for w in REPRO_PAIR))
+    return pairs
+
+
+class TestNearIdenticalPairs:
+    @staticmethod
+    def calls(p, q):
+        """``(name, thunk)`` for every divergence and exponent of the pair."""
+        yield "kl(p, q)", lambda: kl(p, q)
+        yield "kl(q, p)", lambda: kl(q, p)
+        for alpha in ALPHAS:
+            full = gjs(p, q, alpha)
+            yield f"gjs_alpha_derivative@{alpha}", lambda a=alpha: gjs_alpha_derivative(p, q, a)
+            yield f"gutman_type2_exponent@{alpha}", (
+                lambda a=alpha, lam=0.99 * full: gutman_type2_exponent(a, lam, p, q)
+            )
+            yield f"gutman_bayes_curve@{alpha}", (
+                lambda a=alpha, lam=0.99 * full / alpha: gutman_bayes_curve(a, lam, p, q)
+            )
+            yield f"gutman_bayes_exponent@{alpha}", lambda a=alpha: gutman_bayes_exponent(a, p, q)
+
+    def test_divergences_and_exponents_are_finite_and_nonnegative(self):
+        broken = []
+        with np.errstate(all="raise"):
+            for i, (p, q) in enumerate(near_identical_family(20191203, 300)):
+                for name, call in self.calls(p, q):
+                    try:
+                        value = call()
+                    except Exception as error:  # any exception breaks the contract
+                        broken.append((i, name, repr(error)))
+                        continue
+                    if not (math.isfinite(value) and value >= 0.0):
+                        broken.append((i, name, value))
+        assert broken == []

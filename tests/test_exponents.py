@@ -394,14 +394,15 @@ def plain_move(program, state, mu):
     """Largest coordinate move of one plain sweep from ``state``."""
     q1, q2, w = state
     q1n, q2n, wn = program.sweep(w, 1.0 / (1.0 + mu))
-    return max(np.max(np.abs(q1n - q1)), np.max(np.abs(q2n - q2)), np.max(np.abs(wn - w)))
+    return max(np.max(np.abs(np.subtract(new, old))) for new, old in ((q1n, q1), (q2n, q2), (wn, w)))
 
 
 def reduced_lagrangian(program, w, e):
     """``L_mu(w) / (1 + mu)``, the Lagrangian minimized over both blocks,
     plus ``(1 - e)(1 + alpha) sum w``, a constant on the simplex."""
-    s1 = np.sum(program.a**e * w ** (1.0 - e))
-    s2 = np.sum(program.b**e * w ** (1.0 - e))
+    a, b = np.asarray(program.a), np.asarray(program.b)
+    s1 = np.sum(a**e * w ** (1.0 - e))
+    s2 = np.sum(b**e * w ** (1.0 - e))
     shift = (1.0 - e) * (1.0 + program.alpha) * np.sum(w)
     return shift - (program.alpha * math.log(s1) + math.log(s2))
 
@@ -643,12 +644,12 @@ class TestKktSolve:
             for program, mu in kkt_family(24, 200):
                 e = 1.0 / (1.0 + mu)
                 bound = 1e-13 * (1.0 + mu)
-                w = program.start()[2].tolist()
+                w = program.start()[2]
                 q1, q2, t_w = program.sweep(w, e)
                 grad = program.derivatives(w, q1, q2, t_w, e)[0]
                 relaxed = self.relaxed(program, mu)
                 solves = [(w, q1, q2, t_w, [-g for g in grad])]
-                q1, q2, w = (x.tolist() for x in relaxed)
+                q1, q2, w = relaxed
                 c = oracle.dense_slope_terms(program, mu, relaxed)[1]
                 solves.append((w, q1, q2, w, c.tolist()))
                 for w, q1, q2, t_w, rhs in solves:
@@ -692,7 +693,7 @@ class TestKktSolve:
         a = np.array([0.02, 0.48, 0.5, 0.0])
         program = _PairProgram(a, np.array([0.5, 0.0, 0.2, 0.3]), 70.0)
         e = 1.0 / 65.0
-        w = program.start()[2].tolist()
+        w = program.start()[2]
         q1, q2, t_w = program.sweep(w, e)
         grad, hess = program.derivatives(w, q1, q2, t_w, e)
         rhs = [-g for g in grad]

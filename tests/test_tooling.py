@@ -3,9 +3,9 @@ resolves and is listed once, nothing leans on a package the project does not
 declare, every module imports only the modules below it, every root is
 solved through the names the benchmark wraps, ``estimate`` builds no
 per-trial objects, every symbol is drawn by one sampler, one module defines
-the relative entropy, one scalar evaluator computes it, one validator
-module raises every alphabet mismatch, and the README's example config
-still runs.
+the relative entropy, one scalar evaluator computes it, the solvers pass
+float sequences rather than arrays, one validator module raises every
+alphabet mismatch, and the README's example config still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -233,6 +233,34 @@ def test_no_dense_solver():
         if "linalg" in text
     ]
     assert uses == []
+
+
+def test_solvers_pass_float_sequences():
+    # the pair evaluator, the threshold root and the fixed-length programs
+    # take a distribution's weights as they are and pass lists of floats
+    # between them: divergence.py and exponents.py import no numpy, and no
+    # solver module converts a value to or from an array (multiclass_thetas
+    # fills its public matrix with np.full)
+    found = []
+    for name in ("divergence", "fixedpoint", "exponents"):
+        path = ROOT / "src" / "seqstat" / f"{name}.py"
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if name != "fixedpoint":
+                found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "numpy"]
+        found += [
+            f"{name}:{line} {token}"
+            for line, row in enumerate(text.splitlines(), 1)
+            for token in ("as_array", ".tolist()", "np.array(", "np.asarray(")
+            if token in row
+        ]
+    assert found == []
 
 
 def test_one_bracketed_search(monkeypatch):
