@@ -178,7 +178,12 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     step from that end instead, if it lands inside the same clamped bracket
     (Press et al., *Numerical Recipes*, 3rd ed., 9.4, ``rtsafe``); it too is
     followed by a bisection unless it halves the bracket or the excess.
-    Ends without a slope get the Illinois steps alone.  The search returns
+    Three callers give slopes: the threshold equation
+    (``fixedpoint.solve_fixed_point``, ``D(q || m) / theta^2``),
+    :func:`chernoff` (``psi''``) and the Bayes crossing
+    (``exponents.gutman_bayes_exponent``, from ``_PairProgram.curvature``).
+    Ends without a slope, as in the exponent program's slack search and
+    ``constrained_kl_min``, get the Illinois steps alone.  The search returns
     the final ``(lo, hi)``, from which the caller picks its answer, once an
     end of finite value has its excess within 1e-12 of 0 or the bracket is
     ``RELATIVE_BRACKET_WIDTH`` wide; :class:`NonConvergence` is raised when
@@ -297,11 +302,18 @@ def chernoff(p: Distribution, q: Distribution) -> float:
     The sum runs over the common support.  The inner function psi is convex
     in eta; when its slope changes sign inside [0, 1], :func:`_search` finds
     the root of the slope divided by its rise over [0, 1], so that the
-    search stops on a relative excess.  Every ``-psi(eta)`` is a lower bound
-    on C, and the value is the largest one at the final ends, which is an
-    endpoint's own value when the optimum sits there, or 0: ``-psi(0) = -ln
-    sum q`` over the common support is at least 0, though its rounded sum can
-    exceed 1 by an ulp on near-identical pairs.
+    search stops on a relative excess.  With ``t = p^eta q^(1-eta)`` and
+    ``r = log(p / q)`` on each symbol, ``psi' = sum t r / sum t`` and
+    ``psi'' = sum t r^2 / sum t - psi'^2 >= 0``, the variance of ``r``
+    under the normalised ``t``; one loop sums all three, and each end
+    carries ``psi''`` over the rise as the slope of its excess, so that the
+    search takes Newton steps.  At the root ``psi'`` is near 0, so the
+    difference does not cancel there; where rounding leaves it at 0 or
+    below, the search takes no Newton step.  Every ``-psi(eta)`` is a lower
+    bound on C, and the value is the largest one at the final ends, which is
+    an endpoint's own value when the optimum sits there, or 0: ``-psi(0) =
+    -ln sum q`` over the common support is at least 0, though its rounded
+    sum can exceed 1 by an ulp on near-identical pairs.
     """
     _check_classes((p, q), "distributions")
     # log p, log q and the log-ratio log(p / q) = log1p((p - q) / q) on the
@@ -314,21 +326,23 @@ def chernoff(p: Distribution, q: Distribution) -> float:
     ]
     if not kept:
         return math.inf
-    rise = 1.0  # the endpoints' raw slopes set the scale of every later one
+    rise = 1.0  # psi'(1) - psi'(0), once known, scales every later excess and slope
 
     def end(eta: float, state=None) -> _End:
-        total = slope = 0.0
+        total = first = second = 0.0
         for lp, lq, ratio in kept:
             term = math.exp(eta * lp + (1.0 - eta) * lq)
             total += term
-            slope += term * ratio
-        return _End(eta, slope / total / rise, -math.log(total), None)
+            first += term * ratio
+            second += term * ratio * ratio
+        mean = first / total  # psi'(eta)
+        return _End(eta, mean / rise, -math.log(total), None, (second / total - mean * mean) / rise)
 
     lo, hi = end(0.0), end(1.0)
     if lo.excess < 0.0 < hi.excess:
         rise = hi.excess - lo.excess
-        lo = lo._replace(excess=lo.excess / rise)
-        lo, hi = _search(end, lo, hi._replace(excess=hi.excess / rise))
+        lo, hi = (e._replace(excess=e.excess / rise, slope=e.slope / rise) for e in (lo, hi))
+        lo, hi = _search(end, lo, hi)
     return max(lo.value, hi.value, 0.0)
 
 

@@ -48,7 +48,12 @@ minus the relaxed constraint, both divided by ``alpha``, and gives each end
 that excess's slope (:meth:`_PairProgram.curvature`, one more solve of
 the relaxation's KKT system), so that its search takes Newton steps.  The
 program's search keeps the Illinois steps: Newton steps close in from the
-infeasible side, and that search stops only on a feasible end.
+infeasible side, and that search stops only on a feasible end.  The
+crossing also starts each relaxation from the tangent of the relaxed path
+at the end it relaxes from, ``w exp(-(e - e0) z)`` renormalised, where
+``z = -d log W / de`` comes from the same KKT solve as the slope; the
+relaxation still runs to ``INNER_TOLERANCE`` from there, so only its start
+changes.
 
 Sources that share no symbol have a defined answer everywhere: every pair of
 finite objective then has the sources' own ``gjs``, so the programs are
@@ -178,6 +183,22 @@ def _newton_step(
     return d
 
 
+def _tangent_start(w: list[float], z: list[float], step: float) -> list[float]:
+    """The relaxed ``W`` predicted ``step`` away in the block exponent:
+    ``w * exp(-step * z)``, renormalised, from the tangent ``z`` that
+    :meth:`_PairProgram.curvature` returns at ``w``; ``w`` itself where a
+    predicted coordinate is not finite and positive."""
+    try:
+        guess = [x * math.exp(-step * y) for x, y in zip(w, z)]
+    except OverflowError:  # math.exp raises past the largest float
+        return w
+    total = sum(guess)
+    if not 0.0 < total < math.inf:  # NaN fails here too
+        return w
+    guess = [x / total for x in guess]
+    return guess if min(guess) > 0.0 else w
+
+
 class _PairProgram:
     """minimize alpha*D(Q1||A) + D(Q2||B) s.t. gjs(Q1,Q2,alpha) <= budget.
 
@@ -287,8 +308,9 @@ class _PairProgram:
             f"block descent at mu={mu} still moving {move} after {INNER_MAX_SWEEPS} sweeps"
         )
 
-    def curvature(self, mu: float, state) -> float:
-        """Slope in ``mu`` of the Bayes crossing's excess at the relaxed ``state``.
+    def curvature(self, mu: float, state) -> tuple[float, list[float]]:
+        """Slope in ``mu`` of the Bayes crossing's excess at the relaxed
+        ``state``, and the tangent ``z = -d log W / de`` of the relaxed path.
 
         The dual function ``Lambda(mu) = min_W L_mu(W)`` has the relaxed
         constraint as its slope, so the excess, objective minus constraint
@@ -299,6 +321,14 @@ class _PairProgram:
         ``e`` at fixed ``W``, ``c`` the mixed one in ``e`` and the relative
         step, and ``z`` its response through :meth:`relax`'s KKT system
         (the implicit function theorem; Boyd & Vandenberghe, 10.2).
+
+        The sign of the tangent: at a relaxed state the gradient ``g`` of
+        :meth:`derivatives` is 0 (``T(w) = w``).  Moving ``e`` by ``de`` and
+        ``W`` by the relative step ``d`` keeps it 0 to first order, up to
+        the border's multiple of ``w``, when ``H d + c de = nu w`` with ``w .
+        d = 0``; ``z`` solves ``H z = c`` under the same border, so ``d = -z
+        de``.  The crossing starts each relaxation at ``e`` from ``w exp(-(e
+        - e0) z)``, renormalised (:func:`_tangent_start`).
         """
         e = 1.0 / (1.0 + mu)
         q1, q2, w = state
@@ -318,7 +348,7 @@ class _PairProgram:
         c = [-(1.0 - e) * (self.alpha * x + y) for x, y in zip(v1, v2)]
         # at the relaxed state the sweep stands still: T(w) = w
         z = _simplex_solve(*self.derivatives(w, q1, q2, w, e)[1], w, c)
-        return -e * e * (psi - sum(map(mul, c, z))) / self.alpha
+        return -e * e * (psi - sum(map(mul, c, z))) / self.alpha, z
 
     def objective_value(self, q1: Sequence[float], q2: Sequence[float]) -> float:
         return self.alpha * kl_array(q1, self.a) + kl_array(q2, self.b)
@@ -463,18 +493,24 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     full = program.constraint_value(sources[0], sources[1]) / alpha
     if not program.common:
         return full
-    lo = _End(0.0, -full, 0.5 * full, sources)
+    # an end's state is (q1, q2, w, e, z): the relaxed state, its block
+    # exponent and its tangent, none at the sources
+    lo = _End(0.0, -full, 0.5 * full, (*sources, 1.0, None))
     if full <= 1e-12:  # the sources already meet the search's stop
         return lo.value
 
     def evaluate(mu: float, state) -> _End:
-        state = program.relax(mu, state)
+        q1, q2, w, e0, z = state
+        e = 1.0 / (1.0 + mu)
+        if z is not None:
+            w = _tangent_start(w, z, e - e0)
+        state = program.relax(mu, (q1, q2, w))
         q1, q2, _ = state
         objective = program.objective_value(q1, q2) / alpha
         constraint = program.constraint_value(q1, q2) / alpha
+        slope, z = program.curvature(mu, state)
         return _End(
-            mu, objective - constraint, 0.5 * (objective + constraint), state,
-            program.curvature(mu, state),
+            mu, objective - constraint, 0.5 * (objective + constraint), (*state, e, z), slope,
         )
 
     lo, hi = _search(evaluate, *_bracket(evaluate, lo))

@@ -12,10 +12,14 @@ error exponent (``gamma * theta``) and the expected-stopping-time scale
 
 The solver searches on the scaled excess ``(gamma * theta - gjs) / theta =
 gamma - D(p || m) - D(q || m) / theta``, which rises with ``theta`` from
-``gamma - D(p || q)`` at 0, so the lower end needs no evaluation.  It
-brackets the root by doubling from ``theta = 1`` and narrows the bracket
-with the package's one bracketed search (``_bracket`` and ``_search`` in
-:mod:`seqstat.divergence`).  One solve builds one evaluator of the pair in
+``gamma - D(p || q)`` at 0, so the lower end needs no evaluation.  By the
+envelope identity ``d gjs / d theta = D(p || m)``, its slope is ``(gjs -
+theta D(p || m)) / theta^2 = D(q || m) / theta^2``, so each evaluation gives
+the slope for one division, from the second value it already returns.  The
+solver brackets the root by doubling from ``theta = 1`` and narrows the
+bracket with the package's one bracketed search (``_bracket`` and
+``_search`` in :mod:`seqstat.divergence`), which takes Newton steps on that
+slope.  One solve builds one evaluator of the pair in
 :mod:`seqstat.divergence` and reads everything from it: the no-root gate
 ``gamma >= D(p || q)`` (its first value at ``theta = 0``), every step of the
 search, and the residual, so the gate and the root read the same ``D`` and
@@ -116,12 +120,14 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     nonexistence condition.  The root is bracketed by doubling from
     ``theta = 1`` and the bracket narrowed to a relative width of
     ``RELATIVE_BRACKET_WIDTH`` by the shared search (see the module
-    docstring), one evaluation of the pair's divergences per step.  The
-    result carries the bracket's certified signs and the residual of the
-    public :func:`gjs` (see :class:`FixedPointResult`).  Raises
-    :class:`NonConvergence` when the doubling overflows, when the search
-    takes more than ``CROSSING_MAX_STEPS`` steps, when the root lies below
-    ``BRACKET_LOW``, or when the residual exceeds ``RESIDUAL_BOUND``.
+    docstring), one evaluation of the pair's divergences per step; each
+    end carries the excess's slope ``D(q || m) / theta^2`` (the envelope
+    identity), so the search takes Newton steps.  The result carries the
+    bracket's certified signs and the residual of the public :func:`gjs`
+    (see :class:`FixedPointResult`).  Raises :class:`NonConvergence` when
+    the doubling overflows, when the search takes more than
+    ``CROSSING_MAX_STEPS`` steps, when the root lies below ``BRACKET_LOW``,
+    or when the residual exceeds ``RESIDUAL_BOUND``.
     """
     _check_classes((p, q), "distributions")
     gamma = _check_gamma(gamma)
@@ -134,11 +140,12 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     evaluations = 0
 
     def end(theta: float, state=None) -> _End:
-        # the scaled excess (gamma * theta - gjs) / theta; no value to report
+        # the scaled excess (gamma * theta - gjs) / theta and its slope
+        # D(q || m) / theta^2; no value to report
         nonlocal evaluations
         evaluations += 1
         d_p, d_q = divergences(theta)
-        return _End(theta, gamma - d_p - d_q / theta, math.inf, None)
+        return _End(theta, gamma - d_p - d_q / theta, math.inf, None, d_q / (theta * theta))
 
     floor = _End(BRACKET_LOW, gamma - slope_at_zero, math.inf, None)
     lo, hi = _search(end, *_bracket(end, floor))

@@ -34,6 +34,7 @@ from seqstat.exponents import (
     _program,
     _search,
     _simplex_solve,
+    _tangent_start,
 )
 from seqstat.errors import (
     DuplicateDistribution,
@@ -551,7 +552,7 @@ class TestNewtonRelaxation:
                 program = _program(alpha, p1, p2)
                 for mu in (0.3, 1.0, 2.5, 7.0):
                     state = program.relax(mu, program.start())
-                    slope = program.curvature(mu, state)
+                    slope = program.curvature(mu, state)[0]
                     h = 1e-5 * mu
                     rise = excess(program, mu + h, state) - excess(program, mu - h, state)
                     assert abs(rise / (2.0 * h) - slope) <= 1e-6 * slope + 1e-16 / h
@@ -671,7 +672,7 @@ class TestKktSolve:
         with np.errstate(all="raise"):
             for program, mu in kkt_family(24, 200):
                 state = self.relaxed(program, mu)
-                slope = program.curvature(mu, state)
+                slope = program.curvature(mu, state)[0]
                 want = oracle.dense_curvature(program, mu, state)
                 assert abs(slope - want) <= 1e-11 * want
 
@@ -825,6 +826,53 @@ class TestCrossingSearch:
             lam = gutman_bayes_exponent(alpha, p1, p2)
             worst = max(worst, abs(lam - oracle.bisect_bayes_crossing(alpha, p1, p2)))
         assert worst <= 1e-12
+
+
+class TestTangentStart:
+    """The crossing's relaxations start from the tangent of the last relaxed state."""
+
+    def test_tangent_matches_central_differences(self):
+        # d log W / de = -z: the central difference of the relaxed W at e +-
+        # h against the tangent's move -w z.  Both relaxations start from
+        # the state at e and stop on INNER_TOLERANCE, so the difference
+        # carries about 1e-15 / h of noise.  The start that _tangent_start
+        # predicts at e + h misses the relaxed W there by O(h^2), far less
+        # than the move, plus the relaxation's own error (up to about 1e-13).
+        checked = 0
+        for alpha, p1, p2 in crossing_family(12, 50):
+            program = _program(alpha, p1, p2)
+            if not program.common:
+                continue
+            for mu in (0.3, 1.0, 2.5, 7.0):
+                state = program.relax(mu, program.start())
+                z = program.curvature(mu, state)[1]
+                e = 1.0 / (1.0 + mu)
+                h = 1e-4 * e
+                up = program.relax(1.0 / (e + h) - 1.0, state)[2]
+                down = program.relax(1.0 / (e - h) - 1.0, state)[2]
+                move = -np.multiply(state[2], z)
+                error = np.max(np.abs(np.subtract(up, down) / (2.0 * h) - move))
+                assert error <= 1e-6 * np.max(np.abs(move)) + 1e-15 / h
+                start = _tangent_start(state[2], z, h)
+                miss = np.max(np.abs(np.subtract(start, up)))
+                assert miss <= 1e-3 * np.max(np.abs(np.subtract(state[2], up))) + 1e-12
+                checked += 1
+        assert checked >= 150
+
+    def test_unusable_tangent_falls_back_to_the_last_state(self, monkeypatch):
+        # a NaN tangent predicts NaN, and +-1e300 overflows math.exp or
+        # empties every coordinate; each relaxation then starts from the
+        # last relaxed state
+        curvature = _PairProgram.curvature
+        for alpha, p1, p2 in crossing_family(20191203, 16):
+            want = oracle.bisect_bayes_crossing(alpha, p1, p2)
+            for bad in (math.nan, 1e300, -1e300):
+                def broken(self, mu, state, bad=bad):
+                    return curvature(self, mu, state)[0], [bad] * len(state[2])
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(_PairProgram, "curvature", broken)
+                    assert abs(gutman_bayes_exponent(alpha, p1, p2) - want) <= 1e-12
 
 
 class TestConstrainedPrograms:
