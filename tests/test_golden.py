@@ -109,7 +109,8 @@ def observe(kwargs, seed):
         digest.update(rows.tobytes())
     report = estimate(cfg)
     ints = [[getattr(r, c) for c in INTEGER_COLUMNS] for r in report.rows]
-    digest.update(np.array(ints, dtype="<i8").tobytes() + np.int64(cfg.n_test or 0).tobytes())
+    digest.update(np.array(ints, dtype="<i8").tobytes())
+    digest.update(np.array([cfg.n_test or 0], dtype="<i8").tobytes())
     return {
         "sha256": digest.hexdigest(),
         "trials": tags,
