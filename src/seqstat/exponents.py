@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .divergence import _End, _bracket, _search, gjs, gjs_array, kl_array
 from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
@@ -199,6 +199,26 @@ def _tangent_start(w: list[float], z: list[float], step: float) -> list[float]:
     return guess if min(guess) > 0.0 else w
 
 
+class _Crossing(NamedTuple):
+    """Certificate of one Bayes crossing (:func:`_bayes_crossing`).
+
+    ``value`` is what :func:`gutman_bayes_exponent` returns and ``excess``
+    the signed excess of the end it comes from; ``lo`` and ``hi`` are the
+    multipliers of the final bracket's ends, relaxed states whose excesses
+    are at most 0 and positive (``hi`` is ``inf`` while no end has a
+    positive excess).  The counts are the program's relaxations, sweeps
+    and KKT solves (:class:`_PairProgram`).
+    """
+
+    value: float
+    excess: float
+    lo: float
+    hi: float
+    relaxations: int
+    sweeps: int
+    solves: int
+
+
 class _PairProgram:
     """minimize alpha*D(Q1||A) + D(Q2||B) s.t. gjs(Q1,Q2,alpha) <= budget.
 
@@ -208,7 +228,14 @@ class _PairProgram:
     sources' weights there and ``logs`` their logs.  Every state ``(q1, q2,
     w)`` is three float sequences with one entry per kept symbol and ``w >
     0`` throughout, read and passed on but never changed in place.
+
+    ``relaxations``, ``sweeps`` and ``solves`` count the program's calls of
+    :meth:`relax` and :meth:`sweep` and its KKT solves: one per Newton step
+    of a relaxation (with the re-solves of :func:`_newton_step` that hold
+    coordinates) and one per :meth:`curvature`.
     """
+
+    relaxations = sweeps = solves = 0
 
     def __init__(self, a: Sequence[float], b: Sequence[float], alpha: float):
         self.keep = [i for i, (x, y) in enumerate(zip(a, b)) if x > 0.0 or y > 0.0]
@@ -231,6 +258,7 @@ class _PairProgram:
         ``q1`` is the normalized geometric mean ``a^e * w^(1-e)``, ``q2``
         likewise on ``b``, and ``T(w)`` their ``alpha``-mixture.
         """
+        self.sweeps += 1
         f = 1.0 - e
         x1, x2 = [], []
         for (log_a, log_b), x in zip(self.logs, w):
@@ -276,6 +304,7 @@ class _PairProgram:
         once that sweep moves no coordinate more than ``INNER_TOLERANCE``;
         :class:`NonConvergence` after ``INNER_MAX_SWEEPS``.
         """
+        self.relaxations += 1
         e = 1.0 / (1.0 + mu)
         f = 1.0 - e
         shift = f * (1.0 + self.alpha)
@@ -289,6 +318,7 @@ class _PairProgram:
             # the gradient vanish where the sweep stands still
             grad, hess = self.derivatives(w, q1, q2, t_w, e)
             d = _newton_step(*hess, w, [-g for g in grad])
+            self.solves += 1
             slope, mass, lowest = sum(map(mul, grad, d)), sum(map(mul, w, d)), min(d)
             largest = max(map(abs, d))
             t = 1.0  # the full step is always tried; the bound costs a reduction
@@ -347,6 +377,7 @@ class _PairProgram:
         psi = -self.alpha * sum(map(mul, v1, u1)) - sum(map(mul, v2, u2))
         c = [-(1.0 - e) * (self.alpha * x + y) for x, y in zip(v1, v2)]
         # at the relaxed state the sweep stands still: T(w) = w
+        self.solves += 1
         z = _simplex_solve(*self.derivatives(w, q1, q2, w, e)[1], w, c)
         return -e * e * (psi - sum(map(mul, c, z))) / self.alpha, z
 
@@ -483,21 +514,38 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     alpha) / alpha <= 1e-12`` the sources already meet the stop.  For sources with
     disjoint supports the curve is ``inf`` below ``gjs(P1, P2, alpha) /
     alpha`` and 0 from there on, so the crossing is that value, the supremum
-    of ``min(lam, curve(lam))``.
+    of ``min(lam, curve(lam))``.  :func:`_bayes_crossing` returns the value
+    with its certificate.
+    """
+    return _bayes_crossing(alpha, p1, p2).value
+
+
+def _bayes_crossing(alpha: float, p1: Distribution, p2: Distribution) -> _Crossing:
+    """:func:`gutman_bayes_exponent` with its certificate, :class:`_Crossing`.
+
+    Where no search runs, the bracket is ``(0, inf)``, and the excess is
+    that of the sources (``-gjs(P1, P2, alpha) / alpha``), or 0 where the
+    crossing is exact: for an identical pair and for disjoint supports.
     """
     program = _program(alpha, p1, p2)
+
+    def certify(value: float, excess: float, lo: float = 0.0, hi: float = math.inf) -> _Crossing:
+        return _Crossing(
+            value, excess, lo, hi, program.relaxations, program.sweeps, program.solves,
+        )
+
     if _same_pair(p1, p2):
-        return 0.0
+        return certify(0.0, 0.0)
     alpha = program.alpha
     sources = program.start()
     full = program.constraint_value(sources[0], sources[1]) / alpha
     if not program.common:
-        return full
+        return certify(full, 0.0)
     # an end's state is (q1, q2, w, e, z): the relaxed state, its block
     # exponent and its tangent, none at the sources
     lo = _End(0.0, -full, 0.5 * full, (*sources, 1.0, None))
     if full <= 1e-12:  # the sources already meet the search's stop
-        return lo.value
+        return certify(lo.value, lo.excess)
 
     def evaluate(mu: float, state) -> _End:
         q1, q2, w, e0, z = state
@@ -515,7 +563,8 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
 
     lo, hi = _search(evaluate, *_bracket(evaluate, lo))
     # the end of smaller excess, hi first; an excess within 1e-12 counts as 0
-    return min(hi, lo, key=lambda end: max(abs(end.excess), 1e-12)).value
+    end = min(hi, lo, key=lambda end: max(abs(end.excess), 1e-12))
+    return certify(end.value, end.excess, lo.mu, hi.mu)
 
 
 def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:

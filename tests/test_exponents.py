@@ -30,6 +30,7 @@ from seqstat.exponents import (
     INNER_TOLERANCE,
     _End,
     _PairProgram,
+    _bayes_crossing,
     _newton_step,
     _program,
     _search,
@@ -826,6 +827,58 @@ class TestCrossingSearch:
             lam = gutman_bayes_exponent(alpha, p1, p2)
             worst = max(worst, abs(lam - oracle.bisect_bayes_crossing(alpha, p1, p2)))
         assert worst <= 1e-12
+
+
+class TestCrossingCertificate:
+    """Every crossing returns a certificate: the end's excess, its bracket, its counts."""
+
+    @staticmethod
+    def relaxed_excess(program, mu):
+        q1, q2, _ = program.relax(mu, program.start())
+        return (program.objective_value(q1, q2) - program.constraint_value(q1, q2)) / program.alpha
+
+    def test_every_crossing_is_certified(self):
+        # the returned end has |excess| <= 1e-12, or its bracket is
+        # RELATIVE_BRACKET_WIDTH wide; each finite end of the bracket,
+        # relaxed afresh from the sources, has the sign it certifies, up to
+        # the 1e-12 within which the search counts an excess as 0
+        for alpha, p1, p2 in crossing_family(12, 50) + crossing_family(20191203, 400):
+            cert = _bayes_crossing(alpha, p1, p2)
+            assert cert.value == gutman_bayes_exponent(alpha, p1, p2)
+            assert 0.0 <= cert.lo < cert.hi
+            if abs(cert.excess) > 1e-12:
+                assert cert.hi - cert.lo <= divergence.RELATIVE_BRACKET_WIDTH * cert.hi
+            program = _program(alpha, p1, p2)
+            if cert.lo > 0.0:
+                assert self.relaxed_excess(program, cert.lo) <= 1e-12
+            if cert.hi < math.inf:
+                assert self.relaxed_excess(program, cert.hi) > -1e-12
+            assert 0 < cert.relaxations <= cert.sweeps
+            assert cert.solves > 0
+
+    def test_counts_match_spies(self, monkeypatch):
+        # the certificate's counts are the calls a spy on the test side sees
+        calls = {"relax": 0, "sweep": 0}
+        for name in calls:
+            method = getattr(_PairProgram, name)
+
+            def counting(self, *args, name=name, method=method):
+                calls[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(_PairProgram, name, counting)
+        for alpha, p1, p2 in crossing_family(12, 50):
+            calls.update(relax=0, sweep=0)
+            cert = _bayes_crossing(alpha, p1, p2)
+            assert (cert.relaxations, cert.sweeps) == (calls["relax"], calls["sweep"])
+
+    def test_degenerate_pairs_need_no_search(self):
+        alph = alphabet(3)
+        p = make_distribution([0.2, 0.3, 0.5], alph)
+        assert _bayes_crossing(2.0, p, p) == (0.0, 0.0, 0.0, math.inf, 0, 0, 0)
+        p1, p2 = (make_distribution(w, alph) for w in DISJOINT_PAIR)
+        full = gjs(p1, p2, 2.0) / 2.0
+        assert _bayes_crossing(2.0, p1, p2) == (full, 0.0, 0.0, math.inf, 0, 0, 0)
 
 
 class TestTangentStart:
