@@ -149,7 +149,7 @@ def _bracket(evaluate, lo: _End) -> tuple[_End, _End]:
     previous end, which becomes the lower end.  Raises
     :class:`NonConvergence` when the next doubling would overflow.
     """
-    hi = evaluate(1.0, lo.state)
+    hi = evaluate(max(1.0, 2.0 * lo.mu), lo.state)
     while hi.excess <= 0.0:
         if math.isinf(2.0 * hi.mu):
             raise NonConvergence(f"bracketing overflowed past {hi.mu}, excess still {hi.excess}")

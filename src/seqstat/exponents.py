@@ -68,6 +68,7 @@ from dataclasses import dataclass
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
+from . import divergence
 from .divergence import _End, _bracket, _search, gjs, gjs_array, kl_array
 from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
 from .fixedpoint import _exponent_report
@@ -183,20 +184,26 @@ def _newton_step(
     return d
 
 
+def _log_step(w: list[float], d: list[float]) -> list[float] | None:
+    """``w * exp(d)``, renormalised: the step ``d`` in ``log W``; None where
+    a coordinate of it is not finite and positive."""
+    try:
+        guess = [x * math.exp(y) for x, y in zip(w, d)]
+    except OverflowError:  # math.exp raises past the largest float
+        return None
+    total = sum(guess)
+    if not 0.0 < total < math.inf:  # NaN fails here too
+        return None
+    guess = [x / total for x in guess]
+    return guess if min(guess) > 0.0 else None
+
+
 def _tangent_start(w: list[float], z: list[float], step: float) -> list[float]:
     """The relaxed ``W`` predicted ``step`` away in the block exponent:
     ``w * exp(-step * z)``, renormalised, from the tangent ``z`` that
     :meth:`_PairProgram.curvature` returns at ``w``; ``w`` itself where a
     predicted coordinate is not finite and positive."""
-    try:
-        guess = [x * math.exp(-step * y) for x, y in zip(w, z)]
-    except OverflowError:  # math.exp raises past the largest float
-        return w
-    total = sum(guess)
-    if not 0.0 < total < math.inf:  # NaN fails here too
-        return w
-    guess = [x / total for x in guess]
-    return guess if min(guess) > 0.0 else w
+    return _log_step(w, [-step * y for y in z]) or w
 
 
 class _Crossing(NamedTuple):
@@ -381,6 +388,72 @@ class _PairProgram:
         z = _simplex_solve(*self.derivatives(w, q1, q2, w, e)[1], w, c)
         return -e * e * (psi - sum(map(mul, c, z))) / self.alpha, z
 
+    def joint_step(self, mu: float, w, swept) -> tuple[float, list[float] | None, float]:
+        """The crossing's excess at the unrelaxed ``(w, mu)`` and one Newton
+        step on ``(W, mu)`` together, from the sweep ``swept = (q1(w),
+        q2(w), T(w))``.
+
+        With ``u1``, ``u2`` as in :meth:`curvature` and ``r = log w - log
+        T(w)``, objective minus constraint at ``(q1(w), q2(w))`` is ``(1 +
+        alpha) D(T(w) || w) - alpha q1 . u1 - q2 . u2``, the excess times
+        ``alpha``, with no divergence of its own to evaluate.  The step
+        solves the stationarity of :meth:`relax` (``H d + c de = -g`` up to
+        the border's multiple of ``w``, with ``w . d = 0``) and the
+        linearised excess (``h . d + E_e de = -excess``) together: ``g`` and
+        ``H`` come from :meth:`derivatives`, ``c`` is the gradient's
+        derivative in ``e`` at fixed ``W``, which is :meth:`curvature`'s
+        vector plus ``-(1 + alpha)(w - T(w))``, and ``h`` and ``E_e`` are
+        the excess's derivatives in the relative step and in ``e``, ``h =
+        -(1 - e)(alpha q1 (s1 - q1 . s1) + q2 (s2 - q2 . s2)) / alpha`` with
+        ``s = u + r``.  Block elimination (Boyd & Vandenberghe, *Convex
+        Optimization*, 10.3) solves it with two right-hand sides of the KKT
+        system, ``H d0 = -g`` and ``H z = c``, and a scalar Schur
+        complement: ``d = d0 - de z`` and ``de = -(excess + h . d0) / (E_e -
+        h . z)``.  At a relaxed state ``g = 0``, ``r = 0`` and the Schur
+        complement is :meth:`curvature`'s slope, so the step is a Newton
+        step on the multiplier with the tangent start.  ``h`` is not 0 away
+        from a relaxed state; leaving it out would make the step a
+        quasi-Newton one, with linear convergence only.
+
+        Returns ``(excess, w', mu')``: the step is taken in the multiplier,
+        ``mu' = mu - de / e^2``, and in ``log W`` (:func:`_log_step`), so
+        that no coordinate can leave the simplex; ``w'`` is None where that
+        fails and ``mu'`` NaN where the Schur complement has the wrong
+        sign.
+        """
+        e = 1.0 / (1.0 + mu)
+        f = 1.0 - e
+        alpha = self.alpha
+        q1, q2, t_w = swept
+        u1, u2, r = [], [], []
+        for (log_a, log_b), x, t in zip(self.logs, w, t_w):
+            log_w = math.log(x)
+            u1.append(log_a - log_w if log_a > -math.inf else 0.0)
+            u2.append(log_b - log_w if log_b > -math.inf else 0.0)
+            r.append(log_w - math.log(t))
+        m1, m2 = sum(map(mul, q1, u1)), sum(map(mul, q2, u2))
+        excess = -((1.0 + alpha) * sum(map(mul, t_w, r)) + alpha * m1 + m2) / alpha
+        # centred, as in curvature: v = q (u - m) and s - q . s = (u - m) + (r - q . r)
+        r1, r2 = sum(map(mul, q1, r)), sum(map(mul, q2, r))
+        c, h = [], []
+        second = 0.0
+        for x, t, y1, y2, c1, c2, ri in zip(w, t_w, q1, q2, u1, u2, r):
+            c1 -= m1
+            c2 -= m2
+            v1, v2 = y1 * c1, y2 * c2
+            second += alpha * v1 * (c1 + ri) + v2 * (c2 + ri)
+            c.append(-(1.0 + alpha) * (x - t) - f * (alpha * v1 + v2))
+            h.append(alpha * y1 * (c1 + ri - r1) + y2 * (c2 + ri - r2))
+        grad, hess = self.derivatives(w, q1, q2, t_w, e)
+        self.solves += 2
+        d0 = _simplex_solve(*hess, w, [-g for g in grad])
+        z = _simplex_solve(*hess, w, c)
+        # E_e - h . z with E_e = -second / alpha and h scaled by -(1 - e) / alpha
+        schur = (f * sum(map(mul, h, z)) - second) / alpha
+        rise = excess - f * sum(map(mul, h, d0)) / alpha
+        de = -rise / schur if schur < 0.0 else math.nan
+        return excess, _log_step(w, [x - de * y for x, y in zip(d0, z)]), mu - de / (e * e)
+
     def objective_value(self, q1: Sequence[float], q2: Sequence[float]) -> float:
         return self.alpha * kl_array(q1, self.a) + kl_array(q2, self.b)
 
@@ -547,21 +620,69 @@ def _bayes_crossing(alpha: float, p1: Distribution, p2: Distribution) -> _Crossi
     if full <= 1e-12:  # the sources already meet the search's stop
         return certify(lo.value, lo.excess)
 
+    def relaxed_end(mu: float, state, e: float, z=None, slope=None) -> _End:
+        """The end at ``mu`` of the relaxed ``state``: its excess and value."""
+        q1, q2, _ = state
+        objective = program.objective_value(q1, q2) / alpha
+        constraint = program.constraint_value(q1, q2) / alpha
+        return _End(
+            mu, objective - constraint, 0.5 * (objective + constraint), (*state, e, z), slope,
+        )
+
     def evaluate(mu: float, state) -> _End:
         q1, q2, w, e0, z = state
         e = 1.0 / (1.0 + mu)
         if z is not None:
             w = _tangent_start(w, z, e - e0)
         state = program.relax(mu, (q1, q2, w))
-        q1, q2, _ = state
-        objective = program.objective_value(q1, q2) / alpha
-        constraint = program.constraint_value(q1, q2) / alpha
         slope, z = program.curvature(mu, state)
-        return _End(
-            mu, objective - constraint, 0.5 * (objective + constraint), (*state, e, z), slope,
-        )
+        return relaxed_end(mu, state, e, z, slope)
 
-    lo, hi = _search(evaluate, *_bracket(evaluate, lo))
+    # no end with a positive excess yet
+    hi = _End(math.inf, math.inf, math.inf, None)
+
+    def enter(end: _End) -> None:
+        """Narrow the bracket to the relaxed ``end``."""
+        nonlocal lo, hi
+        if lo.mu < end.mu < hi.mu:
+            if end.excess > 0.0:
+                hi = end
+            else:
+                lo = end
+
+    # Joint Newton steps on (W, mu) from the mixture at mu = 1, each taken
+    # only if it keeps mu inside the bracket and lowers the residual (the
+    # sweep's move and the excess).  An iterate whose sweep moves no
+    # coordinate more than INNER_TOLERANCE passes relax's own stop, so it
+    # is relax's answer at its mu, and it enters the bracket as an end.
+    # Each step is a sweep and a search step, so the steps stop within
+    # both budgets.
+    mu, w = 1.0, sources[2]
+    best, last = math.inf, (1.0, lo.state)
+    for _ in range(min(divergence.CROSSING_MAX_STEPS, INNER_MAX_SWEEPS)):
+        e = 1.0 / (1.0 + mu)
+        swept = program.sweep(w, e)
+        q1, q2, t_w = swept
+        move = max(map(abs, map(sub, t_w, w)))
+        if move <= INNER_TOLERANCE:
+            end = relaxed_end(mu, (q1, q2, w), e)
+            if abs(end.excess) <= 1e-12:
+                return certify(end.value, end.excess, lo.mu, hi.mu)
+            enter(end)
+        excess, w_next, mu_next = program.joint_step(mu, w, swept)
+        merit = math.hypot(move, excess)
+        if not merit < best:
+            break
+        best, last = merit, (mu, (q1, q2, w, e, None))
+        if w_next is None or not lo.mu < mu_next < hi.mu:
+            break
+        mu, w = mu_next, w_next
+    # a refused step hands the crossing to the nested search, from the
+    # relaxation at the last iterate whose residual fell
+    enter(evaluate(*last))
+    if hi.mu == math.inf:
+        lo, hi = _bracket(evaluate, lo)
+    lo, hi = _search(evaluate, lo, hi)
     # the end of smaller excess, hi first; an excess within 1e-12 counts as 0
     end = min(hi, lo, key=lambda end: max(abs(end.excess), 1e-12))
     return certify(end.value, end.excess, lo.mu, hi.mu)

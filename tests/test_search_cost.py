@@ -1,17 +1,17 @@
 """Search-cost guards: each bracketed search that takes Newton steps keeps its saving.
 
-The threshold root, Chernoff information and the Bayes crossing each give
-``divergence._search`` a slope, and the crossing also starts each
-relaxation from the tangent of the last relaxed state.  A later edit that
-drops one of these still passes every accuracy test, so these tests count
-the work with spies on the test side and hold it below what the searches
-took before they had the slopes (the counts stated in each test).
+The threshold root and Chernoff information each give ``divergence._search``
+a slope, and the Bayes crossing takes joint Newton steps on its mixture and
+its multiplier together.  A later edit that drops one of these still passes
+every accuracy test, so these tests count the work, with spies on the test
+side or from the crossing's certificate, and hold it below what the
+searches took before (the counts stated in each test).
 """
 
 import numpy as np
 
 from seqstat import chernoff, divergence, gutman_bayes_exponent, solve_fixed_point
-from seqstat.exponents import _PairProgram
+from seqstat.exponents import _PairProgram, _bayes_crossing
 
 from conftest import random_interior_pair
 from test_exponents import crossing_family
@@ -62,3 +62,12 @@ def test_crossing_sweeps(monkeypatch):
     for alpha, p1, p2 in crossing_family(12, 50):
         gutman_bayes_exponent(alpha, p1, p2)
     assert len(sweeps) < 972
+
+
+def test_crossing_kkt_solves():
+    # the nested search, with the slopes and tangent starts of curvature,
+    # took a median of 14 KKT solves per crossing here (and 15 on the
+    # exponent table at seed 7): a full relaxation at every multiplier it
+    # tried, plus one solve for each slope
+    solves = [_bayes_crossing(alpha, p1, p2).solves for alpha, p1, p2 in crossing_family(12, 50)]
+    assert np.median(solves) <= 10
