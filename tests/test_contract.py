@@ -1,8 +1,11 @@
 """The public numeric API's contract on seeded input families.
 
-Every divergence and exponent below must come out finite and nonnegative,
-and no call may raise: each input has a defined answer.  The calls run under
-``np.errstate(all="raise")``, so a numpy warning fails them too.
+On near-identical pairs every divergence and exponent below must come out
+finite and nonnegative, and no call may raise: each input has a defined
+answer.  On zero weights, point masses and disjoint supports the Bayes
+crossing and curve must return their defined value or raise a
+:class:`SeqstatError`.  The calls run under ``np.errstate(all="raise")``, so
+a numpy warning fails them too.
 """
 
 import math
@@ -18,6 +21,7 @@ from seqstat import (
     kl,
     make_distribution,
 )
+from seqstat.errors import SeqstatError
 from conftest import alphabet, random_interior
 
 ALPHAS = (1.0, 50.0, 5000.0)
@@ -76,4 +80,72 @@ class TestNearIdenticalPairs:
                         continue
                     if not (math.isfinite(value) and value >= 0.0):
                         broken.append((i, name, value))
+        assert broken == []
+
+
+CROSSING_ALPHAS = (0.05, 1.0, 50.0, 5000.0)
+SHARES = (0.05, 0.3, 0.9, 0.99)
+
+
+def boundary_family(seed, count):
+    """Seeded ``(kind, p, q)`` on |X| = 2..6, ``count`` of each kind:
+    ``"zero"`` pairs with one to |X| - 1 zero weights spread over the two
+    sides and a common symbol kept, ``"point"`` pairs whose first or second
+    side is a point mass, and ``"disjoint"`` pairs whose supports split the
+    alphabet."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for kind in ("zero", "point", "disjoint"):
+        for _ in range(count):
+            size = int(rng.integers(2, 7))
+            p, q = rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size))
+            order = rng.permutation(size)
+            if kind == "zero":
+                zeros = order[1:1 + int(rng.integers(1, size))]
+                for i in zeros:
+                    (p, q)[int(rng.integers(2))][i] = 0.0
+            elif kind == "point":
+                mass = np.zeros(size)
+                mass[order[0]] = 1.0
+                p, q = (mass, q) if rng.integers(2) else (p, mass)
+            else:
+                cut = int(rng.integers(1, size))
+                p[order[cut:]] = 0.0
+                q[order[:cut]] = 0.0
+            alph = alphabet(size)
+            pairs.append((kind, *(make_distribution(list(w / w.sum()), alph) for w in (p, q))))
+    return pairs
+
+
+class TestBoundaryPairs:
+    """The crossing and the curve on zero weights, point masses and disjoint
+    supports: each call returns a finite value >= 0 (the curve ``inf`` below
+    ``gjs / alpha`` on disjoint supports, where that is its defined value) or
+    raises a package error."""
+
+    @staticmethod
+    def calls(kind, p, q):
+        for alpha in CROSSING_ALPHAS:
+            yield f"gutman_bayes_exponent@{alpha}", lambda a=alpha: gutman_bayes_exponent(a, p, q)
+            full = gjs(p, q, alpha) / alpha
+            for share in SHARES:
+                yield f"gutman_bayes_curve@{alpha},{share}", (
+                    lambda a=alpha, lam=share * full: gutman_bayes_curve(a, lam, p, q)
+                )
+
+    def test_values_are_defined_or_errors_are_the_package_own(self):
+        broken = []
+        with np.errstate(all="raise"):
+            for i, (kind, p, q) in enumerate(boundary_family(20191203, 40)):
+                for name, call in self.calls(kind, p, q):
+                    try:
+                        value = call()
+                    except SeqstatError:
+                        continue
+                    except Exception as error:  # a bare exception breaks the contract
+                        broken.append((i, kind, name, repr(error)))
+                        continue
+                    infinite = kind == "disjoint" and name.startswith("gutman_bayes_curve")
+                    if not (value >= 0.0 and (math.isfinite(value) or infinite and value == math.inf)):
+                        broken.append((i, kind, name, value))
         assert broken == []

@@ -927,6 +927,35 @@ class TestTangentStart:
                     assert abs(gutman_bayes_exponent(alpha, p1, p2) - want) <= 1e-12
 
 
+class TestStartDependence:
+    def test_pair_344_values_do_not_depend_on_the_start(self):
+        # P1 = (0, 1) and alpha about 2024: relax stops on an absolute move
+        # of 1e-15, so the relaxed W's coordinate near 1e-12 at mu = 2.5
+        # lands about 3e-3 relative apart from different starts.  From the
+        # mixture, from the tangent start off the relaxation at mu = 1 and
+        # from the crossing's first joint iterate, the objective, the
+        # constraint and the crossing value, at mu = 2.5 and at both ends
+        # of the crossing's bracket, agree to 1e-12.
+        alpha, p1, p2 = crossing_family(20191203, 400)[344]
+        program = _program(alpha, p1, p2)
+        cert = _bayes_crossing(alpha, p1, p2)
+        assert 0.0 < cert.lo < cert.hi < 2.5
+        mixture = program.start()
+        at_one = program.relax(1.0, mixture)
+        z = program.curvature(1.0, at_one)[1]
+        joint = program.joint_step(1.0, mixture[2], program.sweep(mixture[2], 0.5))[1]
+        for mu in (2.5, cert.lo, cert.hi):
+            e = 1.0 / (1.0 + mu)
+            values = []
+            for w in (mixture[2], _tangent_start(at_one[2], z, e - 0.5), joint):
+                q1, q2, _ = program.relax(mu, (*mixture[:2], w))
+                objective = program.objective_value(q1, q2) / alpha
+                constraint = program.constraint_value(q1, q2) / alpha
+                values.append((objective, constraint, 0.5 * (objective + constraint)))
+            spread = np.ptp(values, axis=0)
+            assert np.all(spread <= 1e-12)
+
+
 class TestConstrainedPrograms:
     def test_agrees_with_bisection_oracle(self):
         # on zero-weight pairs 0, 12 and 20 an end lands within 1e-12 above
