@@ -45,12 +45,15 @@ score, so each hypothesis's error is a finite sum over the training count
 of class 1 and the test count, with binomial weights.
 
 ``sweep_relax`` and ``bisect_bayes_crossing`` are the plain block-descent
-relaxation and the multiplier bisection that the damped Newton relaxation
-and the Illinois search in ``seqstat.exponents`` replaced: ``sweep_relax``
-repeats the sweep until one moves no coordinate more than
-``INNER_TOLERANCE`` (alternating minimization, which shares no arithmetic
-with Newton steps on the reduced Lagrangian), and the crossing halves the
-multiplier bracket, warm-starting every relaxation from its upper end.
+relaxation and the multiplier bisection that the damped Newton relaxation,
+the Illinois search and the joint Newton steps in ``seqstat.exponents``
+replaced: ``sweep_relax`` repeats the sweep until one moves no coordinate
+more than ``INNER_TOLERANCE`` (alternating minimization, which shares no
+arithmetic with Newton steps on the reduced Lagrangian), and the crossing
+halves the multiplier bracket, warm-starting every relaxation from its
+upper end.  ``bisect_bayes_crossings`` runs the same doubling and bisection
+(``_bisection_steps``) for many pairs in lockstep, with the sweeps of all
+pairs of one size as rows of arrays (``batch_sweep_relax``).
 
 ``bisect_program`` is the multiplier bisection that the same Illinois search
 replaced in ``_PairProgram.solve``: it doubles and then halves the
@@ -639,6 +642,116 @@ def bisect_bayes_crossing(alpha: float, p1, p2) -> float:
             mu_hi, state_hi, objective, constraint = mu_mid, state_mid, o_mid, c_mid
         else:
             mu_lo = mu_mid
+
+
+def _bisection_steps(program: _PairProgram):
+    """``bisect_bayes_crossing``'s doubling and bisection for one program, as
+    a generator: it yields ``(mu, state)`` for each relaxation it needs, is
+    sent the relaxed state back, and returns the crossing."""
+    alpha = program.alpha
+
+    def split(state) -> tuple[float, float]:
+        q1, q2, _ = state
+        return program.objective_value(q1, q2) / alpha, program.constraint_value(q1, q2) / alpha
+
+    mu_lo = 0.0
+    mu_hi = 1.0
+    state_hi = yield mu_hi, program.start()
+    doublings = 0
+    while True:
+        objective, constraint = split(state_hi)
+        if objective > constraint:
+            break
+        mu_lo = mu_hi
+        mu_hi *= 2.0
+        state_hi = yield mu_hi, state_hi
+        doublings += 1
+        if doublings > 200:
+            raise NonConvergence("crossing multiplier bracketing diverged")
+    steps = 0
+    while True:
+        if abs(objective - constraint) <= 1e-12 or (mu_hi - mu_lo) <= RELATIVE_BRACKET_WIDTH * mu_hi:
+            return 0.5 * (objective + constraint)
+        if steps == CROSSING_MAX_STEPS:
+            raise NonConvergence(f"crossing multiplier bisection unfinished after {steps} steps")
+        steps += 1
+        mu_mid = 0.5 * (mu_lo + mu_hi)
+        state_mid = yield mu_mid, state_hi
+        o_mid, c_mid = split(state_mid)
+        if o_mid > c_mid:
+            mu_hi, state_hi, objective, constraint = mu_mid, state_mid, o_mid, c_mid
+        else:
+            mu_lo = mu_mid
+
+
+def batch_sweep_relax(programs: list[_PairProgram], requests: list) -> list:
+    """``sweep_relax(program, mu, state)`` for each program and its ``(mu,
+    state)`` request at once: the programs keep the same number of symbols,
+    and each is a row of the arrays.  Every sweep runs on the rows still
+    moving; a row stops, as ``sweep_relax`` does, once a sweep moves none of
+    its coordinates more than ``INNER_TOLERANCE``.  A weight off a source's
+    support has log ``-inf``, which the sweep maps to 0 as ``sweep_relax``'s
+    support mask does."""
+    with np.errstate(divide="ignore"):
+        log_a = np.log([program.a for program in programs])
+        log_b = np.log([program.b for program in programs])
+    alpha = np.array([[program.alpha] for program in programs])
+    e = np.array([[1.0 / (1.0 + mu)] for mu, _ in requests])
+    q1, q2, w = (np.array([state[j] for _, state in requests], dtype=float) for j in range(3))
+    relaxed = [None] * len(programs)
+    rows = np.arange(len(programs))
+    for _ in range(INNER_MAX_SWEEPS):
+        log_w = np.log(w)
+        x1 = np.exp(e * log_a + (1.0 - e) * log_w)
+        x2 = np.exp(e * log_b + (1.0 - e) * log_w)
+        q1n = x1 / x1.sum(axis=1, keepdims=True)
+        q2n = x2 / x2.sum(axis=1, keepdims=True)
+        wn = (alpha * q1n + q2n) / (1.0 + alpha)
+        delta = np.maximum.reduce([
+            np.abs(q1n - q1).max(axis=1), np.abs(q2n - q2).max(axis=1), np.abs(wn - w).max(axis=1),
+        ])
+        q1, q2, w = q1n, q2n, wn
+        moving = delta > INNER_TOLERANCE
+        if not moving.all():
+            for i in np.flatnonzero(~moving):
+                relaxed[rows[i]] = (q1[i], q2[i], w[i])
+            if not moving.any():
+                return relaxed
+            # the rows still moving, as arrays of their own
+            rows, log_a, log_b, alpha, e, q1, q2, w = (
+                x[moving] for x in (rows, log_a, log_b, alpha, e, q1, q2, w)
+            )
+    raise NonConvergence(
+        f"block descent still moving {delta.max()} after {INNER_MAX_SWEEPS} sweeps"
+    )
+
+
+def bisect_bayes_crossings(cases) -> list[float]:
+    """``bisect_bayes_crossing`` on each ``(alpha, p1, p2)`` of ``cases``:
+    the pairs with the same number of kept symbols run their doublings and
+    bisections in lockstep, one :func:`batch_sweep_relax` per round over
+    the pairs still searching."""
+    results: list[float] = [0.0] * len(cases)
+    groups: dict[int, dict[int, _PairProgram]] = {}
+    for i, (alpha, p1, p2) in enumerate(cases):
+        alpha = _check_alpha(alpha, strict=True)
+        _check_classes((p1, p2), "distributions")
+        if not _same_pair(p1, p2):
+            program = _PairProgram(p1.as_array(), p2.as_array(), alpha)
+            groups.setdefault(len(program.a), {})[i] = program
+    for programs in groups.values():
+        steps = {i: _bisection_steps(program) for i, program in programs.items()}
+        pending = {i: next(step) for i, step in steps.items()}
+        while pending:
+            order = list(pending)
+            relaxed = batch_sweep_relax([programs[i] for i in order], [pending[i] for i in order])
+            for i, state in zip(order, relaxed):
+                try:
+                    pending[i] = steps[i].send(state)
+                except StopIteration as done:
+                    results[i] = done.value
+                    del pending[i]
+    return results
 
 
 def bisect_program(program: _PairProgram, budget: float):

@@ -823,10 +823,19 @@ class TestCrossingSearch:
 
     def test_agrees_with_bisection_oracle(self):
         worst = 0.0
-        for alpha, p1, p2 in crossing_family(20191203, 400) + [wide_pair_at_tiny_rate()]:
+        cases = crossing_family(20191203, 400) + [wide_pair_at_tiny_rate()]
+        for (alpha, p1, p2), want in zip(cases, oracle.bisect_bayes_crossings(cases)):
             lam = gutman_bayes_exponent(alpha, p1, p2)
-            worst = max(worst, abs(lam - oracle.bisect_bayes_crossing(alpha, p1, p2)))
+            worst = max(worst, abs(lam - want))
         assert worst <= 1e-12
+
+    def test_batched_oracle_matches_the_scalar_one(self):
+        # the lockstep bisections run the scalar oracle's steps on rows of
+        # arrays; here they agree with it bit for bit
+        cases = crossing_family(20191203, 400)[::25] + [wide_pair_at_tiny_rate()]
+        batched = oracle.bisect_bayes_crossings(cases)
+        for (alpha, p1, p2), got in zip(cases, batched):
+            assert abs(got - oracle.bisect_bayes_crossing(alpha, p1, p2)) <= 1e-14
 
 
 class TestCrossingCertificate:
