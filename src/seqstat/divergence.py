@@ -43,7 +43,8 @@ where the ends carry slopes), live here, below
 every module that runs them, with its one width, ``RELATIVE_BRACKET_WIDTH``,
 and its one step budget, ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on
 its exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
-:mod:`seqstat.exponents` on its multiplier and in ``constrained_kl_min``.
+:mod:`seqstat.exponents` on its multiplier, in ``constrained_kl_min`` and
+in the Bayes crossing once that crossing's joint Newton steps refuse one.
 """
 
 from __future__ import annotations
@@ -140,10 +141,12 @@ class _End(NamedTuple):
 
 
 def _bracket(evaluate, lo: _End) -> tuple[_End, _End]:
-    """Double the multiplier from 1 until the excess is positive.
+    """Double the multiplier from 1, or from twice ``lo``'s past 1/2, until
+    the excess is positive.
 
-    Every caller starts at 1: ``theta = 1`` for the threshold equation, and
-    ``mu = 1``, block exponent 1/2, for the exponent program.  ``lo`` has
+    The threshold equation starts at ``theta = 1`` and the exponent
+    program at ``mu = 1``, block exponent 1/2; the Bayes crossing may hand
+    over a lower end past 1/2 from its joint Newton steps.  ``lo`` has
     excess at most 0; ``evaluate(mu, state)`` returns the end at ``mu``,
     relaxed from ``state``: from ``lo``'s state first, then from the
     previous end, which becomes the lower end.  Raises
@@ -181,9 +184,11 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     Three callers give slopes: the threshold equation
     (``fixedpoint.solve_fixed_point``, ``D(q || m) / theta^2``),
     :func:`chernoff` (``psi''``) and the Bayes crossing
-    (``exponents.gutman_bayes_exponent``, from ``_PairProgram.curvature``).
-    Ends without a slope, as in the exponent program's slack search and
-    ``constrained_kl_min``, get the Illinois steps alone.  The search returns
+    (``exponents.gutman_bayes_exponent``, from ``_PairProgram.curvature``),
+    which runs the search only once its joint Newton steps on the mixture
+    and the multiplier refuse a step, and whose ends from those steps carry
+    no slope.  Ends without a slope, as in the exponent program's slack
+    search and ``constrained_kl_min``, get the Illinois steps alone.  The search returns
     the final ``(lo, hi)``, from which the caller picks its answer, once an
     end of finite value has its excess within 1e-12 of 0 or the bracket is
     ``RELATIVE_BRACKET_WIDTH`` wide; :class:`NonConvergence` is raised when

@@ -37,23 +37,35 @@ full step would empty is held at the relative step ``-HELD_STEP`` and the
 others are solved again (``_newton_step``).  From a distribution's
 ``weights`` to the returned pair, every state and value is a Python float.
 
-Every multiplier search doubles the multiplier from 1 (block exponent 1/2),
-with ``mu = 0`` (the sources) as the first lower end, and narrows the
-bracket by an Illinois (modified regula falsi) search safeguarded by
-bisection (``_bracket`` and ``_search`` in :mod:`seqstat.divergence`, which
-:func:`constrained_kl_min` also runs on its path).  The program searches on
-the constraint slack and returns a feasible end with its duality gap ``mu *
-slack`` certified; the Bayes crossing searches on the relaxed objective
-minus the relaxed constraint, both divided by ``alpha``, and gives each end
-that excess's slope (:meth:`_PairProgram.curvature`, one more solve of
-the relaxation's KKT system), so that its search takes Newton steps.  The
-program's search keeps the Illinois steps: Newton steps close in from the
-infeasible side, and that search stops only on a feasible end.  The
-crossing also starts each relaxation from the tangent of the relaxed path
-at the end it relaxes from, ``w exp(-(e - e0) z)`` renormalised, where
-``z = -d log W / de`` comes from the same KKT solve as the slope; the
-relaxation still runs to ``INNER_TOLERANCE`` from there, so only its start
-changes.
+The program's multiplier search doubles the multiplier from 1 (block
+exponent 1/2), with ``mu = 0`` (the sources) as the first lower end, and
+narrows the bracket by an Illinois (modified regula falsi) search
+safeguarded by bisection (``_bracket`` and ``_search`` in
+:mod:`seqstat.divergence`, which :func:`constrained_kl_min` also runs on
+its path).  It searches on the constraint slack and returns a feasible end
+with its duality gap ``mu * slack`` certified.  It keeps the Illinois
+steps: Newton steps close in from the infeasible side, and that search
+stops only on a feasible end.
+
+The Bayes crossing looks for the multiplier at which the relaxed objective
+minus the relaxed constraint, both divided by ``alpha``, changes sign.  It
+does not relax ``W`` at every multiplier it tries: from the mixture at
+``mu = 1`` it takes Newton steps on ``(W, mu)`` together
+(:meth:`_PairProgram.joint_step`), on the relaxation's stationarity and the
+excess at once, each one sweep and two solves of the relaxation's KKT
+system (Boyd & Vandenberghe, *Convex Optimization*, 10.3; Nocedal & Wright,
+*Numerical Optimization*, 2nd ed., ch. 11).  A step is taken only if ``mu``
+stays inside the bracket of relaxed ends and the residual falls; an
+iterate whose sweep moves no coordinate more than ``INNER_TOLERANCE``
+passes :meth:`_PairProgram.relax`'s own stop, so it is a relaxed end.  A
+refused step hands the crossing to the nested search: ``_bracket`` and
+``_search`` on relaxed ends, each with the excess's slope
+(:meth:`_PairProgram.curvature`, one more KKT solve), so that the search
+takes Newton steps, and each relaxation started from the tangent of the
+relaxed path at the end it relaxes from, ``w exp(-(e - e0) z)``
+renormalised, where ``z = -d log W / de`` comes from the same solve as the
+slope.  :func:`_bayes_crossing` returns the crossing with its certificate
+(:class:`_Crossing`).
 
 Sources that share no symbol have a defined answer everywhere: every pair of
 finite objective then has the sources' own ``gjs``, so the programs are
@@ -79,6 +91,9 @@ from .probability import (
 
 # A relaxation stops once its sweep moves no coordinate more than this; one
 # that needs more than INNER_MAX_SWEEPS sweeps (Newton iterations) raises.
+# The crossing's joint Newton steps, each one sweep and one search step,
+# stop within both this and divergence.CROSSING_MAX_STEPS and hand over to
+# the nested search.
 INNER_TOLERANCE = 1e-15
 INNER_MAX_SWEEPS = 20000
 # Certified duality gap allowed on a returned optimal value.
@@ -369,6 +384,16 @@ class _PairProgram:
         """
         e = 1.0 / (1.0 + mu)
         q1, q2, w = state
+        psi, c = self.second_terms(e, q1, q2, w)[2:]
+        # at the relaxed state the sweep stands still: T(w) = w
+        self.solves += 1
+        z = _simplex_solve(*self.derivatives(w, q1, q2, w, e)[1], w, c)
+        return -e * e * (psi - sum(map(mul, c, z))) / self.alpha, z
+
+    def second_terms(self, e: float, q1, q2, w) -> tuple[float, float, float, list[float]]:
+        """``(m1, m2, psi, c)`` at ``(q1, q2, w)``: the means ``m1 = q1 .
+        u1`` and ``m2 = q2 . u2``, and :meth:`curvature`'s second derivative
+        ``psi`` in ``e`` and mixed one ``c`` in ``e`` and the relative step."""
         # a symbol that a source misses has no mass in its block: u = 0 there
         u1, u2 = [], []
         for (log_a, log_b), x in zip(self.logs, w):
@@ -383,37 +408,35 @@ class _PairProgram:
         v1, v2 = list(map(mul, q1, u1)), list(map(mul, q2, u2))
         psi = -self.alpha * sum(map(mul, v1, u1)) - sum(map(mul, v2, u2))
         c = [-(1.0 - e) * (self.alpha * x + y) for x, y in zip(v1, v2)]
-        # at the relaxed state the sweep stands still: T(w) = w
-        self.solves += 1
-        z = _simplex_solve(*self.derivatives(w, q1, q2, w, e)[1], w, c)
-        return -e * e * (psi - sum(map(mul, c, z))) / self.alpha, z
+        return m1, m2, psi, c
 
     def joint_step(self, mu: float, w, swept) -> tuple[float, list[float] | None, float]:
         """The crossing's excess at the unrelaxed ``(w, mu)`` and one Newton
         step on ``(W, mu)`` together, from the sweep ``swept = (q1(w),
         q2(w), T(w))``.
 
-        With ``u1``, ``u2`` as in :meth:`curvature` and ``r = log w - log
-        T(w)``, objective minus constraint at ``(q1(w), q2(w))`` is ``(1 +
+        With ``u1``, ``u2`` as in :meth:`curvature` and ``r = log(w /
+        T(w))``, objective minus constraint at ``(q1(w), q2(w))`` is ``(1 +
         alpha) D(T(w) || w) - alpha q1 . u1 - q2 . u2``, the excess times
         ``alpha``, with no divergence of its own to evaluate.  The step
-        solves the stationarity of :meth:`relax` (``H d + c de = -g`` up to
-        the border's multiple of ``w``, with ``w . d = 0``) and the
-        linearised excess (``h . d + E_e de = -excess``) together: ``g`` and
-        ``H`` come from :meth:`derivatives`, ``c`` is the gradient's
-        derivative in ``e`` at fixed ``W``, which is :meth:`curvature`'s
-        vector plus ``-(1 + alpha)(w - T(w))``, and ``h`` and ``E_e`` are
-        the excess's derivatives in the relative step and in ``e``, ``h =
-        -(1 - e)(alpha q1 (s1 - q1 . s1) + q2 (s2 - q2 . s2)) / alpha`` with
-        ``s = u + r``.  Block elimination (Boyd & Vandenberghe, *Convex
-        Optimization*, 10.3) solves it with two right-hand sides of the KKT
-        system, ``H d0 = -g`` and ``H z = c``, and a scalar Schur
-        complement: ``d = d0 - de z`` and ``de = -(excess + h . d0) / (E_e -
-        h . z)``.  At a relaxed state ``g = 0``, ``r = 0`` and the Schur
-        complement is :meth:`curvature`'s slope, so the step is a Newton
-        step on the multiplier with the tangent start.  ``h`` is not 0 away
-        from a relaxed state; leaving it out would make the step a
-        quasi-Newton one, with linear convergence only.
+        solves the stationarity of :meth:`relax` and the linearised excess
+        together: ``H d + c de = -g`` up to the border's multiple of ``w``,
+        with ``w . d = 0``, and ``h . d + E_e de = -excess``.  ``g`` and
+        ``H`` come from :meth:`derivatives`; ``c``, the gradient's
+        derivative in ``e`` at fixed ``W``, is :meth:`second_terms`'s ``c``
+        plus ``-(1 + alpha)(w - T(w))``; ``h`` and ``E_e`` are the excess's
+        derivatives in the relative step and in ``e``, ``h = -(1 - e)(alpha
+        q1 (s1 - q1 . s1) + q2 (s2 - q2 . s2)) / alpha`` with ``s = u + r``.  Block
+        elimination (Boyd & Vandenberghe, *Convex Optimization*, 10.3)
+        solves it with two right-hand sides of the KKT system, ``H d0 = -g``
+        and ``H z = c``, and a scalar Schur complement: ``d = d0 - de z`` and
+        ``de = -(excess + h . d0) / (E_e - h . z)``.  At a relaxed state
+        ``g = 0`` and ``r = 0``, the Schur complement is :meth:`curvature`'s
+        slope, and the step is a Newton step on the multiplier with the
+        tangent start.  ``H`` misses the gradient's Jacobian by ``diag(g)``,
+        which vanishes at the solution, so the steps still converge
+        quadratically; ``h`` does not vanish there, and leaving it out makes
+        the convergence linear.
 
         Returns ``(excess, w', mu')``: the step is taken in the multiplier,
         ``mu' = mu - de / e^2``, and in ``log W`` (:func:`_log_step`), so
@@ -425,31 +448,19 @@ class _PairProgram:
         f = 1.0 - e
         alpha = self.alpha
         q1, q2, t_w = swept
-        u1, u2, r = [], [], []
-        for (log_a, log_b), x, t in zip(self.logs, w, t_w):
-            log_w = math.log(x)
-            u1.append(log_a - log_w if log_a > -math.inf else 0.0)
-            u2.append(log_b - log_w if log_b > -math.inf else 0.0)
-            r.append(log_w - math.log(t))
-        m1, m2 = sum(map(mul, q1, u1)), sum(map(mul, q2, u2))
-        excess = -((1.0 + alpha) * sum(map(mul, t_w, r)) + alpha * m1 + m2) / alpha
-        # centred, as in curvature: v = q (u - m) and s - q . s = (u - m) + (r - q . r)
+        m1, m2, psi, c = self.second_terms(e, q1, q2, w)
+        r = [math.log(x / t) for x, t in zip(w, t_w)]
         r1, r2 = sum(map(mul, q1, r)), sum(map(mul, q2, r))
-        c, h = [], []
-        second = 0.0
-        for x, t, y1, y2, c1, c2, ri in zip(w, t_w, q1, q2, u1, u2, r):
-            c1 -= m1
-            c2 -= m2
-            v1, v2 = y1 * c1, y2 * c2
-            second += alpha * v1 * (c1 + ri) + v2 * (c2 + ri)
-            c.append(-(1.0 + alpha) * (x - t) - f * (alpha * v1 + v2))
-            h.append(alpha * y1 * (c1 + ri - r1) + y2 * (c2 + ri - r2))
+        excess = -((1.0 + alpha) * sum(map(mul, t_w, r)) + alpha * m1 + m2) / alpha
+        # h times -alpha / (1 - e): alpha v1 + v2 = -c / (1 - e) plus r's part
+        h = [alpha * y1 * (x - r1) + y2 * (x - r2) - y / f for y1, y2, x, y in zip(q1, q2, r, c)]
         grad, hess = self.derivatives(w, q1, q2, t_w, e)
         self.solves += 2
         d0 = _simplex_solve(*hess, w, [-g for g in grad])
-        z = _simplex_solve(*hess, w, c)
-        # E_e - h . z with E_e = -second / alpha and h scaled by -(1 - e) / alpha
-        schur = (f * sum(map(mul, h, z)) - second) / alpha
+        # the gradient's derivative in e at fixed W: c plus its part in w - T(w)
+        z = _simplex_solve(*hess, w, [y - (1.0 + alpha) * (x - t) for x, t, y in zip(w, t_w, c)])
+        # E_e - h . z, with E_e = (psi + c . r / (1 - e)) / alpha
+        schur = (f * sum(map(mul, h, z)) + psi + sum(map(mul, c, r)) / f) / alpha
         rise = excess - f * sum(map(mul, h, d0)) / alpha
         de = -rise / schur if schur < 0.0 else math.nan
         return excess, _log_step(w, [x - de * y for x, y in zip(d0, z)]), mu - de / (e * e)
@@ -579,10 +590,12 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     crosses the identity line.  Along the program's dual path, as the
     multiplier grows, the relaxed objective rises from 0 while the relaxed
     constraint falls from ``gjs(P1, P2, alpha)``, so their difference,
-    divided by ``alpha``, changes sign exactly once.  :func:`_bracket` and
-    :func:`_search` find that multiplier, and the crossing is the mean of
-    objective and constraint over ``alpha`` at an end where they agree within
-    1e-12, else at the end where they are closer.  For an identical pair the
+    divided by ``alpha``, changes sign exactly once.  Joint Newton steps on
+    the mixture and the multiplier together find that multiplier, and
+    :func:`_bracket` and :func:`_search` take over once a step is refused
+    (module docstring).  The crossing is the mean of objective and
+    constraint over ``alpha`` at a relaxed end where they agree within
+    1e-12, else at the end of the final bracket where they are closer.  For an identical pair the
     curve is identically zero and so is the crossing; where ``gjs(P1, P2,
     alpha) / alpha <= 1e-12`` the sources already meet the stop.  For sources with
     disjoint supports the curve is ``inf`` below ``gjs(P1, P2, alpha) /

@@ -936,6 +936,72 @@ class TestTangentStart:
                     assert abs(gutman_bayes_exponent(alpha, p1, p2) - want) <= 1e-12
 
 
+class TestJointStep:
+    """Newton steps on the crossing's mixture and multiplier together."""
+
+    def test_excess_matches_the_divergences(self, rng):
+        # at an unrelaxed w the step's excess is objective minus constraint
+        # at (q1(w), q2(w)), over alpha, without evaluating either
+        for alpha, p1, p2 in crossing_family(12, 50):
+            program = _program(alpha, p1, p2)
+            if not program.common:
+                continue
+            for mu in (0.3, 1.0, 7.0):
+                w = list(rng.dirichlet(np.ones(len(program.a))))
+                swept = program.sweep(w, 1.0 / (1.0 + mu))
+                q1, q2, _ = swept
+                want = (program.objective_value(q1, q2) - program.constraint_value(q1, q2)) / alpha
+                assert program.joint_step(mu, w, swept)[0] == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+    def test_step_from_a_relaxed_state_is_newton_with_the_tangent_start(self):
+        # at a relaxed state the gradient is 0, so the step is a Newton step
+        # on mu with curvature's slope, and W moves to the tangent start.
+        # Checked on the steps that keep mu > 0, as the crossing takes them:
+        # relax leaves a gradient of up to about (1 + alpha) 1e-15 on a
+        # coordinate near 1e-13 (alpha about 4300 here), and a step to mu <
+        # 0 multiplies that coordinate by e^30 and its residual with it
+        checked = 0
+        for alpha, p1, p2 in crossing_family(12, 50):
+            program = _program(alpha, p1, p2)
+            if not program.common:
+                continue
+            for mu in (0.3, 1.0, 2.5):
+                state = program.relax(mu, program.start())
+                e = 1.0 / (1.0 + mu)
+                excess, w, mu_next = program.joint_step(mu, state[2], program.sweep(state[2], e))
+                slope, z = program.curvature(mu, state)
+                if mu_next > 0.0:
+                    assert mu_next == pytest.approx(mu - excess / slope, rel=1e-9)
+                    # the step in e that the step in mu linearises
+                    tangent = _tangent_start(state[2], z, (mu - mu_next) * e * e)
+                    assert np.max(np.abs(np.subtract(w, tangent))) <= 1e-12
+                    checked += 1
+        assert checked >= 100
+
+    def test_refused_steps_hand_over_to_the_nested_search(self, monkeypatch):
+        # a step with no usable W, a multiplier outside the bracket or NaN,
+        # or a residual that does not fall is refused, and the nested
+        # search finds the crossing from the last iterate it took
+        joint_step = _PairProgram.joint_step
+        cases = crossing_family(20191203, 16)
+        wants = oracle.bisect_bayes_crossings(cases)
+        for bad in (
+            lambda excess, w, mu: (excess, None, mu),
+            lambda excess, w, mu: (excess, w, math.nan),
+            lambda excess, w, mu: (excess, w, -mu),
+            lambda excess, w, mu: (math.inf, w, mu),
+        ):
+            def broken(self, *args, bad=bad):
+                return bad(*joint_step(self, *args))
+
+            with monkeypatch.context() as patch:
+                patch.setattr(_PairProgram, "joint_step", broken)
+                for (alpha, p1, p2), want in zip(cases, wants):
+                    cert = _bayes_crossing(alpha, p1, p2)
+                    assert cert.relaxations > 0
+                    assert abs(cert.value - want) <= 1e-12
+
+
 class TestStartDependence:
     def test_pair_344_values_do_not_depend_on_the_start(self):
         # P1 = (0, 1) and alpha about 2024: relax stops on an absolute move
