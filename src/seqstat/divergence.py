@@ -44,7 +44,7 @@ every module that runs them, with its one width, ``RELATIVE_BRACKET_WIDTH``,
 and its one step budget, ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on
 its exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
 :mod:`seqstat.exponents` on its multiplier, in ``constrained_kl_min`` and
-in the Bayes crossing once that crossing's joint Newton steps refuse one.
+in the Bayes crossing once one of its joint Newton steps is refused.
 """
 
 from __future__ import annotations
@@ -185,11 +185,11 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     (``fixedpoint.solve_fixed_point``, ``D(q || m) / theta^2``),
     :func:`chernoff` (``psi''``) and the Bayes crossing
     (``exponents.gutman_bayes_exponent``, from ``_PairProgram.curvature``),
-    which runs the search only once its joint Newton steps on the mixture
-    and the multiplier refuse a step, and whose ends from those steps carry
-    no slope.  Ends without a slope, as in the exponent program's slack
-    search and ``constrained_kl_min``, get the Illinois steps alone.  The search returns
-    the final ``(lo, hi)``, from which the caller picks its answer, once an
+    which runs the search only once one of its joint Newton steps on the
+    mixture and the multiplier is refused, and whose ends from those steps
+    carry no slope.  Ends without a slope, as in the exponent program's
+    slack search and ``constrained_kl_min``, get the Illinois steps alone.
+    The search returns the final ``(lo, hi)``, from which the caller picks its answer, once an
     end of finite value has its excess within 1e-12 of 0 or the bracket is
     ``RELATIVE_BRACKET_WIDTH`` wide; :class:`NonConvergence` is raised when
     ``CROSSING_MAX_STEPS`` steps end before either.  A caller whose ends all

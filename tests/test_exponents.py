@@ -951,7 +951,8 @@ class TestJointStep:
                 swept = program.sweep(w, 1.0 / (1.0 + mu))
                 q1, q2, _ = swept
                 want = (program.objective_value(q1, q2) - program.constraint_value(q1, q2)) / alpha
-                assert program.joint_step(mu, w, swept)[0] == pytest.approx(want, rel=1e-9, abs=1e-14)
+                excess = program.joint_step(mu, w, swept)[0]
+                assert excess == pytest.approx(want, rel=1e-9, abs=1e-14)
 
     def test_step_from_a_relaxed_state_is_newton_with_the_tangent_start(self):
         # at a relaxed state the gradient is 0, so the step is a Newton step
