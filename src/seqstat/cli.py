@@ -360,9 +360,9 @@ def _cmd_exponents(cfg: dict, ns: argparse.Namespace) -> int:
         # one summary row per rate for the full class set: the matched
         # budget is the smallest pairwise root and the fixed-length
         # exponent is evaluated there
-        cap = None
+        limits = None
         for gamma in _gamma_grid(cfg):
-            thetas, cap = _multiclass_thetas(dists, gamma, cap)
+            thetas, limits = _multiclass_thetas(dists, gamma, limits)
             alpha_min = float(min(t for t in thetas.flat if not math.isnan(t)))
             lam = bayes_multiclass_gutman(dists, alpha_min)
             rows.append((gamma, None, None, alpha_min, gamma, lam, gamma - lam))

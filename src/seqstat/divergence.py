@@ -127,6 +127,16 @@ def gjs_array(p: Sequence[float], q: Sequence[float], alpha: float) -> float:
     return alpha * d_p + d_q
 
 
+def _bhattacharyya(p: Sequence[float], q: Sequence[float]) -> float:
+    """``-psi(1/2) = -log sum sqrt(p q)``, the Bhattacharyya bound on the
+    Chernoff information (see :func:`chernoff`), ``inf`` on disjoint
+    supports; ``sqrt(p) * sqrt(q)`` cannot underflow where ``p * q`` can."""
+    total = 0.0
+    for a, b in zip(p, q):
+        total += math.sqrt(a) * math.sqrt(b)
+    return -math.log(total) if total else math.inf
+
+
 class _End(NamedTuple):
     """One end of a multiplier bracket: the relaxed state at ``mu``, the
     caller's signed excess (growing with ``mu``), the value the caller
@@ -316,19 +326,27 @@ def chernoff(p: Distribution, q: Distribution) -> float:
     difference does not cancel there; where rounding leaves it at 0 or
     below, the search takes no Newton step.  Every ``-psi(eta)`` is a lower
     bound on C, and the value is the largest one at the final ends, which is
-    an endpoint's own value when the optimum sits there, or 0: ``-psi(0) =
-    -ln sum q`` over the common support is at least 0, though its rounded
-    sum can exceed 1 by an ulp on near-identical pairs.
+    an endpoint's own value when the optimum sits there, at ``eta = 1/2``
+    (the Bhattacharyya bound ``-log sum sqrt(p q)``), or 0: ``-psi(0) = -ln
+    sum q`` over the common support is at least 0, though its rounded sum
+    can exceed 1 by an ulp on near-identical pairs.  So the value is never
+    below the bound that ``fixedpoint``'s rate gate reads, bit for bit, even
+    where rounding, or a slope that has lost its digits, stops the search
+    short of the optimum.
     """
     _check_classes((p, q), "distributions")
     # log p, log q and the log-ratio log(p / q) = log1p((p - q) / q) on the
     # common support: the slope's ratio keeps its digits on near-identical
-    # pairs, where log p - log q would carry the rounding of both logs
-    kept = [
-        (math.log(a), math.log(b), math.log1p((a - b) / b))
-        for a, b in zip(p.weights, q.weights)
-        if a > 0.0 and b > 0.0
-    ]
+    # pairs, where log p - log q would carry the rounding of both logs.
+    # Below p / q = 2^-53 the quotient rounds to -1, outside log1p's domain,
+    # and past the largest double it is inf; there log p - log q cancels
+    # nothing
+    kept = []
+    for a, b in zip(p.weights, q.weights):
+        if a > 0.0 and b > 0.0:
+            log_a, log_b, shift = math.log(a), math.log(b), (a - b) / b
+            ratio = math.log1p(shift) if -1.0 < shift < math.inf else log_a - log_b
+            kept.append((log_a, log_b, ratio))
     if not kept:
         return math.inf
     rise = 1.0  # psi'(1) - psi'(0), once known, scales every later excess and slope
@@ -348,7 +366,7 @@ def chernoff(p: Distribution, q: Distribution) -> float:
         rise = hi.excess - lo.excess
         lo, hi = (e._replace(excess=e.excess / rise, slope=e.slope / rise) for e in (lo, hi))
         lo, hi = _search(end, lo, hi)
-    return max(lo.value, hi.value, 0.0)
+    return max(lo.value, hi.value, _bhattacharyya(p.weights, q.weights), 0.0)
 
 
 def joint_sequence_exponent(t1: EmpiricalType, t2: EmpiricalType, w: Distribution) -> float:

@@ -793,9 +793,9 @@ def compare_sequential_vs_gutman(
     margin is 0 up to the root's residual.
     """
     rows = []
-    cap = None
+    limits = None
     for gamma in gamma_grid:
-        report, cap = _exponent_report(p1, p2, gamma, cap)
+        report, limits = _exponent_report(p1, p2, gamma, limits)
         alpha_used = min(report.theta_star, report.beta_star)
         gutman = gutman_bayes_exponent(alpha_used, p1, p2)
         rows.append(

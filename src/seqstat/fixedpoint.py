@@ -24,6 +24,17 @@ slope.  One solve builds one evaluator of the pair in
 ``gamma >= D(p || q)`` (its first value at ``theta = 0``), every step of the
 search, and the residual, so the gate and the root read the same ``D`` and
 the root solves the equation the public ``gjs`` evaluates.
+
+The reports (:func:`exponent_report`, :func:`multiclass_thetas`) first gate
+the rate at the Chernoff cap, the smallest pairwise Chernoff information.
+Each pair's Bhattacharyya bound ``-log sum sqrt(p q)`` (Cover and Thomas,
+*Elements of Information Theory*, 2nd ed., 11.9) is a lower bound on its
+Chernoff information that :func:`chernoff` never undercuts, so a rate more
+than ``NEAR_CAP_WIDTH`` below it is decided without a rounding margin, and
+only the other pairs' Chernoff exponent is maximised (``_rate_gate``).  The
+gate builds each ordered pair's evaluator once: it reads the pair's ``D(p
+|| q)`` from it, and the root's solve and the exponent at the root reuse
+it.
 """
 
 from __future__ import annotations
@@ -33,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _End, _bracket, _mixture_divergences, _search, chernoff, gjs, kl
+from .divergence import _End, _bhattacharyya, _bracket, _mixture_divergences, _search, chernoff
+from .divergence import gjs, kl  # noqa: F401  (wrapped by name in bench/spans.py)
 from .errors import GammaOutOfRange, NoSolution, NonConvergence
 from .probability import (
     Distribution, EmpiricalType, _check_classes, _check_distinct, _check_gamma,
@@ -85,35 +97,66 @@ class ExponentReport:
     near_cap: bool
 
 
-def _rate_gate(
-    dists: list[Distribution], gamma: float, cap: float | None = None
-) -> tuple[float, float]:
+def _rate_gate(dists: list[Distribution], gamma: float, limits: list | None = None):
     """Check ``gamma`` as a rate for the sequential test on ``dists``.
 
-    Returns ``(gamma, cap)`` with ``cap`` the smallest pairwise Chernoff
-    information, computed here unless a gate on the same ``dists`` earlier
-    in the call returned it.  Raises :class:`GammaOutOfRange` when ``gamma``
-    exceeds the cap or is not below every ordered pair's divergence, so that
-    every threshold equation has a root; see :func:`exponent_report`.
+    Raises :class:`GammaOutOfRange` when ``gamma`` exceeds the cap, the
+    smallest pairwise Chernoff information, by more than 1e-12, or is not
+    below every ordered pair's divergence, so that every threshold equation
+    has a root; see :func:`exponent_report`.  The first check starts from
+    each pair's Bhattacharyya bound ``L = -log sum sqrt(p q)``.  A pair
+    with ``L - gamma > NEAR_CAP_WIDTH`` can neither raise nor flag the
+    rate: :func:`chernoff` takes this same ``L`` as a candidate, so the
+    computed Chernoff information ``C`` is at least the computed ``L``, bit
+    for bit, and ``C - gamma`` rounds to at least ``L - gamma``, which
+    leaves no rounding for a margin to cover.  Only the other pairs' ``C``
+    is maximised, and the check and the near-cap flag ``cap - gamma <=
+    NEAR_CAP_WIDTH`` read the smallest of those, which is the cap wherever
+    the exact rule raises or flags: the decision, the flag and the message
+    are those of the exact cap.  The second check builds each ordered
+    pair's evaluator once and reads ``D(p || q)`` from it at ``alpha = 0``.
+
+    ``limits`` holds each unordered pair's ``(L, C)``, ``C`` None until some
+    rate needed it, from a gate on the same ``dists`` earlier in the call,
+    so that a grid computes each at most once.  Returns ``(gamma, near_cap,
+    pairs, limits)``, with ``pairs[i, j] = (evaluator, D(P(i+1) ||
+    P(j+1)))``, the private ``_pair`` of :func:`solve_fixed_point`.
     """
     gamma = _check_gamma(gamma)
-    if cap is None:
-        cap = min(chernoff(p, q) for i, p in enumerate(dists) for q in dists[i + 1 :])
+    _check_classes(dists, "distributions")
+    unordered = [(p, q) for i, p in enumerate(dists) for q in dists[i + 1 :]]
+    if limits is None:
+        limits = [(_bhattacharyya(p.weights, q.weights), None) for p, q in unordered]
+    checked = []
+    for (p, q), (bound, cap) in zip(unordered, limits):
+        if cap is None and not bound - gamma > NEAR_CAP_WIDTH:
+            cap = chernoff(p, q)
+        checked.append((bound, cap))
+    cap = min((cap for _, cap in checked if cap is not None), default=math.inf)
     if gamma > cap + 1e-12:
         raise GammaOutOfRange(
             f"gamma={gamma} exceeds the smallest pairwise Chernoff information {cap}"
         )
+    near_cap = (cap - gamma) <= NEAR_CAP_WIDTH
+    pairs = {}
     for i, p in enumerate(dists):
         for j, q in enumerate(dists):
-            if i != j and gamma >= kl(p, q):
-                raise GammaOutOfRange(
-                    f"gamma={gamma} is not below D(P{i + 1}||P{j + 1})={kl(p, q)}, "
-                    "so the threshold equation has no root"
-                )
-    return gamma, cap
+            if i != j:
+                divergences = _mixture_divergences(p.weights, q.weights)
+                slope_at_zero = divergences(0.0)[0]
+                if gamma >= slope_at_zero:
+                    divergence = max(slope_at_zero, 0.0)  # as kl reports it
+                    raise GammaOutOfRange(
+                        f"gamma={gamma} is not below D(P{i + 1}||P{j + 1})={divergence}, "
+                        "so the threshold equation has no root"
+                    )
+                pairs[i, j] = (divergences, slope_at_zero)
+    return gamma, near_cap, pairs, checked
 
 
-def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPointResult:
+def solve_fixed_point(
+    p: Distribution, q: Distribution, gamma: float, _pair: tuple | None = None
+) -> FixedPointResult:
     """Find the positive root of ``gjs(p, q, theta) = gamma * theta``.
 
     Raises :class:`NoSolution` when ``gamma >= D(p || q)``, the exact
@@ -128,15 +171,23 @@ def solve_fixed_point(p: Distribution, q: Distribution, gamma: float) -> FixedPo
     the doubling overflows, when the search takes more than
     ``CROSSING_MAX_STEPS`` steps, when the root lies below ``BRACKET_LOW``,
     or when the residual exceeds ``RESIDUAL_BOUND``.
+
+    ``_pair`` is private: the pair's evaluator and ``D(p || q)`` from a rate
+    gate that has checked the classes and ``gamma < D(p || q)``, which the
+    reports pass so that each ordered pair's evaluator is built once.  They
+    solve through this name, which the benchmark's trace wraps.
     """
-    _check_classes((p, q), "distributions")
-    gamma = _check_gamma(gamma)
-    divergences = _mixture_divergences(p.weights, q.weights)
-    slope_at_zero = divergences(0.0)[0]
-    if gamma >= slope_at_zero:
-        raise NoSolution(
-            f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}"
-        )
+    if _pair is None:
+        _check_classes((p, q), "distributions")
+        gamma = _check_gamma(gamma)
+        divergences = _mixture_divergences(p.weights, q.weights)
+        slope_at_zero = divergences(0.0)[0]
+        if gamma >= slope_at_zero:
+            raise NoSolution(
+                f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}"
+            )
+    else:
+        divergences, slope_at_zero = _pair
     evaluations = 0
 
     def end(theta: float, state=None) -> _End:
@@ -171,28 +222,42 @@ def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> Exponen
     root is solved; so does ``gamma = inf``, the Chernoff information of
     two distributions with disjoint supports, while NaN, zero and negative
     rates raise :class:`NonPositiveGamma`.  The report flags rates within
-    ``NEAR_CAP_WIDTH`` of the cap.
+    ``NEAR_CAP_WIDTH`` of the cap.  A rate more than ``NEAR_CAP_WIDTH``
+    below the Bhattacharyya bound ``-log sum sqrt(p1 p2)`` is decided
+    without maximising the Chernoff exponent, and with no rounding margin,
+    since :func:`chernoff` never returns less than that bound; the others
+    fall back to the exact :func:`chernoff`, with the same decision, flag
+    and message (see the module docstring).  Each argument order's
+    evaluator is built once, for the gate's ``D``, the root and the
+    exponent at the root.
     """
     return _exponent_report(p1, p2, gamma)[0]
 
 
+def _gjs_at(pair: tuple, theta: float) -> float:
+    """``gjs`` at ``theta > 0`` from a gate's evaluator of the pair: the
+    arithmetic of the public :func:`gjs`, without its checks and build."""
+    d_p, d_q = pair[0](theta)
+    return theta * d_p + d_q
+
+
 def _exponent_report(
-    p1: Distribution, p2: Distribution, gamma: float, cap: float | None = None
-) -> tuple[ExponentReport, float]:
-    """:func:`exponent_report` and the cap, for the next rate of a grid."""
-    gamma, cap = _rate_gate([p1, p2], gamma, cap)
-    beta = solve_fixed_point(p2, p1, gamma)
-    theta = solve_fixed_point(p1, p2, gamma)
+    p1: Distribution, p2: Distribution, gamma: float, limits: list | None = None
+) -> tuple[ExponentReport, list]:
+    """:func:`exponent_report` and the gate's limits, for the next rate of a grid."""
+    gamma, near_cap, pairs, limits = _rate_gate([p1, p2], gamma, limits)
+    beta = solve_fixed_point(p2, p1, gamma, pairs[1, 0])
+    theta = solve_fixed_point(p1, p2, gamma, pairs[0, 1])
     report = ExponentReport(
         gamma=gamma,
         beta_star=beta.theta_star,
         theta_star=theta.theta_star,
-        exponent_type1=gjs(p2, p1, beta.theta_star),
-        exponent_type2=gjs(p1, p2, theta.theta_star),
+        exponent_type1=_gjs_at(pairs[1, 0], beta.theta_star),
+        exponent_type2=_gjs_at(pairs[0, 1], theta.theta_star),
         bayes_exponent=gamma,
-        near_cap=(cap - gamma) <= NEAR_CAP_WIDTH,
+        near_cap=near_cap,
     )
-    return report, cap
+    return report, limits
 
 
 def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
@@ -207,18 +272,18 @@ def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
 
 
 def _multiclass_thetas(
-    dists: list[Distribution], gamma: float, cap: float | None = None
-) -> tuple[np.ndarray, float]:
-    """:func:`multiclass_thetas` and the cap, for the next rate of a grid."""
+    dists: list[Distribution], gamma: float, limits: list | None = None
+) -> tuple[np.ndarray, list]:
+    """:func:`multiclass_thetas` and the gate's limits, for the next rate of a grid."""
     m = len(dists)
     _check_distinct(dists)
-    gamma, cap = _rate_gate(dists, gamma, cap)
+    gamma, _, pairs, limits = _rate_gate(dists, gamma, limits)
     out = np.full((m, m), math.nan)
     for i in range(m):
         for j in range(m):
             if i != j:
-                out[i, j] = solve_fixed_point(dists[j], dists[i], gamma).theta_star
-    return out, cap
+                out[i, j] = solve_fixed_point(dists[j], dists[i], gamma, pairs[j, i]).theta_star
+    return out, limits
 
 
 def empirical_fixed_point(

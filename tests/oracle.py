@@ -11,6 +11,14 @@ replaced: it draws every stream through the public ``sample_indices`` and
 decides through the public ``gutman_binary`` / ``gutman_multiclass``, which
 score with ``gjs`` on ``Distribution`` objects.
 
+``exact_rate_gate`` is the rate gate that the Bhattacharyya bound replaced
+in ``seqstat.fixedpoint``: it maximises every pair's Chernoff information
+for the cap (once per grid) and reads every ordered pair's ``D(p || q)``
+through the public ``kl``.  ``exact_exponent_report`` and
+``exact_multiclass_thetas`` are the reports on it, solving each root with
+the public ``solve_fixed_point`` and evaluating the exponents at the roots
+with the public ``gjs``.
+
 ``bisect_fixed_point`` is the bisection that ``seqstat.fixedpoint`` first
 replaced by a safeguarded Newton iteration and now by the shared Illinois
 search: it halves the bracket on the sign of the validated public ``gjs``
@@ -91,11 +99,13 @@ from seqstat import (
     TrialTrace,
     Verdict,
     bit_generator,
+    chernoff,
     gjs,
     gutman_binary,
     gutman_multiclass,
     kl,
     sample_indices,
+    solve_fixed_point,
 )
 from seqstat.divergence import (
     CROSSING_MAX_STEPS,
@@ -113,14 +123,22 @@ from seqstat.exponents import (
 )
 from seqstat.errors import (
     AlphabetMismatch,
+    GammaOutOfRange,
     Infeasible,
     LengthMismatch,
     NoSolution,
     NonConvergence,
     StreamExhausted,
 )
-from seqstat.fixedpoint import BRACKET_LOW, RESIDUAL_BOUND, FixedPointResult, _check_gamma
-from seqstat.probability import _check_classes, _same_pair
+from seqstat.fixedpoint import (
+    BRACKET_LOW,
+    NEAR_CAP_WIDTH,
+    RESIDUAL_BOUND,
+    ExponentReport,
+    FixedPointResult,
+    _check_gamma,
+)
+from seqstat.probability import _check_classes, _check_distinct, _same_pair
 
 # Test symbols are drawn from the stream generator in blocks of this size.
 STREAM_CHUNK = 128
@@ -331,6 +349,56 @@ def binary_fixed_length_errors(cfg) -> tuple[list[float], float]:
             )
         )
     return errors, closest
+
+
+def exact_rate_gate(dists, gamma: float, cap: float | None = None) -> tuple[float, float]:
+    """``(gamma, cap)`` for a rate in range; raises :class:`GammaOutOfRange`
+    when ``gamma`` exceeds the smallest pairwise ``chernoff`` by more than
+    1e-12 or is not below every ordered pair's ``kl``."""
+    gamma = _check_gamma(gamma)
+    if cap is None:
+        cap = min(chernoff(p, q) for i, p in enumerate(dists) for q in dists[i + 1 :])
+    if gamma > cap + 1e-12:
+        raise GammaOutOfRange(
+            f"gamma={gamma} exceeds the smallest pairwise Chernoff information {cap}"
+        )
+    for i, p in enumerate(dists):
+        for j, q in enumerate(dists):
+            if i != j and gamma >= kl(p, q):
+                raise GammaOutOfRange(
+                    f"gamma={gamma} is not below D(P{i + 1}||P{j + 1})={kl(p, q)}, "
+                    "so the threshold equation has no root"
+                )
+    return gamma, cap
+
+
+def exact_exponent_report(p1, p2, gamma: float, cap: float | None = None) -> tuple[ExponentReport, float]:
+    """``exponent_report`` on :func:`exact_rate_gate`, and the cap for the next rate."""
+    gamma, cap = exact_rate_gate([p1, p2], gamma, cap)
+    beta = solve_fixed_point(p2, p1, gamma)
+    theta = solve_fixed_point(p1, p2, gamma)
+    report = ExponentReport(
+        gamma=gamma,
+        beta_star=beta.theta_star,
+        theta_star=theta.theta_star,
+        exponent_type1=gjs(p2, p1, beta.theta_star),
+        exponent_type2=gjs(p1, p2, theta.theta_star),
+        bayes_exponent=gamma,
+        near_cap=(cap - gamma) <= NEAR_CAP_WIDTH,
+    )
+    return report, cap
+
+
+def exact_multiclass_thetas(dists, gamma: float) -> np.ndarray:
+    """``multiclass_thetas`` on :func:`exact_rate_gate`."""
+    _check_distinct(dists)
+    gamma, _ = exact_rate_gate(dists, gamma)
+    out = np.full((len(dists), len(dists)), math.nan)
+    for i in range(len(dists)):
+        for j in range(len(dists)):
+            if i != j:
+                out[i, j] = solve_fixed_point(dists[j], dists[i], gamma).theta_star
+    return out
 
 
 def bisect_fixed_point(p, q, gamma: float) -> FixedPointResult:

@@ -400,23 +400,30 @@ class TestComparisonCsv:
             assert math.isclose(float(row[6]), gamma - lam, abs_tol=1e-15)
 
     def test_exponents_computes_each_cap_once(self, tmp_path, monkeypatch):
-        # one cap for the pair's rows and one for the class set's, where the
-        # cap was computed again for every rate (5 + 5 x 3 calls)
+        # each exact Chernoff information at most once per grid.  The
+        # Bhattacharyya bound decides every rate up to 0.03, below the
+        # trio's cap, which is (P2, P3)'s, so only the rate at that cap
+        # needs an exact value, and only for (P2, P3): once for the pair's
+        # rows and once for the trio's.  The last rate, between (P2, P3)'s
+        # bound and its cap, reuses both (computing every pair's on each
+        # class set's first rate took 1 + 3 calls)
         from seqstat import fixedpoint
 
+        alph = Alphabet((0, 1, 2))
+        cap = chernoff(make_distribution(TRIO["P2"], alph), make_distribution(TRIO["P3"], alph))
         calls = []
 
         def counting(*args):
-            calls.append(args)
+            calls.append([list(d.weights) for d in args])
             return chernoff(*args)
 
         monkeypatch.setattr(fixedpoint, "chernoff", counting)
-        grid = [0.01, 0.015, 0.02, 0.025, 0.03]
-        cfg = write_config(tmp_path, distributions=TRIO, gamma_grid=grid, pair=["P1", "P2"])
+        grid = [0.01, 0.015, cap, 0.02, 0.025, 0.03, 0.9999 * cap]
+        cfg = write_config(tmp_path, distributions=TRIO, gamma_grid=grid, pair=["P2", "P3"])
         out = tmp_path / "exp.csv"
         assert main(["exponents", "--config", cfg, "--out", str(out)]) == 0
-        assert len(read_csv(str(out))[1]) == 10
-        assert len(calls) == 1 + 3
+        assert len(read_csv(str(out))[1]) == 14
+        assert calls == 2 * [[TRIO["P2"], TRIO["P3"]]]
 
 
 class TestSimulateCsv:

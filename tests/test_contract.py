@@ -4,6 +4,8 @@ On near-identical pairs every divergence and exponent below must come out
 finite and nonnegative, and no call may raise: each input has a defined
 answer.  On zero weights, point masses and disjoint supports the Bayes
 crossing and curve must return their defined value or raise a
+:class:`SeqstatError`.  On all four families the reports at rates up to the
+Chernoff cap must return finite, nonnegative roots and exponents or raise a
 :class:`SeqstatError`.  The calls run under ``np.errstate(all="raise")``, so
 a numpy warning fails them too.
 """
@@ -13,6 +15,9 @@ import math
 import numpy as np
 
 from seqstat import (
+    chernoff,
+    compare_sequential_vs_gutman,
+    exponent_report,
     gjs,
     gjs_alpha_derivative,
     gutman_bayes_curve,
@@ -20,6 +25,7 @@ from seqstat import (
     gutman_type2_exponent,
     kl,
     make_distribution,
+    multiclass_thetas,
 )
 from seqstat.errors import SeqstatError
 from conftest import alphabet, random_interior
@@ -148,5 +154,60 @@ class TestBoundaryPairs:
                     # the curve's defined value below gjs / alpha on disjoint supports
                     allowed = kind == "disjoint" and name.startswith("gutman_bayes_curve")
                     if not (math.isfinite(value) or allowed and value == math.inf) or value < 0.0:
+                        broken.append((i, kind, name, value))
+        assert broken == []
+
+
+RATE_SHARES = (1e-3, 0.5, 1.0 - 1e-9, 1.0)
+
+
+class TestReports:
+    """``exponent_report``, ``multiclass_thetas`` and
+    ``compare_sequential_vs_gutman`` at shares of the Chernoff cap, on the
+    boundary families and on near-identical pairs: each call returns finite
+    values >= 0 (the comparison's margin, a difference, only finite) or
+    raises a package error.  The comparison also runs the whole grid of
+    rates, which carries the gate's limits from one rate to the next."""
+
+    @staticmethod
+    def calls(p, q):
+        cap = chernoff(p, q)
+        grid = [share * cap for share in RATE_SHARES]
+        for share, gamma in zip(RATE_SHARES, grid):
+            yield f"exponent_report@{share}", lambda g=gamma: exponent_report(p, q, g)
+            yield f"multiclass_thetas@{share}", lambda g=gamma: multiclass_thetas([p, q], g)
+            yield f"compare@{share}", lambda g=gamma: compare_sequential_vs_gutman(p, q, [g])
+        yield "compare@grid", lambda: compare_sequential_vs_gutman(p, q, grid)
+
+    @staticmethod
+    def values(value):
+        """The finite nonnegative numbers a result must hold, and the others."""
+        if isinstance(value, np.ndarray):
+            return [x for x in value.flat if not math.isnan(x)], []  # NaN diagonal
+        if isinstance(value, list):
+            rows = [TestReports.values(row) for row in value]
+            return [x for good, _ in rows for x in good], [x for _, rest in rows for x in rest]
+        fields = {k: v for k, v in vars(value).items() if k != "near_cap"}
+        margin = fields.pop("margin", 0.0)
+        return list(fields.values()), [margin]
+
+    def test_values_are_defined_or_errors_are_the_package_own(self):
+        families = [(kind, p, q) for kind, p, q in boundary_family(20191203, 25)]
+        families += [("near", p, q) for p, q in near_identical_family(20191203, 60)]
+        broken = []
+        with np.errstate(all="raise"):
+            for i, (kind, p, q) in enumerate(families):
+                for name, call in self.calls(p, q):
+                    try:
+                        value = call()
+                    except SeqstatError:
+                        continue
+                    except Exception as error:  # a bare exception breaks the contract
+                        broken.append((i, kind, name, repr(error)))
+                        continue
+                    nonnegative, finite = self.values(value)
+                    if not all(math.isfinite(x) and x >= 0.0 for x in nonnegative) or not all(
+                        math.isfinite(x) for x in finite
+                    ):
                         broken.append((i, kind, name, value))
         assert broken == []

@@ -18,7 +18,7 @@ from seqstat import (
     make_distribution,
 )
 from seqstat import divergence
-from seqstat.divergence import kl_array
+from seqstat.divergence import _bhattacharyya, kl_array
 from seqstat.errors import AlphabetMismatch, NegativeAlpha, NotInterior
 from conftest import alphabet, random_interior, random_interior_pair
 from oracle import (
@@ -363,6 +363,43 @@ class TestChernoff:
         p = make_distribution([1.0, 0.0], AB)
         q = make_distribution([0.0, 1.0], AB)
         assert chernoff(p, q) == math.inf
+
+    def test_weight_ratio_below_rounding(self):
+        # p / q below 2^-53 on a common symbol rounded (p - q) / q to -1,
+        # and log1p(-1) raised a bare ValueError; in the other order a
+        # subnormal q makes the quotient overflow to inf
+        for small in (1e-17, 1e-20, 1e-100, 1e-300, 1e-310):
+            p = make_distribution([small, 1.0 - small], AB)
+            q = make_distribution([0.5, 0.5], AB)
+            assert abs(chernoff(p, q) - chernoff_grid(p, q)) <= 1e-8
+            assert chernoff(q, p) == chernoff(p, q)
+
+    def test_never_below_the_bhattacharyya_bound(self):
+        # the rate gate in fixedpoint certifies rates from this bound, so
+        # the value may not fall below it, not even by an ulp: on pairs
+        # that swap symbols the optimum is eta = 1/2 and the bound is the
+        # value, and the search stopped up to 6e-16 below it; on the pair
+        # below, with weights down to 1.8e-227, the slope's log-ratios had
+        # lost their digits and the search stopped 3.3e-5 below it
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(300):
+            size = int(rng.integers(2, 7))
+            p = rng.dirichlet(np.ones(size))
+            swap = np.arange(size)
+            order = rng.permutation(size)
+            for a in range(0, size - 1, 2):
+                swap[order[a]], swap[order[a + 1]] = order[a + 1], order[a]
+            pairs.append((p, p[swap]))
+        wide = np.array([4.527723795527808e-17, 9.10906958159616e-33, 0.7932203089478829,
+                         0.20677969105211713, 1.1479495877670183e-137, 1.759240625995607e-227,
+                         6.761698302570297e-146])
+        pairs.append((wide, wide[[1, 0, 4, 5, 2, 3, 6]]))
+        for p, q in pairs:
+            alph = alphabet(len(p))
+            p, q = make_distribution(list(p), alph), make_distribution(list(q), alph)
+            assert chernoff(p, q) >= _bhattacharyya(p.weights, q.weights), (p, q)
+        assert chernoff(p, q) == pytest.approx(chernoff_grid(p, q), abs=1e-8)
 
     def test_nonnegative_on_near_identical_pairs(self):
         # q = p (1 + eps d), renormalized, eps log-uniform in [1e-8, 1e-3]:

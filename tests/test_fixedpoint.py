@@ -27,9 +27,11 @@ from seqstat.errors import (
     NonConvergence,
     NonPositiveGamma,
     NoSolution,
+    SeqstatError,
 )
-from seqstat.fixedpoint import BRACKET_LOW, RESIDUAL_BOUND
-from conftest import alphabet, random_interior_pair
+from seqstat.fixedpoint import BRACKET_LOW, NEAR_CAP_WIDTH, RESIDUAL_BOUND
+from conftest import alphabet, random_interior, random_interior_pair
+from test_contract import boundary_family, near_identical_family
 import oracle
 
 NEAR_PAIR = ([0.1, 0.7, 0.2], [0.05, 0.55, 0.4])
@@ -460,6 +462,116 @@ class TestMulticlassThetas:
         with pytest.raises(GammaOutOfRange):
             multiclass_thetas(dists, cap * 1.01)
         multiclass_thetas(dists, cap)
+
+
+def gate_family(seed, count):
+    """Seeded ``(kind, pair, triple)``: ``count`` pairs of each of
+    ``test_contract``'s boundary kinds (zero weights, point masses,
+    disjoint supports) and near-identical pairs, ``count`` interior pairs,
+    and ``count`` pairs whose ``q`` permutes ``p``, every other one by
+    swapping pairs of symbols, where the Chernoff optimum sits at eta = 1/2
+    and the Bhattacharyya bound is the cap.  The triple adds a third source
+    to the pair: another permutation of ``p`` for that kind, an independent
+    interior one for the others."""
+    rng = np.random.default_rng(seed)
+    pairs = list(boundary_family(seed, count))
+    pairs += [("near", p, q) for p, q in near_identical_family(seed, count)]
+    for i in range(count):
+        size = int(rng.integers(2, 7))
+        pairs.append(("interior", *random_interior_pair(rng, size)))
+        p, order = random_interior(rng, size), rng.permutation(size)
+        swap = np.arange(size)
+        for a in range(0, size - 1, 2):
+            swap[order[a]], swap[order[a + 1]] = order[a + 1], order[a]
+        weights = np.asarray(p.weights)
+        q = weights[swap] if i % 2 else np.roll(weights, 1)
+        pairs.append(("permutation", p, make_distribution(list(q), p.alphabet), weights[order]))
+    out = []
+    for kind, p, q, *third in pairs:
+        third = third[0] if third else rng.dirichlet(np.ones(len(p.weights)))
+        out.append((kind, [p, q], [p, q, make_distribution(list(third / third.sum()), p.alphabet)]))
+    return out
+
+
+def step_ulps(x, steps):
+    """``x`` moved ``steps`` doubles up (or down, for negative ``steps``)."""
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+class TestRateGate:
+    """The gate's Bhattacharyya certificate against the exact cap it replaced
+    (``oracle.exact_rate_gate``): at rates around each class set's cap, the
+    reports pass or raise alike, with the same error type and message, the
+    same near-cap flag and the same bits, fresh and along a grid."""
+
+    @staticmethod
+    def rates(cap):
+        rates = [share * cap for share in (0.1, 0.5, 0.9, 1.0, 1.1)]
+        for center in (cap - NEAR_CAP_WIDTH, cap + 1e-12):
+            rates += [step_ulps(center, steps) for steps in range(-3, 4)]
+        return rates
+
+    @staticmethod
+    def outcome(call, *args):
+        """The value's repr, which tells every bit of a float, or the error."""
+        try:
+            value = call(*args)
+        except SeqstatError as error:
+            return type(error), str(error)
+        return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+    def test_reports_decide_as_the_exact_cap(self, monkeypatch):
+        exact_caps = []
+
+        def counting(*args):
+            exact_caps.append(1)
+            return chernoff(*args)
+
+        monkeypatch.setattr(fixedpoint, "chernoff", counting)
+        mismatched = []
+        calls = certified = 0
+        for i, (kind, pair, triple) in enumerate(gate_family(20191203, 10)):
+            for dists, report, want in (
+                (pair, exponent_report, lambda p, q, g: oracle.exact_exponent_report(p, q, g)[0]),
+                (triple, lambda *d: multiclass_thetas(list(d[:-1]), d[-1]),
+                 lambda *d: oracle.exact_multiclass_thetas(list(d[:-1]), d[-1])),
+            ):
+                cap = min(chernoff(p, q) for j, p in enumerate(dists) for q in dists[j + 1 :])
+                for gamma in self.rates(cap):
+                    before = len(exact_caps)
+                    got = self.outcome(report, *dists, gamma)
+                    calls += 1
+                    certified += len(exact_caps) == before
+                    if got != self.outcome(want, *dists, gamma):
+                        mismatched.append((i, kind, len(dists), gamma, got))
+        assert mismatched == []
+        # both the certificate and the exact cap decided some of them
+        assert 0 < certified < calls
+
+    def test_grid_decides_as_the_exact_cap(self):
+        # the rates in turn through one grid's limits, where a cap computed
+        # for one rate serves the rates after it
+        mismatched = []
+        for i, (kind, (p, q), _) in enumerate(gate_family(7, 10)):
+            rates = self.rates(chernoff(p, q))
+            limits = cap = None
+            for gamma in rates[3:] + rates[:3]:
+                try:
+                    report, limits = fixedpoint._exponent_report(p, q, gamma, limits)
+                    got = repr(report)
+                except SeqstatError as error:
+                    got = type(error), str(error)
+                try:
+                    report, cap = oracle.exact_exponent_report(p, q, gamma, cap)
+                    want = repr(report)
+                except SeqstatError as error:
+                    want = type(error), str(error)
+                if got != want:
+                    mismatched.append((i, kind, gamma, got, want))
+        assert mismatched == []
 
 
 class TestEmpiricalFixedPoint:
