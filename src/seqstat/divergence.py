@@ -43,8 +43,9 @@ where the ends carry slopes), live here, below
 every module that runs them, with its one width, ``RELATIVE_BRACKET_WIDTH``,
 and its one step budget, ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on
 its exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
-:mod:`seqstat.exponents` on its multiplier, in ``constrained_kl_min`` and
-in the Bayes crossing once one of its joint Newton steps is refused.
+:mod:`seqstat.exponents` on the exponent program's multiplier and in
+``constrained_kl_min``.  The Bayes crossing's joint Newton steps bisect
+their own bracket with the same width and budget.
 """
 
 from __future__ import annotations
@@ -151,18 +152,16 @@ class _End(NamedTuple):
 
 
 def _bracket(evaluate, lo: _End) -> tuple[_End, _End]:
-    """Double the multiplier from 1, or from twice ``lo``'s past 1/2, until
-    the excess is positive.
+    """Double the multiplier from 1 until the excess is positive.
 
     The threshold equation starts at ``theta = 1`` and the exponent
-    program at ``mu = 1``, block exponent 1/2; the Bayes crossing may hand
-    over a lower end past 1/2 from its joint Newton steps.  ``lo`` has
-    excess at most 0; ``evaluate(mu, state)`` returns the end at ``mu``,
-    relaxed from ``state``: from ``lo``'s state first, then from the
-    previous end, which becomes the lower end.  Raises
-    :class:`NonConvergence` when the next doubling would overflow.
+    program at ``mu = 1``, block exponent 1/2.  ``lo``, below 1, has excess
+    at most 0; ``evaluate(mu, state)`` returns the end at ``mu``, relaxed
+    from ``state``: from ``lo``'s state first, then from the previous end,
+    which becomes the lower end.  Raises :class:`NonConvergence` when the
+    next doubling would overflow.
     """
-    hi = evaluate(max(1.0, 2.0 * lo.mu), lo.state)
+    hi = evaluate(1.0, lo.state)
     while hi.excess <= 0.0:
         if math.isinf(2.0 * hi.mu):
             raise NonConvergence(f"bracketing overflowed past {hi.mu}, excess still {hi.excess}")
@@ -191,14 +190,11 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     step from that end instead, if it lands inside the same clamped bracket
     (Press et al., *Numerical Recipes*, 3rd ed., 9.4, ``rtsafe``); it too is
     followed by a bisection unless it halves the bracket or the excess.
-    Three callers give slopes: the threshold equation
-    (``fixedpoint.solve_fixed_point``, ``D(q || m) / theta^2``),
-    :func:`chernoff` (``psi''``) and the Bayes crossing
-    (``exponents.gutman_bayes_exponent``, from ``_PairProgram.curvature``),
-    which runs the search only once one of its joint Newton steps on the
-    mixture and the multiplier is refused, and whose ends from those steps
-    carry no slope.  Ends without a slope, as in the exponent program's
-    slack search and ``constrained_kl_min``, get the Illinois steps alone.
+    Two callers give slopes: the threshold equation
+    (``fixedpoint.solve_fixed_point``, ``D(q || m) / theta^2``) and
+    :func:`chernoff` (``psi''``).  Ends without a slope, as in the exponent
+    program's slack search and ``constrained_kl_min``, get the Illinois
+    steps alone.
     The search returns the final ``(lo, hi)``, from which the caller picks its answer, once an
     end of finite value has its excess within 1e-12 of 0 or the bracket is
     ``RELATIVE_BRACKET_WIDTH`` wide; :class:`NonConvergence` is raised when

@@ -58,14 +58,15 @@ system (Boyd & Vandenberghe, *Convex Optimization*, 10.3; Nocedal & Wright,
 stays inside the bracket of relaxed ends and the residual falls; an
 iterate whose sweep moves no coordinate more than ``INNER_TOLERANCE``
 passes :meth:`_PairProgram.relax`'s own stop, so it is a relaxed end.  A
-refused step hands the crossing to the nested search: ``_bracket`` and
-``_search`` on relaxed ends, each with the excess's slope
-(:meth:`_PairProgram.curvature`, one more KKT solve), so that the search
-takes Newton steps, and each relaxation started from the tangent of the
-relaxed path at the end it relaxes from, ``w exp(-(e - e0) z)``
-renormalised, where ``z = -d log W / de`` comes from the same solve as the
-slope.  :func:`_bayes_crossing` returns the crossing with its certificate
-(:class:`_Crossing`).
+refused step is replaced by a relaxation at a safeguard point, the
+bracket's midpoint, or twice its lower end while no end has a positive
+excess, started from the current iterate; that end enters the bracket and
+the steps go on from it (a safeguarded Newton iteration: Press et al.,
+*Numerical Recipes*, 3rd ed., 9.4, ``rtsafe``).  From a relaxed state a
+joint step is a Newton step on ``mu`` alone, with the excess's slope, and
+it moves ``W`` along the tangent of the relaxed path, so no separate slope
+or start is computed.  :func:`_bayes_crossing` returns the crossing with
+its certificate (:class:`_Crossing`).
 
 Sources that share no symbol have a defined answer everywhere: every pair of
 finite objective then has the sources' own ``gjs``, so the programs are
@@ -92,8 +93,7 @@ from .probability import (
 # A relaxation stops once its sweep moves no coordinate more than this; one
 # that needs more than INNER_MAX_SWEEPS sweeps (Newton iterations) raises.
 # The crossing's joint Newton steps, each one sweep and one search step,
-# stop within both this and divergence.CROSSING_MAX_STEPS and hand over to
-# the nested search.
+# raise once they exceed either this or divergence.CROSSING_MAX_STEPS.
 INNER_TOLERANCE = 1e-15
 INNER_MAX_SWEEPS = 20000
 # Certified duality gap allowed on a returned optimal value.
@@ -213,14 +213,6 @@ def _log_step(w: list[float], d: list[float]) -> list[float] | None:
     return guess if min(guess) > 0.0 else None
 
 
-def _tangent_start(w: list[float], z: list[float], step: float) -> list[float]:
-    """The relaxed ``W`` predicted ``step`` away in the block exponent:
-    ``w * exp(-step * z)``, renormalised, from the tangent ``z`` that
-    :meth:`_PairProgram.curvature` returns at ``w``; ``w`` itself where a
-    predicted coordinate is not finite and positive."""
-    return _log_step(w, [-step * y for y in z]) or w
-
-
 class _Crossing(NamedTuple):
     """Certificate of one Bayes crossing (:func:`_bayes_crossing`).
 
@@ -254,7 +246,7 @@ class _PairProgram:
     ``relaxations``, ``sweeps`` and ``solves`` count the program's calls of
     :meth:`relax` and :meth:`sweep` and its KKT solves: one per Newton step
     of a relaxation (with the re-solves of :func:`_newton_step` that hold
-    coordinates) and one per :meth:`curvature`.
+    coordinates) and two per :meth:`joint_step`.
     """
 
     relaxations = sweeps = solves = 0
@@ -360,78 +352,43 @@ class _PairProgram:
             f"block descent at mu={mu} still moving {move} after {INNER_MAX_SWEEPS} sweeps"
         )
 
-    def curvature(self, mu: float, state) -> tuple[float, list[float]]:
-        """Slope in ``mu`` of the Bayes crossing's excess at the relaxed
-        ``state``, and the tangent ``z = -d log W / de`` of the relaxed path.
-
-        The dual function ``Lambda(mu) = min_W L_mu(W)`` has the relaxed
-        constraint as its slope, so the excess, objective minus constraint
-        over ``alpha``, is ``(Lambda - (1 + mu) Lambda') / alpha`` and its
-        slope ``-(1 + mu) Lambda'' / alpha >= 0``.  With ``u1 = log a - log
-        w`` and ``u2 = log b - log w``, ``Lambda'' = e^3 (psi - c . z)``:
-        ``psi = -alpha Var_q1(u1) - Var_q2(u2)`` is the second derivative in
-        ``e`` at fixed ``W``, ``c`` the mixed one in ``e`` and the relative
-        step, and ``z`` its response through :meth:`relax`'s KKT system
-        (the implicit function theorem; Boyd & Vandenberghe, 10.2).
-
-        The sign of the tangent: at a relaxed state the gradient ``g`` of
-        :meth:`derivatives` is 0 (``T(w) = w``).  Moving ``e`` by ``de`` and
-        ``W`` by the relative step ``d`` keeps it 0 to first order, up to
-        the border's multiple of ``w``, when ``H d + c de = nu w`` with ``w .
-        d = 0``; ``z`` solves ``H z = c`` under the same border, so ``d = -z
-        de``.  The crossing starts each relaxation at ``e`` from ``w exp(-(e
-        - e0) z)``, renormalised (:func:`_tangent_start`).
-        """
-        e = 1.0 / (1.0 + mu)
-        q1, q2, w = state
-        # a symbol that a source misses has no mass in its block: u = 0 there
-        u1, u2 = [], []
-        for (log_a, log_b), x in zip(self.logs, w):
-            log_w = math.log(x)
-            u1.append(log_a - log_w if log_a > -math.inf else 0.0)
-            u2.append(log_b - log_w if log_b > -math.inf else 0.0)
-        # the variances as sums of centred squares: sum q u (u - m) would
-        # carry m's rounding times m, which swamps a variance below m^2 eps
-        m1, m2 = sum(map(mul, q1, u1)), sum(map(mul, q2, u2))
-        u1 = [u - m1 for u in u1]
-        u2 = [u - m2 for u in u2]
-        v1, v2 = list(map(mul, q1, u1)), list(map(mul, q2, u2))
-        psi = -self.alpha * sum(map(mul, v1, u1)) - sum(map(mul, v2, u2))
-        c = [-(1.0 - e) * (self.alpha * x + y) for x, y in zip(v1, v2)]
-        # at the relaxed state the sweep stands still: T(w) = w
-        self.solves += 1
-        z = _simplex_solve(*self.derivatives(w, q1, q2, w, e)[1], w, c)
-        return -e * e * (psi - sum(map(mul, c, z))) / self.alpha, z
-
     def joint_step(self, mu: float, w, swept) -> tuple[float, list[float] | None, float]:
         """The crossing's excess at the unrelaxed ``(w, mu)`` and one Newton
         step on ``(W, mu)`` together, from the sweep ``swept = (q1(w),
         q2(w), T(w))``.
 
-        With ``u1``, ``u2`` as in :meth:`curvature` and ``r = log w - log
-        T(w)``, objective minus constraint at ``(q1(w), q2(w))`` is ``(1 +
-        alpha) D(T(w) || w) - alpha q1 . u1 - q2 . u2``, the excess times
-        ``alpha``, with no divergence of its own to evaluate.  The step
-        solves the stationarity of :meth:`relax` and the linearised excess
-        together: ``H d + c de = -g`` up to the border's multiple of ``w``,
-        with ``w . d = 0``, and ``h . d + E_e de = -excess``.  ``g`` and
-        ``H`` come from :meth:`derivatives`; ``c``, the gradient's
-        derivative in ``e`` at fixed ``W``, is :meth:`curvature`'s ``c``
-        plus ``-(1 + alpha)(w - T(w))``; ``h`` and ``E_e`` are the excess's
-        derivatives in the relative step and in ``e``, ``h = -(1 - e)(alpha
-        q1 (s1 - q1 . s1) + q2 (s2 - q2 . s2)) / alpha`` with ``s = u + r``.
-        Block elimination (Boyd & Vandenberghe, *Convex Optimization*, 10.3)
-        solves it with two right-hand sides of the KKT system, ``H d0 = -g``
-        and ``H z = c``, and a scalar Schur complement: ``d = d0 - de z`` and
-        ``de = -(excess + h . d0) / (E_e - h . z)``.  At a relaxed state
-        ``g = 0`` and ``r = 0``, the Schur complement is :meth:`curvature`'s
-        slope, and the step is a Newton step on the multiplier with the
-        tangent start.  ``H`` misses the gradient's Jacobian by ``diag(g)``,
-        which vanishes at the solution, so the steps still converge
-        quadratically; ``h`` does not vanish there, and leaving it out makes
-        the convergence linear.  The loops repeat :meth:`curvature`'s
-        centred sums rather than share them: a helper shared by the two
-        made the exponent table's crossings about 8% slower.
+        With ``u1 = log a - log w`` and ``u2 = log b - log w`` (0 off each
+        source's support, where its block has no mass) and ``r = log w -
+        log T(w)``, objective minus constraint at ``(q1(w), q2(w))`` is
+        ``(1 + alpha) D(T(w) || w) - alpha q1 . u1 - q2 . u2``, the excess
+        times ``alpha``, with no divergence of its own to evaluate.  The
+        step solves the stationarity of :meth:`relax` and the linearised
+        excess together: ``H d + c de = -g`` up to the border's multiple of
+        ``w``, with ``w . d = 0``, and ``h . d + E_e de = -excess``.  ``g``
+        and ``H`` come from :meth:`derivatives`; ``c``, the gradient's
+        derivative in ``e`` at fixed ``W``, is ``-(1 + alpha)(w - T(w)) -
+        (1 - e)(alpha v1 + v2)`` with ``v = q (u - q . u)``; ``h`` and
+        ``E_e`` are the excess's derivatives in the relative step and in
+        ``e``, ``h = -(1 - e)(alpha q1 (s1 - q1 . s1) + q2 (s2 - q2 . s2)) /
+        alpha`` with ``s = u + r``.  Block elimination (Boyd & Vandenberghe,
+        *Convex Optimization*, 10.3) solves it with two right-hand sides of
+        the KKT system, ``H d0 = -g`` and ``H z = c``, and a scalar Schur
+        complement: ``d = d0 - de z`` and ``de = -(excess + h . d0) / (E_e -
+        h . z)``.  The sums over ``u`` take centred terms: ``sum q u (u -
+        m)`` would carry ``m``'s rounding times ``m``, which swamps a
+        variance below ``m^2 eps``.
+
+        At a relaxed state ``g = 0`` and ``r = 0``, so ``d0 = 0`` and the
+        step is a Newton step on the multiplier alone.  The dual function
+        ``Lambda(mu) = min_W L_mu(W)`` has the relaxed constraint as its
+        slope, so the excess is ``(Lambda - (1 + mu) Lambda') / alpha``,
+        and its slope ``-(1 + mu) Lambda'' / alpha`` is ``-e^2 (E_e - h .
+        z) >= 0`` (the implicit function theorem gives ``Lambda''``
+        through ``z``); ``W`` moves along the tangent ``-z = d log W / de``
+        of the relaxed path.  ``H`` misses the gradient's Jacobian by
+        ``diag(g)``, which vanishes at the solution, so the steps still
+        converge quadratically; ``h`` does not vanish there, and leaving it
+        out makes the convergence linear.
 
         Returns ``(excess, w', mu')``: the step is taken in the multiplier,
         ``mu' = mu - de / e^2``, and in ``log W`` (:func:`_log_step`), so
@@ -451,7 +408,7 @@ class _PairProgram:
             r.append(log_w - math.log(t))
         m1, m2 = sum(map(mul, q1, u1)), sum(map(mul, q2, u2))
         excess = -((1.0 + alpha) * sum(map(mul, t_w, r)) + alpha * m1 + m2) / alpha
-        # centred, as in curvature: v = q (u - m) and s - q . s = (u - m) + (r - q . r)
+        # centred: v = q (u - m) and s - q . s = (u - m) + (r - q . r)
         r1, r2 = sum(map(mul, q1, r)), sum(map(mul, q2, r))
         c, h = [], []
         second = 0.0
@@ -598,13 +555,14 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     multiplier grows, the relaxed objective rises from 0 while the relaxed
     constraint falls from ``gjs(P1, P2, alpha)``, so their difference,
     divided by ``alpha``, changes sign exactly once.  Joint Newton steps on
-    the mixture and the multiplier together find that multiplier, and
-    :func:`_bracket` and :func:`_search` take over once a step is refused
-    (module docstring).  The crossing is the mean of objective and
-    constraint over ``alpha`` at a relaxed end where they agree within
-    1e-12, else at the end of the final bracket where they are closer.  For an identical pair the
-    curve is identically zero and so is the crossing; where ``gjs(P1, P2,
-    alpha) / alpha <= 1e-12`` the sources already meet the stop.  For sources with
+    the mixture and the multiplier together find that multiplier, with a
+    relaxation at the bracket's midpoint in place of a refused step (module
+    docstring).  The crossing is the mean of objective and constraint over
+    ``alpha`` at a relaxed end where they agree within 1e-12, else at the
+    end of the final bracket where they are closer, once it is
+    ``RELATIVE_BRACKET_WIDTH`` wide.  For an identical pair the curve is
+    identically zero and so is the crossing; where ``gjs(P1, P2, alpha) /
+    alpha <= 1e-12`` the sources already meet the stop.  For sources with
     disjoint supports the curve is ``inf`` below ``gjs(P1, P2, alpha) /
     alpha`` and 0 from there on, so the crossing is that value, the supremum
     of ``min(lam, curve(lam))``.  :func:`_bayes_crossing` returns the value
@@ -634,78 +592,55 @@ def _bayes_crossing(alpha: float, p1: Distribution, p2: Distribution) -> _Crossi
     full = program.constraint_value(sources[0], sources[1]) / alpha
     if not program.common:
         return certify(full, 0.0)
-    # an end's state is (q1, q2, w, e, z): the relaxed state, its block
-    # exponent and its tangent, none at the sources
-    lo = _End(0.0, -full, 0.5 * full, (*sources, 1.0, None))
-    if full <= 1e-12:  # the sources already meet the search's stop
+    lo = _End(0.0, -full, 0.5 * full, None)
+    if full <= 1e-12:  # the sources already meet the stop
         return certify(lo.value, lo.excess)
-
-    def relaxed_end(mu: float, state, e: float, z=None, slope=None) -> _End:
-        """The end at ``mu`` of the relaxed ``state``: its excess and value."""
-        q1, q2, _ = state
-        objective = program.objective_value(q1, q2) / alpha
-        constraint = program.constraint_value(q1, q2) / alpha
-        return _End(
-            mu, objective - constraint, 0.5 * (objective + constraint), (*state, e, z), slope,
-        )
-
-    def evaluate(mu: float, state) -> _End:
-        q1, q2, w, e0, z = state
-        e = 1.0 / (1.0 + mu)
-        if z is not None:
-            w = _tangent_start(w, z, e - e0)
-        state = program.relax(mu, (q1, q2, w))
-        slope, z = program.curvature(mu, state)
-        return relaxed_end(mu, state, e, z, slope)
-
-    # no end with a positive excess yet
-    hi = _End(math.inf, math.inf, math.inf, None)
-
-    def enter(end: _End) -> None:
-        """Narrow the bracket to the relaxed ``end``."""
-        nonlocal lo, hi
-        if lo.mu < end.mu < hi.mu:
-            if end.excess > 0.0:
-                hi = end
-            else:
-                lo = end
+    hi = _End(math.inf, math.inf, math.inf, None)  # no end with a positive excess yet
 
     # Joint Newton steps on (W, mu) from the mixture at mu = 1, each taken
     # only if it keeps mu inside the bracket and lowers the residual (the
     # sweep's move and the excess).  An iterate whose sweep moves no
     # coordinate more than INNER_TOLERANCE passes relax's own stop, so it
-    # is relax's answer at its mu, and it enters the bracket as an end.
-    # Each step is a sweep and a search step, so the steps stop within
-    # both budgets.
+    # is relax's answer at its mu, and it enters the bracket as an end.  A
+    # refused step relaxes at the bracket's midpoint instead, or at twice
+    # its lower end while no end has a positive excess, and the steps go on
+    # from that end with the merit reset.  Each step is a sweep and a search
+    # step, so the loop has the smaller of the two budgets.
+    budget = min(divergence.CROSSING_MAX_STEPS, INNER_MAX_SWEEPS)
     mu, w = 1.0, sources[2]
-    best, last = math.inf, (1.0, lo.state)
-    for _ in range(min(divergence.CROSSING_MAX_STEPS, INNER_MAX_SWEEPS)):
+    best = math.inf
+    for _ in range(budget):
         e = 1.0 / (1.0 + mu)
         swept = program.sweep(w, e)
         q1, q2, t_w = swept
         move = max(map(abs, map(sub, t_w, w)))
         if move <= INNER_TOLERANCE:
-            end = relaxed_end(mu, (q1, q2, w), e)
+            objective = program.objective_value(q1, q2) / alpha
+            constraint = program.constraint_value(q1, q2) / alpha
+            end = _End(mu, objective - constraint, 0.5 * (objective + constraint), None)
             if abs(end.excess) <= 1e-12:
                 return certify(end.value, end.excess, lo.mu, hi.mu)
-            enter(end)
+            if end.excess > 0.0:
+                hi = end
+            else:
+                lo = end
+            # an infinite hi is never narrow, though inf - mu <= inf holds
+            if hi.mu - lo.mu <= divergence.RELATIVE_BRACKET_WIDTH * hi.mu < math.inf:
+                # the end of smaller excess, hi first; an excess within 1e-12 counts as 0
+                end = min(hi, lo, key=lambda end: max(abs(end.excess), 1e-12))
+                return certify(end.value, end.excess, lo.mu, hi.mu)
         excess, w_next, mu_next = program.joint_step(mu, w, swept)
         merit = math.hypot(move, excess)
-        if not merit < best:
-            break
-        best, last = merit, (mu, (q1, q2, w, e, None))
-        if w_next is None or not lo.mu < mu_next < hi.mu:
-            break
-        mu, w = mu_next, w_next
-    # a refused step hands the crossing to the nested search, from the
-    # relaxation at the last iterate whose residual fell
-    enter(evaluate(*last))
-    if hi.mu == math.inf:
-        lo, hi = _bracket(evaluate, lo)
-    lo, hi = _search(evaluate, lo, hi)
-    # the end of smaller excess, hi first; an excess within 1e-12 counts as 0
-    end = min(hi, lo, key=lambda end: max(abs(end.excess), 1e-12))
-    return certify(end.value, end.excess, lo.mu, hi.mu)
+        if merit < best and w_next is not None and lo.mu < mu_next < hi.mu:
+            best, mu, w = merit, mu_next, w_next
+        else:
+            mu = 0.5 * (lo.mu + hi.mu) if hi.mu < math.inf else max(1.0, 2.0 * lo.mu)
+            w = program.relax(mu, (q1, q2, w))[2]
+            best = math.inf
+    unit = "sweeps" if INNER_MAX_SWEEPS < divergence.CROSSING_MAX_STEPS else "steps"
+    raise NonConvergence(
+        f"Bayes crossing unfinished after {budget} {unit}: excess {lo.excess} to {hi.excess}"
+    )
 
 
 def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:

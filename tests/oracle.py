@@ -41,9 +41,13 @@ masked arrays, except that the Chernoff slope takes its log-ratio as
 exponent programs' relaxation that the scalar ``math`` loops in
 ``seqstat.exponents`` replaced: the Hessian as a dense matrix and the KKT
 step by ``np.linalg.solve`` on the bordered matrix, where the package
-solves it in closed form.  ``numpy_relax`` holds no coordinate: it halves a
-step that would empty one.  ``exact_simplex_solve`` solves the same
-bordered system in rational arithmetic on the same floats.  These forms and
+solves it in closed form.  ``dense_curvature`` is the Bayes crossing's
+excess slope in the multiplier at a relaxed state and the tangent of the
+relaxed path: the Newton step on the multiplier and the move of ``W``
+that the crossing's joint step takes from a relaxed state.
+``numpy_relax`` holds no coordinate: it halves a step that would empty
+one.  ``exact_simplex_solve`` solves the same bordered system in rational
+arithmetic on the same floats.  These forms and
 ``sweep_relax`` read a program's sources and states, which are lists of
 floats, as arrays.
 
@@ -643,9 +647,10 @@ def numpy_relax(program: _PairProgram, mu: float, state):
 
 
 def dense_slope_terms(program: _PairProgram, mu: float, state) -> tuple[float, np.ndarray]:
-    """``(psi, c)`` of ``_PairProgram.curvature`` in numpy: the second
-    derivative of the reduced Lagrangian in ``e`` and its mixed derivative
-    in ``e`` and the relative step, at the relaxed ``state``."""
+    """``(psi, c)`` at the relaxed ``state``: the second derivative of the
+    reduced Lagrangian in ``e`` and its mixed derivative in ``e`` and the
+    relative step (``u1 = log a - log w``, ``u2 = log b - log w``, centred
+    under ``q1`` and ``q2``; ``psi = -alpha Var_q1(u1) - Var_q2(u2)``)."""
     e = 1.0 / (1.0 + mu)
     q1, q2, w = (np.asarray(x, dtype=float) for x in state)
     a, b = np.asarray(program.a), np.asarray(program.b)
@@ -661,13 +666,21 @@ def dense_slope_terms(program: _PairProgram, mu: float, state) -> tuple[float, n
     return psi, -(1.0 - e) * (program.alpha * v1 + v2)
 
 
-def dense_curvature(program: _PairProgram, mu: float, state) -> float:
-    """The numpy form of ``_PairProgram.curvature``, with the dense KKT solve."""
+def dense_curvature(program: _PairProgram, mu: float, state) -> tuple[float, np.ndarray]:
+    """The Bayes crossing's excess slope in ``mu`` at the relaxed ``state``
+    and the tangent ``z = -d log W / de`` of the relaxed path, with the
+    dense KKT solve.
+
+    The excess is ``(Lambda - (1 + mu) Lambda') / alpha`` for the dual
+    function ``Lambda``, so its slope is ``-(1 + mu) Lambda'' / alpha``, and
+    ``Lambda'' = e^3 (psi - c . z)`` where ``z`` solves ``H z = c`` under the
+    border ``w . z = 0`` (the implicit function theorem on the relaxation's
+    stationarity)."""
     e = 1.0 / (1.0 + mu)
     q1, q2, w = state
     psi, c = dense_slope_terms(program, mu, state)
     z = dense_simplex_solve(dense_derivatives(program, w, q1, q2, w, e)[1], w, c)
-    return float(-e * e * (psi - c @ z) / program.alpha)
+    return float(-e * e * (psi - c @ z) / program.alpha), z
 
 
 def bisect_bayes_crossing(alpha: float, p1, p2) -> float:

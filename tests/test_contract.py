@@ -3,10 +3,11 @@
 On near-identical pairs every divergence and exponent below must come out
 finite and nonnegative, and no call may raise: each input has a defined
 answer.  On zero weights, point masses and disjoint supports the Bayes
-crossing and curve must return their defined value or raise a
-:class:`SeqstatError`.  On all four families the reports at rates up to the
-Chernoff cap must return finite, nonnegative roots and exponents or raise a
-:class:`SeqstatError`.  The calls run under ``np.errstate(all="raise")``, so
+crossing and curve, the type-II program (by value and with its argmin), the
+Chernoff information and the constrained relative-entropy minimum must
+return their defined value or raise a :class:`SeqstatError`.  On all four
+families the reports at rates up to the Chernoff cap must return finite,
+nonnegative roots and exponents or raise a :class:`SeqstatError`.  The calls run under ``np.errstate(all="raise")``, so
 a numpy warning fails them too.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 from seqstat import (
     chernoff,
     compare_sequential_vs_gutman,
+    constrained_kl_min,
     exponent_report,
     gjs,
     gjs_alpha_derivative,
@@ -25,6 +27,7 @@ from seqstat import (
     gutman_type2_exponent,
     kl,
     make_distribution,
+    minimize_over_simplices,
     multiclass_thetas,
 )
 from seqstat.errors import SeqstatError
@@ -91,6 +94,8 @@ class TestNearIdenticalPairs:
 
 CROSSING_ALPHAS = (0.05, 1.0, 50.0, 5000.0)
 SHARES = (0.05, 0.3, 0.9, 0.99)
+# radii of constrained_kl_min, as shares of the pair's Chernoff information
+RADIUS_SHARES = (0.05, 0.3, 0.9, 0.99, 1.0)
 
 
 def boundary_family(seed, count):
@@ -124,26 +129,52 @@ def boundary_family(seed, count):
 
 
 class TestBoundaryPairs:
-    """The crossing and the curve on zero weights, point masses and disjoint
-    supports: each call returns a finite value >= 0 (the curve ``inf`` below
-    ``gjs / alpha`` on disjoint supports, where that is its defined value) or
-    raises a package error."""
+    """The crossing, the curve, the type-II program, the Chernoff information
+    and the constrained relative-entropy minimum on zero weights, point
+    masses and disjoint supports: each call returns a finite value >= 0 or
+    its defined ``inf``, or raises a package error."""
 
     @staticmethod
     def calls(kind, p, q):
+        """``(name, thunk, infinite)`` for each call on the pair, with
+        ``infinite`` where ``inf`` is the call's defined value."""
+        # below gjs, no pair of finite objective meets the budget on disjoint
+        # supports (minimize_over_simplices raises Infeasible there)
+        disjoint = kind == "disjoint"
         for alpha in CROSSING_ALPHAS:
-            yield f"gutman_bayes_exponent@{alpha}", lambda a=alpha: gutman_bayes_exponent(a, p, q)
-            full = gjs(p, q, alpha) / alpha
+            yield f"gutman_bayes_exponent@{alpha}", lambda a=alpha: gutman_bayes_exponent(a, p, q), False
+            full = gjs(p, q, alpha)
             for share in SHARES:
                 yield f"gutman_bayes_curve@{alpha},{share}", (
-                    lambda a=alpha, lam=share * full: gutman_bayes_curve(a, lam, p, q)
-                )
+                    lambda a=alpha, lam=share * (full / alpha): gutman_bayes_curve(a, lam, p, q)
+                ), disjoint
+                yield f"gutman_type2_exponent@{alpha},{share}", (
+                    lambda a=alpha, lam=share * full: gutman_type2_exponent(a, lam, p, q)
+                ), disjoint
+                yield f"minimize_over_simplices@{alpha},{share}", (
+                    lambda a=alpha, lam=share * full: minimize_over_simplices(a, lam, p, q)[0]
+                ), False
+        for order, (center, obj) in (("p,q", (p, q)), ("q,p", (q, p))):
+            yield f"chernoff({order})", lambda c=center, o=obj: chernoff(c, o), disjoint
+            cap = chernoff(center, obj)
+            # a distribution of finite objective lives on obj's support, where
+            # the nearest one to center is center renormalised there, at
+            # relative entropy -log(center's mass there) from it.  The value
+            # jumps from inf to finite where the radius reaches that entropy,
+            # which can be the cap itself (the Chernoff optimum at eta = 1);
+            # there rounding decides, so either value is defined
+            kept = math.fsum(c for c, o in zip(center.weights, obj.weights) if o > 0.0)
+            nearest = -math.log(kept) if kept else math.inf
+            for share in RADIUS_SHARES:
+                yield f"constrained_kl_min({order})@{share}", (
+                    lambda c=center, o=obj, r=share * cap: constrained_kl_min(c, o, r)
+                ), share * cap <= nearest * (1.0 + 1e-12)
 
     def test_values_are_defined_or_errors_are_the_package_own(self):
         broken = []
         with np.errstate(all="raise"):
             for i, (kind, p, q) in enumerate(boundary_family(20191203, 40)):
-                for name, call in self.calls(kind, p, q):
+                for name, call, infinite in self.calls(kind, p, q):
                     try:
                         value = call()
                     except SeqstatError:
@@ -151,9 +182,7 @@ class TestBoundaryPairs:
                     except Exception as error:  # a bare exception breaks the contract
                         broken.append((i, kind, name, repr(error)))
                         continue
-                    # the curve's defined value below gjs / alpha on disjoint supports
-                    allowed = kind == "disjoint" and name.startswith("gutman_bayes_curve")
-                    if not (math.isfinite(value) or allowed and value == math.inf) or value < 0.0:
+                    if not (math.isfinite(value) or infinite and value == math.inf) or value < 0.0:
                         broken.append((i, kind, name, value))
         assert broken == []
 

@@ -35,7 +35,6 @@ from seqstat.exponents import (
     _program,
     _search,
     _simplex_solve,
-    _tangent_start,
 )
 from seqstat.errors import (
     DuplicateDistribution,
@@ -399,6 +398,28 @@ def plain_move(program, state, mu):
     return max(np.max(np.abs(np.subtract(new, old))) for new, old in ((q1n, q1), (q2n, q2), (wn, w)))
 
 
+def joint_slope(program, mu, state):
+    """The excess's slope in ``mu`` that :meth:`_PairProgram.joint_step`
+    takes from the relaxed ``state = (q1(w), q2(w), w)``: its step on the
+    multiplier is Newton's, so the slope is ``excess / (mu - mu')``.
+
+    The state is passed as its own sweep, ``T(w) = w``, which relax meets
+    to ``INNER_TOLERANCE``: with it exactly, the gradient and the log-ratio
+    ``log w - log T(w)`` vanish, so the step carries no trace of the
+    relaxation's residual, which a pair with a point mass at large ``mu``,
+    whose slope is as small as 1e-20, would read as the slope's own error.
+    """
+    excess, _, mu_next = program.joint_step(mu, state[2], state)
+    return excess / (mu - mu_next)
+
+
+def tangent_start(w, z, step):
+    """The relaxed ``W`` predicted ``step`` away in the block exponent along
+    the tangent ``z = -d log W / de``: ``w exp(-step z)``, renormalised."""
+    guess = np.multiply(w, np.exp(-step * np.asarray(z)))
+    return guess / guess.sum()
+
+
 def reduced_lagrangian(program, w, e):
     """``L_mu(w) / (1 + mu)``, the Lagrangian minimized over both blocks,
     plus ``(1 - e)(1 + alpha) sum w``, a constant on the simplex."""
@@ -540,7 +561,8 @@ class TestNewtonRelaxation:
             assert len(calls) <= 150
 
     def test_crossing_slope_matches_central_differences(self):
-        # the excess's central difference, relaxed from the state at mu; the
+        # the slope of the joint step from the relaxed state at mu against
+        # the excess's central difference, relaxed from that state; the
         # excesses are good to about 1e-16 (relax stops on INNER_TOLERANCE),
         # so the difference carries about 1e-16 / h of noise
         def excess(program, mu, state):
@@ -553,7 +575,7 @@ class TestNewtonRelaxation:
                 program = _program(alpha, p1, p2)
                 for mu in (0.3, 1.0, 2.5, 7.0):
                     state = program.relax(mu, program.start())
-                    slope = program.curvature(mu, state)[0]
+                    slope = joint_slope(program, mu, state)
                     h = 1e-5 * mu
                     rise = excess(program, mu + h, state) - excess(program, mu - h, state)
                     assert abs(rise / (2.0 * h) - slope) <= 1e-6 * slope + 1e-16 / h
@@ -673,8 +695,8 @@ class TestKktSolve:
         with np.errstate(all="raise"):
             for program, mu in kkt_family(24, 200):
                 state = self.relaxed(program, mu)
-                slope = program.curvature(mu, state)[0]
-                want = oracle.dense_curvature(program, mu, state)
+                slope = joint_slope(program, mu, state)
+                want = oracle.dense_curvature(program, mu, state)[0]
                 assert abs(slope - want) <= 1e-11 * want
 
     def test_relaxation_matches_the_numpy_form(self, rng):
@@ -890,15 +912,17 @@ class TestCrossingCertificate:
 
 
 class TestTangentStart:
-    """The crossing's relaxations start from the tangent of the last relaxed state."""
+    """The tangent of the relaxed path, along which a joint step from a
+    relaxed state moves ``W``."""
 
     def test_tangent_matches_central_differences(self):
-        # d log W / de = -z: the central difference of the relaxed W at e +-
-        # h against the tangent's move -w z.  Both relaxations start from
-        # the state at e and stop on INNER_TOLERANCE, so the difference
-        # carries about 1e-15 / h of noise.  The start that _tangent_start
-        # predicts at e + h misses the relaxed W there by O(h^2), far less
-        # than the move, plus the relaxation's own error (up to about 1e-13).
+        # d log W / de = -z, with the oracle's z: the central difference of
+        # the relaxed W at e +- h against the tangent's move -w z.  Both
+        # relaxations start from the state at e and stop on INNER_TOLERANCE,
+        # so the difference carries about 1e-15 / h of noise.  The start
+        # that the tangent predicts at e + h misses the relaxed W there by
+        # O(h^2), far less than the move, plus the relaxation's own error
+        # (up to about 1e-13).
         checked = 0
         for alpha, p1, p2 in crossing_family(12, 50):
             program = _program(alpha, p1, p2)
@@ -906,7 +930,7 @@ class TestTangentStart:
                 continue
             for mu in (0.3, 1.0, 2.5, 7.0):
                 state = program.relax(mu, program.start())
-                z = program.curvature(mu, state)[1]
+                z = oracle.dense_curvature(program, mu, state)[1]
                 e = 1.0 / (1.0 + mu)
                 h = 1e-4 * e
                 up = program.relax(1.0 / (e + h) - 1.0, state)[2]
@@ -914,26 +938,11 @@ class TestTangentStart:
                 move = -np.multiply(state[2], z)
                 error = np.max(np.abs(np.subtract(up, down) / (2.0 * h) - move))
                 assert error <= 1e-6 * np.max(np.abs(move)) + 1e-15 / h
-                start = _tangent_start(state[2], z, h)
+                start = tangent_start(state[2], z, h)
                 miss = np.max(np.abs(np.subtract(start, up)))
                 assert miss <= 1e-3 * np.max(np.abs(np.subtract(state[2], up))) + 1e-12
                 checked += 1
         assert checked >= 150
-
-    def test_unusable_tangent_falls_back_to_the_last_state(self, monkeypatch):
-        # a NaN tangent predicts NaN, and +-1e300 overflows math.exp or
-        # empties every coordinate; each relaxation then starts from the
-        # last relaxed state
-        curvature = _PairProgram.curvature
-        for alpha, p1, p2 in crossing_family(20191203, 16):
-            want = oracle.bisect_bayes_crossing(alpha, p1, p2)
-            for bad in (math.nan, 1e300, -1e300):
-                def broken(self, mu, state, bad=bad):
-                    return curvature(self, mu, state)[0], [bad] * len(state[2])
-
-                with monkeypatch.context() as patch:
-                    patch.setattr(_PairProgram, "curvature", broken)
-                    assert abs(gutman_bayes_exponent(alpha, p1, p2) - want) <= 1e-12
 
 
 class TestJointStep:
@@ -956,7 +965,7 @@ class TestJointStep:
 
     def test_step_from_a_relaxed_state_is_newton_with_the_tangent_start(self):
         # at a relaxed state the gradient is 0, so the step is a Newton step
-        # on mu with curvature's slope, and W moves to the tangent start.
+        # on mu with the oracle's slope, and W moves along its tangent.
         # Checked on the steps that keep mu > 0, as the crossing takes them:
         # relax leaves a gradient of up to about (1 + alpha) 1e-15 on a
         # coordinate near 1e-13 (alpha about 4300 here), and a step to mu <
@@ -970,19 +979,20 @@ class TestJointStep:
                 state = program.relax(mu, program.start())
                 e = 1.0 / (1.0 + mu)
                 excess, w, mu_next = program.joint_step(mu, state[2], program.sweep(state[2], e))
-                slope, z = program.curvature(mu, state)
+                slope, z = oracle.dense_curvature(program, mu, state)
                 if mu_next > 0.0:
                     assert mu_next == pytest.approx(mu - excess / slope, rel=1e-9)
                     # the step in e that the step in mu linearises
-                    tangent = _tangent_start(state[2], z, (mu - mu_next) * e * e)
+                    tangent = tangent_start(state[2], z, (mu - mu_next) * e * e)
                     assert np.max(np.abs(np.subtract(w, tangent))) <= 1e-12
                     checked += 1
         assert checked >= 100
 
-    def test_refused_steps_hand_over_to_the_nested_search(self, monkeypatch):
+    def test_refused_steps_relax_at_the_safeguard_point(self, monkeypatch):
         # a step with no usable W, a multiplier outside the bracket or NaN,
-        # or a residual that does not fall is refused, and the nested
-        # search finds the crossing from the last iterate it took
+        # or a residual that does not fall is refused; the crossing relaxes
+        # at the bracket's midpoint, or at twice its lower end, instead, so
+        # with every step refused it doubles and bisects the multiplier
         joint_step = _PairProgram.joint_step
         cases = crossing_family(20191203, 16)
         wants = oracle.bisect_bayes_crossings(cases)
@@ -1008,7 +1018,7 @@ class TestStartDependence:
         # P1 = (0, 1) and alpha about 2024: relax stops on an absolute move
         # of 1e-15, so the relaxed W's coordinate near 1e-12 at mu = 2.5
         # lands about 3e-3 relative apart from different starts.  From the
-        # mixture, from the tangent start off the relaxation at mu = 1 and
+        # mixture, from the joint step off the relaxation at mu = 1 and
         # from the crossing's first joint iterate, the objective, the
         # constraint and the crossing value, at mu = 2.5 and at both ends
         # of the crossing's bracket, agree to 1e-12.
@@ -1018,12 +1028,11 @@ class TestStartDependence:
         assert 0.0 < cert.lo < cert.hi < 2.5
         mixture = program.start()
         at_one = program.relax(1.0, mixture)
-        z = program.curvature(1.0, at_one)[1]
+        tangent = program.joint_step(1.0, at_one[2], program.sweep(at_one[2], 0.5))[1]
         joint = program.joint_step(1.0, mixture[2], program.sweep(mixture[2], 0.5))[1]
         for mu in (2.5, cert.lo, cert.hi):
-            e = 1.0 / (1.0 + mu)
             values = []
-            for w in (mixture[2], _tangent_start(at_one[2], z, e - 0.5), joint):
+            for w in (mixture[2], tangent, joint):
                 q1, q2, _ = program.relax(mu, (*mixture[:2], w))
                 objective = program.objective_value(q1, q2) / alpha
                 constraint = program.constraint_value(q1, q2) / alpha

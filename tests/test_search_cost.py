@@ -60,7 +60,9 @@ def test_chernoff_evaluations(monkeypatch):
 
 
 def test_crossing_sweeps(monkeypatch):
-    # 972 sweeps without the tangent start, with the slopes of curvature
+    # 972 sweeps for the nested search on relaxed ends, Newton steps from
+    # each end's slope (one more KKT solve per end) and no warm start
+    # along the relaxed path's tangent
     sweeps = []
     sweep = _PairProgram.sweep
 
@@ -75,12 +77,24 @@ def test_crossing_sweeps(monkeypatch):
 
 
 def test_crossing_kkt_solves():
-    # the nested search, with the slopes and tangent starts of curvature,
-    # took a median of 14 KKT solves per crossing here (and 15 on the
-    # exponent table at seed 7): a full relaxation at every multiplier it
-    # tried, plus one solve for each slope
+    # the nested search on relaxed ends, with a slope and a tangent start
+    # from one more KKT solve at each end, took a median of 14 KKT solves
+    # per crossing here (and 15 on the exponent table at seed 7): a full
+    # relaxation at every multiplier it tried, plus one solve for each slope
     solves = [_bayes_crossing(alpha, p1, p2).solves for alpha, p1, p2 in crossing_family(12, 50)]
     assert np.median(solves) <= 10
+
+
+def test_refused_joint_steps_cost_no_nested_search():
+    # On these 400 pairs, joint Newton steps that handed a refused step over
+    # to the nested search on relaxed ends took 3,139 sweeps, 1,443 of them
+    # on the 48 crossings with a refused step.  A refused step now relaxes
+    # at a safeguard point and the joint steps go on from there: 3,015 and
+    # 1,319.  Until its first refused step a crossing takes the same steps,
+    # so the crossings that relax at all are those 48
+    certs = [_bayes_crossing(alpha, p1, p2) for alpha, p1, p2 in crossing_family(20191203, 400)]
+    assert sum(cert.sweeps for cert in certs) < 3139
+    assert sum(cert.sweeps for cert in certs if cert.relaxations) < 1443
 
 
 def test_rate_gate_counts(monkeypatch):

@@ -2,10 +2,11 @@
 resolves and is listed once, nothing leans on a package the project does not
 declare, every module imports only the modules below it, every root is
 solved through the names the benchmark wraps, ``estimate`` builds no
-per-trial objects, every symbol is drawn by one sampler, one module defines
-the relative entropy, one scalar evaluator computes it, the solvers pass
-float sequences rather than arrays, one validator module raises every
-alphabet mismatch, and the README's example config still runs.
+per-trial objects, no private name in ``src/`` goes unused there, every
+symbol is drawn by one sampler, one module defines the relative entropy,
+one scalar evaluator computes it, the solvers pass float sequences rather
+than arrays, one validator module raises every alphabet mismatch, and the
+README's example config still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -266,19 +267,20 @@ def test_solvers_pass_float_sequences():
 def test_one_bracketed_search(monkeypatch):
     # every root and multiplier search in the package runs the one search
     # in seqstat.divergence, looked up in the caller's own globals; the
-    # Bayes crossing runs it once a joint Newton step is refused, as the
-    # first one is against a point mass at alpha = 10
+    # Bayes crossing runs none: its joint Newton steps bisect its bracket
+    # themselves where a step is refused, as the first one is against a
+    # point mass at alpha = 10
     from seqstat import (
         Alphabet,
         chernoff,
         constrained_kl_min,
         divergence,
         gjs,
-        gutman_bayes_exponent,
         gutman_type2_exponent,
         make_distribution,
         solve_fixed_point,
     )
+    from seqstat.exponents import _bayes_crossing
 
     calls = []
     search = divergence._search
@@ -305,7 +307,6 @@ def test_one_bracketed_search(monkeypatch):
         "chernoff": lambda: chernoff(p1, p2),
         "constrained_kl_min": lambda: constrained_kl_min(p1, p2, 0.5 * cap),
         "gutman_type2_exponent": lambda: gutman_type2_exponent(1.0, 0.5 * gjs(p1, p2, 1.0), p1, p2),
-        "gutman_bayes_exponent": lambda: gutman_bayes_exponent(10.0, p1, point),
     }
     silent = []
     for name, run in runs.items():
@@ -314,6 +315,60 @@ def test_one_bracketed_search(monkeypatch):
         if len(calls) == before:
             silent.append(name)
     assert silent == []
+    calls.clear()
+    cert = _bayes_crossing(10.0, p1, point)
+    assert cert.relaxations > 0 and calls == []
+
+
+def test_no_private_name_is_left_unused():
+    # every private function, class and method (a method of a private class
+    # counts as private) and every module constant defined in src/ is read
+    # somewhere in src/ outside its own definition: a slow path that a fast
+    # one replaced lives on as a reference in tests/oracle.py, not as an
+    # unused name in the package.  A method counts as read wherever an
+    # attribute of its name is
+    trees = {
+        path.relative_to(ROOT): ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    defined = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.append((path, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (path, f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                    and (node.name.startswith("_") or item.name.startswith("_"))
+                ]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (path, target.id, node)
+                    for target in targets
+                    if isinstance(target, ast.Name) and not target.id.startswith("__")
+                    and (target.id.startswith("_") or target.id.isupper())
+                ]
+    read = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                read.append((path, node.lineno, node.attr))
+    unused = [
+        f"{path}:{node.lineno} {name}"
+        for path, name, node in defined
+        if not any(
+            used == name.split(".")[-1]
+            and not (where == path and node.lineno <= line <= node.end_lineno)
+            for where, line, used in read
+        )
+    ]
+    assert len(defined) > 100
+    assert unused == []
 
 
 def test_one_sampler():
