@@ -44,7 +44,7 @@ from .exponents import (
     bayes_multiclass_gutman,
     compare_sequential_vs_gutman,
 )
-from .fixedpoint import _multiclass_thetas, solve_fixed_point
+from .fixedpoint import multiclass_thetas, solve_fixed_point
 from .probability import Alphabet, Distribution, make_distribution
 from .simulator import (
     ExperimentConfig,
@@ -360,9 +360,9 @@ def _cmd_exponents(cfg: dict, ns: argparse.Namespace) -> int:
         # one summary row per rate for the full class set: the matched
         # budget is the smallest pairwise root and the fixed-length
         # exponent is evaluated there
-        limits = None
+        limits = []
         for gamma in _gamma_grid(cfg):
-            thetas, limits = _multiclass_thetas(dists, gamma, limits)
+            thetas = multiclass_thetas(dists, gamma, _limits=limits)
             alpha_min = float(min(t for t in thetas.flat if not math.isnan(t)))
             lam = bayes_multiclass_gutman(dists, alpha_min)
             rows.append((gamma, None, None, alpha_min, gamma, lam, gamma - lam))

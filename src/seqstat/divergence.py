@@ -58,6 +58,9 @@ from .probability import Distribution, EmpiricalType, _check_alpha, _check_class
 
 # Bracketed searches run until the bracket is this narrow relative to its top.
 RELATIVE_BRACKET_WIDTH = 1e-13
+# They also stop at an end of finite value whose excess is within this of 0,
+# and the Bayes crossing at a relaxed end whose excess is.
+EXCESS_STOP = 1e-12
 # Search steps allowed on any bracket (the threshold equation's root, the
 # exponent programs' multipliers, the crossing's, the Chernoff exponent's
 # eta) before the search raises.  A step that fails to halve the bracket is
@@ -195,11 +198,12 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     :func:`chernoff` (``psi''``).  Ends without a slope, as in the exponent
     program's slack search and ``constrained_kl_min``, get the Illinois
     steps alone.
-    The search returns the final ``(lo, hi)``, from which the caller picks its answer, once an
-    end of finite value has its excess within 1e-12 of 0 or the bracket is
-    ``RELATIVE_BRACKET_WIDTH`` wide; :class:`NonConvergence` is raised when
-    ``CROSSING_MAX_STEPS`` steps end before either.  A caller whose ends all
-    have value ``inf`` gets a bracket of that width.
+    The search returns the final ``(lo, hi)``, from which the caller picks
+    its answer, once an end of finite value has its excess within
+    ``EXCESS_STOP`` of 0 or the bracket is ``RELATIVE_BRACKET_WIDTH`` wide;
+    :class:`NonConvergence` is raised when ``CROSSING_MAX_STEPS`` steps end
+    before either.  A caller whose ends all have value ``inf`` gets a
+    bracket of that width.
     """
     f_lo, f_hi = lo.excess, hi.excess
     kept = None
@@ -210,8 +214,8 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
         tol = RELATIVE_BRACKET_WIDTH * hi.mu
         if (
             width <= tol
-            or (abs(lo.excess) <= 1e-12 and lo.value < math.inf)
-            or (abs(hi.excess) <= 1e-12 and hi.value < math.inf)
+            or (abs(lo.excess) <= EXCESS_STOP and lo.value < math.inf)
+            or (abs(hi.excess) <= EXCESS_STOP and hi.value < math.inf)
         ):
             return lo, hi
         if steps == CROSSING_MAX_STEPS:

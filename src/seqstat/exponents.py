@@ -84,8 +84,7 @@ from typing import NamedTuple, Sequence
 from . import divergence
 from .divergence import _End, _bracket, _search, gjs, gjs_array, kl_array
 from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
-from .fixedpoint import _exponent_report
-from .fixedpoint import exponent_report  # noqa: F401  (wrapped by name in bench/spans.py)
+from .fixedpoint import exponent_report
 from .probability import (
     Distribution, _check_alpha, _check_classes, _check_distinct, _check_real, _same_pair,
 )
@@ -558,15 +557,15 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     the mixture and the multiplier together find that multiplier, with a
     relaxation at the bracket's midpoint in place of a refused step (module
     docstring).  The crossing is the mean of objective and constraint over
-    ``alpha`` at a relaxed end where they agree within 1e-12, else at the
-    end of the final bracket where they are closer, once it is
-    ``RELATIVE_BRACKET_WIDTH`` wide.  For an identical pair the curve is
-    identically zero and so is the crossing; where ``gjs(P1, P2, alpha) /
-    alpha <= 1e-12`` the sources already meet the stop.  For sources with
-    disjoint supports the curve is ``inf`` below ``gjs(P1, P2, alpha) /
-    alpha`` and 0 from there on, so the crossing is that value, the supremum
-    of ``min(lam, curve(lam))``.  :func:`_bayes_crossing` returns the value
-    with its certificate.
+    ``alpha`` at a relaxed end where they agree within ``EXCESS_STOP``
+    (:mod:`seqstat.divergence`), else at the end of the final bracket where
+    they are closer, once it is ``RELATIVE_BRACKET_WIDTH`` wide.  For an
+    identical pair the curve is identically zero and so is the crossing;
+    where ``gjs(P1, P2, alpha) / alpha <= EXCESS_STOP`` the sources already
+    meet the stop.  For sources with disjoint supports the curve is ``inf``
+    below ``gjs(P1, P2, alpha) / alpha`` and 0 from there on, so the
+    crossing is that value, the supremum of ``min(lam, curve(lam))``.
+    :func:`_bayes_crossing` returns the value with its certificate.
     """
     return _bayes_crossing(alpha, p1, p2).value
 
@@ -593,7 +592,7 @@ def _bayes_crossing(alpha: float, p1: Distribution, p2: Distribution) -> _Crossi
     if not program.common:
         return certify(full, 0.0)
     lo = _End(0.0, -full, 0.5 * full, None)
-    if full <= 1e-12:  # the sources already meet the stop
+    if full <= divergence.EXCESS_STOP:  # the sources already meet the stop
         return certify(lo.value, lo.excess)
     hi = _End(math.inf, math.inf, math.inf, None)  # no end with a positive excess yet
 
@@ -618,7 +617,7 @@ def _bayes_crossing(alpha: float, p1: Distribution, p2: Distribution) -> _Crossi
             objective = program.objective_value(q1, q2) / alpha
             constraint = program.constraint_value(q1, q2) / alpha
             end = _End(mu, objective - constraint, 0.5 * (objective + constraint), None)
-            if abs(end.excess) <= 1e-12:
+            if abs(end.excess) <= divergence.EXCESS_STOP:
                 return certify(end.value, end.excess, lo.mu, hi.mu)
             if end.excess > 0.0:
                 hi = end
@@ -626,8 +625,8 @@ def _bayes_crossing(alpha: float, p1: Distribution, p2: Distribution) -> _Crossi
                 lo = end
             # an infinite hi is never narrow, though inf - mu <= inf holds
             if hi.mu - lo.mu <= divergence.RELATIVE_BRACKET_WIDTH * hi.mu < math.inf:
-                # the end of smaller excess, hi first; an excess within 1e-12 counts as 0
-                end = min(hi, lo, key=lambda end: max(abs(end.excess), 1e-12))
+                # the end of smaller excess, hi first; an excess within the stop counts as 0
+                end = min(hi, lo, key=lambda end: max(abs(end.excess), divergence.EXCESS_STOP))
                 return certify(end.value, end.excess, lo.mu, hi.mu)
         excess, w_next, mu_next = program.joint_step(mu, w, swept)
         merit = math.hypot(move, excess)
@@ -665,9 +664,15 @@ def constrained_kl_min(
     to ``p_center`` (t = 1) restricted to their common support, along which
     ``D(V_t || p_center)`` falls, so the value follows from :func:`_search`
     on ``radius - D(V_t || p_center)`` over [0, 1]; it is ``inf`` when even
-    ``V_1`` lies outside the ball.  The value is nonincreasing in ``radius``
-    and compares to ``radius`` itself exactly as the radius compares to the
-    Chernoff information of the pair.
+    ``V_1`` lies outside the ball.  ``V_1`` is ``p_center`` renormalised on
+    the common support, at ``-log`` of its mass there from ``p_center``;
+    that sum is taken as :func:`chernoff` takes it at the center's end, so
+    that where the Chernoff optimum sits at ``V_1`` the radius
+    ``chernoff(p_center, p_obj)`` reaches ``V_1``.  The value is
+    nonincreasing in ``radius``, above ``radius`` below the Chernoff
+    information ``C`` of the pair and below it above ``C``.  At ``radius =
+    C`` it is ``C``, except where the Chernoff optimum sits at ``V_1``:
+    there it is ``D(V_1 || p_obj)``, below ``C``.
     """
     _check_classes((p_center, p_obj), "distributions")
     radius = _check_budget(radius, "radius")
@@ -684,9 +689,11 @@ def constrained_kl_min(
 
     def end(t: float, state=None) -> _End:
         x = [math.exp((1.0 - t) * log_obj + t * log_center) for log_center, log_obj in logs]
-        total = sum(x)
+        total = 0.0
+        for y in x:  # in order, as chernoff sums (sum() compensates from Python 3.12)
+            total += y
         v = [y / total for y in x]
-        slack = radius - kl_array(v, center)
+        slack = radius - (-math.log(total) if t == 1.0 else kl_array(v, center))
         return _End(t, slack, kl_array(v, obj) if slack >= 0.0 else math.inf, None)
 
     # t = 0 is the objective's unconstrained optimum on the common support.
@@ -728,9 +735,9 @@ def compare_sequential_vs_gutman(
     margin is 0 up to the root's residual.
     """
     rows = []
-    limits = None
+    limits = []  # the rate gate's, carried from one rate to the next
     for gamma in gamma_grid:
-        report, limits = _exponent_report(p1, p2, gamma, limits)
+        report = exponent_report(p1, p2, gamma, _limits=limits)
         alpha_used = min(report.theta_star, report.beta_star)
         gutman = gutman_bayes_exponent(alpha_used, p1, p2)
         rows.append(

@@ -9,32 +9,11 @@ the left side is concave in ``theta``, vanishes at 0 with slope
 ``D(p || q)``, and saturates at ``D(q || p)``.  The root fixes both the
 error exponent (``gamma * theta``) and the expected-stopping-time scale
 (training length divided by the root) of the sequential classifier.
+:func:`solve_fixed_point` finds it with the package's one bracketed search.
 
-The solver searches on the scaled excess ``(gamma * theta - gjs) / theta =
-gamma - D(p || m) - D(q || m) / theta``, which rises with ``theta`` from
-``gamma - D(p || q)`` at 0, so the lower end needs no evaluation.  By the
-envelope identity ``d gjs / d theta = D(p || m)``, its slope is ``(gjs -
-theta D(p || m)) / theta^2 = D(q || m) / theta^2``, so each evaluation gives
-the slope for one division, from the second value it already returns.  The
-solver brackets the root by doubling from ``theta = 1`` and narrows the
-bracket with the package's one bracketed search (``_bracket`` and
-``_search`` in :mod:`seqstat.divergence`), which takes Newton steps on that
-slope.  One solve builds one evaluator of the pair in
-:mod:`seqstat.divergence` and reads everything from it: the no-root gate
-``gamma >= D(p || q)`` (its first value at ``theta = 0``), every step of the
-search, and the residual, so the gate and the root read the same ``D`` and
-the root solves the equation the public ``gjs`` evaluates.
-
-The reports (:func:`exponent_report`, :func:`multiclass_thetas`) first gate
-the rate at the Chernoff cap, the smallest pairwise Chernoff information.
-Each pair's Bhattacharyya bound ``-log sum sqrt(p q)`` (Cover and Thomas,
-*Elements of Information Theory*, 2nd ed., 11.9) is a lower bound on its
-Chernoff information that :func:`chernoff` never undercuts, so a rate more
-than ``NEAR_CAP_WIDTH`` below it is decided without a rounding margin, and
-only the other pairs' Chernoff exponent is maximised (``_rate_gate``).  The
-gate builds each ordered pair's evaluator once: it reads the pair's ``D(p
-|| q)`` from it, and the root's solve and the exponent at the root reuse
-it.
+The reports (:func:`exponent_report`, :func:`multiclass_thetas`) check the
+rate against the Chernoff cap and every pair's divergence, and solve every
+root, in one rate gate (``_rate_gate``, which gives the account).
 """
 
 from __future__ import annotations
@@ -64,9 +43,10 @@ class FixedPointResult:
     """Root of ``gjs(p, q, theta) = gamma * theta`` with solve diagnostics.
 
     The excess ``gjs - gamma * theta`` is not negative at ``bracket_low``
-    and negative at ``bracket_high``, and ``residual`` is its magnitude at
-    ``theta_star``, read from the solve's own evaluator: the bits the public
-    ``gjs`` gives.  ``iterations`` counts the excess evaluations of the
+    and negative at ``bracket_high``.  ``gjs_at_root`` is ``gjs(p, q,
+    theta_star)``, the exponent at the root, and ``residual`` the excess's
+    magnitude there, both read from the solve's own evaluator: the bits the
+    public ``gjs`` gives.  ``iterations`` counts the excess evaluations of the
     solve: the doubling's (``theta = 1`` included), the search's, and the
     sign check at ``BRACKET_LOW`` when the bracket ends there.
     """
@@ -76,6 +56,7 @@ class FixedPointResult:
     bracket_low: float
     bracket_high: float
     iterations: int
+    gjs_at_root: float
 
 
 @dataclass(frozen=True)
@@ -98,41 +79,49 @@ class ExponentReport:
 
 
 def _rate_gate(dists: list[Distribution], gamma: float, limits: list | None = None):
-    """Check ``gamma`` as a rate for the sequential test on ``dists``.
+    """Check ``gamma`` as a rate for the sequential test on ``dists`` and
+    solve every root.
 
     Raises :class:`GammaOutOfRange` when ``gamma`` exceeds the cap, the
     smallest pairwise Chernoff information, by more than 1e-12, or is not
     below every ordered pair's divergence, so that every threshold equation
-    has a root; see :func:`exponent_report`.  The first check starts from
-    each pair's Bhattacharyya bound ``L = -log sum sqrt(p q)``.  A pair
-    with ``L - gamma > NEAR_CAP_WIDTH`` can neither raise nor flag the
-    rate: :func:`chernoff` takes this same ``L`` as a candidate, so the
-    computed Chernoff information ``C`` is at least the computed ``L``, bit
-    for bit, and ``C - gamma`` rounds to at least ``L - gamma``, which
-    leaves no rounding for a margin to cover.  Only the other pairs' ``C``
-    is maximised, and the check and the near-cap flag ``cap - gamma <=
+    has a root; both checks run on every pair before any root is solved.
+    The first check starts from each pair's Bhattacharyya bound ``L = -log
+    sum sqrt(p q)`` (Cover and Thomas, *Elements of Information Theory*, 2nd
+    ed., 11.9), a lower bound on its Chernoff information.  A pair with ``L
+    - gamma > NEAR_CAP_WIDTH`` can neither raise nor flag the rate:
+    :func:`chernoff` takes this same ``L`` as a candidate, so the computed
+    Chernoff information ``C`` is at least the computed ``L``, bit for bit,
+    and ``C - gamma`` rounds to at least ``L - gamma``, which leaves no
+    rounding for a margin to cover.  Only the other pairs' ``C`` is
+    maximised, and the check and the near-cap flag ``cap - gamma <=
     NEAR_CAP_WIDTH`` read the smallest of those, which is the cap wherever
     the exact rule raises or flags: the decision, the flag and the message
     are those of the exact cap.  The second check builds each ordered
-    pair's evaluator once and reads ``D(p || q)`` from it at ``alpha = 0``.
+    pair's evaluator once and reads ``D(p || q)`` from it at ``alpha = 0``;
+    each root's solve reuses it, as :func:`solve_fixed_point`'s private
+    ``_pair``, through that module global, which the benchmark's trace
+    wraps.
 
-    ``limits`` holds each unordered pair's ``(L, C)``, ``C`` None until some
-    rate needed it, from a gate on the same ``dists`` earlier in the call,
-    so that a grid computes each at most once.  Returns ``(gamma, near_cap,
-    pairs, limits)``, with ``pairs[i, j] = (evaluator, D(P(i+1) ||
-    P(j+1)))``, the private ``_pair`` of :func:`solve_fixed_point`.
+    ``limits`` is None for a single rate.  A grid's caller passes one list,
+    empty at first, to every gate on the same ``dists``.  The gate fills it
+    with each unordered pair's ``(L, None)`` and puts in ``C`` in place of
+    None once some rate needs it, so that a grid computes each at most
+    once.  Returns ``(gamma, near_cap, roots)``, with ``roots[i, j]`` the
+    :class:`FixedPointResult` of ``gjs(P(i+1), P(j+1), theta) = gamma *
+    theta``.
     """
     gamma = _check_gamma(gamma)
     _check_classes(dists, "distributions")
     unordered = [(p, q) for i, p in enumerate(dists) for q in dists[i + 1 :]]
     if limits is None:
-        limits = [(_bhattacharyya(p.weights, q.weights), None) for p, q in unordered]
-    checked = []
-    for (p, q), (bound, cap) in zip(unordered, limits):
+        limits = []
+    if not limits:
+        limits.extend((_bhattacharyya(p.weights, q.weights), None) for p, q in unordered)
+    for k, ((p, q), (bound, cap)) in enumerate(zip(unordered, limits)):
         if cap is None and not bound - gamma > NEAR_CAP_WIDTH:
-            cap = chernoff(p, q)
-        checked.append((bound, cap))
-    cap = min((cap for _, cap in checked if cap is not None), default=math.inf)
+            limits[k] = bound, chernoff(p, q)
+    cap = min((cap for _, cap in limits if cap is not None), default=math.inf)
     if gamma > cap + 1e-12:
         raise GammaOutOfRange(
             f"gamma={gamma} exceeds the smallest pairwise Chernoff information {cap}"
@@ -151,7 +140,10 @@ def _rate_gate(dists: list[Distribution], gamma: float, limits: list | None = No
                         "so the threshold equation has no root"
                     )
                 pairs[i, j] = (divergences, slope_at_zero)
-    return gamma, near_cap, pairs, checked
+    roots = {
+        (i, j): solve_fixed_point(dists[i], dists[j], gamma, pair) for (i, j), pair in pairs.items()
+    }
+    return gamma, near_cap, roots
 
 
 def solve_fixed_point(
@@ -160,22 +152,28 @@ def solve_fixed_point(
     """Find the positive root of ``gjs(p, q, theta) = gamma * theta``.
 
     Raises :class:`NoSolution` when ``gamma >= D(p || q)``, the exact
-    nonexistence condition.  The root is bracketed by doubling from
-    ``theta = 1`` and the bracket narrowed to a relative width of
-    ``RELATIVE_BRACKET_WIDTH`` by the shared search (see the module
-    docstring), one evaluation of the pair's divergences per step; each
-    end carries the excess's slope ``D(q || m) / theta^2`` (the envelope
-    identity), so the search takes Newton steps.  The result carries the
-    bracket's certified signs and the residual of the public :func:`gjs`
-    (see :class:`FixedPointResult`).  Raises :class:`NonConvergence` when
-    the doubling overflows, when the search takes more than
+    nonexistence condition.  The search runs on the scaled excess ``(gamma *
+    theta - gjs) / theta = gamma - D(p || m) - D(q || m) / theta``, which
+    rises with ``theta`` from ``gamma - D(p || q)`` at 0, so the lower end
+    needs no evaluation.  By the envelope identity ``d gjs / d theta = D(p
+    || m)``, its slope is ``(gjs - theta D(p || m)) / theta^2 = D(q || m) /
+    theta^2``, one division from the second value each evaluation already
+    returns.  The root is bracketed by doubling from ``theta = 1`` and the
+    bracket narrowed to a relative width of ``RELATIVE_BRACKET_WIDTH`` by
+    the package's one bracketed search (``_bracket`` and ``_search`` in
+    :mod:`seqstat.divergence`), which takes Newton steps on that slope.  One
+    evaluator of the pair serves the no-root gate (its first value at
+    ``theta = 0``), every step of the search and the residual, so the gate
+    and the root read the same ``D`` and the root solves the equation the
+    public :func:`gjs` evaluates.  The result carries the bracket's
+    certified signs, the residual and ``gjs`` at the root (see
+    :class:`FixedPointResult`).  Raises :class:`NonConvergence` when the
+    doubling overflows, when the search takes more than
     ``CROSSING_MAX_STEPS`` steps, when the root lies below ``BRACKET_LOW``,
     or when the residual exceeds ``RESIDUAL_BOUND``.
 
     ``_pair`` is private: the pair's evaluator and ``D(p || q)`` from a rate
-    gate that has checked the classes and ``gamma < D(p || q)``, which the
-    reports pass so that each ordered pair's evaluator is built once.  They
-    solve through this name, which the benchmark's trace wraps.
+    gate that has checked the classes and ``gamma < D(p || q)``.
     """
     if _pair is None:
         _check_classes((p, q), "distributions")
@@ -204,13 +202,16 @@ def solve_fixed_point(
         raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
     theta = 0.5 * (lo.mu + hi.mu)
     d_p, d_q = divergences(theta)
-    residual = abs(theta * d_p + d_q - gamma * theta)
+    value = theta * d_p + d_q
+    residual = abs(value - gamma * theta)
     if residual > RESIDUAL_BOUND:
         raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
-    return FixedPointResult(theta, residual, lo.mu, hi.mu, evaluations)
+    return FixedPointResult(theta, residual, lo.mu, hi.mu, evaluations, value)
 
 
-def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> ExponentReport:
+def exponent_report(
+    p1: Distribution, p2: Distribution, gamma: float, *, _limits: list | None = None
+) -> ExponentReport:
     """Exponent summary for the binary sequential test at rate ``gamma``.
 
     Valid rates are ``0 < gamma <= chernoff(p1, p2)`` with ``gamma`` below
@@ -222,68 +223,44 @@ def exponent_report(p1: Distribution, p2: Distribution, gamma: float) -> Exponen
     root is solved; so does ``gamma = inf``, the Chernoff information of
     two distributions with disjoint supports, while NaN, zero and negative
     rates raise :class:`NonPositiveGamma`.  The report flags rates within
-    ``NEAR_CAP_WIDTH`` of the cap.  A rate more than ``NEAR_CAP_WIDTH``
-    below the Bhattacharyya bound ``-log sum sqrt(p1 p2)`` is decided
-    without maximising the Chernoff exponent, and with no rounding margin,
-    since :func:`chernoff` never returns less than that bound; the others
-    fall back to the exact :func:`chernoff`, with the same decision, flag
-    and message (see the module docstring).  Each argument order's
-    evaluator is built once, for the gate's ``D``, the root and the
-    exponent at the root.
+    ``NEAR_CAP_WIDTH`` of the cap.  The rate gate (``_rate_gate``) decides
+    most rates from the Bhattacharyya bound, with the decision, flag and
+    message of the exact :func:`chernoff`, and solves both roots; the
+    exponents are each root's ``gjs_at_root``.
+
+    ``_limits`` is private: the list a grid of rates on the same pair hands
+    to every gate (see ``_rate_gate``).
     """
-    return _exponent_report(p1, p2, gamma)[0]
-
-
-def _gjs_at(pair: tuple, theta: float) -> float:
-    """``gjs`` at ``theta > 0`` from a gate's evaluator of the pair: the
-    arithmetic of the public :func:`gjs`, without its checks and build."""
-    d_p, d_q = pair[0](theta)
-    return theta * d_p + d_q
-
-
-def _exponent_report(
-    p1: Distribution, p2: Distribution, gamma: float, limits: list | None = None
-) -> tuple[ExponentReport, list]:
-    """:func:`exponent_report` and the gate's limits, for the next rate of a grid."""
-    gamma, near_cap, pairs, limits = _rate_gate([p1, p2], gamma, limits)
-    beta = solve_fixed_point(p2, p1, gamma, pairs[1, 0])
-    theta = solve_fixed_point(p1, p2, gamma, pairs[0, 1])
-    report = ExponentReport(
+    gamma, near_cap, roots = _rate_gate([p1, p2], gamma, _limits)
+    beta, theta = roots[1, 0], roots[0, 1]
+    return ExponentReport(
         gamma=gamma,
         beta_star=beta.theta_star,
         theta_star=theta.theta_star,
-        exponent_type1=_gjs_at(pairs[1, 0], beta.theta_star),
-        exponent_type2=_gjs_at(pairs[0, 1], theta.theta_star),
+        exponent_type1=beta.gjs_at_root,
+        exponent_type2=theta.gjs_at_root,
         bayes_exponent=gamma,
         near_cap=near_cap,
     )
-    return report, limits
 
 
-def multiclass_thetas(dists: list[Distribution], gamma: float) -> np.ndarray:
+def multiclass_thetas(
+    dists: list[Distribution], gamma: float, *, _limits: list | None = None
+) -> np.ndarray:
     """Matrix of pairwise roots for the multiclass sequential test.
 
     Entry ``(i, j)``, for ``i != j``, is the root of
     ``gjs(dists[j], dists[i], theta) = gamma * theta``; the diagonal is NaN.
     Requires ``0 < gamma <= min pairwise chernoff`` and ``gamma`` below every
     pairwise divergence, so every entry exists (see :func:`exponent_report`).
+    ``_limits`` is private, as in :func:`exponent_report`.
     """
-    return _multiclass_thetas(dists, gamma)[0]
-
-
-def _multiclass_thetas(
-    dists: list[Distribution], gamma: float, limits: list | None = None
-) -> tuple[np.ndarray, list]:
-    """:func:`multiclass_thetas` and the gate's limits, for the next rate of a grid."""
-    m = len(dists)
     _check_distinct(dists)
-    gamma, _, pairs, limits = _rate_gate(dists, gamma, limits)
-    out = np.full((m, m), math.nan)
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                out[i, j] = solve_fixed_point(dists[j], dists[i], gamma, pairs[j, i]).theta_star
-    return out, limits
+    gamma, _, roots = _rate_gate(dists, gamma, _limits)
+    out = np.full((len(dists), len(dists)), math.nan)
+    for (i, j), root in roots.items():
+        out[j, i] = root.theta_star
+    return out
 
 
 def empirical_fixed_point(

@@ -438,10 +438,11 @@ def bisect_fixed_point(p, q, gamma: float) -> FixedPointResult:
             hi = mid
         iterations += 1
     theta = 0.5 * (lo + hi)
-    residual = abs(gjs(p, q, theta) - gamma * theta)
+    value = gjs(p, q, theta)
+    residual = abs(value - gamma * theta)
     if residual > RESIDUAL_BOUND:
         raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
-    return FixedPointResult(theta, residual, lo, hi, iterations)
+    return FixedPointResult(theta, residual, lo, hi, iterations, value)
 
 
 def _kl_log_ratio(p: np.ndarray, q: np.ndarray) -> float:

@@ -186,6 +186,27 @@ class TestBoundaryPairs:
                         broken.append((i, kind, name, value))
         assert broken == []
 
+    def test_radius_at_the_cap_reaches_the_objective_support(self):
+        # at radius = chernoff(center, obj) the ball holds a distribution of
+        # finite objective.  Where the Chernoff optimum sits at the center's
+        # end of the path (pair 33: the cap is -log of p's mass on q's
+        # support) that end is the one, so its radius must be summed as
+        # chernoff sums it.  Pair 33 returned inf at its cap and
+        # 0.5153653299796975 one ulp above
+        family = boundary_family(20191203, 40)
+        infinite = []
+        for i, (kind, p, q) in enumerate(family):
+            for center, obj in ((p, q), (q, p)):
+                cap = chernoff(center, obj)
+                if math.isfinite(cap) and constrained_kl_min(center, obj, cap) == math.inf:
+                    infinite.append((i, kind, cap))
+        assert infinite == []
+        _, p, q = family[33]
+        cap = chernoff(p, q)
+        assert cap == 0.5549931135695446
+        value = constrained_kl_min(p, q, cap)
+        assert value == constrained_kl_min(p, q, math.nextafter(cap, math.inf)) == 0.5153653299796975
+
 
 RATE_SHARES = (1e-3, 0.5, 1.0 - 1e-9, 1.0)
 

@@ -557,11 +557,10 @@ class TestRateGate:
         mismatched = []
         for i, (kind, (p, q), _) in enumerate(gate_family(7, 10)):
             rates = self.rates(chernoff(p, q))
-            limits = cap = None
+            limits, cap = [], None
             for gamma in rates[3:] + rates[:3]:
                 try:
-                    report, limits = fixedpoint._exponent_report(p, q, gamma, limits)
-                    got = repr(report)
+                    got = repr(exponent_report(p, q, gamma, _limits=limits))
                 except SeqstatError as error:
                     got = type(error), str(error)
                 try:

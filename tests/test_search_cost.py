@@ -3,7 +3,8 @@
 The threshold root and Chernoff information each give ``divergence._search``
 a slope, the Bayes crossing takes joint Newton steps on its mixture and its
 multiplier together, and the reports' rate gate runs the Chernoff search
-only where the Bhattacharyya bound leaves the rate undecided.  A later edit that drops one of these still passes
+only where the Bhattacharyya bound leaves the rate undecided and takes each
+exponent from its root's solve.  A later edit that drops one of these still passes
 every accuracy test, so these tests count the work, with spies on the test
 side or from the crossing's certificate, and hold it below what the
 searches took before (the counts stated in each test).
@@ -146,3 +147,40 @@ def test_rate_gate_counts(monkeypatch):
     assert len(exact_caps) <= 81
     assert len(divergences_at_zero) <= 2 * calls
     assert gjs_calls == []
+
+
+def test_reports_evaluate_each_root_once_more(monkeypatch):
+    # a report reads each exponent from its root's solve, which evaluates
+    # the gate's evaluator at the root for its residual: every evaluator
+    # serves one root and is evaluated at alpha > 0 once per iteration of
+    # that solve plus once at the root (evaluating gjs there again for the
+    # exponent took one more)
+    cases = [(p1, p2, chernoff(p1, p2)) for _, p1, p2 in crossing_family(12, 20)]
+    build = fixedpoint._mixture_divergences
+    solve = fixedpoint.solve_fixed_point
+    evaluations, results = {}, []
+
+    def counting_evaluator(*args):
+        evaluate = build(*args)
+
+        def counted(alpha):
+            if alpha > 0.0:
+                evaluations[counted] += 1
+            return evaluate(alpha)
+
+        evaluations[counted] = 0
+        return counted
+
+    def recording(*args):
+        result = solve(*args)
+        results.append((args[3][0], result))
+        return result
+
+    monkeypatch.setattr(fixedpoint, "_mixture_divergences", counting_evaluator)
+    monkeypatch.setattr(fixedpoint, "solve_fixed_point", recording)
+    for p1, p2, cap in cases:
+        for share in (0.1, 0.5, 0.9):
+            exponent_report(p1, p2, float(share * cap))
+            fixedpoint.multiclass_thetas([p1, p2], float(share * cap))
+    assert len(results) == 4 * 3 * len(cases) == len(evaluations)
+    assert [evaluations[pair] - result.iterations for pair, result in results] == len(results) * [1]
