@@ -22,8 +22,8 @@ pairs keep their digits, except where ``m <= p / 2``, where ``log(m / p)``
 comes from the ratio ``q / p``; off it they are ``log1p(1 / alpha)`` (mass
 of ``p`` only) and ``log1p(alpha)`` (mass of ``q`` only).  The
 threshold-equation solver in :mod:`seqstat.fixedpoint` evaluates the same
-function: its no-root gate, its search and its residual all read the one
-evaluator of the pair.  The evaluator and :func:`chernoff` are scalar
+function: its no-root gate, its Newton steps and its residual all read the
+one evaluator of the pair.  The evaluator and :func:`chernoff` are scalar
 ``math`` loops over the kept symbols (the common support): the package's
 alphabets have a handful of symbols, where one numpy call costs more than
 the loop's arithmetic; past about 32 symbols numpy would win (README,
@@ -39,13 +39,13 @@ cancels on near-identical pairs and is kept only as
 
 ``_bracket`` and ``_search``, the package's one bracketed search (doubling
 from 1, then an Illinois search safeguarded by bisection, with Newton steps
-where the ends carry slopes), live here, below
-every module that runs them, with its one width, ``RELATIVE_BRACKET_WIDTH``,
-and its one step budget, ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on
-its exponent, :mod:`seqstat.fixedpoint` on the threshold equation, and
+where the ends carry slopes), live here, below every module that runs them,
+with its one width, ``RELATIVE_BRACKET_WIDTH``, and its one step budget,
+``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on its exponent and
 :mod:`seqstat.exponents` on the exponent program's multiplier and in
-``constrained_kl_min``.  The Bayes crossing's joint Newton steps bisect
-their own bracket with the same width and budget.
+``constrained_kl_min``.  The threshold root's Newton steps in ``1 / theta``
+(which fall back on ``_bracket``) and the Bayes crossing's joint Newton
+steps keep their own brackets with the same width and budget.
 """
 
 from __future__ import annotations
@@ -157,12 +157,12 @@ class _End(NamedTuple):
 def _bracket(evaluate, lo: _End) -> tuple[_End, _End]:
     """Double the multiplier from 1 until the excess is positive.
 
-    The threshold equation starts at ``theta = 1`` and the exponent
-    program at ``mu = 1``, block exponent 1/2.  ``lo``, below 1, has excess
-    at most 0; ``evaluate(mu, state)`` returns the end at ``mu``, relaxed
-    from ``state``: from ``lo``'s state first, then from the previous end,
-    which becomes the lower end.  Raises :class:`NonConvergence` when the
-    next doubling would overflow.
+    The exponent program starts at ``mu = 1``, block exponent 1/2, and the
+    threshold equation, where its Newton steps have no start, at ``theta =
+    1``.  ``lo``, below 1, has excess at most 0; ``evaluate(mu, state)``
+    returns the end at ``mu``, relaxed from ``state``: from ``lo``'s state
+    first, then from the previous end, which becomes the lower end.  Raises
+    :class:`NonConvergence` when the next doubling would overflow.
     """
     hi = evaluate(1.0, lo.state)
     while hi.excess <= 0.0:
@@ -186,17 +186,14 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     neither is followed by a bisection.  (Regula falsi closing in from one
     side cuts the excess while it leaves the bracket wide, so the width
     alone would call for needless bisections.)  While an end's excess is
-    infinite, as the threshold equation's lower end is when ``D(p || q) =
-    inf``, regula falsi would land on the other end, so every step there
+    infinite, regula falsi would land on the other end, so every step there
     is a bisection.  Where the end of smaller excess magnitude has a
     positive finite slope, a step that would be regula falsi's is a Newton
     step from that end instead, if it lands inside the same clamped bracket
     (Press et al., *Numerical Recipes*, 3rd ed., 9.4, ``rtsafe``); it too is
     followed by a bisection unless it halves the bracket or the excess.
-    Two callers give slopes: the threshold equation
-    (``fixedpoint.solve_fixed_point``, ``D(q || m) / theta^2``) and
-    :func:`chernoff` (``psi''``).  Ends without a slope, as in the exponent
-    program's slack search and ``constrained_kl_min``, get the Illinois
+    One caller gives slopes, :func:`chernoff` (``psi''``); the exponent
+    program's slack search and ``constrained_kl_min`` get the Illinois
     steps alone.
     The search returns the final ``(lo, hi)``, from which the caller picks
     its answer, once an end of finite value has its excess within

@@ -9,7 +9,7 @@ the left side is concave in ``theta``, vanishes at 0 with slope
 ``D(p || q)``, and saturates at ``D(q || p)``.  The root fixes both the
 error exponent (``gamma * theta``) and the expected-stopping-time scale
 (training length divided by the root) of the sequential classifier.
-:func:`solve_fixed_point` finds it with the package's one bracketed search.
+:func:`solve_fixed_point` finds it by monotone Newton steps in ``1 / theta``.
 
 The reports (:func:`exponent_report`, :func:`multiclass_thetas`) check the
 rate against the Chernoff cap and every pair's divergence, and solve every
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _End, _bhattacharyya, _bracket, _mixture_divergences, _search, chernoff
+from . import divergence
+from .divergence import _End, _bhattacharyya, _bracket, _mixture_divergences, chernoff
 from .divergence import gjs, kl  # noqa: F401  (wrapped by name in bench/spans.py)
 from .errors import GammaOutOfRange, NoSolution, NonConvergence
 from .probability import (
@@ -47,8 +48,8 @@ class FixedPointResult:
     theta_star)``, the exponent at the root, and ``residual`` the excess's
     magnitude there, both read from the solve's own evaluator: the bits the
     public ``gjs`` gives.  ``iterations`` counts the excess evaluations of the
-    solve: the doubling's (``theta = 1`` included), the search's, and the
-    sign check at ``BRACKET_LOW`` when the bracket ends there.
+    solve: the start's, the doubling's, the loop's, and the sign check at
+    ``BRACKET_LOW`` when the bracket ends there.
     """
 
     theta_star: float
@@ -99,9 +100,9 @@ def _rate_gate(dists: list[Distribution], gamma: float, limits: list | None = No
     the exact rule raises or flags: the decision, the flag and the message
     are those of the exact cap.  The second check builds each ordered
     pair's evaluator once and reads ``D(p || q)`` from it at ``alpha = 0``;
-    each root's solve reuses it, as :func:`solve_fixed_point`'s private
-    ``_pair``, through that module global, which the benchmark's trace
-    wraps.
+    each root's solve reuses it, with the reverse pair's ``D(q || p)`` for
+    its start, as :func:`solve_fixed_point`'s private ``_pair``, through
+    that module global, which the benchmark's trace wraps.
 
     ``limits`` is None for a single rate.  A grid's caller passes one list,
     empty at first, to every gate on the same ``dists``.  The gate fills it
@@ -141,7 +142,8 @@ def _rate_gate(dists: list[Distribution], gamma: float, limits: list | None = No
                     )
                 pairs[i, j] = (divergences, slope_at_zero)
     roots = {
-        (i, j): solve_fixed_point(dists[i], dists[j], gamma, pair) for (i, j), pair in pairs.items()
+        (i, j): solve_fixed_point(dists[i], dists[j], gamma, (*pair, pairs[j, i][1]))
+        for (i, j), pair in pairs.items()
     }
     return gamma, near_cap, roots
 
@@ -152,28 +154,28 @@ def solve_fixed_point(
     """Find the positive root of ``gjs(p, q, theta) = gamma * theta``.
 
     Raises :class:`NoSolution` when ``gamma >= D(p || q)``, the exact
-    nonexistence condition.  The search runs on the scaled excess ``(gamma *
-    theta - gjs) / theta = gamma - D(p || m) - D(q || m) / theta``, which
-    rises with ``theta`` from ``gamma - D(p || q)`` at 0, so the lower end
-    needs no evaluation.  By the envelope identity ``d gjs / d theta = D(p
-    || m)``, its slope is ``(gjs - theta D(p || m)) / theta^2 = D(q || m) /
-    theta^2``, one division from the second value each evaluation already
-    returns.  The root is bracketed by doubling from ``theta = 1`` and the
-    bracket narrowed to a relative width of ``RELATIVE_BRACKET_WIDTH`` by
-    the package's one bracketed search (``_bracket`` and ``_search`` in
-    :mod:`seqstat.divergence`), which takes Newton steps on that slope.  One
-    evaluator of the pair serves the no-root gate (its first value at
-    ``theta = 0``), every step of the search and the residual, so the gate
-    and the root read the same ``D`` and the root solves the equation the
-    public :func:`gjs` evaluates.  The result carries the bracket's
-    certified signs, the residual and ``gjs`` at the root (see
-    :class:`FixedPointResult`).  Raises :class:`NonConvergence` when the
-    doubling overflows, when the search takes more than
-    ``CROSSING_MAX_STEPS`` steps, when the root lies below ``BRACKET_LOW``,
-    or when the residual exceeds ``RESIDUAL_BOUND``.
+    nonexistence condition.  The solve runs on the scaled excess ``gamma -
+    gjs / theta = gamma - D(p || m) - D(q || m) / theta``, which rises from
+    ``gamma - D(p || q)`` at 0, the floor, which needs no evaluation.  In ``u
+    = 1 / theta`` it is ``gamma`` less the perspective of the concave ``gjs``
+    (Boyd and Vandenberghe, *Convex Optimization*, 3.2.6): convex, of slope
+    ``-D(q || m)``, which each evaluation returns.  So Newton steps in ``u``
+    fall monotonically to the root from ``theta = D(q || p) / gamma``, of
+    excess ``gamma (1 - gjs / D(q || p)) > 0``; where that start is infinite
+    or its excess rounds to 0 or below, the doubling from 1 runs first.  A
+    lower chord to the floor replaces a Newton point (near 0 the excess is
+    almost linear in ``theta``).  A step under a quarter of
+    ``RELATIVE_BRACKET_WIDTH`` relative turns into a probe half a width
+    past, each later one twice as far, to certify the other end; one slow
+    by ``rtsafe``'s test (Press et al., *Numerical Recipes*, 3rd ed., 9.4),
+    or not a quarter width inside the bracket, into a bisection, so the
+    final midpoint, the root, lies strictly inside.  The gate, the steps and
+    the residual read one evaluator.  Raises :class:`NonConvergence` when the
+    doubling overflows, after ``CROSSING_MAX_STEPS`` steps, for a root below
+    ``BRACKET_LOW``, or for a residual over ``RESIDUAL_BOUND``.
 
-    ``_pair`` is private: the pair's evaluator and ``D(p || q)`` from a rate
-    gate that has checked the classes and ``gamma < D(p || q)``.
+    ``_pair`` is private: the evaluator, ``D(p || q)`` and ``D(q || p)`` from
+    a rate gate that has checked the classes and ``gamma < D(p || q)``.
     """
     if _pair is None:
         _check_classes((p, q), "distributions")
@@ -184,20 +186,40 @@ def solve_fixed_point(
             raise NoSolution(
                 f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}"
             )
+        reverse = _mixture_divergences(q.weights, p.weights)(0.0)[0]
     else:
-        divergences, slope_at_zero = _pair
+        divergences, slope_at_zero, reverse = _pair
     evaluations = 0
 
     def end(theta: float, state=None) -> _End:
-        # the scaled excess (gamma * theta - gjs) / theta and its slope
-        # D(q || m) / theta^2; no value to report
+        # the scaled excess and its slope in u = 1 / theta (NaN at 0); no value
         nonlocal evaluations
         evaluations += 1
         d_p, d_q = divergences(theta)
-        return _End(theta, gamma - d_p - d_q / theta, math.inf, None, d_q / (theta * theta))
+        return _End(theta, gamma - d_p - d_q / theta, math.inf, None, -d_q or math.nan)
 
-    floor = _End(BRACKET_LOW, gamma - slope_at_zero, math.inf, None)
-    lo, hi = _search(end, *_bracket(end, floor))
+    lo = floor = _End(BRACKET_LOW, gamma - slope_at_zero, math.inf, None)
+    hi = end(start) if 0.0 < (start := reverse / gamma) < math.inf else lo
+    if not hi.excess > 0.0:
+        lo, hi = _bracket(end, lo)
+    newest, reach, moves, steps = hi, 0.5, (math.inf, math.inf), 0
+    while (span := hi.mu - lo.mu) > divergence.RELATIVE_BRACKET_WIDTH * hi.mu:
+        if steps == divergence.CROSSING_MAX_STEPS:
+            raise NonConvergence(f"threshold root unfinished after {steps} steps")
+        steps += 1
+        width = divergence.RELATIVE_BRACKET_WIDTH * newest.mu
+        # Newton in u from the newest end, or the chord to the floor where lower
+        theta = newest.mu / (1.0 - newest.mu * newest.excess / newest.slope)
+        if lo is floor:
+            theta = min(theta, hi.mu - hi.excess * span / (hi.excess - lo.excess))
+        if abs(theta - newest.mu) <= 0.25 * width:
+            theta += (reach if newest is lo else -reach) * width  # a probe
+            reach *= 2.0
+        slow = reach == 0.5 and not abs(theta - newest.mu) <= 0.5 * moves[0]  # rtsafe's test
+        if slow or not lo.mu + 0.25 * width <= theta <= hi.mu - 0.25 * width:
+            theta = 0.5 * (lo.mu + hi.mu)
+        moves, newest = (moves[1], abs(theta - newest.mu)), end(theta)
+        lo, hi = (lo, newest) if newest.excess > 0.0 else (newest, hi)
     if lo.mu == BRACKET_LOW and end(BRACKET_LOW).excess > 0.0:
         raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
     theta = 0.5 * (lo.mu + hi.mu)

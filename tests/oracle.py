@@ -20,9 +20,13 @@ the public ``solve_fixed_point`` and evaluating the exponents at the roots
 with the public ``gjs``.
 
 ``bisect_fixed_point`` is the bisection that ``seqstat.fixedpoint`` first
-replaced by a safeguarded Newton iteration and now by the shared Illinois
-search: it halves the bracket on the sign of the validated public ``gjs``
-until the bracket is ``RELATIVE_BRACKET_WIDTH`` wide.
+replaced by a safeguarded Newton iteration: it halves the bracket on the
+sign of the validated public ``gjs`` until the bracket is
+``RELATIVE_BRACKET_WIDTH`` wide.  ``search_fixed_point`` is the path that
+followed it and that monotone Newton steps in ``1 / theta`` replaced:
+doubling from ``theta = 1``, then the shared Illinois search in
+``seqstat.divergence`` with Newton steps on the slope ``D(q || m) /
+theta^2``, on the same evaluator of the pair.
 
 ``gjs_kl_form`` and ``gjs_entropy_form`` are the two forms the public
 ``gjs`` chose between before one ``log1p`` evaluator replaced both: the
@@ -115,6 +119,8 @@ from seqstat.divergence import (
     CROSSING_MAX_STEPS,
     RELATIVE_BRACKET_WIDTH,
     _End,
+    _bracket,
+    _mixture_divergences,
     _search,
     kl_array,
 )
@@ -443,6 +449,44 @@ def bisect_fixed_point(p, q, gamma: float) -> FixedPointResult:
     if residual > RESIDUAL_BOUND:
         raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
     return FixedPointResult(theta, residual, lo, hi, iterations, value)
+
+
+def search_fixed_point(p, q, gamma: float) -> FixedPointResult:
+    """Root of ``gjs(p, q, theta) = gamma * theta`` by doubling from ``theta = 1``
+    and the shared bracketed search with the slope ``D(q || m) / theta^2``.
+
+    The search runs on the scaled excess ``gamma - D(p || m) - D(q || m) /
+    theta``, read from the pair's evaluator as in ``solve_fixed_point``, with
+    the lower end at ``BRACKET_LOW`` and the excess ``gamma - D(p || q)``
+    there.  ``iterations`` counts the excess evaluations: the doubling's,
+    the search's and the sign check at ``BRACKET_LOW`` when the bracket ends
+    there.
+    """
+    _check_classes((p, q), "distributions")
+    gamma = _check_gamma(gamma)
+    divergences = _mixture_divergences(p.weights, q.weights)
+    slope_at_zero = divergences(0.0)[0]
+    if gamma >= slope_at_zero:
+        raise NoSolution(f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}")
+    evaluations = 0
+
+    def end(theta: float, state=None) -> _End:
+        nonlocal evaluations
+        evaluations += 1
+        d_p, d_q = divergences(theta)
+        return _End(theta, gamma - d_p - d_q / theta, math.inf, None, d_q / (theta * theta))
+
+    floor = _End(BRACKET_LOW, gamma - slope_at_zero, math.inf, None)
+    lo, hi = _search(end, *_bracket(end, floor))
+    if lo.mu == BRACKET_LOW and end(BRACKET_LOW).excess > 0.0:
+        raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
+    theta = 0.5 * (lo.mu + hi.mu)
+    d_p, d_q = divergences(theta)
+    value = theta * d_p + d_q
+    residual = abs(value - gamma * theta)
+    if residual > RESIDUAL_BOUND:
+        raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
+    return FixedPointResult(theta, residual, lo.mu, hi.mu, evaluations, value)
 
 
 def _kl_log_ratio(p: np.ndarray, q: np.ndarray) -> float:

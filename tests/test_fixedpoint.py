@@ -32,6 +32,7 @@ from seqstat.errors import (
 from seqstat.fixedpoint import BRACKET_LOW, NEAR_CAP_WIDTH, RESIDUAL_BOUND
 from conftest import alphabet, random_interior, random_interior_pair
 from test_contract import boundary_family, near_identical_family
+from test_search_cost import interior_family
 import oracle
 
 NEAR_PAIR = ([0.1, 0.7, 0.2], [0.05, 0.55, 0.4])
@@ -207,9 +208,24 @@ def boundary_pair(rng, size):
     return pair[0], pair[1]
 
 
-def refine_steps(result):
-    """Search steps of a solve: the part CROSSING_MAX_STEPS bounds."""
-    bracket_evaluations = 1 + max(0, math.ceil(math.log2(result.theta_star)))
+def refine_steps(p, q, gamma, result):
+    """Steps of a solve's loop: the part CROSSING_MAX_STEPS bounds.
+
+    Before the loop the solve evaluates the excess at its start ``D(q || p)
+    / gamma`` where that is positive and finite, and doubles from ``theta =
+    1`` where it is not or its excess is not positive; after the loop it
+    checks the sign at ``BRACKET_LOW`` when the bracket ends there.
+    """
+    start = kl(q, p) / gamma
+    bracket_evaluations = 0
+    if 0.0 < start < math.inf:
+        d_p, d_q = divergence._mixture_divergences(p.weights, q.weights)(start)
+        bracket_evaluations = 1
+        started = gamma - d_p - d_q / start > 0.0
+    else:
+        started = False
+    if not started:
+        bracket_evaluations += 1 + max(0, math.ceil(math.log2(result.theta_star)))
     floor_check = 1 if result.bracket_low == BRACKET_LOW else 0
     return result.iterations - bracket_evaluations - floor_check
 
@@ -222,8 +238,9 @@ def outcome(solve, p, q, gamma):
 
 
 class TestNewtonAgainstBisection:
-    """The fixed-point solver (once a safeguarded Newton, now the shared
-    bracketed search) against the bisection it replaced."""
+    """The fixed-point solver (a safeguarded Newton, then the shared
+    bracketed search, now Newton steps in ``1 / theta``) against the
+    bisection the first replaced."""
 
     def test_boundary_and_interior_pairs(self):
         rng = np.random.default_rng(31)
@@ -249,7 +266,7 @@ class TestNewtonAgainstBisection:
             assert got.bracket_low < got.theta_star < got.bracket_high
             assert got.bracket_high - got.bracket_low <= RELATIVE_BRACKET_WIDTH * got.bracket_high
             assert got.residual <= RESIDUAL_BOUND
-            assert 0 < refine_steps(got) <= CROSSING_MAX_STEPS
+            assert 0 < refine_steps(p, q, gamma, got) <= CROSSING_MAX_STEPS
         assert smallest < 1e-11
 
     def test_roots_agree_on_the_interior_family(self, rng):
@@ -268,11 +285,12 @@ class TestNewtonAgainstBisection:
         alph = alphabet(3)
         p = make_distribution(NEAR_PAIR[0], alph)
         q = make_distribution(NEAR_PAIR[1], alph)
-        cases = [(a, b, gamma, 15) for gamma in (0.02, 0.05) for a, b in ((p, q), (q, p))]
-        # D(p || q) = inf: the search starts from a lower excess of -inf, where
-        # a regula falsi step lands on the upper end (29 evaluations then)
+        cases = [(a, b, gamma, 7) for gamma in (0.02, 0.05) for a, b in ((p, q), (q, p))]
+        # D(p || q) = inf: the floor's excess is -inf, so its chord is never
+        # lower than the Newton point (29 evaluations for the Illinois search
+        # once, where a regula falsi step landed on the upper end)
         far = make_distribution([0.3, 0.4, 0.3], alph), make_distribution([0.0, 0.5, 0.5], alph)
-        cases.append((*far, 2.0, 20))
+        cases.append((*far, 2.0, 10))
         for a, b, gamma, evaluations in cases:
             got = solve_fixed_point(a, b, gamma)
             want = oracle.bisect_fixed_point(a, b, gamma)
@@ -283,7 +301,7 @@ class TestNewtonAgainstBisection:
         alph = alphabet(3)
         p = make_distribution(NEAR_PAIR[0], alph)
         q = make_distribution(NEAR_PAIR[1], alph)
-        assert refine_steps(solve_fixed_point(p, q, 0.02)) > 1
+        assert refine_steps(p, q, 0.02, solve_fixed_point(p, q, 0.02)) > 1
         monkeypatch.setattr(divergence, "CROSSING_MAX_STEPS", 1)
         with pytest.raises(NonConvergence):
             solve_fixed_point(p, q, 0.02)
@@ -318,6 +336,114 @@ class TestNewtonAgainstBisection:
         assert gjs(p, q, BRACKET_LOW) < 25.0 * BRACKET_LOW
         with pytest.raises(NonConvergence):
             solve_fixed_point(p, q, 25.0)
+
+
+def certified(result, gamma, divergences, slope_at_zero):
+    """The bracket contract, read from the evaluator the solve used: the
+    excess ``gjs - gamma * theta`` is not negative at the low end (or that
+    end is ``BRACKET_LOW`` with ``gamma < D(p || q)``), negative at the high
+    end, the bracket at most one relative width wide and the root strictly
+    inside it."""
+    def excess(theta):
+        d_p, d_q = divergences(theta)
+        return gamma - d_p - d_q / theta
+
+    low, high = result.bracket_low, result.bracket_high
+    assert excess(low) <= 0.0 or (low == BRACKET_LOW and gamma < slope_at_zero)
+    assert excess(high) > 0.0
+    assert low < result.theta_star < high
+    assert high - low <= RELATIVE_BRACKET_WIDTH * high
+
+
+class TestNewtonInInverseTheta:
+    """The branches of the root's loop: Newton steps in ``u = 1 / theta`` from
+    ``D(q || p) / gamma``, the doubling where that start fails, and the probe
+    that certifies the bracket's other end."""
+
+    def _spied(self, monkeypatch):
+        doublings = []
+
+        def counting(*args):
+            doublings.append(1)
+            return divergence._bracket(*args)
+
+        monkeypatch.setattr(fixedpoint, "_bracket", counting)
+        return doublings
+
+    def test_agrees_with_the_replaced_search(self):
+        for p, q in interior_family():
+            for share in (0.1, 0.5, 0.9, 1.0):
+                gamma = share * chernoff(p, q)
+                got = solve_fixed_point(p, q, gamma).theta_star
+                want = oracle.search_fixed_point(p, q, gamma).theta_star
+                assert abs(got - want) <= 1e-12 * want
+
+    def test_infinite_reverse_divergence_doubles(self, monkeypatch):
+        # q has mass that p lacks, as on the exponent table's zero-weight
+        # pairs: D(q || p) = inf gives no start, and the doubling runs
+        doublings = self._spied(monkeypatch)
+        alph = alphabet(3)
+        p = make_distribution([0.6, 0.4, 0.0], alph)
+        q = make_distribution([0.3, 0.3, 0.4], alph)
+        assert kl(q, p) == math.inf
+        for gamma in (0.02, 0.2, 0.9 * kl(p, q)):
+            got = solve_fixed_point(p, q, gamma)
+            want = oracle.search_fixed_point(p, q, gamma)
+            assert abs(got.theta_star - want.theta_star) <= 1e-12 * want.theta_star
+            certified(got, gamma, divergence._mixture_divergences(p.weights, q.weights), kl(p, q))
+        assert len(doublings) == 3
+        solve_fixed_point(q, p, 0.02)
+        assert len(doublings) == 3
+
+    def test_start_rounded_below_the_root_doubles(self, monkeypatch):
+        # at gamma = 1e-17 the start D(q || p) / gamma lies within rounding
+        # of the root, about 1e16, and its excess rounds below zero
+        doublings = self._spied(monkeypatch)
+        alph = alphabet(3)
+        p = make_distribution(NEAR_PAIR[1], alph)
+        q = make_distribution(NEAR_PAIR[0], alph)
+        gamma = 1e-17
+        evaluate = divergence._mixture_divergences(p.weights, q.weights)
+        start = kl(q, p) / gamma
+        d_p, d_q = evaluate(start)
+        assert gamma - d_p - d_q / start <= 0.0
+        got = solve_fixed_point(p, q, gamma)
+        want = oracle.search_fixed_point(p, q, gamma)
+        assert doublings == [1]
+        assert abs(got.theta_star - want.theta_star) <= 1e-12 * want.theta_star
+        certified(got, gamma, evaluate, kl(p, q))
+
+    def test_newton_landing_on_zero_excess_probes_above(self):
+        # an evaluator whose excess is linear in u = 1 / theta: the one
+        # Newton step from the start lands on the root, theta = 1/2, at an
+        # excess of exactly 0.0, which certifies a low end; one probe a
+        # quarter width above it closes the bracket (bisecting from the
+        # start took 24 to 27 evaluations)
+        def divergences(theta):
+            return 0.5, 0.25
+
+        gamma, slope_at_zero = 1.0, 2.0
+        got = solve_fixed_point(None, None, gamma, (divergences, slope_at_zero, 4.0))
+        assert got.bracket_low == 0.5
+        assert got.iterations == 3
+        certified(got, gamma, divergences, slope_at_zero)
+
+    def test_sign_change_between_adjacent_floats(self):
+        # an excess that jumps from -1e-14 to 1e-14 between two adjacent
+        # floats, with a slope that points every Newton step past the jump:
+        # the probes and bisections must still leave a bracket around the
+        # jump with the root strictly inside
+        for jump in (0.7, 3.0, 1234.5):
+            above = math.nextafter(jump, math.inf)
+
+            def divergences(theta, jump=jump):
+                step = 1e-14 if theta > jump else -1e-14
+                return gamma - 1.0 / theta - step, 1.0
+
+            gamma, slope_at_zero = 0.5, 1.0
+            got = solve_fixed_point(None, None, gamma, (divergences, slope_at_zero, 4.0 * jump))
+            assert got.bracket_low <= jump and got.bracket_high >= above
+            certified(got, gamma, divergences, slope_at_zero)
 
 
 class TestExponentReport:

@@ -319,11 +319,13 @@ def test_solvers_pass_float_sequences():
 
 
 def test_one_bracketed_search(monkeypatch):
-    # every root and multiplier search in the package runs the one search
-    # in seqstat.divergence, looked up in the caller's own globals; the
-    # Bayes crossing runs none: its joint Newton steps bisect its bracket
-    # themselves where a step is refused, as the first one is against a
-    # point mass at alpha = 10
+    # every multiplier search in the package and Chernoff's runs the one
+    # search in seqstat.divergence, looked up in the caller's own globals;
+    # the Bayes crossing and the threshold root run none: the crossing's
+    # joint Newton steps bisect its bracket themselves where a step is
+    # refused, as the first one is against a point mass at alpha = 10, and
+    # the root takes monotone Newton steps in 1 / theta from D(q || p) /
+    # gamma, on a pair with D(q || p) = inf from the doubling
     from seqstat import (
         Alphabet,
         chernoff,
@@ -349,14 +351,13 @@ def test_one_bracketed_search(monkeypatch):
         if getattr(module, "_search", None) is search:
             monkeypatch.setattr(module, "_search", recording)
             patched.append(name)
-    assert patched == ["divergence", "fixedpoint", "exponents"]
+    assert patched == ["divergence", "exponents"]
     alphabet = Alphabet((0, 1, 2))
     p1 = make_distribution([0.1, 0.7, 0.2], alphabet)
     p2 = make_distribution([0.05, 0.55, 0.4], alphabet)
     point = make_distribution([1.0, 0.0, 0.0], alphabet)
     cap = chernoff(p1, p2)
     runs = {
-        "solve_fixed_point": lambda: solve_fixed_point(p1, p2, 0.02),
         # an interior pair: the optimal eta lies inside (0, 1)
         "chernoff": lambda: chernoff(p1, p2),
         "constrained_kl_min": lambda: constrained_kl_min(p1, p2, 0.5 * cap),
@@ -372,6 +373,8 @@ def test_one_bracketed_search(monkeypatch):
     calls.clear()
     cert = _bayes_crossing(10.0, p1, point)
     assert cert.relaxations > 0 and calls == []
+    roots = [solve_fixed_point(p1, p2, 0.02), solve_fixed_point(point, p1, 0.02)]
+    assert [root.iterations > 0 for root in roots] == [True, True] and calls == []
 
 
 def test_no_private_name_is_left_unused():
