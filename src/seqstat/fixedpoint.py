@@ -167,12 +167,13 @@ def solve_fixed_point(
     almost linear in ``theta``).  A step under a quarter of
     ``RELATIVE_BRACKET_WIDTH`` relative turns into a probe half a width
     past, each later one twice as far, to certify the other end; one slow
-    by ``rtsafe``'s test (Press et al., *Numerical Recipes*, 3rd ed., 9.4),
-    or not a quarter width inside the bracket, into a bisection, so the
-    final midpoint, the root, lies strictly inside.  The gate, the steps and
-    the residual read one evaluator.  Raises :class:`NonConvergence` when the
-    doubling overflows, after ``CROSSING_MAX_STEPS`` steps, for a root below
-    ``BRACKET_LOW``, or for a residual over ``RESIDUAL_BOUND``.
+    by ``rtsafe``'s test before any probe (Press et al., *Numerical
+    Recipes*, 3rd ed., 9.4), or not a quarter width inside the bracket,
+    into a bisection, so the final midpoint, the root, lies strictly
+    inside.  The gate, the steps and the residual read one evaluator.
+    Raises :class:`NonConvergence` when the doubling overflows, after
+    ``CROSSING_MAX_STEPS`` steps, for a root below ``BRACKET_LOW``, or for a
+    residual over ``RESIDUAL_BOUND``.
 
     ``_pair`` is private: the evaluator, ``D(p || q)`` and ``D(q || p)`` from
     a rate gate that has checked the classes and ``gamma < D(p || q)``.
