@@ -51,7 +51,7 @@ def test_summary_of_alternated_pairs():
     runs.append({"workload": "exponent-table", "seed": 7, "pair": 4, "side": "change",
                  "result": bench_ab.last_json(canned(9.0, 0.1))})
     traced = [{"workload": "exponent-table", "seed": 7, "side": "change",
-               "result": {"metrics": {"fixedpoint.iterations_mean": {"value": 5.8, "unit": "count"}}}}]
+               "result": {"metrics": {"fixedpoint.iterations_mean": {"value": 5.8}}}}]
     [(key, entry)] = bench_ab.summarize(runs, BETTER, traced).items()
     assert key == "exponent-table/seed7"
     assert entry["pairs"] == 4

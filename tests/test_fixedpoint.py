@@ -303,7 +303,7 @@ class TestNewtonAgainstBisection:
         q = make_distribution(NEAR_PAIR[1], alph)
         assert refine_steps(p, q, 0.02, solve_fixed_point(p, q, 0.02)) > 1
         monkeypatch.setattr(divergence, "CROSSING_MAX_STEPS", 1)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="unfinished"):
             solve_fixed_point(p, q, 0.02)
 
     def test_root_beyond_float_range_raises(self):
@@ -334,7 +334,7 @@ class TestNewtonAgainstBisection:
         stuck = oracle.bisect_fixed_point(p, q, 25.0)
         assert stuck.bracket_low == BRACKET_LOW
         assert gjs(p, q, BRACKET_LOW) < 25.0 * BRACKET_LOW
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="BRACKET_LOW"):
             solve_fixed_point(p, q, 25.0)
 
 
@@ -416,9 +416,9 @@ class TestNewtonInInverseTheta:
     def test_newton_landing_on_zero_excess_probes_above(self):
         # an evaluator whose excess is linear in u = 1 / theta: the one
         # Newton step from the start lands on the root, theta = 1/2, at an
-        # excess of exactly 0.0, which certifies a low end; one probe a
-        # quarter width above it closes the bracket (bisecting from the
-        # start took 24 to 27 evaluations)
+        # excess of exactly 0.0, which certifies a low end; one probe half a
+        # width above it closes the bracket, where bisecting back toward the
+        # start would take about 46 steps
         def divergences(theta):
             return 0.5, 0.25
 
@@ -426,6 +426,30 @@ class TestNewtonInInverseTheta:
         got = solve_fixed_point(None, None, gamma, (divergences, slope_at_zero, 4.0))
         assert got.bracket_low == 0.5
         assert got.iterations == 3
+        certified(got, gamma, divergences, slope_at_zero)
+
+    def test_near_zero_roots_take_the_chord_to_the_floor(self):
+        # near theta = 0 the excess is almost linear in theta, and Newton in
+        # u alone only halves theta per step: up to 67 evaluations here
+        alph = alphabet(3)
+        p = make_distribution(NEAR_PAIR[0], alph)
+        q = make_distribution(NEAR_PAIR[1], alph)
+        for a, b in ((p, q), (q, p)):
+            for target in (1e-3, 1e-5, 1e-7, 1e-9):
+                gamma = gjs(a, b, target) / target
+                got = solve_fixed_point(a, b, gamma)
+                assert got.iterations <= 30
+                assert abs(got.theta_star - target) <= 1e-5 * target
+
+    def test_zero_slope_bisects(self):
+        # D(q || m) = 0.0 gives the Newton step no slope: the steps bisect
+        # instead of dividing by zero
+        def divergences(theta):
+            return gamma + 1.0 - theta, 0.0
+
+        gamma, slope_at_zero = 0.5, 1.5
+        got = solve_fixed_point(None, None, gamma, (divergences, slope_at_zero, 2.0))
+        assert abs(got.theta_star - 1.0) <= 1e-13
         certified(got, gamma, divergences, slope_at_zero)
 
     def test_sign_change_between_adjacent_floats(self):

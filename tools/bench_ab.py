@@ -3,7 +3,7 @@
 Usage, from the repository root::
 
     python3 tools/bench_ab.py --base HEAD~1 --workload exponent-table \\
-        --seed 7 --seed 20191203 --pairs 10 --scratch /tmp/bench-ab --out BENCH_31.json
+        --seed 7 --seed 20191203 --pairs 10 --scratch /tmp/bench-ab --out BENCH_<pr>.json
 
 The base revision is extracted with ``git archive`` into a directory under
 ``--scratch``; the repository's own checkout, index and ``.git`` are left as
@@ -66,8 +66,8 @@ def src_loc(src: Path) -> dict:
         docstring = set()
         for node in ast.walk(ast.parse(text)):
             body = getattr(node, "body", None)
-            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and body:
-                first = body[0]
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = body[0] if body else None
                 if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
                         and isinstance(first.value.value, str):
                     docstring.update(range(first.lineno, first.end_lineno + 1))
@@ -91,7 +91,8 @@ def src_loc(src: Path) -> dict:
 
 def _spread(values: list[float]) -> dict:
     low, high = np.percentile(values, [25, 75])
-    return {"runs": values, "median": statistics.median(values), "quartiles": [float(low), float(high)]}
+    return {"runs": values, "median": statistics.median(values),
+            "quartiles": [float(low), float(high)]}
 
 
 def summarize(runs: list[dict], better: dict[str, str], traced: list[dict] = ()) -> dict:
@@ -131,7 +132,8 @@ def summarize(runs: list[dict], better: dict[str, str], traced: list[dict] = ())
         for name, direction in better.items():
             sign = 1.0 if direction == "higher" else -1.0
             gains = [
-                sign * (pair["change"]["metrics"][name]["value"] - pair["base"]["metrics"][name]["value"])
+                sign * (pair["change"]["metrics"][name]["value"]
+                        - pair["base"]["metrics"][name]["value"])
                 for pair in pairs
             ]
             entry["pairs_won"][name] = {
@@ -167,7 +169,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
                "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(command)} in {tree} exited {done.returncode}: {done.stderr[-2000:]}")
+        raise RuntimeError(
+            f"{' '.join(command)} in {tree} exited {done.returncode}: {done.stderr[-2000:]}"
+        )
     return last_json(done.stdout)
 
 
@@ -204,8 +208,11 @@ def main(argv=None) -> int:
             if args.trace:
                 for side in SIDES:
                     result = run_bench(trees[side], workload, seed, args.seconds, 1)
-                    traced.append({"workload": workload, "seed": seed, "side": side, "result": result})
-    dirty = _git("status", "--porcelain", "--", "src", "bench")
+                    traced.append({"workload": workload, "seed": seed, "side": side,
+                                   "result": result})
+    head = _git("rev-parse", "HEAD")
+    if _git("status", "--porcelain", "--", "src", "bench"):
+        head += "+dirty"
     record = {
         "machine": {
             "cpus": os.cpu_count(),
@@ -213,16 +220,18 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "platform": platform.platform(),
         },
-        "revisions": {"base": base_revision, "change": _git("rev-parse", "HEAD") + ("+dirty" if dirty else "")},
+        "revisions": {"base": base_revision, "change": head},
         "src_loc": {side: src_loc(tree / "src") for side, tree in trees.items()},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "command": "bench/run.py --trace 0"},
+        "settings": {"pairs": args.pairs, "seconds": args.seconds,
+                     "command": "bench/run.py --trace 0"},
         "workloads": summarize(runs, better, traced),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for key, entry in record["workloads"].items():
         base, change = (entry[side]["metrics"]["work_per_ref"]["median"] for side in SIDES)
         won = entry["pairs_won"]["work_per_ref"]["change"]
-        print(f"{key}: work_per_ref {base:.4g} -> {change:.4g}, {won} of {entry['pairs']} pairs won")
+        print(f"{key}: work_per_ref {base:.4g} -> {change:.4g}, "
+              f"{won} of {entry['pairs']} pairs won")
     return 0
 
 
