@@ -141,10 +141,8 @@ def _rate_gate(dists: list[Distribution], gamma: float, limits: list | None = No
                         "so the threshold equation has no root"
                     )
                 pairs[i, j] = (divergences, slope_at_zero)
-    roots = {
-        (i, j): solve_fixed_point(dists[i], dists[j], gamma, (*pair, pairs[j, i][1]))
-        for (i, j), pair in pairs.items()
-    }
+    roots = {(i, j): solve_fixed_point(dists[i], dists[j], gamma, (*pair, pairs[j, i][1]))
+             for (i, j), pair in pairs.items()}
     return gamma, near_cap, roots
 
 
@@ -209,8 +207,9 @@ def solve_fixed_point(
             raise NonConvergence(f"threshold root unfinished after {steps} steps")
         steps += 1
         width = divergence.RELATIVE_BRACKET_WIDTH * newest.mu
-        # Newton in u from the newest end, or the chord to the floor where lower
-        theta = newest.mu / (1.0 - newest.mu * newest.excess / newest.slope)
+        # Newton in u from the newest end (NaN past u = 0, so bisected), or the floor chord if lower
+        denominator = 1.0 - newest.mu * newest.excess / newest.slope
+        theta = newest.mu / denominator if denominator > 0.0 else math.nan
         if lo is floor:
             theta = min(theta, hi.mu - hi.excess * span / (hi.excess - lo.excess))
         if abs(theta - newest.mu) <= 0.25 * width:

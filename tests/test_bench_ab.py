@@ -3,8 +3,11 @@ from each run's last line, the summary it makes of alternated pairs, its
 ``src/`` line split and the record it writes.  No benchmark runs here."""
 
 import importlib.util
+import io
 import json
+import tarfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,7 +102,7 @@ def test_record_alternates_the_order_and_writes_every_field(tmp_path, monkeypatc
         (tree / "src").mkdir(parents=True)
         (tree / "src" / "m.py").write_text("x = 1\n")
 
-    def fake_run(tree, workload, seed, seconds, trace):
+    def fake_run(tree, workload, seed, trace):
         side = "base" if tree == trees["base"] else "change"
         order.append((side, trace))
         work = 5.0 if side == "base" else 6.0
@@ -117,15 +120,46 @@ def test_record_alternates_the_order_and_writes_every_field(tmp_path, monkeypatc
     ))
     out = tmp_path / "BENCH.json"
     assert bench_ab.main([
-        "--base", "HEAD~1", "--workload", "exponent-table", "--seed", "7", "--pairs", "3",
-        "--trace", "--scratch", str(tmp_path / "scratch"), "--out", str(out),
+        "--base", "HEAD~1", "--workload", "exponent-table", "--seed", "7", "--trace",
+        "--scratch", str(tmp_path / "scratch"), "--out", str(out),
     ]) == 0
-    assert order == [("base", 0), ("change", 0), ("change", 0), ("base", 0), ("base", 0),
-                     ("change", 0), ("base", 1), ("change", 1)]
+    alternated = [("base", 0), ("change", 0), ("change", 0), ("base", 0)] * 5
+    assert bench_ab.PAIRS == 10
+    assert order == alternated + [("base", 1), ("change", 1)]
     record = json.loads(out.read_text())
     assert set(record) == {"machine", "revisions", "src_loc", "settings", "workloads"}
     assert record["revisions"] == {"base": "a" * 40, "change": "a" * 40}
     assert record["src_loc"]["base"]["code"] == record["src_loc"]["change"]["code"] == 1
     entry = record["workloads"]["exponent-table/seed7"]
-    assert entry["pairs_won"]["work_per_ref"] == {"change": 3, "base": 0}
+    assert record["settings"] == {"pairs": 10, "command": "bench/run.py --trace 0"}
+    assert entry["pairs_won"]["work_per_ref"] == {"change": 10, "base": 0}
     assert entry["base"]["traced"]["work_per_ref"]["value"] == 5.0
+
+
+def test_extract_renames_a_complete_tree_into_place(tmp_path, monkeypatch):
+    # an extraction cut after bench/ is written leaves no target behind, so
+    # the next call extracts the whole tree again
+    archive = io.BytesIO()
+    with tarfile.open(fileobj=archive, mode="w") as tar:
+        for name in ("bench/run.py", "src/m.py"):
+            info = tarfile.TarInfo(name)
+            info.size = len(b"x = 1\n")
+            tar.addfile(info, io.BytesIO(b"x = 1\n"))
+    monkeypatch.setattr(bench_ab.subprocess, "run",
+                        lambda *args, **kwargs: SimpleNamespace(stdout=archive.getvalue()))
+    revision, scratch = "b" * 40, tmp_path / "scratch"
+    extractall = tarfile.TarFile.extractall
+
+    def cut(tar, path, **kwargs):
+        (Path(path) / "bench").mkdir()
+        (Path(path) / "bench" / "run.py").write_text("x = 1\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(tarfile.TarFile, "extractall", cut)
+    with pytest.raises(KeyboardInterrupt):
+        bench_ab.extract(revision, scratch)
+    assert not (scratch / revision[:12]).exists()
+    monkeypatch.setattr(tarfile.TarFile, "extractall", extractall)
+    target = bench_ab.extract(revision, scratch)
+    assert target == scratch / revision[:12]
+    assert (target / "bench" / "run.py").exists() and (target / "src" / "m.py").exists()

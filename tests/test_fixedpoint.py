@@ -452,6 +452,24 @@ class TestNewtonInInverseTheta:
         assert abs(got.theta_star - 1.0) <= 1e-13
         certified(got, gamma, divergences, slope_at_zero)
 
+    def test_step_past_infinity_bisects(self):
+        # from theta = 4 Newton lands at 0.2, where D(p || m) = gamma makes the
+        # next step's denominator 1 - u * excess / slope exactly 0.0: the
+        # steps bisect instead of dividing by zero
+        def divergences(theta):
+            t = min(max(theta - 1.0, 0.0), 1.0)  # 0 up to theta = 1, 1 from 2
+            return 0.5 * (1.0 - t), 1.0 - 0.9 * t
+
+        gamma, slope_at_zero = 0.5, 1.5
+        seen = []
+        got = solve_fixed_point(
+            None, None, gamma, (lambda theta: seen.append(theta) or divergences(theta),
+                                slope_at_zero, 2.0)
+        )
+        assert seen[0] == 4.0 and seen[1] == pytest.approx(0.2, rel=1e-15)
+        assert 1.0 < got.theta_star < 2.0
+        certified(got, gamma, divergences, slope_at_zero)
+
     def test_sign_change_between_adjacent_floats(self):
         # an excess that jumps from -1e-14 to 1e-14 between two adjacent
         # floats, with a slope that points every Newton step past the jump:

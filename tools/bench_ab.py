@@ -3,16 +3,16 @@
 Usage, from the repository root::
 
     python3 tools/bench_ab.py --base HEAD~1 --workload exponent-table \\
-        --seed 7 --seed 20191203 --pairs 10 --scratch /tmp/bench-ab --out BENCH_<pr>.json
+        --seed 7 --seed 20191203 --scratch /tmp/bench-ab --out BENCH_<pr>.json
 
 The base revision is extracted with ``git archive`` into a directory under
 ``--scratch``; the repository's own checkout, index and ``.git`` are left as
 they are, so a cut run leaves nothing to prune.  For every workload and
-seed the script runs ``bench/run.py --trace 0`` in the base tree and in the
-working tree ``--pairs`` times, the base first in even pairs and the
-working tree first in odd ones, and reads the JSON result on each run's
-last output line.  ``--trace`` adds one ``--trace 1`` run per side for the
-per-layer metrics.
+seed the script runs ``bench/run.py --trace 0``, at the benchmark's own
+length, in the base tree and in the working tree ``PAIRS`` times, the base
+first in even pairs and the working tree first in odd ones, and reads the
+JSON result on each run's last output line.  ``--trace`` adds one
+``--trace 1`` run per side for the per-layer metrics.
 
 The record (``--out``) holds, per workload and seed and per side, every
 end-to-end metric's runs, median and quartiles, the pairs each side won
@@ -36,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 import tokenize
 from pathlib import Path
 
@@ -43,6 +44,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+PAIRS = 10  # the fewest alternated pairs a claimed gain is judged on
 
 
 def last_json(output: str) -> dict:
@@ -151,22 +153,28 @@ def _git(*args: str, cwd: Path = ROOT) -> str:
 
 
 def extract(revision: str, scratch: Path) -> Path:
-    """The tree of ``revision``, extracted once under ``scratch`` with ``git archive``."""
+    """The tree of ``revision``, extracted once under ``scratch`` with ``git archive``.
+
+    The tree is extracted into a temporary sibling and renamed into place, so
+    an existing target is always complete, even after a cut run.
+    """
     target = scratch / revision[:12]
-    if not (target / "bench" / "run.py").exists():
+    if not target.exists():
         archive = subprocess.run(
             ("git", "archive", "--format=tar", revision), cwd=ROOT, check=True, capture_output=True
         ).stdout
-        target.mkdir(parents=True, exist_ok=True)
+        scratch.mkdir(parents=True, exist_ok=True)
+        partial = Path(tempfile.mkdtemp(prefix=f"{target.name}.partial-", dir=scratch))
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(target, filter="data")
+            tar.extractall(partial, filter="data")
+        partial.rename(target)
     return target
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``bench/run.py`` run in ``tree``: its JSON result."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", str(trace)]
+               "--trace", str(trace)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(
@@ -180,8 +188,6 @@ def parse_args(argv=None):
     parser.add_argument("--base", required=True, help="revision to compare the working tree with")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", action="store_true", help="add one traced run per side")
     parser.add_argument("--scratch", type=Path, required=True, help="directory for the base tree")
     parser.add_argument("--out", type=Path, required=True)
@@ -197,9 +203,9 @@ def main(argv=None) -> int:
     runs, traced = [], []
     for workload in args.workload:
         for seed in args.seed:
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    result = run_bench(trees[side], workload, seed, args.seconds, 0)
+                    result = run_bench(trees[side], workload, seed, 0)
                     runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
                                  "result": result})
                     print(f"{workload} seed {seed} pair {pair} {side}: "
@@ -207,7 +213,7 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
             if args.trace:
                 for side in SIDES:
-                    result = run_bench(trees[side], workload, seed, args.seconds, 1)
+                    result = run_bench(trees[side], workload, seed, 1)
                     traced.append({"workload": workload, "seed": seed, "side": side,
                                    "result": result})
     head = _git("rev-parse", "HEAD")
@@ -222,8 +228,7 @@ def main(argv=None) -> int:
         },
         "revisions": {"base": base_revision, "change": head},
         "src_loc": {side: src_loc(tree / "src") for side, tree in trees.items()},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "command": "bench/run.py --trace 0"},
+        "settings": {"pairs": PAIRS, "command": "bench/run.py --trace 0"},
         "workloads": summarize(runs, better, traced),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
