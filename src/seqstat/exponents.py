@@ -28,9 +28,8 @@ fixed point ``W = T(W)`` of one block-descent sweep.  A relaxation
 minimizes it by damped Newton steps and returns once a sweep moves no
 coordinate more than ``INNER_TOLERANCE``.  The Hessian is a diagonal plus a
 rank-two term, so each step's KKT system, bordered by ``sum W = 1``, is
-solved in closed form (``_simplex_solve``: Woodbury's identity, a 2x2 solve
-and the multiplier of the border), and the sweep, the step and its line
-search are scalar ``math`` loops over the kept symbols: on the package's
+solved in closed form (``_simplex_solve``), and the sweep, the step and its
+line search are scalar ``math`` loops over the kept symbols: on the package's
 alphabets of a handful of symbols one numpy call costs more than the
 loop's arithmetic (README, "Performance notes").  A coordinate that the
 full step would empty is held at the relative step ``-HELD_STEP`` and the
@@ -52,9 +51,10 @@ minus the relaxed constraint, both divided by ``alpha``, changes sign.  It
 does not relax ``W`` at every multiplier it tries: from the mixture at
 ``mu = 1`` it takes Newton steps on ``(W, mu)`` together
 (:meth:`_PairProgram.joint_step`), on the relaxation's stationarity and the
-excess at once, each one sweep and two solves of the relaxation's KKT
-system (Boyd & Vandenberghe, *Convex Optimization*, 10.3; Nocedal & Wright,
-*Numerical Optimization*, 2nd ed., ch. 11).  A step is taken only if ``mu``
+excess at once, each one sweep and one two-sided solve of the
+relaxation's KKT system (``_simplex_solve``; Boyd & Vandenberghe, *Convex
+Optimization*, 10.3; Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
+ch. 11).  A step is taken only if ``mu``
 stays inside the bracket of relaxed ends and the residual falls; an
 iterate whose sweep moves no coordinate more than ``INNER_TOLERANCE``
 passes :meth:`_PairProgram.relax`'s own stop, so it is a relaxed end.  A
@@ -124,8 +124,8 @@ def _check_budget(value: float, what: str) -> float:
 
 def _simplex_solve(
     diag: list[float], u1: list[float], u2: list[float], w: list[float], rhs: list[float],
-    mass: float = 0.0,
-) -> list[float]:
+    mass: float = 0.0, other: list[float] | None = None,
+) -> list[float] | tuple[list[float], list[float]]:
     """The relative step ``d`` with ``H d = rhs`` up to a multiple of ``w``,
     and ``w . d = mass`` (0 keeps ``sum W`` put): the KKT system ``[[H, w],
     [w^T, 0]] [d; nu] = [rhs; mass]`` for ``H = diag(diag) + u1 u1^T + u2
@@ -135,14 +135,22 @@ def _simplex_solve(
     with ``U = [u1 u2]`` and the 2x2 ``M = I + U^T D^-1 U``; then ``d =
     H^-1 rhs - nu H^-1 w`` with ``nu = (w^T H^-1 rhs - mass) / w^T H^-1 w``
     (KKT block elimination; Boyd & Vandenberghe, *Convex Optimization*,
-    10.2).  Every sum is one pass over the symbols.  Each row is divided by
-    its own diagonal entry, so a coordinate of ``W`` many orders below the
-    others keeps its relative step's digits, which a dense solve of the
-    bordered matrix loses to that row's scale.
+    10.2).  Each row is divided by its own diagonal entry, so a coordinate
+    of ``W`` many orders below the others keeps its relative step's digits,
+    which a dense solve of the bordered matrix loses to that row's scale.
+
+    With ``other`` it returns the pair ``(d, z)``, where ``z`` solves the
+    same system for the right-hand side ``other`` and mass 0: the two sides
+    share ``M``, ``H^-1 w`` and ``w^T H^-1 w``, one pass over the symbols
+    takes both sides' Woodbury sums and ``sum w``, and one more builds both
+    raw steps and their ``w . d`` sums.  Every sum adds its terms in the
+    order of a one-sided call, so each step has the bits of its own
+    one-sided solve; without ``other`` no second side is computed.
     """
+    two = other is not None
     m11 = m22 = 1.0
-    m12 = r1 = r2 = w1 = w2 = wr = ww = 0.0
-    for x, y1, y2, wi, ri in zip(diag, u1, u2, w, rhs):
+    m12 = r1 = r2 = w1 = w2 = wr = ww = total = o1 = o2 = wo = 0.0
+    for x, y1, y2, wi, ri, oi in zip(diag, u1, u2, w, rhs, other if two else w):
         a1, a2 = y1 / x, y2 / x
         m11 += y1 * a1
         m12 += y1 * a2
@@ -153,18 +161,41 @@ def _simplex_solve(
         w2 += a2 * wi
         wr += wi * ri / x
         ww += wi * wi / x
+        total += wi
+        if two:
+            o1 += a1 * oi
+            o2 += a2 * oi
+            wo += wi * oi / x
     det = m11 * m22 - m12 * m12
-    # M^-1 (U^T D^-1 rhs) and M^-1 (U^T D^-1 w)
-    s1, s2 = (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
+    # M^-1 (U^T D^-1 w), M^-1 (U^T D^-1 rhs) and the multiplier nu
     t1, t2 = (m22 * w1 - m12 * w2) / det, (m11 * w2 - m12 * w1) / det
-    nu = (wr - w1 * s1 - w2 * s2 - mass) / (ww - w1 * t1 - w2 * t2)
+    border = ww - w1 * t1 - w2 * t2
+    s1, s2 = (m22 * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
+    nu = (wr - w1 * s1 - w2 * s2 - mass) / border
     s1 -= nu * t1
     s2 -= nu * t2
-    d = [(ri - nu * wi - y1 * s1 - y2 * s2) / x for x, y1, y2, wi, ri in zip(diag, u1, u2, w, rhs)]
+    if two:
+        o1, o2 = (m22 * o1 - m12 * o2) / det, (m11 * o2 - m12 * o1) / det
+        no = (wo - w1 * o1 - w2 * o2) / border
+        o1 -= no * t1
+        o2 -= no * t2
+    d, z = [], []
+    wd = wz = 0.0
+    for x, y1, y2, wi, ri, oi in zip(diag, u1, u2, w, rhs, other if two else w):
+        di = (ri - nu * wi - y1 * s1 - y2 * s2) / x
+        d.append(di)
+        wd += wi * di
+        if two:
+            zi = (oi - no * wi - y1 * o1 - y2 * o2) / x
+            z.append(zi)
+            wz += wi * zi
     # nu carries the rounding of sums as large as 1 / diag, which leaves w . d
     # off its mass by as much; an equal shift of every relative step takes it out
-    excess = (sum(map(mul, w, d)) - mass) / sum(w)
-    return [x - excess for x in d]
+    shift = (wd - mass) / total
+    if not two:
+        return [x - shift for x in d]
+    shift_z = wz / total
+    return [x - shift for x in d], [x - shift_z for x in z]
 
 
 def _newton_step(
@@ -274,15 +305,24 @@ class _PairProgram:
         self.sweeps += 1
         f = 1.0 - e
         x1, x2 = [], []
+        s1 = s2 = 0.0
         for (log_a, log_b), x in zip(self.logs, w):
             log_w = f * math.log(x)
-            x1.append(math.exp(e * log_a + log_w))
-            x2.append(math.exp(e * log_b + log_w))
-        s1, s2 = sum(x1), sum(x2)
-        q1 = [x / s1 for x in x1]
-        q2 = [x / s2 for x in x2]
+            y1, y2 = math.exp(e * log_a + log_w), math.exp(e * log_b + log_w)
+            x1.append(y1)
+            x2.append(y2)
+            s1 += y1
+            s2 += y2
         alpha = self.alpha
-        return q1, q2, [(alpha * y1 + y2) / (1.0 + alpha) for y1, y2 in zip(q1, q2)]
+        share = 1.0 + alpha
+        q1, q2, t_w = [], [], []
+        for y1, y2 in zip(x1, x2):
+            y1 /= s1
+            y2 /= s2
+            q1.append(y1)
+            q2.append(y2)
+            t_w.append((alpha * y1 + y2) / share)
+        return q1, q2, t_w
 
     def derivatives(self, w, q1, q2, t_w, e: float):
         """Gradient and Hessian of ``L_mu / (1 + mu) + (1 - e)(1 + alpha) sum
@@ -364,17 +404,19 @@ class _PairProgram:
         step solves the stationarity of :meth:`relax` and the linearised
         excess together: ``H d + c de = -g`` up to the border's multiple of
         ``w``, with ``w . d = 0``, and ``h . d + E_e de = -excess``.  ``g``
-        and ``H`` come from :meth:`derivatives`; ``c``, the gradient's
+        and ``H`` are :meth:`derivatives`'s, taken in the pass over the
+        symbols that computes ``c`` and ``h``; ``c``, the gradient's
         derivative in ``e`` at fixed ``W``, is ``-(1 + alpha)(w - T(w)) -
         (1 - e)(alpha v1 + v2)`` with ``v = q (u - q . u)``; ``h`` and
         ``E_e`` are the excess's derivatives in the relative step and in
         ``e``, ``h = -(1 - e)(alpha q1 (s1 - q1 . s1) + q2 (s2 - q2 . s2)) /
         alpha`` with ``s = u + r``.  Block elimination (Boyd & Vandenberghe,
         *Convex Optimization*, 10.3) solves it with two right-hand sides of
-        the KKT system, ``H d0 = -g`` and ``H z = c``, and a scalar Schur
-        complement: ``d = d0 - de z`` and ``de = -(excess + h . d0) / (E_e -
-        h . z)``.  The sums over ``u`` take centred terms: ``sum q u (u -
-        m)`` would carry ``m``'s rounding times ``m``, which swamps a
+        the KKT system, ``H d0 = -g`` and ``H z = c`` (one call of
+        :func:`_simplex_solve`, which counts as two solves), and a scalar
+        Schur complement: ``d = d0 - de z`` and ``de = -(excess + h . d0) /
+        (E_e - h . z)``.  The sums over ``u`` take centred terms: ``sum q u
+        (u - m)`` would carry ``m``'s rounding times ``m``, which swamps a
         variance below ``m^2 eps``.
 
         At a relaxed state ``g = 0`` and ``r = 0``, so ``d0 = 0`` and the
@@ -400,28 +442,43 @@ class _PairProgram:
         alpha = self.alpha
         q1, q2, t_w = swept
         u1, u2, r = [], [], []
-        for (log_a, log_b), x, t in zip(self.logs, w, t_w):
+        m1 = m2 = tr = r1 = r2 = 0.0
+        for (log_a, log_b), x, t, y1, y2 in zip(self.logs, w, t_w, q1, q2):
             log_w = math.log(x)
-            u1.append(log_a - log_w if log_a > -math.inf else 0.0)
-            u2.append(log_b - log_w if log_b > -math.inf else 0.0)
-            r.append(log_w - math.log(t))
-        m1, m2 = sum(map(mul, q1, u1)), sum(map(mul, q2, u2))
-        excess = -((1.0 + alpha) * sum(map(mul, t_w, r)) + alpha * m1 + m2) / alpha
-        # centred: v = q (u - m) and s - q . s = (u - m) + (r - q . r)
-        r1, r2 = sum(map(mul, q1, r)), sum(map(mul, q2, r))
-        c, h = [], []
+            c1 = log_a - log_w if log_a > -math.inf else 0.0
+            c2 = log_b - log_w if log_b > -math.inf else 0.0
+            ri = log_w - math.log(t)
+            u1.append(c1)
+            u2.append(c2)
+            r.append(ri)
+            m1 += y1 * c1
+            m2 += y2 * c2
+            tr += t * ri
+            r1 += y1 * ri
+            r2 += y2 * ri
+        excess = -((1.0 + alpha) * tr + alpha * m1 + m2) / alpha
+        # centred: v = q (u - m) and s - q . s = (u - m) + (r - q . r); the
+        # negated gradient and the Hessian's factors as derivatives() has them
+        scale = f * (1.0 + alpha)
+        root = f * math.sqrt(alpha)
+        curve = e * scale
+        pull = -(1.0 + alpha)
+        c, h, rhs, diag, f1, f2 = [], [], [], [], [], []
         second = 0.0
         for x, t, y1, y2, c1, c2, ri in zip(w, t_w, q1, q2, u1, u2, r):
             c1 -= m1
             c2 -= m2
             v1, v2 = y1 * c1, y2 * c2
             second += alpha * v1 * (c1 + ri) + v2 * (c2 + ri)
-            c.append(-(1.0 + alpha) * (x - t) - f * (alpha * v1 + v2))
+            gap = x - t
+            c.append(pull * gap - f * (alpha * v1 + v2))
             h.append(alpha * y1 * (c1 + ri - r1) + y2 * (c2 + ri - r2))
-        grad, hess = self.derivatives(w, q1, q2, t_w, e)
+            rhs.append(-(scale * gap))
+            diag.append(curve * t)
+            f1.append(root * y1)
+            f2.append(f * y2)
         self.solves += 2
-        d0 = _simplex_solve(*hess, w, [-g for g in grad])
-        z = _simplex_solve(*hess, w, c)
+        d0, z = _simplex_solve(diag, f1, f2, w, rhs, 0.0, c)
         # E_e - h . z with E_e = -second / alpha and h scaled by -(1 - e) / alpha
         schur = (f * sum(map(mul, h, z)) - second) / alpha
         rise = excess - f * sum(map(mul, h, d0)) / alpha

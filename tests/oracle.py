@@ -55,6 +55,15 @@ arithmetic on the same floats.  These forms and
 ``sweep_relax`` read a program's sources and states, which are lists of
 floats, as arrays.
 
+``separate_sweep`` and ``separate_joint_step`` are ``_PairProgram.sweep``
+and ``_PairProgram.joint_step`` as they were before their passes over the
+symbols were fused: every sum is its own ``sum`` over a finished list, the
+gradient and the Hessian's factors come from ``derivatives``, and the two
+right-hand sides of the joint step are two one-sided calls of
+``_simplex_solve``.  Each sum adds the same terms in the same order as the
+fused form, so the two give the same bits; they count sweeps and solves as
+the methods do.
+
 ``binary_fixed_length_errors`` is the exact error probability of the binary
 fixed-length test on a two-symbol alphabet: the rule reads only class 1's
 score, so each hypothesis's error is a finite sum over the training count
@@ -96,6 +105,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -130,6 +140,8 @@ from seqstat.exponents import (
     INNER_TOLERANCE,
     _PairProgram,
     _check_alpha,
+    _log_step,
+    _simplex_solve,
 )
 from seqstat.errors import (
     AlphabetMismatch,
@@ -648,6 +660,57 @@ def exact_simplex_solve(diag, u1, u2, w, rhs) -> list[float]:
                 factor = rows[r][col] / rows[col][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return [float(rows[i][-1] / rows[i][i]) for i in range(k)]
+
+
+def separate_sweep(program: _PairProgram, w, e: float):
+    """``_PairProgram.sweep`` with one pass per list and per sum."""
+    program.sweeps += 1
+    f = 1.0 - e
+    x1, x2 = [], []
+    for (log_a, log_b), x in zip(program.logs, w):
+        log_w = f * math.log(x)
+        x1.append(math.exp(e * log_a + log_w))
+        x2.append(math.exp(e * log_b + log_w))
+    s1, s2 = sum(x1), sum(x2)
+    q1 = [x / s1 for x in x1]
+    q2 = [x / s2 for x in x2]
+    alpha = program.alpha
+    return q1, q2, [(alpha * y1 + y2) / (1.0 + alpha) for y1, y2 in zip(q1, q2)]
+
+
+def separate_joint_step(program: _PairProgram, mu: float, w, swept):
+    """``_PairProgram.joint_step`` with one pass per list and per sum and a
+    one-sided ``_simplex_solve`` per right-hand side."""
+    e = 1.0 / (1.0 + mu)
+    f = 1.0 - e
+    alpha = program.alpha
+    q1, q2, t_w = swept
+    u1, u2, r = [], [], []
+    for (log_a, log_b), x, t in zip(program.logs, w, t_w):
+        log_w = math.log(x)
+        u1.append(log_a - log_w if log_a > -math.inf else 0.0)
+        u2.append(log_b - log_w if log_b > -math.inf else 0.0)
+        r.append(log_w - math.log(t))
+    m1, m2 = sum(map(mul, q1, u1)), sum(map(mul, q2, u2))
+    excess = -((1.0 + alpha) * sum(map(mul, t_w, r)) + alpha * m1 + m2) / alpha
+    r1, r2 = sum(map(mul, q1, r)), sum(map(mul, q2, r))
+    c, h = [], []
+    second = 0.0
+    for x, t, y1, y2, c1, c2, ri in zip(w, t_w, q1, q2, u1, u2, r):
+        c1 -= m1
+        c2 -= m2
+        v1, v2 = y1 * c1, y2 * c2
+        second += alpha * v1 * (c1 + ri) + v2 * (c2 + ri)
+        c.append(-(1.0 + alpha) * (x - t) - f * (alpha * v1 + v2))
+        h.append(alpha * y1 * (c1 + ri - r1) + y2 * (c2 + ri - r2))
+    grad, hess = program.derivatives(w, q1, q2, t_w, e)
+    program.solves += 2
+    d0 = _simplex_solve(*hess, w, [-g for g in grad])
+    z = _simplex_solve(*hess, w, c)
+    schur = (f * sum(map(mul, h, z)) - second) / alpha
+    rise = excess - f * sum(map(mul, h, d0)) / alpha
+    de = -rise / schur if schur < 0.0 else math.nan
+    return excess, _log_step(w, [x - de * y for x, y in zip(d0, z)]), mu - de / (e * e)
 
 
 def numpy_relax(program: _PairProgram, mu: float, state):

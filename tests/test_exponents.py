@@ -652,44 +652,63 @@ class TestKktSolve:
         assert plain_move(program, state, mu) <= INNER_TOLERANCE
         return state
 
-    def test_step_matches_the_dense_and_exact_solves(self):
-        # The two right-hand sides the package solves for: relax's first
-        # step from the sources (the negated gradient) and curvature's at the
-        # relaxed state.  The KKT system's condition number grows like 1 / e
-        # = 1 + mu (the Hessian's diagonal is e (1 - e)(1 + alpha) T(w), its
-        # rank-two part O(1)), so no solve on the rounded entries beats eps
-        # (1 + mu) relative.  The dense solve is normwise stable: a
-        # coordinate of W far below the others has no digits in its
-        # relative step there, so the two forms are compared on the move
-        # w d in W, and the exact rational solve of the same floats checks
-        # d itself.
+    def test_step_matches_the_dense_and_exact_solves(self, monkeypatch):
+        # The right-hand sides the package solves for: joint_step's two (the
+        # negated gradient and c) from the sources' mixture and at the
+        # relaxed state, the first of which is also relax's first step.  The
+        # KKT system's condition number grows like 1 / e = 1 + mu (the
+        # Hessian's diagonal is e (1 - e)(1 + alpha) T(w), its rank-two part
+        # O(1)), so no solve on the rounded entries beats eps (1 + mu)
+        # relative.  The dense solve is normwise stable: a coordinate of W
+        # far below the others has no digits in its relative step there, so
+        # the two forms are compared on the move w d in W, and the exact
+        # rational solve of the same floats checks d itself.  Each side of
+        # the two-sided solve has the bits of its own one-sided solve, also
+        # where the first side carries a mass, which the second (mass 0)
+        # must not read.
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _simplex_solve(*args)
+
+        states = []
+        for program, mu in kkt_family(24, 200):
+            e = 1.0 / (1.0 + mu)
+            w = program.start()[2]
+            relaxed = self.relaxed(program, mu)
+            states.append((program, mu, w, program.sweep(w, e)))
+            states.append((program, mu, relaxed[2], relaxed))
+        monkeypatch.setattr(exponents, "_simplex_solve", recording)
+        solves = []
+        for program, mu, w, swept in states:
+            program.joint_step(mu, w, swept)
+            solves.append((program, mu, w, swept, calls.pop()))
+        monkeypatch.undo()
+        assert not calls
         checked = 0
         with np.errstate(all="raise"):
-            for program, mu in kkt_family(24, 200):
+            for program, mu, w, (q1, q2, t_w), args in solves:
                 e = 1.0 / (1.0 + mu)
                 bound = 1e-13 * (1.0 + mu)
-                w = program.start()[2]
-                q1, q2, t_w = program.sweep(w, e)
-                grad = program.derivatives(w, q1, q2, t_w, e)[0]
-                relaxed = self.relaxed(program, mu)
-                solves = [(w, q1, q2, t_w, [-g for g in grad])]
-                q1, q2, w = relaxed
-                c = oracle.dense_slope_terms(program, mu, relaxed)[1]
-                solves.append((w, q1, q2, w, c.tolist()))
-                for w, q1, q2, t_w, rhs in solves:
-                    if not any(rhs):
+                diag, u1, u2, _, rhs, _, other = args
+                dense_hess = oracle.dense_derivatives(program, w, q1, q2, t_w, e)[1]
+                d, z = _simplex_solve(diag, u1, u2, w, rhs, 0.0, other)
+                assert d == _simplex_solve(diag, u1, u2, w, rhs)
+                assert z == _simplex_solve(diag, u1, u2, w, other)
+                d1, z1 = _simplex_solve(diag, u1, u2, w, rhs, 0.25, other)
+                assert d1 == _simplex_solve(diag, u1, u2, w, rhs, 0.25) and z1 == z
+                for step, side in ((d, rhs), (z, other)):
+                    if not any(side):
                         continue
-                    diag, u1, u2 = program.derivatives(w, q1, q2, t_w, e)[1]
-                    d = np.array(_simplex_solve(diag, u1, u2, w, rhs))
-                    dense = oracle.dense_simplex_solve(
-                        oracle.dense_derivatives(program, w, q1, q2, t_w, e)[1], w, rhs
-                    )
-                    exact = np.array(oracle.exact_simplex_solve(diag, u1, u2, w, rhs))
-                    move, dense_move = np.multiply(w, d), np.multiply(w, dense)
+                    step = np.array(step)
+                    dense = oracle.dense_simplex_solve(dense_hess, w, side)
+                    exact = np.array(oracle.exact_simplex_solve(diag, u1, u2, w, side))
+                    move, dense_move = np.multiply(w, step), np.multiply(w, dense)
                     assert np.max(np.abs(move - dense_move)) <= bound * np.max(np.abs(dense_move))
-                    assert np.max(np.abs(d - exact)) <= bound * np.max(np.abs(exact))
+                    assert np.max(np.abs(step - exact)) <= bound * np.max(np.abs(exact))
                     checked += 1
-        assert checked >= 300
+        assert checked >= 600
 
     def test_curvature_matches_the_dense_form(self):
         with np.errstate(all="raise"):
@@ -762,6 +781,33 @@ class TestCrossingSearch:
         _, calls = self.search(excess, 0.0, 1.0)
         assert len(calls) <= 90
         assert abs(calls[-1][0] - 0.5) <= 1e-9
+
+    def test_infinite_excess_is_bisected(self):
+        # while an end's excess is infinite, regula falsi's point is NaN or
+        # that end, so every step is the bracket's midpoint; once both ends
+        # are finite the search closes in as on any excess and certifies
+        def excess(mu):
+            if mu < 0.2:
+                return -math.inf
+            return math.inf if mu > 0.7 else math.expm1(3.0 * (mu - 0.6))
+
+        value, calls = self.search(excess, 0.0, 1.0)
+        lo, hi = 0.0, 1.0
+        bisections = 0
+        for mu, _ in calls:
+            if math.isinf(excess(lo)) or math.isinf(excess(hi)):
+                assert mu == 0.5 * (lo + hi)
+                bisections += 1
+            else:
+                assert lo < mu < hi
+            if excess(mu) > 0.0:
+                hi = mu
+            else:
+                lo = mu
+        assert bisections == 3 and len(calls) > bisections
+        assert excess(lo) <= 0.0 < excess(hi) < math.inf
+        width = divergence.RELATIVE_BRACKET_WIDTH * hi
+        assert abs(value) <= 0.5 * divergence.EXCESS_STOP or hi - lo <= width
 
     def test_smooth_roots_converge_from_both_sides(self):
         # regula falsi keeps one end of a convex or concave excess for good;
@@ -909,6 +955,18 @@ class TestCrossingCertificate:
         p1, p2 = (make_distribution(w, alph) for w in DISJOINT_PAIR)
         full = gjs(p1, p2, 2.0) / 2.0
         assert _bayes_crossing(2.0, p1, p2) == (full, 0.0, 0.0, math.inf, 0, 0, 0)
+
+    def test_fused_passes_keep_every_bit(self, monkeypatch):
+        # the sweep and the joint step with one pass per sum and two
+        # one-sided solves (the oracle) give the same certificate, field for
+        # field and bit for bit (repr tells -0.0 from 0.0), counts included
+        cases = crossing_family(12, 50) + crossing_family(20191203, 400)
+        fused = [_bayes_crossing(alpha, p1, p2) for alpha, p1, p2 in cases]
+        monkeypatch.setattr(_PairProgram, "sweep", oracle.separate_sweep)
+        monkeypatch.setattr(_PairProgram, "joint_step", oracle.separate_joint_step)
+        for cert, (alpha, p1, p2) in zip(fused, cases):
+            want = _bayes_crossing(alpha, p1, p2)
+            assert cert == want and repr(cert) == repr(want)
 
 
 class TestTangentStart:

@@ -6,8 +6,9 @@ an import kept only for the benchmark names one of them, ``estimate`` builds no
 per-trial objects, no private name in ``src/`` goes unused there, every
 symbol is drawn by one sampler, one module defines the relative entropy,
 one scalar evaluator computes it, the solvers pass float sequences rather
-than arrays, one validator module raises every alphabet mismatch, and the
-README's example config still runs.
+than arrays, one validator module raises every alphabet mismatch, every
+mutant in ``tests/mutants.py`` still applies, and the README's example
+config still runs.
 
 ``bench/spans.py`` wraps each ``(module, attribute)`` of its ``TARGETS`` by
 name, without a default, and swaps ``seqstat.simulator.ProcessPoolExecutor``
@@ -444,6 +445,21 @@ def test_one_sampler():
                 home = range(node.lineno, node.end_lineno + 1)
     assert searches == []
     assert draws and all(stem == "probability" and line in home for stem, line in draws)
+
+
+def test_mutants_still_apply():
+    # every catalogued mutant edits text that occurs exactly once in its
+    # module, and every test named to kill it is defined in its file
+    import mutants
+
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        text = (ROOT / "src" / "seqstat" / mutant.module).read_text()
+        assert text.count(mutant.old) == 1 and mutant.new != mutant.old, mutant.name
+        for killer in mutant.killers:
+            path, *names = killer.split("::")
+            source = (ROOT / path).read_text()
+            assert all(re.search(rf"^\s*(class|def) {name}\b", source, re.M) for name in names), killer
 
 
 def test_one_alphabet_check():
