@@ -16,13 +16,14 @@ derivative in ``alpha`` is ``D(p || m)``, and at ``alpha = 0`` that is
 ``gjs``, its derivative and the relative entropy (:func:`kl`, the first
 value at ``alpha = 0``), on distributions and on weight sequences, all come
 from one evaluator, ``_mixture_divergences``: built once per pair, it maps
-``alpha`` to ``(D(p || m), D(q || m))``.  On the common support its
+``alpha`` to ``(D(p || m), D(q || m))`` and the threshold root's curvature
+in ``1 / alpha``.  On the common support its
 log-ratios are ``log1p`` of the exact difference ``p - q``, so near-identical
 pairs keep their digits, except where ``m <= p / 2``, where ``log(m / p)``
 comes from the ratio ``q / p``; off it they are ``log1p(1 / alpha)`` (mass
 of ``p`` only) and ``log1p(alpha)`` (mass of ``q`` only).  The
 threshold-equation solver in :mod:`seqstat.fixedpoint` evaluates the same
-function: its no-root gate, its Newton steps and its residual all read the
+function: its no-root gate, its Halley steps and its residual all read the
 one evaluator of the pair.  The evaluator and :func:`chernoff` are scalar
 ``math`` loops over the kept symbols (the common support): the package's
 alphabets have a handful of symbols, where one numpy call costs more than
@@ -43,7 +44,7 @@ where the ends carry slopes), live here, below every module that runs them,
 with its one width, ``RELATIVE_BRACKET_WIDTH``, and its one step budget,
 ``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on its exponent and
 :mod:`seqstat.exponents` on the exponent program's multiplier and in
-``constrained_kl_min``.  The threshold root's Newton steps in ``1 / theta``
+``constrained_kl_min``.  The threshold root's Halley steps in ``1 / theta``
 (which fall back on ``_bracket``) and the Bayes crossing's joint Newton
 steps keep their own brackets with the same width and budget.
 """
@@ -76,7 +77,8 @@ CROSSING_MAX_STEPS = 168
 # --------------------------------------------------------------------------
 
 def _mixture_divergences(p: Sequence[float], q: Sequence[float]):
-    """``alpha -> (D(p || m), D(q || m))`` with ``m = (alpha * p + q) / (1 + alpha)``.
+    """``alpha -> (D(p || m), D(q || m), chi2(q || m) / (1 + u))`` with ``m =
+    (alpha * p + q) / (1 + alpha)`` and ``u = 1 / alpha``.
 
     On the common support ``log(m / p) = log1p(-(p - q) / ((1 + alpha) p))``
     and ``log(m / q) = log1p(alpha (p - q) / ((1 + alpha) q))``; mass of
@@ -85,35 +87,44 @@ def _mixture_divergences(p: Sequence[float], q: Sequence[float]):
     ``D(p || q)``, mass of ``p`` only makes it ``inf``.  Symbols with
     ``m <= p / 2`` take ``log((alpha + q / p) / (1 + alpha))`` instead, which
     keeps the digits of a small ratio that ``1 - (p - q) / ((1 + alpha) p)``
-    rounds away.  Both sums are one scalar loop over the kept symbols.
+    rounds away.  The third value, ``-d D(q || m) / du``, is the threshold
+    root's curvature in ``u``: ``chi2(q || m) / (1 + u) = (alpha / (1 +
+    alpha))^2 (p_only + alpha (q_only + sum (p - q)^2 / (alpha p + q)))``,
+    with nonnegative terms, no logarithm and no cancellation, and 0 at
+    ``alpha = 0``.  It takes ``sum p = sum q``: weights whose sums differ by
+    rounding move it by ``(sum q - sum p) / (1 + u)^2``.  The three sums
+    are one scalar loop over the kept symbols.
     """
     p_only = q_only = 0.0
-    kept = []  # (p, q, (p - q) / p, (p - q) / q) on the common support
+    kept = []  # (p, q, (p - q) / p, (p - q) / q, (p - q)^2) on the common support
     for a, b in zip(p, q):
         if a > 0.0 and b > 0.0:
             diff = a - b
-            kept.append((a, b, diff / a, diff / b))
+            kept.append((a, b, diff / a, diff / b, diff * diff))
         elif b == 0.0:
             p_only += a
         elif a == 0.0:
             q_only += b
 
-    def divergences(alpha: float) -> tuple[float, float]:
+    def divergences(alpha: float) -> tuple[float, float, float]:
         share = 1.0 / (1.0 + alpha)
         switch = 0.5 * (1.0 + alpha)  # m <= p / 2 exactly where to_p >= switch
         to_m = alpha * share
-        d_p = d_q = 0.0
-        for a, b, to_p, to_q in kept:
+        d_p = d_q = spread = 0.0
+        for a, b, to_p, to_q, square in kept:
             if to_p < switch:
                 d_p += a * math.log1p(-share * to_p)
             else:
                 # there 1 - share * to_p has lost the digits of m / p
                 d_p += a * math.log((alpha + b / a) / (1.0 + alpha) if alpha > 0.0 else b / a)
             d_q += b * math.log1p(to_m * to_q)
+            spread += square / (alpha * a + b)
+        curvature = to_m * to_m * (p_only + alpha * (q_only + spread))
         if alpha > 0.0:
-            return p_only * math.log1p(1.0 / alpha) - d_p, q_only * math.log1p(alpha) - d_q
+            return (p_only * math.log1p(1.0 / alpha) - d_p, q_only * math.log1p(alpha) - d_q,
+                    curvature)
         # m = q
-        return (math.inf if p_only else 0.0) - d_p, 0.0
+        return (math.inf if p_only else 0.0) - d_p, 0.0, 0.0
 
     return divergences
 
@@ -127,7 +138,7 @@ def gjs_array(p: Sequence[float], q: Sequence[float], alpha: float) -> float:
     """gjs on raw weight sequences, for ``alpha >= 0``."""
     if alpha == 0.0:
         return 0.0
-    d_p, d_q = _mixture_divergences(p, q)(alpha)
+    d_p, d_q, _ = _mixture_divergences(p, q)(alpha)
     return alpha * d_p + d_q
 
 

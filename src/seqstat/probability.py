@@ -234,12 +234,13 @@ def _check_count(value) -> int:
     return int(number)
 
 
-def _check_alpha(alpha: float, strict: bool) -> float:
-    """A finite weight ``alpha``, ``> 0`` when ``strict`` and ``>= 0`` otherwise."""
-    alpha = _check_real(alpha, NegativeAlpha, "alpha")
+def _check_alpha(alpha: float, strict: bool, what: str = "alpha") -> float:
+    """A finite weight ``alpha``, ``> 0`` when ``strict`` and ``>= 0`` otherwise;
+    ``what`` names it in the error."""
+    alpha = _check_real(alpha, NegativeAlpha, what)
     if not math.isfinite(alpha) or alpha < 0.0 or (strict and alpha == 0.0):
         bound = "> 0" if strict else ">= 0"
-        raise NegativeAlpha(f"alpha must be finite and {bound}, got {alpha}")
+        raise NegativeAlpha(f"{what} must be finite and {bound}, got {alpha}")
     return alpha
 
 

@@ -90,36 +90,72 @@ MUTANTS = [
     ),
     Mutant(
         "root-no-floor-check", "fixedpoint.py",
-        "if lo.mu == BRACKET_LOW and end(BRACKET_LOW).excess > 0.0:",
+        "if lo == BRACKET_LOW and excess(BRACKET_LOW)[0] > 0.0:",
         "if False:",
         ("tests/test_fixedpoint.py::TestNewtonAgainstBisection::test_root_below_bracket_low_raises",),
         "Newton steps in 1/theta for the threshold root: the check at BRACKET_LOW",
     ),
     Mutant(
         "root-zero-slope-divides", "fixedpoint.py",
-        "-d_q or math.nan)", "-d_q)",
+        "-d_q or math.nan, curvature", "-d_q, curvature",
         ("tests/test_fixedpoint.py::TestNewtonInInverseTheta::test_zero_slope_bisects",),
         "Newton steps in 1/theta for the threshold root: NaN for a zero slope",
     ),
     Mutant(
         "root-no-denominator-guard", "fixedpoint.py",
-        "theta = newest.mu / denominator if denominator > 0.0 else math.nan",
-        "theta = newest.mu / denominator",
+        "theta = newest / denominator if denominator > 0.0 else math.nan",
+        "theta = newest / denominator",
         ("tests/test_fixedpoint.py::TestNewtonInInverseTheta::test_step_past_infinity_bisects",),
         "FOUND: a Newton step whose denominator was exactly 0.0 raised ZeroDivisionError",
     ),
     Mutant(
         "root-no-floor-chord", "fixedpoint.py",
-        "if lo is floor:", "if False:",
+        "if lo == BRACKET_LOW:", "if False:",
         ("tests/test_fixedpoint.py::TestNewtonInInverseTheta::test_near_zero_roots_take_the_chord_to_the_floor",),
         "Newton steps in 1/theta for the threshold root: the chord to the floor",
     ),
     Mutant(
         "root-no-rtsafe-slow-test", "fixedpoint.py",
-        "slow = reach == 0.5 and not abs(theta - newest.mu) <= 0.5 * moves[0]",
+        "slow = reach == 0.5 and not abs(theta - newest) <= 0.5 * moves[0]",
         "slow = False",
         ("tests/test_fixedpoint.py::TestNewtonInInverseTheta::test_sign_change_between_adjacent_floats",),
         "Newton steps in 1/theta for the threshold root: rtsafe's slow-step test",
+    ),
+    Mutant(
+        "halley-no-curvature", "fixedpoint.py",
+        "correction = 1.0 - 0.5 * ratio * curvature / slope", "correction = 1.0",
+        ("tests/test_fixedpoint.py::TestHalleySteps::test_step_is_halley_where_its_correction_is_positive",
+         "tests/test_search_cost.py::test_threshold_root_evaluations"),
+        "Halley steps for the threshold root: Newton's step again",
+    ),
+    Mutant(
+        "halley-correction-sign", "fixedpoint.py",
+        "correction = 1.0 - 0.5 * ratio * curvature / slope",
+        "correction = 1.0 + 0.5 * ratio * curvature / slope",
+        ("tests/test_fixedpoint.py::TestHalleySteps::test_step_is_halley_where_its_correction_is_positive",
+         "tests/test_search_cost.py::test_threshold_root_evaluations"),
+        "Halley steps for the threshold root: the correction's sign",
+    ),
+    Mutant(
+        "halley-no-positive-guard", "fixedpoint.py",
+        "if correction > 0.0:\n            ratio /= correction",
+        "if True:\n            ratio /= correction",
+        ("tests/test_fixedpoint.py::TestHalleySteps::test_step_is_halley_where_its_correction_is_positive",),
+        "Halley steps for the threshold root: Newton's step where the correction is not positive",
+    ),
+    Mutant(
+        "zero-weight-start-doubles", "fixedpoint.py",
+        "hi = reverse / gamma if reverse < math.inf else _certified_start(p, q, gamma)",
+        "hi = reverse / gamma",
+        ("tests/test_fixedpoint.py::TestNewtonInInverseTheta::test_infinite_reverse_divergence_starts_from_the_bound",),
+        "the bound's start where D(q || p) = inf: the doubling from 1 again",
+    ),
+    Mutant(
+        "curvature-no-p-only-mass", "divergence.py",
+        "curvature = to_m * to_m * (p_only + alpha * (q_only + spread))",
+        "curvature = to_m * to_m * alpha * (q_only + spread)",
+        ("tests/test_fixedpoint.py::TestHalleySteps::test_curvature_matches_a_50_digit_value",),
+        "the evaluator's curvature: the term of mass of p only",
     ),
 ]
 

@@ -26,7 +26,10 @@ sign of the validated public ``gjs`` until the bracket is
 followed it and that monotone Newton steps in ``1 / theta`` replaced:
 doubling from ``theta = 1``, then the shared Illinois search in
 ``seqstat.divergence`` with Newton steps on the slope ``D(q || m) /
-theta^2``, on the same evaluator of the pair.
+theta^2``, on the same evaluator of the pair.  ``newton_fixed_point`` is
+the loop that Halley steps replaced: monotone Newton steps in ``1 / theta``
+behind the same safeguards, on one ``_End`` per evaluation, with the
+doubling from ``theta = 1`` where ``D(q || p)`` is infinite.
 
 ``gjs_kl_form`` and ``gjs_entropy_form`` are the two forms the public
 ``gjs`` chose between before one ``log1p`` evaluator replaced both: the
@@ -485,7 +488,7 @@ def search_fixed_point(p, q, gamma: float) -> FixedPointResult:
     def end(theta: float, state=None) -> _End:
         nonlocal evaluations
         evaluations += 1
-        d_p, d_q = divergences(theta)
+        d_p, d_q, _ = divergences(theta)
         return _End(theta, gamma - d_p - d_q / theta, math.inf, None, d_q / (theta * theta))
 
     floor = _End(BRACKET_LOW, gamma - slope_at_zero, math.inf, None)
@@ -493,7 +496,66 @@ def search_fixed_point(p, q, gamma: float) -> FixedPointResult:
     if lo.mu == BRACKET_LOW and end(BRACKET_LOW).excess > 0.0:
         raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
     theta = 0.5 * (lo.mu + hi.mu)
-    d_p, d_q = divergences(theta)
+    d_p, d_q, _ = divergences(theta)
+    value = theta * d_p + d_q
+    residual = abs(value - gamma * theta)
+    if residual > RESIDUAL_BOUND:
+        raise NonConvergence(f"fixed-point residual {residual} exceeds {RESIDUAL_BOUND}")
+    return FixedPointResult(theta, residual, lo.mu, hi.mu, evaluations, value)
+
+
+def newton_fixed_point(p, q, gamma: float) -> FixedPointResult:
+    """Root of ``gjs(p, q, theta) = gamma * theta`` by monotone Newton steps
+    in ``u = 1 / theta`` from ``D(q || p) / gamma``, with the doubling from
+    ``theta = 1`` where that start is infinite or its excess is not positive.
+
+    The safeguards are ``solve_fixed_point``'s (the floor chord, the probes,
+    ``rtsafe``'s slow test, the quarter-width clamp, the bisection on a
+    non-positive denominator), on one ``_End`` per evaluation; only the step
+    is Newton's ratio ``F / F'``.  ``iterations`` counts the excess
+    evaluations as ``solve_fixed_point`` does.
+    """
+    _check_classes((p, q), "distributions")
+    gamma = _check_gamma(gamma)
+    divergences = _mixture_divergences(p.weights, q.weights)
+    slope_at_zero = divergences(0.0)[0]
+    if gamma >= slope_at_zero:
+        raise NoSolution(f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}")
+    reverse = _mixture_divergences(q.weights, p.weights)(0.0)[0]
+    evaluations = 0
+
+    def end(theta: float, state=None) -> _End:
+        nonlocal evaluations
+        evaluations += 1
+        d_p, d_q, _ = divergences(theta)
+        return _End(theta, gamma - d_p - d_q / theta, math.inf, None, -d_q or math.nan)
+
+    lo = floor = _End(BRACKET_LOW, gamma - slope_at_zero, math.inf, None)
+    hi = end(start) if 0.0 < (start := reverse / gamma) < math.inf else lo
+    if not hi.excess > 0.0:
+        lo, hi = _bracket(end, lo)
+    newest, reach, moves, steps = hi, 0.5, (math.inf, math.inf), 0
+    while (span := hi.mu - lo.mu) > RELATIVE_BRACKET_WIDTH * hi.mu:
+        if steps == CROSSING_MAX_STEPS:
+            raise NonConvergence(f"threshold root unfinished after {steps} steps")
+        steps += 1
+        width = RELATIVE_BRACKET_WIDTH * newest.mu
+        denominator = 1.0 - newest.mu * newest.excess / newest.slope
+        theta = newest.mu / denominator if denominator > 0.0 else math.nan
+        if lo is floor:
+            theta = min(theta, hi.mu - hi.excess * span / (hi.excess - lo.excess))
+        if abs(theta - newest.mu) <= 0.25 * width:
+            theta += (reach if newest is lo else -reach) * width
+            reach *= 2.0
+        slow = reach == 0.5 and not abs(theta - newest.mu) <= 0.5 * moves[0]
+        if slow or not lo.mu + 0.25 * width <= theta <= hi.mu - 0.25 * width:
+            theta = 0.5 * (lo.mu + hi.mu)
+        moves, newest = (moves[1], abs(theta - newest.mu)), end(theta)
+        lo, hi = (lo, newest) if newest.excess > 0.0 else (newest, hi)
+    if lo.mu == BRACKET_LOW and end(BRACKET_LOW).excess > 0.0:
+        raise NonConvergence(f"the root lies below BRACKET_LOW={BRACKET_LOW}")
+    theta = 0.5 * (lo.mu + hi.mu)
+    d_p, d_q, _ = divergences(theta)
     value = theta * d_p + d_q
     residual = abs(value - gamma * theta)
     if residual > RESIDUAL_BOUND:

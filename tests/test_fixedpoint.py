@@ -1,5 +1,6 @@
 """Threshold-equation roots and the exponent reports built from them."""
 
+import decimal
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from seqstat.divergence import CROSSING_MAX_STEPS, RELATIVE_BRACKET_WIDTH, kl_ar
 from seqstat.errors import (
     DuplicateDistribution,
     GammaOutOfRange,
+    NegativeAlpha,
     NonConvergence,
     NonPositiveGamma,
     NoSolution,
@@ -211,15 +213,19 @@ def boundary_pair(rng, size):
 def refine_steps(p, q, gamma, result):
     """Steps of a solve's loop: the part CROSSING_MAX_STEPS bounds.
 
-    Before the loop the solve evaluates the excess at its start ``D(q || p)
-    / gamma`` where that is positive and finite, and doubles from ``theta =
-    1`` where it is not or its excess is not positive; after the loop it
-    checks the sign at ``BRACKET_LOW`` when the bracket ends there.
+    Before the loop the solve evaluates the excess at its start, ``D(q ||
+    p) / gamma`` or, where ``D(q || p) = inf``, the bound's start
+    (``fixedpoint._certified_start``), where that is positive and finite, and
+    doubles from ``theta = 1`` where it is not or its excess is not
+    positive; after the loop it checks the sign at ``BRACKET_LOW`` when the
+    bracket ends there.
     """
     start = kl(q, p) / gamma
+    if math.isinf(kl(q, p)):
+        start = fixedpoint._certified_start(p, q, gamma)
     bracket_evaluations = 0
     if 0.0 < start < math.inf:
-        d_p, d_q = divergence._mixture_divergences(p.weights, q.weights)(start)
+        d_p, d_q, _ = divergence._mixture_divergences(p.weights, q.weights)(start)
         bracket_evaluations = 1
         started = gamma - d_p - d_q / start > 0.0
     else:
@@ -345,7 +351,7 @@ def certified(result, gamma, divergences, slope_at_zero):
     end, the bracket at most one relative width wide and the root strictly
     inside it."""
     def excess(theta):
-        d_p, d_q = divergences(theta)
+        d_p, d_q, _ = divergences(theta)
         return gamma - d_p - d_q / theta
 
     low, high = result.bracket_low, result.bracket_high
@@ -356,9 +362,10 @@ def certified(result, gamma, divergences, slope_at_zero):
 
 
 class TestNewtonInInverseTheta:
-    """The branches of the root's loop: Newton steps in ``u = 1 / theta`` from
-    ``D(q || p) / gamma``, the doubling where that start fails, and the probe
-    that certifies the bracket's other end."""
+    """The branches of the root's loop: Halley steps in ``u = 1 / theta`` from
+    ``D(q || p) / gamma`` or the bound's start, the doubling where that start
+    fails, and the probe that certifies the bracket's other end.  The fake
+    evaluators give a curvature of 0, so their steps are Newton's."""
 
     def _spied(self, monkeypatch):
         doublings = []
@@ -378,22 +385,45 @@ class TestNewtonInInverseTheta:
                 want = oracle.search_fixed_point(p, q, gamma).theta_star
                 assert abs(got - want) <= 1e-12 * want
 
-    def test_infinite_reverse_divergence_doubles(self, monkeypatch):
+    def test_infinite_reverse_divergence_starts_from_the_bound(self, monkeypatch):
         # q has mass that p lacks, as on the exponent table's zero-weight
-        # pairs: D(q || p) = inf gives no start, and the doubling runs
+        # pairs: D(q || p) = inf gives no start, and the start from the bound
+        # on gjs (fixedpoint._certified_start) lies above the root with a
+        # positive excess, so no doubling runs (the doubling ran 3 times here)
         doublings = self._spied(monkeypatch)
         alph = alphabet(3)
         p = make_distribution([0.6, 0.4, 0.0], alph)
         q = make_distribution([0.3, 0.3, 0.4], alph)
         assert kl(q, p) == math.inf
+        evaluate = divergence._mixture_divergences(p.weights, q.weights)
         for gamma in (0.02, 0.2, 0.9 * kl(p, q)):
             got = solve_fixed_point(p, q, gamma)
             want = oracle.search_fixed_point(p, q, gamma)
             assert abs(got.theta_star - want.theta_star) <= 1e-12 * want.theta_star
-            certified(got, gamma, divergence._mixture_divergences(p.weights, q.weights), kl(p, q))
-        assert len(doublings) == 3
+            certified(got, gamma, evaluate, kl(p, q))
+            assert got.iterations < oracle.newton_fixed_point(p, q, gamma).iterations
+        assert doublings == []
         solve_fixed_point(q, p, 0.02)
-        assert len(doublings) == 3
+        assert doublings == []
+        # the bound holds on every boundary pair with mass of q only
+        rng = np.random.default_rng(33)
+        checked = 0
+        for _ in range(400):
+            p, q = boundary_pair(rng, int(rng.integers(2, 6)))
+            top = kl(p, q)
+            if kl(q, p) < math.inf or not top > 0.0:
+                continue
+            evaluate = divergence._mixture_divergences(p.weights, q.weights)
+            for share in (1e-3, 0.1, 0.5, 0.99):
+                gamma = share * min(top, 10.0)
+                start = fixedpoint._certified_start(p, q, gamma)
+                d_p, d_q, _ = evaluate(start)
+                assert gamma - d_p - d_q / start > 0.0, (p, q, gamma)
+                got = outcome(solve_fixed_point, p, q, gamma)
+                if not isinstance(got, type):
+                    assert start > got.theta_star
+                    checked += 1
+        assert checked >= 200
 
     def test_start_rounded_below_the_root_doubles(self, monkeypatch):
         # at gamma = 1e-17 the start D(q || p) / gamma lies within rounding
@@ -405,7 +435,7 @@ class TestNewtonInInverseTheta:
         gamma = 1e-17
         evaluate = divergence._mixture_divergences(p.weights, q.weights)
         start = kl(q, p) / gamma
-        d_p, d_q = evaluate(start)
+        d_p, d_q, _ = evaluate(start)
         assert gamma - d_p - d_q / start <= 0.0
         got = solve_fixed_point(p, q, gamma)
         want = oracle.search_fixed_point(p, q, gamma)
@@ -420,7 +450,7 @@ class TestNewtonInInverseTheta:
         # width above it closes the bracket, where bisecting back toward the
         # start would take about 46 steps
         def divergences(theta):
-            return 0.5, 0.25
+            return 0.5, 0.25, 0.0
 
         gamma, slope_at_zero = 1.0, 2.0
         got = solve_fixed_point(None, None, gamma, (divergences, slope_at_zero, 4.0))
@@ -445,7 +475,7 @@ class TestNewtonInInverseTheta:
         # D(q || m) = 0.0 gives the Newton step no slope: the steps bisect
         # instead of dividing by zero
         def divergences(theta):
-            return gamma + 1.0 - theta, 0.0
+            return gamma + 1.0 - theta, 0.0, 0.0
 
         gamma, slope_at_zero = 0.5, 1.5
         got = solve_fixed_point(None, None, gamma, (divergences, slope_at_zero, 2.0))
@@ -458,7 +488,7 @@ class TestNewtonInInverseTheta:
         # steps bisect instead of dividing by zero
         def divergences(theta):
             t = min(max(theta - 1.0, 0.0), 1.0)  # 0 up to theta = 1, 1 from 2
-            return 0.5 * (1.0 - t), 1.0 - 0.9 * t
+            return 0.5 * (1.0 - t), 1.0 - 0.9 * t, 0.0
 
         gamma, slope_at_zero = 0.5, 1.5
         seen = []
@@ -480,12 +510,82 @@ class TestNewtonInInverseTheta:
 
             def divergences(theta, jump=jump):
                 step = 1e-14 if theta > jump else -1e-14
-                return gamma - 1.0 / theta - step, 1.0
+                return gamma - 1.0 / theta - step, 1.0, 0.0
 
             gamma, slope_at_zero = 0.5, 1.0
             got = solve_fixed_point(None, None, gamma, (divergences, slope_at_zero, 4.0 * jump))
             assert got.bracket_low <= jump and got.bracket_high >= above
             certified(got, gamma, divergences, slope_at_zero)
+
+
+class TestHalleySteps:
+    """Halley steps in ``u = 1 / theta`` on the evaluator's curvature, against
+    the Newton loop they replaced (``oracle.newton_fixed_point``)."""
+
+    def test_roots_agree_with_the_newton_loop(self):
+        cases = [(p, q, share * chernoff(p, q))
+                 for p, q in interior_family() for share in (0.1, 0.5, 0.9, 1.0)]
+        rng = np.random.default_rng(33)
+        kinds = {"zero-weight": 0, "point-mass": 0}
+        while min(kinds.values()) < 100:
+            p, q = boundary_pair(rng, int(rng.integers(3, 6)))
+            kind = "point-mass" if 1.0 in p.weights + q.weights else "zero-weight"
+            if kl(q, p) < math.inf and kind == "zero-weight":
+                continue  # only pairs where q has mass that p lacks take the new start
+            top = kl(p, q)
+            if top > 0.0:
+                kinds[kind] += 1
+                cases += [(p, q, share * min(top, 2.0)) for share in (0.05, 0.5, 0.95)]
+        moved = 0.0
+        for p, q, gamma in cases:
+            want = outcome(oracle.newton_fixed_point, p, q, gamma)
+            got = outcome(solve_fixed_point, p, q, gamma)
+            if isinstance(want, type):
+                assert got is want, (p, q, gamma)
+                continue
+            moved = max(moved, abs(got.theta_star - want.theta_star) / want.theta_star)
+            certified(got, gamma, divergence._mixture_divergences(p.weights, q.weights), kl(p, q))
+        assert moved <= 1e-12
+
+    def test_curvature_matches_a_50_digit_value(self):
+        # the curvature's other form, -d D(q || m) / du = sum over q > 0 of
+        # q (q - p) / ((1 + u) (p + u q)), whose terms cancel, in 50 digits;
+        # the evaluator's nonnegative terms take sum q = sum p, so the
+        # weights' own rounding, (sum q - sum p) / (1 + u)^2, is taken out
+        decimal.getcontext().prec = 50
+        rng = np.random.default_rng(5)
+        pairs = list(divergence_family(5, 120)) + [boundary_pair(rng, 4) for _ in range(120)]
+        for p, q in pairs:
+            evaluate = divergence._mixture_divergences(p.weights, q.weights)
+            exact = [(decimal.Decimal(a), decimal.Decimal(b)) for a, b in zip(p.weights, q.weights)]
+            imbalance = sum(b - a for a, b in exact)
+            for theta in (1e-6, 0.03, 1.0, 7.5, 4e4):
+                u = 1 / decimal.Decimal(theta)
+                want = sum(b * (b - a) / ((1 + u) * (a + u * b)) for a, b in exact if b > 0)
+                want -= imbalance / (1 + u) ** 2
+                got = evaluate(theta)[2]
+                assert got >= 0.0
+                assert abs(decimal.Decimal(got) - want) <= decimal.Decimal(1e-12) * want, \
+                    (p, q, theta, got, want)
+
+    def test_step_is_halley_where_its_correction_is_positive(self):
+        # an excess 1/2 - 1/theta with slope -1 in u and a chosen curvature c:
+        # from theta = 4 Newton lands on the root 2; Halley's correction 1 -
+        # c / 8 makes it 4 / 3 at c = 4, and at c = 8 (a zero correction, a
+        # division by zero) and c = 16 (negative, a step the wrong way) the
+        # step is Newton's
+        for curvature, landing in ((0.0, 2.0), (4.0, 4.0 / 3.0), (8.0, 2.0), (16.0, 2.0)):
+            seen = []
+
+            def divergences(theta, curvature=curvature):
+                seen.append(theta)
+                return 0.5, 1.0, curvature
+
+            gamma, slope_at_zero = 1.0, 2.0
+            got = solve_fixed_point(None, None, gamma, (divergences, slope_at_zero, 4.0))
+            assert seen[:2] == [4.0, landing], curvature
+            certified(got, gamma, divergences, slope_at_zero)
+            assert abs(got.theta_star - 2.0) <= 1e-13
 
 
 class TestExponentReport:
@@ -748,6 +848,17 @@ class TestEmpiricalFixedPoint:
         t = empirical_type([0, 1, 0, 1], alph)
         # kl(type, q) = 0 <= gamma, no root exists
         assert empirical_fixed_point(t, q, 0.1, fallback=7.5) == 7.5
+
+    def test_fallback_must_be_finite_and_positive(self):
+        alph = alphabet(2)
+        q = make_distribution([0.3, 0.7], alph)
+        close = empirical_type([0, 1, 1], alph)  # no root at gamma = 0.1
+        far = empirical_type([0] * 9 + [1], alph)  # a root
+        for t in (close, far):
+            for fallback in (math.nan, -3.0, 0.0, math.inf, "abc", None):
+                with pytest.raises(NegativeAlpha, match="fallback"):
+                    empirical_fixed_point(t, q, 0.1, fallback=fallback)
+        assert empirical_fixed_point(close, q, 0.1, fallback="2.5") == 2.5
 
     def test_exact_type_matches_solver(self):
         alph = alphabet(2)
