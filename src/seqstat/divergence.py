@@ -38,15 +38,15 @@ cancels on near-identical pairs and is kept only as
 :func:`gjs_mutual_info_form`, on the package's one Shannon entropy,
 :func:`entropy`.
 
-``_bracket`` and ``_search``, the package's one bracketed search (doubling
+``_bracket`` and ``_search``, the package's bracketed search (doubling
 from 1, then an Illinois search safeguarded by bisection, with Newton steps
 where the ends carry slopes), live here, below every module that runs them,
 with its one width, ``RELATIVE_BRACKET_WIDTH``, and its one step budget,
-``CROSSING_MAX_STEPS``: :func:`chernoff` runs it on its exponent and
-:mod:`seqstat.exponents` on the exponent program's multiplier and in
-``constrained_kl_min``.  The threshold root's Halley steps in ``1 / theta``
-(which fall back on ``_bracket``) and the Bayes crossing's joint Newton
-steps keep their own brackets with the same width and budget.
+``CROSSING_MAX_STEPS``: :func:`chernoff` and ``constrained_kl_min`` run
+``_search``, and the threshold root falls back on ``_bracket``.  The
+threshold root's Halley steps and the exponent programs' joint Newton loop
+(``exponents._PairProgram.newton``) keep their own brackets with the same
+width and budget.
 """
 
 from __future__ import annotations
@@ -60,14 +60,14 @@ from .probability import Distribution, EmpiricalType, _check_alpha, _check_class
 # Bracketed searches run until the bracket is this narrow relative to its top.
 RELATIVE_BRACKET_WIDTH = 1e-13
 # They also stop at an end of finite value whose excess is within this of 0,
-# and the Bayes crossing at a relaxed end whose excess is.
+# as the Bayes crossing does; the budget programs aim their slack inside it.
 EXCESS_STOP = 1e-12
 # Search steps allowed on any bracket (the threshold equation's root, the
-# exponent programs' multipliers, the crossing's, the Chernoff exponent's
-# eta) before the search raises.  A step that fails to halve the bracket is
-# followed by a bisection, so any two steps at least halve it, and 84
-# halvings take a bracket of width 1 below RELATIVE_BRACKET_WIDTH times the
-# threshold equation's lowest bracket end, fixedpoint.BRACKET_LOW = 1e-12.
+# exponent programs' multipliers, the Chernoff exponent's eta) before the
+# search raises.  A step that fails to halve the bracket is followed by a
+# bisection, so any two steps at least halve it, and 84 halvings take a
+# bracket of width 1 below RELATIVE_BRACKET_WIDTH times the threshold
+# equation's lowest bracket end, fixedpoint.BRACKET_LOW = 1e-12.
 CROSSING_MAX_STEPS = 168
 
 
@@ -153,10 +153,10 @@ def _bhattacharyya(p: Sequence[float], q: Sequence[float]) -> float:
 
 
 class _End(NamedTuple):
-    """One end of a multiplier bracket: the relaxed state at ``mu``, the
-    caller's signed excess (growing with ``mu``), the value the caller
-    reports at this end, ``inf`` where it reports none, and the excess's
-    slope in ``mu`` where the caller has one."""
+    """One end of a bracket: its point ``mu``, the caller's signed excess
+    (growing with ``mu``), the value the caller reports there (``inf`` for
+    none), what the caller keeps of it (the threshold root's evaluated
+    point, the exponent program's pair) and the excess's slope, if any."""
 
     mu: float
     excess: float
@@ -168,18 +168,17 @@ class _End(NamedTuple):
 def _bracket(evaluate, lo: _End) -> tuple[_End, _End]:
     """Double the multiplier from 1 until the excess is positive.
 
-    The exponent program starts at ``mu = 1``, block exponent 1/2, and the
-    threshold equation, where its Newton steps have no start, at ``theta =
-    1``.  ``lo``, below 1, has excess at most 0; ``evaluate(mu, state)``
-    returns the end at ``mu``, relaxed from ``state``: from ``lo``'s state
-    first, then from the previous end, which becomes the lower end.  Raises
-    :class:`NonConvergence` when the next doubling would overflow.
+    The threshold equation runs it where its Halley steps have no start, at
+    ``theta = 1``.  ``lo``, below 1, has excess at most 0;
+    ``evaluate(mu)`` returns the end at ``mu``, and each end whose excess
+    is at most 0 becomes the lower end.  Raises :class:`NonConvergence`
+    when the next doubling would overflow.
     """
-    hi = evaluate(1.0, lo.state)
+    hi = evaluate(1.0)
     while hi.excess <= 0.0:
         if math.isinf(2.0 * hi.mu):
             raise NonConvergence(f"bracketing overflowed past {hi.mu}, excess still {hi.excess}")
-        lo, hi = hi, evaluate(2.0 * hi.mu, hi.state)
+        lo, hi = hi, evaluate(2.0 * hi.mu)
     return lo, hi
 
 
@@ -187,31 +186,26 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
     """Illinois search for the multiplier at which the excess changes sign,
     with Newton steps where the ends carry slopes.
 
-    The excess is at most 0 at ``lo`` and positive at ``hi``;
-    ``evaluate(mu, state)`` returns the end at ``mu``, relaxed from
-    ``state``.  Each step is a regula falsi step on the ends' excesses,
-    with the excess of an end kept twice in a row halved (Illinois),
-    clamped strictly inside the bracket and relaxed from the nearer end.
-    The excess grows with ``mu``, so every step narrows the bracket and
-    lowers the smaller excess magnitude of its ends; a step that halves
-    neither is followed by a bisection.  (Regula falsi closing in from one
-    side cuts the excess while it leaves the bracket wide, so the width
-    alone would call for needless bisections.)  While an end's excess is
-    infinite, regula falsi would land on the other end, so every step there
-    is a bisection.  Where the end of smaller excess magnitude has a
-    positive finite slope, a step that would be regula falsi's is a Newton
-    step from that end instead, if it lands inside the same clamped bracket
-    (Press et al., *Numerical Recipes*, 3rd ed., 9.4, ``rtsafe``); it too is
-    followed by a bisection unless it halves the bracket or the excess.
-    One caller gives slopes, :func:`chernoff` (``psi''``); the exponent
-    program's slack search and ``constrained_kl_min`` get the Illinois
-    steps alone.
-    The search returns the final ``(lo, hi)``, from which the caller picks
-    its answer, once an end of finite value has its excess within
-    ``EXCESS_STOP`` of 0 or the bracket is ``RELATIVE_BRACKET_WIDTH`` wide;
-    :class:`NonConvergence` is raised when ``CROSSING_MAX_STEPS`` steps end
-    before either.  A caller whose ends all have value ``inf`` gets a
-    bracket of that width.
+    The excess is at most 0 at ``lo`` and positive at ``hi``, both finite;
+    ``evaluate(mu)`` returns the end at ``mu``.  Each step is a regula
+    falsi step on the ends' excesses, with the excess of an end kept twice
+    in a row halved (Illinois), clamped strictly inside the bracket.  The
+    excess grows with ``mu``, so every step narrows the bracket and lowers
+    the smaller excess magnitude of its ends; a step that halves neither is
+    followed by a bisection.  (Regula falsi closing in from one side cuts
+    the excess while it leaves the bracket wide, so the width alone would
+    call for needless bisections.)  Where the end of smaller excess
+    magnitude has a positive finite slope, a step that would be regula
+    falsi's is a Newton step from that end instead, if it lands inside the
+    same clamped bracket (Press et al., *Numerical Recipes*, 3rd ed., 9.4,
+    ``rtsafe``); it too is followed by a bisection unless it halves the
+    bracket or the excess.  :func:`chernoff` gives slopes (``psi''``);
+    ``constrained_kl_min`` gets the Illinois steps alone.  The search
+    returns the final ``(lo, hi)``, from which the caller picks its answer,
+    once an end of finite value has its excess within ``EXCESS_STOP`` of 0
+    or the bracket is ``RELATIVE_BRACKET_WIDTH`` wide, and raises
+    :class:`NonConvergence` when ``CROSSING_MAX_STEPS`` steps end before
+    either.
     """
     f_lo, f_hi = lo.excess, hi.excess
     kept = None
@@ -233,7 +227,7 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
             )
         steps += 1
         smaller = min(hi.excess, -lo.excess)
-        bisect = not halved or math.isinf(f_hi - f_lo)
+        bisect = not halved
         if bisect:
             mu = 0.5 * (lo.mu + hi.mu)
         else:
@@ -245,8 +239,7 @@ def _search(evaluate, lo: _End, hi: _End) -> tuple[_End, _End]:
             if not lo.mu + 0.25 * tol <= mu <= hi.mu - 0.25 * tol:
                 mu = hi.mu - f_hi * width / (f_hi - f_lo)
                 mu = min(max(mu, lo.mu + 0.25 * tol), hi.mu - 0.25 * tol)
-        nearer = lo if mu - lo.mu < hi.mu - mu else hi
-        end = evaluate(mu, nearer.state)
+        end = evaluate(mu)
         if end.excess > 0.0:
             hi, f_hi = end, end.excess
             if kept == "lo":
@@ -359,7 +352,7 @@ def chernoff(p: Distribution, q: Distribution) -> float:
         return math.inf
     rise = 1.0  # psi'(1) - psi'(0), once known, scales every later excess and slope
 
-    def end(eta: float, state=None) -> _End:
+    def end(eta: float) -> _End:
         total = first = second = 0.0
         for lp, lq, ratio in kept:
             term = math.exp(eta * lp + (1.0 - eta) * lq)

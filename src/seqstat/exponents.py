@@ -24,49 +24,18 @@ Lagrangian a weighted relative-entropy sum, so each block minimizer is a
 normalized weighted geometric mean, both with the exponent ``1 / (1 + mu)``
 on their source.  Minimizing both blocks in closed form leaves a convex
 function of the mixture ``W`` alone, whose minimizer on the simplex is the
-fixed point ``W = T(W)`` of one block-descent sweep.  A relaxation
-minimizes it by damped Newton steps and returns once a sweep moves no
-coordinate more than ``INNER_TOLERANCE``.  The Hessian is a diagonal plus a
-rank-two term, so each step's KKT system, bordered by ``sum W = 1``, is
-solved in closed form (``_simplex_solve``), and the sweep, the step and its
-line search are scalar ``math`` loops over the kept symbols: on the package's
-alphabets of a handful of symbols one numpy call costs more than the
-loop's arithmetic (README, "Performance notes").  A coordinate that the
-full step would empty is held at the relative step ``-HELD_STEP`` and the
-others are solved again (``_newton_step``).  From a distribution's
-``weights`` to the returned pair, every state and value is a Python float.
+fixed point ``W = T(W)`` of one block-descent sweep; a relaxation
+(:meth:`_PairProgram.relax`) minimizes it by damped Newton steps.  The
+sweep, the step and its line search are scalar ``math`` loops over the
+kept symbols: on the package's alphabets of a handful of symbols one numpy
+call costs more than the loop's arithmetic (README, "Performance notes").
+From a distribution's ``weights`` to the returned pair, every state and
+value is a Python float.
 
-The program's multiplier search doubles the multiplier from 1 (block
-exponent 1/2), with ``mu = 0`` (the sources) as the first lower end, and
-narrows the bracket by an Illinois (modified regula falsi) search
-safeguarded by bisection (``_bracket`` and ``_search`` in
-:mod:`seqstat.divergence`, which :func:`constrained_kl_min` also runs on
-its path).  It searches on the constraint slack and returns a feasible end
-with its duality gap ``mu * slack`` certified.  It keeps the Illinois
-steps: Newton steps close in from the infeasible side, and that search
-stops only on a feasible end.
-
-The Bayes crossing looks for the multiplier at which the relaxed objective
-minus the relaxed constraint, both divided by ``alpha``, changes sign.  It
-does not relax ``W`` at every multiplier it tries: from the mixture at
-``mu = 1`` it takes Newton steps on ``(W, mu)`` together
-(:meth:`_PairProgram.joint_step`), on the relaxation's stationarity and the
-excess at once, each one sweep and one two-sided solve of the
-relaxation's KKT system (``_simplex_solve``; Boyd & Vandenberghe, *Convex
-Optimization*, 10.3; Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
-ch. 11).  A step is taken only if ``mu``
-stays inside the bracket of relaxed ends and the residual falls; an
-iterate whose sweep moves no coordinate more than ``INNER_TOLERANCE``
-passes :meth:`_PairProgram.relax`'s own stop, so it is a relaxed end.  A
-refused step is replaced by a relaxation at a safeguard point, the
-bracket's midpoint, or twice its lower end while no end has a positive
-excess, started from the current iterate; that end enters the bracket and
-the steps go on from it (a safeguarded Newton iteration: Press et al.,
-*Numerical Recipes*, 3rd ed., 9.4, ``rtsafe``).  From a relaxed state a
-joint step is a Newton step on ``mu`` alone, with the excess's slope, and
-it moves ``W`` along the tangent of the relaxed path, so no separate slope
-or start is computed.  :func:`_bayes_crossing` returns the crossing with
-its certificate (:class:`_Crossing`).
+The budget programs (:meth:`_PairProgram.solve`) look for the multiplier
+at which the relaxed constraint meets the budget, the Bayes crossing
+(:func:`_bayes_crossing`) for the one at which the relaxed objective and
+constraint agree, both by the joint Newton steps of :meth:`_PairProgram.newton`.
 
 Sources that share no symbol have a defined answer everywhere: every pair of
 finite objective then has the sources' own ``gjs``, so the programs are
@@ -77,12 +46,13 @@ infeasible below it (value ``inf``) and solved by the sources at or above it
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from . import divergence
-from .divergence import _End, _bracket, _search, gjs, gjs_array, kl_array
+from .divergence import _End, _search, gjs, gjs_array, kl_array
 from .errors import EmptyWeights, Infeasible, NonConvergence, NotNormalized
 from .fixedpoint import exponent_report
 from .probability import (
@@ -91,8 +61,8 @@ from .probability import (
 
 # A relaxation stops once its sweep moves no coordinate more than this; one
 # that needs more than INNER_MAX_SWEEPS sweeps (Newton iterations) raises.
-# The crossing's joint Newton steps, each one sweep and one search step,
-# raise once they exceed either this or divergence.CROSSING_MAX_STEPS.
+# The joint Newton loop's steps, each one sweep and one search step, raise
+# once they exceed either this or divergence.CROSSING_MAX_STEPS.
 INNER_TOLERANCE = 1e-15
 INNER_MAX_SWEEPS = 20000
 # Certified duality gap allowed on a returned optimal value.
@@ -353,9 +323,14 @@ class _PairProgram:
         it stays positive and lowers ``L_mu`` by a quarter of the slope's
         prediction (Boyd & Vandenberghe, *Convex Optimization*, 9.5 and
         10.2), or else, once it moves no coordinate by a relative machine
-        epsilon, the sweep's ``T(w)``, which never raises ``L_mu``.  Returns ``(q1(w), q2(w), w)``
-        once that sweep moves no coordinate more than ``INNER_TOLERANCE``;
-        :class:`NonConvergence` after ``INNER_MAX_SWEEPS``.
+        epsilon, the sweep's ``T(w)``, which never raises ``L_mu``.  ``w``
+        stays at or above the smallest normal float: a symbol of only one
+        source's support has a relaxed weight near ``(1 + alpha)^-(1 +
+        mu)``, below the float range at large ``mu``, on which no digit of
+        a value depends, and a weight of 0 would break the logs.  Returns
+        ``(q1(w), q2(w), w)`` once that sweep moves no coordinate more than
+        ``INNER_TOLERANCE``; :class:`NonConvergence` after
+        ``INNER_MAX_SWEEPS``.
         """
         self.relaxations += 1
         e = 1.0 / (1.0 + mu)
@@ -382,42 +357,51 @@ class _PairProgram:
                     g1, g2 = sum(map(mul, q1, z)), sum(map(mul, q2, z))
                     change = shift * t * mass - (self.alpha * math.log1p(g1) + math.log1p(g2))
                     if change <= 0.25 * t * slope:
-                        w = [x * (1.0 + t * y) for x, y in zip(w, d)]
+                        w = [max(x * (1.0 + t * y), sys.float_info.min) for x, y in zip(w, d)]
                         break
                 t *= 0.5
             else:
-                w = t_w
+                w = [max(x, sys.float_info.min) for x in t_w]
         raise NonConvergence(
             f"block descent at mu={mu} still moving {move} after {INNER_MAX_SWEEPS} sweeps"
         )
 
-    def joint_step(self, mu: float, w, swept) -> tuple[float, list[float] | None, float]:
-        """The crossing's excess at the unrelaxed ``(w, mu)`` and one Newton
-        step on ``(W, mu)`` together, from the sweep ``swept = (q1(w),
-        q2(w), T(w))``.
+    def joint_step(self, mu: float, w, swept, budget=None) -> tuple[float, list[float] | None, float]:
+        """One Newton step on ``(W, mu)`` together from the unrelaxed ``(w,
+        mu)`` and its sweep ``swept = (q1(w), q2(w), T(w))``, on the
+        stationarity of :meth:`relax` and one scalar row: the crossing's
+        excess, or with a ``budget`` the program's slack.
 
         With ``u1 = log a - log w`` and ``u2 = log b - log w`` (0 off each
         source's support, where its block has no mass) and ``r = log w -
         log T(w)``, objective minus constraint at ``(q1(w), q2(w))`` is
         ``(1 + alpha) D(T(w) || w) - alpha q1 . u1 - q2 . u2``, the excess
         times ``alpha``, with no divergence of its own to evaluate.  The
-        step solves the stationarity of :meth:`relax` and the linearised
-        excess together: ``H d + c de = -g`` up to the border's multiple of
-        ``w``, with ``w . d = 0``, and ``h . d + E_e de = -excess``.  ``g``
-        and ``H`` are :meth:`derivatives`'s, taken in the pass over the
-        symbols that computes ``c`` and ``h``; ``c``, the gradient's
-        derivative in ``e`` at fixed ``W``, is ``-(1 + alpha)(w - T(w)) -
-        (1 - e)(alpha v1 + v2)`` with ``v = q (u - q . u)``; ``h`` and
-        ``E_e`` are the excess's derivatives in the relative step and in
-        ``e``, ``h = -(1 - e)(alpha q1 (s1 - q1 . s1) + q2 (s2 - q2 . s2)) /
-        alpha`` with ``s = u + r``.  Block elimination (Boyd & Vandenberghe,
-        *Convex Optimization*, 10.3) solves it with two right-hand sides of
-        the KKT system, ``H d0 = -g`` and ``H z = c`` (one call of
-        :func:`_simplex_solve`, which counts as two solves), and a scalar
-        Schur complement: ``d = d0 - de z`` and ``de = -(excess + h . d0) /
-        (E_e - h . z)``.  The sums over ``u`` take centred terms: ``sum q u
-        (u - m)`` would carry ``m``'s rounding times ``m``, which swamps a
-        variance below ``m^2 eps``.
+        step solves the stationarity and the linearised row together: ``H d
+        + c de = -g`` up to the border's multiple of ``w``, with ``w . d =
+        0``, and ``h . d + E_e de = -row``.  ``g`` and ``H`` are
+        :meth:`derivatives`'s, taken in the pass over the symbols that
+        computes ``c`` and ``h``; ``c``, the gradient's derivative in ``e``
+        at fixed ``W``, is ``-(1 + alpha)(w - T(w)) - (1 - e)(alpha v1 +
+        v2)`` with ``v = q (u - q . u)``; ``h`` and ``E_e`` are the excess's
+        derivatives in the relative step and in ``e``, ``h = -(1 - e)(alpha
+        q1 (s1 - q1 . s1) + q2 (s2 - q2 . s2)) / alpha`` with ``s = u + r``.
+        Block elimination (Boyd & Vandenberghe, *Convex Optimization*, 10.3)
+        solves it with two right-hand sides of the KKT system, ``H d0 = -g``
+        and ``H z = c`` (one call of :func:`_simplex_solve`, which counts as
+        two solves), and a scalar Schur complement: ``d = d0 - de z`` and
+        ``de = -(row + h . d0) / (E_e - h . z)``.  The sums over ``u`` take
+        centred terms: ``sum q u (u - m)`` would carry ``m``'s rounding
+        times ``m``, which swamps a variance below ``m^2 eps``.
+
+        The slack row is ``(budget - G) / alpha`` with ``G = O - alpha *
+        excess`` and ``O`` the objective at ``(q1(w), q2(w))``.  Its
+        derivatives are the excess's less ``O``'s over ``alpha``, ``dO/dd =
+        -(1 - e)^2 (alpha v1 + v2)`` and ``dO/de = -(1 - e)(alpha Var_q1(u1)
+        + Var_q2(u2))``, so ``h`` and ``E_e`` weight the centred ``u`` by
+        ``e``, not 1.  Newton steps on a slack close in from the infeasible
+        side, so it aims inside the gap :meth:`solve` certifies, at
+        ``min(EXCESS_STOP, GAP_BOUND (1 + O) / mu) / 2``.
 
         At a relaxed state ``g = 0`` and ``r = 0``, so ``d0 = 0`` and the
         step is a Newton step on the multiplier alone.  The dual function
@@ -431,7 +415,7 @@ class _PairProgram:
         converge quadratically; ``h`` does not vanish there, and leaving it
         out makes the convergence linear.
 
-        Returns ``(excess, w', mu')``: the step is taken in the multiplier,
+        Returns ``(row, w', mu')``: the step is taken in the multiplier,
         ``mu' = mu - de / e^2``, and in ``log W`` (:func:`_log_step`), so
         that no coordinate can leave the simplex; ``w'`` is None where that
         fails and ``mu'`` NaN where the Schur complement has the wrong
@@ -456,7 +440,12 @@ class _PairProgram:
             tr += t * ri
             r1 += y1 * ri
             r2 += y2 * ri
-        excess = -((1.0 + alpha) * tr + alpha * m1 + m2) / alpha
+        row = excess = -((1.0 + alpha) * tr + alpha * m1 + m2) / alpha
+        weight = 1.0 if budget is None else e  # of the centred u in h and E_e
+        if budget is not None:
+            objective = self.objective_value(q1, q2)
+            aim = 0.5 * min(divergence.EXCESS_STOP, GAP_BOUND * (1.0 + objective) / mu)
+            row += (budget - aim - objective) / alpha
         # centred: v = q (u - m) and s - q . s = (u - m) + (r - q . r); the
         # negated gradient and the Hessian's factors as derivatives() has them
         scale = f * (1.0 + alpha)
@@ -468,7 +457,7 @@ class _PairProgram:
         for x, t, y1, y2, c1, c2, ri in zip(w, t_w, q1, q2, u1, u2, r):
             c1 -= m1
             c2 -= m2
-            v1, v2 = y1 * c1, y2 * c2
+            v1, v2, c1, c2 = y1 * c1, y2 * c2, weight * c1, weight * c2
             second += alpha * v1 * (c1 + ri) + v2 * (c2 + ri)
             gap = x - t
             c.append(pull * gap - f * (alpha * v1 + v2))
@@ -481,9 +470,9 @@ class _PairProgram:
         d0, z = _simplex_solve(diag, f1, f2, w, rhs, 0.0, c)
         # E_e - h . z with E_e = -second / alpha and h scaled by -(1 - e) / alpha
         schur = (f * sum(map(mul, h, z)) - second) / alpha
-        rise = excess - f * sum(map(mul, h, d0)) / alpha
+        rise = row - f * sum(map(mul, h, d0)) / alpha
         de = -rise / schur if schur < 0.0 else math.nan
-        return excess, _log_step(w, [x - de * y for x, y in zip(d0, z)]), mu - de / (e * e)
+        return row, _log_step(w, [x - de * y for x, y in zip(d0, z)]), mu - de / (e * e)
 
     def objective_value(self, q1: Sequence[float], q2: Sequence[float]) -> float:
         return self.alpha * kl_array(q1, self.a) + kl_array(q2, self.b)
@@ -502,13 +491,73 @@ class _PairProgram:
         q = [y / total for y in x]
         return self.objective_value(q, q), q
 
+    def newton(self, lo: _End, budget, report, done) -> tuple[_End, _End, _End | None]:
+        """The multiplier at which a relaxed end's excess changes sign, by
+        safeguarded Newton steps on ``(W, mu)`` together: the one loop of
+        :meth:`solve` and :func:`_bayes_crossing`.  ``lo`` is the sources'
+        end at ``mu = 0``, with an excess of at most 0, and the excess grows
+        with ``mu``; ``budget`` picks the row of :meth:`joint_step`, the
+        crossing's excess where it is None, else the slack.
+        ``report(mu, q1, q2)`` gives the caller's
+        :class:`~seqstat.divergence._End` at a relaxed ``mu``, and
+        ``done(end)`` tells whether that end is the answer.
+
+        From the mixture at ``mu = 1`` each iteration sweeps once.  An
+        iterate whose sweep moves no coordinate more than
+        ``INNER_TOLERANCE`` passes :meth:`relax`'s own stop, so it is a
+        relaxed end: it is returned if done, and otherwise enters the
+        bracket, as ``hi`` (at ``inf`` until one exists) if its excess is
+        positive, else as ``lo``.  The joint step (Boyd & Vandenberghe,
+        *Convex Optimization*, 10.3; Nocedal & Wright, *Numerical
+        Optimization*, 2nd ed., ch. 11) is taken only if it keeps ``mu``
+        strictly inside the bracket and lowers the merit, the hypotenuse of
+        the sweep's move and the row.  A refused step is replaced by a
+        relaxation from the current iterate at the bracket's midpoint, or
+        at ``max(1, 2 lo.mu)`` while ``hi`` is at ``inf``; that end enters
+        the bracket and the steps go on from it with the merit reset (Press
+        et al., *Numerical Recipes*, 3rd ed., 9.4, ``rtsafe``).  So ``W`` is
+        relaxed only where a step is refused.
+
+        Returns ``(lo, hi, end)``: a done ``end`` with the bracket it was
+        found in, or ``end = None`` once the bracket is
+        ``RELATIVE_BRACKET_WIDTH`` wide.  Each iteration is a sweep and a
+        search step, so :class:`NonConvergence` comes after the smaller of
+        ``INNER_MAX_SWEEPS`` and ``CROSSING_MAX_STEPS``.
+        """
+        hi = _End(math.inf, math.inf, math.inf, None)
+        steps = min(divergence.CROSSING_MAX_STEPS, INNER_MAX_SWEEPS)
+        mu, w, best = 1.0, self.start()[2], math.inf
+        for _ in range(steps):
+            q1, q2, t_w = swept = self.sweep(w, 1.0 / (1.0 + mu))
+            move = max(map(abs, map(sub, t_w, w)))
+            if move <= INNER_TOLERANCE:
+                end = report(mu, q1, q2)
+                if done(end):
+                    return lo, hi, end
+                lo, hi = (lo, end) if end.excess > 0.0 else (end, hi)
+                # an infinite hi is never narrow, though inf - mu <= inf holds
+                if hi.mu - lo.mu <= divergence.RELATIVE_BRACKET_WIDTH * hi.mu < math.inf:
+                    return lo, hi, None
+            row, w_next, mu_next = self.joint_step(mu, w, swept, budget)
+            merit = math.hypot(move, row)
+            if merit < best and w_next is not None and lo.mu < mu_next < hi.mu:
+                best, mu, w = merit, mu_next, w_next
+            else:
+                mu = 0.5 * (lo.mu + hi.mu) if hi.mu < math.inf else max(1.0, 2.0 * lo.mu)
+                w = self.relax(mu, (q1, q2, w))[2]
+                best = math.inf
+        unit = "sweeps" if INNER_MAX_SWEEPS < divergence.CROSSING_MAX_STEPS else "steps"
+        raise NonConvergence(f"unfinished after {steps} {unit}: excess {lo.excess} to {hi.excess}")
+
     def solve(self, budget: float):
         """Constrained minimum with a certified duality gap.
 
-        Returns ``(value, q1, q2)`` where the pair is feasible and the value
-        sits within ``GAP_BOUND`` of the true optimum.  When the sources
-        share no symbol, every pair of finite objective has the sources'
-        own ``gjs``, so a budget below it has no feasible pair: the value is
+        Returns ``(value, q1, q2)`` from a relaxed end of :meth:`newton` on
+        the slack ``budget - gjs(q1, q2, alpha)`` whose pair is feasible and
+        whose duality gap ``mu * slack`` is at most ``GAP_BOUND * (1 +
+        value)``, else raises :class:`NonConvergence`.  When the sources
+        share no symbol, every pair of finite objective has the sources' own
+        ``gjs``, so a budget below it has no feasible pair: the value is
         ``inf`` and the pair ``None``.
         """
         budget = _check_budget(budget, "divergence budget")
@@ -521,22 +570,19 @@ class _PairProgram:
             value, q = self.collapsed()
             return value, q, q
 
-        # Dual ascent: locate the multiplier whose relaxed solution meets
-        # the budget exactly.  The slack grows with mu.
-        def evaluate(mu: float, state) -> _End:
-            q1, q2, w = self.relax(mu, state)
+        def report(mu: float, q1, q2) -> _End:
             slack = budget - self.constraint_value(q1, q2)
             value = self.objective_value(q1, q2) if slack >= 0.0 else math.inf
-            return _End(mu, slack, value, (q1, q2, w))
+            return _End(mu, slack, value, (q1, q2))
 
-        lo = _End(0.0, budget - slack0, math.inf, self.start())
-        lo, hi = _search(evaluate, *_bracket(evaluate, lo))
-        # The lower end is feasible only when its slack is exactly 0.
-        end = lo if lo.value < math.inf else hi
-        gap = end.mu * end.excess
-        if not (0.0 <= gap <= GAP_BOUND * (1.0 + abs(end.value))):
-            raise NonConvergence(f"duality gap {gap} above the certified bound")
-        return (end.value, *end.state[:2])
+        def certified(end: _End) -> bool:
+            return end.value < math.inf and end.mu * end.excess <= GAP_BOUND * (1.0 + end.value)
+
+        lo = _End(0.0, budget - slack0, math.inf, None)
+        _, hi, end = self.newton(lo, budget, report, certified)
+        if end is None:  # every end that entered the bracket failed the gap check
+            raise NonConvergence(f"duality gap {hi.mu * hi.excess} above the certified bound")
+        return (end.value, *end.state)
 
 
 def _program(alpha: float, p1: Distribution, p2: Distribution) -> _PairProgram:
@@ -610,19 +656,18 @@ def gutman_bayes_exponent(alpha: float, p1: Distribution, p2: Distribution) -> f
     crosses the identity line.  Along the program's dual path, as the
     multiplier grows, the relaxed objective rises from 0 while the relaxed
     constraint falls from ``gjs(P1, P2, alpha)``, so their difference,
-    divided by ``alpha``, changes sign exactly once.  Joint Newton steps on
-    the mixture and the multiplier together find that multiplier, with a
-    relaxation at the bracket's midpoint in place of a refused step (module
-    docstring).  The crossing is the mean of objective and constraint over
-    ``alpha`` at a relaxed end where they agree within ``EXCESS_STOP``
-    (:mod:`seqstat.divergence`), else at the end of the final bracket where
-    they are closer, once it is ``RELATIVE_BRACKET_WIDTH`` wide.  For an
-    identical pair the curve is identically zero and so is the crossing;
-    where ``gjs(P1, P2, alpha) / alpha <= EXCESS_STOP`` the sources already
-    meet the stop.  For sources with disjoint supports the curve is ``inf``
-    below ``gjs(P1, P2, alpha) / alpha`` and 0 from there on, so the
-    crossing is that value, the supremum of ``min(lam, curve(lam))``.
-    :func:`_bayes_crossing` returns the value with its certificate.
+    divided by ``alpha``, changes sign once, at the multiplier that
+    :meth:`_PairProgram.newton` finds.  The crossing is the mean of the two
+    over ``alpha`` at a relaxed end where they agree within
+    ``EXCESS_STOP`` (:mod:`seqstat.divergence`), else at the end of the
+    final bracket where they are closer, once it is
+    ``RELATIVE_BRACKET_WIDTH`` wide.  For an identical pair the curve is
+    identically zero and so is the crossing; where ``gjs(P1, P2, alpha) /
+    alpha <= EXCESS_STOP`` the sources already meet the stop.  For sources
+    with disjoint supports the curve is ``inf`` below ``gjs(P1, P2, alpha)
+    / alpha`` and 0 from there on, so the crossing is that value, the
+    supremum of ``min(lam, curve(lam))``.  :func:`_bayes_crossing` returns
+    the value with its certificate.
     """
     return _bayes_crossing(alpha, p1, p2).value
 
@@ -637,66 +682,27 @@ def _bayes_crossing(alpha: float, p1: Distribution, p2: Distribution) -> _Crossi
     program = _program(alpha, p1, p2)
 
     def certify(value: float, excess: float, lo: float = 0.0, hi: float = math.inf) -> _Crossing:
-        return _Crossing(
-            value, excess, lo, hi, program.relaxations, program.sweeps, program.solves,
-        )
+        return _Crossing(value, excess, lo, hi, program.relaxations, program.sweeps, program.solves)
 
     if _same_pair(p1, p2):
         return certify(0.0, 0.0)
-    alpha = program.alpha
-    sources = program.start()
-    full = program.constraint_value(sources[0], sources[1]) / alpha
+    alpha, stop = program.alpha, divergence.EXCESS_STOP
+    full = program.constraint_value(program.a, program.b) / alpha
     if not program.common:
         return certify(full, 0.0)
     lo = _End(0.0, -full, 0.5 * full, None)
-    if full <= divergence.EXCESS_STOP:  # the sources already meet the stop
+    if full <= stop:  # the sources already meet the stop
         return certify(lo.value, lo.excess)
-    hi = _End(math.inf, math.inf, math.inf, None)  # no end with a positive excess yet
 
-    # Joint Newton steps on (W, mu) from the mixture at mu = 1, each taken
-    # only if it keeps mu inside the bracket and lowers the residual (the
-    # sweep's move and the excess).  An iterate whose sweep moves no
-    # coordinate more than INNER_TOLERANCE passes relax's own stop, so it
-    # is relax's answer at its mu, and it enters the bracket as an end.  A
-    # refused step relaxes at the bracket's midpoint instead, or at twice
-    # its lower end while no end has a positive excess, and the steps go on
-    # from that end with the merit reset.  Each step is a sweep and a search
-    # step, so the loop has the smaller of the two budgets.
-    budget = min(divergence.CROSSING_MAX_STEPS, INNER_MAX_SWEEPS)
-    mu, w = 1.0, sources[2]
-    best = math.inf
-    for _ in range(budget):
-        e = 1.0 / (1.0 + mu)
-        swept = program.sweep(w, e)
-        q1, q2, t_w = swept
-        move = max(map(abs, map(sub, t_w, w)))
-        if move <= INNER_TOLERANCE:
-            objective = program.objective_value(q1, q2) / alpha
-            constraint = program.constraint_value(q1, q2) / alpha
-            end = _End(mu, objective - constraint, 0.5 * (objective + constraint), None)
-            if abs(end.excess) <= divergence.EXCESS_STOP:
-                return certify(end.value, end.excess, lo.mu, hi.mu)
-            if end.excess > 0.0:
-                hi = end
-            else:
-                lo = end
-            # an infinite hi is never narrow, though inf - mu <= inf holds
-            if hi.mu - lo.mu <= divergence.RELATIVE_BRACKET_WIDTH * hi.mu < math.inf:
-                # the end of smaller excess, hi first; an excess within the stop counts as 0
-                end = min(hi, lo, key=lambda end: max(abs(end.excess), divergence.EXCESS_STOP))
-                return certify(end.value, end.excess, lo.mu, hi.mu)
-        excess, w_next, mu_next = program.joint_step(mu, w, swept)
-        merit = math.hypot(move, excess)
-        if merit < best and w_next is not None and lo.mu < mu_next < hi.mu:
-            best, mu, w = merit, mu_next, w_next
-        else:
-            mu = 0.5 * (lo.mu + hi.mu) if hi.mu < math.inf else max(1.0, 2.0 * lo.mu)
-            w = program.relax(mu, (q1, q2, w))[2]
-            best = math.inf
-    unit = "sweeps" if INNER_MAX_SWEEPS < divergence.CROSSING_MAX_STEPS else "steps"
-    raise NonConvergence(
-        f"Bayes crossing unfinished after {budget} {unit}: excess {lo.excess} to {hi.excess}"
-    )
+    def report(mu: float, q1, q2) -> _End:
+        objective = program.objective_value(q1, q2) / alpha
+        constraint = program.constraint_value(q1, q2) / alpha
+        return _End(mu, objective - constraint, 0.5 * (objective + constraint), None)
+
+    lo, hi, end = program.newton(lo, None, report, lambda end: abs(end.excess) <= stop)
+    if end is None:  # the end of smaller excess, hi first
+        end = min(hi, lo, key=lambda end: abs(end.excess))
+    return certify(end.value, end.excess, lo.mu, hi.mu)
 
 
 def bayes_multiclass_gutman(dists: list[Distribution], alpha: float) -> float:
@@ -744,7 +750,7 @@ def constrained_kl_min(
     center, obj = zip(*common)  # D(V_t || .) reads only V_t's support
     logs = [(math.log(c), math.log(o)) for c, o in common]
 
-    def end(t: float, state=None) -> _End:
+    def end(t: float) -> _End:
         x = [math.exp((1.0 - t) * log_obj + t * log_center) for log_center, log_obj in logs]
         total = 0.0
         for y in x:  # in order, as chernoff sums (sum() compensates from Python 3.12)

@@ -233,7 +233,7 @@ def solve_fixed_point(
         d_p, d_q, curvature = divergences(theta)
         return gamma - d_p - d_q / theta, -d_q or math.nan, curvature
 
-    def end(theta: float, state=None) -> _End:
+    def end(theta: float) -> _End:
         # an end for the doubling, with the evaluated point as its state
         point = excess(theta)
         return _End(theta, point[0], math.inf, point)

@@ -83,12 +83,6 @@ MUTANTS = [
         "the two-sided KKT solve: the second side's Woodbury sums",
     ),
     Mutant(
-        "search-infinite-excess-regula-falsi", "divergence.py",
-        "bisect = not halved or math.isinf(f_hi - f_lo)", "bisect = not halved",
-        ("tests/test_exponents.py::TestCrossingSearch::test_infinite_excess_is_bisected",),
-        "FOUND: no test reached _search's bisection on an infinite excess",
-    ),
-    Mutant(
         "root-no-floor-check", "fixedpoint.py",
         "if lo == BRACKET_LOW and excess(BRACKET_LOW)[0] > 0.0:",
         "if False:",
@@ -156,6 +150,56 @@ MUTANTS = [
         "curvature = to_m * to_m * alpha * (q_only + spread)",
         ("tests/test_fixedpoint.py::TestHalleySteps::test_curvature_matches_a_50_digit_value",),
         "the evaluator's curvature: the term of mass of p only",
+    ),
+    Mutant(
+        "slack-row-no-objective-e-derivative", "exponents.py",
+        "second += alpha * v1 * (c1 + ri) + v2 * (c2 + ri)",
+        "second += alpha * v1 * (c1 / weight + ri) + v2 * (c2 / weight + ri)",
+        ("tests/test_exponents.py::TestJointStep::test_slack_step_from_a_relaxed_state_is_newton_on_the_slack",),
+        "the joint Newton loop for the budget programs: the slack row without dO/de",
+    ),
+    Mutant(
+        "slack-row-no-objective", "exponents.py",
+        "weight = 1.0 if budget is None else e", "weight = 1.0",
+        ("tests/test_exponents.py::TestJointStep::test_slack_step_from_a_relaxed_state_is_newton_on_the_slack",),
+        "the joint Newton loop for the budget programs: the slack row without dO/dd and dO/de",
+    ),
+    Mutant(
+        "program-accepts-infeasible-end", "exponents.py",
+        "self.objective_value(q1, q2) if slack >= 0.0 else math.inf",
+        "self.objective_value(q1, q2) if slack > -1 else math.inf",
+        ("tests/test_exponents.py::TestConstrainedPrograms::test_agrees_with_the_replaced_search",),
+        "the joint Newton loop for the budget programs: only a feasible end is done",
+    ),
+    Mutant(
+        "program-skips-gap-check", "exponents.py",
+        "return end.value < math.inf and end.mu * end.excess <= GAP_BOUND * (1.0 + end.value)",
+        "return end.value < math.inf",
+        ("tests/test_exponents.py::TestConstrainedPrograms::test_agrees_with_the_replaced_search",
+         "tests/test_exponents.py::TestConstrainedPrograms::test_agrees_with_bisection_oracle"),
+        "the joint Newton loop for the budget programs: a done end has its gap certified",
+    ),
+    Mutant(
+        "program-runs-the-crossing-row", "exponents.py",
+        "self.newton(lo, budget, report, certified)",
+        "self.newton(lo, None, report, certified)",
+        ("tests/test_exponents.py::TestConstrainedPrograms::test_agrees_with_the_replaced_search",
+         "tests/test_search_cost.py::test_budget_program_counts"),
+        "the joint Newton loop for the budget programs: the slack row, not the crossing's",
+    ),
+    Mutant(
+        "program-aims-at-zero-slack", "exponents.py",
+        "aim = 0.5 * min(divergence.EXCESS_STOP, GAP_BOUND * (1.0 + objective) / mu)",
+        "aim = 0.0",
+        ("tests/test_search_cost.py::test_budget_program_counts",),
+        "FOUND (slopes on the slack): Newton steps on the slack close in from the infeasible side",
+    ),
+    Mutant(
+        "relax-no-floor", "exponents.py",
+        "w = [max(x * (1.0 + t * y), sys.float_info.min) for x, y in zip(w, d)]",
+        "w = [x * (1.0 + t * y) for x, y in zip(w, d)]",
+        ("tests/test_contract.py::TestBoundaryPairs::test_values_are_defined_or_errors_are_the_package_own",),
+        "the floor on W: a relaxed weight below the float range at large mu",
     ),
 ]
 

@@ -90,6 +90,12 @@ damped Newton relaxations warm-started from the upper end, until the
 bracket is ``RELATIVE_BRACKET_WIDTH`` wide, and certifies the upper end's
 duality gap.
 
+``illinois_program`` is the multiplier search that the joint Newton loop
+(``_PairProgram.newton``) replaced in ``_PairProgram.solve``: doubling from
+1 (``_bracket``) and the shared Illinois search on the slack
+(``_search``), with a full relaxation at every multiplier it tries, each
+from the last relaxed state.
+
 ``bisect_chernoff`` and ``bisect_constrained_kl_min`` are the bisections
 that the same search, now in ``seqstat.divergence``, replaced in
 ``chernoff`` and ``constrained_kl_min``: the first halves [0, 1] on the
@@ -485,7 +491,7 @@ def search_fixed_point(p, q, gamma: float) -> FixedPointResult:
         raise NoSolution(f"no positive root: gamma={gamma} is not below D(p||q)={slope_at_zero}")
     evaluations = 0
 
-    def end(theta: float, state=None) -> _End:
+    def end(theta: float) -> _End:
         nonlocal evaluations
         evaluations += 1
         d_p, d_q, _ = divergences(theta)
@@ -524,7 +530,7 @@ def newton_fixed_point(p, q, gamma: float) -> FixedPointResult:
     reverse = _mixture_divergences(q.weights, p.weights)(0.0)[0]
     evaluations = 0
 
-    def end(theta: float, state=None) -> _End:
+    def end(theta: float) -> _End:
         nonlocal evaluations
         evaluations += 1
         d_p, d_q, _ = divergences(theta)
@@ -638,7 +644,7 @@ def numpy_chernoff(p, q) -> float:
     lq = np.log(qa[common])
     rise = 1.0
 
-    def end(eta: float, state=None) -> _End:
+    def end(eta: float) -> _End:
         terms = np.exp(eta * lp + (1.0 - eta) * lq)
         total = float(np.sum(terms))
         return _End(eta, float(np.sum(terms * (lp - lq))) / total / rise, -math.log(total), None)
@@ -740,9 +746,12 @@ def separate_sweep(program: _PairProgram, w, e: float):
     return q1, q2, [(alpha * y1 + y2) / (1.0 + alpha) for y1, y2 in zip(q1, q2)]
 
 
-def separate_joint_step(program: _PairProgram, mu: float, w, swept):
-    """``_PairProgram.joint_step`` with one pass per list and per sum and a
-    one-sided ``_simplex_solve`` per right-hand side."""
+def separate_joint_step(program: _PairProgram, mu: float, w, swept, budget=None):
+    """``_PairProgram.joint_step`` on the crossing's row (``budget`` None)
+    with one pass per list and per sum and a one-sided ``_simplex_solve``
+    per right-hand side."""
+    if budget is not None:
+        raise ValueError("the separate passes take the crossing's row only")
     e = 1.0 / (1.0 + mu)
     f = 1.0 - e
     alpha = program.alpha
@@ -1042,6 +1051,39 @@ def bisect_program(program: _PairProgram, budget: float):
     if not (0.0 <= gap <= GAP_BOUND * (1.0 + abs(value))):
         raise NonConvergence(f"duality gap {gap} above the certified bound")
     return value, q1, q2
+
+
+def illinois_program(program: _PairProgram, budget: float):
+    """``program.solve(budget)`` as it was before the joint Newton loop:
+    doubling the multiplier from 1, then the shared Illinois search on the
+    constraint slack, with a full relaxation at every multiplier tried,
+    each started from the last relaxed state, and the feasible end's
+    duality gap certified."""
+    if budget < 0.0:
+        raise Infeasible(f"divergence budget {budget} is negative")
+    slack0 = program.constraint_value(program.a, program.b)
+    if slack0 <= budget:
+        return 0.0, program.a, program.b
+    if not program.common:
+        return math.inf, None, None
+    if budget == 0.0:
+        value, q = program.collapsed()
+        return value, q, q
+    state = program.start()
+
+    def evaluate(mu: float) -> _End:
+        nonlocal state
+        q1, q2, _ = state = program.relax(mu, state)
+        slack = budget - program.constraint_value(q1, q2)
+        value = program.objective_value(q1, q2) if slack >= 0.0 else math.inf
+        return _End(mu, slack, value, (q1, q2))
+
+    lo, hi = _search(evaluate, *_bracket(evaluate, _End(0.0, budget - slack0, math.inf, None)))
+    end = lo if lo.value < math.inf else hi  # lo is feasible only at slack 0
+    gap = end.mu * end.excess
+    if not (0.0 <= gap <= GAP_BOUND * (1.0 + abs(end.value))):
+        raise NonConvergence(f"duality gap {gap} above the certified bound")
+    return (end.value, *end.state)
 
 
 def bisect_chernoff(p, q) -> float:

@@ -425,9 +425,9 @@ class TestChernoff:
         def counting(evaluate, lo, hi):
             calls = []
 
-            def counted(eta, state):
+            def counted(eta):
                 calls.append(eta)
-                return evaluate(eta, state)
+                return evaluate(eta)
 
             ends = search(counted, lo, hi)
             evaluations.append(2 + len(calls))

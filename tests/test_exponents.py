@@ -475,6 +475,8 @@ class TestNewtonRelaxation:
         for alpha, p1, p2 in crossing_family(11, 100) + [wide_pair_at_tiny_rate()]:
             lam = gutman_bayes_exponent(alpha, p1, p2)
             gutman_bayes_curve(alpha, 0.5 * lam, p1, p2)
+            # the replaced slack search relaxes at every multiplier it tries
+            oracle.illinois_program(_program(alpha, p1, p2), 0.5 * lam * alpha)
         assert len(returns) > 1000
         worst = max(plain_move(program, state, mu) for program, mu, state in returns)
         assert worst <= INNER_TOLERANCE
@@ -600,7 +602,8 @@ class TestNewtonRelaxation:
         assert max(counts) <= 13
 
     def test_relaxations_per_curve_point(self, monkeypatch):
-        # bisecting the multiplier took a median of 43 relaxations per point
+        # bisecting the multiplier took a median of 43 relaxations per point,
+        # and the Illinois slack search 9
         calls = []
         relax = _PairProgram.relax
 
@@ -615,7 +618,7 @@ class TestNewtonRelaxation:
                 calls.clear()
                 gutman_bayes_curve(alpha, share * gjs(p1, p2, alpha) / alpha, p1, p2)
                 counts.append(len(calls))
-        assert np.median(counts) <= 12
+        assert np.median(counts) <= 2
 
 
 def kkt_family(seed, count):
@@ -758,15 +761,15 @@ class TestCrossingSearch:
     def search(excess, lo, hi, slope=None):
         """``_search`` on a scalar excess, with the crossing's value (the mean
         of the excess and 0) and, if given, ``slope(mu)`` on every end;
-        returns the value at the final end of smaller excess and the ``(mu,
-        state)`` of every evaluation, where an end's state is its mu."""
+        returns the value at the final end of smaller excess and the mu of
+        every evaluation."""
         calls = []
 
         def end(mu):
-            return _End(mu, excess(mu), 0.5 * excess(mu), mu, slope(mu) if slope else None)
+            return _End(mu, excess(mu), 0.5 * excess(mu), None, slope(mu) if slope else None)
 
-        def evaluate(mu, state):
-            calls.append((mu, state))
+        def evaluate(mu):
+            calls.append(mu)
             return end(mu)
 
         ends = _search(evaluate, end(lo), end(hi))
@@ -780,34 +783,7 @@ class TestCrossingSearch:
 
         _, calls = self.search(excess, 0.0, 1.0)
         assert len(calls) <= 90
-        assert abs(calls[-1][0] - 0.5) <= 1e-9
-
-    def test_infinite_excess_is_bisected(self):
-        # while an end's excess is infinite, regula falsi's point is NaN or
-        # that end, so every step is the bracket's midpoint; once both ends
-        # are finite the search closes in as on any excess and certifies
-        def excess(mu):
-            if mu < 0.2:
-                return -math.inf
-            return math.inf if mu > 0.7 else math.expm1(3.0 * (mu - 0.6))
-
-        value, calls = self.search(excess, 0.0, 1.0)
-        lo, hi = 0.0, 1.0
-        bisections = 0
-        for mu, _ in calls:
-            if math.isinf(excess(lo)) or math.isinf(excess(hi)):
-                assert mu == 0.5 * (lo + hi)
-                bisections += 1
-            else:
-                assert lo < mu < hi
-            if excess(mu) > 0.0:
-                hi = mu
-            else:
-                lo = mu
-        assert bisections == 3 and len(calls) > bisections
-        assert excess(lo) <= 0.0 < excess(hi) < math.inf
-        width = divergence.RELATIVE_BRACKET_WIDTH * hi
-        assert abs(value) <= 0.5 * divergence.EXCESS_STOP or hi - lo <= width
+        assert abs(calls[-1] - 0.5) <= 1e-9
 
     def test_smooth_roots_converge_from_both_sides(self):
         # regula falsi keeps one end of a convex or concave excess for good;
@@ -851,7 +827,7 @@ class TestCrossingSearch:
             assert len(calls) <= budget
             assert abs(value) <= 1e-12
             lo, hi = 0.0, 1.0
-            for mu, _ in calls:
+            for mu in calls:
                 assert lo < mu < hi
                 if excess(mu) > 0.0:
                     hi = mu
@@ -861,33 +837,18 @@ class TestCrossingSearch:
     def test_ends_without_slopes_keep_the_illinois_steps(self):
         # the evaluations the search made before ends carried slopes
         _, calls = self.search(lambda mu: math.expm1(3.0 * (mu - 0.3)), 0.0, 1.0)
-        assert [mu for mu, _ in calls] == [
+        assert calls == [
             0.07647692160987252, 0.5382384608049362, 0.22372303370929308,
             0.2752636716196671, 0.30696397710095735, 0.29973934292266996,
             0.2999972863147011, 0.30000265511900015, 0.29999999998919225,
             0.29999999999999993,
         ]
         _, calls = self.search(lambda mu: -math.expm1(-3.0 * (mu - 0.3)), 0.0, 1.0)
-        assert [mu for mu, _ in calls] == [
+        assert calls == [
             0.6245235362563352, 0.3122617681281676, 0.2975370406080633,
             0.3000455212639665, 0.300000167972246, 0.29999983329009144,
             0.300000000000042,
         ]
-
-    def test_relaxes_from_the_nearer_end(self):
-        def excess(mu):
-            return (mu - 0.31) ** 9 + 1e-3 * (mu - 0.31)
-
-        lo, hi = 0.0, 1.0
-        _, calls = self.search(excess, lo, hi)
-        assert len(calls) >= 5
-        for mu, state in calls:
-            nearer = lo if mu - lo < hi - mu else hi
-            assert state == nearer
-            if excess(mu) > 0.0:
-                hi = mu
-            else:
-                lo = mu
 
     def test_agrees_with_bisection_oracle(self):
         worst = 0.0
@@ -1046,6 +1007,48 @@ class TestJointStep:
                     checked += 1
         assert checked >= 100
 
+    def test_slack_row_matches_the_divergences(self, rng):
+        # with a budget the step's row is the slack (budget - gjs) at (q1(w),
+        # q2(w)), less its aim, over alpha, evaluating neither divergence
+        for alpha, p1, p2 in crossing_family(12, 50):
+            program = _program(alpha, p1, p2)
+            if not program.common:
+                continue
+            budget = 0.5 * program.constraint_value(program.a, program.b)
+            for mu in (0.3, 1.0, 7.0):
+                w = list(rng.dirichlet(np.ones(len(program.a))))
+                swept = program.sweep(w, 1.0 / (1.0 + mu))
+                q1, q2, _ = swept
+                objective = program.objective_value(q1, q2)
+                aim = 0.5 * min(divergence.EXCESS_STOP, GAP_BOUND * (1.0 + objective) / mu)
+                want = (budget - aim - program.constraint_value(q1, q2)) / alpha
+                row = program.joint_step(mu, w, swept, budget)[0]
+                assert row == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+    def test_slack_step_from_a_relaxed_state_is_newton_on_the_slack(self):
+        # at a relaxed state the slack row's step is a Newton step on mu with
+        # the relaxed slack's slope, here a central difference of two
+        # relaxations; the objective's derivatives in the step and in e are
+        # both in that slope
+        checked = 0
+        for alpha, p1, p2 in crossing_family(12, 50):
+            program = _program(alpha, p1, p2)
+            if not program.common:
+                continue
+            budget = 0.5 * program.constraint_value(program.a, program.b)
+            for mu in (0.3, 1.0, 2.5):
+                state = program.relax(mu, program.start())
+                swept = program.sweep(state[2], 1.0 / (1.0 + mu))
+                row, _, mu_next = program.joint_step(mu, state[2], swept, budget)
+                h = 1e-4 * mu
+                up, down = (program.relax(mu + step, state) for step in (h, -h))
+                rise = program.constraint_value(*down[:2]) - program.constraint_value(*up[:2])
+                slope = rise / (2.0 * h * alpha)
+                if mu_next > 0.0:
+                    assert mu_next == pytest.approx(mu - row / slope, rel=1e-6)
+                    checked += 1
+        assert checked >= 80
+
     def test_refused_steps_relax_at_the_safeguard_point(self, monkeypatch):
         # a step with no usable W, a multiplier outside the bracket or NaN,
         # or a residual that does not fall is refused; the crossing relaxes
@@ -1122,27 +1125,44 @@ class TestConstrainedPrograms:
                 assert gjs(q1, q2, alpha) <= share * full
 
     def test_exact_zero_slack_end_is_the_answer(self, monkeypatch):
-        # a budget equal to the constraint at the search's first relaxed end
-        # (mu = 1, relaxed from the sources) is met exactly there; that end
-        # sorts to the lower end and is the answer, on the type-II scale
-        # and on the curve's, whose budget (budget / alpha) * alpha is the
-        # same number for this pair
-        ends = []
-        search = exponents._search
+        # with every joint step refused, the loop's first relaxed end is the
+        # relaxation at mu = 1 from the mixture; a budget equal to its
+        # constraint is met exactly there, and that end is the answer, on the
+        # type-II scale and on the curve's, whose budget (budget / alpha) *
+        # alpha is the same number for this pair
+        joint_step = _PairProgram.joint_step
 
-        def spy(*args):
-            ends.append(search(*args))
-            return ends[-1]
+        def refused(self, *args):
+            row, _, mu = joint_step(self, *args)
+            return row, None, mu
 
-        monkeypatch.setattr(exponents, "_search", spy)
+        monkeypatch.setattr(_PairProgram, "joint_step", refused)
         alpha, p1, p2 = crossing_family(20191203, 40)[36]
         program = _program(alpha, p1, p2)
         q1, q2, _ = program.relax(1.0, program.start())
         budget = program.constraint_value(q1, q2)
+        program = _program(alpha, p1, p2)
+        assert program.solve(budget) == (program.objective_value(q1, q2), q1, q2)
+        assert program.relaxations == 1
         type2 = gutman_type2_exponent(alpha, budget, p1, p2)
         curve = gutman_bayes_curve(alpha, budget / alpha, p1, p2)
-        assert [lo.excess for lo, _ in ends] == [0.0, 0.0]
+        assert type2 == program.objective_value(q1, q2)
         assert curve == type2 / alpha
+
+    def test_agrees_with_the_replaced_search(self):
+        # the doubling and Illinois slack search that the joint Newton loop
+        # replaced (tests/oracle.py): both certify a duality gap of at most
+        # GAP_BOUND (1 + |value|), so their values agree within it, and
+        # every returned pair meets the budget
+        for alpha, p1, p2 in crossing_family(20191203, 40):
+            full = gjs(p1, p2, alpha)
+            for share in (0.3, 0.6, 0.9):
+                # the type-II exponent's budget, then the curve's
+                for budget in (share * full, share * full / alpha * alpha):
+                    value, q1, q2 = _program(alpha, p1, p2).solve(budget)
+                    want, _, _ = oracle.illinois_program(_program(alpha, p1, p2), budget)
+                    assert abs(value - want) <= GAP_BOUND * (1.0 + abs(want))
+                    assert _program(alpha, p1, p2).constraint_value(q1, q2) <= budget
 
     def test_zero_weight_pairs_at_a_small_budget(self):
         # alpha about 415, 369 and 397 with one zero weight: relaxing every

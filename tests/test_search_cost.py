@@ -1,14 +1,15 @@
 """Search-cost guards: each bracketed search that takes Newton steps keeps its saving.
 
 Chernoff information gives ``divergence._search`` a slope, the threshold
-root takes Halley steps in ``1 / theta`` from ``D(q || p) / gamma``,
-the Bayes crossing takes joint Newton steps on its mixture and its
-multiplier together, and the reports' rate gate runs the Chernoff search
-only where the Bhattacharyya bound leaves the rate undecided and takes each
-exponent from its root's solve.  A later edit that drops one of these still passes
-every accuracy test, so these tests count the work, with spies on the test
-side or from the crossing's certificate, and hold it below what the
-searches took before (the counts stated in each test).
+root takes Halley steps in ``1 / theta`` from ``D(q || p) / gamma``, the
+Bayes crossing and the budget programs take joint Newton steps on their
+mixture and multiplier together, and the reports' rate gate runs the
+Chernoff search only where the Bhattacharyya bound leaves the rate
+undecided and takes each exponent from its root's solve.  A later edit that
+drops one of these still passes every accuracy test, so these tests count
+the work, with spies on the test side or from the programs' own counters,
+and hold it below what the searches took before (the counts stated in each
+test).
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from seqstat import (
     solve_fixed_point,
 )
 from seqstat.errors import GammaOutOfRange
-from seqstat.exponents import _PairProgram, _bayes_crossing
+from seqstat.exponents import _PairProgram, _bayes_crossing, _program
 
 from conftest import random_interior_pair
 from test_exponents import crossing_family
@@ -91,6 +92,25 @@ def test_crossing_kkt_solves():
     # relaxation at every multiplier it tried, plus one solve for each slope
     solves = [_bayes_crossing(alpha, p1, p2).solves for alpha, p1, p2 in crossing_family(12, 50)]
     assert np.median(solves) <= 10
+
+
+def test_budget_program_counts():
+    # the doubling of the multiplier and the Illinois search on the slack,
+    # with a full relaxation at every multiplier tried from the nearer end
+    # of the bracket, took 1,442 relaxations (median 9, max 43), 4,779
+    # sweeps (median 30, max 108) and 3,337 KKT solves (median 21, max 65)
+    # on these 150 programs; the joint Newton loop relaxes only where it
+    # refuses a step
+    counts = []
+    for alpha, p1, p2 in crossing_family(12, 50):
+        for share in (0.3, 0.6, 0.9):
+            program = _program(alpha, p1, p2)
+            program.solve(share * gjs(p1, p2, alpha))
+            counts.append((program.relaxations, program.sweeps, program.solves))
+    relaxations, sweeps, solves = np.sum(counts, axis=0)
+    assert relaxations < 1442
+    assert sweeps < 4779
+    assert solves < 3337
 
 
 def test_refused_joint_steps_cost_no_nested_search():

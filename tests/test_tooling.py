@@ -320,13 +320,14 @@ def test_solvers_pass_float_sequences():
 
 
 def test_one_bracketed_search(monkeypatch):
-    # every multiplier search in the package and Chernoff's runs the one
-    # search in seqstat.divergence, looked up in the caller's own globals;
-    # the Bayes crossing and the threshold root run none: the crossing's
-    # joint Newton steps bisect its bracket themselves where a step is
-    # refused, as the first one is against a point mass at alpha = 10, and
-    # the root takes monotone Newton steps in 1 / theta from D(q || p) /
-    # gamma, on a pair with D(q || p) = inf from the doubling
+    # Chernoff's search and constrained_kl_min's run the one search in
+    # seqstat.divergence, looked up in the caller's own globals; the
+    # exponent programs and the threshold root run none: the joint Newton
+    # loop of the crossing and of the type-II program bisects its bracket
+    # itself where a step is refused, as the crossing's first one is
+    # against a point mass at alpha = 10, and the root takes Halley steps
+    # in 1 / theta from D(q || p) / gamma, on a pair with D(q || p) = inf
+    # from a bound
     from seqstat import (
         Alphabet,
         chernoff,
@@ -362,7 +363,6 @@ def test_one_bracketed_search(monkeypatch):
         # an interior pair: the optimal eta lies inside (0, 1)
         "chernoff": lambda: chernoff(p1, p2),
         "constrained_kl_min": lambda: constrained_kl_min(p1, p2, 0.5 * cap),
-        "gutman_type2_exponent": lambda: gutman_type2_exponent(1.0, 0.5 * gjs(p1, p2, 1.0), p1, p2),
     }
     silent = []
     for name, run in runs.items():
@@ -374,6 +374,7 @@ def test_one_bracketed_search(monkeypatch):
     calls.clear()
     cert = _bayes_crossing(10.0, p1, point)
     assert cert.relaxations > 0 and calls == []
+    assert gutman_type2_exponent(1.0, 0.5 * gjs(p1, p2, 1.0), p1, p2) > 0.0 and calls == []
     roots = [solve_fixed_point(p1, p2, 0.02), solve_fixed_point(point, p1, 0.02)]
     assert [root.iterations > 0 for root in roots] == [True, True] and calls == []
 
